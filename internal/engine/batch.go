@@ -2,9 +2,14 @@
 // parallel runs. Popped packet batches convert to columnar tuple batches
 // (trace.AppendBatch: one tight loop per field) and flow through
 // Operator.ProcessBatch / ptable.processBatch, which are row-for-row
-// identical to the scalar calls. Profiled or traced nodes keep the
+// identical to the scalar calls. On the serial path the edge from a node
+// to the high-level nodes reading it is columnar too (Node.emit,
+// Node.emitCols, Engine.drainHigh in engine.go). Profiled nodes keep the
 // row-at-a-time loops — their per-tuple accounting is part of their
-// contract — so the batch path carries no instrumentation branches.
+// contract. A traced node does not: its batch runs as columnar segments
+// between the traced rows, and only those go through scalar Process (see
+// processLowBatch and Node.processInput), so the batch path carries no
+// instrumentation branches.
 package engine
 
 import (
@@ -18,7 +23,7 @@ import (
 	"streamop/internal/value"
 )
 
-// inBatch returns the node's lazily created input batch.
+// input returns a low-level node's lazily created packet batch.
 func (n *Node) input() *tuple.Batch {
 	if n.inBatch == nil {
 		n.inBatch = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)

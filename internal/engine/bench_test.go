@@ -57,6 +57,30 @@ func BenchmarkEngineRun(b *testing.B) {
 	b.ReportMetric(float64(len(pkts)), "pkts/run")
 }
 
+// BenchmarkTwoLevelHop prices the low-to-high hop in the paper's expensive
+// configuration (Fig. 5: a pass-through tap feeding the subset-sum query
+// as a high-level node, the benchmark's two_level workload): ns/op is
+// per packet, and allocs/op — allocations per packet, every one of which
+// crosses the hop — is the number the columnar edge exists to keep near
+// zero (what is left is the sampling operator's group churn and its
+// output rows).
+func BenchmarkTwoLevelHop(b *testing.B) {
+	pkts := benchPackets(b, 100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	processed := 0
+	for processed < b.N {
+		b.StopTimer()
+		e, _ := hopBuild(b, hopTopos[0], nil)
+		b.StartTimer()
+		if err := e.Run(sliceFeed(pkts)); err != nil {
+			b.Fatal(err)
+		}
+		processed += len(pkts)
+	}
+	b.ReportMetric(float64(len(pkts)), "pkts/run")
+}
+
 // BenchmarkEngineRunParallel measures the concurrent (unpaced,
 // backpressured) end-to-end cost of the same topology.
 func BenchmarkEngineRunParallel(b *testing.B) {

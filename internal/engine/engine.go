@@ -51,7 +51,6 @@ type Node struct {
 	schema *tuple.Schema // output schema
 	subs   []*Node
 	apps   []func(tuple.Tuple) error
-	queue  []tuple.Tuple // pending input for high-level nodes (Run)
 	// parallelChans, when non-nil, redirects emissions to subscriber
 	// channels (RunParallel).
 	parallelChans map[*Node]chan tuple.Tuple
@@ -75,23 +74,37 @@ type Node struct {
 	// prof is this node's cost profile; nil when profiling is off (see
 	// profile.go).
 	prof *profile.NodeProfile
-	// inBatch is the node's columnar input scratch (see batch.go), lazily
-	// created; owned by whichever single goroutine feeds the node.
+	// inBatch is the node's columnar input (see batch.go). A low-level
+	// node's holds the packets of the batch being processed, converted;
+	// a high-level node's is the edge from its parent on the serial path:
+	// the parent's emissions append to it and drainHigh hands it to the
+	// operator whole. Owned by whichever single goroutine feeds the node.
 	inBatch *tuple.Batch
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
 	// trEnq/trDeq count this node's queued input rows so traces can ride on
-	// FIFO position instead of tuple metadata.
+	// FIFO position instead of tuple metadata. trSeg and trRow are
+	// processInput's scratch: the view of one untraced segment of inBatch
+	// and the materialized traced row.
 	tr     *tracing.Tracer
 	trEnq  uint64
 	trDeq  uint64
 	trPend []nodeTrace
+	trSeg  tuple.Batch
+	trRow  tuple.Tuple
 }
 
 // Schema returns the node's output stream schema.
 func (n *Node) Schema() *tuple.Schema { return n.schema }
 
 // Subscribe registers an application callback for the node's output.
-func (n *Node) Subscribe(fn func(tuple.Tuple) error) { n.apps = append(n.apps, fn) }
+// Callbacks take rows, so the node's operator goes back to building them
+// (see emitCols).
+func (n *Node) Subscribe(fn func(tuple.Tuple) error) {
+	n.apps = append(n.apps, fn)
+	if n.op != nil {
+		n.op.SetColumnSink(nil)
+	}
+}
 
 // Stats returns the node's counters.
 func (n *Node) Stats() NodeStats {
@@ -108,7 +121,8 @@ func (n *Node) Stats() NodeStats {
 }
 
 // emit fans one output row out to subscribers and applications. Each
-// subscriber receives its own copy, and the copy is charged to this node:
+// subscriber receives its own copy — the row's values appended to the
+// subscriber's input batch — and the copy is charged to this node:
 // Gigascope pays a per-tuple copy to move data from a low-level query into
 // a high-level query's buffer, and that copy cost — proportional to the
 // number of forwarded tuples — is what the paper's Figure 6 low-level
@@ -125,7 +139,7 @@ func (n *Node) emit(row tuple.Tuple) error {
 		}
 	} else {
 		for si, sub := range n.subs {
-			sub.queue = append(sub.queue, row.Clone())
+			sub.inBatch.AppendRow(row)
 			if n.tr != nil {
 				// A traced row follows its first subscriber only, keyed by
 				// FIFO position in the subscriber's enqueue order.
@@ -146,6 +160,40 @@ func (n *Node) emit(row tuple.Tuple) error {
 	for _, app := range n.apps {
 		if err := app(row); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// emitCols is emit for a whole batch of a selection node that has no
+// application callbacks (a tap): the selected rows move column to column
+// into each subscriber's input batch and no tuple is built. It is the
+// node operator's column sink for as long as n.apps is empty. None of the
+// rows is traced: the engine sends a traced row through scalar Process,
+// whose output comes through emit.
+func (n *Node) emitCols(cols []*tuple.Column, sel []int32) error {
+	rows := len(sel)
+	if sel == nil {
+		rows = cols[0].Len()
+	}
+	if n.parallelChans != nil {
+		// RunParallel's edge is a channel of rows: build them after all.
+		for j := 0; j < rows; j++ {
+			i := j
+			if sel != nil {
+				i = int(sel[j])
+			}
+			if err := n.emit(tuple.RowOf(cols, i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	n.out += int64(rows)
+	for _, sub := range n.subs {
+		sub.inBatch.AppendCols(cols, sel)
+		if n.tr != nil {
+			sub.trEnq += uint64(rows)
 		}
 	}
 	return nil
@@ -250,6 +298,7 @@ func (e *Engine) AddLowLevel(name string, plan *gsql.Plan) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.op.SetColumnSink(n.emitCols)
 	if e.tel != nil {
 		e.instrumentNode(n)
 	}
@@ -276,10 +325,14 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 		return nil, err
 	}
 	n := &Node{name: name, plan: plan, schema: schema}
+	// Starts small and grows to the parent's largest burst: a session can
+	// hold a thousand queries on one tap, most of them nearly idle.
+	n.inBatch = tuple.NewBatch(parent.schema, 64)
 	n.op, err = operator.New(plan, n.emit)
 	if err != nil {
 		return nil, err
 	}
+	n.op.SetColumnSink(n.emitCols)
 	if e.tel != nil {
 		e.instrumentNode(n)
 	}
@@ -560,45 +613,82 @@ func (e *Engine) offerSource(p trace.Packet) {
 	}
 }
 
-// drainHigh processes queued tuples at every high-level node, in
-// topological order so cascades settle within one call. A failed node's
-// queue is discarded so its parents keep emitting without unbounded
-// buildup.
+// drainHigh runs every high-level node over the rows its parent has
+// appended to its input batch, in topological order so cascades settle
+// within one call: the whole batch goes to the operator's ProcessBatch,
+// the same kernels and row-order walk a low-level node runs over packets.
+// A failed node's input is discarded so its parents keep emitting without
+// unbounded buildup.
 func (e *Engine) drainHigh() error {
 	for _, h := range e.high {
+		in := h.inBatch
 		if h.failed {
-			h.queue = nil
+			in.Reset()
 			continue
 		}
-		if len(h.queue) == 0 {
+		depth := in.Len()
+		if depth == 0 {
 			continue
 		}
-		q := h.queue
-		h.queue = nil
 		if h.nm != nil {
-			h.nm.queue.Set(float64(len(q)))
+			h.nm.queue.Set(float64(depth))
 		}
-		if err := e.guardNode(h, func() error {
+		err := e.guardNode(h, func() error {
 			start := time.Now()
-			for _, row := range q {
-				h.tuplesIn++
-				if h.tr != nil {
-					h.tr.SetCurrent(h.takeRowTraces())
-				}
-				if err := h.op.Process(row); err != nil {
-					h.busy += time.Since(start)
-					return fmt.Errorf("engine: node %q: %w", h.name, err)
-				}
-			}
-			if h.tr != nil {
-				h.tr.ClearCurrent()
-			}
+			err := h.processInput()
 			h.busy += time.Since(start)
-			h.syncTelemetry(len(h.queue))
+			if err != nil {
+				return fmt.Errorf("engine: node %q: %w", h.name, err)
+			}
+			// The depth reported is the one this drain found: the batch is
+			// empty again by the time anyone could read the gauge.
+			h.syncTelemetry(depth)
 			return nil
-		}); err != nil {
+		})
+		in.Reset()
+		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// processInput feeds the node's input batch to its operator. Untraced, it
+// is one ProcessBatch. With a tracer attached the batch splits into
+// columnar segments around the positions of traced rows, and each traced
+// row goes through scalar Process with its traces current — the way
+// processLowBatch treats traced packets — so a trace sees the operator
+// state its FIFO position implies. A profiled operator takes its own
+// row-at-a-time path inside ProcessBatch.
+func (h *Node) processInput() error {
+	in := h.inBatch
+	n := in.Len()
+	h.tuplesIn += int64(n)
+	if h.tr == nil {
+		return h.op.ProcessBatch(in)
+	}
+	base := h.trDeq
+	for i := 0; i < n; {
+		end := n
+		if len(h.trPend) > 0 {
+			end = min(n, int(h.trPend[0].idx-base))
+		}
+		if i < end {
+			h.trDeq += uint64(end - i)
+			if err := h.op.ProcessBatch(in.Slice(i, end, &h.trSeg)); err != nil {
+				return err
+			}
+			i = end
+			continue
+		}
+		h.trRow = in.Row(i, h.trRow)
+		h.tr.SetCurrent(h.takeRowTraces())
+		err := h.op.Process(h.trRow)
+		h.tr.ClearCurrent()
+		if err != nil {
+			return err
+		}
+		i++
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"streamop/internal/tuple"
 )
 
-func mustPlan(t *testing.T, src string, schema *tuple.Schema) *gsql.Plan {
+func mustPlan(t testing.TB, src string, schema *tuple.Schema) *gsql.Plan {
 	t.Helper()
 	q, err := gsql.Parse(src)
 	if err != nil {

@@ -1,0 +1,39 @@
+package engine
+
+import (
+	"streamop/internal/checkpoint"
+	"streamop/internal/trace"
+)
+
+// Test-only access to what the hop tests compare and drive.
+
+// OperatorSnapshot encodes the node operator's state with the checkpoint
+// codec.
+func (n *Node) OperatorSnapshot() ([]byte, error) {
+	enc := checkpoint.NewEncoder()
+	err := n.op.Snapshot(enc)
+	return enc.Bytes(), err
+}
+
+// PendingInput is the number of rows waiting on the edge into a
+// high-level node.
+func (n *Node) PendingInput() int {
+	if n.low {
+		return 0
+	}
+	return n.inBatch.Len()
+}
+
+// Node returns the query's node.
+func (h *QueryHandle) Node() *Node { return h.node }
+
+// HopBatch runs one popped batch through the first low-level node and
+// drains the high level: the serial loop's inner step, without the feed
+// and the ring around it.
+func (e *Engine) HopBatch(pkts []trace.Packet) error {
+	low := e.low[0]
+	if err := e.processLowBatch(low, pkts, len(pkts), nil, nil); err != nil {
+		return err
+	}
+	return e.drainHigh()
+}

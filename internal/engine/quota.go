@@ -107,7 +107,7 @@ func (h *QueryHandle) detachSub(s *Subscription, lost uint64) {
 	found := false
 	for i, other := range h.subs {
 		if other == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
+			h.subs = append(h.subs[:i:i], h.subs[i+1:]...)
 			found = true
 			break
 		}

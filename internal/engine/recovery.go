@@ -10,7 +10,8 @@ import (
 // An operator panic — a bug in an SFUN, a UDAF, or the operator itself —
 // is contained to the node it happened in: the recover captures the panic
 // value and stack, the node transitions to failed and stops processing
-// (its queued and future input is discarded), and the engine, its sibling
+// (the rest of its input batch and all future input is discarded by
+// drainHigh), and the engine, its sibling
 // queries, and the process all keep running. A failed node's operator
 // state is frozen mid-mutation and therefore untrusted: checkpoints taken
 // afterwards record the failure marker instead of the state, so a restore
@@ -66,7 +67,6 @@ func (e *Engine) failNode(n *Node, cause any, stack []byte) {
 	n.failed = true
 	n.failMsg = fmt.Sprint(cause)
 	n.failStack = string(stack)
-	n.queue = nil
 	e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, true)
 }
 

@@ -244,12 +244,15 @@ func (s *session) finish(err error) {
 		h.closeSubs(false)
 	}
 	e.topoMu.Unlock()
+	// The engine goes idle in the same step that retires the session: an
+	// Install that no longer finds it must find an engine it can change
+	// directly, not one that still looks busy.
 	e.sessMu.Lock()
 	s.err = err
 	e.sess = nil
 	e.lastSess = s
-	e.sessMu.Unlock()
 	e.endRun()
+	e.sessMu.Unlock()
 	close(s.done)
 	for {
 		select {
@@ -315,10 +318,16 @@ func (s *session) do(fn func() (any, error)) (any, error) {
 	case r := <-c.resp:
 		return r.v, r.err
 	case <-s.done:
-		// finish drains the queue, so a reply (possibly the refusal)
-		// is guaranteed.
-		r := <-c.resp
-		return r.v, r.err
+		// The pump replies before done closes, so a command it ran has
+		// its reply buffered by now. No reply means the command was
+		// queued behind the pump's last boundary — possibly after finish
+		// emptied the queue, when no refusal will ever come.
+		select {
+		case r := <-c.resp:
+			return r.v, r.err
+		default:
+			return nil, ErrSessionClosed
+		}
 	}
 }
 
@@ -732,6 +741,9 @@ type QueryHandle struct {
 	failedFlag atomic.Bool
 	errv       atomic.Pointer[error]
 
+	// subs is copy-on-write under mu: deliver reads the slice under the
+	// lock and walks it after releasing it, so Subscribe, Close and
+	// detachSub build a new backing array instead of writing into that one.
 	mu      sync.Mutex
 	subs    []*Subscription
 	retired bool
@@ -849,7 +861,7 @@ func (h *QueryHandle) Subscribe() *Subscription {
 	h.mu.Lock()
 	dead := h.retired
 	if !dead {
-		h.subs = append(h.subs, s)
+		h.subs = append(h.subs[:len(h.subs):len(h.subs)], s)
 	}
 	h.mu.Unlock()
 	if dead {
@@ -920,7 +932,7 @@ func (s *Subscription) Close() {
 	h.mu.Lock()
 	for i, other := range h.subs {
 		if other == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
+			h.subs = append(h.subs[:i:i], h.subs[i+1:]...)
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -553,5 +554,56 @@ func TestRunWrapperUnchanged(t *testing.T) {
 	}
 	if err := e1.Run(trace.NewReplay(pkts)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionEndRacesInstall hammers Install/Uninstall against sessions
+// that are ending: every call must come back — with a handle, or with
+// ErrSessionClosed when its command was queued behind the pump's last
+// boundary — and never wait for a reply nobody is left to send.
+func TestSessionEndRacesInstall(t *testing.T) {
+	const rounds, hammers = 60, 4
+	for round := 0; round < rounds; round++ {
+		e, err := engine.New(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed, err := trace.NewSteady(trace.SteadyConfig{Seed: uint64(round + 1), Duration: 0.02, Rate: 50000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(context.Background(), feed); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < hammers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; e.SessionActive(); i++ {
+					name := fmt.Sprintf("q%d_%d", g, i)
+					_, err := e.Install(name, "SELECT time, len FROM PKT WHERE len > 1000", engine.InstallOptions{})
+					if err == nil {
+						err = e.Uninstall(name)
+					}
+					if err != nil && !errors.Is(err, engine.ErrSessionClosed) {
+						t.Errorf("round %d: %v", round, err)
+						return
+					}
+				}
+			}(g)
+		}
+		returned := make(chan struct{})
+		go func() { wg.Wait(); close(returned) }()
+		select {
+		case <-returned:
+		case <-time.After(20 * time.Second):
+			buf := make([]byte, 1<<16)
+			t.Fatalf("round %d: Install/Uninstall still blocked 20 s after the session ended\n%s",
+				round, buf[:runtime.Stack(buf, true)])
+		}
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -80,7 +80,8 @@ func (e *Engine) instrumentNode(n *Node) {
 }
 
 // syncTelemetry mirrors the node's counters into its gauges; queueDepth is
-// the caller's current buffered-input depth (queue slice or channel).
+// the buffered input the caller found: the rows in the input batch at
+// drain entry (serial path) or the channel's length (RunParallel).
 func (n *Node) syncTelemetry(queueDepth int) {
 	m := n.nm
 	if m == nil {

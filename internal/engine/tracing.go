@@ -12,13 +12,16 @@ import (
 
 // Provenance tracing for the single-threaded Run path. The engine owns the
 // stages the operator cannot see: the source ring (enqueue, dequeue-wait,
-// drops), the handoff of emitted rows into high-level input queues, and
+// drops), the handoff of emitted rows into high-level input batches, and
 // the application boundary where a trace terminates as "emitted".
 //
 // Traced tuples are identified purely by FIFO position — the ring's
 // push/pop counters for source packets, per-node enqueue/dequeue counters
-// for high-level queues — so no metadata rides on tuples and the untraced
-// hot path is unchanged apart from nil checks. A traced row emitted to
+// for high-level input batches — so no metadata rides on tuples and the
+// untraced hot path is unchanged apart from nil checks. A batch holding
+// traced rows is processed as columnar segments around them, each traced
+// row through scalar Process with its traces current (processLowBatch for
+// packets, Node.processInput for high-level rows). A traced row emitted to
 // several subscribers follows the FIRST subscriber only (one terminal
 // disposition per trace); RunParallel ignores tracing entirely.
 
@@ -135,8 +138,8 @@ func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, n int, scratch 
 	return nil
 }
 
-// nodeTrace pairs the traces riding on one queued input row with the
-// row's position in the node's enqueue order.
+// nodeTrace pairs the traces riding on one row of a node's input batch
+// with the row's position in the node's enqueue order.
 type nodeTrace struct {
 	idx  uint64 // value of trEnq when the row was appended
 	from string // emitting node, for the transfer span
@@ -144,7 +147,7 @@ type nodeTrace struct {
 }
 
 // enqueueTrace records tts as riding on the row about to be appended to
-// n's input queue (the caller increments trEnq after).
+// n's input batch (the caller increments trEnq after).
 func (n *Node) enqueueTrace(from string, tts []*tracing.TupleTrace) {
 	for _, tt := range tts {
 		tt.TransferEnqueued()

@@ -29,8 +29,9 @@ package gsql
 //     the operator keeps the scalar path for the whole plan.
 //
 // Provenance tracing hooks into the scalar closures (Ctx.Trace); the
-// batch driver is only used when no tracer is attached, so VecCall does
-// not carry the trace hook.
+// batch driver never runs a row whose trace is current (the engine sends
+// those through the scalar path), so VecCall does not carry the trace
+// hook.
 
 import (
 	"math"
@@ -97,6 +98,10 @@ func (e *VecEnv) floatScratch(n int) ([]float64, []float64) {
 type vecVal struct {
 	col *tuple.Column // nil for a literal
 	lit value.Value
+	// litBits is lit's payload as a one-word slice, built once when a
+	// query literal compiles so that numericOperand allocates nothing per
+	// batch; nil for literals computed at run time.
+	litBits []uint64
 }
 
 func (v vecVal) valueAt(i int) value.Value {
@@ -134,7 +139,11 @@ func numericOperand(v vecVal) (vecOperand, bool) {
 		if !v.lit.Kind().Numeric() {
 			return vecOperand{}, false
 		}
-		return vecOperand{kind: v.lit.Kind(), bits: []uint64{v.lit.Bits()}, stride: 0}, true
+		bits := v.litBits
+		if bits == nil {
+			bits = []uint64{v.lit.Bits()}
+		}
+		return vecOperand{kind: v.lit.Kind(), bits: bits, stride: 0}, true
 	}
 	k, ok := v.col.Uniform()
 	if !ok || !k.Numeric() {
@@ -335,12 +344,16 @@ func (gc *GroupCall) CallGroup(states []any, aggs []agg.Agg) (value.Value, error
 	return gc.call(states[gc.StateIdx], gc.scratch)
 }
 
-// VecPlan is the vectorized form of a sampling plan's per-tuple clauses.
-// Fields left nil keep their scalar counterparts (the driver materializes
-// a row context for them).
+// VecPlan is the vectorized form of a plan's per-tuple clauses. For a
+// sampling plan, fields left nil keep their scalar counterparts (the
+// driver materializes a row context for them). A selection plan has only
+// Where or WhereCall and Select, and vectorizes whole or not at all.
 type VecPlan struct {
 	// GroupBy has one kernel per Plan.GroupBy item.
 	GroupBy []*VecExpr
+	// Select has one kernel per Plan.SelectExprs item of a selection plan
+	// (nil for sampling plans, whose SELECT runs per output group).
+	Select []*VecExpr
 	// Where is the stateless WHERE kernel; WhereCall the semi-stateful
 	// one. At most one is non-nil; both nil means WHERE is absent.
 	Where     *VecExpr
@@ -379,15 +392,17 @@ type vectorizer struct {
 }
 
 // Vectorize compiles p's per-tuple clauses into column kernels. ok=false
-// means some clause essential to the batch driver (GROUP BY, WHERE)
-// falls outside the vectorizable subset and the operator must keep the
-// scalar row-at-a-time path. Selection (non-GROUP BY) plans are not
-// vectorized.
+// means some clause essential to the batch driver (GROUP BY, WHERE, a
+// selection plan's SELECT list) falls outside the vectorizable subset and
+// the operator must keep the scalar row-at-a-time path.
 func Vectorize(p *Plan) (*VecPlan, bool) {
-	if p.IsSelection || len(p.GroupBy) == 0 {
+	v := &vectorizer{p: p}
+	if p.IsSelection {
+		return v.selection()
+	}
+	if len(p.GroupBy) == 0 {
 		return nil, false
 	}
-	v := &vectorizer{p: p}
 	vp := &VecPlan{}
 	gbCtx := vecCtx{tuple: true}
 	for _, item := range p.Query.GroupBy {
@@ -442,6 +457,31 @@ func Vectorize(p *Plan) (*VecPlan, bool) {
 		if gc, ok := v.compileGroupCall(p.Query.CleaningBy); ok {
 			vp.CleanByCall = gc
 		}
+	}
+	return vp, true
+}
+
+// selection vectorizes a selection plan: WHERE as a stateless mask kernel
+// or the semi-stateful call form, every SELECT item as a stateless column
+// kernel (a stateful function in the SELECT list keeps the scalar path).
+func (v *vectorizer) selection() (*VecPlan, bool) {
+	vp := &VecPlan{}
+	ctx := vecCtx{tuple: true}
+	if w := v.p.Query.Where; w != nil {
+		if f, ok := v.compile(w, ctx); ok {
+			vp.Where = &VecExpr{f: f}
+		} else if vc, ok := v.compileVecCall(w, ctx); ok {
+			vp.WhereCall = vc
+		} else {
+			return nil, false
+		}
+	}
+	for _, item := range v.p.Query.Select {
+		f, ok := v.compile(item.Expr, ctx)
+		if !ok {
+			return nil, false
+		}
+		vp.Select = append(vp.Select, &VecExpr{f: f})
 	}
 	return vp, true
 }
@@ -572,8 +612,8 @@ func (v *vectorizer) compileGroupCall(e Expr) (*GroupCall, bool) {
 func (v *vectorizer) compile(e Expr, ctx vecCtx) (vecFn, bool) {
 	switch e := e.(type) {
 	case *Lit:
-		lit := e.Val
-		return func(*VecEnv) (vecVal, error) { return vecVal{lit: lit}, nil }, true
+		lit := vecVal{lit: e.Val, litBits: []uint64{e.Val.Bits()}}
+		return func(*VecEnv) (vecVal, error) { return lit, nil }, true
 
 	case *Ident:
 		// Resolution order mirrors the scalar compiler: group-by

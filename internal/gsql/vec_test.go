@@ -331,8 +331,10 @@ func TestVectorizeRejectsUnsupported(t *testing.T) {
 	cases := []string{
 		// stateful call nested in a stateless expression
 		"SELECT g FROM S WHERE sf(len) = TRUE AND len > 0 GROUP BY ts AS g",
-		// selection plan (no GROUP BY)
-		"SELECT len FROM S WHERE len > 0",
+		// the same in a selection plan
+		"SELECT len FROM S WHERE sf(len) = TRUE AND len > 0",
+		// stateful call in a selection plan's SELECT list
+		"SELECT len, sf(len) FROM S",
 	}
 	for _, src := range cases {
 		q, err := Parse(src)
@@ -346,6 +348,151 @@ func TestVectorizeRejectsUnsupported(t *testing.T) {
 		if _, ok := Vectorize(p); ok {
 			t.Errorf("Vectorize accepted unsupported plan: %s", strings.ReplaceAll(src, "\n", " "))
 		}
+	}
+}
+
+// TestVectorizeSelectionEquivalence checks a selection plan's kernels
+// (WHERE mask, SELECT columns) against the scalar closures row by row, on
+// uniform and mixed-kind/NULL batches. Where the scalar closure errors on
+// some row, the eager kernel must have errored too: that is what sends
+// the operator back to the scalar path for the batch.
+func TestVectorizeSelectionEquivalence(t *testing.T) {
+	s := vecTestSchema(t)
+	queries := []string{
+		"SELECT ts, src, len FROM S",
+		"SELECT ts / 2 AS tb, len * 2 + 1, w + len, tag FROM S WHERE len > 100",
+		"SELECT -len, 7, 'k', src FROM S WHERE NOT (src = 3) AND w <= 20",
+		"SELECT len % src FROM S",              // integer zero divisor on some row
+		"SELECT ts FROM S WHERE len / src > 2", // the same inside WHERE
+		"SELECT tag, len FROM S WHERE tag = 'bb' OR len < 0",
+	}
+	for _, mixed := range []bool{false, true} {
+		b := randomBatch(s, 300, 43, mixed)
+		for _, src := range queries {
+			t.Run(fmt.Sprintf("%s/mixed=%v", src, mixed), func(t *testing.T) {
+				q, err := Parse(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := Analyze(q, s, sfun.NewRegistry())
+				if err != nil {
+					t.Fatal(err)
+				}
+				vp, ok := Vectorize(p)
+				if !ok {
+					t.Fatal("Vectorize refused a stateless selection plan")
+				}
+				if len(vp.Select) != len(p.SelectExprs) || len(vp.GroupBy) != 0 {
+					t.Fatalf("shape: %d select kernels for %d items, %d group-by", len(vp.Select), len(p.SelectExprs), len(vp.GroupBy))
+				}
+				env := &VecEnv{}
+				env.Reset(b)
+				var mask tuple.Bitmap
+				var vecErr error
+				if vp.Where != nil {
+					mask, vecErr = vp.Where.EvalTruth(env, mask)
+				}
+				cols := make([]*tuple.Column, len(vp.Select))
+				for i, e := range vp.Select {
+					col, err := e.EvalCol(env)
+					if err != nil && vecErr == nil {
+						vecErr = err
+					}
+					cols[i] = col
+				}
+				ctx := &Ctx{}
+				for i := 0; i < b.Len(); i++ {
+					ctx.Tuple = b.Row(i, ctx.Tuple)
+					if p.Where != nil {
+						want, err := p.Where(ctx)
+						if err != nil {
+							if vecErr == nil {
+								t.Fatalf("row %d: scalar WHERE error %v but kernels succeeded", i, err)
+							}
+							return
+						}
+						if vecErr == nil && mask.Get(i) != want.Truth() {
+							t.Fatalf("row %d: mask %v != scalar %v", i, mask.Get(i), want)
+						}
+						if !want.Truth() {
+							continue // Process evaluates SELECT for passing rows only
+						}
+					}
+					for c, sel := range p.SelectExprs {
+						want, err := sel(ctx)
+						if err != nil {
+							if vecErr == nil {
+								t.Fatalf("row %d: scalar SELECT error %v but kernels succeeded", i, err)
+							}
+							return
+						}
+						if vecErr != nil {
+							continue
+						}
+						if got := cols[c].Value(i); !value.Equal(got, want) || got.Kind() != want.Kind() {
+							t.Fatalf("row %d item %d: vec %v (%v) != scalar %v (%v)", i, c, got, got.Kind(), want, want.Kind())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestVectorizeSelectionWhereCall: a selection plan's semi-stateful WHERE
+// compiles to the call form and makes the same calls, in row order,
+// against the plan's single state vector.
+func TestVectorizeSelectionWhereCall(t *testing.T) {
+	s := vecTestSchema(t)
+	reg := sfun.NewRegistry()
+	type counter struct{ n, sum int64 }
+	reg.MustRegisterState(&sfun.StateType{Name: "cst", Init: func(any) any { return &counter{} }})
+	reg.MustRegisterFunc(&sfun.Func{
+		Name: "every3", State: "cst",
+		Call: func(st any, args []value.Value) (value.Value, error) {
+			c := st.(*counter)
+			c.n++
+			c.sum += args[0].AsInt()
+			return value.NewBool(c.n%3 == 0), nil
+		},
+	})
+	q, err := Parse("SELECT ts, len FROM S WHERE every3(len + 1) = TRUE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Analyze(q, s, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, ok := Vectorize(p)
+	if !ok || vp.WhereCall == nil || vp.Where != nil {
+		t.Fatalf("want the WhereCall form, got ok=%v %+v", ok, vp)
+	}
+	b := randomBatch(s, 100, 5, false)
+	env := &VecEnv{}
+	env.Reset(b)
+	if err := vp.WhereCall.EvalArgs(env); err != nil {
+		t.Fatal(err)
+	}
+	vecStates := []any{p.States[0].Type.Init(nil)}
+	scalarStates := []any{p.States[0].Type.Init(nil)}
+	ctx := &Ctx{States: scalarStates}
+	for i := 0; i < b.Len(); i++ {
+		got, err := vp.WhereCall.CallRow(vecStates, nil, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Tuple = b.Row(i, ctx.Tuple)
+		want, err := p.Where(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Truth() != want.Truth() {
+			t.Fatalf("row %d: vec %v != scalar %v", i, got, want)
+		}
+	}
+	if v, w := *vecStates[0].(*counter), *scalarStates[0].(*counter); v != w {
+		t.Fatalf("state diverged: vec %+v scalar %+v", v, w)
 	}
 }
 

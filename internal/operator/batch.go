@@ -36,6 +36,11 @@ type vecState struct {
 	// curSG caches the open window's supergroup for single-supergroup
 	// plans (ALL); nil whenever no window is open or the cache is cold.
 	curSG *supergroup
+
+	// Selection plans: the evaluated SELECT columns and the positions of
+	// the rows that passed WHERE.
+	selCols []*tuple.Column
+	sel     []int32
 }
 
 func (o *Operator) initVec() *vecState {
@@ -48,6 +53,8 @@ func (o *Operator) initVec() *vecState {
 		v.superCols = make([]*tuple.Column, len(o.plan.Supers))
 		v.ordBits = make([][]uint64, len(o.plan.OrderedIdx))
 		v.winBits = make([]uint64, len(o.plan.OrderedIdx))
+		v.selCols = make([]*tuple.Column, len(vp.Select))
+		v.sel = make([]int32, 0, tuple.DefaultBatchRows) // non-nil: nil means "every row"
 	}
 	o.vec = v
 	return v
@@ -78,6 +85,9 @@ func (o *Operator) initVec() *vecState {
 //   - Window boundaries are detected per row against the ordered
 //     group-by columns, so a batch straddling windows flushes exactly
 //     where the scalar path would.
+//
+// A selection plan follows the same rules with no walk but WHERE's: see
+// selectBatch.
 func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
@@ -99,6 +109,9 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	if v.vp == nil || o.tr.Current() != nil || o.prof != nil ||
 		b.Schema().NumFields() != o.plan.Schema.NumFields() {
 		return o.processBatchRows(b)
+	}
+	if o.plan.IsSelection {
+		return o.selectBatch(b, v)
 	}
 	vp := v.vp
 	env := v.env
@@ -343,9 +356,88 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	return nil
 }
 
-// processBatchRows feeds the batch through the row-at-a-time path:
-// selection plans, attached tracers/profilers, schema mismatches and
-// stateless-evaluation errors all land here.
+// selectBatch is ProcessBatch for a selection plan. The kernel pass
+// evaluates a stateless WHERE as a mask and every SELECT item as a column
+// over the whole batch — eagerly, so also for rows WHERE will reject, and
+// an error there defers the batch to the scalar path like any other
+// kernel error. A semi-stateful WHERE then makes its mutating call once
+// per row in row order; if the call errors at row k, the rows before k
+// that passed are still emitted and the error returned, as Process would
+// have done. The selected rows go to the column sink when one is set and
+// are built one by one for emit otherwise. An error from the consumer
+// aborts the batch with every row of it already counted in Stats.
+func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
+	vp, env, n := v.vp, v.env, b.Len()
+	env.Reset(b)
+	if vp.Where != nil {
+		m, err := vp.Where.EvalTruth(env, v.mask)
+		v.mask = m
+		if err != nil {
+			return o.processBatchRows(b)
+		}
+	}
+	if vp.WhereCall != nil {
+		if err := vp.WhereCall.EvalArgs(env); err != nil {
+			return o.processBatchRows(b)
+		}
+	}
+	for i, e := range vp.Select {
+		col, err := e.EvalCol(env)
+		if err != nil {
+			return o.processBatchRows(b)
+		}
+		v.selCols[i] = col
+	}
+
+	in, out := n, n
+	var sel []int32 // nil: every row passes
+	var whereErr error
+	switch {
+	case vp.Where != nil:
+		sel = v.mask.AppendIndices(v.sel[:0])
+	case vp.WhereCall != nil:
+		sel = v.sel[:0]
+		for row := 0; row < n; row++ {
+			wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
+			if err != nil {
+				whereErr, in = err, row+1
+				break
+			}
+			if wv.Truth() {
+				sel = append(sel, int32(row))
+			}
+		}
+	}
+	if sel != nil {
+		v.sel, out = sel, len(sel)
+	}
+	o.stats.TuplesIn += int64(in)
+	o.stats.TuplesAccepted += int64(out)
+	o.stats.TuplesOut += int64(out)
+
+	if o.colSink != nil {
+		if out > 0 {
+			if err := o.colSink(v.selCols, sel); err != nil {
+				return err
+			}
+		}
+		return whereErr
+	}
+	for j := 0; j < out; j++ {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		if err := o.emit(tuple.RowOf(v.selCols, i)); err != nil {
+			return err
+		}
+	}
+	return whereErr
+}
+
+// processBatchRows feeds the batch through the row-at-a-time path: plans
+// that do not vectorize, a current trace, an attached profiler, schema
+// mismatches and stateless-evaluation errors all land here.
 func (o *Operator) processBatchRows(b *tuple.Batch) error {
 	v := o.vec
 	for i := 0; i < b.Len(); i++ {

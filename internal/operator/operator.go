@@ -35,6 +35,13 @@ import (
 // Emit receives one output row. Returning an error aborts processing.
 type Emit func(tuple.Tuple) error
 
+// ColumnSink receives what a selection plan's ProcessBatch selected from
+// one input batch, as columns: cols[i] is SELECT item i evaluated over the
+// whole input batch, sel the ascending positions of the rows that passed
+// WHERE (nil: every row). The columns are the operator's scratch, valid
+// during the call only.
+type ColumnSink func(cols []*tuple.Column, sel []int32) error
+
 // Stats counts operator activity, exposed for experiments and tuning.
 type Stats struct {
 	TuplesIn       int64 // tuples offered to the operator
@@ -71,6 +78,9 @@ type supergroup struct {
 type Operator struct {
 	plan *gsql.Plan
 	emit Emit
+	// colSink, when set, takes a selection plan's vectorized output in
+	// place of emit (see SetColumnSink).
+	colSink ColumnSink
 
 	// Group table (open addressing; see grouptable.go) and the arena of
 	// recycled group structs it allocates from.
@@ -164,6 +174,13 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 	}
 	return o, nil
 }
+
+// SetColumnSink routes a selection plan's vectorized ProcessBatch output
+// to sink as columns, so that no row is built for a consumer that is
+// itself columnar; nil restores row emission. Rows that take the scalar
+// path (Process, a profiled operator, a batch the kernels deferred) go to
+// emit either way, in the same order.
+func (o *Operator) SetColumnSink(sink ColumnSink) { o.colSink = sink }
 
 // Stats returns a snapshot of the activity counters.
 func (o *Operator) Stats() Stats { return o.stats }

@@ -178,6 +178,53 @@ func (c *Column) AppendValue(v value.Value) {
 	c.noteKind(k)
 }
 
+// AppendFrom appends row i of src — AppendValue(src.Value(i)) without
+// boxing the value.
+func (c *Column) AppendFrom(src *Column, i int) {
+	k := src.kinds[i]
+	if k == value.String {
+		c.AppendValue(value.NewString(src.strs[i]))
+		return
+	}
+	c.AppendBits(k, src.bits[i])
+}
+
+// Gather appends src's rows at the ascending positions sel, or every row
+// of src when sel is nil: the column-to-column copy of the edge between
+// query nodes. Kind-uniform numeric or Bool sources (every PKT-derived
+// column) move as runs of raw words; String-bearing and mixed-kind
+// sources go row by row.
+func (c *Column) Gather(src *Column, sel []int32) {
+	n := len(sel)
+	if sel == nil {
+		n = src.Len()
+	}
+	if n == 0 {
+		return
+	}
+	k, uniform := src.Uniform()
+	if !uniform || src.strs != nil {
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				c.AppendFrom(src, i)
+			}
+		} else {
+			for _, i := range sel {
+				c.AppendFrom(src, int(i))
+			}
+		}
+		return
+	}
+	dst := c.Extend(k, n)
+	if sel == nil {
+		copy(dst, src.bits)
+		return
+	}
+	for j, i := range sel {
+		dst[j] = src.bits[i]
+	}
+}
+
 // SetUniform prepares the column to hold n rows of one kind and returns
 // the zeroed payload slice for the caller to fill — the kernel output
 // path. Kind String is not supported (kernels produce numeric or Bool
@@ -316,6 +363,42 @@ func (b *Batch) AppendRow(t Tuple) {
 	b.n++
 }
 
+// AppendCols appends rows given as one column per schema field: the rows
+// at the ascending positions sel, or all of them when sel is nil. cols
+// must all have the same length.
+func (b *Batch) AppendCols(cols []*Column, sel []int32) {
+	for i := range b.cols {
+		b.cols[i].Gather(cols[i], sel)
+	}
+	if sel == nil {
+		b.n += cols[0].Len()
+	} else {
+		b.n += len(sel)
+	}
+}
+
+// Slice points dst at rows [lo, hi) of b and returns it. The view shares
+// b's storage: it is read-only and valid until b is next appended to or
+// reset.
+func (b *Batch) Slice(lo, hi int, dst *Batch) *Batch {
+	dst.schema, dst.n = b.schema, hi-lo
+	if cap(dst.cols) < len(b.cols) {
+		dst.cols = make([]Column, len(b.cols))
+	}
+	dst.cols = dst.cols[:len(b.cols)]
+	for i := range b.cols {
+		src, c := &b.cols[i], &dst.cols[i]
+		c.kinds, c.bits, c.strs = src.kinds[lo:hi], src.bits[lo:hi], nil
+		if src.strs != nil {
+			c.strs = src.strs[lo:hi]
+		}
+		// Part of a one-kind column is one-kind; part of a mixed one is
+		// left marked mixed (kernels then take their per-row form).
+		c.uniform = src.uniform
+	}
+	return dst
+}
+
 // AddRows records n rows appended directly to the columns by a
 // column-major producer (which must have appended exactly n rows to every
 // column).
@@ -334,6 +417,16 @@ func (b *Batch) Row(i int, dst Tuple) Tuple {
 		dst[c] = b.cols[c].Value(i)
 	}
 	return dst
+}
+
+// RowOf builds the tuple whose fields are row i of cols — one row of a
+// kernel result, for a consumer that takes rows.
+func RowOf(cols []*Column, i int) Tuple {
+	t := make(Tuple, len(cols))
+	for c, col := range cols {
+		t[c] = col.Value(i)
+	}
+	return t
 }
 
 // HashRow returns the group-key hash of the given columns at row —

@@ -253,3 +253,118 @@ func TestValueBitsRoundTrip(t *testing.T) {
 		t.Errorf("FromBits(String) = %v, want NULL", got)
 	}
 }
+
+// gatherRows are rows of every shape the edge between nodes carries:
+// one-kind numeric columns, NULLs, a kind change mid-column, strings.
+func gatherRows() []Tuple {
+	return []Tuple{
+		{value.NewUint(1), value.NewInt(-5), value.NewString("x")},
+		{value.NewUint(2), value.NewInt(0), value.NewString("")},
+		{value.NewUint(3), value.Value{}, value.NewString("yz")},
+		{value.NewUint(4), value.NewFloat(2.5), value.Value{}},
+		{value.NewUint(5), value.NewInt(9), value.NewInt(7)},
+	}
+}
+
+func requireRows(t *testing.T, label string, b *Batch, want []Tuple) {
+	t.Helper()
+	if b.Len() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, b.Len(), len(want))
+	}
+	for i, w := range want {
+		got := b.Row(i, nil)
+		for c := range w {
+			if got[c].Kind() != w[c].Kind() || !value.Equal(got[c], w[c]) {
+				t.Fatalf("%s: row %d col %d = %v (%v), want %v (%v)", label, i, c, got[c], got[c].Kind(), w[c], w[c].Kind())
+			}
+		}
+	}
+	for c := 0; c < b.NumCols(); c++ {
+		col := b.Col(c)
+		if col.Len() != len(want) {
+			t.Fatalf("%s: column %d has %d rows, want %d", label, c, col.Len(), len(want))
+		}
+		if k, ok := col.Uniform(); ok {
+			for i := range want {
+				if want[i][c].Kind() != k {
+					t.Fatalf("%s: column %d claims uniform kind %v, row %d is %v", label, c, k, i, want[i][c].Kind())
+				}
+			}
+		}
+	}
+}
+
+// AppendCols with and without a selection equals AppendRow of the same
+// rows, whatever the destination already holds.
+func TestAppendColsMatchesAppendRow(t *testing.T) {
+	s := testSchema(t)
+	rows := gatherRows()
+	src := NewBatch(s, 0)
+	for _, r := range rows {
+		src.AppendRow(r)
+	}
+	cols := []*Column{src.Col(0), src.Col(1), src.Col(2)}
+	for _, sel := range [][]int32{nil, {}, {0}, {1, 3}, {0, 1, 2, 3, 4}, {2, 4}} {
+		for _, prefill := range []int{0, 2} {
+			dst := NewBatch(s, 0)
+			var want []Tuple
+			for _, r := range rows[:prefill] {
+				dst.AppendRow(r)
+				want = append(want, r)
+			}
+			dst.AppendCols(cols, sel)
+			if sel == nil {
+				want = append(want, rows...)
+			}
+			for _, i := range sel {
+				want = append(want, rows[i])
+			}
+			requireRows(t, "AppendCols", dst, want)
+			// A second append lands behind the first.
+			dst.AppendCols(cols, []int32{4})
+			requireRows(t, "AppendCols twice", dst, append(want, rows[4]))
+		}
+	}
+}
+
+// Gather of a one-kind numeric column moves raw words and keeps the
+// column marked uniform, so the kernels behind the edge keep their
+// typed loops.
+func TestGatherKeepsUniform(t *testing.T) {
+	var src, dst Column
+	for i := 0; i < 10; i++ {
+		src.AppendBits(value.Uint, uint64(i*i))
+	}
+	dst.Gather(&src, []int32{1, 3, 9})
+	dst.Gather(&src, nil)
+	if k, ok := dst.Uniform(); !ok || k != value.Uint || dst.Len() != 13 {
+		t.Fatalf("uniform = %v %v, len %d", k, ok, dst.Len())
+	}
+	if got := dst.Bits()[:4]; got[0] != 1 || got[1] != 9 || got[2] != 81 || got[3] != 0 {
+		t.Fatalf("bits = %v", got)
+	}
+	var ints Column
+	ints.AppendBits(value.Int, 5)
+	dst.Gather(&ints, nil)
+	if _, ok := dst.Uniform(); ok {
+		t.Fatal("column still uniform after an Int row joined Uint rows")
+	}
+}
+
+func TestBatchSlice(t *testing.T) {
+	s := testSchema(t)
+	rows := gatherRows()
+	b := NewBatch(s, 0)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	var view Batch
+	for lo := 0; lo <= len(rows); lo++ {
+		for hi := lo; hi <= len(rows); hi++ {
+			requireRows(t, "Slice", b.Slice(lo, hi, &view), rows[lo:hi])
+		}
+	}
+	if view.Schema() != s {
+		t.Error("view lost the schema")
+	}
+}
