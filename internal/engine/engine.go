@@ -97,13 +97,8 @@ type Node struct {
 func (n *Node) Schema() *tuple.Schema { return n.schema }
 
 // Subscribe registers an application callback for the node's output.
-// Callbacks take rows, so the node's operator goes back to building them
-// (see emitCols).
 func (n *Node) Subscribe(fn func(tuple.Tuple) error) {
 	n.apps = append(n.apps, fn)
-	if n.op != nil {
-		n.op.SetColumnSink(nil)
-	}
 }
 
 // Stats returns the node's counters.
@@ -165,24 +160,17 @@ func (n *Node) emit(row tuple.Tuple) error {
 	return nil
 }
 
-// emitCols is emit for a whole batch of a selection node that has no
-// application callbacks (a tap): the selected rows move column to column
-// into each subscriber's input batch and no tuple is built. It is the
-// node operator's column sink for as long as n.apps is empty. None of the
-// rows is traced: the engine sends a traced row through scalar Process,
-// whose output comes through emit.
-func (n *Node) emitCols(cols []*tuple.Column, sel []int32) error {
-	rows := len(sel)
-	if sel == nil {
-		rows = cols[0].Len()
-	}
+// emitCols is emit for what a selection node selected from one input
+// batch, the node operator's column sink: the rows move column to column
+// into each subscriber's input batch, and tuples are built only for
+// application callbacks — none at all for a tap that has only node
+// subscribers. None of the rows is traced: the engine sends a traced row
+// through scalar Process, whose output comes through emit.
+func (n *Node) emitCols(cols []*tuple.Column) error {
+	rows := cols[0].Len()
 	if n.parallelChans != nil {
 		// RunParallel's edge is a channel of rows: build them after all.
-		for j := 0; j < rows; j++ {
-			i := j
-			if sel != nil {
-				i = int(sel[j])
-			}
+		for i := 0; i < rows; i++ {
 			if err := n.emit(tuple.RowOf(cols, i)); err != nil {
 				return err
 			}
@@ -191,9 +179,20 @@ func (n *Node) emitCols(cols []*tuple.Column, sel []int32) error {
 	}
 	n.out += int64(rows)
 	for _, sub := range n.subs {
-		sub.inBatch.AppendCols(cols, sel)
+		sub.inBatch.AppendCols(cols)
 		if n.tr != nil {
 			sub.trEnq += uint64(rows)
+		}
+	}
+	if len(n.apps) == 0 {
+		return nil
+	}
+	for i := 0; i < rows; i++ {
+		row := tuple.RowOf(cols, i)
+		for _, app := range n.apps {
+			if err := app(row); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -621,12 +620,11 @@ func (e *Engine) offerSource(p trace.Packet) {
 // unbounded buildup.
 func (e *Engine) drainHigh() error {
 	for _, h := range e.high {
-		in := h.inBatch
 		if h.failed {
-			in.Reset()
+			h.resetInput()
 			continue
 		}
-		depth := in.Len()
+		depth := h.inBatch.Len()
 		if depth == 0 {
 			continue
 		}
@@ -645,12 +643,28 @@ func (e *Engine) drainHigh() error {
 			h.syncTelemetry(depth)
 			return nil
 		})
-		in.Reset()
+		h.resetInput()
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// resetInput empties the node's input batch. Whatever the operator did not
+// take goes with it (the node failed or errored), and with those rows the
+// traces that rode on them: they end as node_failed, and the FIFO counters
+// are brought level so that a later row is never taken for a discarded
+// one.
+func (h *Node) resetInput() {
+	h.inBatch.Reset()
+	h.trDeq = h.trEnq
+	for _, m := range h.trPend {
+		for _, tt := range m.tts {
+			tt.Finish("node_failed")
+		}
+	}
+	h.trPend = h.trPend[:0]
 }
 
 // processInput feeds the node's input batch to its operator. Untraced, it

@@ -13,6 +13,7 @@ import (
 	"streamop/internal/operator"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
+	"streamop/internal/tracing"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
@@ -348,6 +349,45 @@ func TestHopPanicMidBatch(t *testing.T) {
 	}
 	if in := doomed.Stats().TuplesIn; in < int64(before) || in > int64(before)+512 {
 		t.Errorf("doomed node took %d rows in, the panic is at row %d", in, before)
+	}
+}
+
+// Rows discarded with a failed node's input batch take their place in the
+// trace bookkeeping with them: traced rows ride on FIFO position, and a
+// counter left behind would have every later position read against it.
+func TestHopDiscardKeepsTraceCounters(t *testing.T) {
+	pkts := hopPackets(t)
+	const limit = 1_500_000_000
+	e, nodes := hopBuild(t, hopTopo{nodes: []hopNode{{name: "low", src: hopPassThrough, parent: -1}}}, nil)
+	q, err := gsql.Parse(`SELECT uts, len FROM low WHERE boom(uts) = TRUE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gsql.Analyze(q, nodes[0].Schema(), boomRegistry(t, limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tap's first subscriber: the one traced rows follow.
+	doomed, err := e.AddHighLevel("doomed", nodes[0], plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracing.New(tracing.Config{Every: 5, Seed: 2, MaxSpans: 1 << 20})
+	if err := e.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(sliceFeed(pkts)); err != nil {
+		t.Fatalf("run died with the query: %v", err)
+	}
+	if f := e.Failures(); len(f) != 1 || f[0].Node != "doomed" {
+		t.Fatalf("failures = %+v, want the doomed node's panic", f)
+	}
+	if sum := tr.Summary(); sum.Started < int64(len(pkts)/10) || sum.Finished != sum.Started {
+		t.Fatalf("%d traces started, %d finished, over %d packets", sum.Started, sum.Finished, len(pkts))
+	}
+	if rows, traces := doomed.TraceBacklog(); doomed.PendingInput() != 0 || rows != 0 || traces != 0 {
+		t.Errorf("failed node: %d rows in its batch, trace counters %d rows apart, %d traces pending; want 0, 0, 0",
+			doomed.PendingInput(), rows, traces)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"streamop/internal/gsql"
 	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
+	"streamop/internal/tuple"
 )
 
 // passthroughQuery is the low-level selection that forwards every packet's
@@ -78,9 +79,21 @@ type CPUPoint struct {
 	BasicSS float64
 }
 
+// processBoundary stands in for the copy of a forwarded tuple into another
+// process's buffer.
+type processBoundary struct{ buf tuple.Tuple }
+
+func (p *processBoundary) ship(row tuple.Tuple) error {
+	p.buf = row.Clone()
+	return nil
+}
+
 // runTwoLevel wires lowSrc -> highSrc on a fresh steady feed and returns
-// the two node utilizations.
-func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string) (lowCPU, highCPU float64, err error) {
+// the two node utilizations. With interProcess set, the low-level node is
+// also charged what Gigascope pays to forward a tuple to a high-level
+// query, which runs in another process: the tuple is built and copied out,
+// once per forwarded tuple (see LowLevelEffect).
+func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string, interProcess bool) (lowCPU, highCPU float64, err error) {
 	reg := sfunlib.Default(cfg.Seed)
 	e, err := engine.New(1 << 14)
 	if err != nil {
@@ -97,6 +110,9 @@ func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string) (lowCPU, highCPU float64
 	lowNode, err := e.AddLowLevel("low", lowPlan)
 	if err != nil {
 		return 0, 0, err
+	}
+	if interProcess {
+		lowNode.Subscribe(new(processBoundary).ship)
 	}
 	highQ, err := gsql.Parse(highSrc)
 	if err != nil {
@@ -131,15 +147,15 @@ func CPUUsage(cfg CPUConfig) ([]CPUPoint, error) {
 		pt := CPUPoint{Samples: n}
 		var err error
 		if _, pt.Relaxed, err = runTwoLevel(cfg, passthroughQuery,
-			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)); err != nil {
+			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF), false); err != nil {
 			return nil, err
 		}
 		if _, pt.Nonrelaxed, err = runTwoLevel(cfg, passthroughQuery,
-			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, 1)); err != nil {
+			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, 1), false); err != nil {
 			return nil, err
 		}
 		if _, pt.BasicSS, err = runTwoLevel(cfg, passthroughQuery,
-			basicSSHighQuery("low", zFor(cfg.Rate, cfg.WindowSec, n))); err != nil {
+			basicSSHighQuery("low", zFor(cfg.Rate, cfg.WindowSec, n)), false); err != nil {
 			return nil, err
 		}
 		out = append(out, pt)
@@ -162,6 +178,13 @@ type LowLevelPoint struct {
 
 // LowLevelEffect regenerates Figure 6: pushing basic subset-sum sampling
 // (threshold 1/10th of the dynamic target) into the low-level query.
+//
+// The figure's low-level costs are those of moving tuples from the
+// low-level query into the high-level query's process, one copy per
+// forwarded tuple. The engine's own hop is in-process and columnar and has
+// no per-tuple cost left to save (EXPERIMENTS.md gives the figures without
+// the charge), so the harness puts the paper's cost back: the low-level
+// node also hands every forwarded tuple to a consumer that copies it out.
 func LowLevelEffect(cfg CPUConfig) ([]LowLevelPoint, error) {
 	// The pushdown threshold is 1/10th the level the dynamic algorithm
 	// uses when returning 10,000 samples per interval (§7.2).
@@ -171,10 +194,10 @@ func LowLevelEffect(cfg CPUConfig) ([]LowLevelPoint, error) {
 		pt := LowLevelPoint{Samples: n}
 		var err error
 		high := highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)
-		if pt.LowSelection, pt.HighSelectionSub, err = runTwoLevel(cfg, passthroughQuery, high); err != nil {
+		if pt.LowSelection, pt.HighSelectionSub, err = runTwoLevel(cfg, passthroughQuery, high, true); err != nil {
 			return nil, err
 		}
-		if pt.LowBasicSS, pt.HighBasicSSSub, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high); err != nil {
+		if pt.LowBasicSS, pt.HighBasicSSSub, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high, true); err != nil {
 			return nil, err
 		}
 		out = append(out, pt)

@@ -88,13 +88,8 @@ func TestCPUUsageShape(t *testing.T) {
 			// Figure 5's ordering: the full sampling operator costs
 			// more than the bare selection UDF, but the overhead is
 			// bounded (the paper reports 3-5 percentage points; allow
-			// generous slack for wall-clock noise). At small N the two
-			// are now close: both run as one vectorized pass with one
-			// stateful call per row, the UDF query's SELECT kernels
-			// (UMAX) run for every packet and the operator's once per
-			// group, and the ratio sits at 0.7-1.0 — so the lower bound
-			// only rules out the operator being free.
-			if p.Relaxed < p.BasicSS*0.5 {
+			// generous slack for wall-clock noise).
+			if p.Relaxed < p.BasicSS*0.8 {
 				return fmt.Errorf("N=%d: relaxed operator (%v) cheaper than basic UDF (%v)",
 					p.Samples, p.Relaxed, p.BasicSS)
 			}
@@ -117,21 +112,15 @@ func TestLowLevelEffectShape(t *testing.T) {
 			return err
 		}
 		for _, p := range pts {
-			// Figure 6's direction at the high level: the basic-SS
-			// pushdown cuts the sampling node's cost. At the low level
-			// the paper's ordering (selection ~60% of a CPU, pushdown ~4%)
-			// came from copying every forwarded tuple between processes,
-			// and the engine's hop no longer has a per-tuple copy to
-			// save: a selection tap forwards its columns in bulk, for
-			// less than the pushdown's per-row predicate call costs. What
-			// must hold is that forwarding everything stays that cheap —
-			// cheaper than the sampling node it feeds.
-			if p.LowSelection <= 0 || p.LowBasicSS <= 0 {
-				return fmt.Errorf("N=%d: non-positive low-level CPU: %+v", p.Samples, p)
-			}
-			if p.LowSelection > p.HighSelectionSub {
-				return fmt.Errorf("N=%d: selection tap CPU %v above the sampling node's %v",
-					p.Samples, p.LowSelection, p.HighSelectionSub)
+			// Figure 6's direction: the basic-SS pushdown reduces both
+			// the low-level cost and the high-level sampling cost. The
+			// paper's 60% -> 4% low-level factor came from
+			// inter-process memory copies our in-process engine does
+			// not pay, so the gap here is compressed; the ordering must
+			// still hold clearly.
+			if p.LowBasicSS > 0.95*p.LowSelection {
+				return fmt.Errorf("N=%d: pushdown low CPU %v not below selection %v",
+					p.Samples, p.LowBasicSS, p.LowSelection)
 			}
 			if p.HighBasicSSSub > p.HighSelectionSub {
 				return fmt.Errorf("N=%d: pushdown high CPU %v above selection-fed %v",
@@ -262,9 +251,7 @@ func TestProfileAttributionCoverage(t *testing.T) {
 		t.Skip("sampled-time attribution is not calibrated under the race detector")
 	}
 	inBand := func(c float64) bool { return c >= 0.9 && c <= 1.1 }
-	// One try lands in band about half the time on a 2-vCPU host with
-	// neighbours (5 tries failed 3 runs in 20 at the commit that set 12).
-	const tries = 12
+	const tries = 5
 	var last, lastCPU float64
 	for i := 0; i < tries; i++ {
 		res, err := ProfileAblation(uint64(5+i), 2, 1000, profile.DefEvery)

@@ -53,6 +53,10 @@ type VecEnv struct {
 	n    int
 	pool []*tuple.Column
 	used int
+	// sel, when non-nil, narrows the batch to its rows at these positions
+	// (see Restrict); selCols caches the stream columns gathered so far.
+	sel     []int32
+	selCols []*tuple.Column
 	// float conversion scratch for promoted arithmetic
 	fa, fb []float64
 }
@@ -60,7 +64,34 @@ type VecEnv struct {
 // Reset points the environment at a new batch, recycling all pooled
 // intermediate columns.
 func (e *VecEnv) Reset(in *tuple.Batch) {
-	e.in, e.gb, e.n, e.used = in, nil, in.Len(), 0
+	e.in, e.gb, e.n, e.used, e.sel = in, nil, in.Len(), 0, nil
+}
+
+// Restrict narrows the environment to the rows of the current batch at the
+// ascending positions sel: kernels evaluated from here on see len(sel)
+// rows, and a stream column is gathered the first time one refers to it. A
+// selection plan evaluates its SELECT list this way, over the rows WHERE
+// kept. Columns evaluated before the call keep their full length; group-by
+// columns are not narrowed.
+func (e *VecEnv) Restrict(sel []int32) {
+	e.sel, e.n = sel, len(sel)
+	e.selCols = append(e.selCols[:0], make([]*tuple.Column, e.in.NumCols())...)
+}
+
+// inCol returns stream column i as the kernels should see it: the batch's
+// own column, or its rows at sel once the environment is restricted.
+func (e *VecEnv) inCol(i int) *tuple.Column {
+	c := e.in.Col(i)
+	if e.sel == nil {
+		return c
+	}
+	if g := e.selCols[i]; g != nil {
+		return g
+	}
+	g := e.alloc()
+	g.Gather(c, e.sel)
+	e.selCols[i] = g
+	return g
 }
 
 // SetGroupCols attaches the batch's evaluated group-by columns, making
@@ -628,7 +659,7 @@ func (v *vectorizer) compile(e Expr, ctx vecCtx) (vecFn, bool) {
 		if ctx.tuple {
 			if i, ok := v.p.Schema.Lookup(e.Name); ok {
 				return func(env *VecEnv) (vecVal, error) {
-					return vecVal{col: env.in.Col(i)}, nil
+					return vecVal{col: env.inCol(i)}, nil
 				}, true
 			}
 		}

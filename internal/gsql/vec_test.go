@@ -355,7 +355,9 @@ func TestVectorizeRejectsUnsupported(t *testing.T) {
 // (WHERE mask, SELECT columns) against the scalar closures row by row, on
 // uniform and mixed-kind/NULL batches. Where the scalar closure errors on
 // some row, the eager kernel must have errored too: that is what sends
-// the operator back to the scalar path for the batch.
+// the operator back to the scalar path for the batch. The SELECT kernels
+// are held to the same over the rows WHERE kept only (VecEnv.Restrict),
+// which is how the operator runs them.
 func TestVectorizeSelectionEquivalence(t *testing.T) {
 	s := vecTestSchema(t)
 	queries := []string{
@@ -392,6 +394,7 @@ func TestVectorizeSelectionEquivalence(t *testing.T) {
 				if vp.Where != nil {
 					mask, vecErr = vp.Where.EvalTruth(env, mask)
 				}
+				restricted := vp.Where != nil && vecErr == nil
 				cols := make([]*tuple.Column, len(vp.Select))
 				for i, e := range vp.Select {
 					col, err := e.EvalCol(env)
@@ -400,7 +403,27 @@ func TestVectorizeSelectionEquivalence(t *testing.T) {
 					}
 					cols[i] = col
 				}
+				var keptErr error
+				keptCols := make([]*tuple.Column, len(vp.Select))
+				if restricted {
+					kept := mask.AppendIndices(nil)
+					env.Restrict(kept)
+					if env.N() != len(kept) {
+						t.Fatalf("restricted to %d rows, N() = %d", len(kept), env.N())
+					}
+					for i, e := range vp.Select {
+						col, err := e.EvalCol(env)
+						if err != nil && keptErr == nil {
+							keptErr = err
+						}
+						if err == nil && col.Len() != len(kept) {
+							t.Fatalf("item %d: %d rows over %d kept", i, col.Len(), len(kept))
+						}
+						keptCols[i] = col
+					}
+				}
 				ctx := &Ctx{}
+				k := -1 // position of row i among the kept rows
 				for i := 0; i < b.Len(); i++ {
 					ctx.Tuple = b.Row(i, ctx.Tuple)
 					if p.Where != nil {
@@ -418,13 +441,19 @@ func TestVectorizeSelectionEquivalence(t *testing.T) {
 							continue // Process evaluates SELECT for passing rows only
 						}
 					}
+					k++
 					for c, sel := range p.SelectExprs {
 						want, err := sel(ctx)
 						if err != nil {
-							if vecErr == nil {
+							if vecErr == nil || (restricted && keptErr == nil) {
 								t.Fatalf("row %d: scalar SELECT error %v but kernels succeeded", i, err)
 							}
 							return
+						}
+						if restricted && keptErr == nil {
+							if got := keptCols[c].Value(k); !value.Equal(got, want) || got.Kind() != want.Kind() {
+								t.Fatalf("row %d (kept %d) item %d: vec %v (%v) != scalar %v (%v)", i, k, c, got, got.Kind(), want, want.Kind())
+							}
 						}
 						if vecErr != nil {
 							continue

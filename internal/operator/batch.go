@@ -37,8 +37,8 @@ type vecState struct {
 	// plans (ALL); nil whenever no window is open or the cache is cold.
 	curSG *supergroup
 
-	// Selection plans: the evaluated SELECT columns and the positions of
-	// the rows that passed WHERE.
+	// Selection plans: the positions of the rows that passed WHERE and the
+	// SELECT columns evaluated over them.
 	selCols []*tuple.Column
 	sel     []int32
 }
@@ -54,7 +54,7 @@ func (o *Operator) initVec() *vecState {
 		v.ordBits = make([][]uint64, len(o.plan.OrderedIdx))
 		v.winBits = make([]uint64, len(o.plan.OrderedIdx))
 		v.selCols = make([]*tuple.Column, len(vp.Select))
-		v.sel = make([]int32, 0, tuple.DefaultBatchRows) // non-nil: nil means "every row"
+		v.sel = make([]int32, 0, tuple.DefaultBatchRows)
 	}
 	o.vec = v
 	return v
@@ -356,47 +356,39 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	return nil
 }
 
-// selectBatch is ProcessBatch for a selection plan. The kernel pass
-// evaluates a stateless WHERE as a mask and every SELECT item as a column
-// over the whole batch — eagerly, so also for rows WHERE will reject, and
-// an error there defers the batch to the scalar path like any other
-// kernel error. A semi-stateful WHERE then makes its mutating call once
-// per row in row order; if the call errors at row k, the rows before k
-// that passed are still emitted and the error returned, as Process would
-// have done. The selected rows go to the column sink when one is set and
-// are built one by one for emit otherwise. An error from the consumer
-// aborts the batch with every row of it already counted in Stats.
+// selectBatch is ProcessBatch for a selection plan: WHERE first, then the
+// SELECT list over the rows it kept, so that a selective WHERE pays for
+// SELECT per kept row as the scalar path does. A stateless WHERE is a
+// kernel mask; a semi-stateful one makes its mutating call once per row in
+// row order, and if the call errors at row k the rows before k that passed
+// are still emitted and the error returned, as Process would have done.
+// The SELECT kernels then run with the environment restricted to the kept
+// rows. A kernel error before anything has mutated — WHERE's, the call's
+// arguments', SELECT's under a stateless WHERE — re-runs the batch through
+// the scalar path; a SELECT error after the semi-stateful calls were made
+// is settled by selectRows. The selected rows go to the column sink when
+// one is set and are built one by one for emit otherwise. An error from
+// the consumer aborts the batch with every row of it already counted in
+// Stats.
 func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 	vp, env, n := v.vp, v.env, b.Len()
 	env.Reset(b)
-	if vp.Where != nil {
+	in, out := n, n
+	var whereErr error
+	switch {
+	case vp.Where != nil:
 		m, err := vp.Where.EvalTruth(env, v.mask)
 		v.mask = m
 		if err != nil {
 			return o.processBatchRows(b)
 		}
-	}
-	if vp.WhereCall != nil {
+		v.sel = v.mask.AppendIndices(v.sel[:0])
+		out = len(v.sel)
+	case vp.WhereCall != nil:
 		if err := vp.WhereCall.EvalArgs(env); err != nil {
 			return o.processBatchRows(b)
 		}
-	}
-	for i, e := range vp.Select {
-		col, err := e.EvalCol(env)
-		if err != nil {
-			return o.processBatchRows(b)
-		}
-		v.selCols[i] = col
-	}
-
-	in, out := n, n
-	var sel []int32 // nil: every row passes
-	var whereErr error
-	switch {
-	case vp.Where != nil:
-		sel = v.mask.AppendIndices(v.sel[:0])
-	case vp.WhereCall != nil:
-		sel = v.sel[:0]
+		v.sel = v.sel[:0]
 		for row := 0; row < n; row++ {
 			wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
 			if err != nil {
@@ -404,34 +396,68 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 				break
 			}
 			if wv.Truth() {
-				sel = append(sel, int32(row))
+				v.sel = append(v.sel, int32(row))
 			}
 		}
+		out = len(v.sel)
 	}
-	if sel != nil {
-		v.sel, out = sel, len(sel)
+	if out > 0 {
+		if out < n {
+			env.Restrict(v.sel)
+		}
+		for i, e := range vp.Select {
+			col, err := e.EvalCol(env)
+			if err != nil {
+				if vp.WhereCall != nil {
+					return o.selectRows(b, v.sel, in, whereErr)
+				}
+				return o.processBatchRows(b)
+			}
+			v.selCols[i] = col
+		}
 	}
 	o.stats.TuplesIn += int64(in)
 	o.stats.TuplesAccepted += int64(out)
 	o.stats.TuplesOut += int64(out)
+	if out == 0 {
+		return whereErr
+	}
 
 	if o.colSink != nil {
-		if out > 0 {
-			if err := o.colSink(v.selCols, sel); err != nil {
-				return err
-			}
+		if err := o.colSink(v.selCols); err != nil {
+			return err
 		}
 		return whereErr
 	}
-	for j := 0; j < out; j++ {
-		i := j
-		if sel != nil {
-			i = int(sel[j])
-		}
+	for i := 0; i < out; i++ {
 		if err := o.emit(tuple.RowOf(v.selCols, i)); err != nil {
 			return err
 		}
 	}
+	return whereErr
+}
+
+// selectRows settles a batch whose SELECT kernels failed over sel, the
+// rows a semi-stateful WHERE kept: the batch cannot re-run, the calls
+// having been made, so the scalar SELECT closures evaluate those rows in
+// order and stop at the first that errors — the rows, the error and the
+// Stats of the scalar path. If none does (the kernels are eager where AND
+// and OR short-circuit), the batch ends as WHERE left it: in rows offered,
+// whereErr returned. One thing is not the scalar path's: by the time
+// SELECT fails at a row, WHERE has been called on the rest of the batch
+// too. No caller reads a selection's function state after its operator
+// has returned an error.
+func (o *Operator) selectRows(b *tuple.Batch, sel []int32, in int, whereErr error) error {
+	for _, i := range sel {
+		o.vec.rowT = b.Row(int(i), o.vec.rowT)
+		o.ctx = gsql.Ctx{Tuple: o.vec.rowT, States: o.selStates}
+		o.stats.TuplesAccepted++
+		if err := o.output(&o.ctx); err != nil {
+			o.stats.TuplesIn += int64(i) + 1
+			return err
+		}
+	}
+	o.stats.TuplesIn += int64(in)
 	return whereErr
 }
 

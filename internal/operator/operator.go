@@ -36,11 +36,10 @@ import (
 type Emit func(tuple.Tuple) error
 
 // ColumnSink receives what a selection plan's ProcessBatch selected from
-// one input batch, as columns: cols[i] is SELECT item i evaluated over the
-// whole input batch, sel the ascending positions of the rows that passed
-// WHERE (nil: every row). The columns are the operator's scratch, valid
-// during the call only.
-type ColumnSink func(cols []*tuple.Column, sel []int32) error
+// one input batch, as columns: cols[i] is SELECT item i over the rows that
+// passed WHERE, in input order (at least one row). The columns are the
+// operator's scratch or the input batch's own, valid during the call only.
+type ColumnSink func(cols []*tuple.Column) error
 
 // Stats counts operator activity, exposed for experiments and tuning.
 type Stats struct {
@@ -177,9 +176,9 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 
 // SetColumnSink routes a selection plan's vectorized ProcessBatch output
 // to sink as columns, so that no row is built for a consumer that is
-// itself columnar; nil restores row emission. Rows that take the scalar
-// path (Process, a profiled operator, a batch the kernels deferred) go to
-// emit either way, in the same order.
+// itself columnar. Rows that take the scalar path (Process, a profiled
+// operator, a batch the kernels deferred) go to emit either way, in the
+// same order.
 func (o *Operator) SetColumnSink(sink ColumnSink) { o.colSink = sink }
 
 // Stats returns a snapshot of the activity counters.

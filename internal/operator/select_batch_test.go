@@ -29,6 +29,10 @@ var selectionQueries = []struct{ name, src string }{
 	{"where_all_pass", `SELECT uts FROM PKT WHERE len > 0 OR srcIP = 0`},
 	// Semi-stateful WHERE: the mutating call per row, in row order.
 	{"where_stateful", `SELECT time, srcIP, len FROM PKT WHERE bssample(len, 5000) = TRUE`},
+	// SELECT items that compute, over the rows WHERE kept only (Figure 5's
+	// UDF line): one column read by two items, a call, a literal.
+	{"where_stateful_exprs", `SELECT uts, UMAX(len, 5000), len*2, len, 7 FROM PKT WHERE bssample(len, 5000) = TRUE`},
+	{"where_stateless_exprs", `SELECT uts, UMAX(len, 900), len + srcIP % 4, 'big' FROM PKT WHERE len > 700`},
 	// Stateful function in the SELECT list: not vectorized, scalar rows.
 	{"select_stateful", `SELECT uts, bssample(len, 5000) FROM PKT WHERE len > 100`},
 }
@@ -59,9 +63,9 @@ func sinkOp(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry) 
 		t.Fatal(err)
 	}
 	edge := tuple.NewBatch(outSchema, 0)
-	op.SetColumnSink(func(cols []*tuple.Column, sel []int32) error {
+	op.SetColumnSink(func(cols []*tuple.Column) error {
 		edge.Reset()
-		edge.AppendCols(cols, sel)
+		edge.AppendCols(cols)
 		for i := 0; i < edge.Len(); i++ {
 			*out = append(*out, edge.Row(i, nil))
 		}
@@ -112,10 +116,13 @@ func TestSelectBatchEquivalence(t *testing.T) {
 
 // An expression that errors at row k: the rows before k are emitted, the
 // error is the scalar path's, the stats stop where the scalar path's do.
-// The three cases fail in the three places a selection can: a SELECT
-// kernel and a stateless WHERE kernel (both eager: the batch re-runs
-// through the scalar path) and the per-row call of a semi-stateful WHERE
-// (the walk stops at k).
+// The cases fail in the places a selection can: a SELECT kernel under a
+// stateless WHERE and a stateless WHERE kernel (nothing has mutated: the
+// batch re-runs through the scalar path), the per-row call of a
+// semi-stateful WHERE (the walk stops at k), and a SELECT kernel after a
+// semi-stateful WHERE has run (selectRows finds the row; the function's
+// state is then ahead of the scalar path's, so that case leaves the
+// snapshot out).
 func TestSelectBatchErrorEquivalence(t *testing.T) {
 	reg := func() *sfun.Registry {
 		r := sfunlib.Default(1)
@@ -123,6 +130,15 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 			Name: "fuse_state", Init: func(any) any { return new(int) },
 			Encode: func(st any, e *checkpoint.Encoder) error { e.I64(int64(*st.(*int))); return nil },
 			Decode: func(d *checkpoint.Decoder) (any, error) { n := int(d.I64()); return &n, d.Err() },
+		})
+		r.MustRegisterFunc(&sfun.Func{
+			// alt(k) passes every other row: call n passes when n+k is even.
+			Name: "alt", State: "fuse_state",
+			Call: func(st any, args []value.Value) (value.Value, error) {
+				n := st.(*int)
+				*n++
+				return value.NewBool((int64(*n)+args[0].AsInt())%2 == 0), nil
+			},
 		})
 		r.MustRegisterFunc(&sfun.Func{
 			Name: "fuse", State: "fuse_state",
@@ -137,13 +153,23 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 		})
 		return r
 	}
-	cases := []struct{ name, src string }{
-		{"select_kernel", `SELECT uts, 1000/(len-100) FROM PKT WHERE len > 50`},
-		{"where_kernel", `SELECT uts FROM PKT WHERE 1000/(len-100) > 2`},
-		{"where_call", `SELECT uts, len FROM PKT WHERE fuse(len) = TRUE`},
+	cases := []struct {
+		name, src string
+		noErr     bool
+	}{
+		{"select_kernel", `SELECT uts, 1000/(len-100) FROM PKT WHERE len > 50`, false},
+		{"where_kernel", `SELECT uts FROM PKT WHERE 1000/(len-100) > 2`, false},
+		{"where_call", `SELECT uts, len FROM PKT WHERE fuse(len) = TRUE`, false},
 		// The poison row fails WHERE: scalar evaluation never reaches its
 		// SELECT error, and neither may the batch.
-		{"select_error_behind_where", `SELECT uts, 1000/(len-100) FROM PKT WHERE len <> 100`},
+		{"select_error_behind_where", `SELECT uts, 1000/(len-100) FROM PKT WHERE len <> 100`, true},
+		// The same behind a semi-stateful WHERE, which rejects the poison
+		// row (its 334th call) or keeps it.
+		{"select_error_behind_where_call", `SELECT uts, 1000/(len-100) FROM PKT WHERE alt(1) = TRUE`, true},
+		{"select_kernel_after_where_call", `SELECT uts, 1000/(len-100) FROM PKT WHERE alt(0) = TRUE`, false},
+		// The kernels fail on the kept poison row where AND's short circuit
+		// does not: every kept row is emitted by the scalar closures.
+		{"select_short_circuit_after_where_call", `SELECT uts, len <> 100 AND 1000/(len-100) > 0 FROM PKT WHERE alt(0) = TRUE`, true},
 	}
 	pkts := equivPackets(500, 21, 3, 8)
 	for i := range pkts {
@@ -164,7 +190,7 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 					break
 				}
 			}
-			if (refErr == nil) != (c.name == "select_error_behind_where") {
+			if (refErr == nil) != c.noErr {
 				t.Fatalf("scalar path: err = %v", refErr)
 			}
 			for _, size := range []int{1, 17, 128, 512} {
@@ -188,6 +214,9 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 					if got, want := op.Stats(), refOp.Stats(); got != want {
 						t.Fatalf("%s: stats = %+v, want %+v", label, got, want)
 					}
+					if c.name == "select_kernel_after_where_call" {
+						continue
+					}
 					if !bytes.Equal(opSnapshot(t, op), opSnapshot(t, refOp)) {
 						t.Fatalf("%s: snapshot differs from the scalar run's", label)
 					}
@@ -203,6 +232,9 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 // and holds ProcessBatch to Process: same rows, same error (mixed kinds
 // make arithmetic fail on some rows), same stats.
 func TestSelectBatchMixedKindsQuick(t *testing.T) {
+	// A SELECT that fails on rows a semi-stateful WHERE kept: when it does,
+	// the function's state is ahead of the scalar path's (selectRows).
+	const stateAhead = `SELECT ts, a + b, UMAX(a, 3) FROM S WHERE bssample(ts + 1, 3) = TRUE`
 	schema := tuple.MustSchema("S",
 		tuple.Field{Name: "ts", Ordering: tuple.Increasing},
 		tuple.Field{Name: "a"},
@@ -217,6 +249,7 @@ func TestSelectBatchMixedKindsQuick(t *testing.T) {
 		`SELECT ts, a = b, a < b, tag FROM S WHERE a <> b AND ts > 3`,
 		`SELECT ts FROM S WHERE bssample(a, 40) = TRUE`,
 		`SELECT b, 'k', 7 FROM S WHERE a / b > 1`,
+		stateAhead,
 	}
 	tags := []string{"x", "yy", ""}
 	randValue := func(r *xrand.Rand, mixed bool) value.Value {
@@ -290,6 +323,9 @@ func TestSelectBatchMixedKindsQuick(t *testing.T) {
 					return false
 				}
 			}
+		}
+		if src == stateAhead && refErr != nil {
+			return true
 		}
 		return bytes.Equal(opSnapshot(t, op), opSnapshot(t, refOp))
 	}

@@ -363,18 +363,13 @@ func (b *Batch) AppendRow(t Tuple) {
 	b.n++
 }
 
-// AppendCols appends rows given as one column per schema field: the rows
-// at the ascending positions sel, or all of them when sel is nil. cols
-// must all have the same length.
-func (b *Batch) AppendCols(cols []*Column, sel []int32) {
+// AppendCols appends rows given as one column per schema field. cols must
+// all have the same length.
+func (b *Batch) AppendCols(cols []*Column) {
 	for i := range b.cols {
-		b.cols[i].Gather(cols[i], sel)
+		b.cols[i].Gather(cols[i], nil)
 	}
-	if sel == nil {
-		b.n += cols[0].Len()
-	} else {
-		b.n += len(sel)
-	}
+	b.n += cols[0].Len()
 }
 
 // Slice points dst at rows [lo, hi) of b and returns it. The view shares

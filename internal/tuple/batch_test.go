@@ -162,8 +162,8 @@ func TestColumnEqualValue(t *testing.T) {
 	}{
 		{0, value.NewUint(5), true},
 		{0, value.NewUint(6), false},
-		{0, value.NewInt(5), true},    // cross-kind numeric equality
-		{0, value.NewFloat(5), true},  // float vs uint
+		{0, value.NewInt(5), true},                      // cross-kind numeric equality
+		{0, value.NewFloat(5), true},                    // float vs uint
 		{1, value.NewFloat(math.Copysign(0, -1)), true}, // -0.0 == +0.0
 		{2, value.NewString("ab"), true},
 		{2, value.NewString("ac"), false},
@@ -294,8 +294,9 @@ func requireRows(t *testing.T, label string, b *Batch, want []Tuple) {
 	}
 }
 
-// AppendCols with and without a selection equals AppendRow of the same
-// rows, whatever the destination already holds.
+// Columns gathered with and without a selection and appended with
+// AppendCols equal AppendRow of the same rows, whatever the destination
+// already holds.
 func TestAppendColsMatchesAppendRow(t *testing.T) {
 	s := testSchema(t)
 	rows := gatherRows()
@@ -303,8 +304,20 @@ func TestAppendColsMatchesAppendRow(t *testing.T) {
 	for _, r := range rows {
 		src.AppendRow(r)
 	}
-	cols := []*Column{src.Col(0), src.Col(1), src.Col(2)}
-	for _, sel := range [][]int32{nil, {}, {0}, {1, 3}, {0, 1, 2, 3, 4}, {2, 4}} {
+	for _, sel := range [][]int32{nil, {0}, {1, 3}, {0, 1, 2, 3, 4}, {2, 4}} {
+		cols := []*Column{src.Col(0), src.Col(1), src.Col(2)}
+		picked := rows
+		if sel != nil {
+			picked = nil
+			for c := range cols {
+				g := &Column{}
+				g.Gather(src.Col(c), sel)
+				cols[c] = g
+			}
+			for _, i := range sel {
+				picked = append(picked, rows[i])
+			}
+		}
 		for _, prefill := range []int{0, 2} {
 			dst := NewBatch(s, 0)
 			var want []Tuple
@@ -312,17 +325,12 @@ func TestAppendColsMatchesAppendRow(t *testing.T) {
 				dst.AppendRow(r)
 				want = append(want, r)
 			}
-			dst.AppendCols(cols, sel)
-			if sel == nil {
-				want = append(want, rows...)
-			}
-			for _, i := range sel {
-				want = append(want, rows[i])
-			}
+			dst.AppendCols(cols)
+			want = append(want, picked...)
 			requireRows(t, "AppendCols", dst, want)
 			// A second append lands behind the first.
-			dst.AppendCols(cols, []int32{4})
-			requireRows(t, "AppendCols twice", dst, append(want, rows[4]))
+			dst.AppendCols(cols)
+			requireRows(t, "AppendCols twice", dst, append(want, picked...))
 		}
 	}
 }
