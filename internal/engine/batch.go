@@ -1,15 +1,15 @@
-// Columnar batch feeding: the ring → operator hot path of the serial and
-// parallel runs. Popped packet batches convert to columnar tuple batches
+// Columnar batch feeding: the ring → operator hot path of every run mode.
+// Popped packet batches convert to columnar tuple batches
 // (trace.AppendBatch: one tight loop per field) and flow through
 // Operator.ProcessBatch / ptable.processBatch, which are row-for-row
-// identical to the scalar calls. On the serial path the edge from a node
-// to the high-level nodes reading it is columnar too (Node.emit,
-// Node.emitCols, Engine.drainHigh in engine.go). Profiled nodes keep the
-// row-at-a-time loops — their per-tuple accounting is part of their
-// contract. A traced node does not: its batch runs as columnar segments
-// between the traced rows, and only those go through scalar Process (see
-// processLowBatch and Node.processInput), so the batch path carries no
-// instrumentation branches.
+// identical to the scalar calls. The edge from a node to the high-level
+// nodes reading it is columnar too, under Run, a session and RunParallel
+// alike (edge, Node.emit, Node.emitCols, Engine.stepHigh in engine.go).
+// Profiled nodes keep the row-at-a-time loops — their per-tuple accounting
+// is part of their contract. A traced node does not: its batch runs as
+// columnar segments between the traced rows, and only those go through
+// scalar Process (see processLowBatch and Node.processInput), so the batch
+// path carries no instrumentation branches.
 package engine
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"streamop/internal/agg"
 	"streamop/internal/gsql"
+	"streamop/internal/profile"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
@@ -32,8 +33,8 @@ func (n *Node) input() *tuple.Batch {
 }
 
 // processLowColumnar feeds one popped batch through a low-level node as a
-// columnar tuple batch (Run's serial consumer; see processLowBatch for
-// the traced/profiled row path).
+// columnar tuple batch (see processLowBatch for the traced/profiled row
+// path).
 func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
 	start := time.Now()
 	b := low.input()
@@ -46,26 +47,6 @@ func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
 		return fmt.Errorf("engine: node %q: %w", low.name, err)
 	}
 	low.syncTelemetry(0)
-	return nil
-}
-
-// processLowColumnarParallel is processLowColumnar for a RunParallel
-// worker: emissions route to subscriber channels for the duration of the
-// call. Each low node is owned by exactly one worker goroutine, so the
-// node's input batch is that worker's scratch.
-func (e *Engine) processLowColumnarParallel(low *Node, pkts []trace.Packet, chans map[*Node]chan tuple.Tuple) error {
-	start := time.Now()
-	b := low.input()
-	b.Reset()
-	trace.AppendBatch(b, pkts)
-	low.tuplesIn += int64(len(pkts))
-	low.parallelChans = chans
-	err := low.op.ProcessBatch(b)
-	low.parallelChans = nil
-	low.busy += time.Since(start)
-	if err != nil {
-		return fmt.Errorf("engine: node %q: %w", low.name, err)
-	}
 	return nil
 }
 
@@ -105,11 +86,31 @@ func (t *ptable) initVec() *ptableVec {
 	return v
 }
 
-// processPackets converts a popped packet batch to columns and folds it.
+// processPackets folds a popped packet batch into the table: converted to
+// columns and folded as a batch, or — for a profiled table, whose
+// per-tuple laps are part of its contract — packet by packet.
 func (t *ptable) processPackets(pkts []trace.Packet) error {
 	v := t.vec
 	if v == nil {
 		v = t.initVec()
+	}
+	if np := t.prof; np != nil {
+		if cap(v.rowT) < trace.NumFields {
+			v.rowT = make(tuple.Tuple, trace.NumFields)
+		}
+		row := v.rowT[:trace.NumFields]
+		for i := range pkts {
+			if st := np.BeginSrc(); st != 0 {
+				pkts[i].AppendTuple(row)
+				np.LapMark(profile.StageDequeue, st)
+			} else {
+				pkts[i].AppendTuple(row)
+			}
+			if err := t.process(row); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if v.b == nil {
 		v.b = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)

@@ -43,6 +43,7 @@ func benchPackets(b *testing.B, n int) []trace.Packet {
 // cost of the two-level topology.
 func BenchmarkEngineRun(b *testing.B) {
 	pkts := benchPackets(b, 100000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	processed := 0
 	for processed < b.N {
@@ -85,6 +86,7 @@ func BenchmarkTwoLevelHop(b *testing.B) {
 // backpressured) end-to-end cost of the same topology.
 func BenchmarkEngineRunParallel(b *testing.B) {
 	pkts := benchPackets(b, 100000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	processed := 0
 	for processed < b.N {

@@ -45,19 +45,16 @@ type NodeStats struct {
 // Node is one query node. Low-level nodes consume packets; high-level
 // nodes consume another node's output tuples.
 type Node struct {
-	name   string
-	plan   *gsql.Plan
-	op     *operator.Operator
-	schema *tuple.Schema // output schema
-	subs   []*Node
-	apps   []func(tuple.Tuple) error
-	// parallelChans, when non-nil, redirects emissions to subscriber
-	// channels (RunParallel).
-	parallelChans map[*Node]chan tuple.Tuple
-	busy          time.Duration
-	tuplesIn      int64
-	out           int64
-	low           bool
+	name     string
+	plan     *gsql.Plan
+	op       *operator.Operator
+	schema   *tuple.Schema // output schema
+	subs     []*Node
+	apps     []func(tuple.Tuple) error
+	busy     time.Duration
+	tuplesIn int64
+	out      int64
+	low      bool
 	// Failure containment (see recovery.go): a panic inside the node's
 	// operator marks the node failed instead of crashing the process. The
 	// fields are owned by the goroutine processing the node; cross-goroutine
@@ -74,12 +71,14 @@ type Node struct {
 	// prof is this node's cost profile; nil when profiling is off (see
 	// profile.go).
 	prof *profile.NodeProfile
-	// inBatch is the node's columnar input (see batch.go). A low-level
-	// node's holds the packets of the batch being processed, converted;
-	// a high-level node's is the edge from its parent on the serial path:
-	// the parent's emissions append to it and drainHigh hands it to the
-	// operator whole. Owned by whichever single goroutine feeds the node.
+	// inBatch is the node's columnar input (see batch.go): what the next
+	// step hands to the operator whole. A low-level node's holds the
+	// packets of the batch being processed, converted; a high-level node's
+	// holds the rows that came over the edge from its parent. Owned by the
+	// goroutine that runs the node.
 	inBatch *tuple.Batch
+	// in is the edge from the node's parent (high-level nodes only).
+	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
 	// trEnq/trDeq count this node's queued input rows so traces can ride on
 	// FIFO position instead of tuple metadata. trSeg and trRow are
@@ -115,9 +114,63 @@ func (n *Node) Stats() NodeStats {
 	return st
 }
 
+// edge is the hop from a node to one node reading it: a columnar batch the
+// parent's emissions append to, the one way a tuple gets from a query into
+// the buffer of the query above it (paper Fig. 1). Which batch out is gets
+// decided when a run starts. On the serial path it is the reader's inBatch,
+// and drainHigh runs the reader over it in place. Under RunParallel it is a
+// batch the parent's goroutine owns: between steps handOff sends it to the
+// reader's worker over full and takes a spent one from free to fill next,
+// so a reader that falls behind blocks its parent (backpressure, bounded
+// memory) and nothing allocates once the batches have grown. A shard
+// replica fills batches of its own and shares only the two channels.
+type edge struct {
+	out  *tuple.Batch
+	full chan *tuple.Batch // nil on the serial path
+	free chan *tuple.Batch
+}
+
+// edgeDepth is how many filled batches an edge holds before its parent
+// blocks: enough for the two sides to overlap, small enough that a slow
+// reader stops its parent within a few steps.
+const edgeDepth = 4
+
+// openSubs readies the edges out of n for a RunParallel run in which the
+// given number of goroutines emit n's rows: one batch for each of them to
+// fill, which they take from free, and edgeDepth in flight. Both channels
+// hold every batch, so only waiting for a spent batch ever blocks.
+func (n *Node) openSubs(producers int) {
+	for _, sub := range n.subs {
+		batches := producers + edgeDepth
+		sub.in.full = make(chan *tuple.Batch, batches)
+		sub.in.free = make(chan *tuple.Batch, batches)
+		for i := 0; i < batches; i++ {
+			sub.in.free <- tuple.NewBatch(n.schema, 64)
+		}
+	}
+}
+
+// pass sends out to the reader's worker when it holds rows and returns the
+// batch to fill next.
+func (ed *edge) pass(out *tuple.Batch) *tuple.Batch {
+	if out.Len() == 0 {
+		return out
+	}
+	ed.full <- out
+	return <-ed.free
+}
+
+// handOff passes what the node emitted in the step just finished to the
+// workers of the nodes reading it (RunParallel; never from inside emit).
+func (n *Node) handOff() {
+	for _, sub := range n.subs {
+		sub.in.out = sub.in.pass(sub.in.out)
+	}
+}
+
 // emit fans one output row out to subscribers and applications. Each
 // subscriber receives its own copy — the row's values appended to the
-// subscriber's input batch — and the copy is charged to this node:
+// batch on the edge to it — and the copy is charged to this node:
 // Gigascope pays a per-tuple copy to move data from a low-level query into
 // a high-level query's buffer, and that copy cost — proportional to the
 // number of forwarded tuples — is what the paper's Figure 6 low-level
@@ -128,24 +181,18 @@ func (n *Node) emit(row tuple.Tuple) error {
 	if n.tr != nil {
 		tts = n.tr.TakeEmitting()
 	}
-	if n.parallelChans != nil {
-		for _, sub := range n.subs {
-			n.parallelChans[sub] <- row.Clone()
-		}
-	} else {
-		for si, sub := range n.subs {
-			sub.inBatch.AppendRow(row)
-			if n.tr != nil {
-				// A traced row follows its first subscriber only, keyed by
-				// FIFO position in the subscriber's enqueue order.
-				if si == 0 && len(tts) > 0 {
-					sub.enqueueTrace(n.name, tts)
-				}
-				sub.trEnq++
+	for si, sub := range n.subs {
+		sub.in.out.AppendRow(row)
+		if n.tr != nil {
+			// A traced row follows its first subscriber only, keyed by
+			// FIFO position in the subscriber's enqueue order.
+			if si == 0 && len(tts) > 0 {
+				sub.enqueueTrace(n.name, tts)
 			}
+			sub.trEnq++
 		}
 	}
-	if len(tts) > 0 && (len(n.subs) == 0 || n.parallelChans != nil) {
+	if len(tts) > 0 && len(n.subs) == 0 {
 		// Application boundary: the traced tuple's group reached the DAG's
 		// edge — the one successful terminal disposition.
 		for _, tt := range tts {
@@ -162,24 +209,15 @@ func (n *Node) emit(row tuple.Tuple) error {
 
 // emitCols is emit for what a selection node selected from one input
 // batch, the node operator's column sink: the rows move column to column
-// into each subscriber's input batch, and tuples are built only for
+// into the batch on each subscriber's edge, and tuples are built only for
 // application callbacks — none at all for a tap that has only node
 // subscribers. None of the rows is traced: the engine sends a traced row
 // through scalar Process, whose output comes through emit.
 func (n *Node) emitCols(cols []*tuple.Column) error {
 	rows := cols[0].Len()
-	if n.parallelChans != nil {
-		// RunParallel's edge is a channel of rows: build them after all.
-		for i := 0; i < rows; i++ {
-			if err := n.emit(tuple.RowOf(cols, i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	n.out += int64(rows)
 	for _, sub := range n.subs {
-		sub.inBatch.AppendCols(cols)
+		sub.in.out.AppendCols(cols)
 		if n.tr != nil {
 			sub.trEnq += uint64(rows)
 		}
@@ -198,8 +236,11 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 	return nil
 }
 
-// Engine wires a packet feed to a tree of query nodes and runs them to
-// completion, single-threaded and deterministic.
+// Engine wires a packet feed to a tree of query nodes and runs them: to
+// completion on one goroutine, deterministically (Run); as a long-lived
+// standing-query session on the same serial loop (Start, session.go); or
+// with a goroutine per node (RunParallel, parallel.go). All three run the
+// same node steps over the same columnar edges.
 type Engine struct {
 	ring       *ringbuf.Ring[trace.Packet]
 	low        []*Node
@@ -327,6 +368,7 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 	// Starts small and grows to the parent's largest burst: a session can
 	// hold a thousand queries on one tap, most of them nearly idle.
 	n.inBatch = tuple.NewBatch(parent.schema, 64)
+	n.in.out = n.inBatch
 	n.op, err = operator.New(plan, n.emit)
 	if err != nil {
 		return nil, err
@@ -491,7 +533,7 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 				}
 				matches = nil
 			}
-			if err := e.runPartialBatch(pkts, n, scratch); err != nil {
+			if err := e.runPartialBatch(pkts[:n]); err != nil {
 				return err
 			}
 			if err := e.drainHigh(); err != nil {
@@ -520,18 +562,7 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 	}
 	// End of stream (or cancellation): flush bottom-up.
 	for _, low := range e.low {
-		if low.failed {
-			continue
-		}
-		if err := e.guardNode(low, func() error {
-			start := time.Now()
-			err := low.op.Flush()
-			low.busy += time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine: node %q: %w", low.name, err)
-			}
-			return nil
-		}); err != nil {
+		if err := e.flushNode(low); err != nil {
 			return err
 		}
 	}
@@ -542,18 +573,8 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 		return err
 	}
 	for _, h := range e.high {
-		if !h.failed {
-			if err := e.guardNode(h, func() error {
-				start := time.Now()
-				err := h.op.Flush()
-				h.busy += time.Since(start)
-				if err != nil {
-					return fmt.Errorf("engine: node %q: %w", h.name, err)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+		if err := e.flushNode(h); err != nil {
+			return err
 		}
 		if err := e.drainHigh(); err != nil {
 			return err
@@ -612,43 +633,63 @@ func (e *Engine) offerSource(p trace.Packet) {
 	}
 }
 
+// flushNode closes the node's open window at end of stream, charging the
+// node. A failed node is skipped (guardNode).
+func (e *Engine) flushNode(n *Node) error {
+	return e.guardNode(n, func() error {
+		start := time.Now()
+		err := n.op.Flush()
+		n.busy += time.Since(start)
+		if err != nil {
+			return fmt.Errorf("engine: node %q: %w", n.name, err)
+		}
+		return nil
+	})
+}
+
 // drainHigh runs every high-level node over the rows its parent has
 // appended to its input batch, in topological order so cascades settle
-// within one call: the whole batch goes to the operator's ProcessBatch,
-// the same kernels and row-order walk a low-level node runs over packets.
-// A failed node's input is discarded so its parents keep emitting without
-// unbounded buildup.
+// within one call.
 func (e *Engine) drainHigh() error {
 	for _, h := range e.high {
-		if h.failed {
-			h.resetInput()
-			continue
-		}
-		depth := h.inBatch.Len()
-		if depth == 0 {
-			continue
-		}
-		if h.nm != nil {
-			h.nm.queue.Set(float64(depth))
-		}
-		err := e.guardNode(h, func() error {
-			start := time.Now()
-			err := h.processInput()
-			h.busy += time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine: node %q: %w", h.name, err)
-			}
-			// The depth reported is the one this drain found: the batch is
-			// empty again by the time anyone could read the gauge.
-			h.syncTelemetry(depth)
-			return nil
-		})
-		h.resetInput()
-		if err != nil {
+		if err := e.stepHigh(h); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stepHigh is one step of a high-level node, on every path: the whole
+// input batch goes to the operator's ProcessBatch, the same kernels and
+// row-order walk a low-level node runs over packets, and the batch is
+// empty afterwards. A failed node's input is discarded so its parent keeps
+// emitting without unbounded buildup.
+func (e *Engine) stepHigh(h *Node) error {
+	depth := h.inBatch.Len()
+	if depth == 0 {
+		return nil
+	}
+	if h.failed {
+		h.resetInput()
+		return nil
+	}
+	if h.nm != nil {
+		h.nm.queue.Set(float64(depth))
+	}
+	err := e.guardNode(h, func() error {
+		start := time.Now()
+		err := h.processInput()
+		h.busy += time.Since(start)
+		if err != nil {
+			return fmt.Errorf("engine: node %q: %w", h.name, err)
+		}
+		// The depth reported is the one this step found: the batch is
+		// empty again by the time anyone could read the gauge.
+		h.syncTelemetry(depth)
+		return nil
+	})
+	h.resetInput()
+	return err
 }
 
 // resetInput empties the node's input batch. Whatever the operator did not
@@ -658,6 +699,9 @@ func (e *Engine) drainHigh() error {
 // one.
 func (h *Node) resetInput() {
 	h.inBatch.Reset()
+	if h.tr == nil {
+		return
+	}
 	h.trDeq = h.trEnq
 	for _, m := range h.trPend {
 		for _, tt := range m.tts {
@@ -723,11 +767,6 @@ func (e *Engine) Drops() uint64 { return e.ring.Drops() }
 
 // RingCap returns the source ring buffer's capacity.
 func (e *Engine) RingCap() int { return e.ring.Cap() }
-
-// SetShardRingCap overrides the per-shard ring capacity RunParallel gives
-// sharded partial-aggregation nodes (default 4096); chaos tests use
-// deliberately tiny rings to force overload. n <= 0 restores the default.
-func (e *Engine) SetShardRingCap(n int) { e.shardCap = n }
 
 // Utilization returns node busy time divided by the simulated stream
 // duration: the fraction of one CPU the node consumes to keep up with the

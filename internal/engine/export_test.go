@@ -44,3 +44,8 @@ func (e *Engine) HopBatch(pkts []trace.Packet) error {
 	}
 	return e.drainHigh()
 }
+
+// SetShardRingCap overrides the per-shard ring capacity RunParallel gives
+// sharded partial-aggregation nodes (default 4096): the chaos tests use
+// deliberately tiny rings to force overload. n <= 0 restores the default.
+func (e *Engine) SetShardRingCap(n int) { e.shardCap = n }

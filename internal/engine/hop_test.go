@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -289,7 +290,92 @@ func TestHopEquivalence(t *testing.T) {
 			}
 			hopCollect(t, nodes, got)
 			hopCompare(t, "session", topo, got, want)
+
+			// A goroutine per node, unpaced: nothing drops, and every node has
+			// one parent, so its input arrives in the order the parent emitted
+			// it whatever the batches on the edge were cut into.
+			got = make([]hopResult, len(topo.nodes))
+			e, nodes = hopBuild(t, topo, got)
+			if err := e.RunParallel(sliceFeed(pkts), 0); err != nil {
+				t.Fatal(err)
+			}
+			hopCollect(t, nodes, got)
+			hopCompare(t, "RunParallel", topo, got, want)
 		})
+	}
+}
+
+// A sharded parent: two replicas of a partial-aggregation tap fill batches
+// of their own and share the edge into a selection. Rows of one window
+// interleave across replicas, windows do not: each replica hands its rows
+// on before it acknowledges the window barrier. Per window, the selection
+// emits the multiset Run emits.
+func TestHopShardedParent(t *testing.T) {
+	pkts := hopPackets(t)
+	type window struct {
+		tb   string
+		rows map[string]int
+	}
+	run := func(parallel bool) ([]window, operator.Stats, int64) {
+		e, err := engine.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 64 slots under 512 hosts: collisions evict all the time, so a
+		// window is many partial rows per group, not one.
+		tap, err := e.AddLowLevelPartialAgg("tap", mustPlan(t, hopAggTap, trace.Schema()), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap.SetShards(2)
+		sel, err := e.AddHighLevel("sel", tap.Base(),
+			mustPlan(t, `SELECT tb, srcIP, bytes, cnt FROM tap WHERE srcIP % 8 <> 3`, tap.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wins []window
+		sel.Subscribe(func(row tuple.Tuple) error {
+			tb := rowKey(row[:1])
+			if len(wins) == 0 || wins[len(wins)-1].tb != tb {
+				wins = append(wins, window{tb: tb, rows: map[string]int{}})
+			}
+			wins[len(wins)-1].rows[rowKey(row)]++
+			return nil
+		})
+		if parallel {
+			err = e.RunParallel(sliceFeed(pkts), 0)
+		} else {
+			err = e.Run(sliceFeed(pkts))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.PendingInput() != 0 {
+			t.Errorf("%d rows left in the selection's input batch", sel.PendingInput())
+		}
+		return wins, sel.Stats().Operator, tap.Evictions()
+	}
+	want, wantStats, wantEvict := run(false)
+	got, gotStats, gotEvict := run(true)
+	if len(want) < 4 || wantEvict == 0 {
+		t.Fatalf("reference run: %d windows, %d evictions; the test checks nothing", len(want), wantEvict)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("RunParallel: %d windows, Run %d (a window's rows arrived split)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].tb != want[i].tb || len(got[i].rows) != len(want[i].rows) {
+			t.Fatalf("window %d: RunParallel %s with %d distinct rows, Run %s with %d",
+				i, got[i].tb, len(got[i].rows), want[i].tb, len(want[i].rows))
+		}
+		for k, n := range want[i].rows {
+			if got[i].rows[k] != n {
+				t.Fatalf("window %d: row %s emitted %d times, Run %d", i, k, got[i].rows[k], n)
+			}
+		}
+	}
+	if gotStats != wantStats || gotEvict != wantEvict {
+		t.Errorf("RunParallel: selection stats %+v, %d evictions; Run %+v, %d", gotStats, gotEvict, wantStats, wantEvict)
 	}
 }
 
@@ -453,6 +539,49 @@ func TestHopAllocsPerRow(t *testing.T) {
 	}
 	if in, out := nodes[1].Stats().TuplesIn, nodes[0].Stats().TuplesOut; in != out || in < 52*512 {
 		t.Errorf("tap forwarded %d rows, the node behind it took %d in", out, in)
+	}
+}
+
+// Under RunParallel the same hop recycles its batches: a spent batch goes
+// back to the node that fills it, so a longer run allocates nothing more
+// per forwarded row (it used to clone every row onto a channel).
+func TestHopParallelRecyclesBatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	topo := hopTopo{nodes: []hopNode{
+		{name: "low", src: hopPassThrough, parent: -1},
+		{name: "agg", src: `SELECT tb, srcIP, sum(len), count(*) FROM low GROUP BY time/1 AS tb, srcIP`, parent: 0},
+	}}
+	lap := hopPackets(t)[:20000]
+	for i := range lap {
+		lap[i].Time = 0 // one window, the same groups every lap
+	}
+	mallocs := func(laps int) (uint64, int64) {
+		pkts := make([]trace.Packet, 0, laps*len(lap))
+		for i := 0; i < laps; i++ {
+			pkts = append(pkts, lap...)
+		}
+		e, nodes := hopBuild(t, topo, nil)
+		feed := sliceFeed(pkts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.RunParallel(feed, 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, nodes[1].Stats().TuplesIn
+	}
+	short, shortRows := mallocs(1)
+	long, longRows := mallocs(11)
+	if rows := longRows - shortRows; rows != int64(10*len(lap)) {
+		t.Fatalf("the long run forwarded %d rows more than the short one, want %d", rows, 10*len(lap))
+	}
+	// Set-up (goroutines, channels, batches growing) is in both runs; what
+	// is left is scheduler noise, far under one allocation per batch.
+	if extra := int64(long) - int64(short); extra > int64(10*len(lap)/512) {
+		t.Errorf("%d allocations in a 1-lap run, %d in an 11-lap run: %d for %d more forwarded rows, want none per row",
+			short, long, extra, 10*len(lap))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"streamop/internal/profile"
 	"streamop/internal/ringbuf"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
@@ -15,11 +14,17 @@ import (
 
 // RunParallel runs the node tree with real concurrency, the way Gigascope
 // deploys it: the packet producer, every low-level node and every
-// high-level node each run on their own goroutine, connected by bounded
-// buffers. Each low-level selection node drains a private SPSC ring fed
-// by the producer; each low-level partial-aggregation node fans out into
-// shard replicas with private rings and private group-table stripes (see
-// shard.go), routed by group-key hash so no shard shares state.
+// high-level node each run on their own goroutine. Each low-level selection
+// node drains a private SPSC ring fed by the producer; each low-level
+// partial-aggregation node fans out into shard replicas with private rings
+// and private group-table stripes (see shard.go), routed by group-key hash
+// so no shard shares state. The nodes themselves run as they do under Run —
+// the same step over a popped packet batch, the same step over a
+// high-level node's input batch, the same emit — and the edge between two
+// nodes is the same columnar batch (see edge): a node's goroutine fills a
+// batch of its own and, between steps, passes it to the reader's goroutine
+// over a bounded channel, taking a spent one back. A reader that falls
+// behind blocks its parent there, in both modes.
 //
 // speedup > 0 paces the producer by packet timestamps accelerated by that
 // factor (speedup 100 replays a 10-second capture in 100 ms). Under
@@ -40,7 +45,8 @@ import (
 // sharded node's busy time is the summed CPU time of its replicas — but
 // utilization comparisons are cleanest under Run, which is
 // single-threaded and deterministic. Provenance tracing is ignored under
-// RunParallel (see tracing.go).
+// RunParallel: an attached tracer is detached from every node for the
+// length of the run (see tracing.go).
 func (e *Engine) RunParallel(feed trace.Feed, speedup float64) error {
 	return e.RunParallelContext(context.Background(), feed, speedup)
 }
@@ -60,6 +66,19 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	defer e.endRun()
 	if err := e.checkpointRunnable(true, speedup); err != nil {
 		return err
+	}
+	if e.tr != nil {
+		// Traces ride on FIFO positions that only the serial loop keeps, and
+		// a tracer is one goroutine's to use: the run detaches it from every
+		// node and operator, so nothing below reads or writes trace state.
+		for _, n := range e.Nodes() {
+			n.attachTracer(nil)
+		}
+		defer func() {
+			for _, n := range e.Nodes() {
+				n.attachTracer(e.tr)
+			}
+		}()
 	}
 	feed = e.faults.Wrap(feed)
 	e.resumeFastForward(feed)
@@ -83,17 +102,32 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			gates[i] = e.newGate(e.resolveOverload(low.plan, low.name, "0"), r, low.name, "0")
 		}
 	}
-	// Bounded channel per high-level node.
-	chans := make(map[*Node]chan tuple.Tuple, len(e.high))
+	// The edge into every high-level node carries batches between
+	// goroutines for the length of the run (a sharded node's edges open in
+	// newShardSet, one producer per replica).
+	defer func() {
+		for _, h := range e.high {
+			h.in = edge{out: h.inBatch}
+		}
+	}()
+	open := func(n *Node) {
+		n.openSubs(1)
+		for _, sub := range n.subs {
+			sub.in.out = <-sub.in.free
+		}
+	}
+	for _, low := range e.low {
+		open(low)
+	}
 	for _, h := range e.high {
-		chans[h] = make(chan tuple.Tuple, 4096)
+		open(h)
 	}
 	// Sharded runtime per partial-aggregation node; unpaced runs get the
 	// exactness barrier, paced runs trade it for zero producer stalls.
 	sets := make([]*shardSet, len(e.lowPartial))
 	allGates := append([]*ringGate(nil), gates...)
 	for i, pn := range e.lowPartial {
-		s, err := e.newShardSet(pn, chans, speedup <= 0)
+		s, err := e.newShardSet(pn, speedup <= 0)
 		if err != nil {
 			return err
 		}
@@ -249,15 +283,17 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 
 	var wg sync.WaitGroup
 
-	// Low-level selection consumers. A worker whose node errors or panics
+	// Low-level selection consumers: the serial loop's step over each
+	// popped batch, then the hand-off. A worker whose node errors or panics
 	// does not return early — it switches to drain mode (pop, count,
 	// discard) so the producer's backpressure and checkpoint quiesce keep
-	// moving, and closes its subscribers without a flush at end of stream.
+	// moving, and closes its subscribers' edges without a flush at end of
+	// stream.
 	for i, low := range e.low {
 		wg.Add(1)
 		go func(low *Node, ring *ringbuf.Ring[trace.Packet]) {
 			defer wg.Done()
-			batch := make([]trace.Packet, 256)
+			batch := make([]trace.Packet, shardBatch)
 			scratch := make(tuple.Tuple, trace.NumFields)
 			dead := false // erred (reported) or failed (contained panic)
 			for {
@@ -266,11 +302,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 					select {
 					case <-producerDone:
 						if ring.Len() == 0 {
-							if dead {
-								finishLowFailed(low, chans)
-							} else {
-								e.finishLow(low, chans, reportErr)
-							}
+							e.finishNode(low, dead, reportErr)
 							return
 						}
 					default:
@@ -286,37 +318,14 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 					time.Sleep(d)
 				}
 				err := e.guardNode(low, func() error {
-					if low.prof == nil {
-						return e.processLowColumnarParallel(low, batch[:n], chans)
-					}
-					start := time.Now()
-					for j := 0; j < n; j++ {
-						if st := low.prof.BeginSrc(); st != 0 {
-							batch[j].AppendTuple(scratch)
-							low.prof.LapMark(profile.StageDequeue, st)
-						} else {
-							batch[j].AppendTuple(scratch)
-						}
-						low.tuplesIn++
-						if err := low.processParallel(scratch, chans); err != nil {
-							low.busy += time.Since(start)
-							return fmt.Errorf("engine: node %q: %w", low.name, err)
-						}
-					}
-					low.busy += time.Since(start)
-					return nil
+					return e.processLowBatch(low, batch, n, scratch, nil)
 				})
+				low.handOff()
 				low.consumed.Add(uint64(n))
 				if err != nil {
 					reportErr(err)
-					dead = true
-					continue
 				}
-				if low.failed {
-					dead = true
-					continue
-				}
-				low.syncTelemetry(0)
+				dead = err != nil || low.failed
 				low.syncRing(ring)
 			}
 		}(low, rings[i])
@@ -333,44 +342,34 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		}
 	}
 
-	// High-level consumers (each node's channel is closed by its parent
-	// after the parent flushes — for a sharded parent, by its last
-	// finishing shard worker). A panic is contained like an error, except
-	// nothing is reported: the node is failed, its input drains, and the
-	// run's other queries proceed.
+	// High-level consumers: each batch that arrives is the node's input for
+	// one stepHigh, the serial loop's step, and goes back to its parent
+	// spent. The edge is closed by the parent after it flushes — for a
+	// sharded parent, by its last finishing shard worker. A panic is
+	// contained like an error, except nothing is reported: the node is
+	// failed, and its input keeps draining and recycling so the parent
+	// never blocks and the run's other queries proceed.
 	for _, h := range e.high {
 		wg.Add(1)
 		go func(h *Node) {
 			defer wg.Done()
+			own := h.inBatch
 			dead := false
-			for row := range chans[h] {
-				if dead {
-					continue // drain so the parent never blocks
+			for b := range h.in.full {
+				if !dead {
+					h.inBatch = b
+					err := e.stepHigh(h)
+					h.handOff()
+					if err != nil {
+						reportErr(err)
+					}
+					dead = err != nil || h.failed
 				}
-				start := time.Now()
-				h.tuplesIn++
-				err := e.guardNode(h, func() error { return h.opProcessParallel(row, chans) })
-				h.busy += time.Since(start)
-				h.syncTelemetry(len(chans[h]))
-				if err != nil {
-					reportErr(fmt.Errorf("engine: node %q: %w", h.name, err))
-					dead = true
-				}
-				if h.failed {
-					dead = true
-				}
+				b.Reset()
+				h.in.free <- b
 			}
-			if !dead {
-				start := time.Now()
-				err := e.guardNode(h, func() error { return h.opFlushParallel(chans) })
-				h.busy += time.Since(start)
-				if err != nil {
-					reportErr(fmt.Errorf("engine: node %q: %w", h.name, err))
-				}
-			}
-			for _, sub := range h.subs {
-				close(chans[sub])
-			}
+			h.inBatch = own
+			e.finishNode(h, dead, reportErr)
 		}(h)
 	}
 
@@ -396,48 +395,17 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	}
 }
 
-// finishLowFailed closes a dead low node's subscriber channels without
-// flushing its (untrusted or already-erred) operator.
-func finishLowFailed(low *Node, chans map[*Node]chan tuple.Tuple) {
-	for _, sub := range low.subs {
-		close(chans[sub])
+// finishNode ends a node's RunParallel worker: flush (unless the node is
+// dead — its operator is untrusted or already erred), hand the flushed
+// rows on, and close the edges to the nodes reading it.
+func (e *Engine) finishNode(n *Node, dead bool, reportErr func(error)) {
+	if !dead {
+		if err := e.flushNode(n); err != nil {
+			reportErr(err)
+		}
+		n.handOff()
 	}
-}
-
-// finishLow flushes a low node and closes its subscribers' channels.
-func (e *Engine) finishLow(low *Node, chans map[*Node]chan tuple.Tuple, reportErr func(error)) {
-	err := e.guardNode(low, func() error {
-		start := time.Now()
-		err := low.opFlushParallel(chans)
-		low.busy += time.Since(start)
-		return err
-	})
-	if err != nil {
-		reportErr(fmt.Errorf("engine: node %q: %w", low.name, err))
+	for _, sub := range n.subs {
+		close(sub.in.full)
 	}
-	for _, sub := range low.subs {
-		close(chans[sub])
-	}
-}
-
-// processParallel and friends route the node's emissions to subscriber
-// channels for the duration of the call (emit checks parallelChans).
-// Channel sends block when a consumer falls behind: backpressure instead
-// of unbounded queueing.
-func (n *Node) processParallel(t tuple.Tuple, chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Process(t)
-}
-
-func (n *Node) opProcessParallel(t tuple.Tuple, chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Process(t)
-}
-
-func (n *Node) opFlushParallel(chans map[*Node]chan tuple.Tuple) error {
-	n.parallelChans = chans
-	defer func() { n.parallelChans = nil }()
-	return n.op.Flush()
 }

@@ -355,43 +355,19 @@ func (n *PartialNode) Shards() int {
 // sum across shard replicas.
 func (n *PartialNode) Evictions() int64 { return n.table.evictions }
 
-// process folds one packet tuple into the table (Run's single-table path).
-func (n *PartialNode) process(t tuple.Tuple) error {
-	n.tuplesIn++
-	return n.table.process(t)
-}
-
 // runPartialBatch feeds a batch of packets through every partial node,
 // charging busy time per node.
-func (e *Engine) runPartialBatch(pkts []trace.Packet, count int, scratch tuple.Tuple) error {
+func (e *Engine) runPartialBatch(pkts []trace.Packet) error {
 	for _, n := range e.lowPartial {
 		if n.failed {
 			continue
 		}
 		if err := e.guardNode(&n.Node, func() error {
 			start := time.Now()
-			if n.table.prof == nil {
-				// No per-tuple lap accounting: fold the batch columnar.
-				n.tuplesIn += int64(count)
-				err := n.table.processPackets(pkts[:count])
-				n.busy += time.Since(start)
-				return err
-			}
-			np := n.table.prof
-			for i := 0; i < count; i++ {
-				if st := np.BeginSrc(); st != 0 {
-					pkts[i].AppendTuple(scratch)
-					np.LapMark(profile.StageDequeue, st)
-				} else {
-					pkts[i].AppendTuple(scratch)
-				}
-				if err := n.process(scratch); err != nil {
-					n.busy += time.Since(start)
-					return err
-				}
-			}
+			n.tuplesIn += int64(len(pkts))
+			err := n.table.processPackets(pkts)
 			n.busy += time.Since(start)
-			return nil
+			return err
 		}); err != nil {
 			return err
 		}

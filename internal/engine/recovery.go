@@ -11,8 +11,8 @@ import (
 // is contained to the node it happened in: the recover captures the panic
 // value and stack, the node transitions to failed and stops processing
 // (the rest of its input batch and all future input is discarded by
-// drainHigh), and the engine, its sibling
-// queries, and the process all keep running. A failed node's operator
+// stepHigh), and the engine, its sibling queries, and the process all keep
+// running. A failed node's operator
 // state is frozen mid-mutation and therefore untrusted: checkpoints taken
 // afterwards record the failure marker instead of the state, so a restore
 // resumes the healthy siblings from the snapshot and carries the failure

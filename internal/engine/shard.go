@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"streamop/internal/gsql"
-	"streamop/internal/profile"
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
@@ -87,6 +86,10 @@ type shardWorker struct {
 	tuplesIn int64
 	out      int64
 	busy     time.Duration
+	// outs[i] is the batch this replica fills for the node's i-th
+	// subscriber (see edge): a replica shares the edge's channels, never a
+	// batch.
+	outs []*tuple.Batch
 
 	// Live mirrors for /debug/state (see debug.go).
 	aTuplesIn  atomic.Int64
@@ -98,15 +101,15 @@ type shardWorker struct {
 	sm *shardMetrics
 }
 
-// emit sends one partial row downstream: a clone per subscriber channel,
-// plus the node's application callbacks (serialized across shards — apps
-// are user code and must not see concurrent calls).
+// emit sends one partial row downstream: appended to the replica's batch
+// for each subscriber, plus the node's application callbacks (serialized
+// across shards — apps are user code and must not see concurrent calls).
 func (w *shardWorker) emit(row tuple.Tuple) error {
 	w.out++
-	s := w.set
-	for _, sub := range s.node.subs {
-		s.chans[sub] <- row.Clone()
+	for _, b := range w.outs {
+		b.AppendRow(row)
 	}
+	s := w.set
 	if len(s.node.apps) > 0 {
 		s.appMu.Lock()
 		defer s.appMu.Unlock()
@@ -117,6 +120,20 @@ func (w *shardWorker) emit(row tuple.Tuple) error {
 		}
 	}
 	return nil
+}
+
+// step runs fn — one fold or flush of the stripe — charging the replica,
+// and passes the rows it emitted to the subscribers' workers.
+func (w *shardWorker) step(reportErr func(error), fn func() error) {
+	start := time.Now()
+	err := safeCall(fn)
+	w.busy += time.Since(start)
+	for i, sub := range w.set.node.subs {
+		w.outs[i] = sub.in.pass(w.outs[i])
+	}
+	if err != nil {
+		w.fail(reportErr, err)
+	}
 }
 
 // syncDebug mirrors the worker's counters into its atomics and gauges.
@@ -140,19 +157,15 @@ func (w *shardWorker) syncDebug() {
 func (w *shardWorker) run(producerDone <-chan struct{}, reportErr func(error)) {
 	s := w.set
 	batch := make([]trace.Packet, shardBatch)
-	scratch := make(tuple.Tuple, trace.NumFields)
 	for {
 		// Window barrier: the producer has drained our ring (it waited for
 		// folded == pushed before bumping the epoch), so every packet of
-		// the closing window is already folded — flush the stripe and ack.
+		// the closing window is already folded — flush the stripe, hand the
+		// rows on, and only then ack: every row of the closing window is on
+		// the subscribers' edges before a packet of the next one is routed.
 		if fe := s.flushEpoch.Load(); fe != w.ackEpoch.Load() {
 			if !w.failed {
-				start := time.Now()
-				err := safeCall(w.table.flush)
-				w.busy += time.Since(start)
-				if err != nil {
-					w.fail(reportErr, err)
-				}
+				w.step(reportErr, w.table.flush)
 			}
 			w.syncDebug()
 			w.ackEpoch.Store(fe)
@@ -180,36 +193,9 @@ func (w *shardWorker) run(producerDone <-chan struct{}, reportErr func(error)) {
 			w.folded.Add(uint64(n))
 			continue
 		}
-		start := time.Now()
-		if w.table.prof == nil {
-			// No per-tuple lap accounting: fold the batch columnar.
-			w.tuplesIn += int64(n)
-			if err := safeCall(func() error { return w.table.processPackets(batch[:n]) }); err != nil {
-				w.busy += time.Since(start)
-				w.fail(reportErr, err)
-				w.folded.Add(uint64(n))
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if st := w.table.prof.BeginSrc(); st != 0 {
-					batch[i].AppendTuple(scratch)
-					w.table.prof.LapMark(profile.StageDequeue, st)
-				} else {
-					batch[i].AppendTuple(scratch)
-				}
-				w.tuplesIn++
-				if err := safeCall(func() error { return w.table.process(scratch) }); err != nil {
-					w.busy += time.Since(start)
-					w.fail(reportErr, err)
-					w.folded.Add(uint64(n))
-					break
-				}
-			}
-		}
-		if !w.failed {
-			w.busy += time.Since(start)
-			w.folded.Add(uint64(n))
-		}
+		w.tuplesIn += int64(n)
+		w.step(reportErr, func() error { return w.table.processPackets(batch[:n]) })
+		w.folded.Add(uint64(n))
 		w.syncDebug()
 	}
 }
@@ -233,21 +219,16 @@ func safeCall(fn func() error) (err error) {
 }
 
 // finish flushes the residual stripe at end of stream; the last worker
-// out closes the node's subscriber channels.
+// out closes the edges to the node's subscribers.
 func (w *shardWorker) finish(reportErr func(error)) {
 	s := w.set
 	if !w.failed {
-		start := time.Now()
-		err := safeCall(w.table.flush)
-		w.busy += time.Since(start)
-		if err != nil {
-			w.fail(reportErr, err)
-		}
+		w.step(reportErr, w.table.flush)
 	}
 	w.syncDebug()
 	if s.remaining.Add(-1) == 0 {
 		for _, sub := range s.node.subs {
-			close(s.chans[sub])
+			close(sub.in.full)
 		}
 	}
 }
@@ -258,7 +239,6 @@ func (w *shardWorker) finish(reportErr func(error)) {
 type shardSet struct {
 	node    *PartialNode
 	workers []*shardWorker
-	chans   map[*Node]chan tuple.Tuple
 	appMu   sync.Mutex
 
 	// Router: a private plan clone evaluating GROUP BY per packet.
@@ -297,7 +277,7 @@ type shardSet struct {
 }
 
 // newShardSet builds the sharded runtime for one partial node.
-func (e *Engine) newShardSet(pn *PartialNode, chans map[*Node]chan tuple.Tuple, barrier bool) (*shardSet, error) {
+func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	n := pn.Shards()
 	router, err := pn.plan.Clone()
 	if err != nil {
@@ -305,7 +285,6 @@ func (e *Engine) newShardSet(pn *PartialNode, chans map[*Node]chan tuple.Tuple, 
 	}
 	s := &shardSet{
 		node:    pn,
-		chans:   chans,
 		router:  router,
 		rgb:     make([]value.Value, len(router.GroupBy)),
 		mask:    pn.table.mask,
@@ -323,6 +302,7 @@ func (e *Engine) newShardSet(pn *PartialNode, chans map[*Node]chan tuple.Tuple, 
 	}
 	size := len(pn.table.slots)
 	stripe := (size + n - 1) / n // upper bound on slots per shard
+	pn.openSubs(n)
 	for i := 0; i < n; i++ {
 		wplan, err := pn.plan.Clone()
 		if err != nil {
@@ -333,6 +313,9 @@ func (e *Engine) newShardSet(pn *PartialNode, chans map[*Node]chan tuple.Tuple, 
 			return nil, err
 		}
 		w := &shardWorker{id: i, set: s, ring: ring}
+		for _, sub := range pn.subs {
+			w.outs = append(w.outs, <-sub.in.free)
+		}
 		if !barrier {
 			s.gates = append(s.gates, e.newGate(e.resolveOverload(pn.plan, pn.name, strconv.Itoa(i)), ring, pn.name, strconv.Itoa(i)))
 		}

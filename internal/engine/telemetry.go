@@ -80,8 +80,8 @@ func (e *Engine) instrumentNode(n *Node) {
 }
 
 // syncTelemetry mirrors the node's counters into its gauges; queueDepth is
-// the buffered input the caller found: the rows in the input batch at
-// drain entry (serial path) or the channel's length (RunParallel).
+// the buffered input the caller found: the rows in the input batch when
+// the node's step began.
 func (n *Node) syncTelemetry(queueDepth int) {
 	m := n.nm
 	if m == nil {

@@ -23,7 +23,10 @@ import (
 // row through scalar Process with its traces current (processLowBatch for
 // packets, Node.processInput for high-level rows). A traced row emitted to
 // several subscribers follows the FIRST subscriber only (one terminal
-// disposition per trace); RunParallel ignores tracing entirely.
+// disposition per trace). RunParallel ignores tracing entirely: FIFO
+// positions are the serial loop's, and a tracer is one goroutine's to use,
+// so a parallel run detaches the tracer from its nodes and operators until
+// it returns.
 
 // SetTracer attaches tr to the engine and to every node registered so far
 // and afterwards. A nil tracer detaches. It errors once a run or session
@@ -54,60 +57,35 @@ func (n *Node) attachTracer(tr *tracing.Tracer) {
 	}
 }
 
-// processLowBatch feeds one popped batch through a low-level node. matches
+// processLowBatch feeds one popped batch through a low-level node: the
+// serial loop's and every RunParallel worker's step over packets. matches
 // (non-nil only for the node that carries tracing — the first low-level
 // node) holds the traced packets of this batch in FIFO order. The batch is
-// processed as tight untraced segments between matches, with the tracer's
-// current context set only around each traced packet's Process call, so a
-// match costs nothing on the hundreds of untraced packets sharing its
-// batch.
+// processed as untraced segments between matches — columnar, or row at a
+// time for a profiled node, whose per-tuple laps are part of its contract —
+// with the tracer's current context set only around each traced packet's
+// scalar Process call. The operator's trace record sites iterate the
+// tracer's current set, empty for every packet of a segment, so a 1-in-N
+// tracer costs the batch path nothing but the segment split, and a batch
+// with no matches (tracing off, or none of its packets sampled) is one
+// segment.
 func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, n int, scratch tuple.Tuple, matches []tracing.SourceMatch) error {
-	if low.prof == nil {
-		// No per-row profiling: untraced segments between matches run
-		// columnar; only a matched packet itself is processed row-at-a-time
-		// with the tracer's current context set. The operator's trace
-		// record sites iterate the tracer's current set — empty for every
-		// packet in a columnar segment, exactly as it is for untraced
-		// packets in the scalar walk — so a 1-in-N tracer costs the batch
-		// path nothing but the segment split. A batch with no matches
-		// (tracing off, or none of its packets sampled) is one segment.
-		i := 0
-		for mi := 0; mi <= len(matches); mi++ {
-			end := n
-			if mi < len(matches) {
-				end = matches[mi].Idx
-			}
-			if i < end {
-				if err := e.processLowColumnar(low, pkts[i:end]); err != nil {
-					return err
-				}
-				i = end
-			}
-			if mi < len(matches) && i < n {
-				start := time.Now()
-				e.tr.SetCurrentOne(matches[mi].TT)
-				pkts[i].AppendTuple(scratch)
-				low.tuplesIn++
-				err := low.op.Process(scratch)
-				e.tr.ClearCurrent()
-				low.busy += time.Since(start)
-				if err != nil {
-					return fmt.Errorf("engine: node %q: %w", low.name, err)
-				}
-				i++
-			}
-		}
-		low.syncTelemetry(0)
-		return nil
-	}
-	start := time.Now()
 	i := 0
 	for mi := 0; mi <= len(matches); mi++ {
 		end := n
 		if mi < len(matches) {
 			end = matches[mi].Idx
 		}
-		for ; i < end; i++ {
+		if i < end && low.prof == nil {
+			if err := e.processLowColumnar(low, pkts[i:end]); err != nil {
+				return err
+			}
+			i = end
+		}
+		// What is left of the segment is a profiled node's; then the match.
+		start := time.Now()
+		var err error
+		for ; i < end && err == nil; i++ {
 			if st := low.prof.BeginSrc(); st != 0 {
 				pkts[i].AppendTuple(scratch)
 				low.prof.LapMark(profile.StageDequeue, st)
@@ -115,25 +93,21 @@ func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, n int, scratch 
 				pkts[i].AppendTuple(scratch)
 			}
 			low.tuplesIn++
-			if err := low.op.Process(scratch); err != nil {
-				low.busy += time.Since(start)
-				return fmt.Errorf("engine: node %q: %w", low.name, err)
-			}
+			err = low.op.Process(scratch)
 		}
-		if mi < len(matches) && i < n {
+		if err == nil && mi < len(matches) && i < n {
 			e.tr.SetCurrentOne(matches[mi].TT)
 			pkts[i].AppendTuple(scratch)
 			low.tuplesIn++
-			err := low.op.Process(scratch)
+			err = low.op.Process(scratch)
 			e.tr.ClearCurrent()
-			if err != nil {
-				low.busy += time.Since(start)
-				return fmt.Errorf("engine: node %q: %w", low.name, err)
-			}
 			i++
 		}
+		low.busy += time.Since(start)
+		if err != nil {
+			return fmt.Errorf("engine: node %q: %w", low.name, err)
+		}
 	}
-	low.busy += time.Since(start)
 	low.syncTelemetry(0)
 	return nil
 }

@@ -150,6 +150,52 @@ func TestTracingSampledSchedule(t *testing.T) {
 	}
 }
 
+// TestRunParallelIgnoresTracer: "RunParallel ignores tracing" has to be
+// literally true, because a tracer is one goroutine's to use and a parallel
+// run has one per node. (Node.emit used to take the tracer's emitting set
+// from every node's goroutine: a data race between the two levels.)
+func TestRunParallelIgnoresTracer(t *testing.T) {
+	e, rollNode := buildSamplingPipeline(t, 4096)
+	tr := tracing.New(tracing.Config{Every: 100, Seed: 3, MaxSpans: 1 << 20})
+	if err := e.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	rollNode.Subscribe(func(tuple.Tuple) error { rows++; return nil })
+	feed, err := trace.NewSteady(trace.SteadyConfig{Seed: 5, Duration: 3, Rate: 20000, Hosts: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunParallel(feed, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 {
+		t.Fatal("the pipeline emitted nothing")
+	}
+	if sum := tr.Summary(); sum.Started != 0 || sum.Spans != 0 {
+		t.Errorf("RunParallel opened %d traces and recorded %d spans, want none", sum.Started, sum.Spans)
+	}
+	// Detached for the run only: after a parallel run (here over an empty
+	// feed, so that the tracer's packet schedule has not gone by) the same
+	// engine traces on the serial path.
+	e, _ = buildSamplingPipeline(t, 4096)
+	if err := e.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunParallel(sliceFeed(nil), 0); err != nil {
+		t.Fatal(err)
+	}
+	if feed, err = trace.NewSteady(trace.SteadyConfig{Seed: 6, Duration: 1, Rate: 20000, Hosts: 256}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(feed); err != nil {
+		t.Fatal(err)
+	}
+	if sum := tr.Summary(); sum.Started == 0 || sum.Finished != sum.Started {
+		t.Errorf("Run after RunParallel: %d traces started, %d finished", sum.Started, sum.Finished)
+	}
+}
+
 // gatedFeed forwards an inner feed, but blocks at packet pauseAt until
 // released. It lets tests query the introspection surface while Run is
 // provably mid-stream.

@@ -243,7 +243,7 @@ func TestProfileAblation(t *testing.T) {
 // never land inside a nanosecond-scale sampled lap — so when the
 // wall-based check misses, the pass's process-CPU time stands in as the
 // contention-free denominator. Retries on fresh seeds damp one-off load
-// bursts (ProfileAblation already keeps the quietest of several passes).
+// bursts (ProfileAblation already keeps the median of several passes).
 func TestProfileAttributionCoverage(t *testing.T) {
 	if raceEnabled {
 		// Race instrumentation inflates the timed spans relative to the

@@ -142,20 +142,29 @@ func New(cfg Config) *Profiler {
 }
 
 // calibrate measures the cost of one lap (a clock read plus two atomic
-// adds) by running the primitive back-to-back on a scratch profile.
+// adds) by running the primitive back-to-back on a scratch profile. The
+// estimate is the cheapest of several short rounds: an interrupt or a
+// descheduling inside a round can only add to it, and some 3/4 of a
+// sampled lap on the ablation workload is this overhead, so a calibration
+// 10% too high takes 30% off every estimate scaled from it.
 func calibrate() float64 {
-	const iters = 4096
+	const rounds, iters = 16, 512
 	np := &NodeProfile{every: 1}
-	t0 := Now()
-	t := t0
-	for i := 0; i < iters; i++ {
-		t = np.Lap(StageWhere, t)
+	best := int64(-1)
+	for r := 0; r < rounds; r++ {
+		t0 := Now()
+		t := t0
+		for i := 0; i < iters; i++ {
+			t = np.Lap(StageWhere, t)
+		}
+		if total := Now() - t0; total >= 0 && (best < 0 || total < best) {
+			best = total
+		}
 	}
-	total := Now() - t0
-	if total < 0 {
-		total = 0
+	if best < 0 {
+		best = 0
 	}
-	return float64(total) / iters
+	return float64(best) / iters
 }
 
 // Every returns the sampling rate (1-in-Every).

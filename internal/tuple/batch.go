@@ -230,7 +230,8 @@ func (c *Column) Gather(src *Column, sel []int32) {
 // path. Kind String is not supported (kernels produce numeric or Bool
 // vectors).
 func (c *Column) SetUniform(k value.Kind, n int) []uint64 {
-	if cap(c.kinds) < n {
+	// The two slices grow apart when rows were appended one by one.
+	if cap(c.kinds) < n || cap(c.bits) < n {
 		c.kinds = make([]value.Kind, n)
 		c.bits = make([]uint64, n)
 	} else {

@@ -114,6 +114,23 @@ func TestColumnSetUniform(t *testing.T) {
 	}
 }
 
+// A column filled row by row grows its kind bytes and its payload words
+// by append, each to its own size class, so one can have room for n rows
+// when the other has not: SetUniform has to look at both. (It looked at
+// the kinds only and sliced the words past their capacity — the panic
+// TestSelectBatchMixedKindsQuick hit about one run in ten.)
+func TestColumnSetUniformAfterAppends(t *testing.T) {
+	var c Column
+	c.AppendValue(value.NewInt(1))
+	if cap(c.Kinds()) <= cap(c.Bits()) {
+		t.Skipf("append grew kinds to %d and words to %d: no gap to test", cap(c.Kinds()), cap(c.Bits()))
+	}
+	n := cap(c.Kinds())
+	if bits := c.SetUniform(value.Int, n); len(bits) != n || c.Len() != n {
+		t.Fatalf("SetUniform(%d): %d words, %d rows", n, len(bits), c.Len())
+	}
+}
+
 // HashRow must agree bit-for-bit with HashValues: the sharded router and
 // the operator group table key on it.
 func TestHashRowMatchesHashValues(t *testing.T) {
