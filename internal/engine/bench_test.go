@@ -153,8 +153,9 @@ func shardBenchPackets(b *testing.B) []trace.Packet {
 
 // BenchmarkShardedPartialAgg measures unpaced RunParallel throughput of a
 // partial-aggregation node across shard counts. Run with -cpu 1,2,4 to
-// see how fan-out interacts with GOMAXPROCS; scripts/bench.sh records the
-// shards=1 vs shards=4 ratio into BENCH_parallel.json.
+// see how fan-out interacts with GOMAXPROCS. The figures on record are
+// docs/PERFORMANCE.md's ten-pair medians of shards=2 and the ledger's
+// engine.sharded2_ns_per_pkt rung (benchmark/, --trace 1).
 func BenchmarkShardedPartialAgg(b *testing.B) {
 	pkts := shardBenchPackets(b)
 	for _, shards := range []int{1, 2, 4, 8} {

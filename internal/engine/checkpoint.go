@@ -185,21 +185,9 @@ func (e *Engine) encodeCheckpoint() ([]byte, error) {
 	enc.Len(len(nodes))
 	for _, n := range nodes {
 		enc.String(n.name)
-		enc.I64(n.tuplesIn)
-		enc.I64(n.out)
-		enc.Bool(n.failed)
-		if n.failed {
-			// A panicked operator's state is untrusted; persist the failure
-			// instead (the previous snapshot holds the last-good state).
-			enc.String(n.failMsg)
-			enc.String(n.failStack)
-			continue
+		if err := encodeNodeState(enc, n); err != nil {
+			return nil, err
 		}
-		sub := checkpoint.NewEncoder()
-		if err := n.op.Snapshot(sub); err != nil {
-			return nil, fmt.Errorf("engine: node %q: %w", n.name, err)
-		}
-		enc.Blob(sub.Bytes())
 	}
 	if g := e.srcGate; g != nil {
 		enc.Bool(true)
@@ -346,34 +334,13 @@ func (e *Engine) RestoreLatest() (*RestoreInfo, error) {
 		if name != n.name {
 			return nil, fmt.Errorf("engine: snapshot node %q does not match topology node %q", name, n.name)
 		}
-		n.tuplesIn = d.I64()
-		n.out = d.I64()
-		failed := d.Bool()
-		if d.Err() != nil {
-			return nil, d.Err()
+		if err := e.decodeNodeState(d, n); err != nil {
+			return nil, err
 		}
-		if failed {
-			n.failed = true
-			n.failMsg = d.String()
-			n.failStack = d.String()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
-			info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out, Failed: true, FailMsg: n.failMsg})
-			continue
-		}
-		blob := d.Blob()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if err := n.op.Restore(checkpoint.NewDecoder(blob)); err != nil {
-			return nil, fmt.Errorf("engine: node %q: %w", n.name, err)
-		}
-		if w := n.op.Stats().Windows; w > info.Windows {
+		if w := n.op.Stats().Windows; !n.failed && w > info.Windows {
 			info.Windows = w
 		}
-		info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out})
+		info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out, Failed: n.failed, FailMsg: n.failMsg})
 	}
 	if hasGate := d.Bool(); hasGate {
 		gs := decodeGateState(d)

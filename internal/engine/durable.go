@@ -3,13 +3,9 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"streamop/internal/checkpoint"
-	"streamop/internal/gsql"
 	"streamop/internal/overload"
-	"streamop/internal/sfunlib"
-	"streamop/internal/trace"
 )
 
 // Durable sessions: the session-mode checkpoint payload and its restore.
@@ -123,8 +119,10 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-// encodeNodeState appends one node's counters and operator snapshot (or
-// its contained failure, whose operator state is untrusted).
+// encodeNodeState appends one node's counters and operator snapshot, the
+// node-state codec of both payload kinds. A panicked operator's state is
+// untrusted: its contained failure is persisted instead (the previous
+// snapshot holds the last-good state).
 func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 	enc.I64(n.tuplesIn)
 	enc.I64(n.out)
@@ -143,7 +141,7 @@ func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 }
 
 // decodeNodeState restores what encodeNodeState wrote into a freshly
-// built node; a persisted failure is re-recorded like RestoreLatest does.
+// built node, re-recording a persisted failure.
 func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node) error {
 	n.tuplesIn = d.I64()
 	n.out = d.I64()
@@ -169,27 +167,6 @@ func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node) error {
 		return fmt.Errorf("engine: node %q: %w", n.name, err)
 	}
 	return nil
-}
-
-// restoreTap recreates one shared tap from its persisted Via text with
-// zero subscriber refs (the replayed installs re-count them). Caller
-// holds topoMu.
-func (e *Engine) restoreTap(name, via string, seed uint64) (*tap, error) {
-	vparsed, err := gsql.Parse(via)
-	if err != nil {
-		return nil, fmt.Errorf("engine: restored tap %q: %w", name, err)
-	}
-	vplan, err := gsql.Analyze(vparsed, trace.Schema(), sfunlib.Default(seed))
-	if err != nil {
-		return nil, fmt.Errorf("engine: restored tap %q: %w", name, err)
-	}
-	node, err := e.AddLowLevel(name, vplan)
-	if err != nil {
-		return nil, err
-	}
-	t := &tap{name: name, node: node, key: vplan.Describe(), refs: 0, viaSrc: via, seed: seed}
-	e.taps[strings.ToLower(name)] = t
-	return t, nil
 }
 
 // SessionRestoreInfo reports what RestoreSession loaded.
@@ -254,9 +231,9 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		t, err := e.restoreTap(name, via, seed)
+		t, err := e.addTap(name, via, seed, 0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("engine: restored tap %q: %w", name, err)
 		}
 		if err := e.decodeNodeState(d, t.node); err != nil {
 			return nil, err

@@ -21,7 +21,6 @@ import (
 
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
-	"streamop/internal/overload"
 	"streamop/internal/profile"
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
@@ -239,8 +238,10 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 // Engine wires a packet feed to a tree of query nodes and runs them: to
 // completion on one goroutine, deterministically (Run); as a long-lived
 // standing-query session on the same serial loop (Start, session.go); or
-// with a goroutine per node (RunParallel, parallel.go). All three run the
-// same node steps over the same columnar edges.
+// with a goroutine per node (RunParallel, parallel.go). All three take
+// their packets from the same pump (pump.go), offer them to rings through
+// the same gates (overload.go) and run the same node steps over the same
+// columnar edges.
 type Engine struct {
 	ring       *ringbuf.Ring[trace.Packet]
 	low        []*Node
@@ -248,9 +249,9 @@ type Engine struct {
 	high       []*Node // topological order (parents before children)
 	names      map[string]bool
 
-	// Stream counters are atomics: the pump goroutine writes them
-	// per-packet while HTTP handlers (gsqd's /healthz, the telemetry
-	// surface) read them mid-run.
+	// The stream clock (see pump.go). Atomics: the pump writes them per
+	// packet while HTTP handlers (gsqd's /healthz, the telemetry surface)
+	// read them mid-run.
 	firstTS, lastTS atomic.Uint64
 	packets         atomic.Int64
 	sawPacket       atomic.Bool
@@ -390,109 +391,54 @@ func (e *Engine) Run(feed trace.Feed) error {
 	return e.RunContext(context.Background(), feed)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled the producer
-// stops taking packets from the feed, the ring drains, every node flushes
-// its open windows bottom-up (so telemetry stays boundary-consistent),
-// and RunContext returns ctx.Err(). A context.Background() run is
-// identical to Run.
+// RunContext is Run with cancellation: when ctx is cancelled the pump stops
+// taking packets from the feed, the ring drains, every node flushes its
+// open windows bottom-up (so telemetry stays boundary-consistent), and
+// RunContext returns ctx.Err(). A context.Background() run is identical to
+// Run.
 func (e *Engine) RunContext(ctx context.Context, feed trace.Feed) error {
 	if err := e.beginRun(); err != nil {
 		return err
 	}
 	defer e.endRun()
-	return e.runSerial(ctx, feed, nil)
-}
-
-// runSerial is the serial pump shared by the one-shot Run path (s == nil,
-// byte-for-byte the historical RunContext behavior) and standing-query
-// sessions (s != nil: queued Install/Uninstall commands apply at ring-
-// drained boundaries, the feed is paced against the wall clock, and Drain
-// ends the stream gracefully). See session.go.
-func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) error {
-	if s == nil && len(e.low) == 0 && len(e.lowPartial) == 0 {
+	if len(e.low) == 0 && len(e.lowPartial) == 0 {
 		return fmt.Errorf("engine: no low-level nodes")
 	}
+	return e.runSerial(ctx, feed, nil, 0)
+}
+
+// runSerial is the serial loop of the one-shot Run (s is nil) and of a
+// standing-query session: fill the source ring from the pump, drain it
+// through the node tree, repeat. What a session adds — commands applied at
+// drained-ring boundaries, pacing, Drain — is the pump's to know (see
+// pump.go and session.go).
+func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, speedup float64) error {
 	if err := e.checkpointRunnable(false, 0); err != nil {
 		return err
 	}
-	if ck := e.ckpt; ck != nil {
-		// Sessions snapshot the standing-query registry alongside node
-		// state (see durable.go); regDirty forces a base snapshot at the
-		// first boundary so even a kill right after Start recovers the
-		// pre-Start installs.
-		ck.session = s != nil
-		if s != nil {
-			ck.regDirty = true
-		}
-	}
-	feed = e.faults.Wrap(feed)
+	pm := e.newPump(ctx, feed, s, speedup)
 	e.srcGate = e.newGate(e.resolveOverload(e.sourcePlan(), "source", "0"), e.ring, "source", "0")
 	e.setGates([]*ringGate{e.srcGate})
 	e.applyRestoredGate()
-	e.resumeFastForward(feed)
-	// ctxDone is nil for context.Background(), keeping the cancellation
-	// check off the packet loop entirely in the common case.
-	ctxDone := ctx.Done()
-	cancelled := false
 	const batch = 512
 	pkts := make([]trace.Packet, batch)
 	scratch := make(tuple.Tuple, trace.NumFields)
-	done := false
-	for !done {
-		if s != nil {
-			// Ring drained, every node settled: the safe boundary for
-			// topology changes, exactly like the checkpoint boundary below.
-			s.applyCommands()
-			// A registry change (install/uninstall, or session start)
-			// snapshots immediately: the durable registry must never
-			// trail the live topology by more than one boundary.
-			if ck := e.ckpt; ck != nil && ck.regDirty {
-				if err := e.writeCheckpoint(); err != nil {
-					return err
-				}
-			}
+	var p trace.Packet
+	for st := pumpPacket; st != pumpEnd; {
+		if err := pm.boundary(); err != nil {
+			return err
 		}
-		// Producer: fill the ring from the feed.
+		// Producer: fill the ring from the pump, one offer per packet.
 		for e.ring.Len() < e.ring.Cap() {
-			if ctxDone != nil {
-				select {
-				case <-ctxDone:
-					cancelled, done = true, true
-				default:
-				}
-				if cancelled {
-					break
-				}
-			}
-			if s != nil {
-				if s.drained() {
-					done = true
-					break
-				}
-				if s.cmdPending() {
-					break
-				}
-			}
-			p, ok := feed.Next()
-			if !ok {
-				done = true
+			var waited bool
+			if waited, st = pm.next(&p); st != pumpPacket {
 				break
 			}
-			liveEdge := false
-			if s != nil {
-				// A pacing wait means the pump caught up with the wall
-				// clock: drain what's buffered now instead of letting rows
-				// sit until the ring fills.
-				liveEdge = s.pace(p.Time)
-			}
-			if !e.sawPacket.Load() {
-				e.firstTS.Store(p.Time)
-				e.sawPacket.Store(true)
-			}
-			e.lastTS.Store(p.Time)
-			e.packets.Add(1)
-			e.offerSource(p)
-			if liveEdge {
+			e.offerSource(&p)
+			if waited {
+				// The pump caught up with the wall clock: drain what is
+				// buffered now instead of letting rows sit until the ring
+				// fills.
 				break
 			}
 		}
@@ -542,20 +488,18 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 		}
 		e.srcGate.sync()
 		e.syncProfiles()
-		if s != nil {
-			e.syncQuotaMetrics()
-		}
+		e.syncQuotaMetrics()
 		// The ring is drained and every node sits at a tuple boundary: the
 		// one place the serial loop can snapshot a resumable state.
 		if err := e.maybeCheckpoint(); err != nil {
 			return err
 		}
 	}
-	// A cancelled run — and any ending session — writes its final
-	// snapshot before the bottom-up flush mutates every open window: the
-	// snapshot must describe the state a restored run resumes from, not
-	// the flushed aftermath.
-	if (cancelled || s != nil) && e.ckpt != nil {
+	// A run that ends with stream left to resume writes its final snapshot
+	// before the bottom-up flush mutates every open window: the snapshot
+	// must describe the state a restored run resumes from, not the flushed
+	// aftermath.
+	if pm.resumable() && e.ckpt != nil {
 		if err := e.writeCheckpoint(); err != nil {
 			return err
 		}
@@ -586,25 +530,23 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session) err
 	e.syncSourceRing()
 	e.syncProfiles()
 	e.srcGate.sync()
-	if s != nil {
-		e.syncQuotaMetrics()
-	}
+	e.syncQuotaMetrics()
 	// Safety net: any trace still in flight (e.g. queued behind a node with
 	// no low-level consumer) terminates rather than leaking open.
 	e.tr.FinishOpen("stream_end")
-	if cancelled {
+	if pm.cancelled {
 		return ctx.Err()
 	}
 	return nil
 }
 
-// offerSource admits and pushes one packet into the source ring,
-// threading the provenance tracer's offer through admission so a shed
-// packet finishes with the shed disposition. Run's producer only. The
+// offerSource offers one packet to the source ring through its gate (every
+// ring offer in the engine goes through a ringGate), telling the
+// provenance tracer what became of a traced one. The serial loop only. The
 // fill loop guarantees ring space, so under drop-tail and block the push
-// cannot fail — block degenerates to drop-tail here, and the drop path
-// below is reachable only defensively.
-func (e *Engine) offerSource(p trace.Packet) {
+// cannot fail — block never waits here — and the dropped outcome is
+// reachable only defensively.
+func (e *Engine) offerSource(p *trace.Packet) {
 	// NextSeq is an inlinable field read, so the untraced 999 in 1000
 	// packets skip the tracer's offer machinery entirely.
 	var tt *tracing.TupleTrace
@@ -613,23 +555,18 @@ func (e *Engine) offerSource(p trace.Packet) {
 			tt = e.tr.SourceOffer(seq)
 		}
 	}
-	if g := e.srcGate; g.policy == overload.ShedSample {
-		if !g.ctrl.Admit(e.ring.Len(), e.ring.Cap()) {
-			if tt != nil {
-				e.tr.SourceShed(tt, e.ring.Len())
-			}
-			return
-		}
-	}
 	if tt == nil {
-		e.ring.Push(p)
+		e.srcGate.offer(p)
 		return
 	}
 	idx := e.ring.Pushed()
-	if e.ring.Push(p) {
-		e.tr.SourceEnqueued(tt, idx, e.ring.Len())
-	} else {
+	switch e.srcGate.offer(p) {
+	case offerShed:
+		e.tr.SourceShed(tt, e.ring.Len())
+	case offerDropped:
 		e.tr.SourceDropped(tt, e.ring.Len())
+	default:
+		e.tr.SourceEnqueued(tt, idx, e.ring.Len())
 	}
 }
 

@@ -24,11 +24,12 @@ import (
 // reconciled from the ring's own counters at batch boundaries
 // (Controller.ObserveRing).
 //
-// Where the gates live depends on the run mode. Run has one gate on the
-// shared source ring; its producer is self-clocked (fill the ring, then
-// drain it), so nothing ever drops there and block degenerates to
-// drop-tail, while shed-sample still applies its admission draw — useful
-// for deterministic shed accounting, not for load balancing. Paced
+// Where the gates live depends on the run mode. Run and a session have one
+// gate on the shared source ring; the serial loop is self-clocked (fill the
+// ring, then drain it), so nothing ever drops there and block degenerates
+// to drop-tail — it counts every offer and never waits — while shed-sample
+// still applies its admission draw — useful for deterministic shed
+// accounting, not for load balancing. Paced
 // RunParallel is where policies earn their keep: the producer never waits
 // for consumers, so each low-level ring and each shard ring gets a gate
 // and the policy decides what an overflowing ring costs (drops, sheds, or
@@ -182,43 +183,56 @@ func (e *Engine) newGate(cfg overload.Config, ring *ringbuf.Ring[trace.Packet], 
 	return g
 }
 
-// offer admits and pushes one packet under the gate's policy (paced
-// RunParallel's per-packet path). Drop-tail stays the ring's native
-// push-or-drop; shed-sample runs the admission draw first; block waits up
-// to the timeout for ring space before declaring the drop. The gate's
-// ring is SPSC with this goroutine as the only producer, so observing
-// Len() < Cap() guarantees the subsequent push succeeds.
-func (g *ringGate) offer(p trace.Packet) {
+// offerResult is what became of a packet offered to a gate.
+type offerResult uint8
+
+const (
+	offerEnqueued offerResult = iota
+	offerShed                 // rejected by the shed-sample draw, ahead of the ring
+	offerDropped              // admitted, then rejected at the ring: full, or block timed out
+)
+
+// offer admits and pushes one packet under the gate's policy: the serial
+// loop's and paced RunParallel's per-packet path. Drop-tail stays the
+// ring's native push-or-drop; shed-sample runs the admission draw first;
+// block waits up to the timeout for ring space before declaring the drop.
+// The gate's ring is SPSC with this goroutine as the only producer, so
+// observing Len() < Cap() guarantees the subsequent push succeeds.
+func (g *ringGate) offer(p *trace.Packet) offerResult {
 	switch g.policy {
 	case overload.ShedSample:
 		if !g.ctrl.Admit(g.ring.Len(), g.ring.Cap()) {
-			return
+			return offerShed
 		}
-		if !g.ring.Push(p) {
+		if !g.ring.Push(*p) {
 			g.ctrl.NoteDrop(1)
+			return offerDropped
 		}
 	case overload.Block:
 		g.ctrl.Admit(g.ring.Len(), g.ring.Cap())
 		if g.ring.Len() < g.ring.Cap() {
-			g.ring.Push(p)
-			return
+			g.ring.Push(*p)
+			return offerEnqueued
 		}
 		deadline := time.Now().Add(g.timeout)
 		for {
 			runtime.Gosched()
 			if g.ring.Len() < g.ring.Cap() {
-				g.ring.Push(p)
-				return
+				g.ring.Push(*p)
+				return offerEnqueued
 			}
 			if time.Now().After(deadline) {
 				g.ring.AddDrops(1)
 				g.ctrl.NoteDrop(1)
-				return
+				return offerDropped
 			}
 		}
 	default:
-		g.ring.Push(p)
+		if !g.ring.Push(*p) {
+			return offerDropped
+		}
 	}
+	return offerEnqueued
 }
 
 // offerBatch admits and pushes a routed batch under the gate's policy

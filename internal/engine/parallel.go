@@ -26,9 +26,11 @@ import (
 // over a bounded channel, taking a spent one back. A reader that falls
 // behind blocks its parent there, in both modes.
 //
-// speedup > 0 paces the producer by packet timestamps accelerated by that
-// factor (speedup 100 replays a 10-second capture in 100 ms). Under
-// pacing the producer never waits for consumers: a node that cannot keep
+// The producer takes its packets from the engine's one pump (pump.go), as
+// Run and a session do. speedup > 0 has the pump pace them by packet
+// timestamps accelerated by that factor (speedup 100 replays a 10-second
+// capture in 100 ms), sleeping until a packet is due. Under pacing the
+// producer never waits for consumers: a node that cannot keep
 // up with the offered rate overflows its ring, and what happens next is
 // the ring's admission policy (see overload.go) — drop-tail by default,
 // which drops and counts the overflow: exactly the line-rate failure mode
@@ -80,8 +82,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			}
 		}()
 	}
-	feed = e.faults.Wrap(feed)
-	e.resumeFastForward(feed)
+	pm := e.newPump(ctx, feed, nil, speedup)
 
 	// Private ring per low-level selection node, same capacity as the
 	// source ring. In paced mode each ring gets an admission gate; unpaced
@@ -150,27 +151,12 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		}
 	}
 
-	// Producer.
+	// Producer: the pump's packets go to the gates one by one (paced) or to
+	// the rings in batches (unpaced).
 	producerDone := make(chan struct{})
 	go func() {
 		defer close(producerDone)
-		startWall := time.Now()
 		scratch := make(tuple.Tuple, trace.NumFields)
-		ctxDone := ctx.Done()
-		cancelled := false
-		// checkCtx polls for cancellation; nil ctxDone (Background) keeps
-		// the poll off the packet loop entirely.
-		checkCtx := func() bool {
-			if ctxDone == nil || cancelled {
-				return cancelled
-			}
-			select {
-			case <-ctxDone:
-				cancelled = true
-			default:
-			}
-			return cancelled
-		}
 		// Batched transfer into the selection rings (unpaced mode): one
 		// tail publication per slice instead of per packet. Shard routing
 		// rides the same batches — routeBatch evaluates the router's GROUP
@@ -200,49 +186,36 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			}
 			lowBatch = lowBatch[:0]
 		}
-		for !checkCtx() {
-			p, ok := feed.Next()
-			if !ok {
+		var p trace.Packet
+		for {
+			if _, st := pm.next(&p); st != pumpPacket {
 				break
 			}
-			if !e.sawPacket.Load() {
-				e.firstTS.Store(p.Time)
-				e.sawPacket.Store(true)
-			}
-			e.lastTS.Store(p.Time)
-			e.packets.Add(1)
 			if speedup > 0 {
-				// Pace to the accelerated capture clock, then offer once:
-				// the gate's policy decides what a full ring costs.
-				target := time.Duration(float64(p.Time-e.firstTS.Load()) / speedup)
-				for time.Since(startWall) < target && !checkCtx() {
-					runtime.Gosched()
-				}
-				if cancelled {
-					break
-				}
+				// The pump released the packet when it was due; offer it
+				// once: the gate's policy decides what a full ring costs.
 				for _, g := range gates {
-					g.offer(p)
+					g.offer(&p)
+				}
+				if len(sets) > 0 {
+					// Paced packets must not sit in routing buffers (pacing
+					// simulates arrival times), so route them one by one;
+					// the unpaced path routes whole batches from flushLow.
+					p.AppendTuple(scratch)
+					for _, s := range sets {
+						if s.routeFailed {
+							continue
+						}
+						if err := s.route(p, scratch); err != nil {
+							reportErr(err)
+							s.routeFailed = true
+						}
+					}
 				}
 			} else {
 				lowBatch = append(lowBatch, p)
 				if len(lowBatch) == cap(lowBatch) {
 					flushLow()
-				}
-			}
-			if speedup > 0 && len(sets) > 0 {
-				// Paced packets must not sit in routing buffers (pacing
-				// simulates arrival times), so route them one by one; the
-				// unpaced path routes whole batches from flushLow.
-				p.AppendTuple(scratch)
-				for _, s := range sets {
-					if s.routeFailed {
-						continue
-					}
-					if err := s.route(p, scratch); err != nil {
-						reportErr(err)
-						s.routeFailed = true
-					}
 				}
 			}
 			if len(allGates) > 0 && e.packets.Load()%512 == 0 {
@@ -270,7 +243,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		// workers but before producerDone releases them into their
 		// end-of-stream flush (which would mutate the open windows the
 		// snapshot must preserve).
-		if ck := e.ckpt; ck != nil && cancelled {
+		if ck := e.ckpt; ck != nil && pm.cancelled {
 			e.quiesceLow(rings)
 			if err := e.writeCheckpoint(); err != nil {
 				reportErr(err)
@@ -296,6 +269,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			batch := make([]trace.Packet, shardBatch)
 			scratch := make(tuple.Tuple, trace.NumFields)
 			dead := false // erred (reported) or failed (contained panic)
+			empty := 0    // polls of an empty ring since the last packet
 			for {
 				n := ring.PopBatch(batch)
 				if n == 0 {
@@ -306,10 +280,11 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 							return
 						}
 					default:
-						runtime.Gosched()
+						awaitPackets(&empty, speedup > 0)
 					}
 					continue
 				}
+				empty = 0
 				if dead {
 					low.consumed.Add(uint64(n))
 					continue
@@ -393,6 +368,20 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	default:
 		return ctx.Err()
 	}
+}
+
+// awaitPackets is a RunParallel worker's wait on an empty ring, polls the
+// count of polls that found it empty since the last packet. Unpaced, the
+// producer is pushing as fast as it can and the worker yields to it. Paced,
+// the producer may be asleep until a packet is due: the worker yields while
+// one is likely close behind, then naps, so that waiting out the pacer
+// does not take a core.
+func awaitPackets(polls *int, paced bool) {
+	if *polls++; !paced || *polls <= 64 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(100 * time.Microsecond)
 }
 
 // finishNode ends a node's RunParallel worker: flush (unless the node is

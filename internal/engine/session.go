@@ -21,12 +21,15 @@ import (
 // Standing-query sessions: the long-lived form of the engine.
 //
 // The one-shot Run drains a finite feed through a fixed node tree and
-// returns. A session turns the same serial pump into a resident service:
-// Start begins pumping the shared feed on a background goroutine, Install
-// and Uninstall add and remove named GSQL queries while packets keep
-// flowing, and Drain flushes the open windows and stops. This is the
-// paper's Gigascope deployment shape — one packet tap, many concurrent
-// GSQL queries sharing the two-level low/high split — served as an API.
+// returns. A session turns the same serial loop over the same pump
+// (pump.go) into a resident service: Start begins pumping the shared feed
+// on a background goroutine, Install and Uninstall add and remove named
+// GSQL queries while packets keep flowing, and Drain flushes the open
+// windows and stops. What the session adds is what its pump reports: hold,
+// when a command waits for the next drained-ring boundary, and end, on
+// Drain. This is the paper's Gigascope deployment shape — one packet tap,
+// many concurrent GSQL queries sharing the two-level low/high split —
+// served as an API.
 //
 // Sharing. A query whose FROM names the packet schema (PKT) runs as its
 // own low-level node. A query whose FROM names anything else reads a
@@ -174,8 +177,7 @@ type InstallOptions struct {
 
 // session is one live Start..Drain lifecycle.
 type session struct {
-	e       *Engine
-	speedup float64
+	e *Engine
 
 	cmds    chan *sessCmd
 	drainCh chan struct{}
@@ -183,13 +185,7 @@ type session struct {
 	done    chan struct{}
 	err     error // set before done closes
 
-	// Pacing state, owned by the pump.
-	sawBase   bool
-	baseTS    uint64
-	startWall time.Time
-
 	pendingFails atomic.Int32
-	ctxDone      <-chan struct{}
 }
 
 type sessCmd struct {
@@ -219,18 +215,15 @@ func (e *Engine) StartWith(ctx context.Context, feed trace.Feed, opts StartOptio
 	}
 	s := &session{
 		e:       e,
-		speedup: opts.Speedup,
 		cmds:    make(chan *sessCmd, 64),
 		drainCh: make(chan struct{}),
 		done:    make(chan struct{}),
-		ctxDone: ctx.Done(),
 	}
 	e.sessMu.Lock()
 	e.sess = s
 	e.sessMu.Unlock()
 	go func() {
-		err := e.runSerial(ctx, feed, s)
-		s.finish(err)
+		s.finish(e.runSerial(ctx, feed, s, opts.Speedup))
 	}()
 	return nil
 }
@@ -331,20 +324,6 @@ func (s *session) do(fn func() (any, error)) (any, error) {
 	}
 }
 
-// cmdPending reports queued commands; the pump polls it to bound install
-// latency while the feed is paced or the ring is filling.
-func (s *session) cmdPending() bool { return len(s.cmds) > 0 }
-
-// drained reports whether Drain was requested.
-func (s *session) drained() bool {
-	select {
-	case <-s.drainCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // applyCommands runs every queued Install/Uninstall at a safe boundary
 // (ring drained, all nodes settled) and settles queries failed by OnRow
 // errors. Pump goroutine only.
@@ -359,39 +338,6 @@ func (s *session) applyCommands() {
 				s.e.settleFailedHandles()
 			}
 			return
-		}
-	}
-}
-
-// pace holds the pump until packet timestamp ts is due under the
-// session's speedup, returning true when it had to wait (the pump is at
-// the paced live edge, so buffered rows should drain now). It returns
-// early when a command is pending (slightly early admission beats a
-// stalled Install) and when the session is draining or cancelled.
-func (s *session) pace(ts uint64) bool {
-	if s.speedup <= 0 {
-		return false
-	}
-	if !s.sawBase {
-		s.sawBase = true
-		s.baseTS = ts
-		s.startWall = time.Now()
-		return true
-	}
-	target := time.Duration(float64(ts-s.baseTS) / s.speedup)
-	waited := false
-	for {
-		wait := target - time.Since(s.startWall)
-		if wait <= 0 || s.cmdPending() || s.drained() {
-			return waited
-		}
-		waited = true
-		select {
-		case <-s.ctxDone:
-			return true
-		case <-s.drainCh:
-			return true
-		case <-time.After(min(wait, 2*time.Millisecond)):
 		}
 	}
 }
@@ -537,11 +483,11 @@ func (e *Engine) resolveTap(from, via string, seed uint64) (*tap, error) {
 	key := strings.ToLower(from)
 	if t, ok := e.taps[key]; ok {
 		if via != "" {
-			canon, err := canonicalVia(via, seed)
+			vplan, err := compileVia(via, seed)
 			if err != nil {
 				return nil, err
 			}
-			if canon != t.key {
+			if vplan.Describe() != t.key {
 				return nil, fmt.Errorf("engine: tap %q already installed with a different Via query", from)
 			}
 		}
@@ -551,6 +497,12 @@ func (e *Engine) resolveTap(from, via string, seed uint64) (*tap, error) {
 	if via == "" {
 		return nil, fmt.Errorf("engine: query reads %q but no such tap is installed (supply InstallOptions.Via)", from)
 	}
+	return e.addTap(from, via, seed, 1)
+}
+
+// compileVia compiles the Via text of a tap: it must parse, read PKT and
+// analyze against the packet schema with the seed's SFUN registry.
+func compileVia(via string, seed uint64) (*gsql.Plan, error) {
 	vparsed, err := gsql.Parse(via)
 	if err != nil {
 		return nil, fmt.Errorf("engine: via query: %w", err)
@@ -562,29 +514,25 @@ func (e *Engine) resolveTap(from, via string, seed uint64) (*tap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: via query: %w", err)
 	}
-	node, err := e.AddLowLevel(from, vplan)
+	return vplan, nil
+}
+
+// addTap installs the shared low-level node named name from its Via text,
+// counting refs subscribers: one for the install creating it, none when a
+// durable session restores it (the replayed installs re-count them). Caller
+// holds topoMu.
+func (e *Engine) addTap(name, via string, seed uint64, refs int) (*tap, error) {
+	vplan, err := compileVia(via, seed)
 	if err != nil {
 		return nil, err
 	}
-	t := &tap{name: from, node: node, key: vplan.Describe(), refs: 1, viaSrc: via, seed: seed}
-	e.taps[key] = t
+	node, err := e.AddLowLevel(name, vplan)
+	if err != nil {
+		return nil, err
+	}
+	t := &tap{name: name, node: node, key: vplan.Describe(), refs: refs, viaSrc: via, seed: seed}
+	e.taps[strings.ToLower(name)] = t
 	return t, nil
-}
-
-// canonicalVia renders a via query's canonical plan for conflict checks.
-func canonicalVia(via string, seed uint64) (string, error) {
-	vparsed, err := gsql.Parse(via)
-	if err != nil {
-		return "", fmt.Errorf("engine: via query: %w", err)
-	}
-	if !strings.EqualFold(vparsed.From, trace.Schema().Name()) {
-		return "", fmt.Errorf("engine: via query must read PKT, got %q", vparsed.From)
-	}
-	vplan, err := gsql.Analyze(vparsed, trace.Schema(), sfunlib.Default(seed))
-	if err != nil {
-		return "", fmt.Errorf("engine: via query: %w", err)
-	}
-	return vplan.Describe(), nil
 }
 
 // releaseTap drops one subscriber ref, tearing the tap's node down at

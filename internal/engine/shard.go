@@ -157,6 +157,7 @@ func (w *shardWorker) syncDebug() {
 func (w *shardWorker) run(producerDone <-chan struct{}, reportErr func(error)) {
 	s := w.set
 	batch := make([]trace.Packet, shardBatch)
+	empty := 0 // polls of an empty ring since the last packet
 	for {
 		// Window barrier: the producer has drained our ring (it waited for
 		// folded == pushed before bumping the epoch), so every packet of
@@ -180,10 +181,11 @@ func (w *shardWorker) run(producerDone <-chan struct{}, reportErr func(error)) {
 					return
 				}
 			default:
-				runtime.Gosched()
+				awaitPackets(&empty, !s.barrier)
 			}
 			continue
 		}
+		empty = 0
 		if s.delay > 0 {
 			time.Sleep(s.delay)
 		}

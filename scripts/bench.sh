@@ -11,11 +11,6 @@
 # Writes BENCH_core.json in the repo root: a JSON array with one object
 # per benchmark, carrying ns/op plus every custom metric the benchmark
 # reports (relative errors, CPU fractions, overhead percentages, ...).
-#
-# Also writes BENCH_parallel.json: the shard-scaling sweep
-# (BenchmarkShardedPartialAgg at shards 1/2/4/8 and the throughput guard)
-# run at -cpu 1,2,4, with the GOMAXPROCS suffix kept in the name so the
-# scaling across cores is visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,29 +84,3 @@ jq -s '.[1] as $hot
     "$out" "$hjson" > "$out.tmp" && mv "$out.tmp" "$out"
 
 echo "wrote $out"
-
-# Shard-scaling sweep: rerun the sharded benchmarks across GOMAXPROCS
-# settings. Unlike the core pass, the -cpu suffix stays in the name
-# ("...-4" = GOMAXPROCS 4), since the point is scaling across cores.
-pout="BENCH_parallel.json"
-praw="$(mktemp)"
-trap 'rm -f "$raw" "$praw"' EXIT
-
-go test -run='^$' -bench='Sharded' -benchtime="$benchtime" -cpu=1,2,4 \
-    ./internal/engine/ | tee "$praw"
-
-awk '
-BEGIN { print "["; first = 1 }
-/^Benchmark/ {
-    if (!first) printf ",\n"
-    first = 0
-    printf "  {\"name\": \"%s\", \"iterations\": %s", $1, $2
-    for (i = 3; i + 1 <= NF; i += 2)
-        printf ", \"%s\": %s", $(i + 1), $i
-    printf "}"
-}
-END { print "\n]" }
-' "$praw" > "$pout"
-require_nonempty "$pout"
-
-echo "wrote $pout"
