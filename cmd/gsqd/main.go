@@ -68,8 +68,6 @@ import (
 	"streamop/internal/overload"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
-	"streamop/internal/tuple"
-	"streamop/internal/value"
 )
 
 // config carries every gsqd flag; run takes it whole so tests can build
@@ -416,95 +414,6 @@ func (s *server) handleUninstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleRows streams a query's output rows as Server-Sent Events: one
-// "row" event per output row, data = a JSON object keyed by the query's
-// column names, ids counting from 0 per subscription. The stream ends
-// when the client disconnects, the query is uninstalled, or the session
-// drains; a comment ping goes out every 15s so dead clients are noticed
-// on an otherwise quiet query.
-func (s *server) handleRows(w http.ResponseWriter, r *http.Request) {
-	h := s.e.Lookup(r.PathValue("name"))
-	if h == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no query named %q", r.PathValue("name")))
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
-		return
-	}
-	sub := h.Subscribe()
-	defer sub.Close()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	cols := h.Columns()
-	ping := time.NewTicker(15 * time.Second)
-	defer ping.Stop()
-	enc := json.NewEncoder(w)
-	done := r.Context().Done()
-	var id uint64
-	for {
-		select {
-		case <-done:
-			return
-		case <-ping.C:
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case row, open := <-sub.C():
-			if !open {
-				fmt.Fprint(w, "event: end\ndata: {}\n\n")
-				fl.Flush()
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: row\ndata: ", id)
-			if err := enc.Encode(rowJSON(cols, row)); err != nil {
-				return
-			}
-			// Encode emits one trailing newline; SSE needs a blank line.
-			if _, err := fmt.Fprint(w, "\n"); err != nil {
-				return
-			}
-			fl.Flush()
-			id++
-		}
-	}
-}
-
-// rowJSON zips one output row with the query's column names.
-func rowJSON(cols []string, row tuple.Tuple) map[string]any {
-	m := make(map[string]any, len(cols))
-	for i, c := range cols {
-		if i >= len(row) {
-			break
-		}
-		m[c] = jsonValue(row[i])
-	}
-	return m
-}
-
-func jsonValue(v value.Value) any {
-	switch v.Kind() {
-	case value.Bool:
-		return v.Bool()
-	case value.Int:
-		return v.AsInt()
-	case value.Uint:
-		return v.AsUint()
-	case value.Float:
-		return v.AsFloat()
-	case value.String:
-		return v.Str()
-	default:
-		return nil
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -51,9 +51,11 @@ func (f *testFeed) Next() (trace.Packet, bool) {
 
 const testVia = "SELECT time, srcIP, len, uts FROM PKT WHERE proto = 6 AND len >= 1500"
 
-// newTestServer builds a gsqd server over the given feed and starts its
-// session; the returned URL serves the full mux.
-func newTestServer(t *testing.T, feed trace.Feed) (*server, string) {
+// newIdleTestServer builds a gsqd server over the given feed without
+// starting its session, so a test can install queries and open streams
+// before the first packet; the returned URL serves the full mux and start
+// begins pumping.
+func newIdleTestServer(t testing.TB, feed trace.Feed) (sv *server, base string, start func()) {
 	t.Helper()
 	sv, err := newServer(config{Feed: "steady", Duration: 0.01, Seed: 1, Ring: 1024, Buffer: 64})
 	if err != nil {
@@ -61,20 +63,29 @@ func newTestServer(t *testing.T, feed trace.Feed) (*server, string) {
 	}
 	sv.feed = feed
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := sv.start(ctx); err != nil {
-		cancel()
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(sv.mux)
 	t.Cleanup(func() {
 		ts.Close()
 		cancel()
 		_ = sv.e.Drain()
 	})
-	return sv, ts.URL
+	return sv, ts.URL, func() {
+		t.Helper()
+		if err := sv.start(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
+// newTestServer is newIdleTestServer, started.
+func newTestServer(t testing.TB, feed trace.Feed) (*server, string) {
+	t.Helper()
+	sv, base, start := newIdleTestServer(t, feed)
+	start()
+	return sv, base
+}
+
+func postJSON(t testing.TB, url string, body any) (*http.Response, map[string]any) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -109,37 +120,22 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 // events' decoded payloads.
 func sseRows(t *testing.T, base, name string, n int) []map[string]any {
 	t.Helper()
-	resp, err := http.Get(base + "/queries/" + name + "/rows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rows status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("rows content-type = %q", ct)
-	}
+	st, hangUp := openRows(t, base, name)
+	defer hangUp()
 	var rows []map[string]any
-	br := bufio.NewReader(resp.Body)
-	inRow := false
 	for len(rows) < n {
-		line, err := br.ReadString('\n')
+		ev, err := st.next()
 		if err != nil {
 			t.Fatalf("SSE stream ended after %d rows (want %d): %v", len(rows), n, err)
 		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case line == "event: row":
-			inRow = true
-		case strings.HasPrefix(line, "data: ") && inRow:
-			var m map[string]any
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &m); err != nil {
-				t.Fatalf("bad row payload %q: %v", line, err)
-			}
-			rows = append(rows, m)
-			inRow = false
+		if ev.event != "row" {
+			continue
 		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(ev.data), &m); err != nil {
+			t.Fatalf("bad row payload %q: %v", ev.data, err)
+		}
+		rows = append(rows, m)
 	}
 	return rows
 }

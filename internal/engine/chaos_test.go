@@ -160,7 +160,10 @@ func TestChaosShedSampleKeepsHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 9, Duration: 1, Rate: 50000})
+	// Generated up front: the producer has to outrun the delayed consumer,
+	// and under -race the generator, not the pacer, set its speed.
+	gen, _ := trace.NewSteady(trace.SteadyConfig{Seed: 9, Duration: 1, Rate: 50000})
+	feed := trace.NewReplay(trace.Collect(gen))
 	if err := watchdog(t, 60*time.Second, func() error {
 		return e.RunParallel(feed, 500)
 	}); err != nil {

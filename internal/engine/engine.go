@@ -76,6 +76,9 @@ type Node struct {
 	// holds the rows that came over the edge from its parent. Owned by the
 	// goroutine that runs the node.
 	inBatch *tuple.Batch
+	// appRow is emitCols' scratch: the row the application callbacks are
+	// shown, overwritten by the next.
+	appRow tuple.Tuple
 	// in is the edge from the node's parent (high-level nodes only).
 	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
@@ -94,7 +97,9 @@ type Node struct {
 // Schema returns the node's output stream schema.
 func (n *Node) Schema() *tuple.Schema { return n.schema }
 
-// Subscribe registers an application callback for the node's output.
+// Subscribe registers an application callback for the node's output. The
+// row is the callback's only for the length of the call: a selection node
+// reuses its storage for the next row, so copy (Tuple.Clone) what is kept.
 func (n *Node) Subscribe(fn func(tuple.Tuple) error) {
 	n.apps = append(n.apps, fn)
 }
@@ -208,10 +213,12 @@ func (n *Node) emit(row tuple.Tuple) error {
 
 // emitCols is emit for what a selection node selected from one input
 // batch, the node operator's column sink: the rows move column to column
-// into the batch on each subscriber's edge, and tuples are built only for
-// application callbacks — none at all for a tap that has only node
-// subscribers. None of the rows is traced: the engine sends a traced row
-// through scalar Process, whose output comes through emit.
+// into the batch on each subscriber's edge, and rows are materialized only
+// for application callbacks — none at all for a tap that has only node
+// subscribers — one after the other in the node's scratch tuple, which is
+// why a callback copies what it keeps. None of the rows is traced: the
+// engine sends a traced row through scalar Process, whose output comes
+// through emit.
 func (n *Node) emitCols(cols []*tuple.Column) error {
 	rows := cols[0].Len()
 	n.out += int64(rows)
@@ -225,9 +232,9 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 		return nil
 	}
 	for i := 0; i < rows; i++ {
-		row := tuple.RowOf(cols, i)
+		n.appRow = tuple.RowOf(n.appRow, cols, i)
 		for _, app := range n.apps {
-			if err := app(row); err != nil {
+			if err := app(n.appRow); err != nil {
 				return err
 			}
 		}

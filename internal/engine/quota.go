@@ -103,17 +103,7 @@ func (h *QueryHandle) noteSubLag(s *Subscription) {
 // does). Pump goroutine only. A concurrent user Close is safe: whichever
 // side splices first wins, and the channel closes only when the pump did.
 func (h *QueryHandle) detachSub(s *Subscription, lost uint64) {
-	h.mu.Lock()
-	found := false
-	for i, other := range h.subs {
-		if other == s {
-			h.subs = append(h.subs[:i:i], h.subs[i+1:]...)
-			found = true
-			break
-		}
-	}
-	h.mu.Unlock()
-	if !found {
+	if !h.dropSub(s) {
 		return
 	}
 	s.forcedOff.Store(true)
@@ -190,14 +180,13 @@ func (h *QueryHandle) syncQuota(tel *telemetry.Collector) {
 
 // subLagCounts returns the live and lagging subscription counts.
 func (h *QueryHandle) subLagCounts() (subs, lagging int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, s := range h.subs {
+	live := h.liveSubs()
+	for _, s := range live {
 		if s.Lagging() {
 			lagging++
 		}
 	}
-	return len(h.subs), lagging
+	return len(live), lagging
 }
 
 // syncQuotaMetrics mirrors every quota-carrying query's gauges; the pump

@@ -166,8 +166,9 @@ type InstallOptions struct {
 	// OnRow, when non-nil, receives every output row synchronously on
 	// the pump goroutine. An error return fails this query only (see
 	// Engine.Failures); other queries and the session keep running.
-	// OnRow is not persistable: a durable session restores the query
-	// without it (see Engine.RestoreSession).
+	// The row is OnRow's for the length of the call only (copy what is
+	// kept; see Node.Subscribe). OnRow is not persistable: a durable
+	// session restores the query without it (see Engine.RestoreSession).
 	OnRow func(tuple.Tuple) error
 	// Quota is the query's per-tenant delivery budget and subscriber-lag
 	// policy; the zero value leaves the query unlimited. See
@@ -689,12 +690,37 @@ type QueryHandle struct {
 	failedFlag atomic.Bool
 	errv       atomic.Pointer[error]
 
-	// subs is copy-on-write under mu: deliver reads the slice under the
-	// lock and walks it after releasing it, so Subscribe, Close and
-	// detachSub build a new backing array instead of writing into that one.
+	// subs is copy-on-write: deliver loads the slice without a lock, once
+	// per row, and walks it, so Subscribe, dropSub and closeSubs — the
+	// writers, serialized by mu — store a new backing array and never write
+	// into a published one.
+	subs    atomic.Pointer[[]*Subscription]
 	mu      sync.Mutex
-	subs    []*Subscription
 	retired bool
+}
+
+// liveSubs returns the current subscriber list, for reading only.
+func (h *QueryHandle) liveSubs() []*Subscription {
+	if p := h.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// dropSub takes s off the subscriber list and reports whether it was on
+// it: of a user Close racing the pump's detach, one wins.
+func (h *QueryHandle) dropSub(s *Subscription) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	subs := h.liveSubs()
+	for i, other := range subs {
+		if other == s {
+			rest := append(subs[:i:i], subs[i+1:]...)
+			h.subs.Store(&rest)
+			return true
+		}
+	}
+	return false
 }
 
 // Name returns the query's installed name.
@@ -721,20 +747,14 @@ func (h *QueryHandle) RowsOut() int64 { return h.rowsOut.Load() }
 // Dropped returns rows dropped across all subscriptions (drop policy).
 func (h *QueryHandle) Dropped() uint64 {
 	n := h.dropped.Load()
-	h.mu.Lock()
-	for _, s := range h.subs {
+	for _, s := range h.liveSubs() {
 		n += s.dropped.Load()
 	}
-	h.mu.Unlock()
 	return n
 }
 
 // Subscribers returns the number of live subscriptions.
-func (h *QueryHandle) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
+func (h *QueryHandle) Subscribers() int { return len(h.liveSubs()) }
 
 // Err returns the error that failed this query (an OnRow error or a
 // contained operator panic), nil while healthy.
@@ -773,11 +793,8 @@ func (h *QueryHandle) deliver(row tuple.Tuple) error {
 			}
 		}
 	}
-	h.mu.Lock()
-	subs := h.subs
-	h.mu.Unlock()
 	wait := h.blockWait()
-	for _, s := range subs {
+	for _, s := range h.liveSubs() {
 		if s.offer(row, h.block, wait) && h.quota.LagPolicy() {
 			h.noteSubLag(s)
 		}
@@ -789,8 +806,8 @@ func (h *QueryHandle) deliver(row tuple.Tuple) error {
 // handle dead so later Subscribe calls return closed subscriptions.
 func (h *QueryHandle) closeSubs(retire bool) {
 	h.mu.Lock()
-	subs := h.subs
-	h.subs = nil
+	subs := h.liveSubs()
+	h.subs.Store(nil)
 	if retire {
 		h.retired = true
 	}
@@ -809,7 +826,9 @@ func (h *QueryHandle) Subscribe() *Subscription {
 	h.mu.Lock()
 	dead := h.retired
 	if !dead {
-		h.subs = append(h.subs[:len(h.subs):len(h.subs)], s)
+		subs := h.liveSubs()
+		subs = append(subs[:len(subs):len(subs)], s)
+		h.subs.Store(&subs)
 	}
 	h.mu.Unlock()
 	if dead {
@@ -841,10 +860,14 @@ func (h *QueryHandle) Rows(ctx context.Context) func(yield func(tuple.Tuple) boo
 
 // Subscription is one bounded stream of a query's output rows. Receive
 // from C(); the channel closes when the query is uninstalled or the
-// session ends. Each subscriber gets its own copy of every row.
+// session ends. Each subscriber gets its own copy of every row, carved
+// from backing arrays the subscription allocates a few hundred rows at a
+// time (tuple.Slab): a received row is never written again, and holding
+// one keeps its array's neighbours alive with it.
 type Subscription struct {
 	h         *QueryHandle
 	ch        chan tuple.Tuple
+	slab      tuple.Slab // pump goroutine only
 	closed    chan struct{}
 	closeOnce sync.Once
 	dropped   atomic.Uint64
@@ -876,15 +899,7 @@ func (s *Subscription) Detached() bool { return s.forcedOff.Load() }
 // own context instead.
 func (s *Subscription) Close() {
 	s.closeOnce.Do(func() { close(s.closed) })
-	h := s.h
-	h.mu.Lock()
-	for i, other := range h.subs {
-		if other == s {
-			h.subs = append(h.subs[:i:i], h.subs[i+1:]...)
-			break
-		}
-	}
-	h.mu.Unlock()
+	s.h.dropSub(s)
 }
 
 // offer delivers one row under the overflow policy and reports whether
@@ -898,7 +913,7 @@ func (s *Subscription) offer(row tuple.Tuple, block bool, wait time.Duration) bo
 		return false
 	default:
 	}
-	r := row.Clone()
+	r := s.slab.Clone(row)
 	select {
 	case s.ch <- r:
 		return false

@@ -430,7 +430,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 		return whereErr
 	}
 	for i := 0; i < out; i++ {
-		if err := o.emit(tuple.RowOf(v.selCols, i)); err != nil {
+		if err := o.emit(tuple.RowOf(nil, v.selCols, i)); err != nil {
 			return err
 		}
 	}

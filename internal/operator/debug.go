@@ -1,7 +1,6 @@
 package operator
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"streamop/internal/sfun"
@@ -49,6 +48,35 @@ type DebugState struct {
 	Latency     *DebugLatency      `json:"window_latency,omitempty"`
 	SfunGauges  map[string]float64 `json:"sfun_gauges,omitempty"`
 	TopGroups   []DebugGroup       `json:"top_groups,omitempty"`
+}
+
+// rankedGroup is a group with the value publishDebug ranks it by.
+type rankedGroup struct {
+	g    *group
+	rank float64
+}
+
+// insertTop offers r to top, the debugTopK highest-ranked groups seen so
+// far in descending order, and returns the list with r in its place or
+// left out. Of equal ranks the one offered first stands first and is the
+// one kept — the order a stable sort of every group would give, without
+// sorting a window's hundred thousand groups on the pump to show ten. top
+// must have capacity debugTopK.
+func insertTop(top []rankedGroup, r rankedGroup) []rankedGroup {
+	if len(top) == debugTopK {
+		if !(r.rank > top[debugTopK-1].rank) {
+			return top
+		}
+		top = top[:debugTopK-1]
+	}
+	i := len(top)
+	for i > 0 && r.rank > top[i-1].rank {
+		i--
+	}
+	top = append(top, r)
+	copy(top[i+1:], top[i:])
+	top[i] = r
+	return top
 }
 
 type debugPublisher struct {
@@ -115,11 +143,7 @@ func (o *Operator) publishDebug(at string) {
 	// Occupancy and top-K groups by first-aggregate value across all
 	// supergroups of the open window. Groups are ranked by pointer first;
 	// only the K winners pay for key/aggregate rendering.
-	type ranked struct {
-		g    *group
-		rank float64
-	}
-	var all []ranked
+	top := make([]rankedGroup, 0, debugTopK)
 	for _, sg := range o.sgList {
 		st.Groups += len(sg.groups)
 		for _, g := range sg.groups {
@@ -127,14 +151,10 @@ func (o *Operator) publishDebug(at string) {
 			if len(g.aggs) > 0 {
 				rank = g.aggs[0].Value().AsFloat()
 			}
-			all = append(all, ranked{g, rank})
+			top = insertTop(top, rankedGroup{g, rank})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].rank > all[j].rank })
-	if len(all) > debugTopK {
-		all = all[:debugTopK]
-	}
-	for _, r := range all {
+	for _, r := range top {
 		dg := DebugGroup{Key: r.g.key.String(), Rank: r.rank}
 		if len(r.g.aggs) > 0 {
 			dg.Aggs = make(map[string]string, len(r.g.aggs))

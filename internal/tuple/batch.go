@@ -415,14 +415,18 @@ func (b *Batch) Row(i int, dst Tuple) Tuple {
 	return dst
 }
 
-// RowOf builds the tuple whose fields are row i of cols — one row of a
-// kernel result, for a consumer that takes rows.
-func RowOf(cols []*Column, i int) Tuple {
-	t := make(Tuple, len(cols))
-	for c, col := range cols {
-		t[c] = col.Value(i)
+// RowOf returns the tuple whose fields are row i of cols — one row of a
+// kernel result, for a consumer that takes rows — built in dst's storage
+// when that is large enough (nil allocates a fresh tuple).
+func RowOf(dst Tuple, cols []*Column, i int) Tuple {
+	if cap(dst) < len(cols) {
+		dst = make(Tuple, len(cols))
 	}
-	return t
+	dst = dst[:len(cols)]
+	for c, col := range cols {
+		dst[c] = col.Value(i)
+	}
+	return dst
 }
 
 // HashRow returns the group-key hash of the given columns at row —

@@ -352,6 +352,38 @@ func TestAppendColsMatchesAppendRow(t *testing.T) {
 	}
 }
 
+// RowOf reads a row out of columns into the tuple it is given, and into a
+// fresh one when given none or one too small.
+func TestRowOfReusesStorage(t *testing.T) {
+	s := testSchema(t)
+	rows := gatherRows()
+	b := NewBatch(s, 0)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	cols := []*Column{b.Col(0), b.Col(1), b.Col(2)}
+	fresh := RowOf(nil, cols, 1)
+	if fresh.String() != rows[1].String() {
+		t.Fatalf("RowOf(nil) = %v, want %v", fresh, rows[1])
+	}
+	scratch := make(Tuple, 1, 8)
+	for i, want := range rows {
+		got := RowOf(scratch, cols, i)
+		if got.String() != want.String() {
+			t.Fatalf("row %d = %v, want %v", i, got, want)
+		}
+		if &got[0] != &scratch[0] {
+			t.Fatalf("row %d was built outside the scratch tuple", i)
+		}
+	}
+	if fresh.String() != rows[1].String() {
+		t.Errorf("a tuple RowOf allocated was overwritten through another: %v", fresh)
+	}
+	if got := RowOf(make(Tuple, 0, 1), cols, 2); got.String() != rows[2].String() {
+		t.Errorf("RowOf into too small a tuple = %v, want %v", got, rows[2])
+	}
+}
+
 // Gather of a one-kind numeric column moves raw words and keeps the
 // column marked uniform, so the kernels behind the edge keep their
 // typed loops.

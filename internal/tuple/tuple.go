@@ -140,6 +140,33 @@ func (t Tuple) Clone() Tuple {
 	return append(Tuple(nil), t...)
 }
 
+// slabRows is how many tuples share one of a Slab's backing arrays: large
+// enough that copying a row costs 1/256 of an allocation, small enough that
+// a consumer holding one row pins a few tens of kilobytes, not a window.
+const slabRows = 256
+
+// A Slab makes independent copies of tuples out of backing arrays it
+// allocates slabRows tuples at a time — Clone for a hand-off that copies
+// every row of a stream and must not allocate for each. A copy is never
+// written again: it stays valid for as long as its holder keeps it, and
+// keeps its backing array (its neighbours included) alive that long. The
+// zero Slab is ready to use; a Slab is not safe for concurrent use.
+type Slab struct {
+	free []value.Value
+}
+
+// Clone returns a copy of t that shares no memory with it.
+func (s *Slab) Clone(t Tuple) Tuple {
+	n := len(t)
+	if len(s.free) < n {
+		s.free = make([]value.Value, slabRows*n)
+	}
+	c := s.free[:n:n]
+	s.free = s.free[n:]
+	copy(c, t)
+	return Tuple(c)
+}
+
 // Key is a hashable composite of values used as a group or supergroup key.
 // Building a Key hashes and stores the component values; Keys compare equal
 // iff all components compare equal.

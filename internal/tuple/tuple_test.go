@@ -83,6 +83,45 @@ func TestTupleStringClone(t *testing.T) {
 	}
 }
 
+// A Slab's copies are independent of their source and of each other, in
+// chunk after chunk, whatever the rows' widths — and cost an allocation per
+// slabRows rows, not per row.
+func TestSlabClone(t *testing.T) {
+	var s Slab
+	src := Tuple{value.NewUint(0), value.NewString("x"), value.NewInt(-2)}
+	var copies []Tuple
+	for i := 0; i < 3*slabRows+5; i++ {
+		src[0] = value.NewUint(uint64(i))
+		row := src
+		if i%7 == 0 {
+			row = src[:2] // a narrower row mid-chunk
+		}
+		c := s.Clone(row)
+		if len(c) != len(row) || cap(c) != len(row) {
+			t.Fatalf("copy %d: len %d cap %d, want both %d (an append must not reach the neighbour)", i, len(c), cap(c), len(row))
+		}
+		copies = append(copies, c)
+	}
+	if got := s.Clone(nil); len(got) != 0 {
+		t.Errorf("Clone(nil) has %d fields", len(got))
+	}
+	src[0] = value.NewUint(1 << 40) // the source moves on
+	for i, c := range copies {
+		if c[0].Uint() != uint64(i) || c[1].Str() != "x" {
+			t.Fatalf("copy %d reads %v after later copies were made", i, c)
+		}
+	}
+	row := Tuple{value.NewUint(1), value.NewUint(2), value.NewUint(3), value.NewUint(4), value.NewUint(5)}
+	perRow := testing.AllocsPerRun(20, func() {
+		for i := 0; i < slabRows; i++ {
+			s.Clone(row)
+		}
+	}) / slabRows
+	if perRow > 2.0/slabRows {
+		t.Errorf("%.4f allocations per copy, want about 1/%d", perRow, slabRows)
+	}
+}
+
 func TestKeyEquality(t *testing.T) {
 	k1 := MakeKey([]value.Value{value.NewUint(10), value.NewString("a")})
 	k2 := MakeKey([]value.Value{value.NewUint(10), value.NewString("a")})
