@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 
 	"streamop/internal/experiments"
-	"streamop/internal/profile"
 	"streamop/internal/telemetry"
 	"streamop/internal/tracing"
 )
@@ -50,7 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed for feeds and algorithms")
 	quick := flag.Bool("quick", false, "shrink runs for a fast smoke test")
 	outDir := flag.String("o", "", "mirror stdout to <dir>/experiments_output.txt, creating the directory")
-	profileOut := flag.String("profile", "", "with -fig profile: also write the cost-attribution JSON (the BENCH_profile.json shape) to this file")
+	profileOut := flag.String("profile", "", "with -fig profile: also write the cost-attribution JSON to this file")
 	coverageOut := flag.String("coverage-out", "", "with -fig coverage: also write the CI-coverage audit JSON (the BENCH_accuracy.json shape) to this file")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus telemetry and /debug introspection on this address while figures run")
 	eventsFile := flag.String("events", "", "stream JSONL telemetry events to this file")
@@ -377,15 +376,15 @@ func overheadFig(seed uint64, quick bool) error {
 }
 
 // profileFig reruns the overhead ablation with the per-node profiler
-// attached and prints the cost-attribution table in markdown (the
-// scripts/profile.sh output); with -profile FILE it also writes the
-// machine-readable JSON that becomes BENCH_profile.json.
+// attached and prints the cost-attribution table in markdown; with
+// -profile FILE it also writes the machine-readable JSON (CI's
+// profile-smoke job uploads it).
 func profileFig(seed uint64, quick bool, out string) error {
 	dur := 3.0
 	if quick {
 		dur = 1
 	}
-	res, err := experiments.ProfileAblation(seed, dur, 1000, profile.DefEvery)
+	res, err := experiments.ProfileAblation(seed, dur, 1000)
 	if err != nil {
 		return err
 	}

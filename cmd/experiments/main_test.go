@@ -27,7 +27,7 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestRunProfileFig(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_profile.json")
+	out := filepath.Join(t.TempDir(), "profile.json")
 	if err := run("profile", 3, true, out, ""); err != nil {
 		t.Fatalf("run(profile): %v", err)
 	}
@@ -42,13 +42,13 @@ func TestRunProfileFig(t *testing.T) {
 			SelfNS float64 `json:"self_ns"`
 		} `json:"stages"`
 		Report struct {
-			SampledEvery int `json:"sampled_every"`
+			TotalSelfNS float64 `json:"total_self_ns"`
 		} `json:"report"`
 	}
 	if err := json.Unmarshal(buf, &res); err != nil {
 		t.Fatalf("attribution JSON: %v", err)
 	}
-	if res.Packets == 0 || len(res.Stages) == 0 || res.Report.SampledEvery == 0 {
+	if res.Packets == 0 || len(res.Stages) == 0 || res.Report.TotalSelfNS == 0 {
 		t.Errorf("attribution JSON missing fields: %+v", res)
 	}
 }

@@ -48,13 +48,13 @@
 // The directory gets events.jsonl, metrics.prom, state.json, trace.json,
 // replay.sopt, PROFILE.json and ACCURACY.json as selected.
 //
-// -profile runs the query with sampled per-stage cost profiling — the
-// EXPLAIN ANALYZE of this engine — and prints the attribution tree
-// (per-node stage self-times, row flow, selectivity, group-table
-// occupancy and window-latency quantiles) to stderr at exit;
-// -profile-every sets the 1-in-N tuple sampling rate. Prefixing the query
-// text itself with EXPLAIN renders the compiled plan (like -explain), and
-// EXPLAIN ANALYZE turns profiling on. The live attribution is also served
+// -profile runs the query with per-stage cost profiling — the EXPLAIN
+// ANALYZE of this engine: exact clocks per batch, cleaning sweep and
+// window — and prints the attribution tree (per-node stage self-times,
+// row flow, selectivity, group-table occupancy and window-latency
+// quantiles) to stderr at exit. Prefixing the query text itself with
+// EXPLAIN renders the compiled plan (like -explain), and EXPLAIN ANALYZE
+// turns profiling on. The live attribution is also served
 // at /debug/profile while -metrics is up.
 //
 // -metrics serves live Prometheus telemetry and the /debug introspection
@@ -121,8 +121,7 @@ type config struct {
 	Checkpoint string  // -checkpoint: snapshot directory (enables checkpointing)
 	CkptEvery  int64   // -checkpoint-every: snapshot every N closed windows
 	Restore    bool    // -restore: resume from the newest valid snapshot
-	Profile    bool    // -profile: sampled per-stage cost profiling (EXPLAIN ANALYZE)
-	ProfEvery  int     // -profile-every: 1-in-N tuple sampling rate
+	Profile    bool    // -profile: per-stage cost profiling (EXPLAIN ANALYZE)
 }
 
 func main() {
@@ -151,8 +150,7 @@ func main() {
 	flag.StringVar(&cfg.Checkpoint, "checkpoint", "", "write crash-safe state snapshots into this directory (see docs/ROBUSTNESS.md)")
 	flag.Int64Var(&cfg.CkptEvery, "checkpoint-every", 1, "with -checkpoint: snapshot every N closed windows (0 = only on SIGINT/SIGTERM)")
 	flag.BoolVar(&cfg.Restore, "restore", false, "with -checkpoint: resume from the newest valid snapshot in the directory")
-	flag.BoolVar(&cfg.Profile, "profile", false, "sampled per-stage cost profiling (EXPLAIN ANALYZE): print the attribution tree to stderr at exit; with -o, add 'profile' to -artifacts for PROFILE.json")
-	flag.IntVar(&cfg.ProfEvery, "profile-every", profile.DefEvery, "with -profile: time one in this many tuples per node (deterministic per -seed)")
+	flag.BoolVar(&cfg.Profile, "profile", false, "per-stage cost profiling (EXPLAIN ANALYZE): print the attribution tree to stderr at exit; with -o, add 'profile' to -artifacts for PROFILE.json")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -298,11 +296,7 @@ func run(cfg config) error {
 	}
 	var prof *profile.Profiler
 	if cfg.Profile {
-		every := cfg.ProfEvery
-		if every < 1 {
-			every = profile.DefEvery
-		}
-		prof = profile.New(profile.Config{Every: every, Seed: cfg.Seed})
+		prof = profile.New()
 		e.SetProfiler(prof)
 	}
 	if cfg.Checkpoint != "" {

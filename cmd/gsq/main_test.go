@@ -240,13 +240,13 @@ func TestRunOutDirArtifacts(t *testing.T) {
 
 // TestRunProfileArtifact runs with -profile and the profile artifact and
 // checks the PROFILE.json schema CI's jq validation keys on: top-level
-// sampled_every/nodes, 8 stages per node in canonical order.
+// total_self_ns/nodes, 8 stages per node in canonical order.
 func TestRunProfileArtifact(t *testing.T) {
 	dir := t.TempDir()
 	err := run(config{
 		Query: "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP",
 		Feed:  "steady", Duration: 1, Seed: 1, Ring: 4096,
-		OutDir: dir, Artifacts: "profile", Profile: true, ProfEvery: 16,
+		OutDir: dir, Artifacts: "profile", Profile: true,
 	})
 	if err != nil {
 		t.Fatalf("run -profile: %v", err)
@@ -256,8 +256,8 @@ func TestRunProfileArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep struct {
-		SampledEvery int `json:"sampled_every"`
-		Nodes        []struct {
+		TotalSelfNS float64 `json:"total_self_ns"`
+		Nodes       []struct {
 			Node   string `json:"node"`
 			Stages []struct {
 				Stage string `json:"stage"`
@@ -267,14 +267,14 @@ func TestRunProfileArtifact(t *testing.T) {
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatalf("PROFILE.json is not JSON: %v", err)
 	}
-	if rep.SampledEvery != 16 {
-		t.Errorf("sampled_every = %d, want 16", rep.SampledEvery)
+	if rep.TotalSelfNS <= 0 {
+		t.Errorf("total_self_ns = %v, want > 0", rep.TotalSelfNS)
 	}
 	names := map[string]bool{}
 	for _, n := range rep.Nodes {
 		names[n.Node] = true
-		if len(n.Stages) != 8 {
-			t.Errorf("node %s has %d stages, want 8", n.Node, len(n.Stages))
+		if len(n.Stages) != 8 || n.Stages[4].Stage != "walk" {
+			t.Errorf("node %s stages = %v, want 8 with walk fifth", n.Node, n.Stages)
 		}
 	}
 	if !names["query"] || !names["source"] {

@@ -66,6 +66,7 @@ import (
 	"streamop/internal/checkpoint"
 	"streamop/internal/engine"
 	"streamop/internal/overload"
+	"streamop/internal/profile"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 )
@@ -183,6 +184,11 @@ func newServer(cfg config) (*server, error) {
 	}
 	col := telemetry.New()
 	if err := e.SetCollector(col); err != nil {
+		return nil, err
+	}
+	// Always on: a few clock reads per batch, window and cleaning sweep,
+	// and /debug/profile says where each installed query's time goes.
+	if err := e.SetProfiler(profile.New()); err != nil {
 		return nil, err
 	}
 	sv := &server{cfg: cfg, e: e, col: col}

@@ -59,12 +59,14 @@ type Options struct {
 	// requests when wired into an Engine. Empty leaves the clause (or the
 	// runtime default) in force.
 	Overload string
-	// Profile enables per-stage cost profiling (EXPLAIN ANALYZE): when
-	// non-nil, Compile attaches a profiler sampling 1-in-Profile.Every
-	// tuples and Query.Profiler().Report() yields the attribution after
-	// (or during) a run. A query text carrying an EXPLAIN ANALYZE prefix
-	// gets a default-rate profiler even when this is nil.
-	Profile *profile.Config
+	// Profile enables per-stage cost profiling (EXPLAIN ANALYZE): Compile
+	// attaches a profiler and Query.Profiler().Report() yields the
+	// attribution after (or during) a run. A query text carrying an
+	// EXPLAIN ANALYZE prefix is profiled even when this is false. The
+	// clocks are per batch: ProcessPackets and RunFeed are attributed in
+	// full, the per-packet entry points (ProcessPacket, ProcessTuple, a
+	// feed-driven Rows) only in their cleaning sweeps and window flushes.
+	Profile bool
 }
 
 // Query is a compiled, running sampling query.
@@ -84,11 +86,9 @@ type Query struct {
 	scratch tuple.Tuple
 	batch   *tuple.Batch // columnar input scratch for ProcessPackets
 
-	// Profiling (nil when off): the profiler, this query's node profile,
-	// and the exact packet-conversion count backing StageDequeue's rows.
-	prof    *profile.Profiler
-	np      *profile.NodeProfile
-	packets int64
+	// Profiling (nil when off): the profiler and this query's node profile.
+	prof *profile.Profiler
+	np   *profile.NodeProfile
 }
 
 // Compile parses, analyzes and instantiates a sampling query.
@@ -131,12 +131,8 @@ func Compile(src string, opts Options) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := opts.Profile
-	if pcfg == nil && parsed.Explain == "analyze" {
-		pcfg = &profile.Config{Every: profile.DefEvery, Seed: opts.Seed}
-	}
-	if pcfg != nil {
-		q.prof = profile.New(*pcfg)
+	if opts.Profile || parsed.Explain == "analyze" {
+		q.prof = profile.New()
 		q.np = q.prof.Node("query")
 		q.op.SetProfile(q.np)
 	}
@@ -149,21 +145,17 @@ func (q *Query) Columns() []string { return q.cols }
 // Plan exposes the compiled plan (for engine composition).
 func (q *Query) Plan() *gsql.Plan { return q.plan }
 
-// ProcessTuple offers one input tuple.
+// ProcessTuple offers one input tuple. Like ProcessPacket it is outside the
+// profiler's contract (see Options.Profile).
 func (q *Query) ProcessTuple(t tuple.Tuple) error { return q.op.Process(t) }
 
-// ProcessPacket offers one packet; the query must read the PKT schema.
+// ProcessPacket offers one packet; the query must read the PKT schema. The
+// per-packet path is the scalar reference: it carries no profiler clock.
 func (q *Query) ProcessPacket(p trace.Packet) error {
 	if q.scratch == nil {
 		return fmt.Errorf("core: query does not read the PKT schema")
 	}
-	q.packets++
-	if st := q.np.BeginSrc(); st != 0 {
-		p.AppendTuple(q.scratch)
-		q.np.LapMark(profile.StageDequeue, st)
-	} else {
-		p.AppendTuple(q.scratch)
-	}
+	p.AppendTuple(q.scratch)
 	return q.op.Process(q.scratch)
 }
 
@@ -179,24 +171,15 @@ func (q *Query) ProcessPackets(pkts []trace.Packet) error {
 	if q.scratch == nil {
 		return fmt.Errorf("core: query does not read the PKT schema")
 	}
-	if q.np != nil {
-		// Profiled queries keep the per-packet path: the dequeue lap is
-		// sampled per tuple.
-		for _, p := range pkts {
-			if err := q.ProcessPacket(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if q.batch == nil {
 		q.batch = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)
 	}
 	for len(pkts) > 0 {
 		n := min(len(pkts), tuple.DefaultBatchRows)
 		q.batch.Reset()
+		pt := q.np.Start()
 		trace.AppendBatch(q.batch, pkts[:n])
-		q.packets += int64(n)
+		q.np.Charge(profile.StageDequeue, pt, int64(n), int64(n))
 		if err := q.op.ProcessBatch(q.batch); err != nil {
 			return err
 		}
@@ -345,13 +328,7 @@ func (q *Query) RowsContext(ctx context.Context) iter.Seq[Row] {
 func (q *Query) Err() error { return q.err }
 
 // Flush closes the current window, emitting its sample.
-func (q *Query) Flush() error {
-	err := q.op.Flush()
-	if q.np != nil {
-		q.np.SyncRows(profile.StageDequeue, q.packets, q.packets, q.packets)
-	}
-	return err
-}
+func (q *Query) Flush() error { return q.op.Flush() }
 
 // Profiler returns the query's cost profiler, nil when profiling is off
 // (no Options.Profile and no EXPLAIN ANALYZE prefix).

@@ -5,11 +5,11 @@
 // identical to the scalar calls. The edge from a node to the high-level
 // nodes reading it is columnar too, under Run, a session and RunParallel
 // alike (edge, Node.emit, Node.emitCols, Engine.stepHigh in engine.go).
-// Profiled nodes keep the row-at-a-time loops — their per-tuple accounting
-// is part of their contract. A traced node does not: its batch runs as
-// columnar segments between the traced rows, and only those go through
-// scalar Process (see processLowBatch and Node.processInput), so the batch
-// path carries no instrumentation branches.
+// A traced node's batch runs as columnar segments between the traced rows,
+// and only those go through scalar Process (see processLowBatch and
+// Node.processInput); a profiled node's runs as any other, with the clock
+// read between its phases. Neither instrument selects a path, so what is
+// observed is what ships.
 package engine
 
 import (
@@ -32,15 +32,19 @@ func (n *Node) input() *tuple.Batch {
 	return n.inBatch
 }
 
-// processLowColumnar feeds one popped batch through a low-level node as a
-// columnar tuple batch (see processLowBatch for the traced/profiled row
-// path).
+// processLowColumnar feeds one segment of a popped batch (see
+// processLowBatch) through a low-level node as a columnar tuple batch.
 func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
+	if len(pkts) == 0 {
+		return nil
+	}
 	start := time.Now()
 	b := low.input()
 	b.Reset()
+	pt, rows := low.prof.Start(), int64(len(pkts))
 	trace.AppendBatch(b, pkts)
-	low.tuplesIn += int64(len(pkts))
+	low.prof.Charge(profile.StageDequeue, pt, rows, rows)
+	low.tuplesIn += rows
 	err := low.op.ProcessBatch(b)
 	low.busy += time.Since(start)
 	if err != nil {
@@ -87,36 +91,19 @@ func (t *ptable) initVec() *ptableVec {
 }
 
 // processPackets folds a popped packet batch into the table: converted to
-// columns and folded as a batch, or — for a profiled table, whose
-// per-tuple laps are part of its contract — packet by packet.
+// columns and folded as a batch.
 func (t *ptable) processPackets(pkts []trace.Packet) error {
 	v := t.vec
 	if v == nil {
 		v = t.initVec()
 	}
-	if np := t.prof; np != nil {
-		if cap(v.rowT) < trace.NumFields {
-			v.rowT = make(tuple.Tuple, trace.NumFields)
-		}
-		row := v.rowT[:trace.NumFields]
-		for i := range pkts {
-			if st := np.BeginSrc(); st != 0 {
-				pkts[i].AppendTuple(row)
-				np.LapMark(profile.StageDequeue, st)
-			} else {
-				pkts[i].AppendTuple(row)
-			}
-			if err := t.process(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if v.b == nil {
 		v.b = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)
 	}
 	v.b.Reset()
+	pt, rows := t.prof.Start(), int64(len(pkts))
 	trace.AppendBatch(v.b, pkts)
+	t.prof.Charge(profile.StageDequeue, pt, rows, rows)
 	return t.processBatch(v.b)
 }
 
@@ -127,15 +114,18 @@ func (t *ptable) processPackets(pkts []trace.Packet) error {
 // free, so any evaluation error falls back to the scalar path for the
 // exact error position); the fold walk then probes the direct-mapped
 // table straight off the columns, materializing key values only when
-// claiming a slot.
+// claiming a slot. An attached profile reads the clock between the phases
+// (an error ends the node's run, and leaves the batch's walk uncharged).
 func (t *ptable) processBatch(b *tuple.Batch) error {
 	v := t.vec
 	if v == nil {
 		v = t.initVec()
 	}
-	if v.vp == nil || t.prof != nil {
+	if v.vp == nil {
 		return t.processRows(b)
 	}
+	np, rows := t.prof, int64(b.Len())
+	pt := np.Start()
 	env := v.env
 	env.Reset(b)
 	for i, e := range v.vp.GroupBy {
@@ -146,6 +136,7 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 		v.gb[i] = col
 	}
 	env.SetGroupCols(v.gb)
+	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
 	for i, e := range v.vp.AggArgs {
 		v.aggCols[i] = nil
 		if e != nil {
@@ -173,8 +164,9 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 			v.winBits[i] = wv.Bits()
 		}
 	}
+	pt = np.Charge(profile.StageKernelArgs, pt, rows, rows)
+	nested := t.nestedNS
 	for row := 0; row < b.Len(); row++ {
-		t.tuples++
 		if t.winOpen {
 			changed := false
 			if v.ordFast {
@@ -195,6 +187,7 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 		}
 		if !t.winOpen {
 			t.winOpen = true
+			t.winStartNS = np.Start()
 			t.window = t.window[:0]
 			for _, idx := range t.plan.OrderedIdx {
 				t.window = append(t.window, v.gb[idx].Value(row))
@@ -241,19 +234,23 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 			slot.aggs[i].Update(av)
 		}
 	}
+	np.Charge(profile.StageWalk, pt+t.nestedNS-nested, rows, rows)
 	return nil
 }
 
-// processRows feeds the batch through the row-at-a-time fold.
+// processRows feeds the batch through the row-at-a-time fold (a plan that
+// does not vectorize, a kernel evaluation error), charged to the profile
+// whole as walk, less the flushes inside it.
 func (t *ptable) processRows(b *tuple.Batch) error {
 	v := t.vec
-	for i := 0; i < b.Len(); i++ {
+	pt, nested := t.prof.Start(), t.nestedNS
+	var err error
+	for i := 0; i < b.Len() && err == nil; i++ {
 		v.rowT = b.Row(i, v.rowT)
-		if err := t.process(v.rowT); err != nil {
-			return err
-		}
+		err = t.process(v.rowT)
 	}
-	return nil
+	t.prof.Charge(profile.StageWalk, pt+t.nestedNS-nested, int64(b.Len()), int64(b.Len()))
+	return err
 }
 
 // orderedChangedAt is orderedChanged against batch columns.

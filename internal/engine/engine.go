@@ -83,15 +83,14 @@ type Node struct {
 	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
 	// trEnq/trDeq count this node's queued input rows so traces can ride on
-	// FIFO position instead of tuple metadata. trSeg and trRow are
-	// processInput's scratch: the view of one untraced segment of inBatch
-	// and the materialized traced row.
+	// FIFO position instead of tuple metadata. trSeg is processInput's
+	// scratch: the view of one untraced segment, or one traced row, of
+	// inBatch.
 	tr     *tracing.Tracer
 	trEnq  uint64
 	trDeq  uint64
 	trPend []nodeTrace
 	trSeg  tuple.Batch
-	trRow  tuple.Tuple
 }
 
 // Schema returns the node's output stream schema.
@@ -353,6 +352,7 @@ func (e *Engine) AddLowLevel(name string, plan *gsql.Plan) (*Node, error) {
 	if e.tr != nil {
 		n.attachTracer(e.tr)
 	}
+	n.attachProfile(e.Profiler())
 	e.low = append(e.low, n)
 	return n, nil
 }
@@ -388,6 +388,7 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 	if e.tr != nil {
 		n.attachTracer(e.tr)
 	}
+	n.attachProfile(e.Profiler())
 	parent.subs = append(parent.subs, n)
 	e.high = append(e.high, n)
 	return n, nil
@@ -429,7 +430,6 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 	e.applyRestoredGate()
 	const batch = 512
 	pkts := make([]trace.Packet, batch)
-	scratch := make(tuple.Tuple, trace.NumFields)
 	var p trace.Packet
 	for st := pumpPacket; st != pumpEnd; {
 		if err := pm.boundary(); err != nil {
@@ -454,14 +454,9 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 		// Low-level consumers drain the ring in batches.
 		for {
 			base := e.ring.Popped()
-			var dt int64
-			if e.srcProf != nil {
-				dt = profile.Now()
-			}
+			dt := e.srcProf.Start()
 			n := e.ring.PopBatch(pkts)
-			if e.srcProf != nil {
-				e.srcProf.AddExact(profile.StageDequeue, profile.Now()-dt)
-			}
+			e.srcProf.Charge(profile.StageDequeue, dt, int64(n), int64(n))
 			if n == 0 {
 				break
 			}
@@ -480,7 +475,7 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 					continue
 				}
 				if err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, pkts, n, scratch, matches)
+					return e.processLowBatch(low, pkts[:n], matches)
 				}); err != nil {
 					return err
 				}
@@ -494,7 +489,6 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 			}
 		}
 		e.srcGate.sync()
-		e.syncProfiles()
 		e.syncQuotaMetrics()
 		// The ring is drained and every node sits at a tuple boundary: the
 		// one place the serial loop can snapshot a resumable state.
@@ -535,7 +529,6 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 		n.syncTelemetry(0)
 	}
 	e.syncSourceRing()
-	e.syncProfiles()
 	e.srcGate.sync()
 	e.syncQuotaMetrics()
 	// Safety net: any trace still in flight (e.g. queued behind a node with
@@ -658,10 +651,9 @@ func (h *Node) resetInput() {
 // processInput feeds the node's input batch to its operator. Untraced, it
 // is one ProcessBatch. With a tracer attached the batch splits into
 // columnar segments around the positions of traced rows, and each traced
-// row goes through scalar Process with its traces current — the way
+// row goes in as a batch of one with its traces current — the way
 // processLowBatch treats traced packets — so a trace sees the operator
-// state its FIFO position implies. A profiled operator takes its own
-// row-at-a-time path inside ProcessBatch.
+// state its FIFO position implies.
 func (h *Node) processInput() error {
 	in := h.inBatch
 	n := in.Len()
@@ -683,9 +675,8 @@ func (h *Node) processInput() error {
 			i = end
 			continue
 		}
-		h.trRow = in.Row(i, h.trRow)
 		h.tr.SetCurrent(h.takeRowTraces())
-		err := h.op.Process(h.trRow)
+		err := h.op.ProcessBatch(in.Slice(i, i+1, &h.trSeg))
 		h.tr.ClearCurrent()
 		if err != nil {
 			return err

@@ -267,7 +267,6 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		go func(low *Node, ring *ringbuf.Ring[trace.Packet]) {
 			defer wg.Done()
 			batch := make([]trace.Packet, shardBatch)
-			scratch := make(tuple.Tuple, trace.NumFields)
 			dead := false // erred (reported) or failed (contained panic)
 			empty := 0    // polls of an empty ring since the last packet
 			for {
@@ -293,7 +292,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 					time.Sleep(d)
 				}
 				err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, batch, n, scratch, nil)
+					return e.processLowBatch(low, batch[:n], nil)
 				})
 				low.handOff()
 				low.consumed.Add(uint64(n))
@@ -359,9 +358,6 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	for _, h := range e.high {
 		h.syncTelemetry(0)
 	}
-	// Workers are done; their counters are safe to mirror from this
-	// goroutine. (Shard replicas already synced their own profiles.)
-	e.syncProfiles()
 	select {
 	case err := <-errs:
 		return err

@@ -54,11 +54,11 @@ type ptable struct {
 	residents int64
 	emit      func(tuple.Tuple) error
 
-	// Profiling (nil when off). tuples is the exact fold count, the basis
-	// for scaling the sampled group-lookup/fold laps at report time.
+	// Profiling (nil when off). nestedNS sums the window flushes that
+	// clocked themselves, so the walk around them is charged the remainder.
 	prof       *profile.NodeProfile
+	nestedNS   int64
 	winStartNS int64
-	tuples     int64
 
 	// vec is the lazily built vectorized fold state (see batch.go).
 	vec *ptableVec
@@ -76,10 +76,9 @@ func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64,
 	}
 }
 
-// process folds one packet tuple into the table.
+// process folds one packet tuple into the table: the scalar reference
+// path, which the profiler does not clock.
 func (t *ptable) process(tp tuple.Tuple) error {
-	t.tuples++
-	pt := t.prof.Begin()
 	t.ctx = gsql.Ctx{Tuple: tp}
 	for i, gb := range t.plan.GroupBy {
 		v, err := gb(&t.ctx)
@@ -90,24 +89,14 @@ func (t *ptable) process(tp tuple.Tuple) error {
 	}
 	t.ctx.GroupVals = t.gbVals
 
-	// Window boundary: flush every resident group. The flush is exactly
-	// timed inside emitSlot, so a sampled tuple's lap pauses around it.
+	// Window boundary: flush every resident group.
 	if t.winOpen && t.orderedChanged() {
-		if pt != 0 {
-			pt = t.prof.Lap(profile.StageGroupLookup, pt)
-		}
 		if err := t.flush(); err != nil {
 			return err
-		}
-		if pt != 0 {
-			pt = profile.Now()
 		}
 	}
 	if !t.winOpen {
 		t.winOpen = true
-		if t.prof != nil {
-			t.winStartNS = profile.Now()
-		}
 		t.window = t.window[:0]
 		for _, idx := range t.plan.OrderedIdx {
 			t.window = append(t.window, t.gbVals[idx])
@@ -121,16 +110,9 @@ func (t *ptable) process(tp tuple.Tuple) error {
 	}
 	slot := &t.slots[idx]
 	if slot.used && !slot.key.Equal(key) {
-		// Collision: emit the resident partial row and take the slot. The
-		// eviction is exactly timed in emitSlot; pause the lap around it.
-		if pt != 0 {
-			pt = t.prof.Lap(profile.StageGroupLookup, pt)
-		}
+		// Collision: emit the resident partial row and take the slot.
 		if err := t.emitSlot(slot); err != nil {
 			return err
-		}
-		if pt != 0 {
-			pt = profile.Now()
 		}
 		slot.used = false
 		t.residents--
@@ -147,10 +129,6 @@ func (t *ptable) process(tp tuple.Tuple) error {
 			slot.aggs[i] = def.New()
 		}
 	}
-	if pt != 0 {
-		// Group-by evaluation plus the slot probe/claim.
-		pt = t.prof.LapMark(profile.StageGroupLookup, pt)
-	}
 	for i := range t.plan.Aggs {
 		def := &t.plan.Aggs[i]
 		var v value.Value
@@ -161,9 +139,6 @@ func (t *ptable) process(tp tuple.Tuple) error {
 			}
 		}
 		slot.aggs[i].Update(v)
-	}
-	if pt != 0 {
-		t.prof.LapMark(profile.StageSfunUpdate, pt)
 	}
 	return nil
 }
@@ -178,14 +153,7 @@ func (t *ptable) orderedChanged() bool {
 }
 
 // emitSlot evaluates the SELECT list for one resident group and emits it.
-// Partial rows are rare relative to folds (one per eviction or window
-// close), so both halves are timed exactly rather than sampled.
 func (t *ptable) emitSlot(slot *partialGroup) error {
-	np := t.prof
-	var et int64
-	if np != nil {
-		et = profile.Now()
-	}
 	ctx := gsql.Ctx{GroupVals: slot.key.Values(), Aggs: slot.aggs}
 	row := make(tuple.Tuple, len(t.plan.SelectExprs))
 	for i, sel := range t.plan.SelectExprs {
@@ -195,22 +163,12 @@ func (t *ptable) emitSlot(slot *partialGroup) error {
 		}
 		row[i] = v
 	}
-	if np != nil {
-		now := profile.Now()
-		np.AddExact(profile.StageEmit, now-et)
-		np.AddRows(profile.StageEmit, 1, 1)
-		et = now
-	}
-	err := t.emit(row)
-	if np != nil {
-		np.AddExact(profile.StageTransfer, profile.Now()-et)
-		np.AddRows(profile.StageTransfer, 1, 1)
-	}
-	return err
+	return t.emit(row)
 }
 
 // flush emits every resident group and clears the table.
 func (t *ptable) flush() error {
+	ft, groups := t.prof.Start(), t.residents
 	for i := range t.slots {
 		if t.slots[i].used {
 			if err := t.emitSlot(&t.slots[i]); err != nil {
@@ -221,28 +179,16 @@ func (t *ptable) flush() error {
 		}
 	}
 	t.winOpen = false
-	if t.prof != nil {
+	if np := t.prof; np != nil {
+		np.SetOccupancy(groups, 0, groups*(64+64*int64(len(t.plan.Aggs))))
+		end := np.Charge(profile.StageFlush, ft, groups, groups)
+		t.nestedNS += end - ft
 		if t.winStartNS != 0 {
-			t.prof.ObserveWindow(float64(profile.Now()-t.winStartNS) / 1e9)
+			np.ObserveWindow(float64(end-t.winStartNS) / 1e9)
 			t.winStartNS = 0
 		}
-		t.syncProfile()
 	}
 	return nil
-}
-
-// syncProfile mirrors the table's exact counters into its profile. The
-// fold count is the basis for all three sampled stages: every tuple is
-// converted (dequeue), probed (group lookup) and folded (sfun update).
-func (t *ptable) syncProfile() {
-	np := t.prof
-	if np == nil {
-		return
-	}
-	np.SyncRows(profile.StageDequeue, t.tuples, t.tuples, t.tuples)
-	np.SyncRows(profile.StageGroupLookup, t.tuples, t.tuples, t.tuples)
-	np.SyncRows(profile.StageSfunUpdate, t.tuples, t.tuples, t.tuples)
-	np.SetOccupancy(t.residents, 0, t.residents*(64+64*int64(len(t.plan.Aggs))))
 }
 
 // PartialNode is a low-level partial-aggregation query node.
@@ -321,6 +267,8 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	if e.tr != nil {
 		n.attachTracer(e.tr)
 	}
+	n.attachProfile(e.Profiler())
+	n.table.prof = n.prof
 	e.lowPartial = append(e.lowPartial, n)
 	return n, nil
 }

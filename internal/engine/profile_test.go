@@ -1,24 +1,34 @@
 package engine_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"streamop/internal/checkpoint"
 	"streamop/internal/engine"
 	"streamop/internal/profile"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
+	"streamop/internal/tracing"
+	"streamop/internal/tuple"
 )
 
 // stageOrder is the canonical per-node stage layout /debug/profile and
 // PROFILE.json consumers (jq in CI) index positionally.
 var stageOrder = []string{
-	"dequeue", "where", "group_lookup", "sfun_update",
-	"cleaning", "having", "emit", "transfer",
+	"dequeue", "kernel_groupby", "kernel_where", "kernel_args",
+	"walk", "cleaning", "flush", "transfer",
 }
 
 func buildProfiledEngine(t *testing.T, c *telemetry.Collector) (*engine.Engine, *engine.Node, *engine.Node) {
@@ -41,7 +51,7 @@ func buildProfiledEngine(t *testing.T, c *telemetry.Collector) (*engine.Engine, 
 
 func TestProfilerReportAfterRun(t *testing.T) {
 	e, low, _ := buildProfiledEngine(t, nil)
-	p := profile.New(profile.Config{Every: 8, Seed: 1})
+	p := profile.New()
 	e.SetProfiler(p)
 	feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 2, Duration: 4, Rate: 20000})
 	if err := e.Run(feed); err != nil {
@@ -49,39 +59,39 @@ func TestProfilerReportAfterRun(t *testing.T) {
 	}
 
 	rep := p.Report()
-	if rep.SampledEvery != 8 {
-		t.Errorf("SampledEvery = %d, want 8", rep.SampledEvery)
-	}
 	if rep.TotalSelfNS <= 0 {
 		t.Errorf("TotalSelfNS = %v, want > 0", rep.TotalSelfNS)
 	}
-	byName := map[string]*profile.NodeReport{}
-	for i := range rep.Nodes {
-		byName[rep.Nodes[i].Node] = &rep.Nodes[i]
-	}
+	byName := profiledNodes(p)
 	for _, want := range []string{"source", "sampler", "counter"} {
-		if byName[want] == nil {
+		if _, ok := byName[want]; !ok {
 			t.Fatalf("report missing node %q (have %d nodes)", want, len(rep.Nodes))
 		}
 	}
 
-	// Exact row counts mirror the node's stats.
+	// Row counts mirror the node's stats, and the stages tile its busy
+	// time: nothing the node did between its two busy-clock reads is
+	// outside a stage but the calls around them.
 	st := low.Stats()
 	nr := byName["sampler"]
 	deq := nr.Stages[profile.StageDequeue]
 	if deq.RowsIn != st.TuplesIn {
 		t.Errorf("sampler dequeue rows_in = %d, stats TuplesIn = %d", deq.RowsIn, st.TuplesIn)
 	}
-	gl := nr.Stages[profile.StageGroupLookup]
-	if gl.RowsIn != st.Operator.TuplesIn {
-		t.Errorf("sampler group_lookup rows_in = %d, operator TuplesIn = %d", gl.RowsIn, st.Operator.TuplesIn)
+	wk := nr.Stages[profile.StageWalk]
+	if wk.RowsIn != st.Operator.TuplesIn || wk.RowsOut != st.Operator.TuplesAccepted {
+		t.Errorf("sampler walk rows %d → %d, operator TuplesIn %d TuplesAccepted %d",
+			wk.RowsIn, wk.RowsOut, st.Operator.TuplesIn, st.Operator.TuplesAccepted)
 	}
-	em := nr.Stages[profile.StageEmit]
-	if em.RowsOut != st.Operator.TuplesOut {
-		t.Errorf("sampler emit rows_out = %d, operator TuplesOut = %d", em.RowsOut, st.Operator.TuplesOut)
+	fl := nr.Stages[profile.StageFlush]
+	if fl.RowsOut != st.Operator.TuplesOut {
+		t.Errorf("sampler flush rows_out = %d, operator TuplesOut = %d", fl.RowsOut, st.Operator.TuplesOut)
 	}
-	if nr.SelfNS <= 0 {
-		t.Errorf("sampler SelfNS = %v, want > 0", nr.SelfNS)
+	if cl := nr.Stages[profile.StageCleaning]; cl.RowsIn-cl.RowsOut != st.Operator.GroupsEvicted {
+		t.Errorf("sampler cleaning %d → %d groups, operator GroupsEvicted %d", cl.RowsIn, cl.RowsOut, st.Operator.GroupsEvicted)
+	}
+	if busy := float64(st.Busy); nr.SelfNS <= 0 || nr.SelfNS > busy {
+		t.Errorf("sampler SelfNS = %v, want in (0, busy %v]", nr.SelfNS, busy)
 	}
 	if nr.Windows == 0 || nr.Latency == nil {
 		t.Errorf("sampler windows = %d latency = %v, want flushed windows with latency", nr.Windows, nr.Latency)
@@ -92,7 +102,7 @@ func TestProfilerReportAfterRun(t *testing.T) {
 
 	// The text tree renders every active node and stage.
 	out := rep.Render()
-	for _, want := range []string{"sampler", "counter", "group_lookup", "window latency"} {
+	for _, want := range []string{"sampler", "counter", "walk", "window latency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
@@ -101,13 +111,12 @@ func TestProfilerReportAfterRun(t *testing.T) {
 
 // TestDebugProfileEndpoint round-trips /debug/profile through a real
 // handler and checks the JSON schema consumers depend on: top-level
-// sampled_every/nodes, and exactly NumStages stages per node in canonical
+// elapsed_ns/nodes, and exactly NumStages stages per node in canonical
 // order.
 func TestDebugProfileEndpoint(t *testing.T) {
 	c := telemetry.New()
 	e, _, _ := buildProfiledEngine(t, c)
-	p := profile.New(profile.Config{Every: 16, Seed: 3})
-	e.SetProfiler(p)
+	e.SetProfiler(profile.New())
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
@@ -131,8 +140,8 @@ func TestDebugProfileEndpoint(t *testing.T) {
 	// data by source name: the engine's report lives under "engine".
 	var body struct {
 		Engine struct {
-			SampledEvery int `json:"sampled_every"`
-			Nodes        []struct {
+			ElapsedNS int64 `json:"elapsed_ns"`
+			Nodes     []struct {
 				Node   string  `json:"node"`
 				Shard  int     `json:"shard"`
 				SelfNS float64 `json:"self_ns"`
@@ -147,8 +156,8 @@ func TestDebugProfileEndpoint(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	rep := body.Engine
-	if rep.SampledEvery != 16 {
-		t.Errorf("sampled_every = %d, want 16", rep.SampledEvery)
+	if rep.ElapsedNS <= 0 {
+		t.Errorf("elapsed_ns = %d, want > 0", rep.ElapsedNS)
 	}
 	if len(rep.Nodes) < 3 {
 		t.Fatalf("nodes = %d, want >= 3 (source, sampler, counter)", len(rep.Nodes))
@@ -181,8 +190,8 @@ func TestDebugProfileWithoutProfiler(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if _, ok := body["engine"]["sampled_every"]; !ok {
-		t.Error("empty report missing engine.sampled_every")
+	if _, ok := body["engine"]["nodes"]; !ok {
+		t.Error("empty report missing engine.nodes")
 	}
 }
 
@@ -191,7 +200,7 @@ func TestDebugProfileWithoutProfiler(t *testing.T) {
 func TestDebugProfileConcurrentScrape(t *testing.T) {
 	c := telemetry.New()
 	e, _, _ := buildProfiledEngine(t, c)
-	p := profile.New(profile.Config{Every: 4, Seed: 9})
+	p := profile.New()
 	e.SetProfiler(p)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -240,7 +249,7 @@ func TestProfileRunParallelShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn.SetShards(2)
-	p := profile.New(profile.Config{Every: 8, Seed: 4})
+	p := profile.New()
 	e.SetProfiler(p)
 	feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 6, Duration: 3, Rate: 20000})
 	if err := e.RunParallel(feed, 0); err != nil {
@@ -251,9 +260,8 @@ func TestProfileRunParallelShards(t *testing.T) {
 	for _, n := range rep.Nodes {
 		if n.Node == "partial" && n.Shard >= 0 {
 			shards++
-			gl := n.Stages[profile.StageGroupLookup]
-			if gl.RowsIn <= 0 {
-				t.Errorf("shard %d group_lookup rows_in = %d, want > 0", n.Shard, gl.RowsIn)
+			if wk := n.Stages[profile.StageWalk]; wk.RowsIn <= 0 {
+				t.Errorf("shard %d walk rows_in = %d, want > 0", n.Shard, wk.RowsIn)
 			}
 			if n.SelfNS <= 0 {
 				t.Errorf("shard %d SelfNS = %v, want > 0", n.Shard, n.SelfNS)
@@ -262,5 +270,223 @@ func TestProfileRunParallelShards(t *testing.T) {
 	}
 	if shards != 2 {
 		t.Errorf("report has %d shard profiles, want 2", shards)
+	}
+}
+
+// profiledNodes maps the report's nodes by name.
+func profiledNodes(p *profile.Profiler) map[string]profile.NodeReport {
+	byName := map[string]profile.NodeReport{}
+	for _, n := range p.Report().Nodes {
+		byName[n.Node] = n
+	}
+	return byName
+}
+
+// TestProfilesFollowTopology: a node's profile is attached where the node
+// is registered and released where it is spliced out. A tap created by an
+// install in mid-session is profiled, install/uninstall churn leaves no
+// profile behind, and a name installed again starts from zero.
+func TestProfilesFollowTopology(t *testing.T) {
+	e, _ := engine.New(1024)
+	p := profile.New()
+	if err := e.SetProfiler(p); err != nil {
+		t.Fatal(err)
+	}
+	feed := &infiniteFeed{passEvery: 10}
+	if err := e.Start(context.Background(), feed); err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.Install("q", "SELECT srcIP, len FROM flows", engine.InstallOptions{Via: testVia})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRows(t, h.Subscribe(), 5)
+	nodes := profiledNodes(p)
+	if tap, ok := nodes["flows"]; !ok || tap.Stages[profile.StageTransfer].RowsOut == 0 {
+		t.Errorf("tap installed mid-session: in report %v, transfer %+v", ok, tap.Stages)
+	}
+	if q, ok := nodes["q"]; !ok || q.Stages[profile.StageTransfer].RowsOut == 0 {
+		t.Errorf("query installed mid-session: in report %v, transfer %+v", ok, q.Stages)
+	}
+
+	for i := 0; i < 1000; i++ {
+		if _, err := e.Install("churn", "SELECT len FROM flows", engine.InstallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Uninstall("churn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nodes := profiledNodes(p); len(nodes) != 3 {
+		t.Errorf("after 1000 install/uninstall cycles the report holds %d nodes, want source, flows, q", len(nodes))
+	}
+
+	feed.stop.Store(true)
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// Idle engine: the topology changes at once, and nothing runs between
+	// the install and the report.
+	if err := e.Uninstall("q"); err != nil {
+		t.Fatal(err)
+	}
+	if nodes := profiledNodes(p); len(nodes) != 1 {
+		t.Errorf("last query and its tap removed, report still holds %d nodes, want source alone", len(nodes))
+	}
+	if _, err := e.Install("q", "SELECT srcIP, len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"q", "flows"} {
+		n, ok := profiledNodes(p)[name]
+		if !ok || n.SelfNS != 0 || n.Windows != 0 {
+			t.Errorf("%s installed again: in report %v, self %vns, %d windows, want a profile from zero", name, ok, n.SelfNS, n.Windows)
+		}
+		for _, s := range n.Stages {
+			if s.RowsIn != 0 || s.RowsOut != 0 {
+				t.Errorf("%s installed again: stage %s inherited %d → %d rows", name, s.Stage, s.RowsIn, s.RowsOut)
+			}
+		}
+	}
+}
+
+// instrumentOutcome is what a run computed: everything a profiler or a
+// tracer must leave as it found it.
+type instrumentOutcome struct {
+	rows     map[string][]string
+	stats    map[string]engine.NodeStats // Busy zeroed
+	snapshot []byte                      // newest checkpoint, when the mode writes one
+}
+
+// runInstrumented runs the five sampling families — and, unless the mode
+// checkpoints (partial-aggregation nodes have no codec), a sharded
+// partial-aggregation node under a re-aggregating high-level node — over
+// the same feed, with attach applied to the engine first.
+func runInstrumented(t *testing.T, mode string, attach func(*engine.Engine)) instrumentOutcome {
+	t.Helper()
+	e, sinks := buildSamplingEngine(t)
+	if mode != "Run/checkpointed" {
+		low, err := e.AddLowLevelPartialAgg("partial", mustPlan(t,
+			"SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP",
+			trace.Schema()), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		low.SetShards(2)
+		high, err := e.AddHighLevel("final", low.Base(), mustPlan(t,
+			"SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM partial GROUP BY tb/1 as tb2, srcIP", low.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &[]string{}
+		sinks["final"] = sink
+		high.Subscribe(func(row tuple.Tuple) error {
+			*sink = append(*sink, fmtRow(row))
+			return nil
+		})
+	}
+	if attach != nil {
+		attach(e)
+	}
+	out := instrumentOutcome{rows: map[string][]string{}, stats: map[string]engine.NodeStats{}}
+	var err error
+	switch mode {
+	case "Run":
+		err = e.Run(steadyFeed(t))
+	case "Run/checkpointed":
+		// Cancelled mid-stream, so the final snapshot holds open windows.
+		dir := t.TempDir()
+		if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 2}); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if err = e.RunContext(ctx, &cancelAt{inner: steadyFeed(t), at: 23000, cancel: cancel}); errors.Is(err, context.Canceled) {
+			err = nil
+		}
+		names, lerr := checkpoint.List(dir)
+		if lerr != nil || len(names) == 0 {
+			t.Fatalf("no snapshots written (err %v)", lerr)
+		}
+		if out.snapshot, lerr = os.ReadFile(filepath.Join(dir, names[len(names)-1])); lerr != nil {
+			t.Fatal(lerr)
+		}
+	case "session":
+		if err = e.Start(context.Background(), steadyFeed(t)); err == nil {
+			err = e.Wait()
+		}
+	case "RunParallel":
+		err = e.RunParallel(steadyFeed(t), 0)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", mode, err)
+	}
+	for name, sink := range sinks {
+		out.rows[name] = *sink
+	}
+	if mode == "RunParallel" {
+		// Two shard replicas feed "final" in either order; its groups and
+		// their sums do not depend on it, the order it meets them does.
+		sort.Strings(out.rows["final"])
+	}
+	for _, n := range e.Nodes() {
+		st := n.Stats()
+		st.Busy = 0
+		out.stats[st.Name] = st
+	}
+	return out
+}
+
+// TestInstrumentsChangeNothing: attaching the profiler, or a 1-in-100
+// tracer (which follows the first low-level node, the CLEANING WHEN /
+// CLEANING BY subset-sum query), changes nothing that is computed in any
+// run mode — rows, operator stats, and the bytes of a checkpoint taken in
+// mid-stream — and every trace ends in exactly one disposition.
+func TestInstrumentsChangeNothing(t *testing.T) {
+	for _, mode := range []string{"Run", "Run/checkpointed", "session", "RunParallel"} {
+		want := runInstrumented(t, mode, nil)
+		for name, rows := range want.rows {
+			if len(rows) == 0 {
+				t.Fatalf("%s: %s produced no rows; test has no power", mode, name)
+			}
+		}
+		var tr *tracing.Tracer
+		for _, ins := range []struct {
+			name   string
+			attach func(*engine.Engine)
+		}{
+			{"profiler", func(e *engine.Engine) { e.SetProfiler(profile.New()) }},
+			{"tracer", func(e *engine.Engine) {
+				tr = tracing.New(tracing.Config{Every: 100, Seed: 5})
+				e.SetTracer(tr)
+			}},
+		} {
+			t.Run(mode+"/"+ins.name, func(t *testing.T) {
+				got := runInstrumented(t, mode, ins.attach)
+				if !reflect.DeepEqual(got.rows, want.rows) {
+					for name := range want.rows {
+						if !reflect.DeepEqual(got.rows[name], want.rows[name]) {
+							t.Errorf("%s: %d rows, bare run %d, or the same number and different", name, len(got.rows[name]), len(want.rows[name]))
+						}
+					}
+				}
+				if !reflect.DeepEqual(got.stats, want.stats) {
+					t.Errorf("stats differ:\n  got  %+v\n  want %+v", got.stats, want.stats)
+				}
+				if !bytes.Equal(got.snapshot, want.snapshot) {
+					t.Errorf("checkpoint payloads differ (%d bytes, bare run %d)", len(got.snapshot), len(want.snapshot))
+				}
+			})
+		}
+		if mode == "RunParallel" {
+			continue // a parallel run detaches the tracer
+		}
+		sum := tr.Summary()
+		var ended int64
+		for _, n := range sum.Dispositions {
+			ended += n
+		}
+		if sum.Started == 0 || sum.Started != sum.Finished || ended != sum.Finished {
+			t.Errorf("%s: %d traces started, %d finished, %d dispositions", mode, sum.Started, sum.Finished, ended)
+		}
 	}
 }

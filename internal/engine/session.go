@@ -461,10 +461,6 @@ func (e *Engine) install(name, src string, opts InstallOptions) (*QueryHandle, e
 			return nil, fmt.Errorf("engine: query %q cannot be installed while durability is enabled: %w", name, err)
 		}
 	}
-	if p := e.prof.Load(); p != nil {
-		h.node.prof = p.Node(name)
-		h.node.op.SetProfile(h.node.prof)
-	}
 	h.node.Subscribe(h.deliver)
 	h.seq = e.nextSeq
 	e.nextSeq++
@@ -583,6 +579,7 @@ func (e *Engine) removeQueryNode(h *QueryHandle) {
 			}
 		}
 		delete(e.names, h.name)
+		e.Profiler().Release(h.node.prof)
 		e.releaseTap(t)
 	} else {
 		e.removeLowNode(h.node)
@@ -590,7 +587,7 @@ func (e *Engine) removeQueryNode(h *QueryHandle) {
 }
 
 // removeLowNode splices one low-level node out of the topology and frees
-// its name for reuse. Caller holds topoMu.
+// its name, and its profile, for reuse. Caller holds topoMu.
 func (e *Engine) removeLowNode(n *Node) {
 	for i, low := range e.low {
 		if low == n {
@@ -599,6 +596,7 @@ func (e *Engine) removeLowNode(n *Node) {
 		}
 	}
 	delete(e.names, n.name)
+	e.Profiler().Release(n.prof)
 }
 
 // settleFailedHandles converts OnRow-errored queries into contained node

@@ -298,7 +298,7 @@ func TestSessionSetterGuards(t *testing.T) {
 	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err == nil {
 		t.Error("SetCheckpoint allowed mid-session")
 	}
-	if err := e.SetProfiler(profile.New(profile.Config{})); err == nil {
+	if err := e.SetProfiler(profile.New()); err == nil {
 		t.Error("SetProfiler allowed mid-session")
 	}
 	if err := e.SetTracer(nil); err == nil {

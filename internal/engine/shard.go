@@ -138,7 +138,6 @@ func (w *shardWorker) step(reportErr func(error), fn func() error) {
 
 // syncDebug mirrors the worker's counters into its atomics and gauges.
 func (w *shardWorker) syncDebug() {
-	w.table.syncProfile()
 	w.aTuplesIn.Store(w.tuplesIn)
 	w.aOut.Store(w.out)
 	w.aEvictions.Store(w.table.evictions)
@@ -322,11 +321,7 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 			s.gates = append(s.gates, e.newGate(e.resolveOverload(pn.plan, pn.name, strconv.Itoa(i)), ring, pn.name, strconv.Itoa(i)))
 		}
 		w.table = newPtable(pn.name, wplan, stripe, s.mask, uint64(n), w.emit)
-		if p := e.Profiler(); p != nil {
-			// One profile per shard replica: workers must never share the
-			// sampling-schedule state.
-			w.table.prof = p.NodeShard(pn.name, i)
-		}
+		w.table.prof = e.Profiler().NodeShard(pn.name, i)
 		if e.tel != nil {
 			r := e.tel.Registry()
 			shard := strconv.Itoa(i)

@@ -1,13 +1,8 @@
 package engine
 
 import (
-	"fmt"
-	"time"
-
-	"streamop/internal/profile"
 	"streamop/internal/trace"
 	"streamop/internal/tracing"
-	"streamop/internal/tuple"
 )
 
 // Provenance tracing for the single-threaded Run path. The engine owns the
@@ -20,8 +15,9 @@ import (
 // for high-level input batches — so no metadata rides on tuples and the
 // untraced hot path is unchanged apart from nil checks. A batch holding
 // traced rows is processed as columnar segments around them, each traced
-// row through scalar Process with its traces current (processLowBatch for
-// packets, Node.processInput for high-level rows). A traced row emitted to
+// row as a batch of one with its traces current, which the operator runs
+// through scalar Process (processLowBatch for packets, Node.processInput
+// for high-level rows). A traced row emitted to
 // several subscribers follows the FIRST subscriber only (one terminal
 // disposition per trace). RunParallel ignores tracing entirely: FIFO
 // positions are the serial loop's, and a tracer is one goroutine's to use,
@@ -61,55 +57,28 @@ func (n *Node) attachTracer(tr *tracing.Tracer) {
 // serial loop's and every RunParallel worker's step over packets. matches
 // (non-nil only for the node that carries tracing — the first low-level
 // node) holds the traced packets of this batch in FIFO order. The batch is
-// processed as untraced segments between matches — columnar, or row at a
-// time for a profiled node, whose per-tuple laps are part of its contract —
-// with the tracer's current context set only around each traced packet's
-// scalar Process call. The operator's trace record sites iterate the
-// tracer's current set, empty for every packet of a segment, so a 1-in-N
-// tracer costs the batch path nothing but the segment split, and a batch
-// with no matches (tracing off, or none of its packets sampled) is one
-// segment.
-func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, n int, scratch tuple.Tuple, matches []tracing.SourceMatch) error {
+// processed as columnar segments between matches, and each traced packet as
+// a segment of its own with the tracer's current context set around it,
+// which sends it through the operator's scalar Process. The operator's
+// trace record sites iterate the tracer's current set, empty for every
+// packet of an untraced segment, so a 1-in-N tracer costs the batch path
+// nothing but the segment split, and a batch with no matches (tracing off,
+// or none of its packets sampled) is one segment.
+func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, matches []tracing.SourceMatch) error {
 	i := 0
-	for mi := 0; mi <= len(matches); mi++ {
-		end := n
-		if mi < len(matches) {
-			end = matches[mi].Idx
+	for _, m := range matches {
+		if err := e.processLowColumnar(low, pkts[i:m.Idx]); err != nil {
+			return err
 		}
-		if i < end && low.prof == nil {
-			if err := e.processLowColumnar(low, pkts[i:end]); err != nil {
-				return err
-			}
-			i = end
-		}
-		// What is left of the segment is a profiled node's; then the match.
-		start := time.Now()
-		var err error
-		for ; i < end && err == nil; i++ {
-			if st := low.prof.BeginSrc(); st != 0 {
-				pkts[i].AppendTuple(scratch)
-				low.prof.LapMark(profile.StageDequeue, st)
-			} else {
-				pkts[i].AppendTuple(scratch)
-			}
-			low.tuplesIn++
-			err = low.op.Process(scratch)
-		}
-		if err == nil && mi < len(matches) && i < n {
-			e.tr.SetCurrentOne(matches[mi].TT)
-			pkts[i].AppendTuple(scratch)
-			low.tuplesIn++
-			err = low.op.Process(scratch)
-			e.tr.ClearCurrent()
-			i++
-		}
-		low.busy += time.Since(start)
+		e.tr.SetCurrentOne(m.TT)
+		err := e.processLowColumnar(low, pkts[m.Idx:m.Idx+1])
+		e.tr.ClearCurrent()
 		if err != nil {
-			return fmt.Errorf("engine: node %q: %w", low.name, err)
+			return err
 		}
+		i = m.Idx + 1
 	}
-	low.syncTelemetry(0)
-	return nil
+	return e.processLowColumnar(low, pkts[i:])
 }
 
 // nodeTrace pairs the traces riding on one row of a node's input batch

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"testing"
-
-	"streamop/internal/profile"
 )
 
 // eventually retries a wall-clock-sensitive check a few times: these
@@ -207,7 +205,7 @@ func TestOverheadAblation(t *testing.T) {
 }
 
 func TestProfileAblation(t *testing.T) {
-	res, err := ProfileAblation(5, 1, 500, profile.DefEvery)
+	res, err := ProfileAblation(5, 1, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,49 +233,21 @@ func TestProfileAblation(t *testing.T) {
 }
 
 // TestProfileAttributionCoverage is the acceptance check: on the ablation
-// workload, the per-node sampled self-times must sum to within 10% of the
-// run's measured wall time at the default sampling rate. Wall time is the
-// honest denominator on a quiet host, but CPU contention from sibling
-// test processes (a parallel `go test ./...`) stretches wall without
-// touching the work the profiler attributes — descheduled slices almost
-// never land inside a nanosecond-scale sampled lap — so when the
-// wall-based check misses, the pass's process-CPU time stands in as the
-// contention-free denominator. Retries on fresh seeds damp one-off load
-// bursts (ProfileAblation already keeps the median of several passes).
+// workload the per-stage self-times sum to within 10% of the run's
+// measured wall time, in one try. The stage clocks are consecutive
+// readings that tile the run, so a stall (GC pause, descheduling, the race
+// detector's slowdown) lands in wall time and in the stage it interrupted
+// alike; what the band allows for is the loop around the clocked calls.
 func TestProfileAttributionCoverage(t *testing.T) {
-	if raceEnabled {
-		// Race instrumentation inflates the timed spans relative to the
-		// profiler's clock calibration, pushing coverage ~20% high.
-		t.Skip("sampled-time attribution is not calibrated under the race detector")
+	res, err := ProfileAblation(5, 2, 1000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	inBand := func(c float64) bool { return c >= 0.9 && c <= 1.1 }
-	const tries = 5
-	var last, lastCPU float64
-	for i := 0; i < tries; i++ {
-		res, err := ProfileAblation(uint64(5+i), 2, 1000, profile.DefEvery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res.Coverage
-		if inBand(res.Coverage) {
-			t.Logf("attributed %.1fms of %.1fms wall (coverage %.3f) on try %d",
-				res.AttributedNS/1e6, float64(res.WallNS)/1e6, res.Coverage, i+1)
-			return
-		}
-		lastCPU = 0
-		if res.CPUNS > 0 {
-			lastCPU = res.AttributedNS / float64(res.CPUNS)
-			if inBand(lastCPU) {
-				t.Logf("wall contended (coverage %.3f); CPU-based coverage %.3f in band on try %d",
-					res.Coverage, lastCPU, i+1)
-				return
-			}
-		}
-		t.Logf("try %d: wall coverage %.3f, CPU coverage %.3f outside [0.9, 1.1], retrying",
-			i+1, res.Coverage, lastCPU)
+	t.Logf("attributed %.1fms of %.1fms wall (coverage %.3f)",
+		res.AttributedNS/1e6, float64(res.WallNS)/1e6, res.Coverage)
+	if res.Coverage < 0.9 || res.Coverage > 1.1 {
+		t.Errorf("attribution coverage %.3f outside [0.9, 1.1]", res.Coverage)
 	}
-	t.Errorf("attribution coverage %.3f (CPU-based %.3f) outside [0.9, 1.1] after %d tries",
-		last, lastCPU, tries)
 }
 
 func TestRelaxSweep(t *testing.T) {

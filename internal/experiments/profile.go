@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"sort"
 	"time"
 
 	"streamop/internal/core"
@@ -23,10 +22,11 @@ type StageCost struct {
 }
 
 // ProfileResult is the cost-attribution ablation: the Overhead workload
-// rerun with the per-node profiler attached, so the ~22x genericity factor
-// breaks down into per-stage costs. Coverage compares the profiler's
-// attributed time against the measured wall time of the same run — the
-// honesty check on the sampled estimates.
+// rerun on the batch entry point with the per-node profiler attached, so
+// the genericity factor breaks down into per-stage costs. Coverage
+// compares the profiler's attributed time against the measured wall time
+// of the same run: the stage clocks tile the run, so what is missing is
+// the loop around them.
 type ProfileResult struct {
 	Packets int64 `json:"packets"`
 	// OperatorNSPerPacket / DirectNSPerPacket mirror OverheadResult; the
@@ -35,12 +35,9 @@ type ProfileResult struct {
 	DirectNSPerPacket   float64 `json:"direct_ns_per_packet"`
 	// Factor is operator cost over hand-coded cost.
 	Factor float64 `json:"overhead_factor"`
-	// WallNS is the operator run's measured wall time; CPUNS is the
-	// process CPU time the same pass consumed (0 when no CPU clock is
-	// available); AttributedNS is the profiler's total self-time estimate
-	// over the same run.
+	// WallNS is the operator run's measured wall time; AttributedNS is
+	// the profiler's total self-time over the same run.
 	WallNS       int64   `json:"wall_ns"`
-	CPUNS        int64   `json:"cpu_ns"`
 	AttributedNS float64 `json:"attributed_ns"`
 	Coverage     float64 `json:"coverage"` // AttributedNS / WallNS
 	// Stages aggregates the attribution across nodes, sorted by SelfNS
@@ -50,10 +47,10 @@ type ProfileResult struct {
 	Report profile.Report `json:"report"`
 }
 
-// ProfileAblation reruns the genericity-cost ablation (Overhead) with a
-// 1-in-every sampling profiler attached and attributes the operator's wall
-// time to plan stages — the breakdown behind scripts/profile.sh.
-func ProfileAblation(seed uint64, duration float64, n, every int) (ProfileResult, error) {
+// ProfileAblation reruns the genericity-cost ablation (Overhead) with the
+// profiler attached and attributes the operator's wall time to plan
+// stages: the breakdown behind `experiments -fig profile`.
+func ProfileAblation(seed uint64, duration float64, n int) (ProfileResult, error) {
 	var res ProfileResult
 
 	feed, err := trace.NewSteady(trace.DefaultSteady(seed, duration))
@@ -82,51 +79,22 @@ func ProfileAblation(seed uint64, duration float64, n, every int) (ProfileResult
 	d.EndWindow()
 	directNS := float64(time.Since(start).Nanoseconds())
 
-	// Operator-expressed query with the profiler attached. Some 3/4 of a
-	// sampled lap is the cost of the lap itself, so the estimate is a small
-	// difference of two large sums: a transient stall (GC pause,
-	// descheduling) lands fully in wall time but only ~1-in-every of the
-	// time in a sampled lap — where it is scaled up by every — and a host
-	// that speeds up or slows down between the profiler's calibration and
-	// the run moves every lap the same way. One pass can therefore miss in
-	// either direction, and the quietest (minimum-wall) pass is no less
-	// likely to than any other. Run a few — forced GC first, like the
-	// overhead guards — and keep the one whose coverage is the median: a
-	// repeated measurement's robust value, with its own laps, wall and CPU
-	// time, so the report still describes one run.
-	const passes = 5
-	type pass struct {
-		wall, cpu int64
-		rep       profile.Report
+	// Operator-expressed query with the profiler attached, on the batch
+	// entry point the engine and RunFeed use.
+	q, err := core.Compile(subsetSumQuery(2, n, 2, 10), core.Options{Seed: seed, Profile: true})
+	if err != nil {
+		return res, err
 	}
-	runs := make([]pass, passes)
-	for i := range runs {
-		q, err := core.Compile(subsetSumQuery(2, n, 2, 10), core.Options{
-			Seed:    seed,
-			Profile: &profile.Config{Every: every, Seed: seed + uint64(i)},
-		})
-		if err != nil {
-			return res, err
-		}
-		runtime.GC()
-		cpu := cpuTimeNS()
-		start = time.Now()
-		for _, p := range pkts {
-			if err := q.ProcessPacket(p); err != nil {
-				return res, err
-			}
-		}
-		if err := q.Flush(); err != nil {
-			return res, err
-		}
-		wall := time.Since(start).Nanoseconds()
-		runs[i] = pass{wall: max(wall, 1), cpu: cpuTimeNS() - cpu, rep: q.Profiler().Report()}
+	runtime.GC()
+	start = time.Now()
+	if err := q.ProcessPackets(pkts); err != nil {
+		return res, err
 	}
-	sort.Slice(runs, func(i, j int) bool {
-		return runs[i].rep.TotalSelfNS/float64(runs[i].wall) < runs[j].rep.TotalSelfNS/float64(runs[j].wall)
-	})
-	mid := runs[passes/2]
-	res.WallNS, res.CPUNS, res.Report = mid.wall, mid.cpu, mid.rep
+	if err := q.Flush(); err != nil {
+		return res, err
+	}
+	res.WallNS = max(time.Since(start).Nanoseconds(), 1)
+	res.Report = q.Profiler().Report()
 	res.AttributedNS = res.Report.TotalSelfNS
 	res.Coverage = res.AttributedNS / float64(res.WallNS)
 	res.Stages = aggregateStages(res.Report, res.Packets)

@@ -64,11 +64,12 @@ func (o *Operator) initVec() *vecState {
 // equivalent to calling Process on each materialized row — the same
 // emitted rows in the same order, the same stats, the same errors at the
 // same positions, bit-identical checkpoint state — but runs a vectorized
-// columnar path when the plan vectorizes, no profiler is attached and no
-// trace is current: the stateless clauses (GROUP BY, stateless WHERE, stateless
-// aggregate and superaggregate arguments) evaluate as column kernels over
-// the whole batch up front, and a single walk then applies the per-row
-// state mutations in row order.
+// columnar path when the plan vectorizes and no trace is current: the
+// stateless clauses (GROUP BY, stateless WHERE, stateless aggregate and
+// superaggregate arguments) evaluate as column kernels over the whole batch
+// up front, and a single walk then applies the per-row state mutations in
+// row order. An attached profile reads the clock between those phases and
+// selects nothing.
 //
 // Exactness is preserved by construction:
 //
@@ -98,15 +99,13 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		v = o.initVec()
 	}
 	// A tracer forces the row path only while a trace is actually current
-	// (the engine sets the current context around a matched packet's
-	// scalar Process call and never around ProcessBatch, so this arises
-	// only for callers that batch a traced tuple). A merely *attached*
-	// tracer is free here: every per-tuple record site keys off the
-	// current set, which is empty for all rows of a columnar batch exactly
-	// as it is for untraced tuples in the scalar walk, and eviction /
-	// emission tracing keys off each group's carried traces in the shared
-	// flush path.
-	if v.vp == nil || o.tr.Current() != nil || o.prof != nil ||
+	// (the engine sets the current context around the one-row batch of a
+	// traced tuple and around nothing else). A merely *attached* tracer is
+	// free here: every per-tuple record site keys off the current set,
+	// which is empty for all rows of a columnar batch exactly as it is for
+	// untraced tuples in the scalar walk, and eviction / emission tracing
+	// keys off each group's carried traces in the shared flush path.
+	if v.vp == nil || o.tr.Current() != nil ||
 		b.Schema().NumFields() != o.plan.Schema.NumFields() {
 		return o.processBatchRows(b)
 	}
@@ -115,6 +114,8 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	}
 	vp := v.vp
 	env := v.env
+	np, rows := o.prof, int64(n)
+	pt := np.Start()
 
 	// Stateless evaluation over the whole batch. Nothing below mutates
 	// operator state, so any error can still defer to the scalar path.
@@ -146,6 +147,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			v.winBits[i] = wv.Bits()
 		}
 	}
+	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
 
 	useMask := false
 	if vp.Where != nil {
@@ -160,6 +162,9 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		if err := vp.WhereCall.EvalArgs(env); err != nil {
 			return o.processBatchRows(b)
 		}
+	}
+	if vp.Where != nil || vp.WhereCall != nil {
+		pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
 	}
 	for i, e := range vp.AggArgs {
 		v.aggCols[i] = nil
@@ -186,8 +191,11 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			return o.processBatchRows(b)
 		}
 	}
+	pt = np.Charge(profile.StageKernelArgs, pt, rows, rows)
 
-	// Mutation walk, in row order.
+	// Mutation walk, in row order. (An error ends the node's run, and
+	// leaves the batch's walk uncharged.)
+	nested, accepted := o.nestedNS, o.stats.TuplesAccepted
 	if !o.windowOpen {
 		v.curSG = nil
 	}
@@ -226,9 +234,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 					v.winBits[i] = wv.Bits()
 				}
 			}
-			if o.prof != nil || o.om != nil {
-				o.winStartNS = profile.Now()
-			}
+			o.stampWindow()
 		}
 
 		// Supergroup lookup/creation — before WHERE, as in the scalar
@@ -353,6 +359,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			}
 		}
 	}
+	np.Charge(profile.StageWalk, pt+o.nestedNS-nested, rows, o.stats.TuplesAccepted-accepted)
 	return nil
 }
 
@@ -369,9 +376,13 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 // is settled by selectRows. The selected rows go to the column sink when
 // one is set and are built one by one for emit otherwise. An error from
 // the consumer aborts the batch with every row of it already counted in
-// Stats.
+// Stats. The profile's stages follow the same order: WHERE's kernel, the
+// semi-stateful calls as the walk, SELECT's kernels as the argument
+// kernels, the hand-off to the consumer as transfer.
 func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 	vp, env, n := v.vp, v.env, b.Len()
+	np, rows := o.prof, int64(n)
+	pt := np.Start()
 	env.Reset(b)
 	in, out := n, n
 	var whereErr error
@@ -384,10 +395,12 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 		}
 		v.sel = v.mask.AppendIndices(v.sel[:0])
 		out = len(v.sel)
+		pt = np.Charge(profile.StageKernelWhere, pt, rows, int64(out))
 	case vp.WhereCall != nil:
 		if err := vp.WhereCall.EvalArgs(env); err != nil {
 			return o.processBatchRows(b)
 		}
+		pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
 		v.sel = v.sel[:0]
 		for row := 0; row < n; row++ {
 			wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
@@ -400,6 +413,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 			}
 		}
 		out = len(v.sel)
+		pt = np.Charge(profile.StageWalk, pt, int64(in), int64(out))
 	}
 	if out > 0 {
 		if out < n {
@@ -422,17 +436,19 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 	if out == 0 {
 		return whereErr
 	}
+	pt = np.Charge(profile.StageKernelArgs, pt, int64(out), int64(out))
 
+	var err error
 	if o.colSink != nil {
-		if err := o.colSink(v.selCols); err != nil {
-			return err
+		err = o.colSink(v.selCols)
+	} else {
+		for i := 0; i < out && err == nil; i++ {
+			err = o.emit(tuple.RowOf(nil, v.selCols, i))
 		}
-		return whereErr
 	}
-	for i := 0; i < out; i++ {
-		if err := o.emit(tuple.RowOf(nil, v.selCols, i)); err != nil {
-			return err
-		}
+	np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
+	if err != nil {
+		return err
 	}
 	return whereErr
 }
@@ -462,17 +478,19 @@ func (o *Operator) selectRows(b *tuple.Batch, sel []int32, in int, whereErr erro
 }
 
 // processBatchRows feeds the batch through the row-at-a-time path: plans
-// that do not vectorize, a current trace, an attached profiler, schema
-// mismatches and stateless-evaluation errors all land here.
+// that do not vectorize, a current trace, schema mismatches and
+// stateless-evaluation errors all land here. The profile is charged the
+// whole re-run as walk, less the sweeps and flushes inside it.
 func (o *Operator) processBatchRows(b *tuple.Batch) error {
 	v := o.vec
-	for i := 0; i < b.Len(); i++ {
+	pt, nested, accepted := o.prof.Start(), o.nestedNS, o.stats.TuplesAccepted
+	var err error
+	for i := 0; i < b.Len() && err == nil; i++ {
 		v.rowT = b.Row(i, v.rowT)
-		if err := o.Process(v.rowT); err != nil {
-			return err
-		}
+		err = o.Process(v.rowT)
 	}
-	return nil
+	o.prof.Charge(profile.StageWalk, pt+o.nestedNS-nested, int64(b.Len()), o.stats.TuplesAccepted-accepted)
+	return err
 }
 
 // orderedChangedAt reports whether any ordered group-by value at row

@@ -121,15 +121,12 @@ type Operator struct {
 	trName string
 
 	// Profiling (see profile.go). prof is nil unless a profiler is
-	// attached; lapClock threads a sampled row's lap clock into output so
-	// the SELECT-eval span ends inside it. winStartNS anchors window
-	// end-to-end latency; profHavingIn/Out count the HAVING pass exactly
-	// (flush-only, so they cost nothing per tuple).
-	prof          *profile.NodeProfile
-	lapClock      int64
-	winStartNS    int64
-	profHavingIn  int64
-	profHavingOut int64
+	// attached. nestedNS sums the cleaning sweeps and window flushes that
+	// clocked themselves, so the walk around them is charged the remainder.
+	// winStartNS anchors window end-to-end latency.
+	prof       *profile.NodeProfile
+	nestedNS   int64
+	winStartNS int64
 
 	// Boundary-consistent debug snapshot (see debug.go), published at
 	// window flushes and cleaning phases when /debug/state is being served.
@@ -176,15 +173,15 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 
 // SetColumnSink routes a selection plan's vectorized ProcessBatch output
 // to sink as columns, so that no row is built for a consumer that is
-// itself columnar. Rows that take the scalar path (Process, a profiled
-// operator, a batch the kernels deferred) go to emit either way, in the
-// same order.
+// itself columnar. Rows that take the scalar path (Process, a batch the
+// kernels deferred) go to emit either way, in the same order.
 func (o *Operator) SetColumnSink(sink ColumnSink) { o.colSink = sink }
 
 // Stats returns a snapshot of the activity counters.
 func (o *Operator) Stats() Stats { return o.stats }
 
-// Process offers one input tuple.
+// Process offers one input tuple: the scalar reference path, which the
+// profiler does not clock (see profile.go).
 func (o *Operator) Process(t tuple.Tuple) error {
 	o.stats.TuplesIn++
 	if len(t) != o.plan.Schema.NumFields() {
@@ -198,7 +195,6 @@ func (o *Operator) Process(t tuple.Tuple) error {
 }
 
 func (o *Operator) processSelection(t tuple.Tuple) error {
-	pt := o.prof.Begin()
 	o.ctx = gsql.Ctx{Tuple: t, States: o.selStates}
 	tts := o.curTraces()
 	if tts != nil {
@@ -210,9 +206,6 @@ func (o *Operator) processSelection(t tuple.Tuple) error {
 			return err
 		}
 		pass := v.Truth()
-		if pt != 0 {
-			pt = o.prof.LapMark(profile.StageWhere, pt)
-		}
 		for _, tt := range tts {
 			tt.Where(o.trName, pass)
 		}
@@ -227,19 +220,10 @@ func (o *Operator) processSelection(t tuple.Tuple) error {
 		}
 		o.tr.SetEmitting(tts)
 	}
-	if pt != 0 {
-		o.prof.Mark(profile.StageEmit)
-		o.lapClock = pt
-	}
 	return o.output(&o.ctx)
 }
 
 func (o *Operator) processSampling(t tuple.Tuple) error {
-	// Profiling: a sampled tuple threads a lap clock (pt) through the
-	// numbered steps below; consecutive laps share boundaries, so the
-	// per-stage self-times tile the tuple's total cost.
-	pt := o.prof.Begin()
-
 	// 1. Group-by values.
 	o.ctx = gsql.Ctx{Tuple: t}
 	for i, gb := range o.plan.GroupBy {
@@ -251,26 +235,16 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 	}
 	o.ctx.GroupVals = o.gbVals
 
-	// 2. Window boundary: any ordered group-by value changed. The flush
-	// times itself (exact), so a sampled tuple's lap clock stops before it
-	// and restarts after.
+	// 2. Window boundary: any ordered group-by value changed.
 	if o.windowOpen && o.orderedChanged() {
-		if pt != 0 {
-			pt = o.prof.Lap(profile.StageGroupLookup, pt)
-		}
 		if err := o.flushWindow(); err != nil {
 			return err
-		}
-		if pt != 0 {
-			pt = profile.Now()
 		}
 	}
 	if !o.windowOpen {
 		o.windowOpen = true
 		o.windowVals = o.orderedValues(o.windowVals[:0])
-		if o.prof != nil || o.om != nil {
-			o.winStartNS = profile.Now()
-		}
+		o.stampWindow()
 	}
 
 	// 3. Supergroup lookup / creation (with state handoff from the old
@@ -278,9 +252,6 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 	sg := o.findOrCreateSupergroup()
 	o.ctx.States = sg.states
 	o.ctx.Supers = sg.supers
-	if pt != 0 {
-		pt = o.prof.LapMark(profile.StageGroupLookup, pt)
-	}
 
 	tts := o.curTraces()
 	if tts != nil {
@@ -294,9 +265,6 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 			return fmt.Errorf("operator: WHERE: %w", err)
 		}
 		pass := v.Truth()
-		if pt != 0 {
-			pt = o.prof.LapMark(profile.StageWhere, pt)
-		}
 		for _, tt := range tts {
 			tt.Where(o.trName, pass)
 		}
@@ -320,15 +288,9 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 		o.argVals[i] = v
 		sg.supers[i].OnTuple(v)
 	}
-	if pt != 0 {
-		pt = o.prof.LapMark(profile.StageSfunUpdate, pt)
-	}
 
 	// 6. Group lookup / creation and aggregate update.
 	g, created := o.findOrCreateGroup(sg)
-	if pt != 0 {
-		pt = o.prof.Lap(profile.StageGroupLookup, pt)
-	}
 	if tts != nil {
 		key := g.key.String()
 		for _, tt := range tts {
@@ -362,20 +324,13 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 			}
 		}
 	}
-	if pt != 0 {
-		pt = o.prof.Lap(profile.StageSfunUpdate, pt)
-	}
 	o.ctx.Aggs = g.aggs
 
 	// 7. CLEANING WHEN on the supergroup; CLEANING BY over its groups.
-	// The sampled lap covers the predicate; the sweep times itself.
 	if o.plan.CleaningWhen != nil {
 		v, err := o.plan.CleaningWhen(&o.ctx)
 		if err != nil {
 			return fmt.Errorf("operator: CLEANING WHEN: %w", err)
-		}
-		if pt != 0 {
-			o.prof.LapMark(profile.StageCleaning, pt)
 		}
 		if v.Truth() {
 			if err := o.cleanSupergroup(sg); err != nil {
@@ -384,6 +339,14 @@ func (o *Operator) processSampling(t tuple.Tuple) error {
 		}
 	}
 	return nil
+}
+
+// stampWindow anchors the window that just opened for its end-to-end
+// latency, when a profile or a collector will want it at the flush.
+func (o *Operator) stampWindow() {
+	if o.prof != nil || o.om != nil {
+		o.winStartNS = profile.Now()
+	}
 }
 
 func addContrib(acc, v value.Value) value.Value {
@@ -545,11 +508,9 @@ func (o *Operator) recycleGroup(g *group) {
 func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	o.stats.Cleanings++
 	if np := o.prof; np != nil {
-		ct := profile.Now()
-		before := len(sg.groups)
+		ct, before := profile.Now(), len(sg.groups)
 		defer func() {
-			np.AddExact(profile.StageCleaning, profile.Now()-ct)
-			np.AddRows(profile.StageCleaning, int64(before), int64(before-len(sg.groups)))
+			o.nestedNS += np.Charge(profile.StageCleaning, ct, int64(before), int64(len(sg.groups))) - ct
 		}()
 	}
 	var cleanStart time.Time
@@ -570,10 +531,11 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	}()
 	o.ctx.Tuple = nil
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
-	// shape and no per-tuple instrumentation is attached, skip the scalar
+	// shape and no trace is current (a traced tuple's sweep records the
+	// calls it makes through the closure tree's hook), skip the scalar
 	// closure tree (same calls, same state mutations, same results).
 	var fast *gsql.GroupCall
-	if o.tr == nil && o.prof == nil && o.vec != nil && o.vec.vp != nil {
+	if o.tr.Current() == nil && o.vec != nil && o.vec.vp != nil {
 		fast = o.vec.vp.CleanByCall
 	}
 	kept := sg.groups[:0]
@@ -626,10 +588,7 @@ func (o *Operator) evictGroup(sg *supergroup, g *group) {
 // order) and emits the sample, then rotates the supergroup tables.
 func (o *Operator) flushWindow() error {
 	np := o.prof
-	var ft int64
-	if np != nil {
-		ft = profile.Now()
-	}
+	ft, outBefore := np.Start(), o.stats.TuplesOut
 	o.stats.Windows++
 	saved := o.ctx
 	defer func() { o.ctx = saved }()
@@ -641,23 +600,10 @@ func (o *Operator) flushWindow() error {
 			}
 		}
 	}
-	if np != nil {
-		// WindowFinal is exact: it runs once per window, not per tuple.
-		np.AddExact(profile.StageSfunUpdate, profile.Now()-ft)
-	}
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
 		o.ctx.Supers = sg.supers
 		for _, g := range sg.groups {
-			// The HAVING/emit pass samples groups on the same schedule the
-			// tuple path uses; unsampled groups are covered by scaling.
-			gpt := int64(0)
-			if np != nil {
-				o.profHavingIn++
-				if gpt = np.Begin(); gpt != 0 {
-					np.Mark(profile.StageHaving)
-				}
-			}
 			o.ctx.GroupVals = g.vals
 			o.ctx.Aggs = g.aggs
 			traced := o.tr != nil && len(g.traces) > 0
@@ -672,22 +618,12 @@ func (o *Operator) flushWindow() error {
 				}
 				havingPass = v.Truth()
 			}
-			if gpt != 0 {
-				gpt = np.Lap(profile.StageHaving, gpt)
-			}
 			if traced {
 				o.traceHavingEmit(g, havingPass, o.plan.Having != nil)
 				o.ctx.Trace = nil
 			}
 			if !havingPass {
 				continue
-			}
-			if np != nil {
-				o.profHavingOut++
-				if gpt != 0 && len(o.plan.Estimates) == 0 {
-					np.Mark(profile.StageEmit)
-					o.lapClock = gpt
-				}
 			}
 			if len(o.plan.Estimates) > 0 {
 				// Deferred emission: the estimator columns need every
@@ -711,8 +647,8 @@ func (o *Operator) flushWindow() error {
 	if o.om != nil {
 		o.recordWindow(o.winBase)
 	}
+	groups := 0
 	if np != nil {
-		groups := 0
 		for _, sg := range o.sgList {
 			groups += len(sg.groups)
 		}
@@ -720,10 +656,6 @@ func (o *Operator) flushWindow() error {
 	}
 	o.windowIdx++
 	o.winBase = o.stats
-	var rt int64
-	if np != nil {
-		rt = profile.Now()
-	}
 	// Rotate: current supergroups become the "old" table for state
 	// handoff; the group table clears (keeping its storage) and the
 	// window's groups return to the arena.
@@ -741,8 +673,7 @@ func (o *Operator) flushWindow() error {
 	if np != nil || o.om != nil {
 		end := profile.Now()
 		if np != nil {
-			// Rotation is table maintenance: exact, charged to group_lookup.
-			np.AddExact(profile.StageGroupLookup, end-rt)
+			o.nestedNS += np.Charge(profile.StageFlush, ft, int64(groups), o.stats.TuplesOut-outBefore) - ft
 		}
 		if o.winStartNS != 0 {
 			latency := float64(end-o.winStartNS) / 1e9
@@ -754,15 +685,12 @@ func (o *Operator) flushWindow() error {
 			}
 		}
 		o.winStartNS = 0
-		o.SyncProfile()
 	}
 	return nil
 }
 
 // output evaluates the SELECT list and emits one row.
 func (o *Operator) output(ctx *gsql.Ctx) error {
-	lap := o.lapClock
-	o.lapClock = 0
 	row := make(tuple.Tuple, len(o.plan.SelectExprs))
 	for i, sel := range o.plan.SelectExprs {
 		v, err := sel(ctx)
@@ -771,19 +699,7 @@ func (o *Operator) output(ctx *gsql.Ctx) error {
 		}
 		row[i] = v
 	}
-	if lap != 0 {
-		o.prof.Lap(profile.StageEmit, lap)
-	}
 	o.stats.TuplesOut++
-	if o.prof != nil {
-		// Transfer (the downstream copy/callback) is exact per output row:
-		// emitted rows are orders of magnitude rarer than input tuples.
-		t := profile.Now()
-		err := o.emit(row)
-		o.prof.AddExact(profile.StageTransfer, profile.Now()-t)
-		o.prof.AddRows(profile.StageTransfer, 1, 1)
-		return err
-	}
 	return o.emit(row)
 }
 

@@ -4,56 +4,17 @@ import (
 	"streamop/internal/profile"
 )
 
-// Profiling instrumentation (see internal/profile). The operator times
-// sampled tuples with contiguous laps woven through processSampling /
-// processSelection — each lap boundary is shared by the adjacent stages,
-// so per-stage self-times tile the tuple's total cost — and exact-times
-// the rare batched work (cleaning sweeps, WindowFinal, table rotation,
-// the per-row transfer copy). Row counts are never maintained per tuple:
-// SyncProfile mirrors the operator's existing Stats counters into the
-// profile at window boundaries.
+// Profiling instrumentation (see internal/profile). The operator clocks
+// the batch path only: consecutive clock reads between ProcessBatch's
+// phases (batch.go), and one reading around each cleaning sweep and each
+// window flush, which happen inside the walk and are taken out of its
+// share through nestedNS. Process and the scalar walk under it carry no
+// clock sites; a batch that re-runs through them is clocked around the
+// re-run (processBatchRows).
 
-// SetProfile attaches a node profile (nil detaches). When detached the
-// per-tuple path pays one nil check.
-func (o *Operator) SetProfile(np *profile.NodeProfile) {
-	o.prof = np
-	if np != nil {
-		o.SyncProfile()
-	}
-}
-
-// Profile returns the attached node profile, nil when profiling is off.
-func (o *Operator) Profile() *profile.NodeProfile { return o.prof }
-
-// SyncProfile publishes the operator's exact row counts and sampling
-// bases into the node profile: a handful of atomic stores, called at
-// window boundaries and by the engine at batch boundaries.
-func (o *Operator) SyncProfile() {
-	np := o.prof
-	if np == nil {
-		return
-	}
-	s := o.stats
-	if o.plan.IsSelection {
-		if o.plan.Where != nil {
-			np.SyncRows(profile.StageWhere, s.TuplesIn, s.TuplesAccepted, s.TuplesIn)
-		}
-		np.SyncRows(profile.StageEmit, s.TuplesAccepted, s.TuplesOut, s.TuplesAccepted)
-		return
-	}
-	np.SyncRows(profile.StageGroupLookup, s.TuplesIn, s.TuplesIn, s.TuplesIn)
-	if o.plan.Where != nil {
-		np.SyncRows(profile.StageWhere, s.TuplesIn, s.TuplesAccepted, s.TuplesIn)
-	}
-	np.SyncRows(profile.StageSfunUpdate, s.TuplesAccepted, s.TuplesAccepted, s.TuplesAccepted)
-	if o.plan.CleaningWhen != nil {
-		// Cleaning rows (groups examined/evicted) accumulate per sweep in
-		// cleanSupergroup; only the sampled-eval basis is synced here.
-		np.SyncBasis(profile.StageCleaning, s.TuplesAccepted)
-	}
-	np.SyncRows(profile.StageHaving, o.profHavingIn, o.profHavingOut, o.profHavingIn)
-	np.SyncRows(profile.StageEmit, s.TuplesOut, s.TuplesOut, s.TuplesOut)
-}
+// SetProfile attaches a node profile (nil detaches). When detached each
+// clock site pays one nil check per batch, sweep or window.
+func (o *Operator) SetProfile(np *profile.NodeProfile) { o.prof = np }
 
 // approxGroupBytes estimates the heap bytes pinned by n resident groups:
 // the group struct and chain slot plus its key/values, aggregate states

@@ -1,35 +1,35 @@
-// Package profile is the EXPLAIN ANALYZE layer for GSQL plans: sampled
+// Package profile is the EXPLAIN ANALYZE layer for GSQL plans: exact
 // per-node, per-stage self-time attribution over the two-level engine.
 // Telemetry (internal/telemetry) counts rows, tracing (internal/tracing)
 // follows individual tuples; profiling answers *where the cycles go* — how
-// the ~22x operator-vs-raw-algorithm overhead of BenchmarkAblationOverhead
-// decomposes across ring dequeue, WHERE, group lookup, SFUN updates,
-// cleaning, HAVING, emission and the high-level transfer copy.
+// the operator-vs-raw-algorithm overhead of BenchmarkAblationOverhead
+// decomposes across ring dequeue and conversion, the column kernels, the
+// row-order walk, cleaning sweeps, window flushes and the hand-off of
+// selected rows.
 //
-// The cost model: timing every tuple would distort the thing being
-// measured, so a NodeProfile samples 1-in-Every tuples with the same
-// deterministic gap schedule tracing uses (uniform in [1, 2*Every-1], mean
-// Every, drawn from internal/xrand). A sampled tuple is walked through its
-// stages with "laps" — consecutive clock reads whose deltas tile the
-// tuple's total processing time, so stage self-times cannot overlap or
-// leave gaps. Rare, already-batched work (cleaning phases, window
-// rotation, the per-row transfer copy) is timed exactly instead. At report
-// time each stage's estimate is
+// The cost model: the batch is the engine's unit of work, so it is the
+// profiler's unit of time. A profiled node reads the clock between the
+// phases of each batch (a few reads per 512 packets) and once around each
+// cleaning sweep and window flush; every reading is exact and lands in an
+// atomic accumulator, so a stage's time is a plain sum — nothing is
+// sampled, scaled or compensated at report time. Sweeps and flushes happen
+// inside the walk; they clock themselves and the walk is charged the
+// remainder, so the stages of a node tile its busy time.
 //
-//	exactNS + (sampledNS - spans*perSpanOverheadNS) * rows/sampledRows
+// What no batch clock can separate stays together: WHERE verdicts of a
+// stateful predicate, group and supergroup lookups, aggregate updates and
+// the CLEANING WHEN test interleave per row, and are all "walk". A batch
+// that re-runs row at a time (a plan that does not vectorize, a kernel
+// evaluation error, a schema mismatch, a current trace) is clocked around
+// the re-run and charged to walk whole. The per-packet entry points
+// (Operator.Process, core.Query.ProcessPacket/ProcessTuple/Rows) carry no
+// clock sites at all: they compute the same rows, and a profile attached
+// to them reports only their sweeps and flushes.
 //
-// where perSpanOverheadNS is calibrated at profiler construction by timing
-// the lap primitive itself — without the correction the clock reads
-// (~20-30ns each, ~8 per sampled tuple) would inflate estimates by tens of
-// percent and break the "stage times sum to wall time" property the
-// attribution test checks.
-//
-// Concurrency: sampling-schedule state is plain fields owned by the node's
-// processing goroutine (mirroring the tracer's NextSeq design), while every
-// accumulator is atomic, so /debug/profile can render a Report from the
-// HTTP goroutine mid-run without races. Under RunParallel each shard
-// worker gets its own NodeProfile (Profiler.NodeShard), so shards never
-// share schedule state.
+// Concurrency: every accumulator is atomic and owned by the node's
+// processing goroutine for writing, so /debug/profile can render a Report
+// from the HTTP goroutine mid-run without races. Under RunParallel each
+// shard worker gets its own NodeProfile (Profiler.NodeShard).
 package profile
 
 import (
@@ -38,32 +38,39 @@ import (
 	"time"
 
 	"streamop/internal/telemetry"
-	"streamop/internal/xrand"
 )
 
 // Stage identifies one plan-node cost bucket.
 type Stage int
 
 const (
-	// StageDequeue covers ring PopBatch and packet→tuple conversion.
+	// StageDequeue covers ring PopBatch (charged to the "source"
+	// pseudo-node) and each node's packet→column conversion.
 	StageDequeue Stage = iota
-	// StageWhere is the admission predicate (possibly stateful).
-	StageWhere
-	// StageGroupLookup covers group-by evaluation, supergroup and group
-	// table probes/inserts, and window-rotation table maintenance.
-	StageGroupLookup
-	// StageSfunUpdate covers superaggregate OnTuple/OnGroupAdd, per-group
-	// aggregate updates, contribution bookkeeping and WindowFinal.
-	StageSfunUpdate
-	// StageCleaning covers CLEANING WHEN evaluation and CLEANING BY
-	// eviction sweeps.
+	// StageKernelGroupBy is the GROUP BY column kernels plus arming the
+	// ordered-window fast path.
+	StageKernelGroupBy
+	// StageKernelWhere is the stateless WHERE kernel, or the argument
+	// kernels of a semi-stateful WHERE call.
+	StageKernelWhere
+	// StageKernelArgs is the aggregate, superaggregate and CLEANING WHEN
+	// argument kernels; for a selection plan, the SELECT-list kernels.
+	StageKernelArgs
+	// StageWalk is the row-order pass that applies state mutations:
+	// stateful WHERE calls, supergroup and group lookups, aggregate
+	// updates, CLEANING WHEN, a partial-aggregation table's collision
+	// evictions — and any batch or traced row that ran row at a time.
+	// Rows out are the rows WHERE accepted.
+	StageWalk
+	// StageCleaning is the CLEANING BY eviction sweeps: groups examined in,
+	// groups kept out.
 	StageCleaning
-	// StageHaving is the window-close HAVING pass.
-	StageHaving
-	// StageEmit is SELECT-list evaluation for output rows.
-	StageEmit
-	// StageTransfer is the per-row downstream handoff: the subscriber copy
-	// Gigascope charges to the producing node, plus application callbacks.
+	// StageFlush is the window close: WindowFinal, HAVING, SELECT
+	// evaluation and row-by-row emission of the sample, table rotation.
+	// Groups resident in, rows emitted out.
+	StageFlush
+	// StageTransfer is the bulk hand-off of a selection batch's rows to
+	// subscriber edges and application callbacks.
 	StageTransfer
 
 	// NumStages is the number of stages; every NodeReport carries exactly
@@ -72,8 +79,8 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"dequeue", "where", "group_lookup", "sfun_update",
-	"cleaning", "having", "emit", "transfer",
+	"dequeue", "kernel_groupby", "kernel_where", "kernel_args",
+	"walk", "cleaning", "flush", "transfer",
 }
 
 // String returns the stage's snake_case name as used in reports.
@@ -88,16 +95,9 @@ func (s Stage) String() string {
 // runtime's monotonic clock.
 var base = time.Now()
 
-// Now returns monotonic nanoseconds since package init. It is the clock
-// every lap uses; callers treat 0 as "no lap in progress", which Begin
-// guards against.
+// Now returns monotonic nanoseconds since package init: the clock every
+// stage reading and window-latency anchor uses.
 func Now() int64 { return int64(time.Since(base)) }
-
-// DefEvery is the default sampling rate: 1 in 64 tuples. At the ablation
-// workload's ~600ns/tuple this keeps profiling overhead well under the 5%
-// budget BenchmarkProfilingOverheadGuard enforces while leaving thousands
-// of sampled tuples per million packets.
-const DefEvery = 64
 
 // LatencyBounds are the window end-to-end latency histogram buckets
 // (seconds), shared by the profiler's internal histogram and the
@@ -106,128 +106,76 @@ var LatencyBounds = []float64{
 	1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10,
 }
 
-// Config parameterizes a Profiler.
-type Config struct {
-	// Every samples on average one in Every tuples per node (gaps uniform
-	// in [1, 2*Every-1]). Values < 1 are treated as 1 (time everything).
-	Every int
-	// Seed seeds every node's sampling schedule; equal seeds sample the
-	// same tuple sequence numbers.
-	Seed uint64
+// nodeKey names one profile: a plan node, or one shard replica of it.
+type nodeKey struct {
+	name  string
+	shard int // -1 when unsharded
 }
 
-// Profiler owns the per-node profiles of one run and the calibrated cost
-// of the lap primitive. Node registration is mutex-guarded; the hot path
-// never touches the Profiler itself.
+// Profiler owns the per-node profiles of one run or session. Node
+// registration is mutex-guarded; the hot path never touches the Profiler
+// itself.
 type Profiler struct {
-	every  int
-	seed   uint64
-	spanNS float64 // calibrated per-lap overhead, subtracted at report time
-	start  int64   // Now() at construction
+	start int64 // Now() at construction
 
 	mu    sync.Mutex
-	nodes []*NodeProfile
+	nodes map[nodeKey]*NodeProfile
 }
 
-// New returns a profiler sampling 1-in-cfg.Every tuples per node and
-// calibrates the lap overhead on this machine.
-func New(cfg Config) *Profiler {
-	every := cfg.Every
-	if every < 1 {
-		every = 1
-	}
-	p := &Profiler{every: every, seed: cfg.Seed, start: Now()}
-	p.spanNS = calibrate()
-	return p
+// New returns an empty profiler.
+func New() *Profiler {
+	return &Profiler{start: Now(), nodes: map[nodeKey]*NodeProfile{}}
 }
-
-// calibrate measures the cost of one lap (a clock read plus two atomic
-// adds) by running the primitive back-to-back on a scratch profile. The
-// estimate is the cheapest of several short rounds: an interrupt or a
-// descheduling inside a round can only add to it, and some 3/4 of a
-// sampled lap on the ablation workload is this overhead, so a calibration
-// 10% too high takes 30% off every estimate scaled from it.
-func calibrate() float64 {
-	const rounds, iters = 16, 512
-	np := &NodeProfile{every: 1}
-	best := int64(-1)
-	for r := 0; r < rounds; r++ {
-		t0 := Now()
-		t := t0
-		for i := 0; i < iters; i++ {
-			t = np.Lap(StageWhere, t)
-		}
-		if total := Now() - t0; total >= 0 && (best < 0 || total < best) {
-			best = total
-		}
-	}
-	if best < 0 {
-		best = 0
-	}
-	return float64(best) / iters
-}
-
-// Every returns the sampling rate (1-in-Every).
-func (p *Profiler) Every() int { return p.every }
-
-// SpanOverheadNS returns the calibrated per-lap overhead.
-func (p *Profiler) SpanOverheadNS() float64 { return p.spanNS }
 
 // Node returns (registering on first use) the unsharded profile for the
 // named plan node.
 func (p *Profiler) Node(name string) *NodeProfile { return p.NodeShard(name, -1) }
 
 // NodeShard returns (registering on first use) the profile for one shard
-// replica of the named node; shard -1 means unsharded. Each shard replica
-// owns its schedule state, so workers never contend.
+// replica of the named node; shard -1 means unsharded. A nil Profiler
+// yields a nil profile, which every NodeProfile method accepts.
 func (p *Profiler) NodeShard(name string, shard int) *NodeProfile {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, np := range p.nodes {
-		if np.name == name && np.shard == shard {
-			return np
-		}
+	key := nodeKey{name, shard}
+	np := p.nodes[key]
+	if np == nil {
+		np = &NodeProfile{key: key, latency: telemetry.NewHistogram(LatencyBounds)}
+		p.nodes[key] = np
 	}
-	np := newNodeProfile(name, shard, p.every, p.seed)
-	p.nodes = append(p.nodes, np)
 	return np
 }
 
-// stageAcc accumulates one stage's cost evidence. All fields are atomics:
-// the owning goroutine adds, any goroutine may read.
-type stageAcc struct {
-	rowsIn  atomic.Int64 // rows entering the stage (exact, boundary-synced)
-	rowsOut atomic.Int64 // rows surviving the stage (exact, boundary-synced)
-	basis   atomic.Int64 // population the sampled rows were drawn from
-	sampled atomic.Int64 // sampled rows timed at this stage
-	spans   atomic.Int64 // laps recorded (for overhead compensation)
-	selfNS  atomic.Int64 // summed sampled lap time
-	exactNS atomic.Int64 // exactly measured time (not scaled)
+// Release forgets np: the node left the topology, its times leave the
+// report, and a node registered under the same name later starts from
+// zero. A nil profiler or profile is a no-op.
+func (p *Profiler) Release(np *NodeProfile) {
+	if p == nil || np == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.nodes[np.key] == np {
+		delete(p.nodes, np.key)
+	}
 }
 
-// NodeProfile is one plan node's (or shard replica's) profile. Schedule
-// state is owned by the node's processing goroutine; accumulators are
-// atomic. The zero NodeProfile is unusable — obtain one from a Profiler.
+// stageAcc accumulates one stage's cost. All fields are atomics: the
+// owning goroutine adds, any goroutine may read.
+type stageAcc struct {
+	ns      atomic.Int64
+	rowsIn  atomic.Int64
+	rowsOut atomic.Int64
+}
+
+// NodeProfile is one plan node's (or shard replica's) profile. The zero
+// NodeProfile is unusable — obtain one from a Profiler; a nil one accepts
+// every call and records nothing, which is how profiling is off.
 type NodeProfile struct {
-	name  string
-	shard int
-	every uint64
-
-	// Tuple sampling schedule (owned by the processing goroutine).
-	rng  *xrand.Rand
-	seq  uint64
-	next uint64
-
-	// Source-conversion schedule: a second, independent decimator for the
-	// engine-side packet→tuple conversion, so StageDequeue sampling cannot
-	// interfere with the operator's tuple schedule.
-	srcRng  *xrand.Rand
-	srcSeq  uint64
-	srcNext uint64
-
+	key    nodeKey
 	stages [NumStages]stageAcc
 
 	groups      atomic.Int64 // group-table occupancy at last boundary
@@ -238,132 +186,35 @@ type NodeProfile struct {
 	latency *telemetry.Histogram // window end-to-end latency, seconds
 }
 
-func newNodeProfile(name string, shard int, every int, seed uint64) *NodeProfile {
-	np := &NodeProfile{
-		name:    name,
-		shard:   shard,
-		every:   uint64(every),
-		rng:     xrand.New(seed ^ hashName(name, shard)),
-		srcRng:  xrand.New(seed ^ hashName(name, shard) ^ 0x9e3779b97f4a7c15),
-		latency: telemetry.NewHistogram(LatencyBounds),
-	}
-	np.next = np.gap(np.rng) - 1
-	np.srcNext = np.gap(np.srcRng) - 1
-	return np
-}
-
-// hashName decorrelates per-node schedules under a shared seed (FNV-1a).
-func hashName(name string, shard int) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return (h ^ uint64(shard+1)) * 1099511628211
-}
-
-func (np *NodeProfile) gap(rng *xrand.Rand) uint64 {
-	if np.every <= 1 {
-		return 1
-	}
-	return 1 + rng.Uint64n(2*np.every-1)
-}
-
 // Name returns the plan-node name.
-func (np *NodeProfile) Name() string { return np.name }
+func (np *NodeProfile) Name() string { return np.key.name }
 
 // Shard returns the shard replica index, -1 when unsharded.
-func (np *NodeProfile) Shard() int { return np.shard }
+func (np *NodeProfile) Shard() int { return np.key.shard }
 
-// Begin advances the tuple schedule and, when this tuple is sampled,
-// returns a non-zero lap clock to thread through Lap calls. It returns 0
-// on a nil profile or an unsampled tuple, so the disabled/unsampled path
-// is one nil check plus one counter compare.
-func (np *NodeProfile) Begin() int64 {
+// Start reads the clock for a run of consecutive stages; 0 on a nil
+// profile, so profiling off costs a nil check per clock site.
+func (np *NodeProfile) Start() int64 {
 	if np == nil {
 		return 0
 	}
-	s := np.seq
-	np.seq++
-	if s != np.next {
-		return 0
-	}
-	np.next += np.gap(np.rng)
-	now := Now()
-	if now == 0 {
-		now = 1
-	}
-	return now
+	return Now()
 }
 
-// BeginSrc is Begin on the independent source-conversion schedule
-// (engine-side StageDequeue sampling).
-func (np *NodeProfile) BeginSrc() int64 {
+// Charge closes one stage: the time since t0 and the rows that entered
+// and left go to stage, and the clock just read is returned as the next
+// stage's t0. A stage that nests self-clocking work passes t0 advanced by
+// that work's duration, which charges it the remainder.
+func (np *NodeProfile) Charge(stage Stage, t0, in, out int64) int64 {
 	if np == nil {
 		return 0
 	}
-	s := np.srcSeq
-	np.srcSeq++
-	if s != np.srcNext {
-		return 0
-	}
-	np.srcNext += np.gap(np.srcRng)
-	now := Now()
-	if now == 0 {
-		now = 1
-	}
-	return now
-}
-
-// Lap closes one sampled span at stage: the time since t0 is charged to
-// the stage and the current clock is returned for the next lap. Callers
-// only invoke Lap with a non-zero t0 obtained from Begin/BeginSrc/Now.
-func (np *NodeProfile) Lap(stage Stage, t0 int64) int64 {
 	now := Now()
 	acc := &np.stages[stage]
-	acc.selfNS.Add(now - t0)
-	acc.spans.Add(1)
-	return now
-}
-
-// Mark counts one sampled row at stage. Call exactly once per sampled row
-// per stage that laps into it, so report scaling (basis/sampled) holds.
-func (np *NodeProfile) Mark(stage Stage) {
-	np.stages[stage].sampled.Add(1)
-}
-
-// LapMark is Lap plus Mark, for stages a sampled row laps exactly once.
-func (np *NodeProfile) LapMark(stage Stage, t0 int64) int64 {
-	np.Mark(stage)
-	return np.Lap(stage, t0)
-}
-
-// AddExact charges ns of exactly measured (unscaled) time to stage.
-func (np *NodeProfile) AddExact(stage Stage, ns int64) {
-	np.stages[stage].exactNS.Add(ns)
-}
-
-// AddRows adds to a stage's exact row counters incrementally (cleaning
-// phases and transfer use this; boundary-synced stages use SyncRows).
-func (np *NodeProfile) AddRows(stage Stage, in, out int64) {
-	acc := &np.stages[stage]
+	acc.ns.Add(now - t0)
 	acc.rowsIn.Add(in)
 	acc.rowsOut.Add(out)
-}
-
-// SyncRows stores a stage's exact row counts and sampling basis as
-// absolute values (called at window/batch boundaries from the component
-// that owns the counts).
-func (np *NodeProfile) SyncRows(stage Stage, in, out, basis int64) {
-	acc := &np.stages[stage]
-	acc.rowsIn.Store(in)
-	acc.rowsOut.Store(out)
-	acc.basis.Store(basis)
-}
-
-// SyncBasis stores only a stage's sampling basis (used when row counts are
-// accumulated incrementally, as for cleaning).
-func (np *NodeProfile) SyncBasis(stage Stage, basis int64) {
-	np.stages[stage].basis.Store(basis)
+	return now
 }
 
 // ObserveWindow records one closed window's end-to-end latency.

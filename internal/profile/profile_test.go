@@ -8,50 +8,25 @@ import (
 
 func TestNilProfileIsSafe(t *testing.T) {
 	var np *NodeProfile
-	if pt := np.Begin(); pt != 0 {
-		t.Errorf("nil Begin = %d, want 0", pt)
+	if pt := np.Start(); pt != 0 {
+		t.Errorf("nil Start = %d, want 0", pt)
 	}
-	if pt := np.BeginSrc(); pt != 0 {
-		t.Errorf("nil BeginSrc = %d, want 0", pt)
+	if pt := np.Charge(StageWalk, 0, 1, 1); pt != 0 {
+		t.Errorf("nil Charge = %d, want 0", pt)
 	}
 	var p *Profiler
 	if np := p.NodeShard("x", 0); np != nil {
 		t.Errorf("nil Profiler.NodeShard = %v, want nil", np)
 	}
+	p.Release(np)
 	rep := p.Report()
 	if len(rep.Nodes) != 0 {
 		t.Errorf("nil Profiler.Report has %d nodes, want 0", len(rep.Nodes))
 	}
 }
 
-func TestScheduleMeanGap(t *testing.T) {
-	p := New(Config{Every: 32, Seed: 7})
-	np := p.Node("n")
-	const tuples = 1 << 16
-	sampled := 0
-	for i := 0; i < tuples; i++ {
-		if np.Begin() != 0 {
-			sampled++
-		}
-	}
-	want := tuples / 32
-	if sampled < want*8/10 || sampled > want*12/10 {
-		t.Errorf("sampled %d of %d tuples at 1-in-32, want about %d", sampled, tuples, want)
-	}
-}
-
-func TestEveryOneSamplesEverything(t *testing.T) {
-	p := New(Config{Every: 1})
-	np := p.Node("n")
-	for i := 0; i < 100; i++ {
-		if np.Begin() == 0 {
-			t.Fatalf("tuple %d unsampled at Every=1", i)
-		}
-	}
-}
-
 func TestNodeShardsAreDistinct(t *testing.T) {
-	p := New(Config{Every: 64})
+	p := New()
 	a, b := p.NodeShard("n", 0), p.NodeShard("n", 1)
 	if a == b {
 		t.Fatal("distinct shards share a NodeProfile")
@@ -64,35 +39,59 @@ func TestNodeShardsAreDistinct(t *testing.T) {
 	}
 }
 
-func TestReportScalesSampledTime(t *testing.T) {
-	p := New(Config{Every: 1})
-	np := p.Node("n")
-	// 4 sampled rows, 1000ns each, basis of 100 rows: the estimate scales
-	// by 25x (minus the calibrated span overhead).
-	for i := 0; i < 4; i++ {
-		acc := &np.stages[StageWhere]
-		acc.selfNS.Add(1000)
-		acc.spans.Add(1)
-		acc.sampled.Add(1)
+// TestReleaseForgetsNode: a released profile leaves the report, a later
+// registration under its name starts from zero, and releasing a stale
+// handle does not take the new registration with it.
+func TestReleaseForgetsNode(t *testing.T) {
+	p := New()
+	old := p.Node("q")
+	old.Charge(StageWalk, old.Start(), 10, 5)
+	p.Release(old)
+	if n := len(p.Report().Nodes); n != 0 {
+		t.Fatalf("report has %d nodes after release, want 0", n)
 	}
-	np.SyncRows(StageWhere, 100, 60, 100)
+	fresh := p.Node("q")
+	if fresh == old {
+		t.Fatal("re-registration returned the released profile")
+	}
+	p.Release(old)
+	rep := p.Report()
+	if len(rep.Nodes) != 1 {
+		t.Fatalf("report has %d nodes after stale release, want 1", len(rep.Nodes))
+	}
+	if w := rep.Nodes[0].Stages[StageWalk]; w.RowsIn != 0 || w.SelfNS != 0 {
+		t.Errorf("re-registered node inherited rows_in=%d self_ns=%v", w.RowsIn, w.SelfNS)
+	}
+}
+
+// TestReportSumsStageTime: a stage's report is the plain sum of what was
+// charged to it — no scaling, no compensation.
+func TestReportSumsStageTime(t *testing.T) {
+	p := New()
+	np := p.Node("n")
+	t0 := Now()
+	for i := 0; i < 4; i++ {
+		np.Charge(StageKernelWhere, t0-1000, 25, 15)
+	}
 	rep := p.Report()
 	if len(rep.Nodes) != 1 {
 		t.Fatalf("report has %d nodes, want 1", len(rep.Nodes))
 	}
-	sr := rep.Nodes[0].Stages[StageWhere]
-	wantMax := 25.0 * 4000
-	wantMin := 25.0 * (4000 - 4*p.SpanOverheadNS())
-	if sr.SelfNS < wantMin-1 || sr.SelfNS > wantMax+1 {
-		t.Errorf("SelfNS = %v, want in [%v, %v]", sr.SelfNS, wantMin, wantMax)
+	sr := rep.Nodes[0].Stages[StageKernelWhere]
+	// Each charge is 1000ns plus however long after t0 its clock was read.
+	if sr.SelfNS < 4000 || sr.SelfNS > 4000+4*float64(Now()-t0) {
+		t.Errorf("SelfNS = %v, want 4000 plus the four clock offsets", sr.SelfNS)
 	}
-	if sr.Selectivity != 0.6 {
-		t.Errorf("Selectivity = %v, want 0.6", sr.Selectivity)
+	if sr.RowsIn != 100 || sr.RowsOut != 60 || sr.Selectivity != 0.6 {
+		t.Errorf("rows %d → %d selectivity %v, want 100 → 60 (0.6)", sr.RowsIn, sr.RowsOut, sr.Selectivity)
+	}
+	if rep.TotalSelfNS != sr.SelfNS || sr.TimePct != 100 {
+		t.Errorf("total %v, stage %v at %v%%: want the one stage to be all of it", rep.TotalSelfNS, sr.SelfNS, sr.TimePct)
 	}
 }
 
 func TestReportStageSchemaIsStable(t *testing.T) {
-	p := New(Config{Every: 64})
+	p := New()
 	p.Node("a")
 	p.NodeShard("b", 0)
 	rep := p.Report()
@@ -113,43 +112,46 @@ func TestReportStageSchemaIsStable(t *testing.T) {
 }
 
 func TestRenderSkipsIdleNodes(t *testing.T) {
-	p := New(Config{Every: 64})
+	p := New()
 	p.Node("idle")
 	busy := p.Node("busy")
-	busy.AddExact(StageWhere, 1000)
-	busy.SyncRows(StageWhere, 10, 5, 10)
+	busy.Charge(StageWalk, busy.Start()-1000, 10, 5)
 	out := p.Report().Render()
 	if strings.Contains(out, "idle") {
 		t.Errorf("Render shows idle node:\n%s", out)
 	}
-	if !strings.Contains(out, "busy") || !strings.Contains(out, "where") {
+	if !strings.Contains(out, "busy") || !strings.Contains(out, "walk") {
 		t.Errorf("Render missing busy node or stage:\n%s", out)
 	}
 }
 
-func TestLapsTileTime(t *testing.T) {
-	p := New(Config{Every: 1})
+// TestStagesTileTime: consecutive charges share their boundaries, and a
+// stage that nests self-clocked work is charged the remainder, so the
+// stages sum to the span from Start to the last reading exactly.
+func TestStagesTileTime(t *testing.T) {
+	p := New()
 	np := p.Node("n")
-	pt := np.Begin()
-	if pt == 0 {
-		t.Fatal("Begin returned 0 at Every=1")
-	}
-	pt = np.LapMark(StageWhere, pt)
-	pt = np.LapMark(StageGroupLookup, pt)
-	np.LapMark(StageSfunUpdate, pt)
+	t0 := np.Start()
+	pt := np.Charge(StageKernelGroupBy, t0, 1, 1)
+	pt = np.Charge(StageKernelWhere, pt, 1, 1)
+	ft := np.Start() // a flush inside the walk clocks itself…
+	nested := np.Charge(StageFlush, ft, 1, 1) - ft
+	end := np.Charge(StageWalk, pt+nested, 1, 1) // …and the walk gets the rest
 	var total int64
 	for s := Stage(0); s < NumStages; s++ {
-		total += np.stages[s].selfNS.Load()
+		if ns := np.stages[s].ns.Load(); ns < 0 {
+			t.Errorf("stage %s charged %dns", s, ns)
+		} else {
+			total += ns
+		}
 	}
-	// Three consecutive laps share boundaries, so their sum is the span
-	// from Begin to the last lap: small but non-negative.
-	if total < 0 {
-		t.Errorf("summed lap time %dns is negative", total)
+	if total != end-t0 {
+		t.Errorf("stages sum to %dns over a %dns span", total, end-t0)
 	}
 }
 
 func TestObserveWindowFeedsLatencyReport(t *testing.T) {
-	p := New(Config{Every: 64})
+	p := New()
 	np := p.Node("n")
 	np.ObserveWindow(0.002)
 	np.ObserveWindow(0.004)

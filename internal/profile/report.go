@@ -7,19 +7,15 @@ import (
 )
 
 // StageReport is one stage's cost attribution in a NodeReport. SelfNS is
-// the headline estimate: exact time plus overhead-compensated sampled time
-// scaled from the sampled rows to the full basis population.
+// the sum of the stage's clock readings: measured, not estimated.
 type StageReport struct {
 	Stage       string  `json:"stage"`
 	RowsIn      int64   `json:"rows_in"`
 	RowsOut     int64   `json:"rows_out"`
 	Selectivity float64 `json:"selectivity"` // RowsOut/RowsIn; 1 when RowsIn is 0
-	SampledRows int64   `json:"sampled_rows"`
-	SampledNS   int64   `json:"sampled_ns"` // raw summed lap time
-	ExactNS     int64   `json:"exact_ns"`   // exactly measured, unscaled
-	SelfNS      float64 `json:"self_ns"`    // estimated total stage self-time
-	NSPerRow    float64 `json:"ns_per_row"` // SelfNS / max(RowsIn, 1)
-	TimePct     float64 `json:"time_pct"`   // share of the node's SelfNS
+	SelfNS      float64 `json:"self_ns"`     // total stage self-time
+	NSPerRow    float64 `json:"ns_per_row"`  // SelfNS / max(RowsIn, 1)
+	TimePct     float64 `json:"time_pct"`    // share of the node's SelfNS
 }
 
 // LatencyReport summarizes a node's window end-to-end latency.
@@ -48,11 +44,9 @@ type NodeReport struct {
 // Report is the full profile of one run: the PROFILE.json artifact, the
 // /debug/profile payload and the input to Render.
 type Report struct {
-	SampledEvery   int          `json:"sampled_every"`
-	SpanOverheadNS float64      `json:"span_overhead_ns"`
-	ElapsedNS      int64        `json:"elapsed_ns"` // since profiler construction
-	TotalSelfNS    float64      `json:"total_self_ns"`
-	Nodes          []NodeReport `json:"nodes"`
+	ElapsedNS   int64        `json:"elapsed_ns"` // since profiler construction
+	TotalSelfNS float64      `json:"total_self_ns"`
+	Nodes       []NodeReport `json:"nodes"`
 }
 
 // Report builds a point-in-time attribution from the accumulators. Safe
@@ -62,31 +56,31 @@ func (p *Profiler) Report() Report {
 		return Report{}
 	}
 	p.mu.Lock()
-	nodes := append([]*NodeProfile(nil), p.nodes...)
-	p.mu.Unlock()
-	sort.SliceStable(nodes, func(i, j int) bool {
-		if nodes[i].name != nodes[j].name {
-			return nodes[i].name < nodes[j].name
-		}
-		return nodes[i].shard < nodes[j].shard
-	})
-	rep := Report{
-		SampledEvery:   p.every,
-		SpanOverheadNS: p.spanNS,
-		ElapsedNS:      Now() - p.start,
+	nodes := make([]*NodeProfile, 0, len(p.nodes))
+	for _, np := range p.nodes {
+		nodes = append(nodes, np)
 	}
+	p.mu.Unlock()
+	sort.Slice(nodes, func(i, j int) bool {
+		a, b := nodes[i].key, nodes[j].key
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.shard < b.shard
+	})
+	rep := Report{ElapsedNS: Now() - p.start}
 	for _, np := range nodes {
-		nr := np.report(p.spanNS)
+		nr := np.report()
 		rep.TotalSelfNS += nr.SelfNS
 		rep.Nodes = append(rep.Nodes, nr)
 	}
 	return rep
 }
 
-func (np *NodeProfile) report(spanNS float64) NodeReport {
+func (np *NodeProfile) report() NodeReport {
 	nr := NodeReport{
-		Node:        np.name,
-		Shard:       np.shard,
+		Node:        np.key.name,
+		Shard:       np.key.shard,
 		Windows:     np.windows.Load(),
 		Groups:      np.groups.Load(),
 		Supergroups: np.supergroups.Load(),
@@ -107,26 +101,11 @@ func (np *NodeProfile) report(spanNS float64) NodeReport {
 			Stage:       s.String(),
 			RowsIn:      acc.rowsIn.Load(),
 			RowsOut:     acc.rowsOut.Load(),
-			SampledRows: acc.sampled.Load(),
-			SampledNS:   acc.selfNS.Load(),
-			ExactNS:     acc.exactNS.Load(),
+			Selectivity: 1,
+			SelfNS:      float64(acc.ns.Load()),
 		}
-		sr.Selectivity = 1
 		if sr.RowsIn > 0 {
 			sr.Selectivity = float64(sr.RowsOut) / float64(sr.RowsIn)
-		}
-		// Compensate the laps' own cost, then scale sampled time from the
-		// sampled rows up to the stage's full population.
-		corrected := float64(sr.SampledNS) - float64(acc.spans.Load())*spanNS
-		if corrected < 0 {
-			corrected = 0
-		}
-		scale := 1.0
-		if basis := acc.basis.Load(); sr.SampledRows > 0 && basis > sr.SampledRows {
-			scale = float64(basis) / float64(sr.SampledRows)
-		}
-		sr.SelfNS = float64(sr.ExactNS) + corrected*scale
-		if sr.RowsIn > 0 {
 			sr.NSPerRow = sr.SelfNS / float64(sr.RowsIn)
 		}
 		nr.SelfNS += sr.SelfNS
@@ -145,8 +124,8 @@ func (np *NodeProfile) report(spanNS float64) NodeReport {
 // exit summary.
 func (r Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "profile: sampling 1 in %d · span overhead %.0fns/lap (compensated) · elapsed %s\n",
-		r.SampledEvery, r.SpanOverheadNS, fmtNS(float64(r.ElapsedNS)))
+	fmt.Fprintf(&b, "profile: exact per-batch stage clocks · attributed %s · elapsed %s\n",
+		fmtNS(r.TotalSelfNS), fmtNS(float64(r.ElapsedNS)))
 	for _, n := range r.Nodes {
 		// Skip nodes that saw no activity (e.g. a sharded node's idle
 		// unsharded profile after RunParallel).
@@ -181,7 +160,7 @@ func (r Report) Render() string {
 			if i == len(live)-1 {
 				branch = "└─"
 			}
-			fmt.Fprintf(&b, "  %s %-12s %5.1f%%  %9s  %d → %d rows", branch, s.Stage, s.TimePct, fmtNS(s.SelfNS), s.RowsIn, s.RowsOut)
+			fmt.Fprintf(&b, "  %s %-14s %5.1f%%  %9s  %d → %d rows", branch, s.Stage, s.TimePct, fmtNS(s.SelfNS), s.RowsIn, s.RowsOut)
 			if s.RowsIn > 0 && s.RowsOut != s.RowsIn {
 				fmt.Fprintf(&b, " (%.1f%%)", 100*s.Selectivity)
 			}

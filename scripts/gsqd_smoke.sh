@@ -70,6 +70,10 @@ jq -e '.engine.session.active == true' "$workdir/state.json" >/dev/null
 jq -e '.engine.session.queries == ["heavy"] and .engine.session.taps == ["tap"]' "$workdir/state.json" >/dev/null
 jq -e '.engine.ring.pushed > 0' "$workdir/state.json" >/dev/null
 curl -fsS "$base/debug/plan" | jq -e '.engine | length == 2' >/dev/null
+# The daemon profiles every session: the installed query is in the report
+# with time on its walk or its window flushes.
+curl -fsS "$base/debug/profile" | jq -e '.engine.nodes | map(select(.node == "heavy")) | length == 1
+  and ([.[0].stages[] | select(.stage == "walk" or .stage == "flush") | .self_ns] | add > 0)' >/dev/null
 
 # Uninstall: 204, query gone, SSE subscribers of it would see event: end.
 code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "$base/queries/heavy")
