@@ -241,10 +241,18 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
 // Alternating lets each side's minimum come from a first-position pass.
 // Runs at least 6 pairs even when b.N is 1 (the CI -benchtime=1x smoke
 // run); an even count gives both sides equal first-position exposure.
+// Before the first pair each side runs once unmeasured, the way the pairs
+// are measured, a forced GC ahead of it: caches warm up, and the first pass
+// after the process's first forced GC — ~5% faster than every later one —
+// is nobody's minimum (measured, it would always be the base's).
 func guardOverhead(bN int, base, variant func() time.Duration) float64 {
 	iters := bN
 	if iters < 6 {
 		iters = 6
+	}
+	for _, warm := range []func() time.Duration{base, variant} {
+		runtime.GC()
+		warm()
 	}
 	minBase, minVar := time.Duration(0), time.Duration(0)
 	for i := 0; i < iters; i++ {
@@ -316,7 +324,6 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 		return time.Since(start)
 	}
 
-	pass(nil) // warm up caches before the first measured pair
 	overhead := guardOverhead(b.N,
 		func() time.Duration { return pass(nil) },
 		func() time.Duration { return pass(telemetry.New()) })
@@ -366,14 +373,6 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 		return time.Since(start)
 	}
 
-	// Warm up the way the pairs are measured, a forced GC before each
-	// side's pass: the first pass after the process's first forced GC runs
-	// ~5% faster than every later one, and the first measured pass is
-	// always the base's, a minimum the variant would never get.
-	for _, profiled := range []bool{false, true} {
-		runtime.GC()
-		pass(profiled)
-	}
 	overhead := guardOverhead(b.N,
 		func() time.Duration { return pass(false) },
 		func() time.Duration { return pass(true) })
@@ -440,7 +439,6 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 		return time.Since(start)
 	}
 
-	pass(base) // warm up caches before the first measured pair
 	overhead := guardOverhead(b.N,
 		func() time.Duration { return pass(base) },
 		func() time.Duration { return pass(estimating) })
@@ -526,7 +524,6 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 		return time.Since(start)
 	}
 
-	pass(false) // warm up caches before the first measured pair
 	overhead := guardOverhead(b.N,
 		func() time.Duration { return pass(false) },
 		func() time.Duration { return pass(true) })

@@ -52,7 +52,8 @@ type Options struct {
 	// Seed seeds the randomized library functions when Registry is nil.
 	Seed uint64
 	// OnRow receives output rows as they are produced; nil collects them
-	// in Query.Collected (unless Query.Rows drives the feed instead).
+	// in Query.Collected (unless Query.Rows drives the feed instead). The
+	// Row is the callback's to keep: it is a copy of the operator's.
 	OnRow func(Row) error
 	// Overload overrides the query's OVERLOAD clause: the ring admission
 	// policy ("drop-tail", "shed-sample" or "block") the compiled plan
@@ -121,7 +122,8 @@ func Compile(src string, opts Options) (*Query, error) {
 		q.scratch = make(tuple.Tuple, trace.NumFields)
 	}
 	q.op, err = operator.New(plan, func(row tuple.Tuple) error {
-		r := Row{Columns: q.cols, Values: row}
+		// The operator lends its row; a Row is the caller's to keep.
+		r := Row{Columns: q.cols, Values: row.Clone()}
 		if q.emit != nil {
 			return q.emit(r)
 		}

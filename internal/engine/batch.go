@@ -2,14 +2,12 @@
 // Popped packet batches convert to columnar tuple batches
 // (trace.AppendBatch: one tight loop per field) and flow through
 // Operator.ProcessBatch / ptable.processBatch, which are row-for-row
-// identical to the scalar calls. The edge from a node to the high-level
-// nodes reading it is columnar too, under Run, a session and RunParallel
-// alike (edge, Node.emit, Node.emitCols, Engine.stepHigh in engine.go).
-// A traced node's batch runs as columnar segments between the traced rows,
-// and only those go through scalar Process (see processLowBatch and
-// Node.processInput); a profiled node's runs as any other, with the clock
-// read between its phases. Neither instrument selects a path, so what is
-// observed is what ships.
+// identical to the scalar calls. The way out is columns too, for every
+// kind of node under every run mode: what a node outputs reaches the edges
+// to the nodes reading it through Node.emitCols (engine.go). A traced
+// node's batch runs as columnar segments between the traced rows, each of
+// those a batch of one in and a batch of one out (processLowBatch,
+// Node.processInput, Operator.output); a profiled node's runs as any other.
 package engine
 
 import (
@@ -206,7 +204,7 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 		slot := &t.slots[idx]
 		if slot.used && !t.slotKeyEqualsRow(slot, h, row) {
 			if err := t.emitSlot(slot); err != nil {
-				return err
+				return t.drain(err)
 			}
 			slot.used = false
 			t.residents--
@@ -234,8 +232,9 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 			slot.aggs[i].Update(av)
 		}
 	}
+	err := t.drain(nil)
 	np.Charge(profile.StageWalk, pt+t.nestedNS-nested, rows, rows)
-	return nil
+	return err
 }
 
 // processRows feeds the batch through the row-at-a-time fold (a plan that
@@ -249,6 +248,7 @@ func (t *ptable) processRows(b *tuple.Batch) error {
 		v.rowT = b.Row(i, v.rowT)
 		err = t.process(v.rowT)
 	}
+	err = t.drain(err)
 	t.prof.Charge(profile.StageWalk, pt+t.nestedNS-nested, int64(b.Len()), int64(b.Len()))
 	return err
 }

@@ -76,19 +76,16 @@ type Node struct {
 	// holds the rows that came over the edge from its parent. Owned by the
 	// goroutine that runs the node.
 	inBatch *tuple.Batch
-	// appRow is emitCols' scratch: the row the application callbacks are
+	// appRow is callApps' scratch: the row the application callbacks are
 	// shown, overwritten by the next.
 	appRow tuple.Tuple
 	// in is the edge from the node's parent (high-level nodes only).
 	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
-	// trEnq/trDeq count this node's queued input rows so traces can ride on
-	// FIFO position instead of tuple metadata. trSeg is processInput's
-	// scratch: the view of one untraced segment, or one traced row, of
-	// inBatch.
+	// trPend lists the traced rows of inBatch by position, so traces ride on
+	// that instead of tuple metadata. trSeg is processInput's scratch: the
+	// view of one untraced segment, or one traced row, of inBatch.
 	tr     *tracing.Tracer
-	trEnq  uint64
-	trDeq  uint64
 	trPend []nodeTrace
 	trSeg  tuple.Batch
 }
@@ -97,8 +94,9 @@ type Node struct {
 func (n *Node) Schema() *tuple.Schema { return n.schema }
 
 // Subscribe registers an application callback for the node's output. The
-// row is the callback's only for the length of the call: a selection node
-// reuses its storage for the next row, so copy (Tuple.Clone) what is kept.
+// row is lent, whatever kind of node emitted it: it is the callback's for
+// the length of the call only and its storage is reused for the next row,
+// so copy (Tuple.Clone) what is kept.
 func (n *Node) Subscribe(fn func(tuple.Tuple) error) {
 	n.apps = append(n.apps, fn)
 }
@@ -164,73 +162,51 @@ func (ed *edge) pass(out *tuple.Batch) *tuple.Batch {
 }
 
 // handOff passes what the node emitted in the step just finished to the
-// workers of the nodes reading it (RunParallel; never from inside emit).
+// workers of the nodes reading it (RunParallel; never from inside
+// emitCols).
 func (n *Node) handOff() {
 	for _, sub := range n.subs {
 		sub.in.out = sub.in.pass(sub.in.out)
 	}
 }
 
-// emit fans one output row out to subscribers and applications. Each
-// subscriber receives its own copy — the row's values appended to the
-// batch on the edge to it — and the copy is charged to this node:
-// Gigascope pays a per-tuple copy to move data from a low-level query into
-// a high-level query's buffer, and that copy cost — proportional to the
-// number of forwarded tuples — is what the paper's Figure 6 low-level
-// numbers measure.
-func (n *Node) emit(row tuple.Tuple) error {
-	n.out++
-	var tts []*tracing.TupleTrace
-	if n.tr != nil {
-		tts = n.tr.TakeEmitting()
-	}
+// emitCols is a node's one emit, the sink of its operator or partial
+// table: a run of output rows, as columns, fans out to subscribers and
+// applications. Each subscriber receives its own copy — the values moved
+// column to column into the batch on the edge to it — and the copy is
+// charged to this node: Gigascope pays a per-tuple copy to move data from a
+// low-level query into a high-level query's buffer, and that cost,
+// proportional to the tuples forwarded, is what the paper's Figure 6
+// low-level numbers measure. A row that carries traces arrives alone, the
+// traces staged by Operator.output, and they follow it from here.
+func (n *Node) emitCols(cols []*tuple.Column) error {
+	n.out += int64(cols[0].Len())
+	tts := n.tr.TakeEmitting()
 	for si, sub := range n.subs {
-		sub.in.out.AppendRow(row)
-		if n.tr != nil {
-			// A traced row follows its first subscriber only, keyed by
-			// FIFO position in the subscriber's enqueue order.
-			if si == 0 && len(tts) > 0 {
-				sub.enqueueTrace(n.name, tts)
-			}
-			sub.trEnq++
+		// A traced row follows its first subscriber only, keyed by its
+		// position in the subscriber's input batch.
+		if si == 0 && len(tts) > 0 {
+			sub.enqueueTrace(n.name, tts)
 		}
+		sub.in.out.AppendCols(cols)
 	}
-	if len(tts) > 0 && len(n.subs) == 0 {
+	if len(n.subs) == 0 {
 		// Application boundary: the traced tuple's group reached the DAG's
 		// edge — the one successful terminal disposition.
 		for _, tt := range tts {
 			tt.Finish("emitted")
 		}
 	}
-	for _, app := range n.apps {
-		if err := app(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.callApps(cols)
 }
 
-// emitCols is emit for what a selection node selected from one input
-// batch, the node operator's column sink: the rows move column to column
-// into the batch on each subscriber's edge, and rows are materialized only
-// for application callbacks — none at all for a tap that has only node
-// subscribers — one after the other in the node's scratch tuple, which is
-// why a callback copies what it keeps. None of the rows is traced: the
-// engine sends a traced row through scalar Process, whose output comes
-// through emit.
-func (n *Node) emitCols(cols []*tuple.Column) error {
-	rows := cols[0].Len()
-	n.out += int64(rows)
-	for _, sub := range n.subs {
-		sub.in.out.AppendCols(cols)
-		if n.tr != nil {
-			sub.trEnq += uint64(rows)
-		}
-	}
+// callApps shows the rows to the application callbacks one after the other
+// in the node's scratch tuple: lent, so a callback copies what it keeps.
+func (n *Node) callApps(cols []*tuple.Column) error {
 	if len(n.apps) == 0 {
 		return nil
 	}
-	for i := 0; i < rows; i++ {
+	for i, rows := 0, cols[0].Len(); i < rows; i++ {
 		n.appRow = tuple.RowOf(n.appRow, cols, i)
 		for _, app := range n.apps {
 			if err := app(n.appRow); err != nil {
@@ -341,7 +317,7 @@ func (e *Engine) AddLowLevel(name string, plan *gsql.Plan) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{name: name, plan: plan, schema: schema, low: true}
-	n.op, err = operator.New(plan, n.emit)
+	n.op, err = operator.New(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +353,7 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 	// hold a thousand queries on one tap, most of them nearly idle.
 	n.inBatch = tuple.NewBatch(parent.schema, 64)
 	n.in.out = n.inBatch
-	n.op, err = operator.New(plan, n.emit)
+	n.op, err = operator.New(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -631,15 +607,9 @@ func (e *Engine) stepHigh(h *Node) error {
 
 // resetInput empties the node's input batch. Whatever the operator did not
 // take goes with it (the node failed or errored), and with those rows the
-// traces that rode on them: they end as node_failed, and the FIFO counters
-// are brought level so that a later row is never taken for a discarded
-// one.
+// traces that rode on them: they end as node_failed.
 func (h *Node) resetInput() {
 	h.inBatch.Reset()
-	if h.tr == nil {
-		return
-	}
-	h.trDeq = h.trEnq
 	for _, m := range h.trPend {
 		for _, tt := range m.tts {
 			tt.Finish("node_failed")
@@ -653,7 +623,7 @@ func (h *Node) resetInput() {
 // columnar segments around the positions of traced rows, and each traced
 // row goes in as a batch of one with its traces current — the way
 // processLowBatch treats traced packets — so a trace sees the operator
-// state its FIFO position implies.
+// state its position implies.
 func (h *Node) processInput() error {
 	in := h.inBatch
 	n := in.Len()
@@ -661,14 +631,12 @@ func (h *Node) processInput() error {
 	if h.tr == nil {
 		return h.op.ProcessBatch(in)
 	}
-	base := h.trDeq
 	for i := 0; i < n; {
 		end := n
 		if len(h.trPend) > 0 {
-			end = min(n, int(h.trPend[0].idx-base))
+			end = h.trPend[0].idx
 		}
 		if i < end {
-			h.trDeq += uint64(end - i)
 			if err := h.op.ProcessBatch(in.Slice(i, end, &h.trSeg)); err != nil {
 				return err
 			}

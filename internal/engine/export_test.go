@@ -24,12 +24,9 @@ func (n *Node) PendingInput() int {
 	return n.inBatch.Len()
 }
 
-// TraceBacklog is how far the node's trace bookkeeping lags its input
-// batch: rows counted in but not out, and traces still waiting for their
-// row. Both are 0 whenever the batch is empty.
-func (n *Node) TraceBacklog() (rows uint64, traces int) {
-	return n.trEnq - n.trDeq, len(n.trPend)
-}
+// TraceBacklog is the number of traces still waiting for their row of the
+// node's input batch: 0 whenever the batch is empty.
+func (n *Node) TraceBacklog() int { return len(n.trPend) }
 
 // Node returns the query's node.
 func (h *QueryHandle) Node() *Node { return h.node }

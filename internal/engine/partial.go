@@ -52,7 +52,12 @@ type ptable struct {
 	winOpen   bool
 	evictions int64
 	residents int64
-	emit      func(tuple.Tuple) error
+	// emit takes the table's output rows (Node.emitCols, or a shard
+	// replica's emit). out is the batch emitSlot fills and drain hands to it,
+	// empty whenever processBatch or flush returns; outRow SELECT's scratch.
+	emit   func(cols []*tuple.Column) error
+	out    []*tuple.Column
+	outRow tuple.Tuple
 
 	// Profiling (nil when off). nestedNS sums the window flushes that
 	// clocked themselves, so the walk around them is charged the remainder.
@@ -64,8 +69,8 @@ type ptable struct {
 	vec *ptableVec
 }
 
-func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(tuple.Tuple) error) ptable {
-	return ptable{
+func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
+	t := ptable{
 		name:   name,
 		slots:  make([]partialGroup, slots),
 		mask:   mask,
@@ -73,7 +78,13 @@ func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64,
 		plan:   plan,
 		gbVals: make([]value.Value, len(plan.GroupBy)),
 		emit:   emit,
+		out:    make([]*tuple.Column, len(plan.SelectExprs)),
+		outRow: make(tuple.Tuple, len(plan.SelectExprs)),
 	}
+	for i := range t.out {
+		t.out[i] = new(tuple.Column)
+	}
+	return t
 }
 
 // process folds one packet tuple into the table: the scalar reference
@@ -152,18 +163,35 @@ func (t *ptable) orderedChanged() bool {
 	return false
 }
 
-// emitSlot evaluates the SELECT list for one resident group and emits it.
+// emitSlot evaluates the SELECT list for one resident group into the
+// output batch, which leaves at the next drain.
 func (t *ptable) emitSlot(slot *partialGroup) error {
 	ctx := gsql.Ctx{GroupVals: slot.key.Values(), Aggs: slot.aggs}
-	row := make(tuple.Tuple, len(t.plan.SelectExprs))
 	for i, sel := range t.plan.SelectExprs {
 		v, err := sel(&ctx)
 		if err != nil {
 			return fmt.Errorf("partial-agg %q: SELECT %s: %w", t.name, t.plan.SelectNames[i], err)
 		}
-		row[i] = v
+		t.outRow[i] = v
 	}
-	return t.emit(row)
+	for i, c := range t.out {
+		c.AppendValue(t.outRow[i])
+	}
+	return nil
+}
+
+// drain hands the output batch to emit and empties it. It returns emit's
+// error, or failing that err: rows output before an error go out first.
+func (t *ptable) drain(err error) error {
+	if t.out[0].Len() > 0 {
+		if emitErr := t.emit(t.out); emitErr != nil {
+			err = emitErr
+		}
+		for _, c := range t.out {
+			c.Reset()
+		}
+	}
+	return err
 }
 
 // flush emits every resident group and clears the table.
@@ -172,11 +200,14 @@ func (t *ptable) flush() error {
 	for i := range t.slots {
 		if t.slots[i].used {
 			if err := t.emitSlot(&t.slots[i]); err != nil {
-				return err
+				return t.drain(err)
 			}
 			t.slots[i].used = false
 			t.residents--
 		}
+	}
+	if err := t.drain(nil); err != nil {
+		return err
 	}
 	t.winOpen = false
 	if np := t.prof; np != nil {
@@ -260,7 +291,7 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 		Node:   Node{name: name, plan: plan, schema: schema, low: true},
 		shards: plan.Shards,
 	}
-	n.table = newPtable(name, plan, size, uint64(size-1), 1, n.emit)
+	n.table = newPtable(name, plan, size, uint64(size-1), 1, n.emitCols)
 	if e.tel != nil {
 		e.instrumentNode(&n.Node)
 	}

@@ -166,8 +166,8 @@ type InstallOptions struct {
 	// OnRow, when non-nil, receives every output row synchronously on
 	// the pump goroutine. An error return fails this query only (see
 	// Engine.Failures); other queries and the session keep running.
-	// The row is OnRow's for the length of the call only (copy what is
-	// kept; see Node.Subscribe). OnRow is not persistable: a durable
+	// The row is lent: OnRow's for the length of the call only (copy what
+	// is kept; see Node.Subscribe). OnRow is not persistable: a durable
 	// session restores the query without it (see Engine.RestoreSession).
 	OnRow func(tuple.Tuple) error
 	// Quota is the query's per-tenant delivery budget and subscriber-lag

@@ -676,3 +676,66 @@ func TestHandOffDoesNotAllocatePerRow(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushHandOffDoesNotAllocatePerRow: a window's sample leaves an
+// aggregating node as columns too. The node below has every kind of reader
+// — a node subscriber, an OnRow callback and a Subscription — and what a
+// longer stream adds per emitted row is the Subscription's share of a slab
+// (1/256) and nothing else, where a tuple per emitted group made it more
+// than 1.
+func TestFlushHandOffDoesNotAllocatePerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const groups = 1000
+	run := func(windows int) (mallocs uint64, emitted int64) {
+		pkts := make([]trace.Packet, 0, windows*groups)
+		for w := 0; w < windows; w++ {
+			for g := 0; g < groups; g++ {
+				pkts = append(pkts, trace.Packet{Time: uint64(w)*uint64(time.Second) + uint64(g), SrcIP: uint32(g), Proto: 6, Len: 100})
+			}
+		}
+		e, _ := engine.New(1024)
+		var onRow int64
+		h, err := e.Install("agg", "SELECT tb, srcIP, sum(len) AS bytes, count(*) AS cnt FROM tap GROUP BY time/1 AS tb, srcIP",
+			engine.InstallOptions{Via: "SELECT time, srcIP, len FROM PKT", Block: true,
+				OnRow: func(row tuple.Tuple) error { onRow += row[3].AsInt(); return nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.AddHighLevel("down", h.Node(), mustPlan(t, "SELECT tb, srcIP FROM agg WHERE cnt > 1", h.Node().Schema())); err != nil {
+			t.Fatal(err)
+		}
+		sub := h.Subscribe()
+		received := make(chan int64)
+		go func() {
+			var n int64
+			for range sub.C() {
+				n++
+			}
+			received <- n
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.Start(context.Background(), sliceFeed(pkts)); err != nil {
+			t.Fatal(err)
+		}
+		emitted = <-received // the feed ends, the session with it, and the channel closes
+		runtime.ReadMemStats(&after)
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(windows * groups); emitted != want || onRow != want || h.Node().Stats().TuplesOut != want {
+			t.Fatalf("%d windows: subscription took %d rows, OnRow %d, the node emitted %d; want %d",
+				windows, emitted, onRow, h.Node().Stats().TuplesOut, want)
+		}
+		return after.Mallocs - before.Mallocs, emitted
+	}
+	short, shortRows := run(10)
+	long, longRows := run(110)
+	perRow := (float64(long) - float64(short)) / float64(longRows-shortRows)
+	t.Logf("%d allocations over %d emitted rows, %d over %d: %.4f per row more", short, shortRows, long, longRows, perRow)
+	if perRow > 0.05+1.0/256 {
+		t.Errorf("%.3f allocations per emitted row, want <= 0.05 beyond the slab's 1/256", perRow)
+	}
+}

@@ -101,25 +101,23 @@ type shardWorker struct {
 	sm *shardMetrics
 }
 
-// emit sends one partial row downstream: appended to the replica's batch
-// for each subscriber, plus the node's application callbacks (serialized
-// across shards — apps are user code and must not see concurrent calls).
-func (w *shardWorker) emit(row tuple.Tuple) error {
-	w.out++
+// emit is the replica's form of Node.emitCols: a run of partial rows is
+// appended to the replica's batch for each subscriber, then shown to the
+// node's application callbacks under one lock for the run (apps are user
+// code and must not see concurrent calls; the lock also guards the node's
+// scratch row).
+func (w *shardWorker) emit(cols []*tuple.Column) error {
+	w.out += int64(cols[0].Len())
 	for _, b := range w.outs {
-		b.AppendRow(row)
+		b.AppendCols(cols)
 	}
 	s := w.set
-	if len(s.node.apps) > 0 {
-		s.appMu.Lock()
-		defer s.appMu.Unlock()
-		for _, app := range s.node.apps {
-			if err := app(row); err != nil {
-				return err
-			}
-		}
+	if len(s.node.apps) == 0 {
+		return nil
 	}
-	return nil
+	s.appMu.Lock()
+	defer s.appMu.Unlock()
+	return s.node.callApps(cols)
 }
 
 // step runs fn — one fold or flush of the stripe — charging the replica,

@@ -10,19 +10,19 @@ import (
 // drops), the handoff of emitted rows into high-level input batches, and
 // the application boundary where a trace terminates as "emitted".
 //
-// Traced tuples are identified purely by FIFO position — the ring's
-// push/pop counters for source packets, per-node enqueue/dequeue counters
-// for high-level input batches — so no metadata rides on tuples and the
-// untraced hot path is unchanged apart from nil checks. A batch holding
-// traced rows is processed as columnar segments around them, each traced
-// row as a batch of one with its traces current, which the operator runs
-// through scalar Process (processLowBatch for packets, Node.processInput
-// for high-level rows). A traced row emitted to
-// several subscribers follows the FIRST subscriber only (one terminal
-// disposition per trace). RunParallel ignores tracing entirely: FIFO
-// positions are the serial loop's, and a tracer is one goroutine's to use,
-// so a parallel run detaches the tracer from its nodes and operators until
-// it returns.
+// Traced tuples are identified purely by position — the ring's push/pop
+// counters for source packets, the row's index in a high-level node's
+// input batch — so no metadata rides on tuples and the untraced hot path is
+// unchanged apart from nil checks. A batch holding traced rows is processed
+// as columnar segments around them, each traced row as a batch of one with
+// its traces current, which the operator runs through scalar Process
+// (processLowBatch for packets, Node.processInput for high-level rows) and
+// whose output row leaves as a batch of one too (Operator.output,
+// Node.emitCols). A traced row emitted to several subscribers follows the
+// FIRST subscriber only (one terminal disposition per trace). RunParallel
+// ignores tracing entirely: the positions are the serial loop's, and a
+// tracer is one goroutine's to use, so a parallel run detaches the tracer
+// from its nodes and operators until it returns.
 
 // SetTracer attaches tr to the engine and to every node registered so far
 // and afterwards. A nil tracer detaches. It errors once a run or session
@@ -82,30 +82,25 @@ func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet, matches []traci
 }
 
 // nodeTrace pairs the traces riding on one row of a node's input batch
-// with the row's position in the node's enqueue order.
+// with the row's position in it.
 type nodeTrace struct {
-	idx  uint64 // value of trEnq when the row was appended
+	idx  int
 	from string // emitting node, for the transfer span
 	tts  []*tracing.TupleTrace
 }
 
 // enqueueTrace records tts as riding on the row about to be appended to
-// n's input batch (the caller increments trEnq after).
+// n's input batch.
 func (n *Node) enqueueTrace(from string, tts []*tracing.TupleTrace) {
 	for _, tt := range tts {
 		tt.TransferEnqueued()
 	}
-	n.trPend = append(n.trPend, nodeTrace{idx: n.trEnq, from: from, tts: tts})
+	n.trPend = append(n.trPend, nodeTrace{idx: n.inBatch.Len(), from: from, tts: tts})
 }
 
-// takeRowTraces returns the traces riding on the next dequeued row (nil
-// for an untraced row), recording each one's transfer span.
+// takeRowTraces returns the traces riding on the first traced row still
+// pending, recording each one's transfer span.
 func (n *Node) takeRowTraces() []*tracing.TupleTrace {
-	idx := n.trDeq
-	n.trDeq++
-	if len(n.trPend) == 0 || n.trPend[0].idx != idx {
-		return nil
-	}
 	m := n.trPend[0]
 	n.trPend = n.trPend[1:]
 	for _, tt := range m.tts {

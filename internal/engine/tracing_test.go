@@ -127,6 +127,49 @@ func TestTracingFullPipeline(t *testing.T) {
 	}
 }
 
+// An estimating plan emits a window's rows a pass after HAVING admitted
+// their groups (the estimator columns need every group's verdict first), so
+// a group's traces must be staged when its row is emitted, not when HAVING
+// passed: staged early, the first deferred row claimed the last group's
+// traces and every other group's stayed open until stream_end.
+func TestTracingEstimatePlanEmitsEveryTrace(t *testing.T) {
+	e, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.AddLowLevel("est", mustPlan(t,
+		"SELECT tb, srcIP, ESTIMATE sum(len) WITH ERROR AS vol FROM PKT GROUP BY time/1 AS tb, srcIP", trace.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracing.New(tracing.Config{Every: 1, Seed: 3, MaxSpans: 1 << 16})
+	if err := e.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	var rows int
+	n.Subscribe(func(tuple.Tuple) error { rows++; return nil })
+	const windows, groups, perGroup = 3, 5, 2
+	var pkts []trace.Packet
+	for w := 0; w < windows; w++ {
+		for i := 0; i < groups*perGroup; i++ {
+			pkts = append(pkts, trace.Packet{Time: uint64(w)*uint64(time.Second) + uint64(i), SrcIP: uint32(i % groups), Proto: 6, Len: 100})
+		}
+	}
+	if err := e.Run(sliceFeed(pkts)); err != nil {
+		t.Fatal(err)
+	}
+	if rows != windows*groups {
+		t.Fatalf("%d rows emitted, want %d", rows, windows*groups)
+	}
+	sum := tr.Summary()
+	if sum.Started != int64(len(pkts)) || sum.Finished != sum.Started {
+		t.Fatalf("%d traces started, %d finished, over %d packets", sum.Started, sum.Finished, len(pkts))
+	}
+	if got := sum.Dispositions["emitted"]; got != sum.Started || len(sum.Dispositions) != 1 {
+		t.Errorf("dispositions %v, want all %d traces emitted", sum.Dispositions, sum.Started)
+	}
+}
+
 // TestTracingSampledSchedule checks that the 1-in-N mode traces roughly
 // packets/N tuples and the overall span volume stays proportional.
 func TestTracingSampledSchedule(t *testing.T) {

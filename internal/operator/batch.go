@@ -373,12 +373,12 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 // rows. A kernel error before anything has mutated — WHERE's, the call's
 // arguments', SELECT's under a stateless WHERE — re-runs the batch through
 // the scalar path; a SELECT error after the semi-stateful calls were made
-// is settled by selectRows. The selected rows go to the column sink when
-// one is set and are built one by one for emit otherwise. An error from
-// the consumer aborts the batch with every row of it already counted in
-// Stats. The profile's stages follow the same order: WHERE's kernel, the
-// semi-stateful calls as the walk, SELECT's kernels as the argument
-// kernels, the hand-off to the consumer as transfer.
+// is settled by selectRows. The selected rows go to the sink as the columns
+// the kernels left them in, past the output batch (which is empty here).
+// An error from the consumer aborts the batch with every row of it already
+// counted in Stats. The profile's stages follow the same order: WHERE's
+// kernel, the semi-stateful calls as the walk, SELECT's kernels as the
+// argument kernels, the hand-off to the consumer as transfer.
 func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 	vp, env, n := v.vp, v.env, b.Len()
 	np, rows := o.prof, int64(n)
@@ -438,14 +438,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
 	}
 	pt = np.Charge(profile.StageKernelArgs, pt, int64(out), int64(out))
 
-	var err error
-	if o.colSink != nil {
-		err = o.colSink(v.selCols)
-	} else {
-		for i := 0; i < out && err == nil; i++ {
-			err = o.emit(tuple.RowOf(nil, v.selCols, i))
-		}
-	}
+	err := o.send(v.selCols)
 	np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
 	if err != nil {
 		return err
@@ -468,13 +461,13 @@ func (o *Operator) selectRows(b *tuple.Batch, sel []int32, in int, whereErr erro
 		o.vec.rowT = b.Row(int(i), o.vec.rowT)
 		o.ctx = gsql.Ctx{Tuple: o.vec.rowT, States: o.selStates}
 		o.stats.TuplesAccepted++
-		if err := o.output(&o.ctx); err != nil {
+		if err := o.output(&o.ctx, nil); err != nil {
 			o.stats.TuplesIn += int64(i) + 1
-			return err
+			return o.drain(err)
 		}
 	}
 	o.stats.TuplesIn += int64(in)
-	return whereErr
+	return o.drain(whereErr)
 }
 
 // processBatchRows feeds the batch through the row-at-a-time path: plans

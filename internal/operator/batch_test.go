@@ -34,7 +34,7 @@ func newEquivOp(t *testing.T, src string, schema *tuple.Schema, seed uint64) (*o
 	}
 	out := &[]tuple.Tuple{}
 	op, err := operator.New(plan, func(row tuple.Tuple) error {
-		*out = append(*out, row)
+		*out = append(*out, row.Clone())
 		return nil
 	})
 	if err != nil {

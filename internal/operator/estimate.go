@@ -171,7 +171,7 @@ func (o *Operator) finishEstimates() error {
 		o.ctx.Supers = p.sg.supers
 		o.ctx.GroupVals = p.g.vals
 		o.ctx.Aggs = p.g.aggs
-		if err := o.output(&o.ctx); err != nil {
+		if err := o.output(&o.ctx, p.g.traces); err != nil {
 			return err
 		}
 	}

@@ -32,13 +32,18 @@ import (
 	"streamop/internal/value"
 )
 
-// Emit receives one output row. Returning an error aborts processing.
+// Emit receives one output row. The row is lent: it is the callback's for
+// the length of the call and is overwritten for the next row, so a callback
+// copies (Tuple.Clone) what it keeps. Returning an error aborts processing.
 type Emit func(tuple.Tuple) error
 
-// ColumnSink receives what a selection plan's ProcessBatch selected from
-// one input batch, as columns: cols[i] is SELECT item i over the rows that
-// passed WHERE, in input order (at least one row). The columns are the
-// operator's scratch or the input batch's own, valid during the call only.
+// ColumnSink receives the operator's output rows as columns: cols[i] is
+// SELECT item i over one run of consecutive output rows (at least one, at
+// most what an input batch selected or tuple.DefaultBatchRows of a window's
+// sample). The columns are lent like an Emit's row: they are the operator's
+// output batch, its kernel scratch or the input batch's own, valid during
+// the call only. Returning an error aborts processing with every row of the
+// run already counted in Stats.
 type ColumnSink func(cols []*tuple.Column) error
 
 // Stats counts operator activity, exposed for experiments and tuning.
@@ -76,10 +81,13 @@ type supergroup struct {
 // Operator is a running instance of a compiled sampling query.
 type Operator struct {
 	plan *gsql.Plan
-	emit Emit
-	// colSink, when set, takes a selection plan's vectorized output in
-	// place of emit (see SetColumnSink).
-	colSink ColumnSink
+	// sink takes every output row (nil discards them). out is the batch
+	// output fills and drain hands to the sink — empty whenever Process,
+	// ProcessBatch or Flush returns, so it is no part of a snapshot — and
+	// outRow the scratch a row's SELECT list evaluates into.
+	sink   ColumnSink
+	out    []*tuple.Column
+	outRow tuple.Tuple
 
 	// Group table (open addressing; see grouptable.go) and the arena of
 	// recycled group structs it allocates from.
@@ -143,21 +151,37 @@ type Operator struct {
 	accuracy   accuracyPublisher
 }
 
-// New creates an operator for plan, sending output rows to emit.
+// New creates an operator for plan, sending output rows to emit one by one
+// (see Emit for who owns them). A nil emit discards them until
+// SetColumnSink names a consumer.
 func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("operator: nil plan")
 	}
-	if emit == nil {
-		emit = func(tuple.Tuple) error { return nil }
-	}
 	o := &Operator{
 		plan:    plan,
-		emit:    emit,
+		out:     make([]*tuple.Column, len(plan.SelectExprs)),
+		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
 		sgNew:   make(map[uint64][]*supergroup),
 		sgOld:   make(map[uint64][]*supergroup),
 		gbVals:  make([]value.Value, len(plan.GroupBy)),
 		argVals: make([]value.Value, len(plan.Supers)),
+	}
+	for i := range o.out {
+		o.out[i] = new(tuple.Column)
+	}
+	if emit != nil {
+		// The row form of the sink: one scratch row, rebuilt for each call.
+		var row tuple.Tuple
+		o.sink = func(cols []*tuple.Column) error {
+			for i, n := 0, cols[0].Len(); i < n; i++ {
+				row = tuple.RowOf(row, cols, i)
+				if err := emit(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
 	if plan.IsSelection {
 		o.selStates = make([]any, len(plan.States))
@@ -171,11 +195,11 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 	return o, nil
 }
 
-// SetColumnSink routes a selection plan's vectorized ProcessBatch output
-// to sink as columns, so that no row is built for a consumer that is
-// itself columnar. Rows that take the scalar path (Process, a batch the
-// kernels deferred) go to emit either way, in the same order.
-func (o *Operator) SetColumnSink(sink ColumnSink) { o.colSink = sink }
+// SetColumnSink makes sink the operator's one consumer, in place of New's
+// emit: every output row — a selection's, a window's sample, whichever
+// path evaluated it — reaches it as columns, in order, and no row is built
+// for a consumer that is itself columnar. A nil sink discards the output.
+func (o *Operator) SetColumnSink(sink ColumnSink) { o.sink = sink }
 
 // Stats returns a snapshot of the activity counters.
 func (o *Operator) Stats() Stats { return o.stats }
@@ -214,13 +238,7 @@ func (o *Operator) processSelection(t tuple.Tuple) error {
 		}
 	}
 	o.stats.TuplesAccepted++
-	if tts != nil {
-		for _, tt := range tts {
-			tt.Emit(o.trName, o.windowIdx)
-		}
-		o.tr.SetEmitting(tts)
-	}
-	return o.output(&o.ctx)
+	return o.drain(o.output(&o.ctx, tts))
 }
 
 func (o *Operator) processSampling(t tuple.Tuple) error {
@@ -584,8 +602,9 @@ func (o *Operator) evictGroup(sg *supergroup, g *group) {
 }
 
 // flushWindow closes the open window: signals WindowFinal to all states,
-// applies HAVING to every group (in supergroup, then group, insertion
-// order) and emits the sample, then rotates the supergroup tables.
+// outputs the sample, then rotates the supergroup tables. The sample's rows
+// — those evaluated before an error too — are with the sink before it
+// returns.
 func (o *Operator) flushWindow() error {
 	np := o.prof
 	ft, outBefore := np.Start(), o.stats.TuplesOut
@@ -600,49 +619,8 @@ func (o *Operator) flushWindow() error {
 			}
 		}
 	}
-	for _, sg := range o.sgList {
-		o.ctx.States = sg.states
-		o.ctx.Supers = sg.supers
-		for _, g := range sg.groups {
-			o.ctx.GroupVals = g.vals
-			o.ctx.Aggs = g.aggs
-			traced := o.tr != nil && len(g.traces) > 0
-			if traced {
-				o.ctx.Trace = o.sfunHook(g.traces)
-			}
-			havingPass := true
-			if o.plan.Having != nil {
-				v, err := o.plan.Having(&o.ctx)
-				if err != nil {
-					return fmt.Errorf("operator: HAVING: %w", err)
-				}
-				havingPass = v.Truth()
-			}
-			if traced {
-				o.traceHavingEmit(g, havingPass, o.plan.Having != nil)
-				o.ctx.Trace = nil
-			}
-			if !havingPass {
-				continue
-			}
-			if len(o.plan.Estimates) > 0 {
-				// Deferred emission: the estimator columns need every
-				// supergroup's post-HAVING sampling state, so the group is
-				// buffered and emitted by finishEstimates below.
-				if err := o.estBuffer(sg, g); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := o.output(&o.ctx); err != nil {
-				return err
-			}
-		}
-	}
-	if len(o.plan.Estimates) > 0 {
-		if err := o.finishEstimates(); err != nil {
-			return err
-		}
+	if err := o.drain(o.sample()); err != nil {
+		return err
 	}
 	if o.om != nil {
 		o.recordWindow(o.winBase)
@@ -689,18 +667,114 @@ func (o *Operator) flushWindow() error {
 	return nil
 }
 
-// output evaluates the SELECT list and emits one row.
-func (o *Operator) output(ctx *gsql.Ctx) error {
-	row := make(tuple.Tuple, len(o.plan.SelectExprs))
+// sample applies HAVING to every group of the closing window (in
+// supergroup, then group, insertion order) and outputs the ones that pass.
+func (o *Operator) sample() error {
+	for _, sg := range o.sgList {
+		o.ctx.States = sg.states
+		o.ctx.Supers = sg.supers
+		for _, g := range sg.groups {
+			o.ctx.GroupVals = g.vals
+			o.ctx.Aggs = g.aggs
+			traced := o.tr != nil && len(g.traces) > 0
+			if traced {
+				o.ctx.Trace = o.sfunHook(g.traces)
+			}
+			havingPass := true
+			if o.plan.Having != nil {
+				v, err := o.plan.Having(&o.ctx)
+				if err != nil {
+					return fmt.Errorf("operator: HAVING: %w", err)
+				}
+				havingPass = v.Truth()
+			}
+			if traced {
+				if o.plan.Having != nil {
+					for _, tt := range g.traces {
+						tt.Having(o.trName, havingPass) // terminal when false
+					}
+				}
+				o.ctx.Trace = nil
+			}
+			if !havingPass {
+				continue
+			}
+			if len(o.plan.Estimates) > 0 {
+				// Deferred emission: the estimator columns need every
+				// supergroup's post-HAVING sampling state, so the group is
+				// buffered and output by finishEstimates below.
+				if err := o.estBuffer(sg, g); err != nil {
+					return err
+				}
+				continue
+			}
+			if err := o.output(&o.ctx, g.traces); err != nil {
+				return err
+			}
+		}
+	}
+	if len(o.plan.Estimates) > 0 {
+		return o.finishEstimates()
+	}
+	return nil
+}
+
+// output evaluates the SELECT list into the output batch: no tuple is
+// built, and the row leaves with the batch, when that holds
+// tuple.DefaultBatchRows rows or at the next drain. A row that carries
+// traces leaves as a batch of one, its emit span recorded and the traces
+// staged for the sink to claim (Tracer.TakeEmitting) — here, where the row
+// is emitted, not where its group passed HAVING: an estimating plan does
+// that a whole pass earlier.
+func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 	for i, sel := range o.plan.SelectExprs {
 		v, err := sel(ctx)
 		if err != nil {
 			return fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[i], err)
 		}
-		row[i] = v
+		o.outRow[i] = v
+	}
+	traced := o.tr != nil && len(tts) > 0
+	if traced {
+		if err := o.drain(nil); err != nil {
+			return err
+		}
+		for _, tt := range tts {
+			tt.Emit(o.trName, o.windowIdx)
+		}
+		o.tr.SetEmitting(tts)
+	}
+	for i, c := range o.out {
+		c.AppendValue(o.outRow[i])
 	}
 	o.stats.TuplesOut++
-	return o.emit(row)
+	if traced || o.out[0].Len() == tuple.DefaultBatchRows {
+		return o.drain(nil)
+	}
+	return nil
+}
+
+// send hands one run of output rows to the sink.
+func (o *Operator) send(cols []*tuple.Column) error {
+	if o.sink == nil {
+		return nil
+	}
+	return o.sink(cols)
+}
+
+// drain hands the rows in the output batch to the sink and empties it. It
+// returns the sink's error, or failing that err: what was output before an
+// error goes out before the error is returned.
+func (o *Operator) drain(err error) error {
+	if o.out[0].Len() > 0 {
+		if sinkErr := o.send(o.out); sinkErr != nil {
+			err = sinkErr
+		}
+		for _, c := range o.out {
+			c.Reset()
+		}
+	}
+	return err
 }
 
 // Flush closes the current window at end of stream, emitting its sample.

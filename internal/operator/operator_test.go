@@ -31,7 +31,7 @@ func run(t *testing.T, src string, packets []trace.Packet) []tuple.Tuple {
 	}
 	var out []tuple.Tuple
 	op, err := operator.New(plan, func(row tuple.Tuple) error {
-		out = append(out, row)
+		out = append(out, row.Clone())
 		return nil
 	})
 	if err != nil {
@@ -346,7 +346,7 @@ CLEANING BY rsclean_with(uts) = TRUE`)
 			t.Fatal(err)
 		}
 		var rows []tuple.Tuple
-		op, _ := operator.New(plan, func(r tuple.Tuple) error { rows = append(rows, r); return nil })
+		op, _ := operator.New(plan, func(r tuple.Tuple) error { rows = append(rows, r.Clone()); return nil })
 		buf := make(tuple.Tuple, trace.NumFields)
 		for i := 0; i < streamLen; i++ {
 			p := trace.Packet{Time: uint64(i) * 1e8, Len: 100}
@@ -546,7 +546,7 @@ GROUP BY time/60 as tb, srcIP`)
 		t.Fatal(err)
 	}
 	var rows []tuple.Tuple
-	op, _ := operator.New(plan, func(r tuple.Tuple) error { rows = append(rows, r); return nil })
+	op, _ := operator.New(plan, func(r tuple.Tuple) error { rows = append(rows, r.Clone()); return nil })
 	r := xrand.New(31)
 	lens := map[uint32][]int{}
 	for i := 0; i < 60000; i++ {

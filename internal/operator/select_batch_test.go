@@ -37,10 +37,10 @@ var selectionQueries = []struct{ name, src string }{
 	{"select_stateful", `SELECT uts, bssample(len, 5000) FROM PKT WHERE len > 100`},
 }
 
-// sinkOp builds an operator whose selection output leaves through a
-// column sink; the sink rebuilds rows from the columns it is handed, so
-// that they compare with the scalar path's.
-func sinkOp(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry) (*operator.Operator, *[]tuple.Tuple) {
+// sinkOp builds an operator whose output leaves through a column sink (or,
+// sink false, through New's row callback); the sink rebuilds rows from the
+// columns it is handed, so that they compare with the row callback's.
+func sinkOp(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry, sink bool) (*operator.Operator, *[]tuple.Tuple) {
 	t.Helper()
 	q, err := gsql.Parse(src)
 	if err != nil {
@@ -52,11 +52,14 @@ func sinkOp(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry) 
 	}
 	out := &[]tuple.Tuple{}
 	op, err := operator.New(plan, func(row tuple.Tuple) error {
-		*out = append(*out, row)
+		*out = append(*out, row.Clone())
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sink {
+		return op, out
 	}
 	outSchema, err := plan.OutputSchema("out")
 	if err != nil {
@@ -96,7 +99,7 @@ func TestSelectBatchEquivalence(t *testing.T) {
 					var op *operator.Operator
 					var out *[]tuple.Tuple
 					if sink {
-						op, out = sinkOp(t, q.src, trace.Schema(), sfunlib.Default(9))
+						op, out = sinkOp(t, q.src, trace.Schema(), sfunlib.Default(9), true)
 					} else {
 						op, out = newEquivOp(t, q.src, trace.Schema(), 9)
 					}
@@ -180,8 +183,7 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 	pkts[333].Len = 100 // the poison row
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			refOp, refOut := sinkOp(t, c.src, trace.Schema(), reg())
-			refOp.SetColumnSink(nil)
+			refOp, refOut := sinkOp(t, c.src, trace.Schema(), reg(), false)
 			var refErr error
 			buf := make(tuple.Tuple, trace.NumFields)
 			for _, p := range pkts {
@@ -196,10 +198,7 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 			for _, size := range []int{1, 17, 128, 512} {
 				for _, sink := range []bool{false, true} {
 					label := fmt.Sprintf("size %d sink %v", size, sink)
-					op, out := sinkOp(t, c.src, trace.Schema(), reg())
-					if !sink {
-						op.SetColumnSink(nil)
-					}
+					op, out := sinkOp(t, c.src, trace.Schema(), reg(), sink)
 					b := tuple.NewBatch(trace.Schema(), size)
 					var gotErr error
 					for off := 0; off < len(pkts) && gotErr == nil; off += size {
@@ -281,18 +280,14 @@ func TestSelectBatchMixedKindsQuick(t *testing.T) {
 				value.NewString(tags[r.Intn(len(tags))]),
 			}
 		}
-		refOp, refOut := sinkOp(t, src, schema, sfunlib.Default(3))
-		refOp.SetColumnSink(nil)
+		refOp, refOut := sinkOp(t, src, schema, sfunlib.Default(3), false)
 		var refErr error
 		for _, row := range rows {
 			if refErr = refOp.Process(row); refErr != nil {
 				break
 			}
 		}
-		op, out := sinkOp(t, src, schema, sfunlib.Default(3))
-		if r.Intn(2) == 0 {
-			op.SetColumnSink(nil)
-		}
+		op, out := sinkOp(t, src, schema, sfunlib.Default(3), r.Intn(2) == 0)
 		b := tuple.NewBatch(schema, 0)
 		var gotErr error
 		for off := 0; off < len(rows) && gotErr == nil; {

@@ -77,22 +77,3 @@ func (o *Operator) traceEviction(sg *supergroup, g *group) {
 		tt.Evicted(o.trName, k, th, key)
 	}
 }
-
-// traceHavingEmit handles the window-close outcome for a traced group:
-// records the HAVING verdict (terminal when false) and, for survivors,
-// the emit span, staging the traces for the engine's emit hook to route
-// the transfer.
-func (o *Operator) traceHavingEmit(g *group, havingPass, hasHaving bool) {
-	if hasHaving {
-		for _, tt := range g.traces {
-			tt.Having(o.trName, havingPass)
-		}
-		if !havingPass {
-			return
-		}
-	}
-	for _, tt := range g.traces {
-		tt.Emit(o.trName, o.windowIdx)
-	}
-	o.tr.SetEmitting(g.traces)
-}

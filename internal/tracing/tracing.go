@@ -262,8 +262,11 @@ func (t *Tracer) SetEmitting(tts []*TupleTrace) {
 	t.emitting = append([]*TupleTrace(nil), tts...)
 }
 
-// TakeEmitting claims the staged emitting traces.
+// TakeEmitting claims the staged emitting traces (none on a nil tracer).
 func (t *Tracer) TakeEmitting() []*TupleTrace {
+	if t == nil {
+		return nil
+	}
 	tts := t.emitting
 	t.emitting = nil
 	return tts

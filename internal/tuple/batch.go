@@ -356,7 +356,8 @@ func (b *Batch) Reset() {
 }
 
 // AppendRow appends one tuple (len(t) must equal the schema's field
-// count).
+// count). No production path builds a batch from rows any more; the tests
+// do, and TestAppendColsMatchesAppendRow holds AppendCols to it.
 func (b *Batch) AppendRow(t Tuple) {
 	for i := range b.cols {
 		b.cols[i].AppendValue(t[i])
@@ -415,9 +416,9 @@ func (b *Batch) Row(i int, dst Tuple) Tuple {
 	return dst
 }
 
-// RowOf returns the tuple whose fields are row i of cols — one row of a
-// kernel result, for a consumer that takes rows — built in dst's storage
-// when that is large enough (nil allocates a fresh tuple).
+// RowOf returns the tuple whose fields are row i of cols — one row of an
+// operator's output, for a consumer that takes rows — built in dst's
+// storage when that is large enough (nil allocates a fresh tuple).
 func RowOf(dst Tuple, cols []*Column, i int) Tuple {
 	if cap(dst) < len(cols) {
 		dst = make(Tuple, len(cols))
