@@ -310,7 +310,7 @@ func run(cfg config) error {
 		return fmt.Errorf("-restore needs -checkpoint DIR")
 	}
 	if cfg.Restore {
-		info, err := e.RestoreLatest()
+		info, err := e.Restore()
 		switch {
 		case errors.Is(err, checkpoint.ErrNoCheckpoint):
 			fmt.Fprintln(os.Stderr, "gsq: no valid snapshot found; starting fresh")

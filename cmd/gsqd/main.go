@@ -168,7 +168,7 @@ type server struct {
 	mux  *http.ServeMux
 	// restored describes what a durable restart recovered (nil on a
 	// fresh start or without -state-dir); surfaced in /healthz.
-	restored *engine.SessionRestoreInfo
+	restored *engine.RestoreInfo
 }
 
 func newServer(cfg config) (*server, error) {
@@ -200,7 +200,7 @@ func newServer(cfg config) (*server, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("state dir: %w", err)
 		}
-		info, err := e.RestoreSession()
+		info, err := e.Restore()
 		switch {
 		case err == nil:
 			sv.restored = info

@@ -41,7 +41,7 @@ func FuzzUnframe(f *testing.F) {
 // FuzzDecoder drives the payload codec's Decoder over arbitrary bytes with
 // an input-chosen sequence of reads. The decoder must never panic and never
 // allocate more than the input could describe — a corrupt snapshot must
-// surface as Err(), exactly what engine.RestoreLatest relies on.
+// surface as Err(), exactly what engine.Restore relies on.
 func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})

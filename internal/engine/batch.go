@@ -343,7 +343,7 @@ func (s *shardSet) routeBatch(pkts []trace.Packet, scratch tuple.Tuple) error {
 		slot := tuple.HashRow(v.gb, row) & s.mask
 		shard := int(slot % nw)
 		s.pend[shard] = append(s.pend[shard], pkts[row])
-		if len(s.pend[shard]) >= s.batchN {
+		if len(s.pend[shard]) >= shardBatch {
 			s.flushPend(shard)
 		}
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -14,33 +13,32 @@ import (
 	"streamop/internal/trace"
 )
 
-// Crash-safe checkpoint/restore.
+// Crash-safe checkpoint/restore: the schedule, the write and the resume.
 //
 // A checkpoint is one framed file (see internal/checkpoint) holding the
 // engine's complete resumable state at a tuple boundary: the source
-// position (packets taken from the feed, timestamp bounds), every
-// low- and high-level node's operator snapshot (group tables, supergroup
-// tables old and new, SFUN state blobs, RNG state), and the source gate's
-// admission-controller state. The payload opens with a fingerprint of the
-// query topology so a snapshot is never restored into a different set of
-// queries.
+// position (packets taken from the feed, timestamp bounds), every node's
+// operator snapshot (group tables, supergroup tables old and new, SFUN
+// state blobs, RNG state), the standing-query registry and the source
+// gate's admission-controller state. There is one payload, whoever ran the
+// engine, and one way back (encodeSnapshot and Restore, durable.go).
 //
-// Exactness. The serial loop snapshots only when the ring is empty and
-// every node has settled, so "packets taken from the feed" fully
-// determines what every operator has seen; the restored run fast-forwards
-// the feed by that count and continues bit-for-bit (fault injection and
-// admission draws replay identically because their RNG state rides along
-// — the wrapped feed is re-wrapped with the same seed, and skipping the
-// prefix replays the same draws). RunParallel reaches the same boundary
-// by quiescing: the producer stops pushing and waits until each worker's
-// consumed count matches its ring's push count, which also gives the
-// producer a happens-before edge over the workers' operator state.
+// Exactness. The serial loop — Run's and a session's — snapshots only when
+// the ring is empty and every node has settled, so "packets taken from the
+// feed" fully determines what every operator has seen; the restored run
+// fast-forwards the feed by that count and continues bit-for-bit (fault
+// injection and admission draws replay identically because their RNG state
+// rides along — the wrapped feed is re-wrapped with the same seed, and
+// skipping the prefix replays the same draws). RunParallel reaches the same
+// boundary by quiescing: the producer stops pushing and waits until each
+// low-level worker's consumed count matches its ring's push count and then,
+// parents first, until each high-level worker has taken every batch passed
+// over its edge, which also gives the producer a happens-before edge over
+// the workers' operator state.
 //
-// Restrictions. Partial-aggregation nodes have no state codec and refuse
-// checkpointing; RunParallel additionally requires unpaced mode (paced
-// mode sheds packets nondeterministically, so there is no exact resume to
-// preserve) and a topology without high-level nodes (their channel
-// buffers are in-flight state with no quiesce point).
+// Restrictions. Two: partial-aggregation nodes have no state codec yet and
+// refuse checkpointing, and paced RunParallel sheds packets
+// nondeterministically, so there is no exact resume to preserve.
 
 // ckptProbeInterval is how many packets the parallel producer routes
 // between checkpoint-due probes (each probe quiesces the workers, so it
@@ -70,10 +68,8 @@ type ckptState struct {
 	resumeSkip  int64
 	pendingGate *overload.PersistentState
 
-	// Session durability (durable.go): session selects the session
-	// payload encoding; regDirty forces a snapshot at the next pump
-	// boundary after the standing-query registry changed.
-	session  bool
+	// regDirty forces a snapshot at a session's next pump boundary after
+	// the standing-query registry changed.
 	regDirty bool
 
 	// Atomic mirrors for /debug/state (written by the run loop or the
@@ -89,7 +85,7 @@ type ckptMetrics struct {
 }
 
 // SetCheckpoint enables checkpointing for subsequent runs. Call before
-// Run/RunParallel (and before RestoreLatest when resuming); it errors
+// Run/RunParallel/Start (and before Restore when resuming); it errors
 // once a run or session is active.
 func (e *Engine) SetCheckpoint(cfg CheckpointConfig) error {
 	if err := e.setterGuard("SetCheckpoint"); err != nil {
@@ -132,70 +128,16 @@ func (e *Engine) checkpointRunnable(parallel bool, speedup float64) error {
 	if len(e.lowPartial) > 0 {
 		return fmt.Errorf("engine: checkpointing does not support partial-aggregation nodes (no state codec)")
 	}
-	if parallel {
-		if speedup > 0 {
-			return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
-		}
-		if len(e.high) > 0 {
-			return fmt.Errorf("engine: checkpointing under RunParallel does not support high-level nodes (in-flight channel state)")
-		}
+	if parallel && speedup > 0 {
+		return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
 	}
 	return nil
 }
 
-// topologyFingerprint hashes the query topology — each node's name,
-// compiled plan description, and output schema, level by level — so a
-// snapshot can refuse restoration into different queries.
-func (e *Engine) topologyFingerprint() uint64 {
-	h := fnv.New64a()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	for _, n := range e.low {
-		w("low", n.name, n.plan.Describe(), n.schema.Name())
-	}
-	for _, pn := range e.lowPartial {
-		w("low_partial", pn.name, pn.plan.Describe(), pn.schema.Name())
-	}
-	for _, n := range e.high {
-		w("high", n.name, n.plan.Describe(), n.schema.Name())
-	}
-	return h.Sum64()
-}
-
-// ckptNodes returns the nodes a snapshot covers, in the fixed payload
-// order (low first, then high; partial nodes are excluded by
-// checkpointRunnable).
+// ckptNodes returns the nodes a snapshot covers, low-level first (partial
+// nodes are excluded by checkpointRunnable).
 func (e *Engine) ckptNodes() []*Node {
 	return append(append(make([]*Node, 0, len(e.low)+len(e.high)), e.low...), e.high...)
-}
-
-// encodeCheckpoint serializes the engine's resumable state.
-func (e *Engine) encodeCheckpoint() ([]byte, error) {
-	enc := checkpoint.NewEncoder()
-	enc.U64(e.topologyFingerprint())
-	enc.U64(e.firstTS.Load())
-	enc.U64(e.lastTS.Load())
-	enc.I64(e.packets.Load())
-	enc.Bool(e.sawPacket.Load())
-	nodes := e.ckptNodes()
-	enc.Len(len(nodes))
-	for _, n := range nodes {
-		enc.String(n.name)
-		if err := encodeNodeState(enc, n); err != nil {
-			return nil, err
-		}
-	}
-	if g := e.srcGate; g != nil {
-		enc.Bool(true)
-		encodeGateState(enc, g.ctrl.ExportState())
-	} else {
-		enc.Bool(false)
-	}
-	return enc.Bytes(), nil
 }
 
 // maxWindows returns the most windows any healthy node's operator has
@@ -231,13 +173,7 @@ func (e *Engine) maybeCheckpoint() error {
 func (e *Engine) writeCheckpoint() error {
 	ck := e.ckpt
 	start := time.Now()
-	var payload []byte
-	var err error
-	if ck.session {
-		payload, err = e.encodeSessionCheckpoint()
-	} else {
-		payload, err = e.encodeCheckpoint()
-	}
+	payload, err := e.encodeSnapshot()
 	if err != nil {
 		ck.noteFailure(e.tel)
 		return err
@@ -277,100 +213,6 @@ func (ck *ckptState) noteFailure(tel *telemetry.Collector) {
 	}
 }
 
-// RestoredNode reports one node's state after RestoreLatest.
-type RestoredNode struct {
-	Name string
-	// TuplesOut is the number of rows the node had already delivered to
-	// its subscribers and applications when the snapshot was taken —
-	// callers re-emitting output (e.g. a CSV writer) splice at this count.
-	TuplesOut int64
-	Failed    bool
-	FailMsg   string
-}
-
-// RestoreInfo reports what RestoreLatest loaded.
-type RestoreInfo struct {
-	Path    string
-	Seq     uint64
-	Packets int64
-	Windows int64
-	Nodes   []RestoredNode
-}
-
-// RestoreLatest loads the newest valid snapshot from the configured
-// checkpoint directory into this engine's freshly built (and identical)
-// topology. Call after SetCheckpoint and after all nodes are added,
-// before Run/RunParallel; the subsequent run fast-forwards the feed past
-// the snapshot's packets and resumes exactly. Returns
-// checkpoint.ErrNoCheckpoint (possibly wrapped) when no valid snapshot
-// exists — callers treat that as a fresh start.
-func (e *Engine) RestoreLatest() (*RestoreInfo, error) {
-	ck := e.ckpt
-	if ck == nil {
-		return nil, fmt.Errorf("engine: call SetCheckpoint before RestoreLatest")
-	}
-	snap, err := checkpoint.Latest(ck.cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(snap.Payload)
-	if fp := d.U64(); d.Err() == nil && fp != e.topologyFingerprint() {
-		return nil, fmt.Errorf("engine: snapshot %s was taken from a different query topology", snap.Path)
-	}
-	e.firstTS.Store(d.U64())
-	e.lastTS.Store(d.U64())
-	e.packets.Store(d.I64())
-	e.sawPacket.Store(d.Bool())
-	nodes := e.ckptNodes()
-	if n := d.Len(); d.Err() == nil && n != len(nodes) {
-		return nil, fmt.Errorf("engine: snapshot has %d nodes, topology has %d", n, len(nodes))
-	}
-	info := &RestoreInfo{Path: snap.Path, Seq: snap.Seq, Packets: e.packets.Load()}
-	for _, n := range nodes {
-		name := d.String()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if name != n.name {
-			return nil, fmt.Errorf("engine: snapshot node %q does not match topology node %q", name, n.name)
-		}
-		if err := e.decodeNodeState(d, n); err != nil {
-			return nil, err
-		}
-		if w := n.op.Stats().Windows; !n.failed && w > info.Windows {
-			info.Windows = w
-		}
-		info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out, Failed: n.failed, FailMsg: n.failMsg})
-	}
-	if hasGate := d.Bool(); hasGate {
-		gs := decodeGateState(d)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		ck.pendingGate = &gs
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("engine: snapshot %s has %d bytes of trailing garbage", snap.Path, d.Remaining())
-	}
-	ck.seq = snap.Seq
-	ck.aSeq.Store(snap.Seq)
-	ck.lastWindows = info.Windows
-	ck.resumeSkip = e.packets.Load()
-	if m := ck.metrics(e.tel); m != nil {
-		m.restores.Add(1)
-		m.lastSeq.Set(float64(snap.Seq))
-	}
-	if e.tel.EventsEnabled() {
-		e.tel.Emit("restore", map[string]any{
-			"seq": snap.Seq, "packets": e.packets.Load(), "windows": info.Windows, "path": snap.Path,
-		})
-	}
-	return info, nil
-}
-
 // applyRestoredGate moves a restored admission-controller state into the
 // freshly created source gate. Run/RunParallel setup only.
 func (e *Engine) applyRestoredGate() {
@@ -401,13 +243,21 @@ func (e *Engine) resumeFastForward(feed trace.Feed) {
 	ck.resumeSkip = 0
 }
 
-// quiesceLow waits until every low-level worker has consumed everything
-// pushed to its ring. Parallel producer only, after flushing its batch
-// buffers; the consumed counters' release/acquire ordering makes the
-// workers' operator state safe to read afterwards.
-func (e *Engine) quiesceLow(rings []*ringbuf.Ring[trace.Packet]) {
+// quiesce waits until every RunParallel worker has consumed everything
+// handed to it: each low-level worker what was pushed to its ring, then
+// each high-level worker, parents first, every batch passed over its edge —
+// a worker hands its rows on before it counts a step, so once a parent has
+// caught up its readers' counts are final. Parallel producer only, after
+// flushing its batch buffers; the counters' release/acquire ordering makes
+// the workers' operator state safe to read afterwards.
+func (e *Engine) quiesce(rings []*ringbuf.Ring[trace.Packet]) {
 	for i, low := range e.low {
 		for low.consumed.Load() != rings[i].Pushed() {
+			runtime.Gosched()
+		}
+	}
+	for _, h := range e.high {
+		for h.in.taken.Load() != h.in.passed.Load() {
 			runtime.Gosched()
 		}
 	}

@@ -109,6 +109,35 @@ func buildSamplingEngine(t *testing.T) (*engine.Engine, map[string]*[]string) {
 	return e, rows
 }
 
+// buildTwoLevelEngine assembles a selection feeding an aggregate: the
+// smallest topology with an edge between two nodes, whose in-flight
+// batches a RunParallel snapshot must wait out.
+func buildTwoLevelEngine(t *testing.T) (*engine.Engine, map[string]*[]string) {
+	t.Helper()
+	e, err := engine.New(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := e.AddLowLevel("sel", mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := e.AddHighLevel("agg", sel, mustPlan(t, "SELECT tb, count(*), sum(len) FROM sel GROUP BY time/1 as tb", sel.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]*[]string)
+	for _, n := range []*engine.Node{sel, agg} {
+		sink := &[]string{}
+		rows[n.Stats().Name] = sink
+		n.Subscribe(func(row tuple.Tuple) error {
+			*sink = append(*sink, fmtRow(row))
+			return nil
+		})
+	}
+	return e, rows
+}
+
 func steadyFeed(t *testing.T) trace.Feed {
 	t.Helper()
 	feed, err := trace.NewSteady(trace.SteadyConfig{Seed: 11, Duration: 4, Rate: 10000})
@@ -174,7 +203,7 @@ func tuplesOutOf(t *testing.T, info *engine.RestoreInfo, name string) int64 {
 // from the newest snapshot, then the splice comparison per node. The
 // faults spec, when non-empty, wraps every run's feed identically to prove
 // the injector RNG replays across the resume.
-func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewest bool) {
+func runKillAndResume(t *testing.T, build func(*testing.T) (*engine.Engine, map[string]*[]string), parallel bool, faultSpec string, corruptNewest bool) {
 	dir := t.TempDir()
 
 	run := func(e *engine.Engine, feed trace.Feed) error {
@@ -192,13 +221,13 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 	}
 
 	// Uninterrupted reference.
-	eRef, refRows := buildSamplingEngine(t)
+	eRef, refRows := build(t)
 	if err := run(eRef, steadyFeed(t)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupted run: checkpoint every window, cancel mid-stream.
-	eA, rowsA := buildSamplingEngine(t)
+	eA, rowsA := build(t)
 	if err := eA.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +271,13 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 	}
 
 	// Resumed run on a freshly built, identical engine.
-	eB, rowsB := buildSamplingEngine(t)
+	eB, rowsB := build(t)
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreLatest()
+	info, err := eB.Restore()
 	if err != nil {
-		t.Fatalf("RestoreLatest: %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
 	if corruptNewest {
 		wantSeq, _ := checkpoint.SeqFromName(names[len(names)-2])
@@ -260,9 +289,8 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 		t.Fatal(err)
 	}
 
-	for _, qd := range samplingQueries {
-		spliceCompare(t, qd.name, *refRows[qd.name], *rowsA[qd.name], *rowsB[qd.name],
-			tuplesOutOf(t, info, qd.name))
+	for name, ref := range refRows {
+		spliceCompare(t, name, *ref, *rowsA[name], *rowsB[name], tuplesOutOf(t, info, name))
 	}
 }
 
@@ -270,29 +298,32 @@ func runKillAndResume(t *testing.T, parallel bool, faultSpec string, corruptNewe
 // family mid-stream, restore the snapshot into a fresh engine, and demand
 // the spliced output be byte-identical to an uninterrupted run.
 func TestKillAndResumeSerial(t *testing.T) {
-	runKillAndResume(t, false, "", false)
+	runKillAndResume(t, buildSamplingEngine, false, "", false)
 }
 
 // TestKillAndResumeSerialWithFaults repeats the property with drop and
 // burst injectors active: the fault RNG state replays over the skipped
 // prefix, so the resumed run sees the identical post-fault stream.
 func TestKillAndResumeSerialWithFaults(t *testing.T) {
-	runKillAndResume(t, false, "drop:0.05,burst:128@0.5", false)
+	runKillAndResume(t, buildSamplingEngine, false, "drop:0.05,burst:128@0.5", false)
 }
 
 // TestKillAndResumeParallel proves the same byte-identity when every node
 // runs on its own worker goroutine (unpaced RunParallel, quiesced
-// snapshots).
+// snapshots): over the sampling families side by side, and over a
+// two-level topology, where a snapshot also waits for the batches on the
+// edge between the nodes.
 func TestKillAndResumeParallel(t *testing.T) {
-	runKillAndResume(t, true, "", false)
+	runKillAndResume(t, buildSamplingEngine, true, "", false)
+	runKillAndResume(t, buildTwoLevelEngine, true, "", false)
 }
 
 // TestRestoreFallsBackPastCorruptSnapshot corrupts the newest snapshot
-// after the interrupted run: RestoreLatest must fall back to the previous
+// after the interrupted run: Restore must fall back to the previous
 // valid file and the resume must still splice byte-identically (just from
 // an earlier point).
 func TestRestoreFallsBackPastCorruptSnapshot(t *testing.T) {
-	runKillAndResume(t, false, "", true)
+	runKillAndResume(t, buildSamplingEngine, false, "", true)
 }
 
 func TestRestoreRejectsForeignTopology(t *testing.T) {
@@ -318,25 +349,24 @@ func TestRestoreRejectsForeignTopology(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eB.RestoreLatest(); err == nil || !strings.Contains(err.Error(), "topology") {
+	if _, err := eB.Restore(); err == nil || !strings.Contains(err.Error(), "topology") {
 		t.Fatalf("foreign topology accepted: %v", err)
 	}
 }
 
-func TestRestoreLatestNoSnapshot(t *testing.T) {
+func TestRestoreNoSnapshot(t *testing.T) {
 	e, _ := buildSamplingEngine(t)
 	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RestoreLatest(); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
+	if _, err := e.Restore(); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		t.Fatalf("want ErrNoCheckpoint, got %v", err)
 	}
 }
 
 func TestCheckpointModeRestrictions(t *testing.T) {
 	// Paced parallel mode sheds nondeterministically: refused.
-	e, rows := buildSamplingEngine(t)
-	_ = rows
+	e, _ := buildSamplingEngine(t)
 	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -344,35 +374,7 @@ func TestCheckpointModeRestrictions(t *testing.T) {
 		t.Fatalf("paced parallel checkpointing accepted: %v", err)
 	}
 
-	// High-level nodes under RunParallel hold in-flight channel state: refused.
-	e2, err := engine.New(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low := mustPlan(t, "SELECT time, srcIP, len, uts FROM PKT", trace.Schema())
-	lowNode, err := e2.AddLowLevel("sel", low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high := mustPlan(t, "SELECT tb, count(*) FROM sel GROUP BY time/1 as tb", lowNode.Schema())
-	if _, err := e2.AddHighLevel("agg", lowNode, high); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.RunParallel(steadyFeed(t), 0); err == nil || !strings.Contains(err.Error(), "high-level") {
-		t.Fatalf("parallel checkpointing with high nodes accepted: %v", err)
-	}
-	// The same topology checkpoints fine serially.
-	if err := e2.Run(steadyFeed(t)); err != nil {
-		t.Fatalf("serial checkpointed two-level run failed: %v", err)
-	}
-	if names, _ := checkpoint.List(t.TempDir()); len(names) != 0 {
-		t.Fatal("stray snapshots in a fresh dir")
-	}
-
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
+	if err := e.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
 		t.Fatal("empty checkpoint dir accepted")
 	}
 }
@@ -592,7 +594,7 @@ func TestFailedNodeSurvivesCheckpointRestore(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreLatest()
+	info, err := eB.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,47 +2,95 @@ package engine
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/overload"
 )
 
-// Durable sessions: the session-mode checkpoint payload and its restore.
+// The snapshot payload and its restore: one format, written by
+// encodeSnapshot for Run, RunParallel and a session alike, read by Restore.
 //
-// The one-shot payload (checkpoint.go) assumes a fixed topology: it opens
-// with a fingerprint and requires the restoring engine to have rebuilt
-// the identical node tree by hand. A session's topology is the thing that
-// must survive the crash — nobody is around to re-Install the standing
-// queries — so the session payload carries the registry itself: every
-// shared tap's Via text and seed, every query's GSQL text and
-// InstallOptions (minus OnRow, which is code, not state), in install
-// order, each followed by its node's operator snapshot from the PR 5
-// codec stack, plus the per-query tenant-gate state and the source
-// gate's admission state. RestoreSession replays that registry through
-// the normal install path into an empty engine, restores each node's
-// state, and primes the same fast-forward resume the one-shot path uses:
-// the next StartWith skips the snapshot's packets on the (fault-wrapped,
-// deterministic) feed and continues bit-identically.
+// What must cross a restart is the same whoever ran the engine: the stream
+// clock, every node's counters and operator snapshot (group and supergroup
+// tables old and new, SFUN state, RNG state), the tenant gates and the
+// source gate. What differs is who can rebuild the topology. Nodes added
+// with AddLowLevel/AddHighLevel are code: the caller rebuilds them by hand
+// before Restore, and the payload carries a fingerprint of them (names,
+// plans, schemas, in order) so their state is never restored into
+// different queries. Standing queries are data — after a crash nobody is
+// around to re-Install them — so the payload carries the registry itself:
+// every shared tap's Via text and seed, every query's GSQL text and
+// InstallOptions (minus OnRow, which is code, not state), in install order.
+// Restore replays the registry through the normal install path, which is
+// why it wants the registry empty: a caller who Installs on an idle engine
+// and then Runs must not re-install before restoring. Either part may be
+// empty — gsq's snapshots have no registry, gsqd's no hand-built nodes —
+// and an engine with both keeps both.
 //
-// The two payload kinds cannot cross-restore: the session payload opens
-// with sessionMagic, which a one-shot RestoreLatest reads as a topology
-// fingerprint and rejects, and RestoreSession rejects anything not
-// opening with the magic.
+// Layout: magic, version; stream clock and install counters; hand-built
+// fingerprint, then each hand-built node's name and node state; taps in
+// name order (name, Via, seed, node state); queries in install order
+// (install options, delivery counters, tenant-gate state, node state); the
+// source gate's admission state.
 
-// sessionMagic opens every session-mode payload ("SESSOP01" as ASCII).
-const sessionMagic uint64 = 0x53455353_4F503031
+// snapshotMagic opens every payload ("SESSOP01" as ASCII — the value
+// session snapshots have always opened with, so an older session file is
+// refused by its version instead of being misread).
+const snapshotMagic uint64 = 0x53455353_4F503031
 
-// sessionVersion is the session payload format version; bump on any
-// layout change so an old daemon never misreads a new snapshot.
-const sessionVersion uint32 = 1
+// snapshotVersion is the payload format version; bump on any layout change
+// so no build misreads another's snapshot. v1 was the session-only payload;
+// the one-shot payload of that time had no magic and fails the magic test.
+const snapshotVersion uint32 = 2
 
-// encodeSessionCheckpoint serializes the standing-query registry and all
-// resumable state. Pump goroutine, at a drained-ring boundary.
-func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
+// handBuilt returns the nodes no tap or standing query owns, in topology
+// order (low-level first), and a fingerprint of them — name, compiled plan
+// and output schema of each — that a snapshot carries to refuse restoration
+// into different queries. Partial-aggregation nodes are fingerprinted but
+// not returned: they have no state codec (see checkpointRunnable).
+func (e *Engine) handBuilt() ([]*Node, uint64) {
+	owned := make(map[*Node]bool, len(e.taps)+len(e.handles))
+	for _, t := range e.taps {
+		owned[t.node] = true
+	}
+	for _, h := range e.handles {
+		owned[h.node] = true
+	}
+	fp := fnv.New64a()
+	var nodes []*Node
+	add := func(level string, n *Node, codec bool) {
+		if owned[n] {
+			return
+		}
+		for _, part := range []string{level, n.name, n.plan.Describe(), n.schema.Name()} {
+			fp.Write([]byte(part))
+			fp.Write([]byte{0})
+		}
+		if codec {
+			nodes = append(nodes, n)
+		}
+	}
+	for _, n := range e.low {
+		add("low", n, true)
+	}
+	for _, pn := range e.lowPartial {
+		add("low_partial", &pn.Node, false)
+	}
+	for _, n := range e.high {
+		add("high", n, true)
+	}
+	return nodes, fp.Sum64()
+}
+
+// encodeSnapshot serializes the engine's resumable state. The goroutine
+// that owns the stream (serial loop, session pump, parallel producer) only,
+// at a boundary where every ring and edge is drained and every node settled.
+func (e *Engine) encodeSnapshot() ([]byte, error) {
 	enc := checkpoint.NewEncoder()
-	enc.U64(sessionMagic)
-	enc.U32(sessionVersion)
+	enc.U64(snapshotMagic)
+	enc.U32(snapshotVersion)
 	enc.U64(e.firstTS.Load())
 	enc.U64(e.lastTS.Load())
 	enc.I64(e.packets.Load())
@@ -50,6 +98,16 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	enc.I64(e.installs.Load())
 	enc.I64(e.uninstalls.Load())
 	enc.U64(e.nextSeq)
+
+	hand, fp := e.handBuilt()
+	enc.U64(fp)
+	enc.Len(len(hand))
+	for _, n := range hand {
+		enc.String(n.name)
+		if err := encodeNodeState(enc, n); err != nil {
+			return nil, err
+		}
+	}
 
 	taps := make([]*tap, 0, len(e.taps))
 	for _, t := range e.taps {
@@ -119,10 +177,9 @@ func (e *Engine) encodeSessionCheckpoint() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-// encodeNodeState appends one node's counters and operator snapshot, the
-// node-state codec of both payload kinds. A panicked operator's state is
-// untrusted: its contained failure is persisted instead (the previous
-// snapshot holds the last-good state).
+// encodeNodeState appends one node's counters and operator snapshot. A
+// panicked operator's state is untrusted: its contained failure is
+// persisted instead (the previous snapshot holds the last-good state).
 func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 	enc.I64(n.tuplesIn)
 	enc.I64(n.out)
@@ -141,88 +198,106 @@ func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 }
 
 // decodeNodeState restores what encodeNodeState wrote into a freshly
-// built node, re-recording a persisted failure.
-func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node) error {
+// built node, re-recording a persisted failure, and lists the node in info.
+func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node, info *RestoreInfo) error {
 	n.tuplesIn = d.I64()
 	n.out = d.I64()
-	failed := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if failed {
-		n.failed = true
-		n.failMsg = d.String()
-		n.failStack = d.String()
-		if d.Err() != nil {
-			return d.Err()
+	if n.failed = d.Bool(); n.failed {
+		n.failMsg, n.failStack = d.String(), d.String()
+		if d.Err() == nil {
+			e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
 		}
-		e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
-		return nil
+	} else if blob := d.Blob(); d.Err() == nil {
+		if err := n.op.Restore(checkpoint.NewDecoder(blob)); err != nil {
+			return fmt.Errorf("engine: node %q: %w", n.name, err)
+		}
 	}
-	blob := d.Blob()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if err := n.op.Restore(checkpoint.NewDecoder(blob)); err != nil {
-		return fmt.Errorf("engine: node %q: %w", n.name, err)
-	}
-	return nil
+	info.Nodes = append(info.Nodes, RestoredNode{Name: n.name, TuplesOut: n.out, Failed: n.failed, FailMsg: n.failMsg})
+	return d.Err()
 }
 
-// SessionRestoreInfo reports what RestoreSession loaded.
-type SessionRestoreInfo struct {
+// RestoredNode reports one node's state after Restore.
+type RestoredNode struct {
+	Name string
+	// TuplesOut is the number of rows the node had already delivered to
+	// its subscribers and applications when the snapshot was taken —
+	// callers re-emitting output (e.g. a CSV writer) splice at this count.
+	TuplesOut int64
+	Failed    bool
+	FailMsg   string
+}
+
+// RestoreInfo reports what Restore loaded.
+type RestoreInfo struct {
 	Path    string
 	Seq     uint64
 	Packets int64
-	Queries []string // restored standing queries, install order
-	Taps    []string // restored shared taps, name order
-	Failed  []string // nodes carried forward in the contained-failure state
+	Windows int64 // most windows any healthy restored node had closed
+	// Nodes lists every restored node: the hand-built ones in topology
+	// order, then the taps, then the standing queries.
+	Nodes   []RestoredNode
+	Queries []string // re-installed standing queries, install order
+	Taps    []string // recreated shared taps, name order
 }
 
-// RestoreSession loads the newest valid session snapshot from the
-// configured checkpoint directory into this (empty, idle) engine: it
-// recreates every shared tap and re-installs every standing query from
-// the persisted registry, restores all operator, tenant-gate and
-// admission state, and primes the next StartWith to fast-forward the feed
-// past the snapshot's packets and resume bit-identically. OnRow callbacks
-// are code, not state — reattach behavior by installing fresh queries or
-// subscribing to the restored handles. Returns checkpoint.ErrNoCheckpoint
-// (possibly wrapped) when no valid snapshot exists — callers treat that
-// as a fresh start.
-func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
+// Restore loads the newest valid snapshot from the configured checkpoint
+// directory. Call it after SetCheckpoint on an idle engine whose
+// standing-query registry is empty and whose hand-built nodes (AddLowLevel,
+// AddHighLevel) are the ones the snapshot was taken with, rebuilt in the
+// same order — none, for a snapshot that has none: it restores those
+// nodes' state, recreates every shared tap and re-installs every standing
+// query from the persisted registry with its operator, tenant-gate and
+// counter state, and primes the next Run, RunParallel or Start to
+// fast-forward the feed past the snapshot's packets and resume
+// bit-identically. OnRow callbacks are code, not state — reattach behavior
+// by subscribing to the restored handles. Returns checkpoint.ErrNoCheckpoint
+// (possibly wrapped) when no valid snapshot exists — callers treat that as
+// a fresh start; after any other error the engine is partly restored and
+// must be discarded.
+func (e *Engine) Restore() (*RestoreInfo, error) {
 	ck := e.ckpt
 	if ck == nil {
-		return nil, fmt.Errorf("engine: call SetCheckpoint before RestoreSession")
+		return nil, fmt.Errorf("engine: call SetCheckpoint before Restore")
 	}
 	if e.runState.Load() != stateIdle {
-		return nil, fmt.Errorf("engine: RestoreSession requires an idle engine")
+		return nil, fmt.Errorf("engine: Restore requires an idle engine")
 	}
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
-	if len(e.handles) != 0 || len(e.taps) != 0 || len(e.low)+len(e.lowPartial)+len(e.high) != 0 {
-		return nil, fmt.Errorf("engine: RestoreSession requires an empty engine (found installed queries or nodes)")
+	if len(e.handles) != 0 || len(e.taps) != 0 {
+		return nil, fmt.Errorf("engine: Restore requires an empty standing-query registry (it replays the snapshot's installs; do not Install first)")
 	}
 	snap, err := checkpoint.Latest(ck.cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
 	d := checkpoint.NewDecoder(snap.Payload)
-	if magic := d.U64(); d.Err() == nil && magic != sessionMagic {
-		return nil, fmt.Errorf("engine: snapshot %s is not a session snapshot (one-shot run state restores via RestoreLatest)", snap.Path)
+	if magic := d.U64(); d.Err() == nil && magic != snapshotMagic {
+		return nil, fmt.Errorf("engine: snapshot %s does not open with the snapshot magic: not this engine's, or a one-shot snapshot older than format v%d", snap.Path, snapshotVersion)
 	}
-	if v := d.U32(); d.Err() == nil && v != sessionVersion {
-		return nil, fmt.Errorf("engine: snapshot %s has session format v%d, this build reads v%d", snap.Path, v, sessionVersion)
+	if v := d.U32(); d.Err() == nil && v != snapshotVersion {
+		return nil, fmt.Errorf("engine: snapshot %s has format v%d, this build reads v%d", snap.Path, v, snapshotVersion)
 	}
 	firstTS, lastTS := d.U64(), d.U64()
 	packets := d.I64()
 	sawPacket := d.Bool()
 	installs, uninstalls := d.I64(), d.I64()
 	nextSeq := d.U64()
-	if d.Err() != nil {
-		return nil, d.Err()
+
+	info := &RestoreInfo{Path: snap.Path, Seq: snap.Seq, Packets: packets}
+	hand, fp := e.handBuilt()
+	if want, n := d.U64(), d.Len(); d.Err() == nil && (want != fp || n != len(hand)) {
+		return nil, fmt.Errorf("engine: snapshot %s was taken from a different hand-built topology (%d nodes, this engine has %d)", snap.Path, n, len(hand))
+	}
+	for _, n := range hand {
+		if name := d.String(); d.Err() == nil && name != n.name {
+			return nil, fmt.Errorf("engine: snapshot node %q does not match topology node %q", name, n.name)
+		}
+		if err := e.decodeNodeState(d, n, info); err != nil {
+			return nil, err
+		}
 	}
 
-	info := &SessionRestoreInfo{Path: snap.Path, Seq: snap.Seq, Packets: packets}
 	nTaps := d.Len()
 	for i := 0; i < nTaps; i++ {
 		name := d.String()
@@ -235,11 +310,8 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: restored tap %q: %w", name, err)
 		}
-		if err := e.decodeNodeState(d, t.node); err != nil {
+		if err := e.decodeNodeState(d, t.node, info); err != nil {
 			return nil, err
-		}
-		if t.node.failed {
-			info.Failed = append(info.Failed, name)
 		}
 		info.Taps = append(info.Taps, name)
 	}
@@ -296,21 +368,16 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 			}
 			h.gate.ImportState(gateState)
 		}
-		if err := e.decodeNodeState(d, h.node); err != nil {
+		if err := e.decodeNodeState(d, h.node, info); err != nil {
 			return nil, err
-		}
-		if h.node.failed {
-			info.Failed = append(info.Failed, name)
 		}
 		info.Queries = append(info.Queries, name)
 	}
 
-	if hasGate := d.Bool(); hasGate {
+	var srcGate *overload.PersistentState
+	if d.Bool() {
 		gs := decodeGateState(d)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		ck.pendingGate = &gs
+		srcGate = &gs
 	}
 	if d.Err() != nil {
 		return nil, d.Err()
@@ -326,23 +393,21 @@ func (e *Engine) RestoreSession() (*SessionRestoreInfo, error) {
 	e.installs.Store(installs)
 	e.uninstalls.Store(uninstalls)
 	e.nextSeq = nextSeq
+	info.Windows = e.maxWindows()
 	ck.seq = snap.Seq
 	ck.aSeq.Store(snap.Seq)
-	ck.lastWindows = e.maxWindows()
+	ck.lastWindows = info.Windows
 	ck.resumeSkip = packets
-	ck.session = true
-	// The registry now matches the snapshot on disk; the next write comes
-	// from the periodic schedule or the next install/uninstall.
-	ck.regDirty = false
+	ck.pendingGate = srcGate
 	e.syncSessionMetrics()
 	if m := ck.metrics(e.tel); m != nil {
 		m.restores.Add(1)
 		m.lastSeq.Set(float64(snap.Seq))
 	}
 	if e.tel.EventsEnabled() {
-		e.tel.Emit("session_restore", map[string]any{
-			"seq": snap.Seq, "packets": packets, "queries": len(info.Queries),
-			"taps": len(info.Taps), "path": snap.Path,
+		e.tel.Emit("restore", map[string]any{
+			"seq": snap.Seq, "packets": packets, "windows": info.Windows, "path": snap.Path,
+			"nodes": len(info.Nodes), "queries": len(info.Queries), "taps": len(info.Taps),
 		})
 	}
 	return info, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 
 // Durable-session property tests: a standing-query session snapshotted at
 // pump boundaries must survive kill-and-restart — the restored engine
-// re-installs every query from the persisted registry and resumes
-// bit-identically from the newest valid snapshot.
+// re-installs every query from the persisted registry, restores the
+// hand-built nodes it was rebuilt with, and resumes bit-identically from
+// the newest valid snapshot.
 
 // durableQueries is the standing-query mix the kill-and-resume tests
 // install: two PKT-direct sampling queries (own low-level nodes), two
@@ -96,32 +98,50 @@ func runSessionToEnd(t *testing.T, e *engine.Engine, ctx context.Context, feed t
 	}
 }
 
+// emptyEngine is the topology a daemon restarts with: nothing built by
+// hand, everything recovered from the snapshot's registry.
+func emptyEngine(t *testing.T) (*engine.Engine, map[string]*[]string) {
+	t.Helper()
+	e, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, nil
+}
+
 func TestSessionKillAndResume(t *testing.T) {
-	runSessionKillAndResume(t, "", false)
+	runSessionKillAndResume(t, emptyEngine, "", false)
+}
+
+// TestDurableSessionKeepsHandBuiltNodes: a session over nodes added with
+// AddLowLevel next to installed queries snapshots both, and a restore into
+// the topology rebuilt by hand splices every node's output — hand-built and
+// installed — byte-identically.
+func TestDurableSessionKeepsHandBuiltNodes(t *testing.T) {
+	runSessionKillAndResume(t, buildSamplingEngine, "", false)
 }
 
 func TestSessionKillAndResumeUnderFaults(t *testing.T) {
 	// The injector RNG is seeded, so the resumed run's wrapped feed
 	// replays the same drops and bursts the crashed run saw.
-	runSessionKillAndResume(t, "drop:0.01,burst:64@0.5", false)
+	runSessionKillAndResume(t, emptyEngine, "drop:0.01,burst:64@0.5", false)
 }
 
 func TestSessionKillAndResumeCorruptNewest(t *testing.T) {
-	runSessionKillAndResume(t, "", true)
+	runSessionKillAndResume(t, emptyEngine, "", true)
 }
 
 // runSessionKillAndResume is the shared body: an uninterrupted reference
 // session, a crashed session (checkpointing, cancelled mid-stream), and a
 // resumed session restored from the newest valid snapshot; the splice of
-// crashed+resumed output must equal the reference byte for byte.
-func runSessionKillAndResume(t *testing.T, faultSpec string, corruptNewest bool) {
+// crashed+resumed output must equal the reference byte for byte. build
+// makes each engine with its hand-built nodes (and their row sinks) before
+// the durableQueries mix is installed on it.
+func runSessionKillAndResume(t *testing.T, build func(*testing.T) (*engine.Engine, map[string]*[]string), faultSpec string, corruptNewest bool) {
 	dir := t.TempDir()
 
 	// Uninterrupted reference session.
-	eRef, err := engine.New(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eRef, refHand := build(t)
 	refSubs := installDurable(t, eRef)
 	runSessionToEnd(t, eRef, context.Background(), steadyFeed(t), faultSpec)
 	refRows := make(map[string][]string)
@@ -133,10 +153,7 @@ func runSessionKillAndResume(t *testing.T, faultSpec string, corruptNewest bool)
 	}
 
 	// Crashed session: snapshot every window, cancel mid-stream.
-	eA, err := engine.New(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eA, handA := build(t)
 	if err := eA.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,18 +188,15 @@ func runSessionKillAndResume(t *testing.T, faultSpec string, corruptNewest bool)
 		}
 	}
 
-	// Resumed session: an empty engine recovers the whole registry from
-	// the snapshot — no Install calls here.
-	eB, err := engine.New(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Resumed session: the hand-built nodes are rebuilt, the whole registry
+	// is recovered from the snapshot — no Install calls here.
+	eB, handB := build(t)
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eB.RestoreSession()
+	info, err := eB.Restore()
 	if err != nil {
-		t.Fatalf("RestoreSession: %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
 	if corruptNewest {
 		wantSeq, _ := checkpoint.SeqFromName(names[len(names)-2])
@@ -220,6 +234,12 @@ func runSessionKillAndResume(t *testing.T, faultSpec string, corruptNewest bool)
 			continue
 		}
 		spliceCompare(t, qd.name, refRows[qd.name], rowsA[qd.name], rowsB, cut[qd.name])
+		if got := tuplesOutOf(t, info, qd.name); got < cut[qd.name] {
+			t.Fatalf("%s: RestoreInfo says %d rows out, the handle delivered %d", qd.name, got, cut[qd.name])
+		}
+	}
+	for name, ref := range refHand {
+		spliceCompare(t, name, *ref, *handA[name], *handB[name], tuplesOutOf(t, info, name))
 	}
 
 	// The quota'd tenant's accounting must be exact across the resume:
@@ -284,8 +304,8 @@ func TestSessionRepeatedKillAndResume(t *testing.T) {
 		if err := e.SetCheckpoint(ckpt); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RestoreSession(); err != nil {
-			t.Fatalf("leg %d RestoreSession: %v", leg, err)
+		if _, err := e.Restore(); err != nil {
+			t.Fatalf("leg %d Restore: %v", leg, err)
 		}
 		subs := make(map[string]*engine.Subscription)
 		for _, qd := range durableQueries {
@@ -372,7 +392,7 @@ func TestSessionRegistryChurnDurable(t *testing.T) {
 	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := e2.RestoreSession()
+	info, err := e2.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,35 +423,81 @@ func TestSessionRegistryChurnDurable(t *testing.T) {
 	}
 }
 
-func TestRestoreSessionGuards(t *testing.T) {
+// TestRestoreGuards: the refusals of the one restore call.
+func TestRestoreGuards(t *testing.T) {
+	restoreInto := func(t *testing.T, e *engine.Engine, dir string) error {
+		t.Helper()
+		if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Restore()
+		return err
+	}
 	t.Run("requires SetCheckpoint", func(t *testing.T) {
 		e, _ := engine.New(1024)
-		if _, err := e.RestoreSession(); err == nil {
-			t.Fatal("RestoreSession without SetCheckpoint succeeded")
+		if _, err := e.Restore(); err == nil {
+			t.Fatal("Restore without SetCheckpoint succeeded")
 		}
 	})
 	t.Run("empty dir is ErrNoCheckpoint", func(t *testing.T) {
 		e, _ := engine.New(1024)
-		if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir()}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := e.RestoreSession()
-		if !errors.Is(err, checkpoint.ErrNoCheckpoint) {
+		if err := restoreInto(t, e, t.TempDir()); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 			t.Fatalf("want ErrNoCheckpoint, got %v", err)
 		}
 	})
-	t.Run("requires empty engine", func(t *testing.T) {
+	t.Run("requires empty registry", func(t *testing.T) {
+		dir := t.TempDir()
+		writeSessionSnapshot(t, dir)
+		e, _ := engine.New(1024)
+		if _, err := e.Install("q", "SELECT len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
+			t.Fatal(err)
+		}
+		if err := restoreInto(t, e, dir); err == nil || !strings.Contains(err.Error(), "registry") {
+			t.Fatalf("Restore over installed queries: %v", err)
+		}
+	})
+	t.Run("different hand-built topology", func(t *testing.T) {
+		// A snapshot with no hand-built nodes does not fit an engine that
+		// has one, and the other way round.
+		sess := t.TempDir()
+		writeSessionSnapshot(t, sess)
+		e, _ := engine.New(1024)
+		if _, err := e.AddLowLevel("other", mustPlan(t, "SELECT uts, len FROM PKT", trace.Schema())); err != nil {
+			t.Fatal(err)
+		}
+		if err := restoreInto(t, e, sess); err == nil || !strings.Contains(err.Error(), "topology") {
+			t.Fatalf("registry-only snapshot into a hand-built node: %v", err)
+		}
+		run := t.TempDir()
+		er, _ := buildSamplingEngine(t)
+		if err := er.SetCheckpoint(engine.CheckpointConfig{Dir: run, EveryWindows: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := er.Run(steadyFeed(t)); err != nil {
+			t.Fatal(err)
+		}
+		empty, _ := engine.New(1024)
+		if err := restoreInto(t, empty, run); err == nil || !strings.Contains(err.Error(), "topology") {
+			t.Fatalf("hand-built snapshot into an empty engine: %v", err)
+		}
+	})
+	t.Run("requires idle engine", func(t *testing.T) {
 		dir := t.TempDir()
 		writeSessionSnapshot(t, dir)
 		e, _ := engine.New(1024)
 		if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Install("q", "SELECT len FROM flows", engine.InstallOptions{Via: testVia}); err != nil {
+		feed := &infiniteFeed{passEvery: 10}
+		if err := e.Start(context.Background(), feed); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RestoreSession(); err == nil {
-			t.Fatal("RestoreSession on a non-empty engine succeeded")
+		if _, err := e.Restore(); err == nil || !strings.Contains(err.Error(), "idle") {
+			t.Fatalf("Restore into a running engine: %v", err)
+		}
+		feed.stop.Store(true)
+		if err := e.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -461,37 +527,54 @@ func writeSessionSnapshot(t *testing.T, dir string) {
 	}
 }
 
-// TestSnapshotKindsDoNotCrossRestore: a one-shot run snapshot is not a
-// session snapshot and vice versa; each restore path rejects the other's
-// payload instead of misreading it.
-func TestSnapshotKindsDoNotCrossRestore(t *testing.T) {
-	// One-shot snapshot dir.
-	oneShot := t.TempDir()
-	eo, _ := buildSamplingEngine(t)
-	if err := eo.SetCheckpoint(engine.CheckpointConfig{Dir: oneShot, EveryWindows: 1}); err != nil {
+// TestRestoreRefusesOldFormats: a payload that does not open with the
+// current magic and version — either payload kind of the builds that had
+// two — is refused at its header, never misread, and a current payload
+// with bytes after its end is refused too.
+func TestRestoreRefusesOldFormats(t *testing.T) {
+	const magic = 0x53455353_4F503031 // "SESSOP01", what a session payload opened with at v1 too
+	valid := t.TempDir()
+	writeSessionSnapshot(t, valid)
+	snap, err := checkpoint.Latest(valid)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eo.RunContext(context.Background(), steadyFeed(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Session snapshot dir.
-	sess := t.TempDir()
-	writeSessionSnapshot(t, sess)
+	v1 := checkpoint.NewEncoder()
+	v1.U64(magic)
+	v1.U32(1)
+	v1.Blob(snap.Payload[12:])
+	oneShot := checkpoint.NewEncoder()
+	oneShot.U64(0x9e3779b97f4a7c15) // a topology fingerprint came first
+	oneShot.Blob(snap.Payload[12:])
 
-	e1, _ := engine.New(1024)
-	if err := e1.SetCheckpoint(engine.CheckpointConfig{Dir: oneShot}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.RestoreSession(); err == nil {
-		t.Fatal("RestoreSession accepted a one-shot snapshot")
-	}
-
-	e2, _ := buildSamplingEngine(t)
-	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: sess}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.RestoreLatest(); err == nil {
-		t.Fatal("RestoreLatest accepted a session snapshot")
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"session payload v1", v1.Bytes(), "format v1"},
+		{"one-shot payload without magic", oneShot.Bytes(), "magic"},
+		{"trailing garbage", append(append([]byte{}, snap.Payload...), 0), "trailing garbage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := checkpoint.WriteFile(dir, 7, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			e, _ := engine.New(1024)
+			if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Restore(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error naming %q, got %v", tc.want, err)
+			}
+			if e.Packets() != 0 {
+				t.Fatalf("refused restore moved the stream clock to packet %d", e.Packets())
+			}
+			if tc.want != "trailing garbage" && len(e.Nodes()) != 0 {
+				t.Fatalf("a payload refused at its header left %d nodes behind", len(e.Nodes()))
+			}
+		})
 	}
 }
 
@@ -545,7 +628,7 @@ func TestSessionSnapshotAtBoundary(t *testing.T) {
 	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := e2.RestoreSession()
+	info, err := e2.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +681,7 @@ func TestSessionRestoreSurvivesQuotaResume(t *testing.T) {
 	if err := e2.SetCheckpoint(engine.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.RestoreSession(); err != nil {
+	if _, err := e2.Restore(); err != nil {
 		t.Fatal(err)
 	}
 	h2 := e2.Lookup("budget")

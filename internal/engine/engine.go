@@ -124,11 +124,15 @@ func (n *Node) Stats() NodeStats {
 // reader's worker over full and takes a spent one from free to fill next,
 // so a reader that falls behind blocks its parent (backpressure, bounded
 // memory) and nothing allocates once the batches have grown. A shard
-// replica fills batches of its own and shares only the two channels.
+// replica fills batches of its own and shares only the two channels and
+// the counters: passed counts the batches sent over full, taken the ones
+// the reader has finished with, and a checkpoint waits for them to agree
+// (see quiesce).
 type edge struct {
-	out  *tuple.Batch
-	full chan *tuple.Batch // nil on the serial path
-	free chan *tuple.Batch
+	out           *tuple.Batch
+	full          chan *tuple.Batch // nil on the serial path
+	free          chan *tuple.Batch
+	passed, taken atomic.Uint64
 }
 
 // edgeDepth is how many filled batches an edge holds before its parent
@@ -157,6 +161,7 @@ func (ed *edge) pass(out *tuple.Batch) *tuple.Batch {
 	if out.Len() == 0 {
 		return out
 	}
+	ed.passed.Add(1)
 	ed.full <- out
 	return <-ed.free
 }

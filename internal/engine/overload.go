@@ -192,12 +192,13 @@ const (
 	offerDropped              // admitted, then rejected at the ring: full, or block timed out
 )
 
-// offer admits and pushes one packet under the gate's policy: the serial
-// loop's and paced RunParallel's per-packet path. Drop-tail stays the
-// ring's native push-or-drop; shed-sample runs the admission draw first;
-// block waits up to the timeout for ring space before declaring the drop.
-// The gate's ring is SPSC with this goroutine as the only producer, so
-// observing Len() < Cap() guarantees the subsequent push succeeds.
+// offer admits and pushes one packet under the gate's policy: every gated
+// push in the engine — the serial loop's source ring, paced RunParallel's
+// selection rings and its shard rings. Drop-tail stays the ring's native
+// push-or-drop; shed-sample runs the admission draw first; block waits up
+// to the timeout for ring space before declaring the drop. The gate's ring
+// is SPSC with this goroutine as the only producer, so observing
+// Len() < Cap() guarantees the subsequent push succeeds.
 func (g *ringGate) offer(p *trace.Packet) offerResult {
 	switch g.policy {
 	case overload.ShedSample:
@@ -233,56 +234,6 @@ func (g *ringGate) offer(p *trace.Packet) offerResult {
 		}
 	}
 	return offerEnqueued
-}
-
-// offerBatch admits and pushes a routed batch under the gate's policy
-// (the shard router's flush path). The drop-tail arm is byte-for-byte the
-// pre-gate behavior: one PushBatch, remainder dropped and counted.
-func (g *ringGate) offerBatch(buf []trace.Packet) {
-	switch g.policy {
-	case overload.ShedSample:
-		kept := buf[:0]
-		for _, p := range buf {
-			if g.ctrl.Admit(g.ring.Len(), g.ring.Cap()) {
-				kept = append(kept, p)
-			}
-		}
-		n := g.ring.PushBatch(kept)
-		if n < len(kept) {
-			d := uint64(len(kept) - n)
-			g.ring.AddDrops(d)
-			g.ctrl.NoteDrop(d)
-		}
-	case overload.Block:
-		for range buf {
-			g.ctrl.Admit(g.ring.Len(), g.ring.Cap())
-		}
-		deadline := time.Now().Add(g.timeout)
-		for len(buf) > 0 {
-			n := g.ring.PushBatch(buf)
-			buf = buf[n:]
-			if len(buf) == 0 {
-				return
-			}
-			if n > 0 {
-				// Progress restarts the clock: the timeout bounds a stall,
-				// not the whole batch.
-				deadline = time.Now().Add(g.timeout)
-			}
-			if time.Now().After(deadline) {
-				d := uint64(len(buf))
-				g.ring.AddDrops(d)
-				g.ctrl.NoteDrop(d)
-				return
-			}
-			runtime.Gosched()
-		}
-	default:
-		n := g.ring.PushBatch(buf)
-		if n < len(buf) {
-			g.ring.AddDrops(uint64(len(buf) - n))
-		}
-	}
 }
 
 // sync reconciles drop-tail accounting from the ring's counters and

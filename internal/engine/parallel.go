@@ -224,12 +224,12 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 				}
 			}
 			// Periodic checkpoint probe: quiesce the workers (checkpointing
-			// guarantees selection-only low nodes, unpaced), then snapshot if
-			// enough windows closed. A write failure is reported, not fatal —
-			// the stream keeps flowing and the next probe retries.
+			// guarantees no partial-aggregation nodes, unpaced), then snapshot
+			// if enough windows closed. A write failure is reported, not fatal
+			// — the stream keeps flowing and the next probe retries.
 			if ck := e.ckpt; ck != nil && ck.cfg.EveryWindows > 0 && e.packets.Load()%ckptProbeInterval == 0 {
 				flushLow()
-				e.quiesceLow(rings)
+				e.quiesce(rings)
 				if err := e.maybeCheckpoint(); err != nil {
 					reportErr(err)
 				}
@@ -244,7 +244,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		// end-of-stream flush (which would mutate the open windows the
 		// snapshot must preserve).
 		if ck := e.ckpt; ck != nil && pm.cancelled {
-			e.quiesceLow(rings)
+			e.quiesce(rings)
 			if err := e.writeCheckpoint(); err != nil {
 				reportErr(err)
 			}
@@ -341,6 +341,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 				}
 				b.Reset()
 				h.in.free <- b
+				h.in.taken.Add(1)
 			}
 			h.inBatch = own
 			e.finishNode(h, dead, reportErr)

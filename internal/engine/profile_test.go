@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/engine"
@@ -301,7 +302,17 @@ func TestProfilesFollowTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRows(t, h.Subscribe(), 5)
+	// A row reaches the subscriber inside the step that emits it, before
+	// the step's stages are charged: read the report once the step is over.
+	settled := func(nodes map[string]profile.NodeReport) bool {
+		q, ok := nodes["q"]
+		return ok && q.Stages[profile.StageTransfer].RowsOut > 0
+	}
 	nodes := profiledNodes(p)
+	for deadline := time.Now().Add(5 * time.Second); !settled(nodes) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		nodes = profiledNodes(p)
+	}
 	if tap, ok := nodes["flows"]; !ok || tap.Stages[profile.StageTransfer].RowsOut == 0 {
 		t.Errorf("tap installed mid-session: in report %v, transfer %+v", ok, tap.Stages)
 	}

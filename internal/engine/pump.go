@@ -44,11 +44,9 @@ const (
 // serves, nil for Run and RunParallel.
 func (e *Engine) newPump(ctx context.Context, feed trace.Feed, s *session, speedup float64) *pump {
 	if ck := e.ckpt; ck != nil {
-		// A session snapshots its standing-query registry alongside node
-		// state (see durable.go), starting with a base snapshot at the first
-		// boundary so even a kill right after Start recovers the pre-Start
-		// installs.
-		ck.session, ck.regDirty = s != nil, s != nil
+		// A session starts with a base snapshot at its first boundary, so
+		// even a kill right after Start recovers the pre-Start installs.
+		ck.regDirty = s != nil
 	}
 	feed = e.faults.Wrap(feed)
 	e.resumeFastForward(feed)

@@ -168,7 +168,7 @@ type InstallOptions struct {
 	// Engine.Failures); other queries and the session keep running.
 	// The row is lent: OnRow's for the length of the call only (copy what
 	// is kept; see Node.Subscribe). OnRow is not persistable: a durable
-	// session restores the query without it (see Engine.RestoreSession).
+	// session restores the query without it (see Engine.Restore).
 	OnRow func(tuple.Tuple) error
 	// Quota is the query's per-tenant delivery budget and subscriber-lag
 	// policy; the zero value leaves the query unlimited. See

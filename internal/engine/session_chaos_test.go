@@ -303,7 +303,7 @@ func TestSessionChaosKillAndResume(t *testing.T) {
 	if err := eB.SetCheckpoint(engine.CheckpointConfig{Dir: dir, EveryWindows: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eB.RestoreSession(); err != nil {
+	if _, err := eB.Restore(); err != nil {
 		t.Fatal(err)
 	}
 	setChaosFaults(t, eB)

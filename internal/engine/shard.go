@@ -248,11 +248,10 @@ type shardSet struct {
 	winOpen bool
 	mask    uint64
 
-	// pend[i] buffers packets routed to shard i between ring pushes;
-	// batchN is the flush threshold (shardBatch unpaced, 1 paced — pacing
-	// simulates arrival times, so paced packets must not sit in buffers).
-	pend   [][]trace.Packet
-	batchN int
+	// pend[i] buffers packets routed to shard i between ring pushes, under
+	// the barrier only: pacing simulates arrival times, so a paced packet
+	// goes straight to its shard's gate.
+	pend [][]trace.Packet
 
 	// barrier is true in unpaced mode: enforce window barriers (exactness)
 	// and backpressure instead of drops.
@@ -288,11 +287,7 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		rgb:     make([]value.Value, len(router.GroupBy)),
 		mask:    pn.table.mask,
 		pend:    make([][]trace.Packet, n),
-		batchN:  1,
 		barrier: barrier,
-	}
-	if barrier {
-		s.batchN = shardBatch
 	}
 	s.delay = e.consumerDelay()
 	ringCap := shardRingCap
@@ -366,8 +361,12 @@ func (s *shardSet) route(p trace.Packet, tp tuple.Tuple) error {
 	}
 	slot := tuple.HashValues(s.rgb) & s.mask
 	shard := int(slot % uint64(len(s.workers)))
+	if !s.barrier {
+		s.gates[shard].offer(&p)
+		return nil
+	}
 	s.pend[shard] = append(s.pend[shard], p)
-	if len(s.pend[shard]) >= s.batchN {
+	if len(s.pend[shard]) >= shardBatch {
 		s.flushPend(shard)
 	}
 	return nil
@@ -382,22 +381,17 @@ func (s *shardSet) routerChanged() bool {
 	return false
 }
 
-// flushPend pushes shard i's buffered packets into its ring: backpressure
-// in barrier (unpaced) mode, the shard gate's admission policy otherwise
-// (drop-tail drops and counts the overflow, matching the ungated code).
+// flushPend pushes shard i's buffered packets into its ring, waiting for
+// space (barrier mode backpressures).
 func (s *shardSet) flushPend(i int) {
 	buf := s.pend[i]
 	ring := s.workers[i].ring
-	if s.barrier {
-		for len(buf) > 0 {
-			n := ring.PushBatch(buf)
-			buf = buf[n:]
-			if len(buf) > 0 {
-				runtime.Gosched()
-			}
+	for len(buf) > 0 {
+		n := ring.PushBatch(buf)
+		buf = buf[n:]
+		if len(buf) > 0 {
+			runtime.Gosched()
 		}
-	} else {
-		s.gates[i].offerBatch(buf)
 	}
 	s.pend[i] = s.pend[i][:0]
 }

@@ -171,7 +171,8 @@ var (
 	ErrUnknownQuery   = engine.ErrUnknownQuery
 )
 
-// Durable sessions and one-shot checkpointing (see docs/ROBUSTNESS.md).
+// Checkpointing and restore, for runs and sessions alike (see
+// docs/ROBUSTNESS.md).
 
 // CheckpointConfig configures boundary snapshots (Engine.SetCheckpoint):
 // the directory, the every-N-closed-windows cadence and the on-disk
@@ -180,16 +181,16 @@ var (
 // pump boundary.
 type CheckpointConfig = engine.CheckpointConfig
 
-// RestoreInfo describes what Engine.RestoreLatest recovered for a
-// one-shot run; SessionRestoreInfo what Engine.RestoreSession recovered
-// for a standing-query session (queries, taps, quota state, packets to
-// fast-forward past).
-type (
-	RestoreInfo        = engine.RestoreInfo
-	SessionRestoreInfo = engine.SessionRestoreInfo
-)
+// RestoreInfo describes what Engine.Restore recovered from the newest
+// valid snapshot, whether a one-shot run or a session wrote it: the
+// snapshot's path and sequence, the packets the next run fast-forwards
+// past, every restored node with its rows-already-out count and failure
+// state, and the names of the standing queries and shared taps it
+// re-installed. Restore wants the nodes added by hand rebuilt first and
+// the standing-query registry empty: it replays the installs itself.
+type RestoreInfo = engine.RestoreInfo
 
-// ErrNoCheckpoint is returned (possibly wrapped) by the restore calls
+// ErrNoCheckpoint is returned (possibly wrapped) by Engine.Restore
 // when the checkpoint directory holds no valid snapshot; callers treat
 // it as a fresh start.
 var ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
