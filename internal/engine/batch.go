@@ -1,7 +1,8 @@
-// Columnar batch feeding: the ring → operator hot path of every run mode.
+// Columnar batch feeding: the ring → step hot path of every run mode.
 // Popped packet batches convert to columnar tuple batches
-// (trace.AppendBatch: one tight loop per field) and flow through
-// Operator.ProcessBatch / ptable.processBatch, which are row-for-row
+// (trace.AppendBatch: one tight loop per field, in processLowColumnar for
+// every kind of low-level node) and flow through the node's step,
+// Operator.ProcessBatch or ptable.ProcessBatch, which are row-for-row
 // identical to the scalar calls. The way out is columns too, for every
 // kind of node under every run mode: what a node outputs reaches the edges
 // to the nodes reading it through Node.emitCols (engine.go). A traced
@@ -43,7 +44,7 @@ func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
 	trace.AppendBatch(b, pkts)
 	low.prof.Charge(profile.StageDequeue, pt, rows, rows)
 	low.tuplesIn += rows
-	err := low.op.ProcessBatch(b)
+	err := low.step.ProcessBatch(b)
 	low.busy += time.Since(start)
 	if err != nil {
 		return fmt.Errorf("engine: node %q: %w", low.name, err)
@@ -61,7 +62,6 @@ type ptableVec struct {
 	gb      []*tuple.Column
 	aggCols []*tuple.Column
 	rowT    tuple.Tuple
-	b       *tuple.Batch
 
 	// Ordered-window fast path (see operator's vecState): raw payload
 	// views of the ordered group-by columns and the open window's words,
@@ -88,24 +88,7 @@ func (t *ptable) initVec() *ptableVec {
 	return v
 }
 
-// processPackets folds a popped packet batch into the table: converted to
-// columns and folded as a batch.
-func (t *ptable) processPackets(pkts []trace.Packet) error {
-	v := t.vec
-	if v == nil {
-		v = t.initVec()
-	}
-	if v.b == nil {
-		v.b = tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)
-	}
-	v.b.Reset()
-	pt, rows := t.prof.Start(), int64(len(pkts))
-	trace.AppendBatch(v.b, pkts)
-	t.prof.Charge(profile.StageDequeue, pt, rows, rows)
-	return t.processBatch(v.b)
-}
-
-// processBatch folds a batch of packet tuples into the table, row-for-row
+// ProcessBatch folds a batch of packet tuples into the table, row-for-row
 // identical to calling process on each row: same folds, evictions, window
 // flushes and errors in the same order. The GROUP BY and aggregate
 // arguments evaluate as column kernels over the whole batch (mutation-
@@ -114,7 +97,7 @@ func (t *ptable) processPackets(pkts []trace.Packet) error {
 // table straight off the columns, materializing key values only when
 // claiming a slot. An attached profile reads the clock between the phases
 // (an error ends the node's run, and leaves the batch's walk uncharged).
-func (t *ptable) processBatch(b *tuple.Batch) error {
+func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 	v := t.vec
 	if v == nil {
 		v = t.initVec()
@@ -178,18 +161,16 @@ func (t *ptable) processBatch(b *tuple.Batch) error {
 				changed = t.orderedChangedAt(row)
 			}
 			if changed {
-				if err := t.flush(); err != nil {
+				if err := t.Flush(); err != nil {
 					return err
 				}
 			}
 		}
 		if !t.winOpen {
-			t.winOpen = true
-			t.winStartNS = np.Start()
-			t.window = t.window[:0]
 			for _, idx := range t.plan.OrderedIdx {
-				t.window = append(t.window, v.gb[idx].Value(row))
+				t.gbVals[idx] = v.gb[idx].Value(row)
 			}
+			t.openWindow()
 			if v.ordFast {
 				for i, wv := range t.window {
 					v.winBits[i] = wv.Bits()
@@ -325,7 +306,7 @@ func (s *shardSet) routeBatch(pkts []trace.Packet, scratch tuple.Tuple) error {
 		}
 		v.gb[i] = col
 	}
-	nw := uint64(len(s.workers))
+	nw := uint64(len(s.shards))
 	for row := range pkts {
 		if s.barrier && len(s.router.OrderedIdx) > 0 {
 			if s.winOpen && s.routerChangedAt(row) {

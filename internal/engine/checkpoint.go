@@ -8,7 +8,6 @@ import (
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/overload"
-	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 )
@@ -36,9 +35,12 @@ import (
 // over its edge, which also gives the producer a happens-before edge over
 // the workers' operator state.
 //
-// Restrictions. Two: partial-aggregation nodes have no state codec yet and
-// refuse checkpointing, and paced RunParallel sheds packets
-// nondeterministically, so there is no exact resume to preserve.
+// Restrictions. Two, both RunParallel's: a partial-aggregation node there
+// is striped across shard replicas and routed by a window the producer
+// holds, neither of which is in the payload yet (under Run and in a
+// session its table snapshots like any node's state); and paced
+// RunParallel sheds packets nondeterministically, so there is no exact
+// resume to preserve.
 
 // ckptProbeInterval is how many packets the parallel producer routes
 // between checkpoint-due probes (each probe quiesces the workers, so it
@@ -125,30 +127,29 @@ func (e *Engine) checkpointRunnable(parallel bool, speedup float64) error {
 	if e.ckpt == nil {
 		return nil
 	}
-	if len(e.lowPartial) > 0 {
-		return fmt.Errorf("engine: checkpointing does not support partial-aggregation nodes (no state codec)")
+	if !parallel {
+		return nil
 	}
-	if parallel && speedup > 0 {
+	if speedup > 0 {
 		return fmt.Errorf("engine: checkpointing under RunParallel requires unpaced mode (speedup <= 0)")
+	}
+	for _, n := range e.low {
+		if n.partial != nil {
+			return fmt.Errorf("engine: checkpointing under RunParallel does not support partial-aggregation nodes (node %q: sharded state is not in the snapshot)", n.name)
+		}
 	}
 	return nil
 }
 
-// ckptNodes returns the nodes a snapshot covers, low-level first (partial
-// nodes are excluded by checkpointRunnable).
-func (e *Engine) ckptNodes() []*Node {
-	return append(append(make([]*Node, 0, len(e.low)+len(e.high)), e.low...), e.high...)
-}
-
-// maxWindows returns the most windows any healthy node's operator has
-// closed — the quantity the EveryWindows schedule watches.
+// maxWindows returns the most windows any healthy node's step has closed —
+// the quantity the EveryWindows schedule watches.
 func (e *Engine) maxWindows() int64 {
 	var most int64
-	for _, n := range e.ckptNodes() {
+	for _, n := range e.nodes() {
 		if n.failed {
 			continue
 		}
-		if w := n.op.Stats().Windows; w > most {
+		if w := n.step.Stats().Windows; w > most {
 			most = w
 		}
 	}
@@ -250,9 +251,9 @@ func (e *Engine) resumeFastForward(feed trace.Feed) {
 // caught up its readers' counts are final. Parallel producer only, after
 // flushing its batch buffers; the counters' release/acquire ordering makes
 // the workers' operator state safe to read afterwards.
-func (e *Engine) quiesce(rings []*ringbuf.Ring[trace.Packet]) {
-	for i, low := range e.low {
-		for low.consumed.Load() != rings[i].Pushed() {
+func (e *Engine) quiesce(workers []lowWorker) {
+	for _, w := range workers {
+		for w.node.consumed.Load() != w.ring.Pushed() {
 			runtime.Gosched()
 		}
 	}

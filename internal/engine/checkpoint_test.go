@@ -7,12 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/engine"
 	"streamop/internal/gsql"
 	"streamop/internal/overload"
+	"streamop/internal/sample/quantile"
 	"streamop/internal/sfun"
 	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
@@ -318,6 +321,91 @@ func TestKillAndResumeParallel(t *testing.T) {
 	runKillAndResume(t, buildTwoLevelEngine, true, "", false)
 }
 
+// TestKillAndResumePartialAgg holds a partial-aggregation node to the
+// serial kill-and-resume contract: a 256-slot table (collision evictions
+// before and after the snapshot) under a high-level re-aggregation splices
+// byte-identically on both nodes, and the resumed node's Evictions() ends
+// where the uninterrupted run's does.
+func TestKillAndResumePartialAgg(t *testing.T) {
+	var built []*engine.PartialNode // reference, interrupted, resumed
+	build := func(t *testing.T) (*engine.Engine, map[string]*[]string) {
+		t.Helper()
+		e, err := engine.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pn, err := e.AddLowLevelPartialAgg("partial", mustPlan(t,
+			"SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts, min(len) AS small FROM PKT GROUP BY time/1 as tb, srcIP",
+			trace.Schema()), 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := e.AddHighLevel("final", pn.Base(), mustPlan(t,
+			"SELECT tb2, srcIP, sum(bytes), sum(pkts), min(small) FROM partial GROUP BY tb/1 as tb2, srcIP", pn.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built = append(built, pn)
+		rows := make(map[string]*[]string)
+		for _, n := range []*engine.Node{pn.Base(), final} {
+			sink := &[]string{}
+			rows[n.Stats().Name] = sink
+			n.Subscribe(func(row tuple.Tuple) error {
+				*sink = append(*sink, fmtRow(row))
+				return nil
+			})
+		}
+		return e, rows
+	}
+	runKillAndResume(t, build, false, "", false)
+	ref, interrupted, resumed := built[0], built[1], built[2]
+	if interrupted.Evictions() == 0 || interrupted.Evictions() >= ref.Evictions() {
+		t.Fatalf("interrupted run evicted %d of the reference's %d; want some on each side of the snapshot", interrupted.Evictions(), ref.Evictions())
+	}
+	if resumed.Evictions() != ref.Evictions() {
+		t.Errorf("resumed run ends at %d evictions, uninterrupted run at %d", resumed.Evictions(), ref.Evictions())
+	}
+}
+
+// TestPartialAggSnapshotRejectsUDAF: a user-defined aggregate has no codec
+// in a partial-aggregation table either, and fails the snapshot with the
+// error an operator node gives.
+func TestPartialAggSnapshotRejectsUDAF(t *testing.T) {
+	reg := sfunlib.Default(1)
+	if err := quantile.RegisterUDAF(reg); err != nil {
+		t.Fatal(err)
+	}
+	q, err := gsql.Parse(`SELECT tb, srcIP, quantile(len, 0.5, 0.01) FROM PKT GROUP BY time/1 as tb, srcIP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gsql.Analyze(q, trace.Schema(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{}
+	for _, kind := range []string{"operator", "partial"} {
+		e, _ := engine.New(1024)
+		if kind == "partial" {
+			_, err = e.AddLowLevelPartialAgg("q", plan, 64)
+		} else {
+			_, err = e.AddLowLevel("q", plan)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
+			t.Fatal(err)
+		}
+		errs[kind] = e.Run(steadyFeed(t))
+	}
+	for kind, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), `node "q"`) || !strings.Contains(err.Error(), "is not checkpointable") {
+			t.Errorf("%s node: snapshot of a UDAF plan: %v, want the no-codec error", kind, err)
+		}
+	}
+}
+
 // TestRestoreFallsBackPastCorruptSnapshot corrupts the newest snapshot
 // after the interrupted run: Restore must fall back to the previous
 // valid file and the resume must still splice byte-identically (just from
@@ -372,6 +460,30 @@ func TestCheckpointModeRestrictions(t *testing.T) {
 	}
 	if err := e.RunParallel(steadyFeed(t), 1.0); err == nil || !strings.Contains(err.Error(), "unpaced") {
 		t.Fatalf("paced parallel checkpointing accepted: %v", err)
+	}
+
+	// A partial-aggregation node checkpoints under Run and in a session
+	// (TestKillAndResumePartialAgg); what RunParallel stripes across shard
+	// replicas is not in the payload yet: refused there, and only there.
+	e, _ = engine.New(1024)
+	plan := mustPlan(t, "SELECT tb, srcIP, count(*) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
+	if _, err := e.AddLowLevelPartialAgg("p", plan, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetCheckpoint(engine.CheckpointConfig{Dir: t.TempDir(), EveryWindows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunParallel(steadyFeed(t), 0); err == nil || !strings.Contains(err.Error(), "partial-aggregation") {
+		t.Fatalf("sharded checkpointing accepted: %v", err)
+	}
+	if err := e.Run(steadyFeed(t)); err != nil {
+		t.Fatalf("serial checkpointing of a partial-aggregation node refused: %v", err)
+	}
+	if err := e.Start(context.Background(), steadyFeed(t)); err != nil {
+		t.Fatalf("a session over a partial-aggregation node refused checkpointing: %v", err)
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := e.SetCheckpoint(engine.CheckpointConfig{}); err == nil {
@@ -519,6 +631,108 @@ func TestPanicContainmentParallel(t *testing.T) {
 	e, boomRows, healthyRows := buildBoomEngine(t, 2_000_000_000)
 	err := e.RunParallel(steadyFeed(t), 0)
 	checkContainment(t, e, err, *boomRows, *healthyRows, want)
+}
+
+// TestPartialPanicContainedInEveryMode: a panic in a partial-aggregation
+// node's aggregate argument is contained the way any node's is, by the
+// serial loop and by the shard replicas' workers alike — the run returns
+// nil, the node is recorded failed once (not once per replica), the
+// replicas drain so neither the window barrier nor the paced gates stall,
+// and the selection sibling's rows match its solo run.
+func TestPartialPanicContainedInEveryMode(t *testing.T) {
+	build := func(withPartial bool) (*engine.Engine, *engine.PartialNode, *[]string) {
+		e, err := engine.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pn *engine.PartialNode
+		if withPartial {
+			q, err := gsql.Parse(`SELECT tb, srcIP, sum(len), max(boom(uts)) FROM PKT GROUP BY time/1 as tb, srcIP`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := gsql.Analyze(q, trace.Schema(), boomRegistry(t, 2_000_000_000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pn, err = e.AddLowLevelPartialAgg("doomed", plan, 1024); err != nil {
+				t.Fatal(err)
+			}
+			pn.SetShards(2)
+		}
+		sel, err := e.AddLowLevel("healthy", mustPlan(t, "SELECT time, srcIP, len FROM PKT WHERE len > 600", trace.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := &[]string{}
+		sel.Subscribe(func(row tuple.Tuple) error {
+			*rows = append(*rows, fmtRow(row))
+			return nil
+		})
+		return e, pn, rows
+	}
+	ref, _, want := build(false)
+	if err := ref.Run(steadyFeed(t)); err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name string
+		run  func(e *engine.Engine) error
+	}{
+		{"run", func(e *engine.Engine) error { return e.Run(steadyFeed(t)) }},
+		{"parallel", func(e *engine.Engine) error { return e.RunParallel(steadyFeed(t), 0) }},
+		{"paced", func(e *engine.Engine) error {
+			// Block with a generous timeout: the sibling must lose nothing
+			// for its rows to be comparable, and a dead replica that stopped
+			// popping would show up as a timed-out drop.
+			if err := e.SetOverload(overload.Config{Policy: overload.Block, BlockTimeout: 10 * time.Second}); err != nil {
+				t.Fatal(err)
+			}
+			return e.RunParallel(steadyFeed(t), 40)
+		}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			e, pn, rows := build(true)
+			var emitted atomic.Int64
+			pn.Subscribe(func(tuple.Tuple) error {
+				emitted.Add(1)
+				return nil
+			})
+			if err := m.run(e); err != nil {
+				t.Fatalf("run died with the query: %v", err)
+			}
+			failures := e.Failures()
+			if len(failures) != 1 {
+				t.Fatalf("Failures() = %d entries, want 1 (%+v)", len(failures), failures)
+			}
+			if f := failures[0]; f.Node != "doomed" || !strings.Contains(f.Msg, "injected operator panic") || f.Stack == "" {
+				t.Fatalf("unexpected failure record: %+v", f)
+			}
+			if emitted.Load() == 0 {
+				t.Error("doomed node emitted nothing before the panic; injection too early")
+			}
+			if st := pn.Stats(); st.TuplesIn == 0 || st.TuplesIn >= e.Packets() || st.TuplesOut != emitted.Load() {
+				t.Errorf("Stats() = %d in, %d out; want 0 < in < %d packets and out = %d rows seen", st.TuplesIn, st.TuplesOut, e.Packets(), emitted.Load())
+			}
+			if d := e.Drops(); d != 0 {
+				t.Errorf("%d packets dropped", d)
+			}
+			for _, snap := range e.Overload() {
+				if snap.Dropped != 0 {
+					t.Errorf("gate %s/%s dropped %d packets: a dead worker stopped draining", snap.Node, snap.Ring, snap.Dropped)
+				}
+			}
+			if len(*rows) != len(*want) {
+				t.Fatalf("sibling produced %d rows, solo reference %d", len(*rows), len(*want))
+			}
+			for i := range *want {
+				if (*rows)[i] != (*want)[i] {
+					t.Fatalf("sibling row %d diverged from solo run", i)
+				}
+			}
+		})
+	}
 }
 
 // TestPanicDuringFlushContained: a panic raised while flushing the final

@@ -90,27 +90,41 @@ func (e *Engine) debugAccuracy() []NodeAccuracy {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
 	out := []NodeAccuracy{}
-	for _, n := range e.low {
-		if n.op.Estimating() {
-			out = append(out, NodeAccuracy{Name: n.name, State: n.op.AccuracySnapshot()})
-		}
-	}
-	for _, n := range e.high {
-		if n.op.Estimating() {
-			out = append(out, NodeAccuracy{Name: n.name, State: n.op.AccuracySnapshot()})
+	for _, n := range e.nodes() {
+		if op := n.op(); op != nil && op.Estimating() {
+			out = append(out, NodeAccuracy{Name: n.name, State: op.AccuracySnapshot()})
 		}
 	}
 	return out
+}
+
+// op returns the operator a node runs, for the views only it can render;
+// nil for a partial-aggregation node.
+func (n *Node) op() *operator.Operator {
+	op, _ := n.step.(*operator.Operator)
+	return op
+}
+
+// level names the node's place in the plan: /debug/plan's field, and part
+// of the snapshot fingerprint.
+func (n *Node) level() string {
+	switch {
+	case !n.low:
+		return "high"
+	case n.partial != nil:
+		return "low_partial"
+	}
+	return "low"
 }
 
 func (e *Engine) debugPlan() []NodePlan {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
 	var out []NodePlan
-	add := func(n *Node, level string) {
+	for _, n := range e.nodes() {
 		np := NodePlan{
 			Name:   n.name,
-			Level:  level,
+			Level:  n.level(),
 			Output: n.schema.Name(),
 			Plan:   n.plan.Describe(),
 		}
@@ -118,15 +132,6 @@ func (e *Engine) debugPlan() []NodePlan {
 			np.Subscribers = append(np.Subscribers, sub.name)
 		}
 		out = append(out, np)
-	}
-	for _, n := range e.low {
-		add(n, "low")
-	}
-	for _, n := range e.lowPartial {
-		add(&n.Node, "low_partial")
-	}
-	for _, n := range e.high {
-		add(n, "high")
 	}
 	return out
 }
@@ -143,32 +148,28 @@ type SessionDebug struct {
 func (e *Engine) debugState() map[string]any {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
-	nodes := make([]NodeDebug, 0, len(e.low)+len(e.lowPartial)+len(e.high))
-	for _, n := range e.low {
-		nodes = append(nodes, NodeDebug{Name: n.name, State: n.op.DebugSnapshot()})
-	}
-	for _, pn := range e.lowPartial {
-		nd := NodeDebug{Name: pn.name}
-		if s := pn.rt.Load(); s != nil {
-			for _, w := range s.workers {
+	nodes := make([]NodeDebug, 0, len(e.low)+len(e.high))
+	for _, n := range e.nodes() {
+		nd := NodeDebug{Name: n.name}
+		if op := n.op(); op != nil {
+			nd.State = op.DebugSnapshot()
+		} else if s := n.partial.rt.Load(); s != nil {
+			for _, sh := range s.shards {
 				nd.Shards = append(nd.Shards, ShardDebug{
-					ID:        w.id,
-					RingCap:   w.ring.Cap(),
-					RingLen:   w.ring.Len(),
-					RingDrops: w.ring.Drops(),
-					Folded:    w.folded.Load(),
-					TuplesIn:  w.aTuplesIn.Load(),
-					TuplesOut: w.aOut.Load(),
-					Evictions: w.aEvictions.Load(),
-					Residents: w.aResidents.Load(),
-					BusyNS:    w.aBusyNS.Load(),
+					ID:        sh.id,
+					RingCap:   sh.ring.Cap(),
+					RingLen:   sh.ring.Len(),
+					RingDrops: sh.ring.Drops(),
+					Folded:    sh.consumed.Load(),
+					TuplesIn:  sh.aTuplesIn.Load(),
+					TuplesOut: sh.aOut.Load(),
+					Evictions: sh.aEvictions.Load(),
+					Residents: sh.aResidents.Load(),
+					BusyNS:    sh.aBusyNS.Load(),
 				})
 			}
 		}
 		nodes = append(nodes, nd)
-	}
-	for _, n := range e.high {
-		nodes = append(nodes, NodeDebug{Name: n.name, State: n.op.DebugSnapshot()})
 	}
 	st := map[string]any{
 		"ring": RingDebug{

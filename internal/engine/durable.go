@@ -46,10 +46,9 @@ const snapshotMagic uint64 = 0x53455353_4F503031
 const snapshotVersion uint32 = 2
 
 // handBuilt returns the nodes no tap or standing query owns, in topology
-// order (low-level first), and a fingerprint of them — name, compiled plan
-// and output schema of each — that a snapshot carries to refuse restoration
-// into different queries. Partial-aggregation nodes are fingerprinted but
-// not returned: they have no state codec (see checkpointRunnable).
+// order (low-level first), and a fingerprint of them — level, name,
+// compiled plan and output schema of each — that a snapshot carries to
+// refuse restoration into different queries.
 func (e *Engine) handBuilt() ([]*Node, uint64) {
 	owned := make(map[*Node]bool, len(e.taps)+len(e.handles))
 	for _, t := range e.taps {
@@ -60,26 +59,15 @@ func (e *Engine) handBuilt() ([]*Node, uint64) {
 	}
 	fp := fnv.New64a()
 	var nodes []*Node
-	add := func(level string, n *Node, codec bool) {
+	for _, n := range e.nodes() {
 		if owned[n] {
-			return
+			continue
 		}
-		for _, part := range []string{level, n.name, n.plan.Describe(), n.schema.Name()} {
+		for _, part := range []string{n.level(), n.name, n.plan.Describe(), n.schema.Name()} {
 			fp.Write([]byte(part))
 			fp.Write([]byte{0})
 		}
-		if codec {
-			nodes = append(nodes, n)
-		}
-	}
-	for _, n := range e.low {
-		add("low", n, true)
-	}
-	for _, pn := range e.lowPartial {
-		add("low_partial", &pn.Node, false)
-	}
-	for _, n := range e.high {
-		add("high", n, true)
+		nodes = append(nodes, n)
 	}
 	return nodes, fp.Sum64()
 }
@@ -177,8 +165,8 @@ func (e *Engine) encodeSnapshot() ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-// encodeNodeState appends one node's counters and operator snapshot. A
-// panicked operator's state is untrusted: its contained failure is
+// encodeNodeState appends one node's counters and its step's snapshot. A
+// panicked step's state is untrusted: its contained failure is
 // persisted instead (the previous snapshot holds the last-good state).
 func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 	enc.I64(n.tuplesIn)
@@ -190,7 +178,7 @@ func encodeNodeState(enc *checkpoint.Encoder, n *Node) error {
 		return nil
 	}
 	sub := checkpoint.NewEncoder()
-	if err := n.op.Snapshot(sub); err != nil {
+	if err := n.step.Snapshot(sub); err != nil {
 		return fmt.Errorf("engine: node %q: %w", n.name, err)
 	}
 	enc.Blob(sub.Bytes())
@@ -208,7 +196,7 @@ func (e *Engine) decodeNodeState(d *checkpoint.Decoder, n *Node, info *RestoreIn
 			e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, false)
 		}
 	} else if blob := d.Blob(); d.Err() == nil {
-		if err := n.op.Restore(checkpoint.NewDecoder(blob)); err != nil {
+		if err := n.step.Restore(checkpoint.NewDecoder(blob)); err != nil {
 			return fmt.Errorf("engine: node %q: %w", n.name, err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamop/internal/checkpoint"
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
 	"streamop/internal/profile"
@@ -41,14 +42,40 @@ type NodeStats struct {
 	Operator operator.Stats
 }
 
+// step is the one thing that differs between kinds of node: what the node
+// runs over its input batch. The sampling operator is one (selection,
+// sampling and full aggregation, at either level) and a low-level query's
+// direct-mapped partial-aggregation table the other (ptable, partial.go).
+// Everything around the step — conversion, counters, containment, the
+// emit, the edges, the workers — is Node's and is written once.
+type step interface {
+	ProcessBatch(*tuple.Batch) error
+	Flush() error
+	// Stats().Windows counts closed windows: what the checkpoint schedule
+	// watches.
+	Stats() operator.Stats
+	Snapshot(*checkpoint.Encoder) error
+	Restore(*checkpoint.Decoder) error
+	SetCollector(c *telemetry.Collector, node string)
+	SetProfile(*profile.NodeProfile)
+}
+
 // Node is one query node. Low-level nodes consume packets; high-level
 // nodes consume another node's output tuples.
 type Node struct {
-	name     string
-	plan     *gsql.Plan
-	op       *operator.Operator
-	schema   *tuple.Schema // output schema
-	subs     []*Node
+	name string
+	plan *gsql.Plan
+	step step
+	// partial is the PartialNode this node is the base of; nil for an
+	// operator-backed node.
+	partial *PartialNode
+	// set is the sharded runtime this node is a replica in (see shard.go);
+	// nil for any other node.
+	set    *shardSet
+	schema *tuple.Schema // output schema
+	subs   []*Node
+	// outs[i] is the batch this node's emissions fill for subs[i] (see edge).
+	outs     []*tuple.Batch
 	apps     []func(tuple.Tuple) error
 	busy     time.Duration
 	tuplesIn int64
@@ -62,8 +89,9 @@ type Node struct {
 	failMsg   string
 	failStack string
 	// consumed counts packets this node's RunParallel worker has fully
-	// processed; the producer's checkpoint quiesce waits for it to catch up
-	// with the ring's push count (see checkpoint.go).
+	// processed (or drained, once dead): the producer's checkpoint quiesce
+	// and a sharded node's window barrier wait for it to catch up with the
+	// ring's push count (see checkpoint.go, shard.go).
 	consumed atomic.Uint64
 	// nm holds this node's telemetry gauges; nil when uninstrumented.
 	nm *nodeMetrics
@@ -103,35 +131,34 @@ func (n *Node) Subscribe(fn func(tuple.Tuple) error) {
 
 // Stats returns the node's counters.
 func (n *Node) Stats() NodeStats {
-	st := NodeStats{
+	return NodeStats{
 		Name:      n.name,
 		TuplesIn:  n.tuplesIn,
 		TuplesOut: n.out,
 		Busy:      n.busy,
+		Operator:  n.step.Stats(),
 	}
-	if n.op != nil { // partial-aggregation nodes have no operator
-		st.Operator = n.op.Stats()
-	}
-	return st
 }
 
 // edge is the hop from a node to one node reading it: a columnar batch the
 // parent's emissions append to, the one way a tuple gets from a query into
-// the buffer of the query above it (paper Fig. 1). Which batch out is gets
-// decided when a run starts. On the serial path it is the reader's inBatch,
-// and drainHigh runs the reader over it in place. Under RunParallel it is a
-// batch the parent's goroutine owns: between steps handOff sends it to the
-// reader's worker over full and takes a spent one from free to fill next,
-// so a reader that falls behind blocks its parent (backpressure, bounded
-// memory) and nothing allocates once the batches have grown. A shard
-// replica fills batches of its own and shares only the two channels and
-// the counters: passed counts the batches sent over full, taken the ones
-// the reader has finished with, and a checkpoint waits for them to agree
-// (see quiesce).
+// the buffer of the query above it (paper Fig. 1). The batch being filled
+// is the emitting node's (Node.outs, one per reader), and which batch that
+// is gets decided when a run starts. On the serial path it is the reader's
+// inBatch, and drainHigh runs the reader over it in place. Under
+// RunParallel it is a batch the emitting goroutine owns: between steps
+// handOff sends it to the reader's worker over full and takes a spent one
+// from free to fill next, so a reader that falls behind blocks its parent
+// (backpressure, bounded memory) and nothing allocates once the batches
+// have grown. The shard replicas of one node each fill batches of their
+// own and share the edge: producers counts the emitting goroutines still
+// running, and the last one out closes full; passed counts the batches sent
+// over full, taken the ones the reader has finished with, and a checkpoint
+// waits for them to agree (see quiesce).
 type edge struct {
-	out           *tuple.Batch
 	full          chan *tuple.Batch // nil on the serial path
 	free          chan *tuple.Batch
+	producers     atomic.Int32
 	passed, taken atomic.Uint64
 }
 
@@ -142,15 +169,35 @@ const edgeDepth = 4
 
 // openSubs readies the edges out of n for a RunParallel run in which the
 // given number of goroutines emit n's rows: one batch for each of them to
-// fill, which they take from free, and edgeDepth in flight. Both channels
+// fill, which takeOuts hands them, and edgeDepth in flight. Both channels
 // hold every batch, so only waiting for a spent batch ever blocks.
 func (n *Node) openSubs(producers int) {
 	for _, sub := range n.subs {
 		batches := producers + edgeDepth
 		sub.in.full = make(chan *tuple.Batch, batches)
 		sub.in.free = make(chan *tuple.Batch, batches)
+		sub.in.producers.Store(int32(producers))
 		for i := 0; i < batches; i++ {
 			sub.in.free <- tuple.NewBatch(n.schema, 64)
+		}
+	}
+}
+
+// takeOuts gives the node — or one shard replica of the node whose edges
+// these are — a batch of its own to fill for every reader.
+func (n *Node) takeOuts() {
+	n.outs = make([]*tuple.Batch, len(n.subs))
+	for i, sub := range n.subs {
+		n.outs[i] = <-sub.in.free
+	}
+}
+
+// closeSubs ends the node's part in the edges out of it: the last emitting
+// goroutine to leave closes them, which ends the readers' workers.
+func (n *Node) closeSubs() {
+	for _, sub := range n.subs {
+		if sub.in.producers.Add(-1) == 0 {
+			close(sub.in.full)
 		}
 	}
 }
@@ -170,8 +217,8 @@ func (ed *edge) pass(out *tuple.Batch) *tuple.Batch {
 // workers of the nodes reading it (RunParallel; never from inside
 // emitCols).
 func (n *Node) handOff() {
-	for _, sub := range n.subs {
-		sub.in.out = sub.in.pass(sub.in.out)
+	for i, sub := range n.subs {
+		n.outs[i] = sub.in.pass(n.outs[i])
 	}
 }
 
@@ -193,7 +240,7 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 		if si == 0 && len(tts) > 0 {
 			sub.enqueueTrace(n.name, tts)
 		}
-		sub.in.out.AppendCols(cols)
+		n.outs[si].AppendCols(cols)
 	}
 	if len(n.subs) == 0 {
 		// Application boundary: the traced tuple's group reached the DAG's
@@ -207,9 +254,15 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 
 // callApps shows the rows to the application callbacks one after the other
 // in the node's scratch tuple: lent, so a callback copies what it keeps.
+// The replicas of a sharded node take turns, a run of rows each: callbacks
+// are user code and must not see concurrent calls.
 func (n *Node) callApps(cols []*tuple.Column) error {
 	if len(n.apps) == 0 {
 		return nil
+	}
+	if s := n.set; s != nil {
+		s.appMu.Lock()
+		defer s.appMu.Unlock()
 	}
 	for i, rows := 0, cols[0].Len(); i < rows; i++ {
 		n.appRow = tuple.RowOf(n.appRow, cols, i)
@@ -230,11 +283,10 @@ func (n *Node) callApps(cols []*tuple.Column) error {
 // the same gates (overload.go) and run the same node steps over the same
 // columnar edges.
 type Engine struct {
-	ring       *ringbuf.Ring[trace.Packet]
-	low        []*Node
-	lowPartial []*PartialNode
-	high       []*Node // topological order (parents before children)
-	names      map[string]bool
+	ring  *ringbuf.Ring[trace.Packet]
+	low   []*Node // registration order, operator-backed and partial alike
+	high  []*Node // topological order (parents before children)
+	names map[string]bool
 
 	// The stream clock (see pump.go). Atomics: the pump writes them per
 	// packet while HTTP handlers (gsqd's /healthz, the telemetry surface)
@@ -322,11 +374,29 @@ func (e *Engine) AddLowLevel(name string, plan *gsql.Plan) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{name: name, plan: plan, schema: schema, low: true}
-	n.op, err = operator.New(plan, nil)
-	if err != nil {
+	if err := n.runOperator(); err != nil {
 		return nil, err
 	}
-	n.op.SetColumnSink(n.emitCols)
+	e.attach(n)
+	e.low = append(e.low, n)
+	return n, nil
+}
+
+// runOperator gives the node the sampling operator over its plan as its
+// step.
+func (n *Node) runOperator() error {
+	op, err := operator.New(n.plan, nil)
+	if err != nil {
+		return err
+	}
+	op.SetColumnSink(n.emitCols)
+	n.step = op
+	return nil
+}
+
+// attach attaches the engine's collector, tracer and profiler to a
+// node being registered.
+func (e *Engine) attach(n *Node) {
 	if e.tel != nil {
 		e.instrumentNode(n)
 	}
@@ -334,8 +404,6 @@ func (e *Engine) AddLowLevel(name string, plan *gsql.Plan) (*Node, error) {
 		n.attachTracer(e.tr)
 	}
 	n.attachProfile(e.Profiler())
-	e.low = append(e.low, n)
-	return n, nil
 }
 
 // AddHighLevel registers a high-level node reading parent's output stream.
@@ -357,20 +425,12 @@ func (e *Engine) AddHighLevel(name string, parent *Node, plan *gsql.Plan) (*Node
 	// Starts small and grows to the parent's largest burst: a session can
 	// hold a thousand queries on one tap, most of them nearly idle.
 	n.inBatch = tuple.NewBatch(parent.schema, 64)
-	n.in.out = n.inBatch
-	n.op, err = operator.New(plan, nil)
-	if err != nil {
+	if err := n.runOperator(); err != nil {
 		return nil, err
 	}
-	n.op.SetColumnSink(n.emitCols)
-	if e.tel != nil {
-		e.instrumentNode(n)
-	}
-	if e.tr != nil {
-		n.attachTracer(e.tr)
-	}
-	n.attachProfile(e.Profiler())
+	e.attach(n)
 	parent.subs = append(parent.subs, n)
+	parent.outs = append(parent.outs, n.inBatch)
 	e.high = append(e.high, n)
 	return n, nil
 }
@@ -390,7 +450,7 @@ func (e *Engine) RunContext(ctx context.Context, feed trace.Feed) error {
 		return err
 	}
 	defer e.endRun()
-	if len(e.low) == 0 && len(e.lowPartial) == 0 {
+	if len(e.low) == 0 {
 		return fmt.Errorf("engine: no low-level nodes")
 	}
 	return e.runSerial(ctx, feed, nil, 0)
@@ -444,26 +504,22 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 			if d := e.consumerDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			// Traced packets follow the first low-level node through the
-			// DAG (one terminal disposition per trace).
+			// Traced packets follow the first low-level node with trace
+			// sites through the DAG (one terminal disposition per trace).
 			var matches []tracing.SourceMatch
-			if e.tr != nil && len(e.low) > 0 {
+			if e.tr != nil {
 				matches = e.tr.TakeSource(base, n)
 			}
 			for _, low := range e.low {
-				if low.failed {
-					matches = nil
-					continue
+				var follow []tracing.SourceMatch
+				if low.tr != nil {
+					follow, matches = matches, nil
 				}
 				if err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, pkts[:n], matches)
+					return e.processLowBatch(low, pkts[:n], follow)
 				}); err != nil {
 					return err
 				}
-				matches = nil
-			}
-			if err := e.runPartialBatch(pkts[:n]); err != nil {
-				return err
 			}
 			if err := e.drainHigh(); err != nil {
 				return err
@@ -491,9 +547,6 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 		if err := e.flushNode(low); err != nil {
 			return err
 		}
-	}
-	if err := e.flushPartial(); err != nil {
-		return err
 	}
 	if err := e.drainHigh(); err != nil {
 		return err
@@ -556,7 +609,7 @@ func (e *Engine) offerSource(p *trace.Packet) {
 func (e *Engine) flushNode(n *Node) error {
 	return e.guardNode(n, func() error {
 		start := time.Now()
-		err := n.op.Flush()
+		err := n.step.Flush()
 		n.busy += time.Since(start)
 		if err != nil {
 			return fmt.Errorf("engine: node %q: %w", n.name, err)
@@ -634,7 +687,7 @@ func (h *Node) processInput() error {
 	n := in.Len()
 	h.tuplesIn += int64(n)
 	if h.tr == nil {
-		return h.op.ProcessBatch(in)
+		return h.step.ProcessBatch(in)
 	}
 	for i := 0; i < n; {
 		end := n
@@ -642,14 +695,14 @@ func (h *Node) processInput() error {
 			end = h.trPend[0].idx
 		}
 		if i < end {
-			if err := h.op.ProcessBatch(in.Slice(i, end, &h.trSeg)); err != nil {
+			if err := h.step.ProcessBatch(in.Slice(i, end, &h.trSeg)); err != nil {
 				return err
 			}
 			i = end
 			continue
 		}
 		h.tr.SetCurrent(h.takeRowTraces())
-		err := h.op.ProcessBatch(in.Slice(i, i+1, &h.trSeg))
+		err := h.step.ProcessBatch(in.Slice(i, i+1, &h.trSeg))
 		h.tr.ClearCurrent()
 		if err != nil {
 			return err
@@ -687,14 +740,15 @@ func (e *Engine) Utilization(n *Node) float64 {
 	return float64(n.busy) / float64(d)
 }
 
-// Nodes returns every node, low-level first.
+// Nodes returns every node, low-level first, each level in registration
+// order.
 func (e *Engine) Nodes() []*Node {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
-	out := make([]*Node, 0, len(e.low)+len(e.lowPartial)+len(e.high))
-	out = append(out, e.low...)
-	for _, n := range e.lowPartial {
-		out = append(out, &n.Node)
-	}
-	return append(out, e.high...)
+	return e.nodes()
+}
+
+// nodes is Nodes for a caller that holds topoMu or owns the topology.
+func (e *Engine) nodes() []*Node {
+	return append(append(make([]*Node, 0, len(e.low)+len(e.high)), e.low...), e.high...)
 }

@@ -11,7 +11,7 @@ import (
 // codec.
 func (n *Node) OperatorSnapshot() ([]byte, error) {
 	enc := checkpoint.NewEncoder()
-	err := n.op.Snapshot(enc)
+	err := n.step.Snapshot(enc)
 	return enc.Bytes(), err
 }
 

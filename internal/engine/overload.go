@@ -120,11 +120,6 @@ func (e *Engine) sourcePlan() *gsql.Plan {
 			return n.plan
 		}
 	}
-	for _, n := range e.lowPartial {
-		if n.plan.Overload != "" {
-			return n.plan
-		}
-	}
 	return nil
 }
 

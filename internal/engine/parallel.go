@@ -14,17 +14,18 @@ import (
 
 // RunParallel runs the node tree with real concurrency, the way Gigascope
 // deploys it: the packet producer, every low-level node and every
-// high-level node each run on their own goroutine. Each low-level selection
-// node drains a private SPSC ring fed by the producer; each low-level
-// partial-aggregation node fans out into shard replicas with private rings
-// and private group-table stripes (see shard.go), routed by group-key hash
-// so no shard shares state. The nodes themselves run as they do under Run —
-// the same step over a popped packet batch, the same step over a
-// high-level node's input batch, the same emit — and the edge between two
-// nodes is the same columnar batch (see edge): a node's goroutine fills a
-// batch of its own and, between steps, passes it to the reader's goroutine
-// over a bounded channel, taking a spent one back. A reader that falls
-// behind blocks its parent there, in both modes.
+// high-level node each run on their own goroutine. Every low-level node
+// drains a private SPSC ring fed by the producer, in the one worker body
+// (runLow); a partial-aggregation node first fans out into shard replicas,
+// each a node with a ring and a group-table stripe of its own (see
+// shard.go), routed by group-key hash so no shard shares state. The nodes
+// themselves run as they do under Run — the same step over a popped packet
+// batch, the same step over a high-level node's input batch, the same
+// emit, the same panic containment — and the edge between two nodes is the
+// same columnar batch (see edge): a node's goroutine fills a batch of its
+// own and, between steps, passes it to the reader's goroutine over a
+// bounded channel, taking a spent one back. A reader that falls behind
+// blocks its parent there, in both modes.
 //
 // The producer takes its packets from the engine's one pump (pump.go), as
 // Run and a session do. speedup > 0 has the pump pace them by packet
@@ -59,7 +60,7 @@ func (e *Engine) RunParallel(feed trace.Feed, speedup float64) error {
 // end-of-stream shutdown, and the call returns ctx.Err() (unless a node
 // failure already produced a harder error).
 func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedup float64) error {
-	if len(e.low) == 0 && len(e.lowPartial) == 0 {
+	if len(e.low) == 0 {
 		return fmt.Errorf("engine: no low-level nodes")
 	}
 	if err := e.beginRun(); err != nil {
@@ -83,67 +84,71 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		}()
 	}
 	pm := e.newPump(ctx, feed, nil, speedup)
+	paced := speedup > 0
 
-	// Private ring per low-level selection node, same capacity as the
-	// source ring. In paced mode each ring gets an admission gate; unpaced
-	// mode backpressures instead (block with no timeout, in effect) and
-	// runs ungated.
-	rings := make([]*ringbuf.Ring[trace.Packet], len(e.low))
-	var gates []*ringGate
-	if speedup > 0 {
-		gates = make([]*ringGate, len(e.low))
-	}
-	for i, low := range e.low {
+	// For the length of the run every edge carries batches between
+	// goroutines and every emitting goroutine fills batches of its own;
+	// afterwards a node fills its readers' input batches again.
+	defer func() {
+		for _, n := range e.Nodes() {
+			for i, sub := range n.subs {
+				n.outs[i] = sub.inBatch
+			}
+		}
+		for _, h := range e.high {
+			h.in = edge{}
+		}
+	}()
+	// One worker per low-level node, draining a private ring. A selection
+	// node's has the source ring's capacity and is offered every packet. A
+	// partial-aggregation node fans out into a sharded runtime, a worker per
+	// replica: unpaced runs get the exactness barrier, paced runs trade it
+	// for zero producer stalls. In paced mode each ring gets an admission
+	// gate; unpaced mode backpressures instead (block with no timeout, in
+	// effect) and runs ungated.
+	var (
+		workers []lowWorker
+		rings   []*ringbuf.Ring[trace.Packet] // the selection nodes'
+		gates   []*ringGate                   // theirs, when paced
+		sets    []*shardSet
+	)
+	for _, low := range e.low {
+		if pn := low.partial; pn != nil {
+			s, err := e.newShardSet(pn, !paced)
+			if err != nil {
+				return err
+			}
+			sets = append(sets, s)
+			pn.rt.Store(s)
+			for _, sh := range s.shards {
+				workers = append(workers, lowWorker{&sh.Node, sh.ring, sh})
+			}
+			continue
+		}
 		r, err := ringbuf.New[trace.Packet](e.ring.Cap())
 		if err != nil {
 			return err
 		}
-		rings[i] = r
-		if gates != nil {
-			gates[i] = e.newGate(e.resolveOverload(low.plan, low.name, "0"), r, low.name, "0")
+		rings = append(rings, r)
+		if paced {
+			gates = append(gates, e.newGate(e.resolveOverload(low.plan, low.name, "0"), r, low.name, "0"))
 		}
-	}
-	// The edge into every high-level node carries batches between
-	// goroutines for the length of the run (a sharded node's edges open in
-	// newShardSet, one producer per replica).
-	defer func() {
-		for _, h := range e.high {
-			h.in = edge{out: h.inBatch}
-		}
-	}()
-	open := func(n *Node) {
-		n.openSubs(1)
-		for _, sub := range n.subs {
-			sub.in.out = <-sub.in.free
-		}
-	}
-	for _, low := range e.low {
-		open(low)
+		low.openSubs(1)
+		low.takeOuts()
+		workers = append(workers, lowWorker{low, r, nil})
 	}
 	for _, h := range e.high {
-		open(h)
+		h.openSubs(1)
+		h.takeOuts()
 	}
-	// Sharded runtime per partial-aggregation node; unpaced runs get the
-	// exactness barrier, paced runs trade it for zero producer stalls.
-	sets := make([]*shardSet, len(e.lowPartial))
 	allGates := append([]*ringGate(nil), gates...)
-	for i, pn := range e.lowPartial {
-		s, err := e.newShardSet(pn, speedup <= 0)
-		if err != nil {
-			return err
-		}
-		sets[i] = s
-		pn.rt.Store(s)
+	for _, s := range sets {
 		allGates = append(allGates, s.gates...)
 	}
 	e.setGates(allGates)
 	e.applyRestoredGate()
 
-	nWorkers := len(e.low) + len(e.high)
-	for _, s := range sets {
-		nWorkers += len(s.workers)
-	}
-	errs := make(chan error, 1+nWorkers)
+	errs := make(chan error, 1) // the first error reported is the run's
 	reportErr := func(err error) {
 		select {
 		case errs <- err:
@@ -191,7 +196,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			if _, st := pm.next(&p); st != pumpPacket {
 				break
 			}
-			if speedup > 0 {
+			if paced {
 				// The pump released the packet when it was due; offer it
 				// once: the gate's policy decides what a full ring costs.
 				for _, g := range gates {
@@ -229,7 +234,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			// — the stream keeps flowing and the next probe retries.
 			if ck := e.ckpt; ck != nil && ck.cfg.EveryWindows > 0 && e.packets.Load()%ckptProbeInterval == 0 {
 				flushLow()
-				e.quiesce(rings)
+				e.quiesce(workers)
 				if err := e.maybeCheckpoint(); err != nil {
 					reportErr(err)
 				}
@@ -244,7 +249,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		// end-of-stream flush (which would mutate the open windows the
 		// snapshot must preserve).
 		if ck := e.ckpt; ck != nil && pm.cancelled {
-			e.quiesce(rings)
+			e.quiesce(workers)
 			if err := e.writeCheckpoint(); err != nil {
 				reportErr(err)
 			}
@@ -255,74 +260,21 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	}()
 
 	var wg sync.WaitGroup
-
-	// Low-level selection consumers: the serial loop's step over each
-	// popped batch, then the hand-off. A worker whose node errors or panics
-	// does not return early — it switches to drain mode (pop, count,
-	// discard) so the producer's backpressure and checkpoint quiesce keep
-	// moving, and closes its subscribers' edges without a flush at end of
-	// stream.
-	for i, low := range e.low {
+	for _, w := range workers {
 		wg.Add(1)
-		go func(low *Node, ring *ringbuf.Ring[trace.Packet]) {
+		go func(w lowWorker) {
 			defer wg.Done()
-			batch := make([]trace.Packet, shardBatch)
-			dead := false // erred (reported) or failed (contained panic)
-			empty := 0    // polls of an empty ring since the last packet
-			for {
-				n := ring.PopBatch(batch)
-				if n == 0 {
-					select {
-					case <-producerDone:
-						if ring.Len() == 0 {
-							e.finishNode(low, dead, reportErr)
-							return
-						}
-					default:
-						awaitPackets(&empty, speedup > 0)
-					}
-					continue
-				}
-				empty = 0
-				if dead {
-					low.consumed.Add(uint64(n))
-					continue
-				}
-				if d := e.consumerDelay(); d > 0 {
-					time.Sleep(d)
-				}
-				err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, batch[:n], nil)
-				})
-				low.handOff()
-				low.consumed.Add(uint64(n))
-				if err != nil {
-					reportErr(err)
-				}
-				dead = err != nil || low.failed
-				low.syncRing(ring)
-			}
-		}(low, rings[i])
-	}
-
-	// Shard workers for partial-aggregation nodes.
-	for _, s := range sets {
-		for _, w := range s.workers {
-			wg.Add(1)
-			go func(w *shardWorker) {
-				defer wg.Done()
-				w.run(producerDone, reportErr)
-			}(w)
-		}
+			e.runLow(w, paced, producerDone, reportErr)
+		}(w)
 	}
 
 	// High-level consumers: each batch that arrives is the node's input for
 	// one stepHigh, the serial loop's step, and goes back to its parent
 	// spent. The edge is closed by the parent after it flushes — for a
-	// sharded parent, by its last finishing shard worker. A panic is
-	// contained like an error, except nothing is reported: the node is
-	// failed, and its input keeps draining and recycling so the parent
-	// never blocks and the run's other queries proceed.
+	// sharded parent, by its last finishing replica. A panic is contained
+	// like an error, except nothing is reported: the node is failed, and
+	// its input keeps draining and recycling so the parent never blocks and
+	// the run's other queries proceed.
 	for _, h := range e.high {
 		wg.Add(1)
 		go func(h *Node) {
@@ -345,25 +297,113 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			}
 			h.inBatch = own
 			e.finishNode(h, dead, reportErr)
+			h.syncTelemetry(0)
 		}(h)
 	}
 
 	wg.Wait()
-	for i, low := range e.low {
-		low.syncTelemetry(0)
-		low.syncRing(rings[i])
-	}
 	for _, s := range sets {
 		s.collect()
-	}
-	for _, h := range e.high {
-		h.syncTelemetry(0)
 	}
 	select {
 	case err := <-errs:
 		return err
 	default:
 		return ctx.Err()
+	}
+}
+
+// lowWorker is what one low-level RunParallel worker runs: a node, the
+// private ring it drains and, when the node is a shard replica, the shard.
+type lowWorker struct {
+	node *Node
+	ring *ringbuf.Ring[trace.Packet]
+	sh   *shard
+}
+
+// runLow is the body of every low-level RunParallel worker, a selection
+// node's and a shard replica's alike: the serial loop's step over each
+// popped batch, then the hand-off. A worker whose node errs or panics does
+// not return early — it switches to drain mode (pop, count, discard) so the
+// producer's backpressure, window barriers and checkpoint quiesce keep
+// moving, and leaves its subscribers' edges without a flush at end of
+// stream. What a shard adds: the flush-epoch check before each pop, dying
+// with its siblings, the replica's number in a reported error, and its
+// /debug mirrors.
+func (e *Engine) runLow(w lowWorker, paced bool, producerDone <-chan struct{}, reportErr func(error)) {
+	low, ring, sh := w.node, w.ring, w.sh
+	if sh != nil {
+		report := reportErr
+		reportErr = func(err error) {
+			report(fmt.Errorf("engine: node %q shard %d: %w", low.name, sh.id, err))
+		}
+	}
+	batch := make([]trace.Packet, shardBatch)
+	dead := false // erred (reported) or failed (contained panic)
+	// settle ends a step: its rows are handed on and its error reported. A
+	// replica that dies takes the node, so its siblings, with it.
+	settle := func(err error) {
+		low.handOff()
+		if err != nil {
+			reportErr(err)
+		}
+		if dead = err != nil || low.failed; dead && sh != nil {
+			sh.set.dead.Store(true)
+		}
+	}
+	empty := 0 // polls of an empty ring since the last packet
+	for {
+		if sh != nil {
+			// Window barrier: the producer has drained our ring (it waited for
+			// consumed == pushed before bumping the epoch), so every packet of
+			// the closing window is already folded — flush the stripe, hand
+			// the rows on, and only then ack: every row of the closing window
+			// is on the subscribers' edges before a packet of the next one is
+			// routed.
+			if fe := sh.set.flushEpoch.Load(); fe != sh.ackEpoch.Load() {
+				if !dead {
+					settle(e.flushNode(low))
+				}
+				sh.syncDebug()
+				sh.ackEpoch.Store(fe)
+				continue
+			}
+			dead = dead || sh.set.dead.Load()
+		}
+		n := ring.PopBatch(batch)
+		if n == 0 {
+			select {
+			case <-producerDone:
+				if ring.Len() == 0 {
+					e.finishNode(low, dead, reportErr)
+					low.syncTelemetry(0)
+					low.syncRing(ring)
+					if sh != nil {
+						sh.syncDebug()
+					}
+					return
+				}
+			default:
+				awaitPackets(&empty, paced)
+			}
+			continue
+		}
+		empty = 0
+		if dead {
+			low.consumed.Add(uint64(n))
+			continue
+		}
+		if d := e.consumerDelay(); d > 0 {
+			time.Sleep(d)
+		}
+		settle(e.guardNode(low, func() error {
+			return e.processLowBatch(low, batch[:n], nil)
+		}))
+		low.consumed.Add(uint64(n))
+		low.syncRing(ring)
+		if sh != nil {
+			sh.syncDebug()
+		}
 	}
 }
 
@@ -382,8 +422,9 @@ func awaitPackets(polls *int, paced bool) {
 }
 
 // finishNode ends a node's RunParallel worker: flush (unless the node is
-// dead — its operator is untrusted or already erred), hand the flushed
-// rows on, and close the edges to the nodes reading it.
+// dead — its step is untrusted or already erred), hand the flushed rows
+// on, and leave the edges to the nodes reading it, which the last emitter
+// out closes.
 func (e *Engine) finishNode(n *Node, dead bool, reportErr func(error)) {
 	if !dead {
 		if err := e.flushNode(n); err != nil {
@@ -391,7 +432,5 @@ func (e *Engine) finishNode(n *Node, dead bool, reportErr func(error)) {
 		}
 		n.handOff()
 	}
-	for _, sub := range n.subs {
-		close(sub.in.full)
-	}
+	n.closeSubs()
 }

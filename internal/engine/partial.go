@@ -3,11 +3,14 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"time"
+	"sync/atomic"
 
 	"streamop/internal/agg"
+	"streamop/internal/checkpoint"
 	"streamop/internal/gsql"
+	"streamop/internal/operator"
 	"streamop/internal/profile"
+	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
@@ -21,10 +24,16 @@ import (
 // paper's §8 notes this is the right low-level support for the
 // Manku-Motwani heavy hitters algorithm.
 //
+// A partial-aggregation node is a Node like any other — same ring, same
+// conversion, counters, containment, emit and edges — whose step is the
+// table (ptable) instead of the sampling operator. The table is not folded
+// into the operator: evict-on-collision would put a mode branch inside the
+// operator's row-order walk.
+//
 // Under RunParallel the node fans out into shard replicas (see shard.go),
-// each owning a disjoint stripe of the slot space: global slot
-// s = hash & mask belongs to shard s % nshards and lives at local index
-// s / nshards in that shard's table. Because the producer routes each
+// each a Node of its own owning a disjoint stripe of the slot space: global
+// slot s = hash & mask belongs to shard s % nshards and lives at local
+// index s / nshards in that shard's table. Because the producer routes each
 // packet to the shard owning its group's slot, the per-slot event sequence
 // (fold, collision eviction, window flush) is identical to the
 // single-table Run, which is what makes sharded aggregates and eviction
@@ -38,10 +47,9 @@ type partialGroup struct {
 }
 
 // ptable is one direct-mapped partial-aggregation table plus its window
-// state: the whole table for the single-threaded Run, or one shard's
-// stripe under RunParallel. Exactly one goroutine owns a ptable.
+// state, a node's step: the whole table for the single-threaded Run, or one
+// shard's stripe under RunParallel. Exactly one goroutine owns a ptable.
 type ptable struct {
-	name      string
 	slots     []partialGroup
 	mask      uint64 // global slot mask (slot = key hash & mask)
 	div       uint64 // stripe divisor: 1 for the full table, nshards for a stripe
@@ -50,11 +58,13 @@ type ptable struct {
 	gbVals    []value.Value
 	window    []value.Value
 	winOpen   bool
+	windows   int64 // windows closed
 	evictions int64
 	residents int64
-	// emit takes the table's output rows (Node.emitCols, or a shard
-	// replica's emit). out is the batch emitSlot fills and drain hands to it,
-	// empty whenever processBatch or flush returns; outRow SELECT's scratch.
+	// emit takes the table's output rows (the emitCols of the node, or of
+	// the replica, whose step this is). out is the batch emitSlot fills and
+	// drain hands to it, empty whenever ProcessBatch or Flush returns; outRow
+	// SELECT's scratch.
 	emit   func(cols []*tuple.Column) error
 	out    []*tuple.Column
 	outRow tuple.Tuple
@@ -69,9 +79,8 @@ type ptable struct {
 	vec *ptableVec
 }
 
-func newPtable(name string, plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
+func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
 	t := ptable{
-		name:   name,
 		slots:  make([]partialGroup, slots),
 		mask:   mask,
 		div:    div,
@@ -94,7 +103,7 @@ func (t *ptable) process(tp tuple.Tuple) error {
 	for i, gb := range t.plan.GroupBy {
 		v, err := gb(&t.ctx)
 		if err != nil {
-			return fmt.Errorf("partial-agg %q: group-by: %w", t.name, err)
+			return fmt.Errorf("group-by: %w", err)
 		}
 		t.gbVals[i] = v
 	}
@@ -102,16 +111,12 @@ func (t *ptable) process(tp tuple.Tuple) error {
 
 	// Window boundary: flush every resident group.
 	if t.winOpen && t.orderedChanged() {
-		if err := t.flush(); err != nil {
+		if err := t.Flush(); err != nil {
 			return err
 		}
 	}
 	if !t.winOpen {
-		t.winOpen = true
-		t.window = t.window[:0]
-		for _, idx := range t.plan.OrderedIdx {
-			t.window = append(t.window, t.gbVals[idx])
-		}
+		t.openWindow()
 	}
 
 	key := tuple.MakeKey(t.gbVals)
@@ -146,12 +151,23 @@ func (t *ptable) process(tp tuple.Tuple) error {
 		if def.Arg != nil {
 			var err error
 			if v, err = def.Arg(&t.ctx); err != nil {
-				return fmt.Errorf("partial-agg %q: %s: %w", t.name, def.Display, err)
+				return fmt.Errorf("%s: %w", def.Display, err)
 			}
 		}
 		slot.aggs[i].Update(v)
 	}
 	return nil
+}
+
+// openWindow opens the window of the row whose ordered group-by values
+// gbVals holds: both folds' one way in.
+func (t *ptable) openWindow() {
+	t.winOpen = true
+	t.winStartNS = t.prof.Start()
+	t.window = t.window[:0]
+	for _, idx := range t.plan.OrderedIdx {
+		t.window = append(t.window, t.gbVals[idx])
+	}
 }
 
 func (t *ptable) orderedChanged() bool {
@@ -170,7 +186,7 @@ func (t *ptable) emitSlot(slot *partialGroup) error {
 	for i, sel := range t.plan.SelectExprs {
 		v, err := sel(&ctx)
 		if err != nil {
-			return fmt.Errorf("partial-agg %q: SELECT %s: %w", t.name, t.plan.SelectNames[i], err)
+			return fmt.Errorf("SELECT %s: %w", t.plan.SelectNames[i], err)
 		}
 		t.outRow[i] = v
 	}
@@ -194,8 +210,9 @@ func (t *ptable) drain(err error) error {
 	return err
 }
 
-// flush emits every resident group and clears the table.
-func (t *ptable) flush() error {
+// Flush closes the open window: it emits every resident group and clears
+// the table.
+func (t *ptable) Flush() error {
 	ft, groups := t.prof.Start(), t.residents
 	for i := range t.slots {
 		if t.slots[i].used {
@@ -209,7 +226,10 @@ func (t *ptable) flush() error {
 	if err := t.drain(nil); err != nil {
 		return err
 	}
-	t.winOpen = false
+	if t.winOpen {
+		t.winOpen = false
+		t.windows++
+	}
 	if np := t.prof; np != nil {
 		np.SetOccupancy(groups, 0, groups*(64+64*int64(len(t.plan.Aggs))))
 		end := np.Charge(profile.StageFlush, ft, groups, groups)
@@ -222,7 +242,76 @@ func (t *ptable) flush() error {
 	return nil
 }
 
-// PartialNode is a low-level partial-aggregation query node.
+// Stats reports the windows the table has closed, the one operator counter
+// it keeps (see step).
+func (t *ptable) Stats() operator.Stats { return operator.Stats{Windows: t.windows} }
+
+// SetProfile attaches the clock the folds and Flush charge.
+func (t *ptable) SetProfile(np *profile.NodeProfile) { t.prof = np }
+
+// SetCollector is the step's; the table keeps no operator-level metrics.
+func (t *ptable) SetCollector(*telemetry.Collector, string) {}
+
+// Snapshot writes the table at a tuple boundary: the open window, the
+// counters, and every resident group under its global slot index (hash &
+// mask), so the layout does not depend on how the slots are striped. A
+// user-defined aggregate has no codec and fails it, as in the operator.
+func (t *ptable) Snapshot(e *checkpoint.Encoder) error {
+	e.Bool(t.winOpen)
+	e.Values(t.window)
+	e.I64(t.windows)
+	e.I64(t.evictions)
+	e.Len(int(t.residents))
+	for i := range t.slots {
+		slot := &t.slots[i]
+		if !slot.used {
+			continue
+		}
+		e.U64(slot.key.Hash() & t.mask)
+		e.Values(slot.key.Values())
+		for j, a := range slot.aggs {
+			if err := agg.EncodeAgg(e, a); err != nil {
+				return fmt.Errorf("snapshot of %s: %w", t.plan.Aggs[j].Display, err)
+			}
+		}
+	}
+	return nil
+}
+
+// Restore loads what Snapshot wrote into the empty table of a freshly
+// built node with the same plan and slot count.
+func (t *ptable) Restore(d *checkpoint.Decoder) error {
+	t.winOpen = d.Bool()
+	t.window = d.Values()
+	t.windows = d.I64()
+	t.evictions = d.I64()
+	t.residents = int64(d.Len())
+	for n := t.residents; n > 0; n-- {
+		global := d.U64()
+		key := tuple.MakeKey(d.Values())
+		if d.Err() != nil {
+			break
+		}
+		if global != key.Hash()&t.mask {
+			return fmt.Errorf("snapshot has a group in slot %d that does not hash there: taken with a different table size", global)
+		}
+		slot := &t.slots[global/t.div]
+		slot.used, slot.key = true, key
+		slot.aggs = make([]agg.Agg, len(t.plan.Aggs))
+		for j := range slot.aggs {
+			a, err := agg.DecodeAgg(d)
+			if err != nil {
+				return fmt.Errorf("restore of %s: %w", t.plan.Aggs[j].Display, err)
+			}
+			slot.aggs[j] = a
+		}
+	}
+	return d.Err()
+}
+
+// PartialNode is a low-level partial-aggregation query node: a Node whose
+// step is a ptable, plus the shard count it fans out into under
+// RunParallel.
 type PartialNode struct {
 	Node
 	table ptable
@@ -232,7 +321,7 @@ type PartialNode struct {
 	// rt is the live sharded runtime, published for /debug/state while a
 	// RunParallel run is in flight (nil under Run or before the first
 	// parallel run).
-	rt shardRTRef
+	rt atomic.Pointer[shardSet]
 }
 
 // DefaultShards returns the shard count a partial-aggregation node fans
@@ -291,16 +380,11 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 		Node:   Node{name: name, plan: plan, schema: schema, low: true},
 		shards: plan.Shards,
 	}
-	n.table = newPtable(name, plan, size, uint64(size-1), 1, n.emitCols)
-	if e.tel != nil {
-		e.instrumentNode(&n.Node)
-	}
-	if e.tr != nil {
-		n.attachTracer(e.tr)
-	}
-	n.attachProfile(e.Profiler())
-	n.table.prof = n.prof
-	e.lowPartial = append(e.lowPartial, n)
+	n.partial = n
+	n.table = newPtable(plan, size, uint64(size-1), 1, n.emitCols)
+	n.step = &n.table
+	e.attach(&n.Node)
+	e.low = append(e.low, &n.Node)
 	return n, nil
 }
 
@@ -333,44 +417,6 @@ func (n *PartialNode) Shards() int {
 // the table is for the workload. After a sharded RunParallel this is the
 // sum across shard replicas.
 func (n *PartialNode) Evictions() int64 { return n.table.evictions }
-
-// runPartialBatch feeds a batch of packets through every partial node,
-// charging busy time per node.
-func (e *Engine) runPartialBatch(pkts []trace.Packet) error {
-	for _, n := range e.lowPartial {
-		if n.failed {
-			continue
-		}
-		if err := e.guardNode(&n.Node, func() error {
-			start := time.Now()
-			n.tuplesIn += int64(len(pkts))
-			err := n.table.processPackets(pkts)
-			n.busy += time.Since(start)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushPartial closes all partial nodes at end of stream.
-func (e *Engine) flushPartial() error {
-	for _, n := range e.lowPartial {
-		if n.failed {
-			continue
-		}
-		if err := e.guardNode(&n.Node, func() error {
-			start := time.Now()
-			err := n.table.flush()
-			n.busy += time.Since(start)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Base returns the embedded Node, for AddHighLevel / Utilization /
 // Subscribe composition.

@@ -10,7 +10,8 @@ import (
 // the operator cannot see, once per popped batch: ring PopBatch (charged
 // to the "source" pseudo-node, matching the telemetry/overload naming) and
 // each low-level node's packet→column conversion. Under RunParallel every
-// shard replica of a partial-aggregation node has a NodeProfile of its own.
+// shard replica of a partial-aggregation node is a node with a NodeProfile
+// of its own.
 // A node's profile is attached where the node is registered and released
 // where it is spliced out, so the report follows the topology.
 //
@@ -30,9 +31,6 @@ func (e *Engine) SetProfiler(p *profile.Profiler) error {
 	for _, n := range e.Nodes() {
 		n.attachProfile(p)
 	}
-	for _, pn := range e.lowPartial {
-		pn.table.prof = pn.prof
-	}
 	return nil
 }
 
@@ -43,9 +41,7 @@ func (e *Engine) Profiler() *profile.Profiler { return e.prof.Load() }
 // attachProfile registers the node with p; a nil p detaches.
 func (n *Node) attachProfile(p *profile.Profiler) {
 	n.prof = p.Node(n.name)
-	if n.op != nil { // partial-aggregation nodes have no operator
-		n.op.SetProfile(n.prof)
-	}
+	n.step.SetProfile(n.prof)
 }
 
 // profFields are embedded in Engine.

@@ -368,38 +368,34 @@ type instrumentOutcome struct {
 	snapshot []byte                      // newest checkpoint, when the mode writes one
 }
 
-// runInstrumented runs the five sampling families — and, unless the mode
-// checkpoints (partial-aggregation nodes have no codec), a sharded
-// partial-aggregation node under a re-aggregating high-level node — over
-// the same feed, with attach applied to the engine first.
+// runInstrumented runs the five sampling families and a partial-aggregation
+// node (two shards under RunParallel) under a re-aggregating high-level
+// node over the same feed, with attach applied to the engine first.
 func runInstrumented(t *testing.T, mode string, attach func(*engine.Engine)) instrumentOutcome {
 	t.Helper()
 	e, sinks := buildSamplingEngine(t)
-	if mode != "Run/checkpointed" {
-		low, err := e.AddLowLevelPartialAgg("partial", mustPlan(t,
-			"SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP",
-			trace.Schema()), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		low.SetShards(2)
-		high, err := e.AddHighLevel("final", low.Base(), mustPlan(t,
-			"SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM partial GROUP BY tb/1 as tb2, srcIP", low.Schema()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &[]string{}
-		sinks["final"] = sink
-		high.Subscribe(func(row tuple.Tuple) error {
-			*sink = append(*sink, fmtRow(row))
-			return nil
-		})
+	low, err := e.AddLowLevelPartialAgg("partial", mustPlan(t,
+		"SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP",
+		trace.Schema()), 64)
+	if err != nil {
+		t.Fatal(err)
 	}
+	low.SetShards(2)
+	high, err := e.AddHighLevel("final", low.Base(), mustPlan(t,
+		"SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM partial GROUP BY tb/1 as tb2, srcIP", low.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &[]string{}
+	sinks["final"] = sink
+	high.Subscribe(func(row tuple.Tuple) error {
+		*sink = append(*sink, fmtRow(row))
+		return nil
+	})
 	if attach != nil {
 		attach(e)
 	}
 	out := instrumentOutcome{rows: map[string][]string{}, stats: map[string]engine.NodeStats{}}
-	var err error
 	switch mode {
 	case "Run":
 		err = e.Run(steadyFeed(t))

@@ -8,16 +8,19 @@ import (
 // Per-query panic containment.
 //
 // An operator panic — a bug in an SFUN, a UDAF, or the operator itself —
-// is contained to the node it happened in: the recover captures the panic
-// value and stack, the node transitions to failed and stops processing
-// (the rest of its input batch and all future input is discarded by
-// stepHigh), and the engine, its sibling queries, and the process all keep
-// running. A failed node's operator
-// state is frozen mid-mutation and therefore untrusted: checkpoints taken
-// afterwards record the failure marker instead of the state, so a restore
-// resumes the healthy siblings from the snapshot and carries the failure
-// forward (the last snapshot before the panic still holds the node's
-// last-good state).
+// is contained to the node it happened in, whatever the node's step and
+// whichever run mode's goroutine was running it: the recover captures the
+// panic value and stack, the node transitions to failed and stops
+// processing (the rest of its input batch and all future input is discarded
+// by stepHigh; a RunParallel worker keeps draining its ring), and the
+// engine, its sibling queries, and the process all keep running. The shard
+// replicas of a partial-aggregation node fail as the one node they are: the
+// first panic is the node's recorded failure, and the others stop folding.
+// A failed node's state is frozen mid-mutation and therefore untrusted:
+// checkpoints taken afterwards record the failure marker instead of the
+// state, so a restore resumes the healthy siblings from the snapshot and
+// carries the failure forward (the last snapshot before the panic still
+// holds the node's last-good state).
 //
 // Error returns are unchanged: an operator *error* still aborts the run,
 // as before. Containment is strictly for panics, which previously took
@@ -67,6 +70,9 @@ func (e *Engine) failNode(n *Node, cause any, stack []byte) {
 	n.failed = true
 	n.failMsg = fmt.Sprint(cause)
 	n.failStack = string(stack)
+	if s := n.set; s != nil && s.dead.Swap(true) {
+		return // a sibling replica has already failed the node
+	}
 	e.recordFailure(NodeFailure{Node: n.name, Msg: n.failMsg, Stack: n.failStack}, true)
 }
 

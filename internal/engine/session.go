@@ -100,7 +100,7 @@ func (e *Engine) setterGuard(what string) error {
 
 // sessionFields is the engine's session state, embedded in Engine.
 type sessionFields struct {
-	// topoMu guards the topology (low/lowPartial/high/names), taps and
+	// topoMu guards the topology (low/high/names), taps and
 	// handles for cross-goroutine readers. The running pump is the sole
 	// writer (idle installs write under the same lock).
 	topoMu   sync.RWMutex
@@ -456,7 +456,7 @@ func (e *Engine) install(name, src string, opts InstallOptions) (*QueryHandle, e
 		// (user-defined aggregates) would poison every later snapshot and
 		// kill the session, so refuse it now, with the topology rolled
 		// back, instead of failing the whole session at the next boundary.
-		if err := h.node.op.Snapshot(checkpoint.NewEncoder()); err != nil {
+		if err := h.node.step.Snapshot(checkpoint.NewEncoder()); err != nil {
 			e.removeQueryNode(h)
 			return nil, fmt.Errorf("engine: query %q cannot be installed while durability is enabled: %w", name, err)
 		}
@@ -569,6 +569,7 @@ func (e *Engine) removeQueryNode(h *QueryHandle) {
 		for i, sub := range t.node.subs {
 			if sub == h.node {
 				t.node.subs = append(t.node.subs[:i], t.node.subs[i+1:]...)
+				t.node.outs = append(t.node.outs[:i], t.node.outs[i+1:]...)
 				break
 			}
 		}

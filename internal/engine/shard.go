@@ -3,11 +3,9 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streamop/internal/gsql"
 	"streamop/internal/ringbuf"
@@ -19,13 +17,14 @@ import (
 
 // Sharded parallel execution for low-level partial aggregation.
 //
-// Under RunParallel a PartialNode fans out into N worker replicas, each
-// with a private SPSC ring and a private stripe of the direct-mapped
-// group table. The producer evaluates the node's GROUP BY per packet and
-// routes the packet to the shard owning the group's global slot
-// (slot = hash & mask, owner = slot % N, local index = slot / N), so no
-// two shards ever touch the same group and no shard shares mutable state
-// with another. The high-level re-aggregation downstream merges the
+// Under RunParallel a PartialNode fans out into N replicas, each a Node of
+// its own (shard) with a private SPSC ring and, as its step, a private
+// stripe of the direct-mapped group table, run by the same low-level
+// worker as any other node (runLow, parallel.go). The producer evaluates
+// the node's GROUP BY per packet and routes the packet to the shard owning
+// the group's global slot (slot = hash & mask, owner = slot % N, local
+// index = slot / N), so no two shards ever touch the same group and no
+// shard shares mutable state with another. The high-level re-aggregation downstream merges the
 // partial rows exactly as it merges the single-table Run's rows.
 //
 // Exactness. Because routing is by slot, each shard observes, for every
@@ -38,7 +37,7 @@ import (
 // operator's ordered-group window detection into closing W early. In
 // unpaced mode (backpressure, no drops) the producer therefore enforces
 // a window barrier: at each boundary it drains every shard ring (waits
-// for folded == pushed), bumps a flush epoch, and waits for each worker
+// for consumed == pushed), bumps a flush epoch, and waits for each worker
 // to flush its stripe and acknowledge before routing the first packet of
 // the new window. In paced mode packets drop under overload anyway, so
 // exactness is off the table; the barrier is skipped and each shard
@@ -47,10 +46,6 @@ import (
 //
 // Compiled plans reuse scratch buffers (DESIGN.md §7), so the producer's
 // router and every worker each analyze their own Plan clone.
-
-// shardRTRef publishes a node's live sharded runtime for /debug/state
-// (see PartialNode.rt).
-type shardRTRef = atomic.Pointer[shardSet]
 
 // shardRingCap is each shard's private ring capacity.
 const shardRingCap = 4096
@@ -65,31 +60,21 @@ type shardMetrics struct {
 	ringOcc, ringDrops  *telemetry.Gauge
 }
 
-// shardWorker is one replica of a partial-aggregation node: a goroutine
-// draining a private ring into a private table stripe. Plain fields are
-// owned by the worker goroutine; the a-prefixed atomics mirror them at
-// batch boundaries for /debug/state.
-type shardWorker struct {
+// shard is one replica of a partial-aggregation node: a Node — the node's
+// name, subscribers and callbacks, a clone of its plan, counters, profile
+// and output batches of its own — whose step is a private table stripe.
+// What it adds to a node is here and in shardSet: the flush epoch it
+// acknowledges, and the mirrors of its counters that /debug/state and the
+// streamop_shard_* gauges read while it runs.
+type shard struct {
+	Node
 	id    int
-	set   *shardSet
 	table ptable
 	ring  *ringbuf.Ring[trace.Packet]
 
-	// folded counts packets fully processed (or drained after a failure);
-	// the producer's window barrier waits for folded == ring.Pushed().
-	folded atomic.Uint64
 	// ackEpoch trails set.flushEpoch; the worker flushes its stripe and
 	// catches up whenever they differ.
 	ackEpoch atomic.Uint64
-	failed   bool
-
-	tuplesIn int64
-	out      int64
-	busy     time.Duration
-	// outs[i] is the batch this replica fills for the node's i-th
-	// subscriber (see edge): a replica shares the edge's channels, never a
-	// batch.
-	outs []*tuple.Batch
 
 	// Live mirrors for /debug/state (see debug.go).
 	aTuplesIn  atomic.Int64
@@ -101,144 +86,36 @@ type shardWorker struct {
 	sm *shardMetrics
 }
 
-// emit is the replica's form of Node.emitCols: a run of partial rows is
-// appended to the replica's batch for each subscriber, then shown to the
-// node's application callbacks under one lock for the run (apps are user
-// code and must not see concurrent calls; the lock also guards the node's
-// scratch row).
-func (w *shardWorker) emit(cols []*tuple.Column) error {
-	w.out += int64(cols[0].Len())
-	for _, b := range w.outs {
-		b.AppendCols(cols)
-	}
-	s := w.set
-	if len(s.node.apps) == 0 {
-		return nil
-	}
-	s.appMu.Lock()
-	defer s.appMu.Unlock()
-	return s.node.callApps(cols)
-}
-
-// step runs fn — one fold or flush of the stripe — charging the replica,
-// and passes the rows it emitted to the subscribers' workers.
-func (w *shardWorker) step(reportErr func(error), fn func() error) {
-	start := time.Now()
-	err := safeCall(fn)
-	w.busy += time.Since(start)
-	for i, sub := range w.set.node.subs {
-		w.outs[i] = sub.in.pass(w.outs[i])
-	}
-	if err != nil {
-		w.fail(reportErr, err)
-	}
-}
-
-// syncDebug mirrors the worker's counters into its atomics and gauges.
-func (w *shardWorker) syncDebug() {
-	w.aTuplesIn.Store(w.tuplesIn)
-	w.aOut.Store(w.out)
-	w.aEvictions.Store(w.table.evictions)
-	w.aResidents.Store(w.table.residents)
-	w.aBusyNS.Store(int64(w.busy))
-	if m := w.sm; m != nil {
-		m.in.Set(float64(w.tuplesIn))
-		m.busy.Set(w.busy.Seconds())
-		m.evictions.Set(float64(w.table.evictions))
-		m.ringOcc.Set(float64(w.ring.Len()))
-		m.ringDrops.Set(float64(w.ring.Drops()))
-	}
-}
-
-// run is the worker goroutine body.
-func (w *shardWorker) run(producerDone <-chan struct{}, reportErr func(error)) {
-	s := w.set
-	batch := make([]trace.Packet, shardBatch)
-	empty := 0 // polls of an empty ring since the last packet
-	for {
-		// Window barrier: the producer has drained our ring (it waited for
-		// folded == pushed before bumping the epoch), so every packet of
-		// the closing window is already folded — flush the stripe, hand the
-		// rows on, and only then ack: every row of the closing window is on
-		// the subscribers' edges before a packet of the next one is routed.
-		if fe := s.flushEpoch.Load(); fe != w.ackEpoch.Load() {
-			if !w.failed {
-				w.step(reportErr, w.table.flush)
-			}
-			w.syncDebug()
-			w.ackEpoch.Store(fe)
-			continue
-		}
-		n := w.ring.PopBatch(batch)
-		if n == 0 {
-			select {
-			case <-producerDone:
-				if w.ring.Len() == 0 && s.flushEpoch.Load() == w.ackEpoch.Load() {
-					w.finish(reportErr)
-					return
-				}
-			default:
-				awaitPackets(&empty, !s.barrier)
-			}
-			continue
-		}
-		empty = 0
-		if s.delay > 0 {
-			time.Sleep(s.delay)
-		}
-		if w.failed {
-			// Drain mode: keep the barrier and backpressure accounting
-			// moving without touching the (dead) table.
-			w.folded.Add(uint64(n))
-			continue
-		}
-		w.tuplesIn += int64(n)
-		w.step(reportErr, func() error { return w.table.processPackets(batch[:n]) })
-		w.folded.Add(uint64(n))
-		w.syncDebug()
-	}
-}
-
-func (w *shardWorker) fail(reportErr func(error), err error) {
-	reportErr(fmt.Errorf("engine: node %q shard %d: %w", w.set.node.name, w.id, err))
-	w.failed = true
-}
-
-// safeCall runs fn, converting a panic into an error so the shard
-// worker's existing fail/drain path contains it instead of crashing the
-// process. (A shard replica is one stripe of a node, so the whole node is
-// reported failed — consistent with the error path.)
-func safeCall(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return fn()
-}
-
-// finish flushes the residual stripe at end of stream; the last worker
-// out closes the edges to the node's subscribers.
-func (w *shardWorker) finish(reportErr func(error)) {
-	s := w.set
-	if !w.failed {
-		w.step(reportErr, w.table.flush)
-	}
-	w.syncDebug()
-	if s.remaining.Add(-1) == 0 {
-		for _, sub := range s.node.subs {
-			close(sub.in.full)
-		}
+// syncDebug mirrors the replica's counters into its atomics and gauges.
+func (sh *shard) syncDebug() {
+	sh.aTuplesIn.Store(sh.tuplesIn)
+	sh.aOut.Store(sh.out)
+	sh.aEvictions.Store(sh.table.evictions)
+	sh.aResidents.Store(sh.table.residents)
+	sh.aBusyNS.Store(int64(sh.busy))
+	if m := sh.sm; m != nil {
+		m.in.Set(float64(sh.tuplesIn))
+		m.busy.Set(sh.busy.Seconds())
+		m.evictions.Set(float64(sh.table.evictions))
+		m.ringOcc.Set(float64(sh.ring.Len()))
+		m.ringDrops.Set(float64(sh.ring.Drops()))
 	}
 }
 
 // shardSet is the per-node sharded runtime: the producer-side router plus
-// the worker replicas. Router state (rctx, rgb, window) is touched only
-// by the producer goroutine.
+// the replicas and what they share. Router state (rctx, rgb, window) is
+// touched only by the producer goroutine.
 type shardSet struct {
-	node    *PartialNode
-	workers []*shardWorker
-	appMu   sync.Mutex
+	node   *PartialNode
+	shards []*shard
+	// appMu has the replicas take turns at the node's application
+	// callbacks (see callApps).
+	appMu sync.Mutex
+	// dead is set once a replica errs or panics: a replica is one stripe of
+	// a node, so the node is dead — the first panic is its one recorded
+	// failure (failNode) and the other replicas stop folding at their next
+	// batch, draining their rings so the barrier and the gates keep moving.
+	dead atomic.Bool
 
 	// Router: a private plan clone evaluating GROUP BY per packet.
 	router  *gsql.Plan
@@ -257,11 +134,9 @@ type shardSet struct {
 	// and backpressure instead of drops.
 	barrier bool
 
-	// gates guard the shard rings in paced mode (one per worker, indexed
-	// like workers); nil in barrier mode, which backpressures instead.
+	// gates guard the shard rings in paced mode (one per replica, indexed
+	// like shards); nil in barrier mode, which backpressures instead.
 	gates []*ringGate
-	// delay is the injected slow-consumer delay applied per popped batch.
-	delay time.Duration
 
 	// routeFailed marks a set whose router hit an evaluation error; the
 	// producer stops routing to it (the error is already reported).
@@ -271,7 +146,6 @@ type shardSet struct {
 	rvec *routerVec
 
 	flushEpoch atomic.Uint64
-	remaining  atomic.Int32
 }
 
 // newShardSet builds the sharded runtime for one partial node.
@@ -289,7 +163,6 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		pend:    make([][]trace.Packet, n),
 		barrier: barrier,
 	}
-	s.delay = e.consumerDelay()
 	ringCap := shardRingCap
 	if e.shardCap > 0 {
 		ringCap = e.shardCap
@@ -306,30 +179,32 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &shardWorker{id: i, set: s, ring: ring}
-		for _, sub := range pn.subs {
-			w.outs = append(w.outs, <-sub.in.free)
-		}
+		sh := &shard{id: i, ring: ring, Node: Node{
+			name: pn.name, plan: wplan, schema: pn.schema, low: true,
+			subs: pn.subs, apps: pn.apps, set: s,
+			prof: e.Profiler().NodeShard(pn.name, i),
+		}}
+		sh.table = newPtable(wplan, stripe, s.mask, uint64(n), sh.emitCols)
+		sh.table.prof = sh.prof
+		sh.step = &sh.table
+		sh.takeOuts()
+		lbl := strconv.Itoa(i)
 		if !barrier {
-			s.gates = append(s.gates, e.newGate(e.resolveOverload(pn.plan, pn.name, strconv.Itoa(i)), ring, pn.name, strconv.Itoa(i)))
+			s.gates = append(s.gates, e.newGate(e.resolveOverload(pn.plan, pn.name, lbl), ring, pn.name, lbl))
 		}
-		w.table = newPtable(pn.name, wplan, stripe, s.mask, uint64(n), w.emit)
-		w.table.prof = e.Profiler().NodeShard(pn.name, i)
 		if e.tel != nil {
 			r := e.tel.Registry()
-			shard := strconv.Itoa(i)
-			w.sm = &shardMetrics{
-				in:        r.GaugeVec("streamop_shard_tuples_in", "packets routed to the shard replica", "node", "shard").With(pn.name, shard),
-				busy:      r.GaugeVec("streamop_shard_busy_seconds", "wall-clock time inside the shard's processing loop", "node", "shard").With(pn.name, shard),
-				evictions: r.GaugeVec("streamop_shard_evictions", "partial rows evicted by slot collisions in the shard's stripe", "node", "shard").With(pn.name, shard),
-				ringOcc:   r.GaugeVec("streamop_shard_ring_occupancy", "shard ring-buffer fill", "node", "shard").With(pn.name, shard),
-				ringDrops: r.GaugeVec("streamop_shard_ring_drops", "packets dropped at the shard's ring buffer", "node", "shard").With(pn.name, shard),
+			sh.sm = &shardMetrics{
+				in:        r.GaugeVec("streamop_shard_tuples_in", "packets routed to the shard replica", "node", "shard").With(pn.name, lbl),
+				busy:      r.GaugeVec("streamop_shard_busy_seconds", "wall-clock time inside the shard's processing loop", "node", "shard").With(pn.name, lbl),
+				evictions: r.GaugeVec("streamop_shard_evictions", "partial rows evicted by slot collisions in the shard's stripe", "node", "shard").With(pn.name, lbl),
+				ringOcc:   r.GaugeVec("streamop_shard_ring_occupancy", "shard ring-buffer fill", "node", "shard").With(pn.name, lbl),
+				ringDrops: r.GaugeVec("streamop_shard_ring_drops", "packets dropped at the shard's ring buffer", "node", "shard").With(pn.name, lbl),
 			}
 		}
-		s.workers = append(s.workers, w)
+		s.shards = append(s.shards, sh)
 		s.pend[i] = make([]trace.Packet, 0, shardBatch)
 	}
-	s.remaining.Store(int32(n))
 	return s, nil
 }
 
@@ -360,7 +235,7 @@ func (s *shardSet) route(p trace.Packet, tp tuple.Tuple) error {
 		}
 	}
 	slot := tuple.HashValues(s.rgb) & s.mask
-	shard := int(slot % uint64(len(s.workers)))
+	shard := int(slot % uint64(len(s.shards)))
 	if !s.barrier {
 		s.gates[shard].offer(&p)
 		return nil
@@ -385,7 +260,7 @@ func (s *shardSet) routerChanged() bool {
 // space (barrier mode backpressures).
 func (s *shardSet) flushPend(i int) {
 	buf := s.pend[i]
-	ring := s.workers[i].ring
+	ring := s.shards[i].ring
 	for len(buf) > 0 {
 		n := ring.PushBatch(buf)
 		buf = buf[n:]
@@ -412,33 +287,36 @@ func (s *shardSet) flushAll() {
 // order Run produces.
 func (s *shardSet) windowBarrier() {
 	s.flushAll()
-	for _, w := range s.workers {
-		for w.folded.Load() != w.ring.Pushed() {
+	for _, sh := range s.shards {
+		for sh.consumed.Load() != sh.ring.Pushed() {
 			runtime.Gosched()
 		}
 	}
 	epoch := s.flushEpoch.Add(1)
-	for _, w := range s.workers {
-		for w.ackEpoch.Load() != epoch {
+	for _, sh := range s.shards {
+		for sh.ackEpoch.Load() != epoch {
 			runtime.Gosched()
 		}
 	}
 }
 
-// collect folds the workers' counters back into the node after the run,
+// collect folds the replicas' counters back into the node after the run,
 // so Stats, Utilization and Evictions report the same quantities they
 // report after Run: tuplesIn/out/evictions are sums (each packet and each
 // group lives on exactly one shard), and busy is the summed CPU time
 // across replicas — the node's total CPU cost, which is the quantity
-// utilization compares.
+// utilization compares. A replica's contained panic stays with the node.
 func (s *shardSet) collect() {
 	n := s.node
-	for _, w := range s.workers {
-		n.tuplesIn += w.tuplesIn
-		n.out += w.out
-		n.busy += w.busy
-		n.table.evictions += w.table.evictions
-		n.table.residents += w.table.residents
+	for _, sh := range s.shards {
+		n.tuplesIn += sh.tuplesIn
+		n.out += sh.out
+		n.busy += sh.busy
+		n.table.evictions += sh.table.evictions
+		n.table.residents += sh.table.residents
+		if sh.failed && !n.failed {
+			n.failed, n.failMsg, n.failStack = true, sh.failMsg, sh.failStack
+		}
 	}
 	n.syncTelemetry(0)
 }

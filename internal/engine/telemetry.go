@@ -40,9 +40,7 @@ func (e *Engine) SetCollector(c *telemetry.Collector) error {
 		e.tel, e.sm = nil, nil
 		for _, n := range e.Nodes() {
 			n.nm = nil
-			if n.op != nil {
-				n.op.SetCollector(nil, "")
-			}
+			n.step.SetCollector(nil, "")
 		}
 		return nil
 	}
@@ -74,9 +72,7 @@ func (e *Engine) instrumentNode(n *Node) {
 		ringOcc:   r.GaugeVec("streamop_ring_occupancy", "ring-buffer fill feeding the node (RunParallel) or the engine (Run)", "node").With(n.name),
 		ringDrops: r.GaugeVec("streamop_ring_drops", "packets dropped at the node's ring buffer", "node").With(n.name),
 	}
-	if n.op != nil {
-		n.op.SetCollector(e.tel, n.name)
-	}
+	n.step.SetCollector(e.tel, n.name)
 }
 
 // syncTelemetry mirrors the node's counters into its gauges; queueDepth is

@@ -2,6 +2,10 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -148,4 +152,114 @@ func TestNodeStatsSerialParallelConsistent(t *testing.T) {
 	if sLow.Stats().TuplesIn == 0 || sHigh.Stats().TuplesIn == 0 {
 		t.Error("consistency test processed no tuples")
 	}
+}
+
+// TestPartialNodeGaugesLive: a partial-aggregation node's
+// streamop_node_* gauges move while the serial loop runs, under Run and in
+// a session, as an operator node's do (they read 0 until the final sync),
+// and a sharded RunParallel publishes every per-shard view it documents.
+func TestPartialNodeGaugesLive(t *testing.T) {
+	const groupBy = "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP"
+	build := func() (*engine.Engine, *telemetry.Collector, *engine.PartialNode) {
+		c := telemetry.New()
+		e, _ := engine.New(4096)
+		e.SetCollector(c)
+		pn, err := e.AddLowLevelPartialAgg("p", mustPlan(t, groupBy, trace.Schema()), 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, c, pn
+	}
+	cfg := trace.SteadyConfig{Seed: 3, Duration: 4, Rate: 20000}
+	modes := map[string]func(e *engine.Engine, feed trace.Feed) error{
+		"run": func(e *engine.Engine, feed trace.Feed) error { return e.Run(feed) },
+		"session": func(e *engine.Engine, feed trace.Feed) error {
+			if err := e.Start(context.Background(), feed); err != nil {
+				return err
+			}
+			return e.Wait()
+		},
+	}
+	for name, run := range modes {
+		t.Run(name, func(t *testing.T) {
+			e, c, pn := build()
+			inner, _ := trace.NewSteady(cfg)
+			scraped := false
+			// Scraped from the feed, on the goroutine that runs the serial
+			// loop, so what it reads of the node is settled.
+			feed := &cancelAt{inner: inner, at: 60000, cancel: func() {
+				scraped = true
+				snap, st := c.Snapshot(), pn.Stats()
+				for gauge, want := range map[string]float64{
+					"streamop_node_tuples_in":    float64(st.TuplesIn),
+					"streamop_node_tuples_out":   float64(st.TuplesOut),
+					"streamop_node_busy_seconds": st.Busy.Seconds(),
+				} {
+					// The serial loop pops 512 packets at a time.
+					if got, ok := snap.Value(gauge, "p"); !ok || got <= 0 || got > want || want-got > 512 {
+						t.Errorf("%s mid-run = %v (ok=%v), Stats() says %v", gauge, got, ok, want)
+					}
+				}
+			}}
+			if err := run(e, feed); err != nil {
+				t.Fatal(err)
+			}
+			if !scraped {
+				t.Fatal("feed ended before the scrape point")
+			}
+		})
+	}
+
+	t.Run("shards", func(t *testing.T) {
+		e, c, pn := build()
+		pn.SetShards(2)
+		feed, _ := trace.NewSteady(cfg)
+		if err := e.RunParallel(feed, 0); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		resp, err := http.Get(srv.URL + "/debug/state")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var state struct {
+			Engine struct {
+				Nodes []struct {
+					Name   string
+					Shards []map[string]float64
+				}
+			}
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&state); err != nil {
+			t.Fatal(err)
+		}
+		if len(state.Engine.Nodes) != 1 || len(state.Engine.Nodes[0].Shards) != 2 {
+			t.Fatalf("/debug/state nodes = %+v, want node p with 2 shards", state.Engine.Nodes)
+		}
+		var in, out float64
+		for i, sh := range state.Engine.Nodes[0].Shards {
+			for _, field := range []string{"id", "ring_cap", "ring_len", "ring_drops", "folded", "tuples_in", "tuples_out", "evictions", "residents", "busy_ns"} {
+				if _, ok := sh[field]; !ok {
+					t.Errorf("shard %d: /debug/state has no %q", i, field)
+				}
+			}
+			if sh["id"] != float64(i) || sh["folded"] != sh["tuples_in"] || sh["busy_ns"] <= 0 || sh["evictions"] <= 0 {
+				t.Errorf("shard %d: implausible /debug/state entry %v", i, sh)
+			}
+			in, out = in+sh["tuples_in"], out+sh["tuples_out"]
+		}
+		if st := pn.Stats(); int64(in) != e.Packets() || int64(in) != st.TuplesIn || int64(out) != st.TuplesOut {
+			t.Errorf("shards sum to %v in, %v out; %d packets, Stats() %d in, %d out", in, out, e.Packets(), st.TuplesIn, st.TuplesOut)
+		}
+		snap := c.Snapshot()
+		for _, shard := range []string{"0", "1"} {
+			for _, family := range []string{"tuples_in", "busy_seconds", "evictions", "ring_occupancy", "ring_drops"} {
+				if _, ok := snap.Value("streamop_shard_"+family, "p", shard); !ok {
+					t.Errorf("streamop_shard_%s{node=p,shard=%s} missing", family, shard)
+				}
+			}
+		}
+	})
 }

@@ -41,22 +41,23 @@ func (e *Engine) SetTracer(tr *tracing.Tracer) error {
 // Tracer returns the engine's tracer, nil when tracing is off.
 func (e *Engine) Tracer() *tracing.Tracer { return e.tr }
 
+// attachTracer hands tr to a node whose step has trace sites. The
+// operator's does; a partial-aggregation table has none, so such a node
+// never holds a tracer and no traced packet is sent its way.
 func (n *Node) attachTracer(tr *tracing.Tracer) {
-	n.tr = tr
-	if n.op == nil {
-		return
-	}
-	if tr == nil {
-		n.op.SetTracer(nil, "")
-	} else {
-		n.op.SetTracer(tr, n.name)
+	if ts, ok := n.step.(interface {
+		SetTracer(tr *tracing.Tracer, node string)
+	}); ok {
+		n.tr = tr
+		ts.SetTracer(tr, n.name)
 	}
 }
 
 // processLowBatch feeds one popped batch through a low-level node: the
 // serial loop's and every RunParallel worker's step over packets. matches
 // (non-nil only for the node that carries tracing — the first low-level
-// node) holds the traced packets of this batch in FIFO order. The batch is
+// node holding a tracer) holds the traced packets of this batch in FIFO
+// order. The batch is
 // processed as columnar segments between matches, and each traced packet as
 // a segment of its own with the tracer's current context set around it,
 // which sends it through the operator's scalar Process. The operator's
