@@ -225,6 +225,86 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
 	}
 }
 
+// BenchmarkOperatorSteadyState measures the ledger's subset-sum query (the
+// `sample_walk` workload's: N = 10 000, four-column GROUP BY) once the
+// operator's group arena has cycled, where a window's ~34 k groups no
+// longer fit in cache and the order they lie in memory shows — which
+// BenchmarkAblationOverhead (one window, N = 1 000) cannot see. Input is a
+// pre-materialised 10-second trace.Steady lap at 100 k pps over 65 536
+// hosts, replayed with its timestamps shifted a lap at a time, through
+// ProcessPackets; windows 0–4 run untimed, windows 5–29 and the last
+// flush are timed. Metrics: ns per packet and groups created per window.
+func BenchmarkOperatorSteadyState(b *testing.B) {
+	const (
+		lapSec  = 10
+		laps    = 3
+		warmSec = 5
+	)
+	feed, err := trace.NewSteady(trace.DefaultSteady(1, lapSec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pkts []trace.Packet
+	warm := 0 // packets of the untimed windows
+	for p, ok := feed.Next(); ok; p, ok = feed.Next() {
+		if p.Time < warmSec*1e9 {
+			warm++
+		}
+		pkts = append(pkts, p)
+	}
+	var off uint64 // how far the lap's timestamps are shifted
+	shiftTo := func(lap uint64) {
+		to := lap * lapSec * 1e9
+		for i := range pkts {
+			pkts[i].Time += to - off // wraps back when to < off
+		}
+		off = to
+	}
+	var timed, groups int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		q, err := streamop.Compile(`
+SELECT tb, uts, srcIP, destIP, UMAX(sum(len), ssthreshold()) AS adjlen
+FROM PKT
+WHERE ssample(len, 10000, 2, 10) = TRUE
+GROUP BY time/1 AS tb, srcIP, destIP, uts
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := q.ProcessPackets(pkts[:warm]); err != nil {
+			b.Fatal(err)
+		}
+		created := q.Stats().GroupsCreated
+		b.StartTimer()
+		for lap := 0; lap < laps; lap++ {
+			if lap > 0 {
+				b.StopTimer()
+				shiftTo(uint64(lap))
+				b.StartTimer()
+			}
+			from := 0
+			if lap == 0 {
+				from = warm
+			}
+			if err := q.ProcessPackets(pkts[from:]); err != nil {
+				b.Fatal(err)
+			}
+			timed += int64(len(pkts) - from)
+		}
+		if err := q.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		shiftTo(0)
+		groups += q.Stats().GroupsCreated - created
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(timed), "ns/pkt")
+	b.ReportMetric(float64(groups)/float64(b.N*(laps*lapSec-warmSec)), "groups/window")
+}
+
 // guardOverhead runs interleaved base/variant passes and compares the
 // minimum observed time on each side: the minima estimate the true cost
 // with transient load filtered out, so one quiet pass per side is enough

@@ -29,9 +29,10 @@ type Agg interface {
 type Factory func() Agg
 
 // Resettable is an optional Agg extension: Reset restores the instance
-// to its fresh-from-Factory state, letting group arenas reuse aggregate
-// instances across recycled groups instead of reallocating. All builtin
-// aggregates implement it; UDAFs may opt in.
+// to its fresh-from-Factory state, letting the operator's group arena
+// keep a group's aggregate instances each time it hands the group out
+// again instead of reallocating. All builtin aggregates implement it;
+// UDAFs may opt in.
 type Resettable interface{ Reset() }
 
 func (a *sumAgg) Reset()   { *a = sumAgg{} }

@@ -175,6 +175,8 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 	}
 
 	o.groups.clear()
+	// A fresh arena: no group from before the restore can reach its tables.
+	o.arena, o.next, o.evicted = nil, 0, nil
 	o.sgNew = make(map[uint64][]*supergroup)
 	o.sgOld = make(map[uint64][]*supergroup)
 	o.sgList = o.sgList[:0]
@@ -228,8 +230,8 @@ func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergro
 	}
 	nG := d.Len()
 	for j := 0; j < nG && d.Err() == nil; j++ {
-		key := tuple.MakeKey(d.Values())
-		g := &group{key: key, vals: key.Values()}
+		vals := d.Values()
+		g := o.newGroup(sg, vals, tuple.HashValues(vals))
 		g.aggs = make([]agg.Agg, len(o.plan.Aggs))
 		for i := range o.plan.Aggs {
 			a, err := agg.DecodeAgg(d)
@@ -246,8 +248,6 @@ func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergro
 		if g.contribs == nil && len(o.plan.Supers) > 0 {
 			g.contribs = make([]value.Value, len(o.plan.Supers))
 		}
-		o.groups.insert(key.Hash(), g)
-		sg.groups = append(sg.groups, g)
 	}
 	return sg, d.Err()
 }

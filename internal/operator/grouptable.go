@@ -11,8 +11,9 @@ import (
 // flat slot array instead of map metadata plus a chain slice, the batch
 // path can compare keys directly against columnar rows without
 // materializing values, and window rotation is a memclr that keeps the
-// slot storage (the group structs themselves are recycled through the
-// operator's arena). The zero value is an empty, usable table.
+// slot storage (the group structs themselves come from the operator's
+// window-ordered arena, handed out again every window; see newGroup). The
+// zero value is an empty, usable table.
 type groupTable struct {
 	slots []groupSlot // power-of-two length
 	mask  uint64

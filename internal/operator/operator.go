@@ -89,10 +89,14 @@ type Operator struct {
 	out    []*tuple.Column
 	outRow tuple.Tuple
 
-	// Group table (open addressing; see grouptable.go) and the arena of
-	// recycled group structs it allocates from.
-	groups     groupTable
-	freeGroups []*group
+	// Group table (open addressing; see grouptable.go) and the
+	// window-ordered arena its groups come from (see newGroup): every group
+	// struct allocated, in allocation order, the open window's cursor into
+	// it, and the groups cleaning evicted from the open window.
+	groups  groupTable
+	arena   []*group
+	next    int
+	evicted []*group
 	// New and old supergroup tables, plus insertion order for
 	// deterministic flushing.
 	sgNew  map[uint64][]*supergroup
@@ -462,31 +466,50 @@ func (o *Operator) findOrCreateGroup(sg *supergroup) (*group, bool) {
 	return o.createGroup(sg, h), true
 }
 
-// createGroup builds a group for the key currently in o.gbVals (hash h),
-// reusing an arena group when one is free, and registers it in the group
-// table and sg's supergroup-group table. Recycled groups keep their
-// backing arrays: the key values are appended into the old vals storage
-// and re-keyed without copying or rehashing (tuple.OwnKeyHash), and
-// Resettable aggregate instances are reset in place, so a steady-state
-// window allocates nothing for churned groups.
-func (o *Operator) createGroup(sg *supergroup, h uint64) *group {
+// newGroup takes a group struct from the arena — the next one the open
+// window has not used, else one cleaning evicted earlier in the window,
+// else a new one appended — keys it by vals (hash h) and registers it in
+// the group table and sg's supergroup-group table. Handed out in arena
+// order, each window's groups, and the arrays and aggregates they keep,
+// lie in memory in the order sg.groups, cleaning, HAVING and SELECT walk
+// them, which is what keeps those walks off memory latency; the arena
+// never outgrows the resident high-water mark. A group handed out again
+// keeps its backing arrays (vals is re-keyed in place, tuple.OwnKeyHash)
+// and drops its traces.
+func (o *Operator) newGroup(sg *supergroup, vals []value.Value, h uint64) *group {
 	var g *group
-	if n := len(o.freeGroups); n > 0 {
-		g = o.freeGroups[n-1]
-		o.freeGroups[n-1] = nil
-		o.freeGroups = o.freeGroups[:n-1]
-	} else {
+	switch n := len(o.evicted); {
+	case o.next < len(o.arena):
+		g = o.arena[o.next]
+		o.next++
+	case n > 0:
+		g = o.evicted[n-1]
+		o.evicted = o.evicted[:n-1]
+	default:
 		g = &group{}
+		o.arena = append(o.arena, g)
+		o.next++
 	}
-	g.vals = append(g.vals[:0], o.gbVals...)
+	g.vals = append(g.vals[:0], vals...)
 	g.key = tuple.OwnKeyHash(g.vals, h)
+	g.traces = nil
+	o.groups.insert(h, g)
+	sg.groups = append(sg.groups, g)
+	return g
+}
+
+// createGroup makes the group for the key currently in o.gbVals (hash h).
+// Resettable aggregate instances of a group handed out again are reset in
+// place, so a steady-state window allocates nothing for churned groups.
+func (o *Operator) createGroup(sg *supergroup, h uint64) *group {
+	g := o.newGroup(sg, o.gbVals, h)
 	if cap(g.aggs) >= len(o.plan.Aggs) {
 		g.aggs = g.aggs[:len(o.plan.Aggs)]
 	} else {
 		g.aggs = make([]agg.Agg, len(o.plan.Aggs))
 	}
 	for i, def := range o.plan.Aggs {
-		// A recycled group's slot i holds def i's type (the arena is
+		// A reused group's slot i holds def i's type (the arena is
 		// per-operator); resetting it in place skips the allocation.
 		if a := g.aggs[i]; a != nil {
 			if r, ok := a.(agg.Resettable); ok {
@@ -508,17 +531,8 @@ func (o *Operator) createGroup(sg *supergroup, h uint64) *group {
 	} else {
 		g.contribs = nil
 	}
-	o.groups.insert(h, g)
-	sg.groups = append(sg.groups, g)
 	o.stats.GroupsCreated++
 	return g
-}
-
-// recycleGroup returns g to the arena. Callers guarantee no table, list
-// or pending-emission structure still references it.
-func (o *Operator) recycleGroup(g *group) {
-	g.traces = nil
-	o.freeGroups = append(o.freeGroups, g)
 }
 
 // cleanSupergroup runs the CLEANING BY predicate over every group of sg,
@@ -583,8 +597,9 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	return nil
 }
 
-// evictGroup removes g from the group table and subtracts its
-// superaggregate contributions. (The caller maintains sg.groups.)
+// evictGroup removes g from the group table, subtracts its superaggregate
+// contributions and leaves g for newGroup to reuse once the window has
+// used the arena up. (The caller maintains sg.groups.)
 func (o *Operator) evictGroup(sg *supergroup, g *group) {
 	o.groups.remove(g.key.Hash(), g)
 	for i := range sg.supers {
@@ -598,7 +613,7 @@ func (o *Operator) evictGroup(sg *supergroup, g *group) {
 		o.traceEviction(sg, g)
 	}
 	o.stats.GroupsEvicted++
-	o.recycleGroup(g)
+	o.evicted = append(o.evicted, g)
 }
 
 // flushWindow closes the open window: signals WindowFinal to all states,
@@ -635,18 +650,16 @@ func (o *Operator) flushWindow() error {
 	o.windowIdx++
 	o.winBase = o.stats
 	// Rotate: current supergroups become the "old" table for state
-	// handoff; the group table clears (keeping its storage) and the
-	// window's groups return to the arena.
+	// handoff; the group table clears (keeping its storage) and the arena
+	// rewinds, so the next window takes its groups in the same order.
 	o.groups.clear()
 	o.sgOld = o.sgNew
 	o.sgNew = make(map[uint64][]*supergroup)
 	for _, sg := range o.sgList {
-		for _, g := range sg.groups {
-			o.recycleGroup(g)
-		}
 		sg.groups = nil // drop group references; states survive in sgOld
 	}
 	o.sgList = o.sgList[:0]
+	o.next, o.evicted = 0, o.evicted[:0] // evicted groups are arena entries too
 	o.windowOpen = false
 	if np != nil || o.om != nil {
 		end := profile.Now()

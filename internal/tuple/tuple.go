@@ -182,8 +182,9 @@ func MakeKey(vals []value.Value) Key {
 
 // OwnKey builds a key that takes ownership of vals without copying. The
 // caller must not mutate vals for the key's lifetime — it is the
-// allocation-free MakeKey for arenas that recycle a key's backing array
-// once the keyed entry dies (the operator's group arena).
+// allocation-free MakeKey for arenas that re-key an entry's own backing
+// array each time they hand the entry out again (the operator's
+// window-ordered group arena, every window).
 func OwnKey(vals []value.Value) Key {
 	return Key{hash: HashValues(vals), vals: vals}
 }
