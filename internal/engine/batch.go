@@ -333,8 +333,7 @@ func (s *shardSet) routeBatch(pkts []trace.Packet, scratch tuple.Tuple) error {
 
 func (s *shardSet) routeRows(pkts []trace.Packet, scratch tuple.Tuple) error {
 	for i := range pkts {
-		pkts[i].AppendTuple(scratch)
-		if err := s.route(pkts[i], scratch); err != nil {
+		if err := s.route(pkts[i:i+1], scratch); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -80,6 +81,39 @@ func BenchmarkTwoLevelHop(b *testing.B) {
 		processed += len(pkts)
 	}
 	b.ReportMetric(float64(len(pkts)), "pkts/run")
+}
+
+// BenchmarkPumpSelf prices what the engine itself costs a packet: Run and a
+// session take a pre-materialised 1 M-packet slice into one low-level node
+// whose stateless WHERE rejects every row, so what is timed is the pump,
+// the source ring, trace.AppendBatch and one kernel. One op is one run of
+// the slice; ns/pkt is the figure.
+func BenchmarkPumpSelf(b *testing.B) {
+	pkts := benchPackets(b, 1_000_000)
+	for _, mode := range []string{"run", "session"} {
+		b.Run(mode, func(b *testing.B) {
+			for range b.N {
+				b.StopTimer()
+				e, _ := engine.New(8192)
+				if _, err := e.AddLowLevel("l", mustPlanB(b, "SELECT len FROM PKT WHERE len < 0", trace.Schema())); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				var err error
+				if mode == "session" {
+					if err = e.Start(context.Background(), sliceFeed(pkts)); err == nil {
+						err = e.Wait()
+					}
+				} else {
+					err = e.Run(sliceFeed(pkts))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+		})
+	}
 }
 
 // BenchmarkEngineRunParallel measures the concurrent (unpaced,

@@ -289,7 +289,7 @@ type Engine struct {
 	names map[string]bool
 
 	// The stream clock (see pump.go). Atomics: the pump writes them per
-	// packet while HTTP handlers (gsqd's /healthz, the telemetry surface)
+	// batch while HTTP handlers (gsqd's /healthz, the telemetry surface)
 	// read them mid-run.
 	firstTS, lastTS atomic.Uint64
 	packets         atomic.Int64
@@ -471,22 +471,19 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 	e.applyRestoredGate()
 	const batch = 512
 	pkts := make([]trace.Packet, batch)
-	var p trace.Packet
 	for st := pumpPacket; st != pumpEnd; {
 		if err := pm.boundary(); err != nil {
 			return err
 		}
-		// Producer: fill the ring from the pump, one offer per packet.
-		for e.ring.Len() < e.ring.Cap() {
-			var waited bool
-			if waited, st = pm.next(&p); st != pumpPacket {
-				break
-			}
-			e.offerSource(&p)
-			if waited {
-				// The pump caught up with the wall clock: drain what is
-				// buffered now instead of letting rows sit until the ring
-				// fills.
+		// Producer: fill the ring from the pump, one offer per batch. A batch
+		// never asks for more than the ring has room for, so the fill ends
+		// with the same packet a packet-at-a-time fill would.
+		for free := e.ring.Cap() - e.ring.Len(); free > 0; free = e.ring.Cap() - e.ring.Len() {
+			n, waited, next := pm.fill(pkts[:min(free, batch)])
+			e.offerSource(pkts[:n])
+			// A pump that caught up with the wall clock drains what is
+			// buffered now instead of letting rows sit until the ring fills.
+			if st = next; st != pumpPacket || waited {
 				break
 			}
 		}
@@ -574,34 +571,36 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 	return nil
 }
 
-// offerSource offers one packet to the source ring through its gate (every
-// ring offer in the engine goes through a ringGate), telling the
-// provenance tracer what became of a traced one. The serial loop only. The
-// fill loop guarantees ring space, so under drop-tail and block the push
-// cannot fail — block never waits here — and the dropped outcome is
+// offerSource offers the batch the pump just took to the source ring
+// through its gate (every ring offer in the engine goes through a
+// ringGate), telling the provenance tracer what became of a traced packet.
+// The serial loop only. A traced packet is offered on its own, between the
+// runs before and after it, so its record sees the ring as the packet left
+// it. The fill loop guarantees ring space, so under drop-tail and block the
+// push cannot fail — block never waits here — and the dropped outcome is
 // reachable only defensively.
-func (e *Engine) offerSource(p *trace.Packet) {
-	// NextSeq is an inlinable field read, so the untraced 999 in 1000
-	// packets skip the tracer's offer machinery entirely.
-	var tt *tracing.TupleTrace
-	if e.tr != nil {
-		if seq := uint64(e.packets.Load() - 1); seq == e.tr.NextSeq() {
-			tt = e.tr.SourceOffer(seq)
+func (e *Engine) offerSource(pkts []trace.Packet) {
+	// NextSeq is an inlinable field read, so a batch with no traced packet
+	// skips the tracer's offer machinery entirely.
+	base := uint64(e.packets.Load()) - uint64(len(pkts))
+	for e.tr != nil {
+		i := e.tr.NextSeq() - base
+		if i >= uint64(len(pkts)) {
+			break
 		}
+		e.srcGate.offer(pkts[:i])
+		tt, idx := e.tr.SourceOffer(base+i), e.ring.Pushed()
+		switch shed, dropped := e.srcGate.offer(pkts[i : i+1]); {
+		case shed > 0:
+			e.tr.SourceShed(tt, e.ring.Len())
+		case dropped > 0:
+			e.tr.SourceDropped(tt, e.ring.Len())
+		default:
+			e.tr.SourceEnqueued(tt, idx, e.ring.Len())
+		}
+		pkts, base = pkts[i+1:], base+i+1
 	}
-	if tt == nil {
-		e.srcGate.offer(p)
-		return
-	}
-	idx := e.ring.Pushed()
-	switch e.srcGate.offer(p) {
-	case offerShed:
-		e.tr.SourceShed(tt, e.ring.Len())
-	case offerDropped:
-		e.tr.SourceDropped(tt, e.ring.Len())
-	default:
-		e.tr.SourceEnqueued(tt, idx, e.ring.Len())
-	}
+	e.srcGate.offer(pkts)
 }
 
 // flushNode closes the node's open window at end of stream, charging the
@@ -712,7 +711,10 @@ func (h *Node) processInput() error {
 	return nil
 }
 
-// StreamDuration returns the simulated duration of the processed stream.
+// StreamDuration returns the simulated duration of the stream the pump has
+// taken from the feed. Read mid-run it may cover up to a ring and a batch
+// the nodes have not processed yet: the pump publishes the clock once per
+// batch, before it offers the batch.
 func (e *Engine) StreamDuration() time.Duration {
 	if !e.sawPacket.Load() {
 		return 0
@@ -720,7 +722,9 @@ func (e *Engine) StreamDuration() time.Duration {
 	return time.Duration(e.lastTS.Load() - e.firstTS.Load())
 }
 
-// Packets returns the number of packets offered.
+// Packets returns the number of packets the pump has taken from the feed,
+// every one of them offered to a ring. Read mid-run it may count up to a
+// ring and a batch the nodes have not processed yet, as StreamDuration.
 func (e *Engine) Packets() int64 { return e.packets.Load() }
 
 // Drops returns packets dropped at the ring buffer.

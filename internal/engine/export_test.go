@@ -42,6 +42,9 @@ func (e *Engine) HopBatch(pkts []trace.Packet) error {
 	return e.drainHigh()
 }
 
+// RingPushed is the number of packets the source ring has accepted.
+func (e *Engine) RingPushed() uint64 { return e.ring.Pushed() }
+
 // SetShardRingCap overrides the per-shard ring capacity RunParallel gives
 // sharded partial-aggregation nodes (default 4096): the chaos tests use
 // deliberately tiny rings to force overload. n <= 0 restores the default.

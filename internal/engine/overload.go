@@ -178,57 +178,60 @@ func (e *Engine) newGate(cfg overload.Config, ring *ringbuf.Ring[trace.Packet], 
 	return g
 }
 
-// offerResult is what became of a packet offered to a gate.
-type offerResult uint8
-
-const (
-	offerEnqueued offerResult = iota
-	offerShed                 // rejected by the shed-sample draw, ahead of the ring
-	offerDropped              // admitted, then rejected at the ring: full, or block timed out
-)
-
-// offer admits and pushes one packet under the gate's policy: every gated
-// push in the engine — the serial loop's source ring, paced RunParallel's
-// selection rings and its shard rings. Drop-tail stays the ring's native
-// push-or-drop; shed-sample runs the admission draw first; block waits up
-// to the timeout for ring space before declaring the drop. The gate's ring
-// is SPSC with this goroutine as the only producer, so observing
-// Len() < Cap() guarantees the subsequent push succeeds.
-func (g *ringGate) offer(p *trace.Packet) offerResult {
+// offer admits and pushes a run of packets under the gate's policy, in
+// order, and reports how many were shed ahead of the ring and how many
+// were dropped at it: every gated push in the engine — the serial loop's
+// source ring, a batch at a time, and paced RunParallel's selection and
+// shard rings, a packet at a time. Drop-tail is the ring's native
+// push-or-drop. Shed-sample and block draw Admit per packet against the
+// occupancy that packet would have seen (the ring's, plus what the run
+// admitted before it), then push what was admitted; block waits up to the
+// timeout for ring space before declaring the rest dropped. The gate's ring
+// is SPSC with this goroutine as the only producer, so the ring cannot
+// fill under a caller that offers no more than its free space.
+func (g *ringGate) offer(pkts []trace.Packet) (shed, dropped int) {
+	occ, capacity := g.ring.Len(), g.ring.Cap()
 	switch g.policy {
 	case overload.ShedSample:
-		if !g.ctrl.Admit(g.ring.Len(), g.ring.Cap()) {
-			return offerShed
+		run := 0 // start of the admitted run not yet pushed
+		for i := range pkts {
+			if !g.ctrl.Admit(occ+i-shed, capacity) {
+				dropped += g.push(pkts[run:i])
+				shed++
+				run = i + 1
+			}
 		}
-		if !g.ring.Push(*p) {
-			g.ctrl.NoteDrop(1)
-			return offerDropped
-		}
+		dropped += g.push(pkts[run:])
 	case overload.Block:
-		g.ctrl.Admit(g.ring.Len(), g.ring.Cap())
-		if g.ring.Len() < g.ring.Cap() {
-			g.ring.Push(*p)
-			return offerEnqueued
+		for i := range pkts {
+			g.ctrl.Admit(occ+i, capacity)
 		}
-		deadline := time.Now().Add(g.timeout)
-		for {
-			runtime.Gosched()
-			if g.ring.Len() < g.ring.Cap() {
-				g.ring.Push(*p)
-				return offerEnqueued
-			}
+		n := g.ring.PushBatch(pkts)
+		for deadline := time.Now().Add(g.timeout); n < len(pkts); n += g.ring.PushBatch(pkts[n:]) {
 			if time.Now().After(deadline) {
-				g.ring.AddDrops(1)
-				g.ctrl.NoteDrop(1)
-				return offerDropped
+				dropped = g.push(pkts[n:])
+				break
 			}
+			runtime.Gosched()
 		}
 	default:
-		if !g.ring.Push(*p) {
-			return offerDropped
+		dropped = g.push(pkts)
+	}
+	return shed, dropped
+}
+
+// push places pkts in the ring and counts what did not fit as dropped: in
+// the ring's drops and, under a policy that draws, the controller's
+// (drop-tail's are reconciled from the ring's at sync).
+func (g *ringGate) push(pkts []trace.Packet) int {
+	d := len(pkts) - g.ring.PushBatch(pkts)
+	if d > 0 {
+		g.ring.AddDrops(uint64(d))
+		if g.policy != overload.DropTail {
+			g.ctrl.NoteDrop(uint64(d))
 		}
 	}
-	return offerEnqueued
+	return d
 }
 
 // sync reconciles drop-tail accounting from the ring's counters and

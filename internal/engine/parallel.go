@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"streamop/internal/profile"
 	"streamop/internal/ringbuf"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
@@ -156,27 +157,31 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		}
 	}
 
-	// Producer: the pump's packets go to the gates one by one (paced) or to
-	// the rings in batches (unpaced).
+	// Producer: the pump's batches go to the gates a packet at a time
+	// (paced) or to the rings whole (unpaced).
 	producerDone := make(chan struct{})
 	go func() {
 		defer close(producerDone)
 		scratch := make(tuple.Tuple, trace.NumFields)
-		// Batched transfer into the selection rings (unpaced mode): one
-		// tail publication per slice instead of per packet. Shard routing
-		// rides the same batches — routeBatch evaluates the router's GROUP
-		// BY columnar over the whole slice — which is safe to defer because
-		// the window barrier inside routing orders only the shard rings,
-		// never the selection rings.
-		lowBatch := make([]trace.Packet, 0, shardBatch)
-		flushLow := func() {
-			for _, r := range rings {
-				buf := lowBatch
-				for len(buf) > 0 {
-					n := r.PushBatch(buf)
-					buf = buf[n:]
-					if len(buf) > 0 {
-						runtime.Gosched()
+		// toLow hands packets to the low-level rings. Unpaced, a whole batch
+		// moves into each selection ring with one tail publication, and
+		// shard routing rides the same batch — routeBatch evaluates the
+		// router's GROUP BY columnar over the whole slice — which is safe
+		// because the window barrier inside routing orders only the shard
+		// rings, never the selection rings. Paced, it is handed one packet:
+		// the pump released the packet when it was due, the gates' policy
+		// decides what a full ring costs, and the packet must not sit in a
+		// routing buffer (pacing simulates arrival times).
+		toLow := func(pkts []trace.Packet) {
+			for _, g := range gates {
+				g.offer(pkts)
+			}
+			if !paced {
+				for _, r := range rings {
+					for buf := pkts; len(buf) > 0; {
+						if buf = buf[r.PushBatch(buf):]; len(buf) > 0 {
+							runtime.Gosched()
+						}
 					}
 				}
 			}
@@ -184,46 +189,32 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 				if s.routeFailed {
 					continue
 				}
-				if err := s.routeBatch(lowBatch, scratch); err != nil {
+				route := s.routeBatch
+				if paced {
+					route = s.route
+				}
+				if err := route(pkts, scratch); err != nil {
 					reportErr(err)
 					s.routeFailed = true
 				}
 			}
-			lowBatch = lowBatch[:0]
 		}
-		var p trace.Packet
-		for {
-			if _, st := pm.next(&p); st != pumpPacket {
-				break
-			}
-			if paced {
-				// The pump released the packet when it was due; offer it
-				// once: the gate's policy decides what a full ring costs.
-				for _, g := range gates {
-					g.offer(&p)
-				}
-				if len(sets) > 0 {
-					// Paced packets must not sit in routing buffers (pacing
-					// simulates arrival times), so route them one by one;
-					// the unpaced path routes whole batches from flushLow.
-					p.AppendTuple(scratch)
-					for _, s := range sets {
-						if s.routeFailed {
-							continue
-						}
-						if err := s.route(p, scratch); err != nil {
-							reportErr(err)
-							s.routeFailed = true
-						}
-					}
-				}
+		lowBatch := make([]trace.Packet, shardBatch)
+		for st := pumpPacket; st == pumpPacket; {
+			before := e.packets.Load()
+			var n int
+			n, _, st = pm.fill(lowBatch)
+			if !paced {
+				toLow(lowBatch[:n])
 			} else {
-				lowBatch = append(lowBatch, p)
-				if len(lowBatch) == cap(lowBatch) {
-					flushLow()
+				for i := range n {
+					toLow(lowBatch[i : i+1])
 				}
 			}
-			if len(allGates) > 0 && e.packets.Load()%512 == 0 {
+			// The probes fire when the count crosses a multiple of their
+			// interval, whatever size the batch that crossed it.
+			after := e.packets.Load()
+			if len(allGates) > 0 && before/512 != after/512 {
 				for _, g := range allGates {
 					g.sync()
 				}
@@ -232,15 +223,13 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 			// guarantees no partial-aggregation nodes, unpaced), then snapshot
 			// if enough windows closed. A write failure is reported, not fatal
 			// — the stream keeps flowing and the next probe retries.
-			if ck := e.ckpt; ck != nil && ck.cfg.EveryWindows > 0 && e.packets.Load()%ckptProbeInterval == 0 {
-				flushLow()
+			if ck := e.ckpt; ck != nil && ck.cfg.EveryWindows > 0 && before/ckptProbeInterval != after/ckptProbeInterval {
 				e.quiesce(workers)
 				if err := e.maybeCheckpoint(); err != nil {
 					reportErr(err)
 				}
 			}
 		}
-		flushLow()
 		for _, s := range sets {
 			s.flushAll()
 		}
@@ -370,6 +359,9 @@ func (e *Engine) runLow(w lowWorker, paced bool, producerDone <-chan struct{}, r
 			}
 			dead = dead || sh.set.dead.Load()
 		}
+		// Each worker's pops are the source's dequeue stage, as the serial
+		// loop's are; a poll that finds the ring empty is waiting, not work.
+		dt := e.srcProf.Start()
 		n := ring.PopBatch(batch)
 		if n == 0 {
 			select {
@@ -389,6 +381,7 @@ func (e *Engine) runLow(w lowWorker, paced bool, producerDone <-chan struct{}, r
 			continue
 		}
 		empty = 0
+		e.srcProf.Charge(profile.StageDequeue, dt, int64(n), int64(n))
 		if dead {
 			low.consumed.Add(uint64(n))
 			continue

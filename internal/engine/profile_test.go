@@ -274,6 +274,39 @@ func TestProfileRunParallelShards(t *testing.T) {
 	}
 }
 
+// TestProfileRunParallelDequeue: every RunParallel worker's pops are
+// charged to the source's dequeue stage, as the serial loop's are. An
+// unpaced run drops nothing, so each selection node's ring yields every
+// packet once, and a sharded node's rings split one copy of the stream.
+func TestProfileRunParallelDequeue(t *testing.T) {
+	e, _ := engine.New(1024)
+	for _, name := range []string{"a", "b"} {
+		if _, err := e.AddLowLevel(name, mustPlan(t, "SELECT time, len FROM PKT", trace.Schema())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := mustPlan(t, "SELECT tb, srcIP, count(*) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
+	pn, err := e.AddLowLevelPartialAgg("partial", plan, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn.SetShards(2)
+	p := profile.New()
+	e.SetProfiler(p)
+	feed, _ := trace.NewSteady(trace.SteadyConfig{Seed: 6, Duration: 1, Rate: 20000})
+	if err := e.RunParallel(feed, 0); err != nil {
+		t.Fatal(err)
+	}
+	deq := profiledNodes(p)["source"].Stages[profile.StageDequeue]
+	if want := 3 * e.Packets(); e.Packets() == 0 || deq.RowsIn != want || deq.RowsOut != want {
+		t.Errorf("source dequeue rows %d → %d, want %d (%d packets, two selection rings and one sharded stream)",
+			deq.RowsIn, deq.RowsOut, want, e.Packets())
+	}
+	if deq.SelfNS <= 0 {
+		t.Errorf("source dequeue self_ns = %v, want > 0", deq.SelfNS)
+	}
+}
+
 // profiledNodes maps the report's nodes by name.
 func profiledNodes(p *profile.Profiler) map[string]profile.NodeReport {
 	byName := map[string]profile.NodeReport{}

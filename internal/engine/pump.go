@@ -9,11 +9,14 @@ import (
 
 // pump is the engine's one packet source, the tap of the paper's Figure 1.
 // Run, a session and RunParallel's producer all take their packets from
-// next, and nothing else reads the feed during a run, so "what is the next
-// input, and is the stream over" is answered in one place: the
-// fault-wrapped feed, fast-forwarded past a restored snapshot; the
-// context; a session's Drain and queued commands; the pacer; and the
-// stream clock. Where a packet goes next is the caller's business.
+// fill, a batch at a time, and nothing else reads the feed during a run, so
+// "what is the next input, and is the stream over" is answered in one
+// place: the fault-wrapped feed, fast-forwarded past a restored snapshot;
+// the context; a session's Drain and queued commands; the pacer; and the
+// stream clock. Unpaced, the context, Drain and the command queue are
+// polled and the clock published once per batch; paced, every packet is
+// polled and paced on its own. Where a packet goes next is the caller's
+// business.
 type pump struct {
 	e    *Engine
 	feed trace.Feed
@@ -31,7 +34,7 @@ type pump struct {
 	startWall time.Time
 }
 
-// pumped is what next reports.
+// pumped is what fill reports: the state the pump is in after the batch.
 type pumped uint8
 
 const (
@@ -69,8 +72,9 @@ func (pm *pump) poll() pumped {
 			return pumpEnd
 		default:
 		}
-		// Polled per packet and per pacing slice, which bounds install
-		// latency while the feed is paced or the ring is filling.
+		// Polled per batch, per paced packet and per pacing slice, which
+		// bounds install latency while the feed is paced or the ring is
+		// filling.
 		if len(s.cmds) > 0 {
 			return pumpHold
 		}
@@ -78,32 +82,42 @@ func (pm *pump) poll() pumped {
 	return pumpPacket
 }
 
-// next stores the stream's next packet in *p once it is due; waited
-// reports that the pacer held it back. (Through a pointer, here and into
-// the gates: by value the packet is repacked at every call, which the
-// serial loop's benchmarks show.) The stream clock is published before the
-// caller sees the packet, so every row the packet causes is delivered
+// fill stores the stream's next packets in dst, up to len(dst) of them,
+// once they are due, and returns how many it stored; the caller offers
+// dst[:n] whatever st says. Paced, the batch ends after a packet the pacer
+// waited for (waited): the pump is at the live edge, so what is buffered
+// should drain now. The stream clock is published for the whole batch
+// before the caller sees it, so every row a packet causes is delivered
 // under a lastTS that covers it (QueryHandle.deliver reads it as the
 // quota's stream time).
-func (pm *pump) next(p *trace.Packet) (waited bool, st pumped) {
-	if st = pm.poll(); st != pumpPacket {
-		return false, st
+func (pm *pump) fill(dst []trace.Packet) (n int, waited bool, st pumped) {
+	paced := pm.speedup > 0
+	for n < len(dst) && !waited {
+		if n == 0 || paced {
+			if st = pm.poll(); st != pumpPacket {
+				break
+			}
+		}
+		var ok bool
+		if dst[n], ok = pm.feed.Next(); !ok {
+			st = pumpEnd
+			break
+		}
+		if paced {
+			waited = pm.pace(dst[n].Time)
+		}
+		n++
 	}
-	var ok bool
-	if *p, ok = pm.feed.Next(); !ok {
-		return false, pumpEnd
+	if n > 0 {
+		e := pm.e
+		if !e.sawPacket.Load() {
+			e.firstTS.Store(dst[0].Time)
+			e.sawPacket.Store(true)
+		}
+		e.lastTS.Store(dst[n-1].Time)
+		e.packets.Add(int64(n))
 	}
-	if pm.speedup > 0 {
-		waited = pm.pace(p.Time)
-	}
-	e := pm.e
-	if !e.sawPacket.Load() {
-		e.firstTS.Store(p.Time)
-		e.sawPacket.Store(true)
-	}
-	e.lastTS.Store(p.Time)
-	e.packets.Add(1)
-	return waited, pumpPacket
+	return n, waited, st
 }
 
 // pace holds the pump until packet timestamp ts is due, returning true

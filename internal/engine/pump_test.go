@@ -1,20 +1,204 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streamop/internal/engine"
 	"streamop/internal/overload"
 	"streamop/internal/trace"
+	"streamop/internal/tracing"
+	"streamop/internal/tuple"
 )
 
 // The pump (pump.go) is the one place a run takes packets from: these
 // tests pin what Run, a session and RunParallel's producer must agree on
 // because they share it — source-gate accounting under every policy, a
 // pacer that sleeps and can be cancelled mid-wait, and the stream clock.
+
+var updatePumpGolden = flag.Bool("update-pump-golden", false,
+	"rewrite testdata/pump_golden.json from this run")
+
+// seqFeed stamps each packet's destIP with its position in the stream, so a
+// pass-through node's output rows name the ring index of every packet.
+type seqFeed struct {
+	inner trace.Feed
+	n     uint32
+}
+
+func (f *seqFeed) Next() (trace.Packet, bool) {
+	p, ok := f.inner.Next()
+	p.DstIP = f.n
+	f.n++
+	return p, ok
+}
+
+// TestPumpGolden pins what the serial loop's pump and source gate decide,
+// packet by packet, in Run and in a session under every admission policy,
+// with and without burst and stall injection, untraced and traced 1 in 97:
+// the output rows of every node, NodeStats, the source gate's counters, the
+// ring's, and each trace's events and disposition with the ring index of
+// its packet. testdata/pump_golden.json holds one digest per case, recorded
+// when the pump still took one packet per call; a batching pump must make
+// the same admission draws against the same occupancies and keep every
+// packet's FIFO position.
+func TestPumpGolden(t *testing.T) {
+	const golden = "testdata/pump_golden.json"
+	var want map[string]string
+	if !*updatePumpGolden {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]string{}
+	for _, mode := range []string{"run", "session"} {
+		for _, pol := range []overload.Policy{overload.DropTail, overload.ShedSample, overload.Block} {
+			for _, inject := range []string{"", "burst:300@0.2,stall:1ms@0.2"} {
+				for _, every := range []int{0, 97} {
+					name := fmt.Sprintf("%s/%s/inject=%t/trace=%d", mode, pol, inject != "", every)
+					t.Run(name, func(t *testing.T) {
+						got[name] = pumpDigest(t, mode == "session", pol, inject, every)
+						if want != nil && got[name] != want[name] {
+							t.Errorf("digest %s, golden %s", got[name], want[name])
+						}
+					})
+				}
+			}
+		}
+	}
+	if *updatePumpGolden {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// pumpDigest runs one TestPumpGolden case and hashes what it pins.
+func pumpDigest(t *testing.T, session bool, pol overload.Policy, inject string, every int) string {
+	e, _ := buildSamplingPipeline(t, 512)
+	e.SetOverload(overload.Config{Policy: pol, UpdateEvery: 16, Seed: 3})
+	if inject != "" {
+		f, err := overload.ParseFaults(inject, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetFaults(f)
+	}
+	var tr *tracing.Tracer
+	if every > 0 {
+		tr = tracing.New(tracing.Config{Every: every, Seed: 11, MaxSpans: 1 << 20})
+		e.SetTracer(tr)
+	}
+	h := sha256.New()
+	// The pass-through node "sel" sees every packet the ring accepted, in
+	// ring order; its destIP column is the packet's stream position.
+	var ringOrder []uint32
+	for i, n := range e.Nodes() {
+		name := n.Stats().Name
+		n.Subscribe(func(row tuple.Tuple) error {
+			if i == 0 {
+				ringOrder = append(ringOrder, uint32(row[2].Uint()))
+			}
+			fmt.Fprintln(h, name, row)
+			return nil
+		})
+	}
+	steady, err := trace.NewSteady(trace.SteadyConfig{Seed: 21, Duration: 1, Rate: 12000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := &seqFeed{inner: steady}
+	if session {
+		if err := e.Start(context.Background(), feed); err != nil {
+			t.Fatal(err)
+		}
+		err = e.Wait()
+	} else {
+		err = e.Run(feed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range e.Nodes() {
+		st := n.Stats()
+		fmt.Fprintf(h, "node %s in=%d out=%d op=%+v\n", st.Name, st.TuplesIn, st.TuplesOut, st.Operator)
+	}
+	g := snapshotByRing(e.Overload())["source/0"]
+	fmt.Fprintf(h, "gate offered=%d admitted=%d shed=%d dropped=%d\n", g.Offered, g.Admitted, g.Shed, g.Dropped)
+	fmt.Fprintf(h, "ring pushed=%d drops=%d packets=%d duration=%v\n", e.RingPushed(), e.Drops(), e.Packets(), e.StreamDuration())
+	if pol == overload.ShedSample && g.Shed == 0 {
+		t.Errorf("shed-sample shed nothing: the case pins no admission draw")
+	}
+	if tr != nil {
+		hashTraces(t, h, tr, ringOrder)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashTraces writes every trace event but its wall-clock fields, then each
+// trace's disposition with the ring index of its packet (-1: it never
+// reached the ring).
+func hashTraces(t *testing.T, h io.Writer, tr *tracing.Tracer, ringOrder []uint32) {
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []tracing.Event
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	ringIdx := make(map[uint32]int, len(ringOrder))
+	for i, seq := range ringOrder {
+		ringIdx[seq] = i
+	}
+	traced := 0
+	for _, ev := range events {
+		if ev.Ph == "M" {
+			continue
+		}
+		var kv []string
+		for k, v := range ev.Args {
+			if k != "wait_us" {
+				kv = append(kv, fmt.Sprintf("%s=%v", k, v))
+			}
+		}
+		sort.Strings(kv)
+		fmt.Fprintf(h, "trace %d %s %s\n", ev.TID, ev.Name, strings.Join(kv, " "))
+		if ev.Name == "disposition" {
+			traced++
+			seq := uint32(ev.Args["seq"].(float64))
+			idx, ok := ringIdx[seq]
+			if !ok {
+				idx = -1
+			}
+			fmt.Fprintf(h, "trace %d seq=%d ring=%d %v\n", ev.TID, seq, idx, ev.Args["disposition"])
+		}
+	}
+	if traced == 0 {
+		t.Errorf("no trace finished: the case pins no trace")
+	}
+}
 
 // TestRunSourceGateAccounting: the serial loop offers every packet through
 // the source ring's gate, so the accounting invariants hold on Run under
@@ -168,5 +352,84 @@ func TestStreamClockAgreesAcrossModes(t *testing.T) {
 			t.Errorf("%s: %d packets over %v, Run: %d over %v",
 				name, e.Packets(), e.StreamDuration(), run.Packets(), run.StreamDuration())
 		}
+	}
+}
+
+// stallFeed is an endless unpaced feed the test can stall: Next blocks
+// while mu is held, with the pump in the middle of a batch. destIP is the
+// packet's stream position.
+type stallFeed struct {
+	mu sync.Mutex
+	n  uint32
+}
+
+func (f *stallFeed) Next() (trace.Packet, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.n++
+	return trace.Packet{Time: uint64(f.n) * uint64(time.Microsecond), DstIP: f.n - 1, Proto: 6, Len: 100}, true
+}
+
+// TestSessionCommandLatency: an unpaced pump polls its context, Drain and
+// the command queue once per batch, so a command waits at most for the
+// batch in hand and the ring fill behind it. Each command is posted with
+// the feed stalled under the pump mid-batch: an installed query's first
+// packet is then at most a ring and a batch past Packets() at the call,
+// and Drain stops the pump within a batch.
+func TestSessionCommandLatency(t *testing.T) {
+	const batch = 512
+	e, _ := engine.New(1024)
+	feed := &stallFeed{}
+	if err := e.Start(context.Background(), feed); err != nil {
+		t.Fatal(err)
+	}
+	// post runs cmd on its own goroutine with the feed stalled until cmd has
+	// had time to queue, waits for it, and returns Packets() at the call.
+	post := func(cmd func()) int64 {
+		time.Sleep(5 * time.Millisecond)
+		feed.mu.Lock()
+		at := e.Packets()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			cmd()
+		}()
+		time.Sleep(20 * time.Millisecond)
+		feed.mu.Unlock()
+		watchdog(t, 10*time.Second, func() error { <-done; return nil })
+		return at
+	}
+	for i := range 5 {
+		name := fmt.Sprintf("q%d", i)
+		first := make(chan uint64, 1)
+		at := post(func() {
+			_, err := e.Install(name, "SELECT destIP FROM PKT", engine.InstallOptions{OnRow: func(row tuple.Tuple) error {
+				select {
+				case first <- row[0].Uint():
+				default:
+				}
+				return nil
+			}})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		var pos uint64
+		watchdog(t, 10*time.Second, func() error { pos = <-first; return nil })
+		if limit := uint64(at) + uint64(e.RingCap()) + batch; pos > limit {
+			t.Errorf("install %d: first packet %d, want <= %d (Packets() %d at the call + ring %d + batch %d)",
+				i, pos, limit, at, e.RingCap(), batch)
+		}
+		if err := e.Uninstall(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := post(func() {
+		if err := e.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
+	if taken := e.Packets() - at; taken > batch {
+		t.Errorf("pump took %d packets after Drain was called, want <= %d", taken, batch)
 	}
 }

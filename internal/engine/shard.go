@@ -50,8 +50,8 @@ import (
 // shardRingCap is each shard's private ring capacity.
 const shardRingCap = 4096
 
-// shardBatch is both the routing-buffer flush threshold (producer side)
-// and the PopBatch size (worker side).
+// shardBatch is the RunParallel producer's pump batch and routing-buffer
+// flush threshold, and its workers' PopBatch size.
 const shardBatch = 256
 
 // shardMetrics caches one shard's gauge handles (labels: node, shard).
@@ -208,11 +208,13 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	return s, nil
 }
 
-// route evaluates the node's GROUP BY on one packet and buffers it for
-// the owning shard, enforcing the window barrier at boundaries (unpaced
-// mode). The caller owns tp for the duration of the call only; packets
-// are buffered by value.
-func (s *shardSet) route(p trace.Packet, tp tuple.Tuple) error {
+// route evaluates the node's GROUP BY on one packet, one (a slice of one),
+// through tp, and offers it to the owning shard's gate (paced mode) or
+// buffers it for the shard, enforcing the window barrier at boundaries
+// (unpaced mode). The caller owns tp for the duration of the call only;
+// packets are buffered by value.
+func (s *shardSet) route(one []trace.Packet, tp tuple.Tuple) error {
+	one[0].AppendTuple(tp)
 	s.rctx = gsql.Ctx{Tuple: tp}
 	for i, gb := range s.router.GroupBy {
 		v, err := gb(&s.rctx)
@@ -237,10 +239,10 @@ func (s *shardSet) route(p trace.Packet, tp tuple.Tuple) error {
 	slot := tuple.HashValues(s.rgb) & s.mask
 	shard := int(slot % uint64(len(s.shards)))
 	if !s.barrier {
-		s.gates[shard].offer(&p)
+		s.gates[shard].offer(one)
 		return nil
 	}
-	s.pend[shard] = append(s.pend[shard], p)
+	s.pend[shard] = append(s.pend[shard], one[0])
 	if len(s.pend[shard]) >= shardBatch {
 		s.flushPend(shard)
 	}
