@@ -137,14 +137,10 @@ func (c *Config) validate() error {
 
 // Sampler is the integrated flow-aggregation + subset-sum sampler.
 type Sampler struct {
-	cfg      Config
-	z, zPrev float64
-	counter  float64
-	big      int // flows with Adj > z
-
-	table     map[trace.FlowKey]*Record
-	order     []*Record
-	cleanings int
+	cfg   Config
+	th    subsetsum.Threshold // Big counts flows with Adj > Z
+	table map[trace.FlowKey]*Record
+	order []*Record
 }
 
 // NewSampler returns an integrated sampled-flows operator.
@@ -154,7 +150,7 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	}
 	return &Sampler{
 		cfg:   cfg,
-		z:     cfg.InitialZ,
+		th:    subsetsum.Threshold{Z: cfg.InitialZ},
 		table: make(map[trace.FlowKey]*Record),
 	}, nil
 }
@@ -167,27 +163,17 @@ func (s *Sampler) Offer(p trace.Packet) bool {
 	key := p.Key()
 	if rec, ok := s.table[key]; ok {
 		rec.update(p)
-		if rec.Adj > s.z && rec.Adj-float64(p.Len) <= s.z {
-			s.big++
+		if rec.Adj > s.th.Z && rec.Adj-float64(p.Len) <= s.th.Z {
+			s.th.Big++
 		}
 		return true
 	}
 	w := float64(p.Len)
-	var adj float64
-	switch {
-	case w > s.z:
-		adj = w
-		s.big++
-	default:
-		s.counter += w
-		if s.counter <= s.z {
-			return false
-		}
-		s.counter -= s.z
-		adj = s.z
+	if !s.th.Admit(w) {
+		return false
 	}
 	rec := newRecord(p)
-	rec.Adj = adj
+	rec.Adj = max(w, s.th.Z)
 	s.table[key] = rec
 	s.order = append(s.order, rec)
 	if len(s.table) > int(s.cfg.Theta*float64(s.cfg.TargetSize)) {
@@ -200,36 +186,18 @@ func (s *Sampler) Offer(p trace.Packet) bool {
 // that small flows can be quickly sampled and purged from the group
 // table".
 func (s *Sampler) clean() {
-	s.cleanings++
-	s.zPrev = s.z
-	s.z = subsetsum.AdjustZ(s.z, len(s.table), s.cfg.TargetSize, s.big)
-	s.big = 0
-	s.counter = 0
+	s.th.BeginClean(len(s.table), s.cfg.TargetSize)
+	s.th.Counter = 0
 	kept := s.order[:0]
-	var cleanCtr float64
 	for _, rec := range s.order {
-		eff := rec.Adj
-		if eff < s.zPrev {
-			eff = s.zPrev
-		}
-		if eff > s.z {
-			rec.Adj = eff
-			kept = append(kept, rec)
-			s.big++
-			continue
-		}
-		cleanCtr += eff
-		if cleanCtr > s.z {
-			cleanCtr -= s.z
-			rec.Adj = s.z
+		if s.th.CleanKeep(rec.Adj) {
+			rec.Adj = max(rec.Adj, s.th.ZPrev, s.th.Z)
 			kept = append(kept, rec)
 			continue
 		}
 		delete(s.table, rec.Key)
 	}
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
+	clear(s.order[len(kept):])
 	s.order = kept
 }
 
@@ -243,14 +211,7 @@ func (s *Sampler) EndWindow() []Record {
 	for i, r := range s.order {
 		out[i] = *r
 	}
-	s.z /= s.cfg.RelaxFactor
-	if s.z <= 0 {
-		s.z = s.cfg.InitialZ
-	}
-	s.zPrev = 0
-	s.counter = 0
-	s.big = 0
-	s.cleanings = 0
+	s.th = s.th.Carry(s.cfg.RelaxFactor, s.cfg.InitialZ)
 	s.table = make(map[trace.FlowKey]*Record)
 	s.order = s.order[:0]
 	return out
@@ -263,10 +224,10 @@ func (s *Sampler) Size() int { return len(s.table) }
 func (s *Sampler) MaxSize() int { return int(s.cfg.Theta * float64(s.cfg.TargetSize)) }
 
 // Z returns the current admission threshold.
-func (s *Sampler) Z() float64 { return s.z }
+func (s *Sampler) Z() float64 { return s.th.Z }
 
 // Cleanings returns the cleaning phases of the current window.
-func (s *Sampler) Cleanings() int { return s.cleanings }
+func (s *Sampler) Cleanings() int { return s.th.Cleanings }
 
 // EstimateBytes sums the adjusted weights of a sampled flow set.
 func EstimateBytes(flows []Record) float64 {

@@ -41,14 +41,18 @@ func (h *itemHeap[T]) Pop() interface{} {
 	return x
 }
 
-// Sampler maintains a fixed-size priority sample.
+// Sampler maintains a fixed-size priority sample. Its fields are exported
+// so a checkpoint codec can store and rebuild it; only Offer and Reset
+// change them while sampling.
 type Sampler[T any] struct {
-	k     int
-	rng   *xrand.Rand
-	items itemHeap[T]
-	// tau is the highest priority evicted so far: the (k+1)-st highest
-	// priority over the whole stream once more than k items were offered.
-	tau float64
+	K   int
+	Rng *xrand.Rand
+	// Items is the sample in heap order: a min-heap on Priority.
+	Items []Sample[T]
+	// Tau is the highest priority evicted so far: the (k+1)-st highest
+	// priority over the whole stream once more than k items were offered,
+	// and 0 before.
+	Tau float64
 }
 
 // New returns a priority sampler keeping k items. rng must not be nil.
@@ -59,67 +63,55 @@ func New[T any](k int, rng *xrand.Rand) (*Sampler[T], error) {
 	if rng == nil {
 		return nil, fmt.Errorf("priority: rng must not be nil")
 	}
-	return &Sampler[T]{k: k, rng: rng}, nil
+	return &Sampler[T]{K: k, Rng: rng}, nil
 }
 
-// Offer presents one item with weight > 0. It reports whether the item is
-// currently in the sample.
-func (s *Sampler[T]) Offer(weight float64, payload T) bool {
+// Offer presents one item; items of weight <= 0 are ignored. It reports
+// whether the item is now in the sample and, when it displaced the
+// lowest-priority member, that member's payload.
+func (s *Sampler[T]) Offer(weight float64, payload T) (in bool, evicted T, displaced bool) {
 	if weight <= 0 {
-		return false
+		return false, evicted, false
 	}
 	var u float64
 	for u == 0 {
-		u = s.rng.Float64()
+		u = s.Rng.Float64()
 	}
 	item := Sample[T]{Payload: payload, Weight: weight, Priority: weight / u}
-	if len(s.items) < s.k {
-		heap.Push(&s.items, item)
-		return true
+	h := (*itemHeap[T])(&s.Items)
+	if len(s.Items) < s.K {
+		heap.Push(h, item)
+		return true, evicted, false
 	}
-	if item.Priority <= s.items[0].Priority {
-		if item.Priority > s.tau {
-			s.tau = item.Priority
+	if item.Priority <= s.Items[0].Priority {
+		if item.Priority > s.Tau {
+			s.Tau = item.Priority
 		}
-		return false
+		return false, evicted, false
 	}
-	evicted := s.items[0]
-	s.items[0] = item
-	heap.Fix(&s.items, 0)
-	if evicted.Priority > s.tau {
-		s.tau = evicted.Priority
+	old := s.Items[0]
+	s.Items[0] = item
+	heap.Fix(h, 0)
+	if old.Priority > s.Tau {
+		s.Tau = old.Priority
 	}
-	return true
-}
-
-// Tau returns the current threshold: the (k+1)-st highest priority seen,
-// or 0 while at most k items have been offered.
-func (s *Sampler[T]) Tau() float64 { return s.tau }
-
-// Size returns the current sample size (<= k).
-func (s *Sampler[T]) Size() int { return len(s.items) }
-
-// Samples returns the retained items (heap order, not sorted).
-func (s *Sampler[T]) Samples() []Sample[T] {
-	out := make([]Sample[T], len(s.items))
-	copy(out, s.items)
-	return out
+	return true, old.Payload, true
 }
 
 // AdjustedWeight returns the estimator weight of a retained sample:
 // max(weight, tau).
 func (s *Sampler[T]) AdjustedWeight(sm Sample[T]) float64 {
-	if sm.Weight > s.tau {
+	if sm.Weight > s.Tau {
 		return sm.Weight
 	}
-	return s.tau
+	return s.Tau
 }
 
 // Estimate returns the subset-sum estimate over retained samples matching
 // keep (nil means all): the sum of adjusted weights.
 func (s *Sampler[T]) Estimate(keep func(T) bool) float64 {
 	var sum float64
-	for _, sm := range s.items {
+	for _, sm := range s.Items {
 		if keep == nil || keep(sm.Payload) {
 			sum += s.AdjustedWeight(sm)
 		}
@@ -129,6 +121,6 @@ func (s *Sampler[T]) Estimate(keep func(T) bool) float64 {
 
 // Reset clears the sample for a new window, keeping k.
 func (s *Sampler[T]) Reset() {
-	s.items = s.items[:0]
-	s.tau = 0
+	s.Items = s.Items[:0]
+	s.Tau = 0
 }

@@ -23,21 +23,24 @@ func TestFixedSize(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		s.Offer(1+float64(i%100), i)
 	}
-	if s.Size() != 10 {
-		t.Errorf("Size = %d", s.Size())
+	if len(s.Items) != 10 {
+		t.Errorf("Size = %d", len(s.Items))
 	}
-	if s.Tau() <= 0 {
+	if s.Tau <= 0 {
 		t.Error("tau not set after overflow")
 	}
 }
 
 func TestNonPositiveWeightIgnored(t *testing.T) {
 	s, _ := New[int](4, xrand.New(3))
-	if s.Offer(0, 1) || s.Offer(-5, 2) {
-		t.Error("non-positive weight admitted")
+	if in, _, _ := s.Offer(0, 1); in {
+		t.Error("zero weight admitted")
 	}
-	if s.Size() != 0 {
-		t.Errorf("Size = %d", s.Size())
+	if in, _, _ := s.Offer(-5, 2); in {
+		t.Error("negative weight admitted")
+	}
+	if len(s.Items) != 0 {
+		t.Errorf("Size = %d", len(s.Items))
 	}
 }
 
@@ -93,7 +96,7 @@ func TestHeavyItemsAlwaysKept(t *testing.T) {
 		s.Offer(1, i)
 	}
 	found := false
-	for _, sm := range s.Samples() {
+	for _, sm := range s.Items {
 		if sm.Payload == -1 {
 			found = true
 			if s.AdjustedWeight(sm) != 1e12 {
@@ -119,18 +122,46 @@ func TestTauIsKPlusFirstPriority(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Offer(0.5+r.Float64()*10, i)
 		}
-		if s.Size() != k {
+		if len(s.Items) != k {
 			return false
 		}
-		for _, sm := range s.Samples() {
-			if sm.Priority <= s.Tau() {
+		for _, sm := range s.Items {
+			if sm.Priority <= s.Tau {
 				return false
 			}
 		}
-		return s.Tau() > 0
+		return s.Tau > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOfferReportsEvicted checks the eviction report the operator's tag
+// set relies on: the reported payloads are exactly the ones that left the
+// sample.
+func TestOfferReportsEvicted(t *testing.T) {
+	s, _ := New[int](6, xrand.New(7))
+	live := map[int]bool{}
+	for i := 0; i < 3000; i++ {
+		in, evicted, displaced := s.Offer(1+float64(i%50), i)
+		if displaced {
+			if !in || !live[evicted] {
+				t.Fatalf("item %d: in=%v, evicted %d live=%v", i, in, evicted, live[evicted])
+			}
+			delete(live, evicted)
+		}
+		if in {
+			live[i] = true
+		}
+	}
+	if len(live) != len(s.Items) {
+		t.Fatalf("tracked %d members, sample holds %d", len(live), len(s.Items))
+	}
+	for _, sm := range s.Items {
+		if !live[sm.Payload] {
+			t.Errorf("sample holds %d, which the reports evicted", sm.Payload)
+		}
 	}
 }
 
@@ -140,7 +171,7 @@ func TestReset(t *testing.T) {
 		s.Offer(1, i)
 	}
 	s.Reset()
-	if s.Size() != 0 || s.Tau() != 0 {
+	if len(s.Items) != 0 || s.Tau != 0 {
 		t.Error("Reset incomplete")
 	}
 }

@@ -1,268 +1,86 @@
 // Package reservoir implements fixed-size uniform random sampling from a
 // stream of unknown length, after Vitter ("Random sampling with a
-// reservoir", ACM TOMS 1985).
+// reservoir", ACM TOMS 1985): a reservoir of n records filled by the first
+// n and then updated by random replacement, with Algorithm X's skip
+// schedule deciding which later records enter.
 //
-// Three skip policies are provided:
-//
-//   - AlgorithmR: the classic per-record coin flip (no skips).
-//   - AlgorithmX: exact skip counts by sequential search.
-//   - AlgorithmZ: exact skip counts by Vitter's rejection-acceptance
-//     method, O(n(1+log(N/n))) expected time — the "fastest version"
-//     referenced in §4.1 of the paper.
-//
-// Two container styles are provided: Reservoir keeps exactly n records by
-// in-place replacement, while Buffered is the sampling-operator flavor from
-// §4.1/§6.6 of the paper — candidates accumulate in a buffer of capacity
-// T*n and a cleaning phase randomly subsamples n of them when it fills.
+// The operator's rs* family (internal/sfunlib) runs this reservoir over
+// record tags. Its cleaning phase is the paper's buffered flavour (§4.1,
+// §6.6): displaced candidates stay in the group table until a cleaning
+// evicts everything the reservoir no longer holds.
 package reservoir
 
 import (
 	"fmt"
-	"math"
 
 	"streamop/internal/xrand"
 )
 
-// Algorithm selects the skip-generation policy.
-type Algorithm uint8
-
-const (
-	// AlgorithmR flips a coin per record.
-	AlgorithmR Algorithm = iota
-	// AlgorithmX computes skips by sequential search.
-	AlgorithmX
-	// AlgorithmZ computes skips by rejection-acceptance.
-	AlgorithmZ
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmR:
-		return "R"
-	case AlgorithmX:
-		return "X"
-	case AlgorithmZ:
-		return "Z"
-	}
-	return "?"
-}
-
-// Reservoir maintains a uniform sample of fixed size n by replacement.
+// Reservoir maintains a uniform sample of fixed size N by replacement. Its
+// fields are exported so a checkpoint codec can store and rebuild it; only
+// Offer and Reset change them while sampling.
 type Reservoir[T any] struct {
-	n     int
-	algo  Algorithm
-	rng   *xrand.Rand
-	seen  int64
-	items []T
-	skip  int64 // records still to skip before the next candidate (X/Z)
-	w     float64
+	N     int
+	Rng   *xrand.Rand
+	Seen  int64 // records offered so far
+	Skip  int64 // records still to pass over before the next one enters; -1 = draw
+	Items []T   // the sample, by slot
 }
 
-// New returns a reservoir of capacity n > 0 using the given algorithm.
-func New[T any](n int, algo Algorithm, rng *xrand.Rand) (*Reservoir[T], error) {
+// New returns a reservoir of capacity n > 0.
+func New[T any](n int, rng *xrand.Rand) (*Reservoir[T], error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("reservoir: size must be positive, got %d", n)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("reservoir: rng must not be nil")
 	}
-	return &Reservoir[T]{n: n, algo: algo, rng: rng, skip: -1}, nil
+	return &Reservoir[T]{N: n, Rng: rng, Skip: -1}, nil
 }
 
-// Offer presents one record; it reports whether the record entered the
-// sample (possibly displacing an earlier one).
-func (r *Reservoir[T]) Offer(item T) bool {
-	r.seen++
-	if len(r.items) < r.n {
-		r.items = append(r.items, item)
-		return true
+// Offer presents one record. It reports whether the record entered the
+// sample and, when it displaced an earlier member, that member.
+func (r *Reservoir[T]) Offer(item T) (in bool, evicted T, displaced bool) {
+	r.Seen++
+	if len(r.Items) < r.N {
+		r.Items = append(r.Items, item)
+		return true, evicted, false
 	}
-	switch r.algo {
-	case AlgorithmR:
-		// Keep with probability n/seen.
-		j := r.rng.Uint64n(uint64(r.seen))
-		if j < uint64(r.n) {
-			r.items[j] = item
-			return true
-		}
-		return false
-	default:
-		if r.skip < 0 {
-			r.generateSkip()
-		}
-		if r.skip > 0 {
-			r.skip--
-			return false
-		}
-		r.skip = -1
-		r.items[r.rng.Intn(r.n)] = item
-		return true
+	if r.Skip < 0 {
+		r.Skip = r.drawSkip()
 	}
+	if r.Skip > 0 {
+		r.Skip--
+		return false, evicted, false
+	}
+	r.Skip = -1
+	slot := r.Rng.Intn(r.N)
+	evicted, r.Items[slot] = r.Items[slot], item
+	return true, evicted, true
 }
 
-// generateSkip draws the number of records to pass over before the next
-// record enters the sample. t is the count of records already processed
-// (the current record is t+1).
-func (r *Reservoir[T]) generateSkip() {
-	t := r.seen - 1 // records fully processed before the current one
-	if r.algo == AlgorithmX || float64(t) <= 22.0*float64(r.n) {
-		// Algorithm X: sequential search. V is uniform; find the least
-		// skip s with prod_{i=0..s} (t+1-n+i)/(t+1+i) <= V.
-		v := r.rng.Float64()
-		s := int64(0)
-		num := t + 1 - int64(r.n)
-		den := t + 1
-		quot := float64(num) / float64(den)
-		for quot > v {
-			s++
-			num++
-			den++
-			quot *= float64(num) / float64(den)
-		}
-		r.skip = s
-		return
+// drawSkip draws the number of records to pass over before the next one
+// enters, by Algorithm X's sequential search: after t processed records
+// the next enters with probability n/(t+1), so the skip is the least s
+// with prod_{i=0..s} (t+1-n+i)/(t+1+i) <= V for a uniform V.
+func (r *Reservoir[T]) drawSkip() int64 {
+	t := r.Seen - 1 // records fully processed before the current one
+	v := r.Rng.Float64()
+	var s int64
+	num, den := t+1-int64(r.N), t+1
+	quot := float64(num) / float64(den)
+	for quot > v {
+		s++
+		num++
+		den++
+		quot *= float64(num) / float64(den)
 	}
-	// Algorithm Z: rejection-acceptance (Vitter 1985, §5).
-	n := float64(r.n)
-	tf := float64(t)
-	if r.w == 0 {
-		r.w = math.Exp(-math.Log(r.rng.Float64()) / n)
-	}
-	for {
-		term := tf - n + 1
-		var s float64
-		for {
-			// Generate U and X.
-			u := r.rng.Float64()
-			x := tf * (r.w - 1)
-			s = math.Floor(x)
-			// Test if U <= h(S)/cg(X) in the manner of Vitter.
-			lhs := math.Exp(math.Log(u*(tf+1)/term*(tf+1)/term*(term+s)/(tf+x)) / n)
-			rhs := (tf + x) / (term + s) * term / tf
-			if lhs <= rhs {
-				r.w = rhs / lhs
-				break
-			}
-			// Acceptance test failed the quick check; evaluate f(S)/cg(X).
-			y := u * (tf + 1) / term * (tf + s + 1) / (tf + x)
-			var denom, numerLim float64
-			if n < s+1 {
-				denom = tf
-				numerLim = term + s
-			} else {
-				denom = tf - n + s + 1
-				numerLim = tf + 1
-			}
-			for numer := tf + s; numer >= numerLim; numer-- {
-				y = y * numer / denom
-				denom--
-			}
-			r.w = math.Exp(-math.Log(r.rng.Float64()) / n)
-			if math.Exp(math.Log(y)/n) <= (tf+x)/tf {
-				break
-			}
-		}
-		if s < 0 {
-			s = 0
-		}
-		r.skip = int64(s)
-		return
-	}
+	return s
 }
 
-// Sample returns the current sample. The slice is owned by the reservoir;
-// callers must copy it to retain across Offer calls.
-func (r *Reservoir[T]) Sample() []T { return r.items }
-
-// Seen returns the number of records offered so far.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
-// Reset clears the reservoir for a new window.
+// Reset clears the reservoir for a new window, keeping N and the generator.
 func (r *Reservoir[T]) Reset() {
-	r.seen = 0
-	r.items = r.items[:0]
-	r.skip = -1
-	r.w = 0
+	r.Seen = 0
+	r.Items = r.Items[:0]
+	r.Skip = -1
 }
-
-// Buffered is the sampling-operator flavor: candidates accumulate in a
-// buffer of capacity tolerance*n; when the buffer overflows, a cleaning
-// phase keeps n candidates chosen uniformly at random. The paper bounds
-// the tolerance parameter T to (10, 40).
-type Buffered[T any] struct {
-	res       *Reservoir[T] // drives candidate admission (skip logic)
-	n         int
-	capacity  int
-	rng       *xrand.Rand
-	buf       []T
-	cleanings int
-}
-
-// NewBuffered returns a buffered reservoir targeting n final samples with
-// a candidate buffer of capacity tolerance*n.
-func NewBuffered[T any](n int, tolerance float64, algo Algorithm, rng *xrand.Rand) (*Buffered[T], error) {
-	if tolerance <= 1 {
-		return nil, fmt.Errorf("reservoir: tolerance must exceed 1, got %v", tolerance)
-	}
-	res, err := New[T](n, algo, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Buffered[T]{res: res, n: n, capacity: int(tolerance * float64(n)), rng: rng}, nil
-}
-
-// Offer presents one record; it reports whether the record became a
-// candidate (it may later be evicted by a cleaning phase).
-func (b *Buffered[T]) Offer(item T) bool {
-	// Admission reuses the reservoir's candidate schedule: a record is a
-	// candidate exactly when the plain reservoir would have accepted it.
-	if !b.res.Offer(item) {
-		return false
-	}
-	b.buf = append(b.buf, item)
-	if len(b.buf) > b.capacity {
-		b.clean()
-	}
-	return true
-}
-
-// NeedsCleaning reports whether the candidate buffer exceeds its capacity.
-func (b *Buffered[T]) NeedsCleaning() bool { return len(b.buf) > b.capacity }
-
-// clean retains n uniformly random candidates via a partial Fisher-Yates.
-func (b *Buffered[T]) clean() {
-	b.cleanings++
-	for i := 0; i < b.n && i < len(b.buf); i++ {
-		j := i + b.rng.Intn(len(b.buf)-i)
-		b.buf[i], b.buf[j] = b.buf[j], b.buf[i]
-	}
-	if len(b.buf) > b.n {
-		tail := b.buf[b.n:]
-		for i := range tail {
-			var zero T
-			tail[i] = zero
-		}
-		b.buf = b.buf[:b.n]
-	}
-}
-
-// EndWindow performs the final cleaning if needed and returns the window's
-// sample (at most n records), resetting for the next window. The returned
-// slice is owned by the caller.
-func (b *Buffered[T]) EndWindow() []T {
-	if len(b.buf) > b.n {
-		b.clean()
-	}
-	out := make([]T, len(b.buf))
-	copy(out, b.buf)
-	b.buf = b.buf[:0]
-	b.res.Reset()
-	b.cleanings = 0
-	return out
-}
-
-// Size returns the current candidate count.
-func (b *Buffered[T]) Size() int { return len(b.buf) }
-
-// Cleanings returns the cleaning phases triggered in the current window.
-func (b *Buffered[T]) Cleanings() int { return b.cleanings }

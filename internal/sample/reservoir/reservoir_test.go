@@ -9,64 +9,81 @@ import (
 
 func TestNewValidation(t *testing.T) {
 	r := xrand.New(1)
-	if _, err := New[int](0, AlgorithmR, r); err == nil {
+	if _, err := New[int](0, r); err == nil {
 		t.Error("New(0) accepted")
 	}
-	if _, err := New[int](5, AlgorithmR, nil); err == nil {
+	if _, err := New[int](5, nil); err == nil {
 		t.Error("nil rng accepted")
-	}
-	if _, err := NewBuffered[int](5, 1.0, AlgorithmX, r); err == nil {
-		t.Error("tolerance 1 accepted")
-	}
-	if _, err := NewBuffered[int](0, 20, AlgorithmX, r); err == nil {
-		t.Error("buffered n=0 accepted")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if AlgorithmR.String() != "R" || AlgorithmX.String() != "X" || AlgorithmZ.String() != "Z" {
-		t.Error("Algorithm.String mismatch")
 	}
 }
 
 func TestFillPhase(t *testing.T) {
-	r, _ := New[int](5, AlgorithmR, xrand.New(1))
+	r, _ := New[int](5, xrand.New(1))
 	for i := 0; i < 5; i++ {
-		if !r.Offer(i) {
-			t.Errorf("record %d rejected during fill", i)
+		if in, _, displaced := r.Offer(i); !in || displaced {
+			t.Errorf("record %d: in=%v displaced=%v during fill", i, in, displaced)
 		}
 	}
-	if len(r.Sample()) != 5 {
-		t.Errorf("Sample len = %d", len(r.Sample()))
+	if len(r.Items) != 5 {
+		t.Errorf("sample len = %d", len(r.Items))
 	}
-	if r.Seen() != 5 {
-		t.Errorf("Seen = %d", r.Seen())
+	if r.Seen != 5 {
+		t.Errorf("Seen = %d", r.Seen)
 	}
 }
 
 func TestFixedSize(t *testing.T) {
-	for _, algo := range []Algorithm{AlgorithmR, AlgorithmX, AlgorithmZ} {
-		r, _ := New[int](10, algo, xrand.New(2))
-		for i := 0; i < 10000; i++ {
-			r.Offer(i)
+	r, _ := New[int](10, xrand.New(2))
+	for i := 0; i < 10000; i++ {
+		r.Offer(i)
+	}
+	if len(r.Items) != 10 {
+		t.Errorf("sample size %d", len(r.Items))
+	}
+}
+
+// TestOfferReportsDisplaced checks the displacement report the operator's
+// tag set relies on: every record that enters a full reservoir names the
+// member it replaced, and that member is gone from the sample.
+func TestOfferReportsDisplaced(t *testing.T) {
+	r, _ := New[int](8, xrand.New(3))
+	live := map[int]bool{}
+	for i := 0; i < 5000; i++ {
+		in, evicted, displaced := r.Offer(i)
+		if displaced != (in && i >= 8) {
+			t.Fatalf("record %d: in=%v displaced=%v", i, in, displaced)
 		}
-		if len(r.Sample()) != 10 {
-			t.Errorf("algo %v: sample size %d", algo, len(r.Sample()))
+		if displaced {
+			if !live[evicted] {
+				t.Fatalf("record %d displaced %d, which was not in the sample", i, evicted)
+			}
+			delete(live, evicted)
+		}
+		if in {
+			live[i] = true
+		}
+	}
+	if len(live) != len(r.Items) {
+		t.Fatalf("tracked %d members, sample holds %d", len(live), len(r.Items))
+	}
+	for _, v := range r.Items {
+		if !live[v] {
+			t.Errorf("sample holds %d, which the reports evicted", v)
 		}
 	}
 }
 
-// uniformityCheck runs many trials of sampling n from N sequential ints and
-// chi-square-tests the inclusion counts per stream position.
-func uniformityCheck(t *testing.T, algo Algorithm, n, total, trials int) {
-	t.Helper()
+// TestUniformityX runs many trials of sampling n from N sequential ints
+// and chi-square-tests the inclusion counts per stream position.
+func TestUniformityX(t *testing.T) {
+	const n, total, trials = 20, 200, 600
 	counts := make([]int, total)
 	for trial := 0; trial < trials; trial++ {
-		r, _ := New[int](n, algo, xrand.New(uint64(trial)*977+3))
+		r, _ := New[int](n, xrand.New(uint64(trial)*977+3))
 		for i := 0; i < total; i++ {
 			r.Offer(i)
 		}
-		for _, v := range r.Sample() {
+		for _, v := range r.Items {
 			counts[v]++
 		}
 	}
@@ -78,36 +95,29 @@ func uniformityCheck(t *testing.T, algo Algorithm, n, total, trials int) {
 	}
 	// df = total-1; mean df, sd sqrt(2*df). Allow 5 sigma.
 	df := float64(total - 1)
-	limit := df + 5*math.Sqrt(2*df)
-	if chi2 > limit {
-		t.Errorf("algo %v: chi2 = %v exceeds %v (non-uniform)", algo, chi2, limit)
+	if limit := df + 5*math.Sqrt(2*df); chi2 > limit {
+		t.Errorf("chi2 = %v exceeds %v (non-uniform)", chi2, limit)
 	}
 	// Also check first and last positions are not systematically biased.
 	if float64(counts[0]) < expected*0.7 || float64(counts[0]) > expected*1.3 {
-		t.Errorf("algo %v: position 0 count %d, expected %v", algo, counts[0], expected)
+		t.Errorf("position 0 count %d, expected %v", counts[0], expected)
 	}
-	last := counts[total-1]
-	if float64(last) < expected*0.7 || float64(last) > expected*1.3 {
-		t.Errorf("algo %v: last position count %d, expected %v", algo, last, expected)
+	if last := counts[total-1]; float64(last) < expected*0.7 || float64(last) > expected*1.3 {
+		t.Errorf("last position count %d, expected %v", last, expected)
 	}
 }
 
-func TestUniformityR(t *testing.T) { uniformityCheck(t, AlgorithmR, 20, 200, 600) }
-func TestUniformityX(t *testing.T) { uniformityCheck(t, AlgorithmX, 20, 200, 600) }
-func TestUniformityZ(t *testing.T) { uniformityCheck(t, AlgorithmZ, 20, 200, 600) }
-
-func TestUniformityZLongStream(t *testing.T) {
-	// Algorithm Z switches to rejection sampling when t > 22n; make the
-	// stream long enough to exercise that path and check inclusion of the
-	// tail half.
+func TestUniformityLongStream(t *testing.T) {
+	// Skips grow with the stream: on a stream 600x the reservoir the tail
+	// half must still hold half the sample.
 	const n, total, trials = 8, 5000, 400
 	tailHits := 0
 	for trial := 0; trial < trials; trial++ {
-		r, _ := New[int](n, AlgorithmZ, xrand.New(uint64(trial)+51))
+		r, _ := New[int](n, xrand.New(uint64(trial)+51))
 		for i := 0; i < total; i++ {
 			r.Offer(i)
 		}
-		for _, v := range r.Sample() {
+		for _, v := range r.Items {
 			if v >= total/2 {
 				tailHits++
 			}
@@ -119,120 +129,40 @@ func TestUniformityZLongStream(t *testing.T) {
 	}
 }
 
-func TestXAndZAgreeOnSkipDistribution(t *testing.T) {
-	// Mean skip length after t records is about t/n - 1; compare the two
-	// algorithms' mean accepted positions over many runs.
-	mean := func(algo Algorithm) float64 {
-		var sum float64
-		const trials = 300
-		for trial := 0; trial < trials; trial++ {
-			r, _ := New[int](4, algo, xrand.New(uint64(trial)*31+7))
-			for i := 0; i < 3000; i++ {
-				r.Offer(i)
-			}
-			for _, v := range r.Sample() {
-				sum += float64(v)
-			}
+func TestMeanPositionUniform(t *testing.T) {
+	// A uniform sample over [0,3000) has mean position 1500.
+	var sum float64
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
+		r, _ := New[int](4, xrand.New(uint64(trial)*31+7))
+		for i := 0; i < 3000; i++ {
+			r.Offer(i)
 		}
-		return sum / float64(trials*4)
+		for _, v := range r.Items {
+			sum += float64(v)
+		}
 	}
-	mx, mz := mean(AlgorithmX), mean(AlgorithmZ)
-	// Uniform sample over [0,3000) has mean 1500.
-	if math.Abs(mx-1500) > 120 {
-		t.Errorf("Algorithm X mean position %v, want ~1500", mx)
-	}
-	if math.Abs(mz-1500) > 120 {
-		t.Errorf("Algorithm Z mean position %v, want ~1500", mz)
+	if m := sum / float64(trials*4); math.Abs(m-1500) > 120 {
+		t.Errorf("mean position %v, want ~1500", m)
 	}
 }
 
 func TestReset(t *testing.T) {
-	r, _ := New[int](3, AlgorithmZ, xrand.New(5))
+	r, _ := New[int](3, xrand.New(5))
 	for i := 0; i < 100; i++ {
 		r.Offer(i)
 	}
 	r.Reset()
-	if r.Seen() != 0 || len(r.Sample()) != 0 {
+	if r.Seen != 0 || len(r.Items) != 0 {
 		t.Error("Reset incomplete")
 	}
-	if !r.Offer(42) {
+	if in, _, _ := r.Offer(42); !in {
 		t.Error("first record after Reset rejected")
 	}
 }
 
-func TestBufferedBounds(t *testing.T) {
-	b, _ := NewBuffered[int](50, 12, AlgorithmX, xrand.New(6))
-	for i := 0; i < 100000; i++ {
-		b.Offer(i)
-		if b.Size() > 50*12+1 {
-			t.Fatalf("buffer grew to %d", b.Size())
-		}
-	}
-	out := b.EndWindow()
-	if len(out) > 50 {
-		t.Errorf("final sample %d exceeds n", len(out))
-	}
-	if len(out) < 50 {
-		t.Errorf("final sample %d below n for long stream", len(out))
-	}
-}
-
-func TestBufferedCleanings(t *testing.T) {
-	b, _ := NewBuffered[int](10, 2, AlgorithmR, xrand.New(7))
-	for i := 0; i < 5000; i++ {
-		b.Offer(i)
-	}
-	if b.Cleanings() == 0 {
-		t.Error("no cleaning phases on overflowing stream")
-	}
-	b.EndWindow()
-	if b.Cleanings() != 0 {
-		t.Error("EndWindow did not reset cleanings")
-	}
-	if b.Size() != 0 {
-		t.Error("EndWindow left candidates")
-	}
-}
-
-func TestBufferedShortWindow(t *testing.T) {
-	b, _ := NewBuffered[int](100, 10, AlgorithmX, xrand.New(8))
-	for i := 0; i < 30; i++ {
-		if !b.Offer(i) {
-			t.Errorf("record %d rejected below capacity", i)
-		}
-	}
-	out := b.EndWindow()
-	if len(out) != 30 {
-		t.Errorf("short window sample = %d, want all 30", len(out))
-	}
-}
-
-func TestBufferedCoversWholeStream(t *testing.T) {
-	// The final sample must include records from all parts of the stream.
-	hits := make([]int, 10)
-	const trials = 200
-	for trial := 0; trial < trials; trial++ {
-		b, _ := NewBuffered[int](20, 5, AlgorithmX, xrand.New(uint64(trial)*13+1))
-		for i := 0; i < 10000; i++ {
-			b.Offer(i)
-		}
-		for _, v := range b.EndWindow() {
-			hits[v/1000]++
-		}
-	}
-	for d, h := range hits {
-		if h == 0 {
-			t.Errorf("decile %d never sampled", d)
-		}
-	}
-}
-
-func BenchmarkOfferR(b *testing.B) { benchOffer(b, AlgorithmR) }
-func BenchmarkOfferX(b *testing.B) { benchOffer(b, AlgorithmX) }
-func BenchmarkOfferZ(b *testing.B) { benchOffer(b, AlgorithmZ) }
-
-func benchOffer(b *testing.B, algo Algorithm) {
-	r, _ := New[int](1000, algo, xrand.New(1))
+func BenchmarkOffer(b *testing.B) {
+	r, _ := New[int](1000, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Offer(i)

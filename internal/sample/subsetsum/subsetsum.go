@@ -18,6 +18,9 @@
 //     window is divided by a relaxation factor f, so that a sharp load drop
 //     no longer starves the sample; cleaning phases adapt z back up.
 //     Relaxed with f=1 is exactly the non-relaxed dynamic algorithm.
+//
+// All of them, and every other subset-sum sampler in the repository, run
+// one threshold control, Threshold, which holds the §4.4 counter rule.
 package subsetsum
 
 import (
@@ -46,11 +49,85 @@ func Estimate[T any](samples []Sample[T]) float64 {
 	return sum
 }
 
+// Threshold is the threshold control of §4.4 that every subset-sum
+// sampler in the repository runs: Basic and Dynamic here, the operator's
+// ss* and bssample states, and the integrated flow sampler. It holds the
+// threshold and the counters; the caller holds the samples. Its fields are
+// exported so a checkpoint codec can store them.
+type Threshold struct {
+	Z     float64 // current threshold
+	ZPrev float64 // threshold before the active cleaning pass
+	// Counter is the small-mass admission counter; CleanCounter is the
+	// active cleaning pass's.
+	Counter, CleanCounter float64
+	Big                   int // samples heavier than Z
+	Cleanings             int // cleaning phases this window
+}
+
+// take is §4.4's counter rule for an item of weight w <= Z: w joins the
+// small mass in ctr, and each time ctr exceeds Z the item is taken and Z
+// is paid out of ctr.
+func (t *Threshold) take(ctr *float64, w float64) bool {
+	*ctr += w
+	if *ctr > t.Z {
+		*ctr -= t.Z
+		return true
+	}
+	return false
+}
+
+// Admit reports whether an item of weight w enters the sample: always when
+// w exceeds Z (counted in Big), otherwise by the counter rule. A kept
+// item's adjusted weight is max(w, Z).
+func (t *Threshold) Admit(w float64) bool {
+	if w > t.Z {
+		t.Big++
+		return true
+	}
+	return t.take(&t.Counter, w)
+}
+
+// BeginClean starts a cleaning phase over size retained samples with
+// target m: Z rises by AdjustZ, the old threshold becomes ZPrev, and the
+// pass's counter and Big restart (CleanKeep recounts Big).
+func (t *Threshold) BeginClean(size, m int) {
+	t.Cleanings++
+	t.ZPrev = t.Z
+	t.Z = AdjustZ(t.Z, size, m, t.Big)
+	t.CleanCounter = 0
+	t.Big = 0
+}
+
+// CleanKeep reports whether a retained sample of adjusted weight w
+// survives the active cleaning pass: basic subset-sum sampling at the new
+// Z, with a weight below ZPrev promoted to ZPrev (§6.5). A kept sample's
+// adjusted weight becomes max(w, ZPrev, Z).
+func (t *Threshold) CleanKeep(w float64) bool {
+	if w < t.ZPrev {
+		w = t.ZPrev
+	}
+	if w > t.Z {
+		t.Big++
+		return true
+	}
+	return t.take(&t.CleanCounter, w)
+}
+
+// Carry returns the threshold control of the next window: Z/f with every
+// counter cleared (§7.1's relaxation; f = 1 is the non-relaxed
+// algorithm), or z0 when the division leaves no positive threshold.
+func (t *Threshold) Carry(f, z0 float64) Threshold {
+	z := t.Z / f
+	if z <= 0 {
+		z = z0
+	}
+	return Threshold{Z: z}
+}
+
 // Basic is the fixed-threshold algorithm. The zero value is not usable;
 // construct with NewBasic.
 type Basic[T any] struct {
-	z       float64
-	counter float64
+	th      Threshold
 	samples []Sample[T]
 }
 
@@ -59,37 +136,26 @@ func NewBasic[T any](z float64) (*Basic[T], error) {
 	if z <= 0 || math.IsNaN(z) || math.IsInf(z, 0) {
 		return nil, fmt.Errorf("subsetsum: threshold must be positive and finite, got %v", z)
 	}
-	return &Basic[T]{z: z}, nil
+	return &Basic[T]{th: Threshold{Z: z}}, nil
 }
 
 // Offer presents one item. It reports whether the item entered the sample.
 func (b *Basic[T]) Offer(weight float64, payload T) bool {
-	if weight > b.z {
-		b.samples = append(b.samples, Sample[T]{Payload: payload, Weight: weight, Adj: weight})
-		return true
+	pass, adj := b.Decide(weight)
+	if pass {
+		b.samples = append(b.samples, Sample[T]{Payload: payload, Weight: weight, Adj: adj})
 	}
-	b.counter += weight
-	if b.counter > b.z {
-		b.counter -= b.z
-		b.samples = append(b.samples, Sample[T]{Payload: payload, Weight: weight, Adj: b.z})
-		return true
-	}
-	return false
+	return pass
 }
 
 // Decide applies the basic predicate without retaining the sample: the
 // low-level pushdown form used as a selection UDF. It reports whether the
 // item should pass and the adjusted weight to assign if it does.
 func (b *Basic[T]) Decide(weight float64) (pass bool, adj float64) {
-	if weight > b.z {
-		return true, weight
+	if !b.th.Admit(weight) {
+		return false, 0
 	}
-	b.counter += weight
-	if b.counter > b.z {
-		b.counter -= b.z
-		return true, b.z
-	}
-	return false, 0
+	return true, max(weight, b.th.Z)
 }
 
 // Samples returns the retained samples. The caller must not modify the
@@ -97,12 +163,12 @@ func (b *Basic[T]) Decide(weight float64) (pass bool, adj float64) {
 func (b *Basic[T]) Samples() []Sample[T] { return b.samples }
 
 // Z returns the threshold.
-func (b *Basic[T]) Z() float64 { return b.z }
+func (b *Basic[T]) Z() float64 { return b.th.Z }
 
 // Reset discards all samples and counter state, keeping the threshold.
 func (b *Basic[T]) Reset() {
 	b.samples = b.samples[:0]
-	b.counter = 0
+	b.th = Threshold{Z: b.th.Z}
 }
 
 // Config parameterizes the dynamic algorithm.
@@ -143,12 +209,9 @@ func (c *Config) validate() error {
 
 // Dynamic is the fixed-sample-size algorithm with threshold adaptation.
 type Dynamic[T any] struct {
-	cfg       Config
-	z         float64
-	counter   float64
-	samples   []Sample[T]
-	big       int // samples whose Adj exceeds the current z (B in the paper)
-	cleanings int // cleaning phases in the current window
+	cfg     Config
+	th      Threshold
+	samples []Sample[T]
 }
 
 // NewDynamic returns a dynamic subset-sum sampler.
@@ -156,44 +219,38 @@ func NewDynamic[T any](cfg Config) (*Dynamic[T], error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Dynamic[T]{cfg: cfg, z: cfg.InitialZ}, nil
+	return &Dynamic[T]{cfg: cfg, th: Threshold{Z: cfg.InitialZ}}, nil
 }
 
 // Offer presents one item of the current window. It reports whether the
 // item entered the sample (it may later be evicted by a cleaning phase).
 func (d *Dynamic[T]) Offer(weight float64, payload T) bool {
-	sampled := false
-	if weight > d.z {
-		d.samples = append(d.samples, Sample[T]{Payload: payload, Weight: weight, Adj: weight})
-		d.big++
-		sampled = true
-	} else {
-		d.counter += weight
-		if d.counter > d.z {
-			d.counter -= d.z
-			d.samples = append(d.samples, Sample[T]{Payload: payload, Weight: weight, Adj: d.z})
-			sampled = true
-		}
+	if !d.th.Admit(weight) {
+		return false
 	}
-	if sampled && len(d.samples) > int(d.cfg.Theta*float64(d.cfg.TargetSize)) {
+	d.samples = append(d.samples, Sample[T]{Payload: payload, Weight: weight, Adj: max(weight, d.th.Z)})
+	if len(d.samples) > int(d.cfg.Theta*float64(d.cfg.TargetSize)) {
 		d.clean()
 	}
-	return sampled
-}
-
-// NeedsCleaning reports whether the sample currently exceeds Theta*N; the
-// operator form uses this as its CLEANING WHEN predicate.
-func (d *Dynamic[T]) NeedsCleaning() bool {
-	return len(d.samples) > int(d.cfg.Theta*float64(d.cfg.TargetSize))
+	return true
 }
 
 // clean raises the threshold with the paper's aggressive adjustment and
-// subsamples the current sample set with the new threshold.
+// re-runs basic subset-sum sampling over the retained samples at the new
+// threshold; the pass's leftover small mass becomes the admission counter.
 func (d *Dynamic[T]) clean() {
-	d.cleanings++
-	zPrev := d.z
-	d.z = AdjustZ(d.z, len(d.samples), d.cfg.TargetSize, d.big)
-	d.subsample(zPrev)
+	d.th.BeginClean(len(d.samples), d.cfg.TargetSize)
+	kept := d.samples[:0]
+	for _, s := range d.samples {
+		if d.th.CleanKeep(s.Adj) {
+			s.Adj = max(s.Adj, d.th.ZPrev, d.th.Z)
+			kept = append(kept, s)
+		}
+	}
+	// Zero the dropped tail so evicted payloads don't pin memory.
+	clear(d.samples[len(kept):])
+	d.samples = kept
+	d.th.Counter = d.th.CleanCounter
 }
 
 // AdjustZ implements the aggressive z-threshold adjustment of §4.4:
@@ -221,41 +278,6 @@ func AdjustZ(z float64, s, m, b int) float64 {
 	return z * factor
 }
 
-// subsample re-runs basic subset-sum sampling over the retained samples
-// with the new threshold d.z. A sample whose recorded size is below the
-// pre-adjustment threshold zPrev is treated as having size zPrev (§6.5).
-func (d *Dynamic[T]) subsample(zPrev float64) {
-	kept := d.samples[:0]
-	var counter float64
-	big := 0
-	for i := range d.samples {
-		s := d.samples[i]
-		eff := s.Adj
-		if eff < zPrev {
-			eff = zPrev
-		}
-		if eff > d.z {
-			s.Adj = eff
-			kept = append(kept, s)
-			big++
-			continue
-		}
-		counter += eff
-		if counter > d.z {
-			counter -= d.z
-			s.Adj = d.z
-			kept = append(kept, s)
-		}
-	}
-	// Zero the dropped tail so evicted payloads don't pin memory.
-	for i := len(kept); i < len(d.samples); i++ {
-		d.samples[i] = Sample[T]{}
-	}
-	d.samples = kept
-	d.big = big
-	d.counter = counter
-}
-
 // EndWindow closes the current time window: it performs the final
 // subsampling down to at most N samples, returns the window's sample set,
 // and primes the threshold for the next window (dividing by RelaxFactor).
@@ -270,23 +292,17 @@ func (d *Dynamic[T]) EndWindow() []Sample[T] {
 	// Prime the next window: the paper estimates next-window load as 1/f
 	// of this window's, so the carried threshold is z/f. The cleaning
 	// machinery readily adapts z upward if the load did not drop.
-	d.z /= d.cfg.RelaxFactor
-	if d.z < math.SmallestNonzeroFloat64 {
-		d.z = d.cfg.InitialZ
-	}
+	d.th = d.th.Carry(d.cfg.RelaxFactor, d.cfg.InitialZ)
 	d.samples = d.samples[:0]
-	d.counter = 0
-	d.big = 0
-	d.cleanings = 0
 	return out
 }
 
 // Z returns the current threshold.
-func (d *Dynamic[T]) Z() float64 { return d.z }
+func (d *Dynamic[T]) Z() float64 { return d.th.Z }
 
 // Size returns the current number of retained samples.
 func (d *Dynamic[T]) Size() int { return len(d.samples) }
 
 // Cleanings returns the number of cleaning phases triggered so far in the
 // current window (reset by EndWindow).
-func (d *Dynamic[T]) Cleanings() int { return d.cleanings }
+func (d *Dynamic[T]) Cleanings() int { return d.th.Cleanings }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"streamop/internal/checkpoint"
+	"streamop/internal/sample/priority"
+	"streamop/internal/sample/subsetsum"
 	"streamop/internal/xrand"
 )
 
@@ -40,12 +42,12 @@ func encodeSS(state any, e *checkpoint.Encoder) error {
 	e.I64(int64(s.n))
 	e.F64(s.theta)
 	e.F64(s.relax)
-	e.F64(s.z)
-	e.F64(s.zPrev)
-	e.F64(s.counter)
-	e.F64(s.cleanCtr)
-	e.I64(int64(s.big))
-	e.I64(int64(s.cleanings))
+	e.F64(s.Z)
+	e.F64(s.ZPrev)
+	e.F64(s.Counter)
+	e.F64(s.CleanCounter)
+	e.I64(int64(s.Big))
+	e.I64(int64(s.Cleanings))
 	e.Bool(s.finalArmed)
 	e.Bool(s.finalPrepared)
 	e.Bool(s.subsampling)
@@ -54,16 +56,18 @@ func encodeSS(state any, e *checkpoint.Encoder) error {
 
 func decodeSS(d *checkpoint.Decoder) (any, error) {
 	s := &ssState{
-		configured:    d.Bool(),
-		n:             int(d.I64()),
-		theta:         d.F64(),
-		relax:         d.F64(),
-		z:             d.F64(),
-		zPrev:         d.F64(),
-		counter:       d.F64(),
-		cleanCtr:      d.F64(),
-		big:           int(d.I64()),
-		cleanings:     int(d.I64()),
+		configured: d.Bool(),
+		n:          int(d.I64()),
+		theta:      d.F64(),
+		relax:      d.F64(),
+		Threshold: subsetsum.Threshold{
+			Z:            d.F64(),
+			ZPrev:        d.F64(),
+			Counter:      d.F64(),
+			CleanCounter: d.F64(),
+			Big:          int(d.I64()),
+			Cleanings:    int(d.I64()),
+		},
 		finalArmed:    d.Bool(),
 		finalPrepared: d.Bool(),
 		subsampling:   d.Bool(),
@@ -74,61 +78,63 @@ func decodeSS(d *checkpoint.Decoder) (any, error) {
 	return s, nil
 }
 
+// A bssample state stores only its admission counter: z arrives with
+// every call.
 func encodeBSS(state any, e *checkpoint.Encoder) error {
 	s, ok := state.(*bssState)
 	if !ok {
 		return fmt.Errorf("basic_subsetsum_state: wrong state type %T", state)
 	}
-	e.F64(s.counter)
+	e.F64(s.Counter)
 	return nil
 }
 
 func decodeBSS(d *checkpoint.Decoder) (any, error) {
-	s := &bssState{counter: d.F64()}
+	s := &bssState{subsetsum.Threshold{Counter: d.F64()}}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// The reservoir's leading flag is "configured", which N > 0 also says.
 func encodeRS(state any, e *checkpoint.Encoder) error {
 	s, err := asRS(state)
 	if err != nil {
 		return err
 	}
-	e.Bool(s.configured)
-	e.I64(int64(s.n))
+	e.Bool(s.N > 0)
+	e.I64(int64(s.N))
 	e.F64(s.tol)
-	encodeRng(e, s.rng)
-	e.I64(s.seen)
-	e.I64(s.skip)
-	e.Len(len(s.order))
-	for _, tag := range s.order {
+	encodeRng(e, s.Rng)
+	e.I64(s.Seen)
+	e.I64(s.Skip)
+	e.Len(len(s.Items))
+	for _, tag := range s.Items {
 		e.U64(tag)
 	}
 	return nil
 }
 
 func decodeRS(d *checkpoint.Decoder) (any, error) {
-	s := &rsState{
-		configured: d.Bool(),
-		n:          int(d.I64()),
-		tol:        d.F64(),
-		rng:        decodeRng(d),
-		seen:       d.I64(),
-		skip:       d.I64(),
-	}
+	d.Bool()
+	s := &rsState{}
+	s.N = int(d.I64())
+	s.tol = d.F64()
+	s.Rng = decodeRng(d)
+	s.Seen = d.I64()
+	s.Skip = d.I64()
 	n := d.Len()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n > 0 || s.configured {
-		s.order = make([]uint64, 0, n)
+	if n > 0 || s.N > 0 {
+		s.Items = make([]uint64, 0, n)
 		s.tags = make(map[uint64]bool, n)
 	}
 	for i := 0; i < n; i++ {
 		tag := d.U64()
-		s.order = append(s.order, tag)
+		s.Items = append(s.Items, tag)
 		s.tags[tag] = true
 	}
 	if err := d.Err(); err != nil {
@@ -178,42 +184,43 @@ func decodeDS(d *checkpoint.Decoder) (any, error) {
 	return s, nil
 }
 
+// The priority sampler's leading flag is "configured", which K > 0 also
+// says. Each member stores its tag and priority, not its weight: the group
+// table holds the weight, and no ps* function reads it.
 func encodePS(state any, e *checkpoint.Encoder) error {
 	s, err := asPS(state)
 	if err != nil {
 		return err
 	}
-	e.Bool(s.configured)
-	e.I64(int64(s.k))
-	encodeRng(e, s.rng)
-	e.F64(s.tau)
+	e.Bool(s.K > 0)
+	e.I64(int64(s.K))
+	encodeRng(e, s.Rng)
+	e.F64(s.Tau)
 	// The heap's backing array round-trips as-is: container/heap order is
 	// a property of the slice, so the restored slice is a valid heap.
-	e.Len(len(s.items))
-	for _, m := range s.items {
-		e.U64(m.tag)
-		e.F64(m.priority)
+	e.Len(len(s.Items))
+	for _, m := range s.Items {
+		e.U64(m.Payload)
+		e.F64(m.Priority)
 	}
 	return nil
 }
 
 func decodePS(d *checkpoint.Decoder) (any, error) {
-	s := &psState{
-		configured: d.Bool(),
-		k:          int(d.I64()),
-		rng:        decodeRng(d),
-		tau:        d.F64(),
-		tags:       map[uint64]bool{},
-	}
+	d.Bool()
+	s := &psState{tags: map[uint64]bool{}}
+	s.K = int(d.I64())
+	s.Rng = decodeRng(d)
+	s.Tau = d.F64()
 	n := d.Len()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	s.items = make(psHeap, 0, n)
+	s.Items = make([]priority.Sample[uint64], 0, n)
 	for i := 0; i < n; i++ {
-		m := psMember{tag: d.U64(), priority: d.F64()}
-		s.items = append(s.items, m)
-		s.tags[m.tag] = true
+		m := priority.Sample[uint64]{Payload: d.U64(), Priority: d.F64()}
+		s.Items = append(s.Items, m)
+		s.tags[m.Payload] = true
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

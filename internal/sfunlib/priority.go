@@ -1,14 +1,13 @@
 package sfunlib
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
 
 	"streamop/internal/checkpoint"
+	"streamop/internal/sample/priority"
 	"streamop/internal/sfun"
 	"streamop/internal/value"
-	"streamop/internal/xrand"
 )
 
 // PriorityStateName is the STATE shared by the ps* function family:
@@ -32,39 +31,18 @@ import (
 // them.
 const PriorityStateName = "priority_sampling_state"
 
-type psMember struct {
-	tag      uint64
-	priority float64
-}
-
-type psHeap []psMember
-
-func (h psHeap) Len() int            { return len(h) }
-func (h psHeap) Less(i, j int) bool  { return h[i].priority < h[j].priority }
-func (h psHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *psHeap) Push(x interface{}) { *h = append(*h, x.(psMember)) }
-func (h *psHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
+// psState is a priority.Sampler over record tags plus the set of tags it
+// holds. K is 0 until the first psample configures the state.
 type psState struct {
-	configured bool
-	k          int
-	rng        *xrand.Rand
-	items      psHeap
-	tags       map[uint64]bool
-	tau        float64
+	priority.Sampler[uint64]
+	tags map[uint64]bool // the sample's members
 }
 
 // Gauges implements sfun.Observable: the k-set occupancy and the
 // priority threshold tau that scales the estimator.
 func (s *psState) Gauges(emit func(string, float64)) {
-	emit("sample_fill", float64(len(s.items)))
-	emit("tau", s.tau)
+	emit("sample_fill", float64(len(s.Items)))
+	emit("tau", s.Tau)
 }
 
 // Inclusion implements sfun.Inclusion: in priority sampling a record of
@@ -72,13 +50,13 @@ func (s *psState) Gauges(emit func(string, float64)) {
 // the threshold τ (the (k+1)-st largest priority). τ = 0 means the k-set
 // never overflowed — every record is still present with certainty.
 func (s *psState) Inclusion(w float64) (float64, bool) {
-	if !s.configured {
+	if s.K == 0 {
 		return 0, false
 	}
-	if s.tau <= 0 || w >= s.tau {
+	if s.Tau <= 0 || w >= s.Tau {
 		return 1, true
 	}
-	return w / s.tau, true
+	return w / s.Tau, true
 }
 
 func asPS(state any) (*psState, error) {
@@ -96,12 +74,11 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 		// The sample restarts each window; only k carries over.
 		Init: func(old any) any {
 			s := &psState{
-				rng:  xrand.New(seed ^ (instance.Add(1) * 0xd1b54a32d192ed03)),
-				tags: map[uint64]bool{},
+				Sampler: priority.Sampler[uint64]{Rng: instanceRng(seed, instance.Add(1), psSeedMul)},
+				tags:    map[uint64]bool{},
 			}
-			if o, ok := old.(*psState); ok && o.configured {
-				s.configured = true
-				s.k = o.k
+			if o, ok := old.(*psState); ok {
+				s.K = o.K
 			}
 			return s
 		},
@@ -126,7 +103,7 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				if !s.configured {
+				if s.K == 0 {
 					k, err := intArg("psample", args, 2)
 					if err != nil {
 						return value.Value{}, err
@@ -134,8 +111,7 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 					if k < 1 {
 						return value.Value{}, fmt.Errorf("psample: k must be >= 1, got %d", k)
 					}
-					s.k = int(k)
-					s.configured = true
+					s.K = int(k)
 				}
 				tag, err := tagArg("psample", args, 0)
 				if err != nil {
@@ -145,34 +121,14 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				if w <= 0 {
-					return value.NewBool(false), nil
+				in, evicted, displaced := s.Offer(w, tag)
+				if displaced {
+					delete(s.tags, evicted)
 				}
-				var u float64
-				for u == 0 {
-					u = s.rng.Float64()
-				}
-				m := psMember{tag: tag, priority: w / u}
-				if len(s.items) < s.k {
-					heap.Push(&s.items, m)
+				if in {
 					s.tags[tag] = true
-					return value.NewBool(true), nil
 				}
-				if m.priority <= s.items[0].priority {
-					if m.priority > s.tau {
-						s.tau = m.priority
-					}
-					return value.NewBool(false), nil
-				}
-				evicted := s.items[0]
-				s.items[0] = m
-				heap.Fix(&s.items, 0)
-				delete(s.tags, evicted.tag)
-				s.tags[tag] = true
-				if evicted.priority > s.tau {
-					s.tau = evicted.priority
-				}
-				return value.NewBool(true), nil
+				return value.NewBool(in), nil
 			},
 		},
 		{
@@ -204,7 +160,7 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				return value.NewBool(s.configured && int(cnt) > 2*s.k), nil
+				return value.NewBool(s.K > 0 && int(cnt) > 2*s.K), nil
 			},
 		},
 		{
@@ -216,7 +172,7 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				return value.NewFloat(s.tau), nil
+				return value.NewFloat(s.Tau), nil
 			},
 		},
 	}

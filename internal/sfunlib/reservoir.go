@@ -5,60 +5,54 @@ import (
 	"sync/atomic"
 
 	"streamop/internal/checkpoint"
+	"streamop/internal/sample/reservoir"
 	"streamop/internal/sfun"
 	"streamop/internal/value"
-	"streamop/internal/xrand"
 )
 
 // ReservoirStateName is the STATE shared by the rs* function family.
 const ReservoirStateName = "reservoir_sampling_state"
 
-// rsState realizes reservoir sampling through the operator. The state
-// itself runs an exact n-slot reservoir (Vitter's Algorithm X skip
-// schedule with random replacement) over record tags — the uts values that
-// make each tuple its own group. rsample returns TRUE whenever a record
-// enters the reservoir, so its group is created; the group whose tag was
-// displaced lingers as a stale candidate until a cleaning phase evicts it.
-// rsclean_with and rsfinal_clean keep exactly the groups whose tag is
-// currently in the reservoir, so the window's final sample is the exact
-// reservoir — a uniform n-subset of the window's records.
+// rsState realizes reservoir sampling through the operator: a
+// reservoir.Reservoir over record tags — the uts values that make each
+// tuple its own group — plus the set of tags it holds and the candidate
+// tolerance. rsample returns TRUE whenever a record enters the reservoir,
+// so its group is created; the group whose tag was displaced lingers as a
+// stale candidate until a cleaning phase evicts it. rsclean_with and
+// rsfinal_clean keep exactly the groups whose tag is currently in the
+// reservoir, so the window's final sample is the exact reservoir — a
+// uniform n-subset of the window's records.
 //
 // This defers the deletion of replaced candidates to the cleaning phase,
 // which is precisely the paper's §4.1/§6.6 structure (candidates
 // accumulate to tolerance*n, then a cleaning subsamples n of them), while
-// avoiding the early-record bias a naive buffered variant would have.
+// avoiding the early-record bias a naive buffered variant would have. N is
+// 0 until the first rsample configures the state.
 type rsState struct {
-	configured bool
-	n          int
-	tol        float64
-	rng        *xrand.Rand
-
-	seen int64 // records offered this window
-	skip int64 // pending skip; -1 = regenerate
-
-	tags  map[uint64]bool // current reservoir members, by tag
-	order []uint64        // slot -> tag, for random replacement
+	reservoir.Reservoir[uint64]
+	tol  float64
+	tags map[uint64]bool // the reservoir's members
 }
 
 // Gauges implements sfun.Observable: reservoir occupancy against its
 // target plus the records offered this window.
 func (s *rsState) Gauges(emit func(string, float64)) {
-	emit("reservoir_fill", float64(len(s.order)))
-	emit("reservoir_target", float64(s.n))
-	emit("records_seen", float64(s.seen))
+	emit("reservoir_fill", float64(len(s.Items)))
+	emit("reservoir_target", float64(s.N))
+	emit("records_seen", float64(s.Seen))
 }
 
 // Inclusion implements sfun.Inclusion: uniform reservoir sampling keeps
 // each of the `seen` offered records with equal probability min(1, n/seen)
 // regardless of weight, so w is ignored.
 func (s *rsState) Inclusion(float64) (float64, bool) {
-	if !s.configured || s.seen <= 0 {
+	if s.N == 0 || s.Seen <= 0 {
 		return 0, false
 	}
-	if s.seen <= int64(s.n) {
+	if s.Seen <= int64(s.N) {
 		return 1, true
 	}
-	return float64(s.n) / float64(s.seen), true
+	return float64(s.N) / float64(s.Seen), true
 }
 
 // configure handles rsample(tag, n [, tolerance]).
@@ -70,22 +64,20 @@ func (s *rsState) configure(args []value.Value) error {
 	if n < 1 {
 		return fmt.Errorf("rsample: sample size must be >= 1, got %d", n)
 	}
-	s.n = int(n)
-	s.tol = 20 // the paper bounds T to (10, 40)
+	tol := 20.0 // the paper bounds T to (10, 40)
 	if len(args) > 2 {
-		if s.tol, err = numArg("rsample", args, 2); err != nil {
+		if tol, err = numArg("rsample", args, 2); err != nil {
 			return err
 		}
-		if s.tol <= 1 {
-			return fmt.Errorf("rsample: tolerance must exceed 1, got %v", s.tol)
+		if tol <= 1 {
+			return fmt.Errorf("rsample: tolerance must exceed 1, got %v", tol)
 		}
 	}
 	if len(args) > 3 {
 		return fmt.Errorf("rsample takes at most 3 arguments, got %d", len(args))
 	}
-	s.tags = make(map[uint64]bool, s.n)
-	s.skip = -1
-	s.configured = true
+	s.N, s.tol = int(n), tol
+	s.tags = make(map[uint64]bool, s.N)
 	return nil
 }
 
@@ -113,17 +105,16 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 	if err := reg.RegisterState(&sfun.StateType{
 		Name: ReservoirStateName,
 		Init: func(old any) any {
-			s := &rsState{
-				rng:  xrand.New(seed ^ (instance.Add(1) * 0x9e3779b97f4a7c15)),
-				skip: -1,
-			}
-			if o, ok := old.(*rsState); ok && o.configured {
+			s := &rsState{Reservoir: reservoir.Reservoir[uint64]{
+				Rng:  instanceRng(seed, instance.Add(1), rsSeedMul),
+				Skip: -1,
+			}}
+			if o, ok := old.(*rsState); ok && o.N > 0 {
 				// The sample restarts each window; only configuration
 				// carries over.
-				s.configured = true
-				s.n = o.n
+				s.N = o.N
 				s.tol = o.tol
-				s.tags = make(map[uint64]bool, s.n)
+				s.tags = make(map[uint64]bool, s.N)
 			}
 			return s
 		},
@@ -151,7 +142,7 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				if !s.configured {
+				if s.N == 0 {
 					if err := s.configure(args); err != nil {
 						return value.Value{}, err
 					}
@@ -160,25 +151,14 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				s.seen++
-				if len(s.order) < s.n {
-					s.order = append(s.order, tag)
+				in, evicted, displaced := s.Offer(tag)
+				if displaced {
+					delete(s.tags, evicted)
+				}
+				if in {
 					s.tags[tag] = true
-					return value.NewBool(true), nil
 				}
-				if s.skip < 0 {
-					s.skip = skipX(s.rng, s.n, s.seen-1)
-				}
-				if s.skip > 0 {
-					s.skip--
-					return value.NewBool(false), nil
-				}
-				s.skip = -1
-				slot := s.rng.Intn(s.n)
-				delete(s.tags, s.order[slot])
-				s.order[slot] = tag
-				s.tags[tag] = true
-				return value.NewBool(true), nil
+				return value.NewBool(in), nil
 			},
 		},
 		{
@@ -194,7 +174,7 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				trigger := s.configured && float64(cnt) > s.tol*float64(s.n)
+				trigger := s.N > 0 && float64(cnt) > s.tol*float64(s.N)
 				return value.NewBool(trigger), nil
 			},
 		},
@@ -237,22 +217,4 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 		}
 	}
 	return nil
-}
-
-// skipX draws the number of records to skip before the next reservoir
-// candidate (Vitter's Algorithm X): after t processed records, the next
-// record is a candidate with probability n/(t+1).
-func skipX(rng *xrand.Rand, n int, t int64) int64 {
-	v := rng.Float64()
-	var skip int64
-	num := t + 1 - int64(n)
-	den := t + 1
-	quot := float64(num) / float64(den)
-	for quot > v {
-		skip++
-		num++
-		den++
-		quot *= float64(num) / float64(den)
-	}
-	return skip
 }

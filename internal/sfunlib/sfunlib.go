@@ -1,12 +1,17 @@
 // Package sfunlib registers the runtime-library functions the paper's
 // queries rely on: the subset-sum family (ssample, ssthreshold, ssdo_clean,
-// ssclean_with, ssfinal_clean), the reservoir family (rsample, rsdo_clean,
-// rsclean_with, rsfinal_clean), the heavy-hitter helpers (local_count,
-// current_bucket) and the stateless scalars UMAX, UMIN and H.
+// ssclean_with, ssfinal_clean) and its basic selection predicate bssample,
+// the reservoir family (rsample, rsdo_clean, rsclean_with, rsfinal_clean),
+// the priority family (psample, pskeep, psdo_clean, pstau), the distinct
+// family (dsample, dsdo_clean, dskeep, dsscale), the heavy-hitter helpers
+// (local_count, current_bucket) and the stateless scalars UMAX, UMIN and H.
 //
 // These are the "functions written by the algorithmic expert following a
 // simple API" of the paper's introduction: each family shares one STATE
 // allocated per supergroup by the operator, with old-window state handoff.
+// Every sampling family's state wraps its internal/sample package — the
+// algorithm is written once there — and adds only the record tags and the
+// operator's cleaning protocol.
 package sfunlib
 
 import (
@@ -14,11 +19,13 @@ import (
 
 	"streamop/internal/sfun"
 	"streamop/internal/value"
+	"streamop/internal/xrand"
 )
 
 // Register adds every library state and function to reg. seed makes the
-// randomized functions (reservoir sampling) deterministic; successive
-// states derive their generators from it.
+// randomized families (reservoir and priority sampling) deterministic:
+// the k-th state a family creates draws from instanceRng(seed, k, mul)
+// with the family's multiplier.
 func Register(reg *sfun.Registry, seed uint64) error {
 	if err := registerScalars(reg); err != nil {
 		return err
@@ -40,6 +47,16 @@ func Register(reg *sfun.Registry, seed uint64) error {
 	}
 	return registerDistinct(reg)
 }
+
+// Seed multipliers of the randomized families (see instanceRng).
+const (
+	rsSeedMul = 0x9e3779b97f4a7c15
+	psSeedMul = 0xd1b54a32d192ed03
+)
+
+// instanceRng is the generator of the k-th state of a randomized family:
+// seed ^ k*mul, so every state draws an independent deterministic stream.
+func instanceRng(seed, k, mul uint64) *xrand.Rand { return xrand.New(seed ^ (k * mul)) }
 
 // Default returns a registry with the full library registered.
 func Default(seed uint64) *sfun.Registry {

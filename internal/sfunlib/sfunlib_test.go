@@ -206,8 +206,8 @@ func TestSubsetSumStateCarry(t *testing.T) {
 	if !carried.configured {
 		t.Fatal("carried state unconfigured")
 	}
-	if math.Abs(carried.z-20) > 1e-9 {
-		t.Errorf("carried z = %v, want 200/10", carried.z)
+	if math.Abs(carried.Z-20) > 1e-9 {
+		t.Errorf("carried z = %v, want 200/10", carried.Z)
 	}
 	if carried.n != 5 || carried.relax != 10 {
 		t.Errorf("carried config: n=%d relax=%v", carried.n, carried.relax)
@@ -282,10 +282,10 @@ func TestReservoirCarryConfigOnly(t *testing.T) {
 	st := newState(t, r, ReservoirStateName, nil).(*rsState)
 	call(t, r, "rsample", st, value.NewUint(1), value.NewInt(7), value.NewFloat(3))
 	carried := stType.Init(st).(*rsState)
-	if carried.n != 7 || carried.tol != 3 {
-		t.Errorf("carried config n=%d tol=%v", carried.n, carried.tol)
+	if carried.N != 7 || carried.tol != 3 {
+		t.Errorf("carried config n=%d tol=%v", carried.N, carried.tol)
 	}
-	if len(carried.tags) != 0 || carried.seen != 0 {
+	if len(carried.tags) != 0 || carried.Seen != 0 {
 		t.Error("sample state leaked across windows")
 	}
 }
@@ -542,7 +542,7 @@ func TestPriorityFamily(t *testing.T) {
 	// Config carries, sample resets.
 	stType, _ := r.State(PriorityStateName)
 	carried := stType.Init(st).(*psState)
-	if !carried.configured || carried.k != 3 || len(carried.tags) != 0 || carried.tau != 0 {
+	if carried.K != 3 || len(carried.tags) != 0 || carried.Tau != 0 {
 		t.Errorf("carried ps state: %+v", carried)
 	}
 }

@@ -12,19 +12,15 @@ import (
 const SubsetSumStateName = "subsetsum_sampling_state"
 
 // ssState is the per-supergroup control state of dynamic subset-sum
-// sampling as run inside the operator. Unlike the standalone
-// subsetsum.Dynamic, the samples themselves live in the operator's group
-// table; the state holds only thresholds and counters.
+// sampling as run inside the operator: subsetsum's threshold control plus
+// the query's configuration. Unlike the standalone subsetsum.Dynamic, the
+// samples themselves live in the operator's group table.
 type ssState struct {
+	subsetsum.Threshold
 	configured bool
 	n          int     // target sample size N
 	theta      float64 // cleaning trigger multiplier
 	relax      float64 // f: carried threshold is z/f
-	z, zPrev   float64
-	counter    float64 // small-mass admission counter
-	cleanCtr   float64 // small-mass counter of the active cleaning pass
-	big        int     // live samples with weight > z
-	cleanings  int     // cleaning phases this window
 
 	// Final-subsample bookkeeping (HAVING pass).
 	finalArmed    bool // WindowFinal fired; first ssfinal_clean prepares
@@ -36,10 +32,10 @@ type ssState struct {
 // quantity the paper's relaxation argument (§5.2) is about, so it is the
 // headline telemetry series for subset-sum sampling.
 func (s *ssState) Gauges(emit func(string, float64)) {
-	emit("threshold", s.z)
-	emit("big_samples", float64(s.big))
-	emit("small_mass_counter", s.counter)
-	emit("cleanings_window", float64(s.cleanings))
+	emit("threshold", s.Z)
+	emit("big_samples", float64(s.Big))
+	emit("small_mass_counter", s.Counter)
+	emit("cleanings_window", float64(s.Cleanings))
 }
 
 // Inclusion implements sfun.Inclusion: under (relaxed) dynamic subset-sum
@@ -47,13 +43,13 @@ func (s *ssState) Gauges(emit func(string, float64)) {
 // min(1, w/z) against the window's final threshold. Before configuration
 // or while no threshold exists every admitted record is certain.
 func (s *ssState) Inclusion(w float64) (float64, bool) {
-	if !s.configured || s.z <= 0 {
+	if !s.configured || s.Z <= 0 {
 		return 0, false
 	}
-	if w >= s.z {
+	if w >= s.Z {
 		return 1, true
 	}
-	return w / s.z, true
+	return w / s.Z, true
 }
 
 // Configuration argument layout of ssample:
@@ -98,8 +94,8 @@ func (s *ssState) configure(args []value.Value) error {
 	if len(args) > 5 {
 		return fmt.Errorf("ssample takes at most 5 arguments, got %d", len(args))
 	}
-	if s.z == 0 { // fresh state (no carried threshold)
-		s.z = z0
+	if s.Z == 0 { // fresh state (no carried threshold)
+		s.Z = z0
 	}
 	s.configured = true
 	return nil
@@ -122,14 +118,11 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				// Threshold carry-over with the paper's relaxation: the
 				// next window's load is estimated as 1/f of this one's.
 				*s = ssState{
+					Threshold:  o.Carry(o.relax, 1),
 					configured: true,
 					n:          o.n,
 					theta:      o.theta,
 					relax:      o.relax,
-					z:          o.z / o.relax,
-				}
-				if s.z <= 0 {
-					s.z = 1
 				}
 			}
 			return s
@@ -165,16 +158,7 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				if w > s.z {
-					s.big++
-					return value.NewBool(true), nil
-				}
-				s.counter += w
-				if s.counter > s.z {
-					s.counter -= s.z
-					return value.NewBool(true), nil
-				}
-				return value.NewBool(false), nil
+				return value.NewBool(s.Admit(w)), nil
 			},
 		},
 		{
@@ -186,7 +170,7 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				return value.NewFloat(s.z), nil
+				return value.NewFloat(s.Z), nil
 			},
 		},
 		{
@@ -205,7 +189,7 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				if !s.configured || float64(cnt) <= s.theta*float64(s.n) {
 					return value.NewBool(false), nil
 				}
-				s.beginClean(int(cnt))
+				s.BeginClean(int(cnt), s.n)
 				return value.NewBool(true), nil
 			},
 		},
@@ -223,7 +207,7 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				if err != nil {
 					return value.Value{}, err
 				}
-				return value.NewBool(s.cleanKeep(w)), nil
+				return value.NewBool(s.CleanKeep(w)), nil
 			},
 		},
 		{
@@ -249,13 +233,13 @@ func registerSubsetSum(reg *sfun.Registry) error {
 					s.finalPrepared = true
 					s.subsampling = s.configured && int(cnt) > s.n
 					if s.subsampling {
-						s.beginClean(int(cnt))
+						s.BeginClean(int(cnt), s.n)
 					}
 				}
 				if !s.subsampling {
 					return value.NewBool(true), nil
 				}
-				return value.NewBool(s.cleanKeep(w)), nil
+				return value.NewBool(s.CleanKeep(w)), nil
 			},
 		},
 	}
@@ -273,8 +257,10 @@ func registerSubsetSum(reg *sfun.Registry) error {
 // Figure 6.
 const BasicSubsetSumStateName = "basic_subsetsum_state"
 
+// bssState runs subsetsum's threshold control at each call's z; only the
+// admission counter matters from one call to the next.
 type bssState struct {
-	counter float64
+	subsetsum.Threshold
 }
 
 func registerBasicSubsetSum(reg *sfun.Registry) error {
@@ -305,42 +291,8 @@ func registerBasicSubsetSum(reg *sfun.Registry) error {
 			if z <= 0 {
 				return value.Value{}, fmt.Errorf("bssample: threshold must be positive, got %v", z)
 			}
-			if w > z {
-				return value.NewBool(true), nil
-			}
-			s.counter += w
-			if s.counter > z {
-				s.counter -= z
-				return value.NewBool(true), nil
-			}
-			return value.NewBool(false), nil
+			s.Z = z
+			return value.NewBool(s.Admit(w)), nil
 		},
 	})
-}
-
-// beginClean adjusts the threshold for a cleaning pass over cnt samples.
-func (s *ssState) beginClean(cnt int) {
-	s.cleanings++
-	s.zPrev = s.z
-	s.z = subsetsum.AdjustZ(s.z, cnt, s.n, s.big)
-	s.cleanCtr = 0
-	s.big = 0 // recomputed by the pass
-}
-
-// cleanKeep applies the basic subset-sum predicate at the new threshold to
-// one retained sample of recorded size w.
-func (s *ssState) cleanKeep(w float64) bool {
-	if w < s.zPrev {
-		w = s.zPrev
-	}
-	if w > s.z {
-		s.big++
-		return true
-	}
-	s.cleanCtr += w
-	if s.cleanCtr > s.z {
-		s.cleanCtr -= s.z
-		return true
-	}
-	return false
 }

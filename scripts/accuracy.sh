@@ -11,7 +11,9 @@
 # object per sampling family (subset-sum, reservoir, priority) carrying
 # the empirical coverage of the nominal 95% confidence intervals that
 # ESTIMATE ... WITH ERROR reports, plus per-window estimate/stderr/CI/ESS
-# detail. The run is fully seeded, so the artifact is reproducible.
+# detail. The run is fully seeded, so the artifact is reproducible: CI
+# reruns the full audit and requires the committed file to match it byte
+# for byte, so commit only a full (not quick) run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
