@@ -468,7 +468,10 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 // columns) must stay within 25% of the plain adjusted-weight query.
 // Non-estimating plans take none of the new code paths, so the base side
 // of this pair prices only the guard branches. Metric: min-vs-min overhead
-// in percent.
+// in percent. Both sides run on ProcessPackets, the batch entry point the
+// engine and RunFeed use, like the other guards: ProcessPacket offers
+// batches of one, which would price per-batch dispatch, not the
+// estimator.
 //
 // The budget was 5% against the pre-batch scalar baseline; the batch-path
 // work cut the base query's per-packet cost ~2.5x while the estimator's
@@ -508,10 +511,8 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 			b.Fatal(err)
 		}
 		start := time.Now()
-		for _, p := range pkts {
-			if err := q.ProcessPacket(p); err != nil {
-				b.Fatal(err)
-			}
+		if err := q.ProcessPackets(pkts); err != nil {
+			b.Fatal(err)
 		}
 		if err := q.Flush(); err != nil {
 			b.Fatal(err)

@@ -64,9 +64,8 @@ type Options struct {
 	// attaches a profiler and Query.Profiler().Report() yields the
 	// attribution after (or during) a run. A query text carrying an
 	// EXPLAIN ANALYZE prefix is profiled even when this is false. The
-	// clocks are per batch: ProcessPackets and RunFeed are attributed in
-	// full, the per-packet entry points (ProcessPacket, ProcessTuple, a
-	// feed-driven Rows) only in their cleaning sweeps and window flushes.
+	// clocks are per batch; the per-packet entry points offer batches of
+	// one.
 	Profile bool
 }
 
@@ -147,12 +146,11 @@ func (q *Query) Columns() []string { return q.cols }
 // Plan exposes the compiled plan (for engine composition).
 func (q *Query) Plan() *gsql.Plan { return q.plan }
 
-// ProcessTuple offers one input tuple. Like ProcessPacket it is outside the
-// profiler's contract (see Options.Profile).
+// ProcessTuple offers one input tuple, as a batch of one.
 func (q *Query) ProcessTuple(t tuple.Tuple) error { return q.op.Process(t) }
 
-// ProcessPacket offers one packet; the query must read the PKT schema. The
-// per-packet path is the scalar reference: it carries no profiler clock.
+// ProcessPacket offers one packet, as a batch of one; the query must read
+// the PKT schema.
 func (q *Query) ProcessPacket(p trace.Packet) error {
 	if q.scratch == nil {
 		return fmt.Errorf("core: query does not read the PKT schema")
@@ -164,8 +162,9 @@ func (q *Query) ProcessPacket(p trace.Packet) error {
 // ProcessPackets offers a slice of packets as columnar batches — the
 // query's hot path. It is row-for-row equivalent to calling ProcessPacket
 // on each packet (same rows, stats and errors; see operator.ProcessBatch
-// for the exactness contract) but converts packets column-major and runs
-// the operator's vectorized path. The query must read the PKT schema.
+// for the exactness contract) but converts packets column-major, and its
+// column kernels run over whole batches. The query must read the PKT
+// schema.
 func (q *Query) ProcessPackets(pkts []trace.Packet) error {
 	if len(pkts) == 0 {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"streamop/internal/profile"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
@@ -120,5 +121,66 @@ func TestCustomSchemaTuples(t *testing.T) {
 	}
 	if q.Collected[0].Values[1].AsInt() != 20 {
 		t.Errorf("window 0 sum = %v", q.Collected[0].Values[1])
+	}
+}
+
+// One profiler contract for every entry point: a query offered packet by
+// packet reports the rows into and out of each stage that the same query
+// offered through ProcessPackets reports, but for dequeue (a per-packet
+// entry point converts no batch).
+func TestProfilePerPacketMatchesBatches(t *testing.T) {
+	feed, err := trace.NewSteady(trace.SteadyConfig{Seed: 2, Duration: 4, Rate: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkts []trace.Packet
+	for p, ok := feed.Next(); ok; p, ok = feed.Next() {
+		pkts = append(pkts, p)
+	}
+	for _, src := range []string{
+		`SELECT tb, uts, srcIP, UMAX(sum(len), ssthreshold()) AS adjlen FROM PKT
+		 WHERE ssample(len, 100, 2, 10) = TRUE GROUP BY time/1 as tb, srcIP, uts
+		 HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+		 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+		 CLEANING BY ssclean_with(sum(len)) = TRUE`,
+		`SELECT uts, len * 2 FROM PKT WHERE len > 700`,
+	} {
+		stages := func(batched bool) []profile.StageReport {
+			q, err := Compile(src, Options{Seed: 1, Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batched {
+				err = q.ProcessPackets(pkts)
+			} else {
+				for _, p := range pkts {
+					if err = q.ProcessPacket(p); err != nil {
+						break
+					}
+				}
+			}
+			if err == nil {
+				err = q.Flush()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q.Profiler().Report().Nodes[0].Stages
+		}
+		perPacket, batched := stages(false), stages(true)
+		walked := false
+		for i, want := range batched {
+			if profile.Stage(i) == profile.StageDequeue {
+				continue
+			}
+			got := perPacket[i]
+			if got.RowsIn != want.RowsIn || got.RowsOut != want.RowsOut {
+				t.Errorf("%s: stage %s: per packet %d → %d rows, batched %d → %d", src, want.Stage, got.RowsIn, got.RowsOut, want.RowsIn, want.RowsOut)
+			}
+			walked = walked || want.RowsIn > 0 && profile.Stage(i) != profile.StageKernelGroupBy
+		}
+		if !walked {
+			t.Errorf("%s: no stage past GROUP BY saw a row; the test compares nothing", src)
+		}
 	}
 }

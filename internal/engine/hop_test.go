@@ -24,7 +24,7 @@ import (
 // subscribers' input batches; drainHigh hands a batch to ProcessBatch; a
 // selection tap without callbacks never builds a row). None of that may
 // show: every node must see the rows, keep the counters and end in the
-// state it would have had the same rows come one by one through scalar
+// state it would have had the same rows come one by one through
 // Process. The reference below is exactly that — operators chained by
 // their emit callbacks, no engine, no batch.
 
@@ -119,8 +119,8 @@ func hopPackets(t testing.TB) []trace.Packet {
 }
 
 // hopReference feeds pkts through topo's operators chained by their emit
-// callbacks: every row goes through scalar Process the moment its parent
-// emits it.
+// callbacks: every row goes through Process the moment its parent emits
+// it.
 func hopReference(t *testing.T, topo hopTopo, pkts []trace.Packet) []hopResult {
 	t.Helper()
 	res := make([]hopResult, len(topo.nodes))
@@ -229,19 +229,19 @@ func hopCompare(t *testing.T, mode string, topo hopTopo, got, want []hopResult) 
 				t.Fatalf("%s: reference node %s emitted nothing; the test checks nothing", mode, n.name)
 			}
 			if len(got[i].rows) != len(want[i].rows) {
-				t.Fatalf("%s: node %s emitted %d rows, scalar reference %d", mode, n.name, len(got[i].rows), len(want[i].rows))
+				t.Fatalf("%s: node %s emitted %d rows, row-by-row reference %d", mode, n.name, len(got[i].rows), len(want[i].rows))
 			}
 			for r := range want[i].rows {
 				if got[i].rows[r] != want[i].rows[r] {
-					t.Fatalf("%s: node %s row %d = %s, scalar reference %s", mode, n.name, r, got[i].rows[r], want[i].rows[r])
+					t.Fatalf("%s: node %s row %d = %s, row-by-row reference %s", mode, n.name, r, got[i].rows[r], want[i].rows[r])
 				}
 			}
 		}
 		if got[i].stats != want[i].stats {
-			t.Errorf("%s: node %s stats %+v, scalar reference %+v", mode, n.name, got[i].stats, want[i].stats)
+			t.Errorf("%s: node %s stats %+v, row-by-row reference %+v", mode, n.name, got[i].stats, want[i].stats)
 		}
 		if !bytes.Equal(got[i].snap, want[i].snap) {
-			t.Errorf("%s: node %s operator snapshot differs from the scalar reference's (%d vs %d bytes)",
+			t.Errorf("%s: node %s operator snapshot differs from the row-by-row reference's (%d vs %d bytes)",
 				mode, n.name, len(got[i].snap), len(want[i].snap))
 		}
 	}

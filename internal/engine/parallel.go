@@ -10,7 +10,6 @@ import (
 	"streamop/internal/profile"
 	"streamop/internal/ringbuf"
 	"streamop/internal/trace"
-	"streamop/internal/tuple"
 )
 
 // RunParallel runs the node tree with real concurrency, the way Gigascope
@@ -162,7 +161,6 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 	producerDone := make(chan struct{})
 	go func() {
 		defer close(producerDone)
-		scratch := make(tuple.Tuple, trace.NumFields)
 		// toLow hands packets to the low-level rings. Unpaced, a whole batch
 		// moves into each selection ring with one tail publication, and
 		// shard routing rides the same batch — routeBatch evaluates the
@@ -189,11 +187,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 				if s.routeFailed {
 					continue
 				}
-				route := s.routeBatch
-				if paced {
-					route = s.route
-				}
-				if err := route(pkts, scratch); err != nil {
+				if err := s.routeBatch(pkts); err != nil {
 					reportErr(err)
 					s.routeFailed = true
 				}

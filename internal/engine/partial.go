@@ -96,89 +96,6 @@ func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(co
 	return t
 }
 
-// process folds one packet tuple into the table: the scalar reference
-// path, which the profiler does not clock.
-func (t *ptable) process(tp tuple.Tuple) error {
-	t.ctx = gsql.Ctx{Tuple: tp}
-	for i, gb := range t.plan.GroupBy {
-		v, err := gb(&t.ctx)
-		if err != nil {
-			return fmt.Errorf("group-by: %w", err)
-		}
-		t.gbVals[i] = v
-	}
-	t.ctx.GroupVals = t.gbVals
-
-	// Window boundary: flush every resident group.
-	if t.winOpen && t.orderedChanged() {
-		if err := t.Flush(); err != nil {
-			return err
-		}
-	}
-	if !t.winOpen {
-		t.openWindow()
-	}
-
-	key := tuple.MakeKey(t.gbVals)
-	idx := key.Hash() & t.mask
-	if t.div > 1 {
-		idx /= t.div
-	}
-	slot := &t.slots[idx]
-	if slot.used && !slot.key.Equal(key) {
-		// Collision: emit the resident partial row and take the slot.
-		if err := t.emitSlot(slot); err != nil {
-			return err
-		}
-		slot.used = false
-		t.residents--
-		t.evictions++
-	}
-	if !slot.used {
-		slot.used = true
-		slot.key = key
-		t.residents++
-		if slot.aggs == nil {
-			slot.aggs = make([]agg.Agg, len(t.plan.Aggs))
-		}
-		for i, def := range t.plan.Aggs {
-			slot.aggs[i] = def.New()
-		}
-	}
-	for i := range t.plan.Aggs {
-		def := &t.plan.Aggs[i]
-		var v value.Value
-		if def.Arg != nil {
-			var err error
-			if v, err = def.Arg(&t.ctx); err != nil {
-				return fmt.Errorf("%s: %w", def.Display, err)
-			}
-		}
-		slot.aggs[i].Update(v)
-	}
-	return nil
-}
-
-// openWindow opens the window of the row whose ordered group-by values
-// gbVals holds: both folds' one way in.
-func (t *ptable) openWindow() {
-	t.winOpen = true
-	t.winStartNS = t.prof.Start()
-	t.window = t.window[:0]
-	for _, idx := range t.plan.OrderedIdx {
-		t.window = append(t.window, t.gbVals[idx])
-	}
-}
-
-func (t *ptable) orderedChanged() bool {
-	for i, idx := range t.plan.OrderedIdx {
-		if !value.Equal(t.window[i], t.gbVals[idx]) {
-			return true
-		}
-	}
-	return false
-}
-
 // emitSlot evaluates the SELECT list for one resident group into the
 // output batch, which leaves at the next drain.
 func (t *ptable) emitSlot(slot *partialGroup) error {

@@ -11,7 +11,6 @@ import (
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
-	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
 
@@ -21,8 +20,8 @@ import (
 // its own (shard) with a private SPSC ring and, as its step, a private
 // stripe of the direct-mapped group table, run by the same low-level
 // worker as any other node (runLow, parallel.go). The producer evaluates
-// the node's GROUP BY per packet and routes the packet to the shard owning
-// the group's global slot (slot = hash & mask, owner = slot % N, local
+// the node's GROUP BY over its batches and routes each packet to the shard
+// owning the group's global slot (slot = hash & mask, owner = slot % N, local
 // index = slot / N), so no two shards ever touch the same group and no
 // shard shares mutable state with another. The high-level re-aggregation downstream merges the
 // partial rows exactly as it merges the single-table Run's rows.
@@ -103,7 +102,7 @@ func (sh *shard) syncDebug() {
 }
 
 // shardSet is the per-node sharded runtime: the producer-side router plus
-// the replicas and what they share. Router state (rctx, rgb, window) is
+// the replicas and what they share. Router state (router, rvec, window) is
 // touched only by the producer goroutine.
 type shardSet struct {
 	node   *PartialNode
@@ -117,10 +116,9 @@ type shardSet struct {
 	// batch, draining their rings so the barrier and the gates keep moving.
 	dead atomic.Bool
 
-	// Router: a private plan clone evaluating GROUP BY per packet.
+	// Router: a private plan clone evaluating GROUP BY over the
+	// producer's batches.
 	router  *gsql.Plan
-	rctx    gsql.Ctx
-	rgb     []value.Value
 	window  []value.Value
 	winOpen bool
 	mask    uint64
@@ -158,7 +156,6 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	s := &shardSet{
 		node:    pn,
 		router:  router,
-		rgb:     make([]value.Value, len(router.GroupBy)),
 		mask:    pn.table.mask,
 		pend:    make([][]trace.Packet, n),
 		barrier: barrier,
@@ -206,56 +203,6 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		s.pend[i] = make([]trace.Packet, 0, shardBatch)
 	}
 	return s, nil
-}
-
-// route evaluates the node's GROUP BY on one packet, one (a slice of one),
-// through tp, and offers it to the owning shard's gate (paced mode) or
-// buffers it for the shard, enforcing the window barrier at boundaries
-// (unpaced mode). The caller owns tp for the duration of the call only;
-// packets are buffered by value.
-func (s *shardSet) route(one []trace.Packet, tp tuple.Tuple) error {
-	one[0].AppendTuple(tp)
-	s.rctx = gsql.Ctx{Tuple: tp}
-	for i, gb := range s.router.GroupBy {
-		v, err := gb(&s.rctx)
-		if err != nil {
-			return fmt.Errorf("engine: node %q: routing group-by: %w", s.node.name, err)
-		}
-		s.rgb[i] = v
-	}
-	if s.barrier && len(s.router.OrderedIdx) > 0 {
-		if s.winOpen && s.routerChanged() {
-			s.windowBarrier()
-			s.winOpen = false
-		}
-		if !s.winOpen {
-			s.winOpen = true
-			s.window = s.window[:0]
-			for _, idx := range s.router.OrderedIdx {
-				s.window = append(s.window, s.rgb[idx])
-			}
-		}
-	}
-	slot := tuple.HashValues(s.rgb) & s.mask
-	shard := int(slot % uint64(len(s.shards)))
-	if !s.barrier {
-		s.gates[shard].offer(one)
-		return nil
-	}
-	s.pend[shard] = append(s.pend[shard], one[0])
-	if len(s.pend[shard]) >= shardBatch {
-		s.flushPend(shard)
-	}
-	return nil
-}
-
-func (s *shardSet) routerChanged() bool {
-	for i, idx := range s.router.OrderedIdx {
-		if !value.Equal(s.window[i], s.rgb[idx]) {
-			return true
-		}
-	}
-	return false
 }
 
 // flushPend pushes shard i's buffered packets into its ring, waiting for

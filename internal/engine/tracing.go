@@ -15,7 +15,7 @@ import (
 // input batch — so no metadata rides on tuples and the untraced hot path is
 // unchanged apart from nil checks. A batch holding traced rows is processed
 // as columnar segments around them, each traced row as a batch of one with
-// its traces current, which the operator runs through scalar Process
+// its traces current, which the operator's walk runs in closure mode
 // (processLowBatch for packets, Node.processInput for high-level rows) and
 // whose output row leaves as a batch of one too (Operator.output,
 // Node.emitCols). A traced row emitted to several subscribers follows the
@@ -60,7 +60,7 @@ func (n *Node) attachTracer(tr *tracing.Tracer) {
 // order. The batch is
 // processed as columnar segments between matches, and each traced packet as
 // a segment of its own with the tracer's current context set around it,
-// which sends it through the operator's scalar Process. The operator's
+// which the operator's walk runs in closure mode. The operator's
 // trace record sites iterate the tracer's current set, empty for every
 // packet of an untraced segment, so a 1-in-N tracer costs the batch path
 // nothing but the segment split, and a batch with no matches (tracing off,

@@ -6,32 +6,31 @@ package gsql
 // aggregate arguments, CLEANING WHEN) from their ASTs into column
 // kernels that evaluate a whole tuple.Batch per call instead of walking
 // the Compiled closure tree once per tuple. The closure tree is the
-// measured bottleneck of the scalar path — per-row field loads, constant
-// closures and value boxing cost more than the sampling algorithm
-// itself — so the kernels here work directly on raw column words
+// measured bottleneck of row-at-a-time evaluation — per-row field loads,
+// constant closures and value boxing cost more than the sampling
+// algorithm itself — so the kernels here work directly on raw column words
 // (Column.Bits) whenever a column is kind-uniform, falling back to
-// per-row generic evaluation (and ultimately to the scalar path) when it
+// per-row generic evaluation (and ultimately to the closures) when it
 // is not.
 //
 // Exactness rules, which the operator's batch driver relies on:
 //
 //   - Stateless vectorized evaluation is mutation-free. Any error it
 //     returns (division by an integer zero, non-numeric arithmetic) is a
-//     signal to re-run the whole batch through the scalar row-at-a-time
-//     path, which reproduces the scalar semantics bit-for-bit — including
+//     signal to run the whole batch in the operator's closure mode, which
+//     reproduces the closures' semantics bit-for-bit — including
 //     errors that short-circuit evaluation would have skipped.
 //   - Stateful functions are never evaluated eagerly. A WHERE or CLEANING
 //     WHEN of the form sfun(args...) [= TRUE] with stateless arguments
 //     compiles to a VecCall: the argument columns are pre-evaluated
 //     (mutation-free), and the driver makes the mutating per-row Call in
-//     row order, exactly as the scalar path would.
+//     row order, exactly as the closure would.
 //   - Anything outside this subset makes Vectorize report ok=false and
-//     the operator keeps the scalar path for the whole plan.
+//     the operator runs the whole plan in closure mode.
 //
 // Provenance tracing hooks into the scalar closures (Ctx.Trace); the
-// batch driver never runs a row whose trace is current (the engine sends
-// those through the scalar path), so VecCall does not carry the trace
-// hook.
+// operator runs a row whose trace is current in closure mode (the engine
+// sends it as a batch of one), so VecCall does not carry the trace hook.
 
 import (
 	"math"
@@ -203,7 +202,7 @@ func (o vecOperand) toFloats(n int, dst []float64) {
 
 // vecFn evaluates one expression node over the current batch. Errors
 // abort vectorized evaluation; since stateless evaluation never mutates
-// engine state, the caller falls back to the scalar path on error.
+// engine state, the caller falls back to closure mode on error.
 type vecFn func(e *VecEnv) (vecVal, error)
 
 // VecExpr is a compiled vectorized expression.
@@ -302,9 +301,9 @@ type colArgRef struct {
 }
 
 // EvalArgs evaluates the call's stateless arguments over the current
-// batch. Mutation-free; on error the caller falls back to the scalar
-// path. Superaggregate-reference arguments are not touched here — their
-// value is read per row at CallRow time.
+// batch. Mutation-free; on error the caller falls back to closure mode.
+// Superaggregate-reference arguments are not touched here — their value
+// is read per row at CallRow time.
 func (vc *VecCall) EvalArgs(env *VecEnv) error {
 	vc.colArgs = vc.colArgs[:0]
 	for i, f := range vc.args {
@@ -425,7 +424,7 @@ type vectorizer struct {
 // Vectorize compiles p's per-tuple clauses into column kernels. ok=false
 // means some clause essential to the batch driver (GROUP BY, WHERE, a
 // selection plan's SELECT list) falls outside the vectorizable subset and
-// the operator must keep the scalar row-at-a-time path.
+// the operator runs the plan in closure mode.
 func Vectorize(p *Plan) (*VecPlan, bool) {
 	v := &vectorizer{p: p}
 	if p.IsSelection {
@@ -494,7 +493,7 @@ func Vectorize(p *Plan) (*VecPlan, bool) {
 
 // selection vectorizes a selection plan: WHERE as a stateless mask kernel
 // or the semi-stateful call form, every SELECT item as a stateless column
-// kernel (a stateful function in the SELECT list keeps the scalar path).
+// kernel (a stateful function in the SELECT list keeps closure mode).
 func (v *vectorizer) selection() (*VecPlan, bool) {
 	vp := &VecPlan{}
 	ctx := vecCtx{tuple: true}
@@ -870,7 +869,7 @@ func negKernel(env *VecEnv, x vecVal) (vecVal, error) {
 
 // logicKernel computes x AND/OR y. Both sides are already evaluated —
 // scalar short-circuiting is observable only through errors, and any
-// vectorized error falls back to the scalar path, which re-applies the
+// vectorized error falls back to closure mode, which re-applies the
 // exact short-circuit semantics.
 func logicKernel(env *VecEnv, l, r vecVal, and bool) vecVal {
 	if l.col == nil && r.col == nil {
@@ -995,7 +994,7 @@ func cmp3[T int64 | uint64 | float64](a, b T) int {
 // arithKernel computes arithmetic with value.Arith's promotion rules:
 // Float if either side is Float, else Uint if either side is Uint, else
 // Int. Integer division/modulo by zero returns an error (the caller then
-// falls back to the scalar path, which reports it at the right row).
+// falls back to closure mode, which reports it at the right row).
 func arithKernel(env *VecEnv, op value.BinOp, l, r vecVal) (vecVal, error) {
 	if l.col == nil && r.col == nil {
 		res, err := value.Arith(op, l.lit, r.lit)
@@ -1125,7 +1124,7 @@ func arithKernel(env *VecEnv, op value.BinOp, l, r vecVal) (vecVal, error) {
 
 // arithGeneric applies value.Arith per row: the slow but exact path for
 // mixed-kind columns, non-numeric rows and integer zero divisors. The
-// first error aborts; the caller falls back to the scalar path, which
+// first error aborts; the caller falls back to closure mode, which
 // reproduces the error at the correct row.
 func arithGeneric(env *VecEnv, op value.BinOp, l, r vecVal) (vecVal, error) {
 	out := env.alloc()

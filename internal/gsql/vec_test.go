@@ -319,7 +319,7 @@ func TestVectorizeSemiStatefulWhere(t *testing.T) {
 }
 
 // TestVectorizeRejectsUnsupported: plans outside the subset must not
-// vectorize (the operator keeps the scalar path).
+// vectorize (the operator runs them in closure mode).
 func TestVectorizeRejectsUnsupported(t *testing.T) {
 	s := vecTestSchema(t)
 	reg := sfun.NewRegistry()
@@ -355,7 +355,7 @@ func TestVectorizeRejectsUnsupported(t *testing.T) {
 // (WHERE mask, SELECT columns) against the scalar closures row by row, on
 // uniform and mixed-kind/NULL batches. Where the scalar closure errors on
 // some row, the eager kernel must have errored too: that is what sends
-// the operator back to the scalar path for the batch. The SELECT kernels
+// the operator's batch to closure mode. The SELECT kernels
 // are held to the same over the rows WHERE kept only (VecEnv.Restrict),
 // which is how the operator runs them.
 func TestVectorizeSelectionEquivalence(t *testing.T) {

@@ -156,7 +156,7 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`
 		t.Fatal(err)
 	}
 	for _, g := range opA.arena {
-		if opB.groups.lookupVals(g.key.Hash(), g.vals) == g {
+		if lookupKey(&opB.groups, g.vals) == g {
 			t.Fatalf("restored table reaches pre-restore group %s", g.key)
 		}
 	}

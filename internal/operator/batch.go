@@ -6,22 +6,24 @@ import (
 	"streamop/internal/agg"
 	"streamop/internal/gsql"
 	"streamop/internal/profile"
+	"streamop/internal/tracing"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
 
-// vecState is the operator's lazily built vectorized execution state: the
-// recompiled plan (nil when the plan does not vectorize) plus per-batch
-// column and mask scratch, reused across batches.
+// vecState is the operator's batch execution state, built on the first
+// batch: the plan's kernels (vp is nil when the plan does not vectorize)
+// plus the column, mask and row scratch the walk reuses across batches.
 type vecState struct {
 	vp  *gsql.VecPlan
 	env *gsql.VecEnv
 
-	gb        []*tuple.Column // evaluated group-by columns
-	aggCols   []*tuple.Column // evaluated aggregate argument columns
-	superCols []*tuple.Column // evaluated superaggregate argument columns
+	gb        []*tuple.Column // the batch's group-by columns: the kernels' or fill's
+	fill      []*tuple.Column // closure mode's group-by columns
+	aggCols   []*tuple.Column // aggregate argument kernels' columns; nil entries use the closure
+	superCols []*tuple.Column // superaggregate argument kernels' columns, likewise
 	mask      tuple.Bitmap    // stateless WHERE verdicts
-	rowT      tuple.Tuple     // row materialization scratch
+	rowT      tuple.Tuple     // row context scratch
 
 	// Ordered-window fast path: raw payload views of the ordered group-by
 	// columns plus the open window's payload words. Valid (ordFast) when
@@ -44,15 +46,21 @@ type vecState struct {
 }
 
 func (o *Operator) initVec() *vecState {
-	v := &vecState{}
-	if vp, ok := gsql.Vectorize(o.plan); ok {
+	p := o.plan
+	v := &vecState{
+		gb:        make([]*tuple.Column, len(p.GroupBy)),
+		fill:      make([]*tuple.Column, len(p.GroupBy)),
+		aggCols:   make([]*tuple.Column, len(p.Aggs)),
+		superCols: make([]*tuple.Column, len(p.Supers)),
+		ordBits:   make([][]uint64, len(p.OrderedIdx)),
+		winBits:   make([]uint64, len(p.OrderedIdx)),
+	}
+	for i := range v.fill {
+		v.fill[i] = new(tuple.Column)
+	}
+	if vp, ok := gsql.Vectorize(p); ok {
 		v.vp = vp
 		v.env = &gsql.VecEnv{}
-		v.gb = make([]*tuple.Column, len(vp.GroupBy))
-		v.aggCols = make([]*tuple.Column, len(o.plan.Aggs))
-		v.superCols = make([]*tuple.Column, len(o.plan.Supers))
-		v.ordBits = make([][]uint64, len(o.plan.OrderedIdx))
-		v.winBits = make([]uint64, len(o.plan.OrderedIdx))
 		v.selCols = make([]*tuple.Column, len(vp.Select))
 		v.sel = make([]int32, 0, tuple.DefaultBatchRows)
 	}
@@ -60,147 +68,70 @@ func (o *Operator) initVec() *vecState {
 	return v
 }
 
-// ProcessBatch offers a batch of input tuples. It is row-for-row
-// equivalent to calling Process on each materialized row — the same
-// emitted rows in the same order, the same stats, the same errors at the
-// same positions, bit-identical checkpoint state — but runs a vectorized
-// columnar path when the plan vectorizes and no trace is current: the
-// stateless clauses (GROUP BY, stateless WHERE, stateless aggregate and
-// superaggregate arguments) evaluate as column kernels over the whole batch
-// up front, and a single walk then applies the per-row state mutations in
-// row order. An attached profile reads the clock between those phases and
-// selects nothing.
+// ProcessBatch offers a batch of input tuples. It is the operator's one
+// walk: the per-tuple order of the package comment, row by row in row
+// order, every per-row clause reading its kernel column when the batch has
+// one and else the plan's scalar closure over the row context.
 //
-// Exactness is preserved by construction:
-//
-//   - The up-front kernel pass is mutation-free, so if ANY stateless
-//     evaluation errors the whole batch re-runs through the scalar path,
-//     which reproduces the error at the correct row after exactly the
-//     preceding rows' mutations — including honoring scalar
-//     short-circuit: errors the eager kernels surface but AND/OR
-//     evaluation would have skipped are skipped again by the re-run.
-//   - Stateful functions are never evaluated eagerly. A semi-stateful
-//     WHERE or CLEANING WHEN pre-evaluates its stateless arguments as
-//     columns, and the walk makes the mutating call once per row, in row
-//     order, against the row's supergroup state.
-//   - Window boundaries are detected per row against the ordered
-//     group-by columns, so a batch straddling windows flushes exactly
-//     where the scalar path would.
-//
-// A selection plan follows the same rules with no walk but WHERE's: see
+// The batch has kernel columns when the plan vectorizes and no trace is
+// current (the trace sites hook the closures; the engine sends a traced
+// row as a batch of one): the stateless clauses and the arguments of a
+// semi-stateful WHERE or CLEANING WHEN call evaluate over the whole batch
+// up front. That pass is mutation-free, so a kernel error sends the batch
+// to closure mode, which reproduces the error at its row after exactly the
+// preceding rows' mutations, and skips again what AND/OR short-circuit
+// skips. In closure mode the GROUP BY closures fill the group-by columns
+// row by row before the walk; GROUP BY is stateless and comes first, so if
+// row k errs the walk runs the rows before k and then returns the error,
+// row k counted in. Stateful functions are never evaluated eagerly, and
+// window boundaries are detected per row, so a batch straddling windows
+// flushes at the right row. An attached profile reads the clock between
+// the phases and selects nothing. A selection plan walks WHERE only: see
 // selectBatch.
 func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
 		return nil
 	}
+	if err := o.checkArity(b.NumCols()); err != nil {
+		return err
+	}
 	v := o.vec
 	if v == nil {
 		v = o.initVec()
 	}
-	// A tracer forces the row path only while a trace is actually current
-	// (the engine sets the current context around the one-row batch of a
-	// traced tuple and around nothing else). A merely *attached* tracer is
-	// free here: every per-tuple record site keys off the current set,
-	// which is empty for all rows of a columnar batch exactly as it is for
-	// untraced tuples in the scalar walk, and eviction / emission tracing
-	// keys off each group's carried traces in the shared flush path.
-	if v.vp == nil || o.tr.Current() != nil ||
-		b.Schema().NumFields() != o.plan.Schema.NumFields() {
-		return o.processBatchRows(b)
-	}
-	if o.plan.IsSelection {
-		return o.selectBatch(b, v)
-	}
-	vp := v.vp
-	env := v.env
+	tts := o.curTraces()
 	np, rows := o.prof, int64(n)
 	pt := np.Start()
+	kernels := v.vp != nil && tts == nil
+	if o.plan.IsSelection {
+		return o.selectBatch(b, v, kernels, tts, pt)
+	}
+	if kernels {
+		pt, kernels = o.evalKernels(b, v, pt)
+	}
+	stop, fillErr := n, error(nil)
+	var whereMask bool
+	var whereCall, cleanCall *gsql.VecCall
+	rowCtx := !kernels || v.vp.NeedRowCtx // some per-row clause runs its closure
+	if kernels {
+		whereMask, whereCall, cleanCall = v.vp.Where != nil, v.vp.WhereCall, v.vp.CleanWhenCall
+	} else {
+		stop, fillErr = o.fillGroupBy(b, v)
+		clear(v.aggCols)
+		clear(v.superCols)
+		o.armWindow(v)
+	}
+	hook := o.sfunHook(tts)
 
-	// Stateless evaluation over the whole batch. Nothing below mutates
-	// operator state, so any error can still defer to the scalar path.
-	env.Reset(b)
-	for i, e := range vp.GroupBy {
-		col, err := e.EvalCol(env)
-		if err != nil {
-			return o.processBatchRows(b)
-		}
-		v.gb[i] = col
-	}
-	env.SetGroupCols(v.gb)
-
-	// Arm the ordered-window fast path for this batch: when every ordered
-	// group-by column is kind-uniform with raw-word equality (and agrees
-	// in kind with the already-open window, if any), the per-row boundary
-	// check reduces to comparing payload words.
-	v.ordFast = len(o.plan.OrderedIdx) > 0
-	for i, idx := range o.plan.OrderedIdx {
-		k, ok := v.gb[idx].Uniform()
-		if !ok || !tuple.RawEqKind(k) || (o.windowOpen && o.windowVals[i].Kind() != k) {
-			v.ordFast = false
-			break
-		}
-		v.ordBits[i] = v.gb[idx].Bits()
-	}
-	if v.ordFast && o.windowOpen {
-		for i, wv := range o.windowVals {
-			v.winBits[i] = wv.Bits()
-		}
-	}
-	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
-
-	useMask := false
-	if vp.Where != nil {
-		m, err := vp.Where.EvalTruth(env, v.mask)
-		v.mask = m
-		if err != nil {
-			return o.processBatchRows(b)
-		}
-		useMask = true
-	}
-	if vp.WhereCall != nil {
-		if err := vp.WhereCall.EvalArgs(env); err != nil {
-			return o.processBatchRows(b)
-		}
-	}
-	if vp.Where != nil || vp.WhereCall != nil {
-		pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
-	}
-	for i, e := range vp.AggArgs {
-		v.aggCols[i] = nil
-		if e != nil {
-			col, err := e.EvalCol(env)
-			if err != nil {
-				return o.processBatchRows(b)
-			}
-			v.aggCols[i] = col
-		}
-	}
-	for i, e := range vp.SuperArgs {
-		v.superCols[i] = nil
-		if e != nil {
-			col, err := e.EvalCol(env)
-			if err != nil {
-				return o.processBatchRows(b)
-			}
-			v.superCols[i] = col
-		}
-	}
-	if vp.CleanWhenCall != nil {
-		if err := vp.CleanWhenCall.EvalArgs(env); err != nil {
-			return o.processBatchRows(b)
-		}
-	}
-	pt = np.Charge(profile.StageKernelArgs, pt, rows, rows)
-
-	// Mutation walk, in row order. (An error ends the node's run, and
-	// leaves the batch's walk uncharged.)
+	// The walk, in row order. (An error ends the node's run, and leaves the
+	// batch's walk uncharged.)
 	nested, accepted := o.nestedNS, o.stats.TuplesAccepted
 	if !o.windowOpen {
 		v.curSG = nil
 	}
 	allSG := len(o.plan.SupergroupIdx) == 0
-	for row := 0; row < n; row++ {
+	for row := 0; row < stop; row++ {
 		o.stats.TuplesIn++
 
 		// Window boundary against the ordered group-by columns.
@@ -214,7 +145,12 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 					}
 				}
 			} else {
-				changed = o.orderedChangedAt(row)
+				for i, idx := range o.plan.OrderedIdx {
+					if !v.gb[idx].EqualValue(row, o.windowVals[i]) {
+						changed = true
+						break
+					}
+				}
 			}
 			if changed {
 				if err := o.flushWindow(); err != nil {
@@ -237,8 +173,8 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			o.stampWindow()
 		}
 
-		// Supergroup lookup/creation — before WHERE, as in the scalar
-		// path (rejected tuples still establish their supergroup).
+		// Supergroup lookup/creation, before WHERE: rejected tuples still
+		// establish their supergroup.
 		sg := v.curSG
 		if sg == nil {
 			o.sgVals = o.sgVals[:0]
@@ -250,48 +186,54 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				v.curSG = sg
 			}
 		}
+		if rowCtx { // the context of the closures this row runs
+			v.rowT = b.Row(row, v.rowT)
+			for i, c := range v.gb {
+				o.gbVals[i] = c.Value(row)
+			}
+			o.ctx = gsql.Ctx{Tuple: v.rowT, GroupVals: o.gbVals, States: sg.states, Supers: sg.supers, Trace: hook}
+		}
 
-		// WHERE verdict: precomputed bitmap for the stateless kernel, an
-		// in-order mutating call for the semi-stateful form.
-		if useMask {
+		// WHERE verdict: the stateless kernel's bitmap, the semi-stateful
+		// form's in-order mutating call, or the closure.
+		switch {
+		case whereMask:
 			if !v.mask.Get(row) {
 				continue
 			}
-		} else if vp.WhereCall != nil {
-			wv, err := vp.WhereCall.CallRow(sg.states, sg.supers, row)
+		case whereCall != nil:
+			wv, err := whereCall.CallRow(sg.states, sg.supers, row)
 			if err != nil {
 				return fmt.Errorf("operator: WHERE: %w", err)
 			}
 			if !wv.Truth() {
 				continue
 			}
+		case o.plan.Where != nil:
+			wv, err := o.plan.Where(&o.ctx)
+			if err != nil {
+				return fmt.Errorf("operator: WHERE: %w", err)
+			}
+			pass := wv.Truth()
+			for _, tt := range tts {
+				tt.Where(o.trName, pass)
+			}
+			if !pass {
+				continue
+			}
 		}
 		o.stats.TuplesAccepted++
-
-		// Scalar closures that survived vectorization see the same row
-		// context the scalar path would have built.
-		o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers}
-		if vp.NeedRowCtx {
-			v.rowT = b.Row(row, v.rowT)
-			o.ctx.Tuple = v.rowT
-			for i := range v.gb {
-				o.gbVals[i] = v.gb[i].Value(row)
-			}
-			o.ctx.GroupVals = o.gbVals
-		}
 
 		// Superaggregate per-tuple updates.
 		for i := range o.plan.Supers {
 			def := &o.plan.Supers[i]
 			var av value.Value
-			if def.Arg != nil {
-				if col := v.superCols[i]; col != nil {
-					av = col.Value(row)
-				} else {
-					var err error
-					if av, err = def.Arg(&o.ctx); err != nil {
-						return fmt.Errorf("operator: %s argument: %w", def.Display, err)
-					}
+			if col := v.superCols[i]; col != nil {
+				av = col.Value(row)
+			} else if def.Arg != nil {
+				var err error
+				if av, err = def.Arg(&o.ctx); err != nil {
+					return fmt.Errorf("operator: %s argument: %w", def.Display, err)
 				}
 			}
 			o.argVals[i] = av
@@ -302,28 +244,32 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		// only on a miss (group creation).
 		h := tuple.HashRow(v.gb, row)
 		g := o.groups.lookupCols(h, v.gb, row)
-		if g == nil {
-			if !vp.NeedRowCtx {
-				for i := range v.gb {
-					o.gbVals[i] = v.gb[i].Value(row)
-				}
+		created := g == nil
+		if created {
+			for i := range v.gb {
+				o.gbVals[i] = v.gb[i].Value(row)
 			}
 			g = o.createGroup(sg, h)
 			for i := range sg.supers {
 				sg.supers[i].OnGroupAdd(o.argVals[i])
 			}
 		}
+		if tts != nil {
+			key := g.key.String()
+			for _, tt := range tts {
+				tt.GroupLookup(o.trName, key, created)
+			}
+			g.traces = append(g.traces, tts...)
+		}
 		for i := range o.plan.Aggs {
 			def := &o.plan.Aggs[i]
 			var av value.Value
-			if def.Arg != nil {
-				if col := v.aggCols[i]; col != nil {
-					av = col.Value(row)
-				} else {
-					var err error
-					if av, err = def.Arg(&o.ctx); err != nil {
-						return fmt.Errorf("operator: %s argument: %w", def.Display, err)
-					}
+			if col := v.aggCols[i]; col != nil {
+				av = col.Value(row)
+			} else if def.Arg != nil {
+				var err error
+				if av, err = def.Arg(&o.ctx); err != nil {
+					return fmt.Errorf("operator: %s argument: %w", def.Display, err)
 				}
 			}
 			g.aggs[i].Update(av)
@@ -338,14 +284,16 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				}
 			}
 		}
-		o.ctx.Aggs = g.aggs
+		if rowCtx {
+			o.ctx.Aggs = g.aggs
+		}
 
 		// CLEANING WHEN on the supergroup; CLEANING BY over its groups.
-		if o.plan.CleaningWhen != nil {
+		if cleanCall != nil || o.plan.CleaningWhen != nil {
 			var cv value.Value
 			var err error
-			if vp.CleanWhenCall != nil {
-				cv, err = vp.CleanWhenCall.CallRow(sg.states, sg.supers, row)
+			if cleanCall != nil {
+				cv, err = cleanCall.CallRow(sg.states, sg.supers, row)
 			} else {
 				cv, err = o.plan.CleaningWhen(&o.ctx)
 			}
@@ -359,140 +307,243 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			}
 		}
 	}
+	if fillErr != nil {
+		o.stats.TuplesIn++
+		return fillErr
+	}
 	np.Charge(profile.StageWalk, pt+o.nestedNS-nested, rows, o.stats.TuplesAccepted-accepted)
 	return nil
 }
 
-// selectBatch is ProcessBatch for a selection plan: WHERE first, then the
-// SELECT list over the rows it kept, so that a selective WHERE pays for
-// SELECT per kept row as the scalar path does. A stateless WHERE is a
-// kernel mask; a semi-stateful one makes its mutating call once per row in
-// row order, and if the call errors at row k the rows before k that passed
-// are still emitted and the error returned, as Process would have done.
-// The SELECT kernels then run with the environment restricted to the kept
-// rows. A kernel error before anything has mutated — WHERE's, the call's
-// arguments', SELECT's under a stateless WHERE — re-runs the batch through
-// the scalar path; a SELECT error after the semi-stateful calls were made
-// is settled by selectRows. The selected rows go to the sink as the columns
-// the kernels left them in, past the output batch (which is empty here).
-// An error from the consumer aborts the batch with every row of it already
-// counted in Stats. The profile's stages follow the same order: WHERE's
-// kernel, the semi-stateful calls as the walk, SELECT's kernels as the
-// argument kernels, the hand-off to the consumer as transfer.
-func (o *Operator) selectBatch(b *tuple.Batch, v *vecState) error {
-	vp, env, n := v.vp, v.env, b.Len()
-	np, rows := o.prof, int64(n)
-	pt := np.Start()
+// evalKernels evaluates the plan's kernels over the whole batch, charging
+// the profile by phase, and reports whether all succeeded. None mutates
+// operator state, so a batch whose kernel errs can still run in closure
+// mode.
+func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bool) {
+	vp, env := v.vp, v.env
+	np, rows := o.prof, int64(b.Len())
 	env.Reset(b)
-	in, out := n, n
-	var whereErr error
-	switch {
-	case vp.Where != nil:
+	for i, e := range vp.GroupBy {
+		col, err := e.EvalCol(env)
+		if err != nil {
+			return pt, false
+		}
+		v.gb[i] = col
+	}
+	env.SetGroupCols(v.gb)
+	o.armWindow(v)
+	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
+
+	if vp.Where != nil {
 		m, err := vp.Where.EvalTruth(env, v.mask)
 		v.mask = m
 		if err != nil {
-			return o.processBatchRows(b)
+			return pt, false
 		}
-		v.sel = v.mask.AppendIndices(v.sel[:0])
-		out = len(v.sel)
-		pt = np.Charge(profile.StageKernelWhere, pt, rows, int64(out))
-	case vp.WhereCall != nil:
-		if err := vp.WhereCall.EvalArgs(env); err != nil {
-			return o.processBatchRows(b)
-		}
-		pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
-		v.sel = v.sel[:0]
-		for row := 0; row < n; row++ {
-			wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
-			if err != nil {
-				whereErr, in = err, row+1
-				break
-			}
-			if wv.Truth() {
-				v.sel = append(v.sel, int32(row))
-			}
-		}
-		out = len(v.sel)
-		pt = np.Charge(profile.StageWalk, pt, int64(in), int64(out))
 	}
-	if out > 0 {
-		if out < n {
-			env.Restrict(v.sel)
+	if vp.WhereCall != nil {
+		if err := vp.WhereCall.EvalArgs(env); err != nil {
+			return pt, false
 		}
-		for i, e := range vp.Select {
+	}
+	if vp.Where != nil || vp.WhereCall != nil {
+		pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
+	}
+	for i, e := range vp.AggArgs {
+		v.aggCols[i] = nil
+		if e != nil {
 			col, err := e.EvalCol(env)
 			if err != nil {
-				if vp.WhereCall != nil {
-					return o.selectRows(b, v.sel, in, whereErr)
-				}
-				return o.processBatchRows(b)
+				return pt, false
 			}
-			v.selCols[i] = col
+			v.aggCols[i] = col
 		}
 	}
-	o.stats.TuplesIn += int64(in)
-	o.stats.TuplesAccepted += int64(out)
-	o.stats.TuplesOut += int64(out)
-	if out == 0 {
-		return whereErr
+	for i, e := range vp.SuperArgs {
+		v.superCols[i] = nil
+		if e != nil {
+			col, err := e.EvalCol(env)
+			if err != nil {
+				return pt, false
+			}
+			v.superCols[i] = col
+		}
 	}
-	pt = np.Charge(profile.StageKernelArgs, pt, int64(out), int64(out))
-
-	err := o.send(v.selCols)
-	np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
-	if err != nil {
-		return err
+	if vp.CleanWhenCall != nil {
+		if err := vp.CleanWhenCall.EvalArgs(env); err != nil {
+			return pt, false
+		}
 	}
-	return whereErr
+	return np.Charge(profile.StageKernelArgs, pt, rows, rows), true
 }
 
-// selectRows settles a batch whose SELECT kernels failed over sel, the
-// rows a semi-stateful WHERE kept: the batch cannot re-run, the calls
-// having been made, so the scalar SELECT closures evaluate those rows in
-// order and stop at the first that errors — the rows, the error and the
-// Stats of the scalar path. If none does (the kernels are eager where AND
-// and OR short-circuit), the batch ends as WHERE left it: in rows offered,
-// whereErr returned. One thing is not the scalar path's: by the time
-// SELECT fails at a row, WHERE has been called on the rest of the batch
-// too. No caller reads a selection's function state after its operator
-// has returned an error.
-func (o *Operator) selectRows(b *tuple.Batch, sel []int32, in int, whereErr error) error {
-	for _, i := range sel {
-		o.vec.rowT = b.Row(int(i), o.vec.rowT)
-		o.ctx = gsql.Ctx{Tuple: o.vec.rowT, States: o.selStates}
+// fillGroupBy is closure mode's GROUP BY: the plan's closures evaluate row
+// by row into the operator's own group-by columns. It returns the number of
+// rows filled and, when that is short of the batch, the error of the row
+// after them.
+func (o *Operator) fillGroupBy(b *tuple.Batch, v *vecState) (int, error) {
+	for i, c := range v.fill {
+		c.Reset()
+		v.gb[i] = c
+	}
+	for row := 0; row < b.Len(); row++ {
+		v.rowT = b.Row(row, v.rowT)
+		o.ctx = gsql.Ctx{Tuple: v.rowT}
+		for i, gb := range o.plan.GroupBy {
+			val, err := gb(&o.ctx)
+			if err != nil {
+				return row, fmt.Errorf("operator: group-by %s: %w", o.plan.GroupNames[i], err)
+			}
+			v.fill[i].AppendValue(val)
+		}
+	}
+	return b.Len(), nil
+}
+
+// armWindow arms the ordered-window fast path for the batch: when every
+// ordered group-by column is kind-uniform with raw-word equality (and
+// agrees in kind with the already-open window, if any), the per-row
+// boundary check reduces to comparing payload words.
+func (o *Operator) armWindow(v *vecState) {
+	v.ordFast = len(o.plan.OrderedIdx) > 0
+	for i, idx := range o.plan.OrderedIdx {
+		k, ok := v.gb[idx].Uniform()
+		if !ok || !tuple.RawEqKind(k) || (o.windowOpen && o.windowVals[i].Kind() != k) {
+			v.ordFast = false
+			return
+		}
+		v.ordBits[i] = v.gb[idx].Bits()
+	}
+	if v.ordFast && o.windowOpen {
+		for i, wv := range o.windowVals {
+			v.winBits[i] = wv.Bits()
+		}
+	}
+}
+
+// selectBatch is ProcessBatch for a selection plan: WHERE, then the SELECT
+// list over the rows it kept. With kernel columns a stateless WHERE is a
+// mask and a semi-stateful one calls once per row in row order (an error
+// at row k ends the batch there, the rows before k emitted); the SELECT
+// kernels then run restricted to the kept rows, and their columns go to
+// the sink as they are, every row counted in Stats before the sink sees
+// them. Without SELECT columns — closure mode, or SELECT kernels that
+// erred after WHERE's verdicts — each kept row's SELECT list evaluates
+// through output, after WHERE's closure if no kernel gave the verdict, and
+// the first error ends the batch at its row. The profile charges WHERE's
+// kernel, the calls and closures as the walk, SELECT's kernels as the
+// argument kernels, the hand-off to the sink as transfer.
+func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []*tracing.TupleTrace, pt int64) error {
+	n, np, rows := b.Len(), o.prof, int64(b.Len())
+	in, verdicts := n, false
+	var whereErr error
+	if kernels {
+		vp, env := v.vp, v.env
+		env.Reset(b)
+		switch {
+		case vp.Where != nil:
+			m, err := vp.Where.EvalTruth(env, v.mask)
+			v.mask = m
+			if err != nil {
+				kernels = false
+				break
+			}
+			v.sel = v.mask.AppendIndices(v.sel[:0])
+			verdicts = true
+			pt = np.Charge(profile.StageKernelWhere, pt, rows, int64(len(v.sel)))
+		case vp.WhereCall != nil:
+			if err := vp.WhereCall.EvalArgs(env); err != nil {
+				kernels = false
+				break
+			}
+			pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
+			v.sel = v.sel[:0]
+			for row := 0; row < n; row++ {
+				wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
+				if err != nil {
+					whereErr, in = err, row+1
+					break
+				}
+				if wv.Truth() {
+					v.sel = append(v.sel, int32(row))
+				}
+			}
+			verdicts = true
+			pt = np.Charge(profile.StageWalk, pt, int64(in), int64(len(v.sel)))
+		}
+	}
+	if kernels {
+		out := n
+		if verdicts {
+			out = len(v.sel)
+		}
+		if out == 0 || o.selectKernels(v, out < n) {
+			o.stats.TuplesIn += int64(in)
+			o.stats.TuplesAccepted += int64(out)
+			o.stats.TuplesOut += int64(out)
+			if out == 0 {
+				return whereErr
+			}
+			pt = np.Charge(profile.StageKernelArgs, pt, int64(out), int64(out))
+			err := o.send(v.selCols)
+			np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
+			if err != nil {
+				return err
+			}
+			return whereErr
+		}
+	}
+
+	hook := o.sfunHook(tts)
+	accepted, last := o.stats.TuplesAccepted, in
+	if verdicts {
+		last = len(v.sel)
+	}
+	for i := 0; i < last; i++ {
+		row := i
+		if verdicts {
+			row = int(v.sel[i])
+		}
+		v.rowT = b.Row(row, v.rowT)
+		o.ctx = gsql.Ctx{Tuple: v.rowT, States: o.selStates, Trace: hook}
+		if !verdicts && o.plan.Where != nil {
+			wv, err := o.plan.Where(&o.ctx)
+			if err != nil {
+				o.stats.TuplesIn += int64(row) + 1
+				return o.drain(err)
+			}
+			pass := wv.Truth()
+			for _, tt := range tts {
+				tt.Where(o.trName, pass)
+			}
+			if !pass {
+				continue
+			}
+		}
 		o.stats.TuplesAccepted++
-		if err := o.output(&o.ctx, nil); err != nil {
-			o.stats.TuplesIn += int64(i) + 1
+		if err := o.output(&o.ctx, tts); err != nil {
+			o.stats.TuplesIn += int64(row) + 1
 			return o.drain(err)
 		}
 	}
 	o.stats.TuplesIn += int64(in)
-	return o.drain(whereErr)
-}
-
-// processBatchRows feeds the batch through the row-at-a-time path: plans
-// that do not vectorize, a current trace, schema mismatches and
-// stateless-evaluation errors all land here. The profile is charged the
-// whole re-run as walk, less the sweeps and flushes inside it.
-func (o *Operator) processBatchRows(b *tuple.Batch) error {
-	v := o.vec
-	pt, nested, accepted := o.prof.Start(), o.nestedNS, o.stats.TuplesAccepted
-	var err error
-	for i := 0; i < b.Len() && err == nil; i++ {
-		v.rowT = b.Row(i, v.rowT)
-		err = o.Process(v.rowT)
-	}
-	o.prof.Charge(profile.StageWalk, pt+o.nestedNS-nested, int64(b.Len()), o.stats.TuplesAccepted-accepted)
+	err := o.drain(whereErr)
+	np.Charge(profile.StageWalk, pt, int64(in), o.stats.TuplesAccepted-accepted)
 	return err
 }
 
-// orderedChangedAt reports whether any ordered group-by value at row
-// differs from the open window's — the columnar twin of orderedChanged.
-func (o *Operator) orderedChangedAt(row int) bool {
-	for i, idx := range o.plan.OrderedIdx {
-		if !o.vec.gb[idx].EqualValue(row, o.windowVals[i]) {
-			return true
-		}
+// selectKernels evaluates the SELECT kernels, over the kept rows v.sel if
+// restrict, and reports whether all succeeded.
+func (o *Operator) selectKernels(v *vecState, restrict bool) bool {
+	if restrict {
+		v.env.Restrict(v.sel)
 	}
-	return false
+	for i, e := range v.vp.Select {
+		col, err := e.EvalCol(v.env)
+		if err != nil {
+			return false
+		}
+		v.selCols[i] = col
+	}
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"streamop/internal/checkpoint"
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
+	"streamop/internal/sfun"
 	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
@@ -15,32 +16,126 @@ import (
 	"streamop/internal/xrand"
 )
 
-// ProcessBatch must be row-for-row identical to Process: same rows in the
-// same order (bit-identical values), same stats, same errors at the same
-// positions. The tests here feed identical streams through both paths and
-// compare exactly, across batch sizes that split windows at every offset.
+// The walk's equivalence tests hold ProcessBatch at batch sizes that
+// split windows at every offset, and Process per row, to the oracle
+// (oracle_test.go): the same rows in the same order (bit-identical
+// values), the same stats, the same errors at the same input positions.
 
-// newEquivOp compiles src against schema with a fresh seeded registry and
-// returns the operator plus its output sink.
-func newEquivOp(t *testing.T, src string, schema *tuple.Schema, seed uint64) (*operator.Operator, *[]tuple.Tuple) {
+// compilePlan compiles src against schema with registry reg.
+func compilePlan(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry) *gsql.Plan {
 	t.Helper()
 	q, err := gsql.Parse(src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	plan, err := gsql.Analyze(q, schema, sfunlib.Default(seed))
+	plan, err := gsql.Analyze(q, schema, reg)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	out := &[]tuple.Tuple{}
-	op, err := operator.New(plan, func(row tuple.Tuple) error {
-		*out = append(*out, row.Clone())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	return plan
+}
+
+// newEquivOp compiles src against schema with a fresh seeded registry and
+// returns the operator plus its output sink.
+func newEquivOp(t *testing.T, src string, schema *tuple.Schema, seed uint64) (*operator.Operator, *[]tuple.Tuple) {
+	t.Helper()
+	return sinkOp(t, src, schema, sfunlib.Default(seed), false)
+}
+
+// walkSizes are the batch sizes each oracle test drives ProcessBatch at;
+// 0 stands for Process per row.
+var walkSizes = []int{0, 1, 3, 7, 64, 512}
+
+// runSubject drives op over rows — Process per row when size is 0, else
+// ProcessBatch over batches of size rows, each followed by an empty batch
+// (a no-op) — until one errs, and then flushes if flush and none did. It
+// returns the input position of the row (the batch, the flush) the error
+// surfaced at, and the error.
+func runSubject(op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, size int, flush bool) (int, error) {
+	b := tuple.NewBatch(schema, size)
+	step := max(size, 1)
+	for off := 0; off < len(rows); off += step {
+		var err error
+		if size == 0 {
+			err = op.Process(rows[off])
+		} else {
+			b.Reset()
+			for _, row := range rows[off:min(off+size, len(rows))] {
+				b.AppendRow(row)
+			}
+			if err = op.ProcessBatch(b); err == nil {
+				b.Reset()
+				err = op.ProcessBatch(b)
+			}
+		}
+		if err != nil {
+			return off, err
+		}
 	}
-	return op, out
+	if flush {
+		return len(rows), op.Flush()
+	}
+	return len(rows), nil
+}
+
+// checkWalk runs rows through the oracle and through every subject —
+// each of walkSizes, with the output leaving through the row callback and,
+// if sinks, through a column sink too — and holds each subject to the
+// oracle: rows, Stats, error and its position. With sameState, every
+// subject must also end in the same snapshot (a semi-stateful WHERE that
+// ran ahead of a failing SELECT kernel leaves its function state ahead of
+// the rows, batch by batch).
+func checkWalk(t *testing.T, src string, schema *tuple.Schema, reg func() *sfun.Registry, rows []tuple.Tuple, flush, sinks, sameState bool) {
+	t.Helper()
+	want := runOracle(compilePlan(t, src, schema, reg()), rows, flush)
+	var firstSnap []byte
+	for _, size := range walkSizes {
+		for _, sink := range []bool{false, true} {
+			if sink && !sinks {
+				continue
+			}
+			label := fmt.Sprintf("size %d sink %v", size, sink)
+			op, out := sinkOp(t, src, schema, reg(), sink)
+			requireOracle(t, label, op, schema, rows, size, flush, out, want)
+			snap := opSnapshot(t, op)
+			if firstSnap == nil {
+				firstSnap = snap
+			} else if sameState && !bytes.Equal(snap, firstSnap) {
+				t.Fatalf("%s: snapshot differs from Process's", label)
+			}
+		}
+	}
+}
+
+// requireOracle runs rows through op at size (see runSubject) and holds
+// the run to the oracle's: the output rows collected in out, the Stats,
+// the error and the input position it surfaced at.
+func requireOracle(t *testing.T, label string, op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, size int, flush bool, out *[]tuple.Tuple, want oracleResult) {
+	t.Helper()
+	at, err := runSubject(op, schema, rows, size, flush)
+	if fmt.Sprint(err) != fmt.Sprint(want.err) {
+		t.Fatalf("%s: err = %v, want %v", label, err, want.err)
+	}
+	if err != nil && (want.at < at || want.at >= at+max(size, 1)) {
+		t.Fatalf("%s: error at input %d, oracle's at %d", label, at, want.at)
+	}
+	requireIdenticalRows(t, label, *out, want.rows)
+	if got := op.Stats(); got != want.stats {
+		t.Fatalf("%s: stats = %+v, want %+v", label, got, want.stats)
+	}
+}
+
+// pktRows returns pkts as tuples.
+func pktRows(pkts []trace.Packet) []tuple.Tuple {
+	rows := make([]tuple.Tuple, len(pkts))
+	for i, p := range pkts {
+		rows[i] = p.Tuple()
+	}
+	return rows
+}
+
+func seeded(seed uint64) func() *sfun.Registry {
+	return func() *sfun.Registry { return sfunlib.Default(seed) }
 }
 
 // identicalValue is bit-exact equality: same kind, same payload word,
@@ -141,6 +236,14 @@ SELECT tb, srcIP, sum(len), count(*)
 FROM PKT
 WHERE len*2 > 900 AND NOT (srcIP = 167772160)
 GROUP BY time/7 as tb, srcIP`},
+		// Stateless WHERE under SUPERGROUP BY: a rejected row still
+		// creates its supergroup, which fixes the order of the sample.
+		{"where_supergroups", `
+SELECT tb, srcIP, sum(len), count(*)
+FROM PKT
+WHERE len > 700
+GROUP BY time/7 as tb, srcIP
+SUPERGROUP BY tb, srcIP`},
 		// WHERE rejecting every row: windows must still open and flush.
 		{"where_none_pass", `
 SELECT tb, srcIP, count(*)
@@ -151,7 +254,7 @@ GROUP BY time/7 as tb, srcIP`},
 		// HAVING with superaggregates: the paper's subset-sum query.
 		{"subset_sum", subsetSumQuery},
 		// Non-vectorizable WHERE (reads a superaggregate per row) with
-		// SUPERGROUP BY: exercises the whole-batch scalar fallback.
+		// SUPERGROUP BY: every batch in closure mode.
 		{"priority_minhash", `
 SELECT tb, srcIP, HX
 FROM PKT
@@ -162,32 +265,18 @@ HAVING HX <= Kth_smallest_value$(HX, 16)
 CLEANING WHEN count_distinct$(*) >= 16
 CLEANING BY HX <= Kth_smallest_value$(HX, 16)`},
 	}
-	sizes := []int{1, 3, 7, 64, 512}
-	pkts := equivPackets(5000, 35, 5, 42)
+	rows := pktRows(equivPackets(5000, 35, 5, 42))
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			refOp, refOut := newEquivOp(t, q.src, trace.Schema(), 9)
-			feedScalar(t, refOp, pkts)
-			if err := refOp.Flush(); err != nil {
-				t.Fatalf("Flush: %v", err)
-			}
-			for _, size := range sizes {
-				op, out := newEquivOp(t, q.src, trace.Schema(), 9)
-				feedBatches(t, op, pkts, size)
-				if err := op.Flush(); err != nil {
-					t.Fatalf("Flush: %v", err)
-				}
-				requireIdenticalRows(t, fmt.Sprintf("size %d", size), *out, *refOut)
-				if got, want := op.Stats(), refOp.Stats(); got != want {
-					t.Fatalf("size %d: stats = %+v, want %+v", size, got, want)
-				}
-			}
+			// No snapshot comparison: Snapshot writes the old supergroup
+			// table in map order, so several supergroups encode in any order.
+			checkWalk(t, q.src, trace.Schema(), seeded(9), rows, true, false, false)
 		})
 	}
 }
 
 // String group-by columns: batches carrying string payloads must group,
-// hash and emit identically to the scalar path.
+// hash and emit as the oracle does.
 func TestProcessBatchStringColumns(t *testing.T) {
 	schema := tuple.MustSchema("S",
 		tuple.Field{Name: "ts", Kind: value.Uint, Ordering: tuple.Increasing},
@@ -205,45 +294,13 @@ func TestProcessBatchStringColumns(t *testing.T) {
 			value.NewInt(int64(r.Intn(500))),
 		})
 	}
-	refOp, refOut := newEquivOp(t, src, schema, 1)
-	for _, row := range rows {
-		if err := refOp.Process(row); err != nil {
-			t.Fatalf("Process: %v", err)
-		}
-	}
-	if err := refOp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 13, 256} {
-		op, out := newEquivOp(t, src, schema, 1)
-		b := tuple.NewBatch(schema, size)
-		for off := 0; off < len(rows); off += size {
-			end := off + size
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b.Reset()
-			for _, row := range rows[off:end] {
-				b.AppendRow(row)
-			}
-			if err := op.ProcessBatch(b); err != nil {
-				t.Fatalf("ProcessBatch: %v", err)
-			}
-		}
-		if err := op.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalRows(t, fmt.Sprintf("size %d", size), *out, *refOut)
-		if got, want := op.Stats(), refOp.Stats(); got != want {
-			t.Fatalf("size %d: stats = %+v, want %+v", size, got, want)
-		}
-	}
+	checkWalk(t, src, schema, seeded(1), rows, true, false, true)
 }
 
 // A runtime error (integer division by zero in an aggregate argument)
-// must surface at the same row, with the same message, after the same
-// emissions — the batch path's stateless pass is mutation-free, so it
-// re-runs the failing batch through the scalar path.
+// must surface at the oracle's row, with its message, after the same
+// emissions: the kernel pass is mutation-free, so the failing batch runs
+// in closure mode.
 func TestProcessBatchErrorEquivalence(t *testing.T) {
 	src := `SELECT tb, sum(1000/(len-100)) FROM PKT GROUP BY time/7 as tb`
 	pkts := equivPackets(500, 21, 3, 8)
@@ -254,43 +311,7 @@ func TestProcessBatchErrorEquivalence(t *testing.T) {
 	}
 	pkts[333].Len = 100 // the poison row
 
-	refOp, refOut := newEquivOp(t, src, trace.Schema(), 1)
-	var refErr error
-	buf := make(tuple.Tuple, trace.NumFields)
-	for _, p := range pkts {
-		p.AppendTuple(buf)
-		if refErr = refOp.Process(buf); refErr != nil {
-			break
-		}
-	}
-	if refErr == nil {
-		t.Fatal("scalar path did not error")
-	}
-
-	for _, size := range []int{1, 17, 128} {
-		op, out := newEquivOp(t, src, trace.Schema(), 1)
-		b := tuple.NewBatch(trace.Schema(), size)
-		var gotErr error
-		for off := 0; off < len(pkts) && gotErr == nil; off += size {
-			end := off + size
-			if end > len(pkts) {
-				end = len(pkts)
-			}
-			b.Reset()
-			trace.AppendBatch(b, pkts[off:end])
-			gotErr = op.ProcessBatch(b)
-		}
-		if gotErr == nil {
-			t.Fatalf("size %d: batch path did not error", size)
-		}
-		if gotErr.Error() != refErr.Error() {
-			t.Fatalf("size %d: err = %q, want %q", size, gotErr, refErr)
-		}
-		requireIdenticalRows(t, fmt.Sprintf("size %d", size), *out, *refOut)
-		if got, want := op.Stats(), refOp.Stats(); got != want {
-			t.Fatalf("size %d: stats = %+v, want %+v", size, got, want)
-		}
-	}
+	checkWalk(t, src, trace.Schema(), seeded(1), pktRows(pkts), true, false, true)
 }
 
 // Mixing Process and ProcessBatch on one operator mid-window must equal
@@ -332,63 +353,4 @@ func TestProcessBatchMixedFeedAndSnapshot(t *testing.T) {
 			t.Fatalf("stats = %+v, want %+v", got, want)
 		}
 	}
-}
-
-// BenchmarkBatchVsScalarWhere prices the columnar path against the
-// row-at-a-time path on the same stateless-WHERE grouping query — the
-// micro-benchmark behind docs/PERFORMANCE.md's ablation table. Input
-// conversion is prepaid on both sides (tuples for scalar, batches for
-// batch), so the ratio isolates the per-row execution cost; ns/op is per
-// input row.
-func BenchmarkBatchVsScalarWhere(b *testing.B) {
-	const src = `
-SELECT tb, srcIP, sum(len) AS vol
-FROM PKT
-WHERE len*2 > 900 AND NOT (srcIP = 167772160)
-GROUP BY time/5 as tb, srcIP`
-	pkts := equivPackets(1<<14, 40, 32, 3)
-	newOp := func(b *testing.B) *operator.Operator {
-		q, err := gsql.Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := gsql.Analyze(q, trace.Schema(), sfunlib.Default(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		op, err := operator.New(plan, func(tuple.Tuple) error { return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
-		return op
-	}
-	b.Run("scalar", func(b *testing.B) {
-		op := newOp(b)
-		rows := make([]tuple.Tuple, len(pkts))
-		for i, p := range pkts {
-			rows[i] = make(tuple.Tuple, trace.NumFields)
-			p.AppendTuple(rows[i])
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := op.Process(rows[i%len(rows)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		op := newOp(b)
-		const rowsPer = tuple.DefaultBatchRows
-		batches := make([]*tuple.Batch, len(pkts)/rowsPer)
-		for i := range batches {
-			batches[i] = tuple.NewBatch(trace.Schema(), rowsPer)
-			trace.AppendBatch(batches[i], pkts[i*rowsPer:(i+1)*rowsPer])
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i += rowsPer {
-			if err := op.ProcessBatch(batches[(i/rowsPer)%len(batches)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -1,16 +1,13 @@
 package operator
 
-import (
-	"streamop/internal/tuple"
-	"streamop/internal/value"
-)
+import "streamop/internal/tuple"
 
 // groupTable is the window's group table: an open-addressing hash table
 // (linear probing, backward-shift deletion) from group-by key hash to
 // *group. It replaces the earlier map[uint64][]*group: a probe touches one
-// flat slot array instead of map metadata plus a chain slice, the batch
-// path can compare keys directly against columnar rows without
-// materializing values, and window rotation is a memclr that keeps the
+// flat slot array instead of map metadata plus a chain slice, the walk
+// compares keys directly against columnar rows without materializing
+// values, and window rotation is a memclr that keeps the
 // slot storage (the group structs themselves come from the operator's
 // window-ordered arena, handed out again every window; see newGroup). The
 // zero value is an empty, usable table.
@@ -30,26 +27,9 @@ const groupTableMinSize = 64
 // len returns the number of resident groups.
 func (t *groupTable) len() int { return t.n }
 
-// lookupVals returns the group whose key equals vals (hash h), or nil.
-func (t *groupTable) lookupVals(h uint64, vals []value.Value) *group {
-	if t.n == 0 {
-		return nil
-	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.g == nil {
-			return nil
-		}
-		if s.hash == h && s.g.key.EqualValues(vals) {
-			return s.g
-		}
-	}
-}
-
 // lookupCols returns the group whose key equals row `row` of the group-by
-// columns (hash h), or nil. Equality matches Key.EqualValues through
-// Column.EqualValue, so the columnar and scalar paths agree on every
-// probe.
+// columns (hash h), or nil. Equality is value.Equal, through
+// Column.EqualValue.
 func (t *groupTable) lookupCols(h uint64, cols []*tuple.Column, row int) *group {
 	if t.n == 0 {
 		return nil

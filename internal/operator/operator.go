@@ -103,9 +103,10 @@ type Operator struct {
 	sgOld  map[uint64][]*supergroup
 	sgList []*supergroup
 
-	// Vectorized batch execution state (see batch.go); built lazily on
-	// the first ProcessBatch.
+	// Batch execution state (see batch.go), built lazily on the first
+	// ProcessBatch, and the one-row batch Process offers its tuple in.
 	vec *vecState
+	one *tuple.Batch
 
 	// Selection mode: a single global state vector, no grouping.
 	selStates []any
@@ -208,159 +209,28 @@ func (o *Operator) SetColumnSink(sink ColumnSink) { o.sink = sink }
 // Stats returns a snapshot of the activity counters.
 func (o *Operator) Stats() Stats { return o.stats }
 
-// Process offers one input tuple: the scalar reference path, which the
-// profiler does not clock (see profile.go).
+// Process offers one input tuple, as a batch of one (see ProcessBatch).
 func (o *Operator) Process(t tuple.Tuple) error {
+	if err := o.checkArity(len(t)); err != nil {
+		return err
+	}
+	if o.one == nil {
+		o.one = tuple.NewBatch(o.plan.Schema, 1)
+	}
+	o.one.Reset()
+	o.one.AppendRow(t)
+	return o.ProcessBatch(o.one)
+}
+
+// checkArity refuses a tuple that does not have the schema's width,
+// counting it in as the walk would have.
+func (o *Operator) checkArity(fields int) error {
+	if fields == o.plan.Schema.NumFields() {
+		return nil
+	}
 	o.stats.TuplesIn++
-	if len(t) != o.plan.Schema.NumFields() {
-		return fmt.Errorf("operator: tuple has %d fields, schema %s has %d",
-			len(t), o.plan.Schema.Name(), o.plan.Schema.NumFields())
-	}
-	if o.plan.IsSelection {
-		return o.processSelection(t)
-	}
-	return o.processSampling(t)
-}
-
-func (o *Operator) processSelection(t tuple.Tuple) error {
-	o.ctx = gsql.Ctx{Tuple: t, States: o.selStates}
-	tts := o.curTraces()
-	if tts != nil {
-		o.ctx.Trace = o.sfunHook(tts)
-	}
-	if o.plan.Where != nil {
-		v, err := o.plan.Where(&o.ctx)
-		if err != nil {
-			return err
-		}
-		pass := v.Truth()
-		for _, tt := range tts {
-			tt.Where(o.trName, pass)
-		}
-		if !pass {
-			return nil
-		}
-	}
-	o.stats.TuplesAccepted++
-	return o.drain(o.output(&o.ctx, tts))
-}
-
-func (o *Operator) processSampling(t tuple.Tuple) error {
-	// 1. Group-by values.
-	o.ctx = gsql.Ctx{Tuple: t}
-	for i, gb := range o.plan.GroupBy {
-		v, err := gb(&o.ctx)
-		if err != nil {
-			return fmt.Errorf("operator: group-by %s: %w", o.plan.GroupNames[i], err)
-		}
-		o.gbVals[i] = v
-	}
-	o.ctx.GroupVals = o.gbVals
-
-	// 2. Window boundary: any ordered group-by value changed.
-	if o.windowOpen && o.orderedChanged() {
-		if err := o.flushWindow(); err != nil {
-			return err
-		}
-	}
-	if !o.windowOpen {
-		o.windowOpen = true
-		o.windowVals = o.orderedValues(o.windowVals[:0])
-		o.stampWindow()
-	}
-
-	// 3. Supergroup lookup / creation (with state handoff from the old
-	// window's supergroup of the same key).
-	sg := o.findOrCreateSupergroup()
-	o.ctx.States = sg.states
-	o.ctx.Supers = sg.supers
-
-	tts := o.curTraces()
-	if tts != nil {
-		o.ctx.Trace = o.sfunHook(tts)
-	}
-
-	// 4. WHERE: the loose admission predicate, possibly stateful.
-	if o.plan.Where != nil {
-		v, err := o.plan.Where(&o.ctx)
-		if err != nil {
-			return fmt.Errorf("operator: WHERE: %w", err)
-		}
-		pass := v.Truth()
-		for _, tt := range tts {
-			tt.Where(o.trName, pass)
-		}
-		if !pass {
-			return nil
-		}
-	}
-	o.stats.TuplesAccepted++
-
-	// 5. Superaggregate per-tuple updates (argument values cached for the
-	// group-contribution bookkeeping below).
-	for i := range o.plan.Supers {
-		def := &o.plan.Supers[i]
-		var v value.Value
-		if def.Arg != nil {
-			var err error
-			if v, err = def.Arg(&o.ctx); err != nil {
-				return fmt.Errorf("operator: %s argument: %w", def.Display, err)
-			}
-		}
-		o.argVals[i] = v
-		sg.supers[i].OnTuple(v)
-	}
-
-	// 6. Group lookup / creation and aggregate update.
-	g, created := o.findOrCreateGroup(sg)
-	if tts != nil {
-		key := g.key.String()
-		for _, tt := range tts {
-			tt.GroupLookup(o.trName, key, created)
-		}
-		g.traces = append(g.traces, tts...)
-	}
-	if created {
-		for i := range sg.supers {
-			sg.supers[i].OnGroupAdd(o.argVals[i])
-		}
-	}
-	for i := range o.plan.Aggs {
-		def := &o.plan.Aggs[i]
-		var v value.Value
-		if def.Arg != nil {
-			var err error
-			if v, err = def.Arg(&o.ctx); err != nil {
-				return fmt.Errorf("operator: %s argument: %w", def.Display, err)
-			}
-		}
-		g.aggs[i].Update(v)
-	}
-	for i := range o.plan.Supers {
-		switch o.plan.Supers[i].Spec.Contribution {
-		case agg.ContribSum:
-			g.contribs[i] = addContrib(g.contribs[i], o.argVals[i])
-		case agg.ContribFirst:
-			if g.contribs[i].IsNull() {
-				g.contribs[i] = o.argVals[i]
-			}
-		}
-	}
-	o.ctx.Aggs = g.aggs
-
-	// 7. CLEANING WHEN on the supergroup; CLEANING BY over its groups.
-	if o.plan.CleaningWhen != nil {
-		v, err := o.plan.CleaningWhen(&o.ctx)
-		if err != nil {
-			return fmt.Errorf("operator: CLEANING WHEN: %w", err)
-		}
-		if v.Truth() {
-			if err := o.cleanSupergroup(sg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return fmt.Errorf("operator: tuple has %d fields, schema %s has %d",
+		fields, o.plan.Schema.Name(), o.plan.Schema.NumFields())
 }
 
 // stampWindow anchors the window that just opened for its end-to-end
@@ -379,38 +249,6 @@ func addContrib(acc, v value.Value) value.Value {
 		return value.NewFloat(v.AsFloat())
 	}
 	return value.NewFloat(acc.AsFloat() + v.AsFloat())
-}
-
-// orderedChanged reports whether any ordered group-by value differs from
-// the open window's.
-func (o *Operator) orderedChanged() bool {
-	for i, idx := range o.plan.OrderedIdx {
-		if !value.Equal(o.windowVals[i], o.gbVals[idx]) {
-			return true
-		}
-	}
-	return false
-}
-
-func (o *Operator) orderedValues(dst []value.Value) []value.Value {
-	for _, idx := range o.plan.OrderedIdx {
-		dst = append(dst, o.gbVals[idx])
-	}
-	return dst
-}
-
-// supergroupVals fills the scratch slice with the supergroup key values
-// (non-ordered declared supergroup variables; empty for ALL).
-func (o *Operator) supergroupVals() []value.Value {
-	o.sgVals = o.sgVals[:0]
-	for _, idx := range o.plan.SupergroupIdx {
-		o.sgVals = append(o.sgVals, o.gbVals[idx])
-	}
-	return o.sgVals
-}
-
-func (o *Operator) findOrCreateSupergroup() *supergroup {
-	return o.supergroupFor(o.supergroupVals())
 }
 
 // supergroupFor looks up or creates the supergroup keyed by vals, with
@@ -456,14 +294,6 @@ func (o *Operator) supergroupFor(vals []value.Value) *supergroup {
 		o.recordHandoff(sg)
 	}
 	return sg
-}
-
-func (o *Operator) findOrCreateGroup(sg *supergroup) (*group, bool) {
-	h := tuple.HashValues(o.gbVals)
-	if g := o.groups.lookupVals(h, o.gbVals); g != nil {
-		return g, false
-	}
-	return o.createGroup(sg, h), true
 }
 
 // newGroup takes a group struct from the arena — the next one the open
@@ -557,11 +387,7 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	if o.plan.CleaningBy == nil {
 		return nil
 	}
-	saveTuple, saveAggs, saveGroupVals := o.ctx.Tuple, o.ctx.Aggs, o.ctx.GroupVals
-	defer func() {
-		o.ctx.Tuple, o.ctx.Aggs, o.ctx.GroupVals = saveTuple, saveAggs, saveGroupVals
-	}()
-	o.ctx.Tuple = nil
+	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Trace: o.sfunHook(o.curTraces())}
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
 	// shape and no trace is current (a traced tuple's sweep records the
 	// calls it makes through the closure tree's hook), skip the scalar
@@ -624,8 +450,6 @@ func (o *Operator) flushWindow() error {
 	np := o.prof
 	ft, outBefore := np.Start(), o.stats.TuplesOut
 	o.stats.Windows++
-	saved := o.ctx
-	defer func() { o.ctx = saved }()
 	o.ctx = gsql.Ctx{}
 	for _, sg := range o.sgList {
 		for i, sd := range o.plan.States {

@@ -4,13 +4,11 @@ import (
 	"streamop/internal/profile"
 )
 
-// Profiling instrumentation (see internal/profile). The operator clocks
-// the batch path only: consecutive clock reads between ProcessBatch's
-// phases (batch.go), and one reading around each cleaning sweep and each
-// window flush, which happen inside the walk and are taken out of its
-// share through nestedNS. Process and the scalar walk under it carry no
-// clock sites; a batch that re-runs through them is clocked around the
-// re-run (processBatchRows).
+// Profiling instrumentation (see internal/profile): consecutive clock
+// reads between ProcessBatch's phases (batch.go), Process's batches of one
+// included, and one reading around each cleaning sweep and each window
+// flush, which happen inside the walk and are taken out of its share
+// through nestedNS.
 
 // SetProfile attaches a node profile (nil detaches). When detached each
 // clock site pays one nil check per batch, sweep or window.

@@ -1,13 +1,11 @@
 package operator_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
 
 	"streamop/internal/checkpoint"
-	"streamop/internal/gsql"
 	"streamop/internal/operator"
 	"streamop/internal/sfun"
 	"streamop/internal/sfunlib"
@@ -17,9 +15,9 @@ import (
 	"streamop/internal/xrand"
 )
 
-// Selection plans on the vectorized path: ProcessBatch must equal Process
-// row for row — rows, stats, state, errors — whether the selected rows
-// leave through emit (built one by one) or through the column sink.
+// Selection plans: ProcessBatch and Process must equal the oracle row for
+// row — rows, stats, errors — whether the selected rows leave through emit
+// (built one by one) or through the column sink, and end in the same state.
 
 var selectionQueries = []struct{ name, src string }{
 	{"pass_through", `SELECT time, srcIP, destIP, len, uts FROM PKT`},
@@ -33,7 +31,7 @@ var selectionQueries = []struct{ name, src string }{
 	// UDF line): one column read by two items, a call, a literal.
 	{"where_stateful_exprs", `SELECT uts, UMAX(len, 5000), len*2, len, 7 FROM PKT WHERE bssample(len, 5000) = TRUE`},
 	{"where_stateless_exprs", `SELECT uts, UMAX(len, 900), len + srcIP % 4, 'big' FROM PKT WHERE len > 700`},
-	// Stateful function in the SELECT list: not vectorized, scalar rows.
+	// Stateful function in the SELECT list: not vectorized, closure mode.
 	{"select_stateful", `SELECT uts, bssample(len, 5000) FROM PKT WHERE len > 100`},
 }
 
@@ -42,14 +40,7 @@ var selectionQueries = []struct{ name, src string }{
 // columns it is handed, so that they compare with the row callback's.
 func sinkOp(t *testing.T, src string, schema *tuple.Schema, reg *sfun.Registry, sink bool) (*operator.Operator, *[]tuple.Tuple) {
 	t.Helper()
-	q, err := gsql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := gsql.Analyze(q, schema, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := compilePlan(t, src, schema, reg)
 	out := &[]tuple.Tuple{}
 	op, err := operator.New(plan, func(row tuple.Tuple) error {
 		*out = append(*out, row.Clone())
@@ -87,45 +78,22 @@ func opSnapshot(t *testing.T, op *operator.Operator) []byte {
 }
 
 func TestSelectBatchEquivalence(t *testing.T) {
-	pkts := equivPackets(5000, 35, 5, 42)
+	rows := pktRows(equivPackets(5000, 35, 5, 42))
 	for _, q := range selectionQueries {
 		t.Run(q.name, func(t *testing.T) {
-			refOp, refOut := newEquivOp(t, q.src, trace.Schema(), 9)
-			feedScalar(t, refOp, pkts)
-			refSnap := opSnapshot(t, refOp)
-			for _, size := range []int{1, 3, 7, 64, 512, 700} {
-				for _, sink := range []bool{false, true} {
-					label := fmt.Sprintf("size %d sink %v", size, sink)
-					var op *operator.Operator
-					var out *[]tuple.Tuple
-					if sink {
-						op, out = sinkOp(t, q.src, trace.Schema(), sfunlib.Default(9), true)
-					} else {
-						op, out = newEquivOp(t, q.src, trace.Schema(), 9)
-					}
-					feedBatches(t, op, pkts, size)
-					requireIdenticalRows(t, label, *out, *refOut)
-					if got, want := op.Stats(), refOp.Stats(); got != want {
-						t.Fatalf("%s: stats = %+v, want %+v", label, got, want)
-					}
-					if !bytes.Equal(opSnapshot(t, op), refSnap) {
-						t.Fatalf("%s: snapshot differs from the scalar run's", label)
-					}
-				}
-			}
+			checkWalk(t, q.src, trace.Schema(), seeded(9), rows, false, true, true)
 		})
 	}
 }
 
 // An expression that errors at row k: the rows before k are emitted, the
-// error is the scalar path's, the stats stop where the scalar path's do.
-// The cases fail in the places a selection can: a SELECT kernel under a
-// stateless WHERE and a stateless WHERE kernel (nothing has mutated: the
-// batch re-runs through the scalar path), the per-row call of a
-// semi-stateful WHERE (the walk stops at k), and a SELECT kernel after a
-// semi-stateful WHERE has run (selectRows finds the row; the function's
-// state is then ahead of the scalar path's, so that case leaves the
-// snapshot out).
+// error is the oracle's, the stats stop where the oracle's do. The cases
+// fail in the places a selection can: a SELECT kernel under a stateless
+// WHERE and a stateless WHERE kernel (nothing has mutated: the batch runs
+// in closure mode), the per-row call of a semi-stateful WHERE (the walk
+// stops at k), and a SELECT kernel after a semi-stateful WHERE has run
+// (the SELECT closures find the row; the function's state is then ahead
+// of the rows, so that case leaves the state out).
 func TestSelectBatchErrorEquivalence(t *testing.T) {
 	reg := func() *sfun.Registry {
 		r := sfunlib.Default(1)
@@ -181,58 +149,25 @@ func TestSelectBatchErrorEquivalence(t *testing.T) {
 		}
 	}
 	pkts[333].Len = 100 // the poison row
+	rows := pktRows(pkts)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			refOp, refOut := sinkOp(t, c.src, trace.Schema(), reg(), false)
-			var refErr error
-			buf := make(tuple.Tuple, trace.NumFields)
-			for _, p := range pkts {
-				p.AppendTuple(buf)
-				if refErr = refOp.Process(buf); refErr != nil {
-					break
-				}
+			if want := runOracle(compilePlan(t, c.src, trace.Schema(), reg()), rows, false); (want.err == nil) != c.noErr {
+				t.Fatalf("oracle: err = %v", want.err)
 			}
-			if (refErr == nil) != c.noErr {
-				t.Fatalf("scalar path: err = %v", refErr)
-			}
-			for _, size := range []int{1, 17, 128, 512} {
-				for _, sink := range []bool{false, true} {
-					label := fmt.Sprintf("size %d sink %v", size, sink)
-					op, out := sinkOp(t, c.src, trace.Schema(), reg(), sink)
-					b := tuple.NewBatch(trace.Schema(), size)
-					var gotErr error
-					for off := 0; off < len(pkts) && gotErr == nil; off += size {
-						b.Reset()
-						trace.AppendBatch(b, pkts[off:min(off+size, len(pkts))])
-						gotErr = op.ProcessBatch(b)
-					}
-					if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
-						t.Fatalf("%s: err = %v, want %v", label, gotErr, refErr)
-					}
-					requireIdenticalRows(t, label, *out, *refOut)
-					if got, want := op.Stats(), refOp.Stats(); got != want {
-						t.Fatalf("%s: stats = %+v, want %+v", label, got, want)
-					}
-					if c.name == "select_kernel_after_where_call" {
-						continue
-					}
-					if !bytes.Equal(opSnapshot(t, op), opSnapshot(t, refOp)) {
-						t.Fatalf("%s: snapshot differs from the scalar run's", label)
-					}
-				}
-			}
+			checkWalk(t, c.src, trace.Schema(), reg, rows, false, true, c.name != "select_kernel_after_where_call")
 		})
 	}
 }
 
 // TestSelectBatchMixedKindsQuick drives selection plans over a
 // dynamically typed stream — what a high-level node reads: NULLs, columns
-// whose kind changes from row to row, strings — with random batch sizes,
-// and holds ProcessBatch to Process: same rows, same error (mixed kinds
-// make arithmetic fail on some rows), same stats.
+// whose kind changes from row to row, strings — and holds ProcessBatch and
+// Process to the oracle: same rows, same error (mixed kinds make
+// arithmetic fail on some rows), same stats.
 func TestSelectBatchMixedKindsQuick(t *testing.T) {
 	// A SELECT that fails on rows a semi-stateful WHERE kept: when it does,
-	// the function's state is ahead of the scalar path's (selectRows).
+	// the function's state is ahead of the rows.
 	const stateAhead = `SELECT ts, a + b, UMAX(a, 3) FROM S WHERE bssample(ts + 1, 3) = TRUE`
 	schema := tuple.MustSchema("S",
 		tuple.Field{Name: "ts", Ordering: tuple.Increasing},
@@ -280,49 +215,10 @@ func TestSelectBatchMixedKindsQuick(t *testing.T) {
 				value.NewString(tags[r.Intn(len(tags))]),
 			}
 		}
-		refOp, refOut := sinkOp(t, src, schema, sfunlib.Default(3), false)
-		var refErr error
-		for _, row := range rows {
-			if refErr = refOp.Process(row); refErr != nil {
-				break
-			}
-		}
-		op, out := sinkOp(t, src, schema, sfunlib.Default(3), r.Intn(2) == 0)
-		b := tuple.NewBatch(schema, 0)
-		var gotErr error
-		for off := 0; off < len(rows) && gotErr == nil; {
-			end := min(off+1+r.Intn(130), len(rows))
-			b.Reset()
-			for _, row := range rows[off:end] {
-				b.AppendRow(row)
-			}
-			gotErr = op.ProcessBatch(b)
-			off = end
-		}
-		if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
-			t.Logf("seed %x, %s: err = %v, want %v", seed, src, gotErr, refErr)
-			return false
-		}
-		if op.Stats() != refOp.Stats() {
-			t.Logf("seed %x, %s: stats = %+v, want %+v", seed, src, op.Stats(), refOp.Stats())
-			return false
-		}
-		if len(*out) != len(*refOut) {
-			t.Logf("seed %x, %s: %d rows, want %d", seed, src, len(*out), len(*refOut))
-			return false
-		}
-		for i := range *refOut {
-			for j := range (*refOut)[i] {
-				if !identicalValue((*out)[i][j], (*refOut)[i][j]) {
-					t.Logf("seed %x, %s: row %d field %d = %v, want %v", seed, src, i, j, (*out)[i][j], (*refOut)[i][j])
-					return false
-				}
-			}
-		}
-		if src == stateAhead && refErr != nil {
-			return true
-		}
-		return bytes.Equal(opSnapshot(t, op), opSnapshot(t, refOp))
+		return t.Run(fmt.Sprintf("%x", seed), func(t *testing.T) {
+			ahead := src == stateAhead && runOracle(compilePlan(t, src, schema, seeded(3)()), rows, false).err != nil
+			checkWalk(t, src, schema, seeded(3), rows, false, true, !ahead)
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -8,8 +8,8 @@ import (
 
 // Provenance-tracing instrumentation. The engine samples tuples at the
 // source (see internal/tracing) and marks the sampled one as the tracer's
-// current context around Process; the operator then records spans at each
-// decision point — WHERE, group-table lookup, stateful-function calls,
+// current context around the batch of one it sends it in; the walk then
+// runs in closure mode and records spans at each decision point — WHERE, group-table lookup, stateful-function calls,
 // cleaning evictions, HAVING, emission — and every traced tuple ends with
 // exactly one terminal disposition. With no tracer attached (the default)
 // the per-tuple cost is a single nil check on the admit path.
@@ -31,8 +31,12 @@ func (o *Operator) curTraces() []*tracing.TupleTrace {
 }
 
 // sfunHook builds the gsql.Ctx.Trace callback fanning stateful-function
-// spans out to every trace on the current tuple or group.
+// spans out to every trace on the current tuple or group; nil when there
+// is none.
 func (o *Operator) sfunHook(tts []*tracing.TupleTrace) func(fn, state string, v value.Value, err error) {
+	if len(tts) == 0 {
+		return nil
+	}
 	node := o.trName
 	return func(fn, state string, v value.Value, err error) {
 		outcome := v.String()

@@ -19,12 +19,11 @@
 // What no batch clock can separate stays together: WHERE verdicts of a
 // stateful predicate, group and supergroup lookups, aggregate updates and
 // the CLEANING WHEN test interleave per row, and are all "walk". A batch
-// that re-runs row at a time (a plan that does not vectorize, a kernel
-// evaluation error, a schema mismatch, a current trace) is clocked around
-// the re-run and charged to walk whole. The per-packet entry points
-// (Operator.Process, core.Query.ProcessPacket/ProcessTuple/Rows) carry no
-// clock sites at all: they compute the same rows, and a profile attached
-// to them reports only their sweeps and flushes.
+// in closure mode (a plan that does not vectorize, a kernel evaluation
+// error, a current trace) has no kernel phase: its GROUP BY closures and
+// walk are charged to walk whole. The per-packet entry points
+// (Operator.Process, core.Query.ProcessPacket/ProcessTuple/Rows) offer
+// batches of one and are clocked like any other batch.
 //
 // Concurrency: every accumulator is atomic and owned by the node's
 // processing goroutine for writing, so /debug/profile can render a Report

@@ -356,8 +356,8 @@ func (b *Batch) Reset() {
 }
 
 // AppendRow appends one tuple (len(t) must equal the schema's field
-// count). No production path builds a batch from rows any more; the tests
-// do, and TestAppendColsMatchesAppendRow holds AppendCols to it.
+// count): how Operator.Process makes its tuple a batch of one.
+// TestAppendColsMatchesAppendRow holds AppendCols to it.
 func (b *Batch) AppendRow(t Tuple) {
 	for i := range b.cols {
 		b.cols[i].AppendValue(t[i])
@@ -432,8 +432,8 @@ func RowOf(dst Tuple, cols []*Column, i int) Tuple {
 
 // HashRow returns the group-key hash of the given columns at row —
 // bit-identical to HashValues over the same values, which is what lets
-// the sharded router and the operator's group table agree with the
-// row-at-a-time path on every slot and key.
+// the sharded router, the operator's group table and its snapshots agree
+// on every slot and key.
 func HashRow(cols []*Column, row int) uint64 {
 	h := uint64(len(cols)) * 0x9e3779b97f4a7c15
 	for _, c := range cols {

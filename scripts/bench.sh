@@ -49,18 +49,18 @@ require_nonempty() {
 }
 require_nonempty "$out"
 
-# Hot-loop pass: the batch-path micro-benchmarks (operator throughput and
-# the batch-vs-scalar WHERE comparison) are meaningless at one iteration —
-# a single pass is dominated by first-touch setup. Rerun them at a fixed
-# iteration count and replace their entries in BENCH_core.json, so the
-# committed ns/op figures are steady-state hot-loop numbers.
+# Hot-loop pass: the batch-path micro-benchmark (operator throughput) is
+# meaningless at one iteration — a single pass is dominated by first-touch
+# setup. Rerun it at a fixed iteration count and replace its entry in
+# BENCH_core.json, so the committed ns/op figure is a steady-state
+# hot-loop number.
 hot_benchtime="200000x"
 hraw="$(mktemp)"
 hjson="$(mktemp)"
 trap 'rm -f "$raw" "$hraw" "$hjson"' EXIT
 
-go test -run='^$' -bench='^(BenchmarkOperatorThroughput|BenchmarkBatchVsScalarWhere)$' \
-    -benchtime="$hot_benchtime" . ./internal/operator/ | tee "$hraw"
+go test -run='^$' -bench='^BenchmarkOperatorThroughput$' \
+    -benchtime="$hot_benchtime" . | tee "$hraw"
 
 awk '
 BEGIN { print "["; first = 1 }
