@@ -199,40 +199,41 @@ func (q *Query) RunFeed(feed trace.Feed) error {
 // or streamed output ends on a window boundary), and returns ctx.Err().
 // A context.Background() run is identical to RunFeed.
 func (q *Query) RunContext(ctx context.Context, feed trace.Feed) error {
-	done := ctx.Done()
-	// Packets accumulate into batches for the columnar hot path; a
-	// cancelled run still feeds what it already pulled before flushing.
+	cancelled, err := q.feedAll(ctx.Done(), feed)
+	if err == nil && cancelled {
+		err = ctx.Err()
+	}
+	return err
+}
+
+// feedAll is the one feed loop of RunContext and RowsContext: it pulls up
+// to tuple.DefaultBatchRows packets, offers them to ProcessPackets, and
+// repeats until the feed ends or done closes, which it checks before every
+// pull; then it flushes the open window. A cancel therefore takes effect
+// once the batch in hand is processed. An error — a break out of Rows is
+// one — ends the run at its row, leaving at most the rest of one pulled
+// batch unprocessed; Stats is what the walk saw, so a break leaves it as
+// a packet-at-a-time feed would. It reports whether done stopped it.
+func (q *Query) feedAll(done <-chan struct{}, feed trace.Feed) (cancelled bool, err error) {
 	buf := make([]trace.Packet, 0, tuple.DefaultBatchRows)
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				if err := q.ProcessPackets(buf); err != nil {
-					return err
-				}
-				if err := q.Flush(); err != nil {
-					return err
-				}
-				return ctx.Err()
-			default:
-			}
+	for more := true; more; {
+		select {
+		case <-done:
+			return true, q.Flush()
+		default:
 		}
-		p, ok := feed.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, p)
-		if len(buf) == cap(buf) {
-			if err := q.ProcessPackets(buf); err != nil {
-				return err
+		for buf = buf[:0]; len(buf) < cap(buf); {
+			p, ok := feed.Next()
+			if more = ok; !ok {
+				break
 			}
-			buf = buf[:0]
+			buf = append(buf, p)
+		}
+		if err := q.ProcessPackets(buf); err != nil {
+			return false, err
 		}
 	}
-	if err := q.ProcessPackets(buf); err != nil {
-		return err
-	}
-	return q.Flush()
+	return false, q.Flush()
 }
 
 // SetFeed attaches a packet feed for Rows to drive. The feed is consumed
@@ -245,7 +246,7 @@ var errStopRows = errors.New("core: row iteration stopped")
 
 // Rows returns the query's output as a range-able sequence. With a feed
 // attached (SetFeed), the loop body runs as each window's rows are
-// produced — packets are pulled incrementally, nothing is buffered, and
+// produced — packets are pulled a batch at a time (see feedAll), and
 // breaking out of the loop stops the feed; check Err afterwards for a
 // processing error. Without a feed it replays the rows Collected by an
 // earlier RunFeed, so existing collect-then-iterate code only changes
@@ -259,7 +260,7 @@ func (q *Query) Rows() iter.Seq[Row] {
 }
 
 // RowsContext is Rows with cancellation: the feed-driven loop checks ctx
-// between packets and, when cancelled, flushes the open window (so the
+// between batches and, when cancelled, flushes the open window (so the
 // streamed output ends on a window boundary) and records ctx.Err in Err.
 // The sequence runs entirely on the caller's goroutine — no background
 // goroutine is spawned — so a loop abandoned by break, panic, or
@@ -290,35 +291,12 @@ func (q *Query) RowsContext(ctx context.Context) iter.Seq[Row] {
 			return nil
 		}
 		q.err = nil
-		done := ctx.Done()
-		cancelled := false
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					cancelled = true
-				default:
-				}
-				if cancelled {
-					break
-				}
-			}
-			p, ok := feed.Next()
-			if !ok {
-				break
-			}
-			if err := q.ProcessPacket(p); err != nil {
-				if !stopped {
-					q.err = err
-				}
-				return
-			}
-		}
-		if err := q.Flush(); err != nil && !stopped {
+		cancelled, err := q.feedAll(ctx.Done(), feed)
+		switch {
+		case stopped:
+		case err != nil:
 			q.err = err
-			return
-		}
-		if cancelled && !stopped {
+		case cancelled:
 			q.err = ctx.Err()
 		}
 	}

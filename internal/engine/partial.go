@@ -28,7 +28,9 @@ import (
 // conversion, counters, containment, emit and edges — whose step is the
 // table (ptable) instead of the sampling operator. The table is not folded
 // into the operator: evict-on-collision would put a mode branch inside the
-// operator's row-order walk.
+// operator's row-order walk. The two share their front instead: GROUP BY
+// and the open window are a gsql.GroupFront in both (and in the sharded
+// router), so a window ends at the same row whichever step groups.
 //
 // Under RunParallel the node fans out into shard replicas (see shard.go),
 // each a Node of its own owning a disjoint stripe of the slot space: global
@@ -54,10 +56,9 @@ type ptable struct {
 	mask      uint64 // global slot mask (slot = key hash & mask)
 	div       uint64 // stripe divisor: 1 for the full table, nshards for a stripe
 	plan      *gsql.Plan
+	front     *gsql.GroupFront // GROUP BY and the open window
 	ctx       gsql.Ctx
 	gbVals    []value.Value
-	window    []value.Value
-	winOpen   bool
 	windows   int64 // windows closed
 	evictions int64
 	residents int64
@@ -75,20 +76,24 @@ type ptable struct {
 	nestedNS   int64
 	winStartNS int64
 
-	// vec is the lazily built vectorized fold state (see batch.go).
-	vec *ptableVec
+	// The fold's batch scratch (see batch.go): the aggregate argument
+	// kernels' columns (nil entries use the closure) and the row context.
+	aggCols []*tuple.Column
+	rowT    tuple.Tuple
 }
 
 func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
 	t := ptable{
-		slots:  make([]partialGroup, slots),
-		mask:   mask,
-		div:    div,
-		plan:   plan,
-		gbVals: make([]value.Value, len(plan.GroupBy)),
-		emit:   emit,
-		out:    make([]*tuple.Column, len(plan.SelectExprs)),
-		outRow: make(tuple.Tuple, len(plan.SelectExprs)),
+		slots:   make([]partialGroup, slots),
+		mask:    mask,
+		div:     div,
+		plan:    plan,
+		front:   gsql.NewGroupFront(plan),
+		gbVals:  make([]value.Value, len(plan.GroupBy)),
+		aggCols: make([]*tuple.Column, len(plan.Aggs)),
+		emit:    emit,
+		out:     make([]*tuple.Column, len(plan.SelectExprs)),
+		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
 	}
 	for i := range t.out {
 		t.out[i] = new(tuple.Column)
@@ -143,8 +148,8 @@ func (t *ptable) Flush() error {
 	if err := t.drain(nil); err != nil {
 		return err
 	}
-	if t.winOpen {
-		t.winOpen = false
+	if t.front.WindowOpen() {
+		t.front.CloseWindow()
 		t.windows++
 	}
 	if np := t.prof; np != nil {
@@ -174,8 +179,7 @@ func (t *ptable) SetCollector(*telemetry.Collector, string) {}
 // mask), so the layout does not depend on how the slots are striped. A
 // user-defined aggregate has no codec and fails it, as in the operator.
 func (t *ptable) Snapshot(e *checkpoint.Encoder) error {
-	e.Bool(t.winOpen)
-	e.Values(t.window)
+	t.front.SnapshotWindow(e)
 	e.I64(t.windows)
 	e.I64(t.evictions)
 	e.Len(int(t.residents))
@@ -198,8 +202,7 @@ func (t *ptable) Snapshot(e *checkpoint.Encoder) error {
 // Restore loads what Snapshot wrote into the empty table of a freshly
 // built node with the same plan and slot count.
 func (t *ptable) Restore(d *checkpoint.Decoder) error {
-	t.winOpen = d.Bool()
-	t.window = d.Values()
+	t.front.RestoreWindow(d)
 	t.windows = d.I64()
 	t.evictions = d.I64()
 	t.residents = int64(d.Len())

@@ -11,7 +11,7 @@ import (
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
-	"streamop/internal/value"
+	"streamop/internal/tuple"
 )
 
 // Sharded parallel execution for low-level partial aggregation.
@@ -102,7 +102,7 @@ func (sh *shard) syncDebug() {
 }
 
 // shardSet is the per-node sharded runtime: the producer-side router plus
-// the replicas and what they share. Router state (router, rvec, window) is
+// the replicas and what they share. Router state (front, in) is
 // touched only by the producer goroutine.
 type shardSet struct {
 	node   *PartialNode
@@ -116,12 +116,11 @@ type shardSet struct {
 	// batch, draining their rings so the barrier and the gates keep moving.
 	dead atomic.Bool
 
-	// Router: a private plan clone evaluating GROUP BY over the
-	// producer's batches.
-	router  *gsql.Plan
-	window  []value.Value
-	winOpen bool
-	mask    uint64
+	// Router: the GROUP BY front of a private plan clone, evaluated over
+	// the producer's batches (in), whose windows raise the barrier.
+	front *gsql.GroupFront
+	in    *tuple.Batch
+	mask  uint64
 
 	// pend[i] buffers packets routed to shard i between ring pushes, under
 	// the barrier only: pacing simulates arrival times, so a paced packet
@@ -140,9 +139,6 @@ type shardSet struct {
 	// producer stops routing to it (the error is already reported).
 	routeFailed bool
 
-	// rvec is the lazily built vectorized router state (see batch.go).
-	rvec *routerVec
-
 	flushEpoch atomic.Uint64
 }
 
@@ -155,7 +151,8 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	}
 	s := &shardSet{
 		node:    pn,
-		router:  router,
+		front:   gsql.NewGroupFront(router),
+		in:      tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows),
 		mask:    pn.table.mask,
 		pend:    make([][]trace.Packet, n),
 		barrier: barrier,

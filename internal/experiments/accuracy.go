@@ -9,6 +9,7 @@ import (
 
 	"streamop/internal/core"
 	"streamop/internal/trace"
+	"streamop/internal/tuple"
 )
 
 // subsetSumQuery builds the dynamic subset-sum sampling query of §6.1 with
@@ -104,19 +105,26 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyPoint, error) {
 			prevCreated = s.GroupsCreated
 			prevEvicted = s.GroupsEvicted
 		}
+		// A window's run of packets goes in through ProcessPackets a
+		// batch at a time, and no batch spans two windows, so the Stats
+		// read between windows is exactly the window's.
+		run := make([]trace.Packet, 0, tuple.DefaultBatchRows)
 		for {
 			p, ok := feed.Next()
-			if !ok {
-				break
-			}
 			w := int(p.Time / 1e9 / uint64(cfg.WindowSec))
-			if w != prevWindow {
-				record(prevWindow)
-				prevWindow = w
+			if !ok || w != prevWindow || len(run) == cap(run) {
+				if err := q.ProcessPackets(run); err != nil {
+					return err
+				}
+				if run = run[:0]; !ok {
+					break
+				}
+				if w != prevWindow {
+					record(prevWindow)
+					prevWindow = w
+				}
 			}
-			if err := q.ProcessPacket(p); err != nil {
-				return err
-			}
+			run = append(run, p)
 		}
 		if err := q.Flush(); err != nil {
 			return err

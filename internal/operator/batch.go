@@ -11,29 +11,17 @@ import (
 	"streamop/internal/value"
 )
 
-// vecState is the operator's batch execution state, built on the first
-// batch: the plan's kernels (vp is nil when the plan does not vectorize)
-// plus the column, mask and row scratch the walk reuses across batches.
+// vecState is the operator's batch execution state: the plan's kernels
+// (vp, the front's: nil when the plan does not vectorize) plus the column,
+// mask and row scratch the walk reuses across batches. GROUP BY and the
+// open window are the front's (gsql.GroupFront).
 type vecState struct {
-	vp  *gsql.VecPlan
-	env *gsql.VecEnv
+	vp *gsql.VecPlan
 
-	gb        []*tuple.Column // the batch's group-by columns: the kernels' or fill's
-	fill      []*tuple.Column // closure mode's group-by columns
 	aggCols   []*tuple.Column // aggregate argument kernels' columns; nil entries use the closure
 	superCols []*tuple.Column // superaggregate argument kernels' columns, likewise
 	mask      tuple.Bitmap    // stateless WHERE verdicts
 	rowT      tuple.Tuple     // row context scratch
-
-	// Ordered-window fast path: raw payload views of the ordered group-by
-	// columns plus the open window's payload words. Valid (ordFast) when
-	// every ordered column is kind-uniform Bool/Int/Uint and matches the
-	// open window's kind, where value equality is exactly raw-word
-	// equality — Float (±0.0) and mixed-kind columns keep the per-row
-	// EqualValue check.
-	ordFast bool
-	ordBits [][]uint64
-	winBits []uint64
 
 	// curSG caches the open window's supergroup for single-supergroup
 	// plans (ALL); nil whenever no window is open or the cache is cold.
@@ -45,26 +33,16 @@ type vecState struct {
 	sel     []int32
 }
 
-func (o *Operator) initVec() *vecState {
-	p := o.plan
+func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 	v := &vecState{
-		gb:        make([]*tuple.Column, len(p.GroupBy)),
-		fill:      make([]*tuple.Column, len(p.GroupBy)),
+		vp:        vp,
 		aggCols:   make([]*tuple.Column, len(p.Aggs)),
 		superCols: make([]*tuple.Column, len(p.Supers)),
-		ordBits:   make([][]uint64, len(p.OrderedIdx)),
-		winBits:   make([]uint64, len(p.OrderedIdx)),
 	}
-	for i := range v.fill {
-		v.fill[i] = new(tuple.Column)
-	}
-	if vp, ok := gsql.Vectorize(p); ok {
-		v.vp = vp
-		v.env = &gsql.VecEnv{}
+	if vp != nil {
 		v.selCols = make([]*tuple.Column, len(vp.Select))
 		v.sel = make([]int32, 0, tuple.DefaultBatchRows)
 	}
-	o.vec = v
 	return v
 }
 
@@ -97,9 +75,6 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		return err
 	}
 	v := o.vec
-	if v == nil {
-		v = o.initVec()
-	}
 	tts := o.curTraces()
 	np, rows := o.prof, int64(n)
 	pt := np.Start()
@@ -110,6 +85,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	if kernels {
 		pt, kernels = o.evalKernels(b, v, pt)
 	}
+	f := o.front
 	stop, fillErr := n, error(nil)
 	var whereMask bool
 	var whereCall, cleanCall *gsql.VecCall
@@ -117,17 +93,20 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	if kernels {
 		whereMask, whereCall, cleanCall = v.vp.Where != nil, v.vp.WhereCall, v.vp.CleanWhenCall
 	} else {
-		stop, fillErr = o.fillGroupBy(b, v)
+		var item string
+		if stop, item, fillErr = f.Closures(b); fillErr != nil {
+			fillErr = fmt.Errorf("operator: group-by %s: %w", item, fillErr)
+		}
 		clear(v.aggCols)
 		clear(v.superCols)
-		o.armWindow(v)
 	}
+	gb := f.Cols()
 	hook := o.sfunHook(tts)
 
 	// The walk, in row order. (An error ends the node's run, and leaves the
 	// batch's walk uncharged.)
 	nested, accepted := o.nestedNS, o.stats.TuplesAccepted
-	if !o.windowOpen {
+	if !f.WindowOpen() {
 		v.curSG = nil
 	}
 	allSG := len(o.plan.SupergroupIdx) == 0
@@ -135,41 +114,13 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		o.stats.TuplesIn++
 
 		// Window boundary against the ordered group-by columns.
-		if o.windowOpen {
-			changed := false
-			if v.ordFast {
-				for i := range v.ordBits {
-					if v.ordBits[i][row] != v.winBits[i] {
-						changed = true
-						break
-					}
-				}
-			} else {
-				for i, idx := range o.plan.OrderedIdx {
-					if !v.gb[idx].EqualValue(row, o.windowVals[i]) {
-						changed = true
-						break
-					}
-				}
+		if f.Closes(row) {
+			if err := o.flushWindow(); err != nil {
+				return err
 			}
-			if changed {
-				if err := o.flushWindow(); err != nil {
-					return err
-				}
-				v.curSG = nil
-			}
+			v.curSG = nil
 		}
-		if !o.windowOpen {
-			o.windowOpen = true
-			o.windowVals = o.windowVals[:0]
-			for _, idx := range o.plan.OrderedIdx {
-				o.windowVals = append(o.windowVals, v.gb[idx].Value(row))
-			}
-			if v.ordFast {
-				for i, wv := range o.windowVals {
-					v.winBits[i] = wv.Bits()
-				}
-			}
+		if f.OpenAt(row) {
 			o.stampWindow()
 		}
 
@@ -179,7 +130,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		if sg == nil {
 			o.sgVals = o.sgVals[:0]
 			for _, idx := range o.plan.SupergroupIdx {
-				o.sgVals = append(o.sgVals, v.gb[idx].Value(row))
+				o.sgVals = append(o.sgVals, gb[idx].Value(row))
 			}
 			sg = o.supergroupFor(o.sgVals)
 			if allSG {
@@ -188,7 +139,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		}
 		if rowCtx { // the context of the closures this row runs
 			v.rowT = b.Row(row, v.rowT)
-			for i, c := range v.gb {
+			for i, c := range gb {
 				o.gbVals[i] = c.Value(row)
 			}
 			o.ctx = gsql.Ctx{Tuple: v.rowT, GroupVals: o.gbVals, States: sg.states, Supers: sg.supers, Trace: hook}
@@ -242,12 +193,12 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 
 		// Group lookup straight off the columns; key values materialize
 		// only on a miss (group creation).
-		h := tuple.HashRow(v.gb, row)
-		g := o.groups.lookupCols(h, v.gb, row)
+		h := tuple.HashRow(gb, row)
+		g := o.groups.lookupCols(h, gb, row)
 		created := g == nil
 		if created {
-			for i := range v.gb {
-				o.gbVals[i] = v.gb[i].Value(row)
+			for i, c := range gb {
+				o.gbVals[i] = c.Value(row)
 			}
 			g = o.createGroup(sg, h)
 			for i := range sg.supers {
@@ -320,18 +271,11 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 // operator state, so a batch whose kernel errs can still run in closure
 // mode.
 func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bool) {
-	vp, env := v.vp, v.env
-	np, rows := o.prof, int64(b.Len())
-	env.Reset(b)
-	for i, e := range vp.GroupBy {
-		col, err := e.EvalCol(env)
-		if err != nil {
-			return pt, false
-		}
-		v.gb[i] = col
+	if !o.front.Kernels(b) {
+		return pt, false
 	}
-	env.SetGroupCols(v.gb)
-	o.armWindow(v)
+	vp, env := v.vp, o.front.Env()
+	np, rows := o.prof, int64(b.Len())
 	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
 
 	if vp.Where != nil {
@@ -377,50 +321,6 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 	return np.Charge(profile.StageKernelArgs, pt, rows, rows), true
 }
 
-// fillGroupBy is closure mode's GROUP BY: the plan's closures evaluate row
-// by row into the operator's own group-by columns. It returns the number of
-// rows filled and, when that is short of the batch, the error of the row
-// after them.
-func (o *Operator) fillGroupBy(b *tuple.Batch, v *vecState) (int, error) {
-	for i, c := range v.fill {
-		c.Reset()
-		v.gb[i] = c
-	}
-	for row := 0; row < b.Len(); row++ {
-		v.rowT = b.Row(row, v.rowT)
-		o.ctx = gsql.Ctx{Tuple: v.rowT}
-		for i, gb := range o.plan.GroupBy {
-			val, err := gb(&o.ctx)
-			if err != nil {
-				return row, fmt.Errorf("operator: group-by %s: %w", o.plan.GroupNames[i], err)
-			}
-			v.fill[i].AppendValue(val)
-		}
-	}
-	return b.Len(), nil
-}
-
-// armWindow arms the ordered-window fast path for the batch: when every
-// ordered group-by column is kind-uniform with raw-word equality (and
-// agrees in kind with the already-open window, if any), the per-row
-// boundary check reduces to comparing payload words.
-func (o *Operator) armWindow(v *vecState) {
-	v.ordFast = len(o.plan.OrderedIdx) > 0
-	for i, idx := range o.plan.OrderedIdx {
-		k, ok := v.gb[idx].Uniform()
-		if !ok || !tuple.RawEqKind(k) || (o.windowOpen && o.windowVals[i].Kind() != k) {
-			v.ordFast = false
-			return
-		}
-		v.ordBits[i] = v.gb[idx].Bits()
-	}
-	if v.ordFast && o.windowOpen {
-		for i, wv := range o.windowVals {
-			v.winBits[i] = wv.Bits()
-		}
-	}
-}
-
 // selectBatch is ProcessBatch for a selection plan: WHERE, then the SELECT
 // list over the rows it kept. With kernel columns a stateless WHERE is a
 // mask and a semi-stateful one calls once per row in row order (an error
@@ -438,7 +338,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 	in, verdicts := n, false
 	var whereErr error
 	if kernels {
-		vp, env := v.vp, v.env
+		vp, env := v.vp, o.front.Env()
 		env.Reset(b)
 		switch {
 		case vp.Where != nil:
@@ -536,10 +436,10 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 // restrict, and reports whether all succeeded.
 func (o *Operator) selectKernels(v *vecState, restrict bool) bool {
 	if restrict {
-		v.env.Restrict(v.sel)
+		o.front.Env().Restrict(v.sel)
 	}
 	for i, e := range v.vp.Select {
-		col, err := e.EvalCol(v.env)
+		col, err := e.EvalCol(o.front.Env())
 		if err != nil {
 			return false
 		}

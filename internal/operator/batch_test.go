@@ -268,9 +268,7 @@ CLEANING BY HX <= Kth_smallest_value$(HX, 16)`},
 	rows := pktRows(equivPackets(5000, 35, 5, 42))
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			// No snapshot comparison: Snapshot writes the old supergroup
-			// table in map order, so several supergroups encode in any order.
-			checkWalk(t, q.src, trace.Schema(), seeded(9), rows, true, false, false)
+			checkWalk(t, q.src, trace.Schema(), seeded(9), rows, true, false, true)
 		})
 	}
 }

@@ -29,8 +29,7 @@ func (o *Operator) Snapshot(e *checkpoint.Encoder) error {
 	encodeStats(e, o.stats)
 	e.I64(o.windowIdx)
 	encodeStats(e, o.winBase)
-	e.Bool(o.windowOpen)
-	e.Values(o.windowVals)
+	o.front.SnapshotWindow(e)
 
 	// Registry-level shared context (per-state-type instance counters).
 	e.Len(len(o.plan.States))
@@ -79,20 +78,15 @@ func (o *Operator) Snapshot(e *checkpoint.Encoder) error {
 		}
 	}
 
-	// Old supergroup table: keys and states only — rotation dropped the
-	// groups, and handoff reads nothing else.
-	total := 0
-	for _, chain := range o.sgOld {
-		total += len(chain)
-	}
-	e.Len(total)
-	for _, chain := range o.sgOld {
-		for _, sg := range chain {
-			e.Values(sg.key.Values())
-			for i, st := range sg.states {
-				if err := o.encodeState(e, i, st); err != nil {
-					return err
-				}
+	// Old supergroup table in the previous window's insertion order: keys
+	// and states only — rotation dropped the groups, and handoff reads
+	// nothing else.
+	e.Len(len(o.sgOldList))
+	for _, sg := range o.sgOldList {
+		e.Values(sg.key.Values())
+		for i, st := range sg.states {
+			if err := o.encodeState(e, i, st); err != nil {
+				return err
 			}
 		}
 	}
@@ -133,8 +127,7 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 	o.stats = decodeStats(d)
 	o.windowIdx = d.I64()
 	o.winBase = decodeStats(d)
-	o.windowOpen = d.Bool()
-	o.windowVals = d.Values()
+	o.front.RestoreWindow(d)
 
 	if n := d.Len(); d.Err() == nil && n != len(o.plan.States) {
 		return fmt.Errorf("operator: snapshot has %d state types, plan has %d", n, len(o.plan.States))
@@ -179,10 +172,8 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 	o.arena, o.next, o.evicted = nil, 0, nil
 	o.sgNew = make(map[uint64][]*supergroup)
 	o.sgOld = make(map[uint64][]*supergroup)
-	o.sgList = o.sgList[:0]
-	if o.vec != nil {
-		o.vec.curSG = nil // restored supergroups invalidate the batch cache
-	}
+	o.sgList, o.sgOldList = o.sgList[:0], o.sgOldList[:0]
+	o.vec.curSG = nil // restored supergroups invalidate the batch cache
 
 	nSG := d.Len()
 	for i := 0; i < nSG && d.Err() == nil; i++ {
@@ -200,6 +191,7 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 			return err
 		}
 		o.sgOld[sg.key.Hash()] = append(o.sgOld[sg.key.Hash()], sg)
+		o.sgOldList = append(o.sgOldList, sg)
 	}
 	if d.Err() != nil {
 		return d.Err()

@@ -97,22 +97,22 @@ type Operator struct {
 	arena   []*group
 	next    int
 	evicted []*group
-	// New and old supergroup tables, plus insertion order for
-	// deterministic flushing.
-	sgNew  map[uint64][]*supergroup
-	sgOld  map[uint64][]*supergroup
-	sgList []*supergroup
+	// New and old supergroup tables, each with its insertion order for
+	// deterministic flushing and snapshots.
+	sgNew     map[uint64][]*supergroup
+	sgOld     map[uint64][]*supergroup
+	sgList    []*supergroup
+	sgOldList []*supergroup
 
-	// Batch execution state (see batch.go), built lazily on the first
-	// ProcessBatch, and the one-row batch Process offers its tuple in.
-	vec *vecState
-	one *tuple.Batch
+	// GROUP BY and the open window (see gsql.GroupFront), the rest of the
+	// batch execution state (see batch.go), and the one-row batch Process
+	// offers its tuple in.
+	front *gsql.GroupFront
+	vec   *vecState
+	one   *tuple.Batch
 
 	// Selection mode: a single global state vector, no grouping.
 	selStates []any
-
-	windowOpen bool
-	windowVals []value.Value // ordered group-by values of the open window
 
 	ctx     gsql.Ctx
 	gbVals  []value.Value // scratch: group-by values of the current tuple
@@ -165,6 +165,7 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 	}
 	o := &Operator{
 		plan:    plan,
+		front:   gsql.NewGroupFront(plan),
 		out:     make([]*tuple.Column, len(plan.SelectExprs)),
 		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
 		sgNew:   make(map[uint64][]*supergroup),
@@ -172,6 +173,7 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 		gbVals:  make([]value.Value, len(plan.GroupBy)),
 		argVals: make([]value.Value, len(plan.Supers)),
 	}
+	o.vec = newVecState(plan, o.front.Vec())
 	for i := range o.out {
 		o.out[i] = new(tuple.Column)
 	}
@@ -393,7 +395,7 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	// calls it makes through the closure tree's hook), skip the scalar
 	// closure tree (same calls, same state mutations, same results).
 	var fast *gsql.GroupCall
-	if o.tr.Current() == nil && o.vec != nil && o.vec.vp != nil {
+	if o.tr.Current() == nil && o.vec.vp != nil {
 		fast = o.vec.vp.CleanByCall
 	}
 	kept := sg.groups[:0]
@@ -482,9 +484,9 @@ func (o *Operator) flushWindow() error {
 	for _, sg := range o.sgList {
 		sg.groups = nil // drop group references; states survive in sgOld
 	}
-	o.sgList = o.sgList[:0]
+	o.sgOldList, o.sgList = o.sgList, o.sgOldList[:0]
 	o.next, o.evicted = 0, o.evicted[:0] // evicted groups are arena entries too
-	o.windowOpen = false
+	o.front.CloseWindow()
 	if np != nil || o.om != nil {
 		end := profile.Now()
 		if np != nil {
@@ -616,7 +618,7 @@ func (o *Operator) drain(err error) error {
 
 // Flush closes the current window at end of stream, emitting its sample.
 func (o *Operator) Flush() error {
-	if o.plan.IsSelection || !o.windowOpen {
+	if o.plan.IsSelection || !o.front.WindowOpen() {
 		return nil
 	}
 	return o.flushWindow()

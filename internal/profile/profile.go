@@ -22,8 +22,8 @@
 // in closure mode (a plan that does not vectorize, a kernel evaluation
 // error, a current trace) has no kernel phase: its GROUP BY closures and
 // walk are charged to walk whole. The per-packet entry points
-// (Operator.Process, core.Query.ProcessPacket/ProcessTuple/Rows) offer
-// batches of one and are clocked like any other batch.
+// (Operator.Process, core.Query.ProcessPacket/ProcessTuple) offer batches
+// of one and are clocked like any other batch.
 //
 // Concurrency: every accumulator is atomic and owned by the node's
 // processing goroutine for writing, so /debug/profile can render a Report
