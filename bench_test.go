@@ -552,11 +552,11 @@ func (f *sliceFeed) Next() (trace.Packet, bool) {
 // with tracing compiled in. Same min-vs-min damping as the telemetry
 // guard. Metric: min-vs-min overhead in percent.
 //
-// The budget was 10% against the pre-batch scalar baseline. The traced
-// run now processes untraced segments columnar (engine.processLowBatch
-// splits each batch at its 1-in-N matches), so the variant pays only the
-// segment split, the per-batch match lookup and one scalar packet per
-// match — measured ~9% of the much faster columnar base. 15% absorbs
+// The budget was 10% against the pre-batch scalar baseline. A traced
+// batch is one ProcessBatch like any other: its 1-in-N traced packets ride
+// it by row position and run the batch's kernels and walk, so the variant
+// pays the per-batch match lookup, the walk's comparison with the next
+// traced row, and the spans each traced packet records. 15% absorbs
 // runner jitter on that ratio; a return to whole-batch scalar fallback
 // (the failure this guard exists to catch) measures ~80% and still trips
 // it by a wide margin.

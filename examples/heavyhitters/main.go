@@ -38,15 +38,19 @@ CLEANING BY count(*) >= current_bucket() - first(current_bucket())`,
 	}
 	exact := map[uint64]int64{}
 	var packets int64
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
+	pkts := make([]streamop.Packet, 0, 512)
+	for more := true; more; {
+		var p streamop.Packet
+		if p, more = feed.Next(); more {
+			exact[uint64(p.SrcIP)]++
+			packets++
+			pkts = append(pkts, p)
 		}
-		exact[uint64(p.SrcIP)]++
-		packets++
-		if err := q.ProcessPacket(p); err != nil {
-			log.Fatal(err)
+		if len(pkts) == cap(pkts) || !more {
+			if err := q.ProcessPackets(pkts); err != nil {
+				log.Fatal(err)
+			}
+			pkts = pkts[:0]
 		}
 	}
 	if err := q.Flush(); err != nil {

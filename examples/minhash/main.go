@@ -38,30 +38,34 @@ CLEANING BY HX <= Kth_smallest_value$(HX, 100)`, streamop.Options{Seed: 5})
 		log.Fatal(err)
 	}
 	exactDests := map[uint32]map[uint32]bool{}
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
+	pkts := make([]streamop.Packet, 0, 512)
+	for more := true; more; {
+		var p streamop.Packet
+		if p, more = feed.Next(); more {
+			// Relabel sources to three hosts and carve destination ranges:
+			// A uses dests 0-999, B uses 300-1299 (70% overlap), C 5000-5999.
+			switch p.SrcIP % 3 {
+			case 0:
+				p.SrcIP = 0x0a0000aa
+				p.DstIP = p.DstIP % 1000
+			case 1:
+				p.SrcIP = 0x0a0000bb
+				p.DstIP = 300 + p.DstIP%1000
+			default:
+				p.SrcIP = 0x0a0000cc
+				p.DstIP = 5000 + p.DstIP%1000
+			}
+			if exactDests[p.SrcIP] == nil {
+				exactDests[p.SrcIP] = map[uint32]bool{}
+			}
+			exactDests[p.SrcIP][p.DstIP] = true
+			pkts = append(pkts, p)
 		}
-		// Relabel sources to three hosts and carve destination ranges:
-		// A uses dests 0-999, B uses 300-1299 (70% overlap), C 5000-5999.
-		switch p.SrcIP % 3 {
-		case 0:
-			p.SrcIP = 0x0a0000aa
-			p.DstIP = p.DstIP % 1000
-		case 1:
-			p.SrcIP = 0x0a0000bb
-			p.DstIP = 300 + p.DstIP%1000
-		default:
-			p.SrcIP = 0x0a0000cc
-			p.DstIP = 5000 + p.DstIP%1000
-		}
-		if exactDests[p.SrcIP] == nil {
-			exactDests[p.SrcIP] = map[uint32]bool{}
-		}
-		exactDests[p.SrcIP][p.DstIP] = true
-		if err := q.ProcessPacket(p); err != nil {
-			log.Fatal(err)
+		if len(pkts) == cap(pkts) || !more {
+			if err := q.ProcessPackets(pkts); err != nil {
+				log.Fatal(err)
+			}
+			pkts = pkts[:0]
 		}
 	}
 	if err := q.Flush(); err != nil {

@@ -38,15 +38,19 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`, window), streamop.Options{Seed: 7})
 
 	exact := map[uint64]float64{}
 	var total float64
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
+	pkts := make([]streamop.Packet, 0, 512)
+	for more := true; more; {
+		var p streamop.Packet
+		if p, more = feed.Next(); more {
+			exact[uint64(p.SrcIP)] += float64(p.Len)
+			total += float64(p.Len)
+			pkts = append(pkts, p)
 		}
-		exact[uint64(p.SrcIP)] += float64(p.Len)
-		total += float64(p.Len)
-		if err := q.ProcessPacket(p); err != nil {
-			log.Fatal(err)
+		if len(pkts) == cap(pkts) || !more {
+			if err := q.ProcessPackets(pkts); err != nil {
+				log.Fatal(err)
+			}
+			pkts = pkts[:0]
 		}
 	}
 	if err := q.Flush(); err != nil {

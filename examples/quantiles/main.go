@@ -42,14 +42,18 @@ HAVING count(*) >= 20000`, streamop.Options{Registry: reg})
 
 	// Keep exact per-source lengths for the top source, to validate.
 	exact := map[uint32][]int{}
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
+	pkts := make([]streamop.Packet, 0, 512)
+	for more := true; more; {
+		var p streamop.Packet
+		if p, more = feed.Next(); more {
+			exact[p.SrcIP] = append(exact[p.SrcIP], int(p.Len))
+			pkts = append(pkts, p)
 		}
-		exact[p.SrcIP] = append(exact[p.SrcIP], int(p.Len))
-		if err := q.ProcessPacket(p); err != nil {
-			log.Fatal(err)
+		if len(pkts) == cap(pkts) || !more {
+			if err := q.ProcessPackets(pkts); err != nil {
+				log.Fatal(err)
+			}
+			pkts = pkts[:0]
 		}
 	}
 	if err := q.Flush(); err != nil {

@@ -9,10 +9,8 @@
 // the walks themselves stay apart (see partial.go). The way out is columns
 // too, for every kind of node under every run mode: what a node outputs
 // reaches the edges to the nodes reading it through Node.emitCols
-// (engine.go). A traced node's batch runs as columnar segments between the
-// traced rows, each of those a batch of one in and a batch of one out
-// (processLowBatch, Node.processInput, Operator.output); a profiled node's
-// runs as any other.
+// (engine.go). A traced node's batch runs as any other, its traces riding
+// it by row position (tracing.go), and so does a profiled node's.
 package engine
 
 import (
@@ -35,12 +33,10 @@ func (n *Node) input() *tuple.Batch {
 	return n.inBatch
 }
 
-// processLowColumnar feeds one segment of a popped batch (see
-// processLowBatch) through a low-level node as a columnar tuple batch.
-func (e *Engine) processLowColumnar(low *Node, pkts []trace.Packet) error {
-	if len(pkts) == 0 {
-		return nil
-	}
+// processLowBatch feeds one popped batch through a low-level node as a
+// columnar tuple batch: the serial loop's and every RunParallel worker's
+// step over packets, one ProcessBatch whatever the tracer holds.
+func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet) error {
 	start := time.Now()
 	b := low.input()
 	b.Reset()

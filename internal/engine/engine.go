@@ -111,11 +111,9 @@ type Node struct {
 	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
 	// trPend lists the traced rows of inBatch by position, so traces ride on
-	// that instead of tuple metadata. trSeg is processInput's scratch: the
-	// view of one untraced segment, or one traced row, of inBatch.
+	// that instead of tuple metadata.
 	tr     *tracing.Tracer
-	trPend []nodeTrace
-	trSeg  tuple.Batch
+	trPend []tracing.RowTraces
 }
 
 // Schema returns the node's output stream schema.
@@ -229,24 +227,27 @@ func (n *Node) handOff() {
 // charged to this node: Gigascope pays a per-tuple copy to move data from a
 // low-level query into a high-level query's buffer, and that cost,
 // proportional to the tuples forwarded, is what the paper's Figure 6
-// low-level numbers measure. A row that carries traces arrives alone, the
-// traces staged by Operator.output, and they follow it from here.
+// low-level numbers measure. The traces riding on the run's rows come
+// staged by position in it (Tracer.Stage), and they follow their rows from
+// here.
 func (n *Node) emitCols(cols []*tuple.Column) error {
 	n.out += int64(cols[0].Len())
-	tts := n.tr.TakeEmitting()
+	rts := n.tr.TakeStaged()
 	for si, sub := range n.subs {
 		// A traced row follows its first subscriber only, keyed by its
 		// position in the subscriber's input batch.
-		if si == 0 && len(tts) > 0 {
-			sub.enqueueTrace(n.name, tts)
+		if si == 0 && len(rts) > 0 {
+			sub.enqueueTraces(n.name, n.outs[0].Len(), rts)
 		}
 		n.outs[si].AppendCols(cols)
 	}
 	if len(n.subs) == 0 {
 		// Application boundary: the traced tuple's group reached the DAG's
 		// edge — the one successful terminal disposition.
-		for _, tt := range tts {
-			tt.Finish("emitted")
+		for _, rt := range rts {
+			for _, tt := range rt.TTs {
+				tt.Finish("emitted")
+			}
 		}
 	}
 	return n.callApps(cols)
@@ -503,17 +504,17 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 			}
 			// Traced packets follow the first low-level node with trace
 			// sites through the DAG (one terminal disposition per trace).
-			var matches []tracing.SourceMatch
+			var rts []tracing.RowTraces
 			if e.tr != nil {
-				matches = e.tr.TakeSource(base, n)
+				rts = e.tr.TakeSource(base, n)
 			}
 			for _, low := range e.low {
-				var follow []tracing.SourceMatch
+				var follow []tracing.RowTraces
 				if low.tr != nil {
-					follow, matches = matches, nil
+					follow, rts = rts, nil
 				}
-				if err := e.guardNode(low, func() error {
-					return e.processLowBatch(low, pkts[:n], follow)
+				if err := e.guardNode(low, follow, func() error {
+					return e.processLowBatch(low, pkts[:n])
 				}); err != nil {
 					return err
 				}
@@ -606,7 +607,7 @@ func (e *Engine) offerSource(pkts []trace.Packet) {
 // flushNode closes the node's open window at end of stream, charging the
 // node. A failed node is skipped (guardNode).
 func (e *Engine) flushNode(n *Node) error {
-	return e.guardNode(n, func() error {
+	return e.guardNode(n, nil, func() error {
 		start := time.Now()
 		err := n.step.Flush()
 		n.busy += time.Since(start)
@@ -630,25 +631,23 @@ func (e *Engine) drainHigh() error {
 }
 
 // stepHigh is one step of a high-level node, on every path: the whole
-// input batch goes to the operator's ProcessBatch, the same kernels and
-// row-order walk a low-level node runs over packets, and the batch is
-// empty afterwards. A failed node's input is discarded so its parent keeps
-// emitting without unbounded buildup.
+// input batch, traced rows and all, goes to the operator's ProcessBatch,
+// the same kernels and row-order walk a low-level node runs over packets,
+// and the batch is empty afterwards. A failed node's input is discarded
+// (guardNode skips the step) so its parent keeps emitting without
+// unbounded buildup.
 func (e *Engine) stepHigh(h *Node) error {
 	depth := h.inBatch.Len()
 	if depth == 0 {
 		return nil
 	}
-	if h.failed {
-		h.resetInput()
-		return nil
-	}
-	if h.nm != nil {
+	if h.nm != nil && !h.failed {
 		h.nm.queue.Set(float64(depth))
 	}
-	err := e.guardNode(h, func() error {
+	err := e.guardNode(h, h.trPend, func() error {
 		start := time.Now()
-		err := h.processInput()
+		h.tuplesIn += int64(depth)
+		err := h.step.ProcessBatch(h.inBatch)
 		h.busy += time.Since(start)
 		if err != nil {
 			return fmt.Errorf("engine: node %q: %w", h.name, err)
@@ -658,57 +657,9 @@ func (e *Engine) stepHigh(h *Node) error {
 		h.syncTelemetry(depth)
 		return nil
 	})
-	h.resetInput()
-	return err
-}
-
-// resetInput empties the node's input batch. Whatever the operator did not
-// take goes with it (the node failed or errored), and with those rows the
-// traces that rode on them: they end as node_failed.
-func (h *Node) resetInput() {
 	h.inBatch.Reset()
-	for _, m := range h.trPend {
-		for _, tt := range m.tts {
-			tt.Finish("node_failed")
-		}
-	}
 	h.trPend = h.trPend[:0]
-}
-
-// processInput feeds the node's input batch to its operator. Untraced, it
-// is one ProcessBatch. With a tracer attached the batch splits into
-// columnar segments around the positions of traced rows, and each traced
-// row goes in as a batch of one with its traces current — the way
-// processLowBatch treats traced packets — so a trace sees the operator
-// state its position implies.
-func (h *Node) processInput() error {
-	in := h.inBatch
-	n := in.Len()
-	h.tuplesIn += int64(n)
-	if h.tr == nil {
-		return h.step.ProcessBatch(in)
-	}
-	for i := 0; i < n; {
-		end := n
-		if len(h.trPend) > 0 {
-			end = h.trPend[0].idx
-		}
-		if i < end {
-			if err := h.step.ProcessBatch(in.Slice(i, end, &h.trSeg)); err != nil {
-				return err
-			}
-			i = end
-			continue
-		}
-		h.tr.SetCurrent(h.takeRowTraces())
-		err := h.step.ProcessBatch(in.Slice(i, i+1, &h.trSeg))
-		h.tr.ClearCurrent()
-		if err != nil {
-			return err
-		}
-		i++
-	}
-	return nil
+	return err
 }
 
 // StreamDuration returns the simulated duration of the stream the pump has

@@ -36,7 +36,7 @@ func (h *QueryHandle) Node() *Node { return h.node }
 // and the ring around it.
 func (e *Engine) HopBatch(pkts []trace.Packet) error {
 	low := e.low[0]
-	if err := e.processLowBatch(low, pkts, nil); err != nil {
+	if err := e.processLowBatch(low, pkts); err != nil {
 		return err
 	}
 	return e.drainHigh()

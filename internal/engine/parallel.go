@@ -383,8 +383,8 @@ func (e *Engine) runLow(w lowWorker, paced bool, producerDone <-chan struct{}, r
 		if d := e.consumerDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		settle(e.guardNode(low, func() error {
-			return e.processLowBatch(low, batch[:n], nil)
+		settle(e.guardNode(low, nil, func() error {
+			return e.processLowBatch(low, batch[:n])
 		}))
 		low.consumed.Add(uint64(n))
 		low.syncRing(ring)

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"runtime/debug"
+
+	"streamop/internal/tracing"
 )
 
 // Per-query panic containment.
@@ -42,21 +44,23 @@ func (e *Engine) Failures() []NodeFailure {
 	return append([]NodeFailure(nil), e.failures...)
 }
 
-// guardNode runs fn for node n, converting a panic into a contained node
-// failure (nil error). A failed node is skipped outright. Errors pass
-// through untouched.
-func (e *Engine) guardNode(n *Node, fn func() error) (err error) {
+// guardNode runs fn — one step of node n — converting a panic into a
+// contained node failure (nil error). A failed node is skipped outright.
+// Errors pass through untouched. rts are the traces riding on the rows of
+// the batch fn hands the step, current for its walk to take; every trace
+// the step leaves behind — not taken, or staged on an output row no sink
+// claimed — ends as node_failed.
+func (e *Engine) guardNode(n *Node, rts []tracing.RowTraces, fn func() error) (err error) {
+	if n.tr != nil {
+		n.tr.SetCurrent(rts)
+		defer n.tr.FinishCurrent("node_failed")
+	}
 	if n.failed {
 		return nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			e.failNode(n, r, debug.Stack())
-			if n.tr != nil {
-				// The panic may have fired between SetCurrent and
-				// ClearCurrent; don't leave a stale trace context behind.
-				n.tr.ClearCurrent()
-			}
 		}
 	}()
 	return fn()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"streamop/internal/engine"
+	"streamop/internal/gsql"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 	"streamop/internal/tracing"
@@ -167,6 +168,71 @@ func TestTracingEstimatePlanEmitsEveryTrace(t *testing.T) {
 	}
 	if got := sum.Dispositions["emitted"]; got != sum.Started || len(sum.Dispositions) != 1 {
 		t.Errorf("dispositions %v, want all %d traces emitted", sum.Dispositions, sum.Started)
+	}
+}
+
+// A traced low-level node that panics mid-batch fails, and guardNode skips
+// it from then on; the traces of the rows it never walked — after the
+// panicking row, and in every later batch — still end, as node_failed,
+// with exactly one disposition each.
+func TestTracingFailedLowNodeFinishesEveryTrace(t *testing.T) {
+	pkts := hopPackets(t)
+	const limit = 1_500_000_000
+	e, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gsql.Parse(`SELECT uts, srcIP, len FROM PKT WHERE boom(uts) = TRUE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := gsql.Analyze(q, trace.Schema(), boomRegistry(t, limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := e.AddLowLevel("doomed", plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed.Subscribe(func(tuple.Tuple) error { return nil })
+	tr := tracing.New(tracing.Config{Every: 7, Seed: 2, MaxSpans: 1 << 20})
+	if err := e.SetTracer(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(sliceFeed(pkts)); err != nil {
+		t.Fatalf("run died with the query: %v", err)
+	}
+	if f := e.Failures(); len(f) != 1 || f[0].Node != "doomed" {
+		t.Fatalf("failures = %+v, want the doomed node's panic", f)
+	}
+	sum := tr.Summary()
+	if sum.Started < int64(len(pkts)/14) || sum.Finished != sum.Started {
+		t.Fatalf("%d traces started, %d finished, over %d packets", sum.Started, sum.Finished, len(pkts))
+	}
+	if sum.Dispositions["emitted"] == 0 || sum.Dispositions["node_failed"] < sum.Started/4 {
+		t.Errorf("dispositions %v: want traces emitted before the panic and node_failed after it", sum.Dispositions)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []tracing.Event
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	disps := map[int64]int{}
+	for _, ev := range events {
+		if ev.Name == "disposition" {
+			disps[ev.TID]++
+		}
+	}
+	for tid, n := range disps {
+		if n != 1 {
+			t.Errorf("trace %d has %d dispositions", tid, n)
+		}
+	}
+	if int64(len(disps)) != sum.Started {
+		t.Errorf("%d traces carry a disposition, %d started", len(disps), sum.Started)
 	}
 }
 

@@ -639,6 +639,9 @@ func (b *binder) compileAgg(e *Call, ctx exprCtx) (Compiled, error) {
 				return nil, fmt.Errorf("gsql: %s(*) is not supported; only count(*)", e.Name)
 			}
 		} else {
+			if err := b.refuseString(e, def.Name, e.Args[0]); err != nil {
+				return nil, err
+			}
 			arg, err := b.compile(e.Args[0], aggArgCtx(ctx.clause))
 			if err != nil {
 				return nil, err
@@ -655,6 +658,36 @@ func (b *binder) compileAgg(e *Call, ctx exprCtx) (Compiled, error) {
 	b.plan.Aggs = append(b.plan.Aggs, def)
 	b.aggIdx[key] = idx
 	return aggRef(idx), nil
+}
+
+// refuseString refuses a call e to aggregate name (lower case) that adds
+// its argument up when the argument arg is statically a String: a string
+// literal, or a name that binds — group-by variable first, as compile
+// binds it — to a String field of the schema.
+func (b *binder) refuseString(e *Call, name string, arg Expr) error {
+	switch name {
+	case "sum", "avg", "var", "stddev", "sum$":
+	default:
+		return nil
+	}
+	str := false
+	switch a := arg.(type) {
+	case *Lit:
+		str = a.Val.Kind() == value.String
+	case *Ident:
+		if i, ok := b.groupVarIndex(a.Name); ok {
+			// A group-by item binds in the stream's scope alone.
+			if a, ok = b.plan.Query.GroupBy[i].Expr.(*Ident); !ok {
+				return nil
+			}
+		}
+		i, ok := b.plan.Schema.Lookup(a.Name)
+		str = ok && b.plan.Schema.Field(i).Kind == value.String
+	}
+	if str {
+		return fmt.Errorf("gsql: %s: %s needs a number, and its argument %s is a String", e, e.Name, arg)
+	}
+	return nil
 }
 
 func aggRef(idx int) Compiled {
@@ -689,6 +722,9 @@ func (b *binder) compileSuper(e *Call, ctx exprCtx) (Compiled, error) {
 		rest = e.Args[1:]
 	}
 	if _, isStar := first.(*Star); !isStar {
+		if err := b.refuseString(e, spec.Name, first); err != nil {
+			return nil, err
+		}
 		arg, err := b.compile(first, aggArgCtx(ctx.clause))
 		if err != nil {
 			return nil, err

@@ -203,6 +203,50 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// The aggregates that add their argument up refuse a String at analysis
+// time (sum over a String used to reach agg and panic there); the ones
+// that compare or count accept it.
+func TestAnalyzeRefusesStringSums(t *testing.T) {
+	schema := tuple.MustSchema("LOG",
+		tuple.Field{Name: "time", Kind: value.Uint, Ordering: tuple.Increasing},
+		tuple.Field{Name: "host", Kind: value.String},
+		tuple.Field{Name: "bytes", Kind: value.Int},
+	)
+	reg := testRegistry(t)
+	analyze := func(sel, groupBy string) error {
+		q, err := Parse("SELECT tb, " + sel + " FROM LOG GROUP BY time AS tb" + groupBy)
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		_, err = Analyze(q, schema, reg)
+		return err
+	}
+	for _, tc := range []struct{ sel, groupBy, agg, arg string }{
+		{"sum(host)", "", "sum", "host"},
+		{"avg(host)", "", "avg", "host"},
+		{"var(host)", "", "var", "host"},
+		{"stddev(host)", "", "stddev", "host"},
+		{"sum('x')", "", "sum", "'x'"},
+		{"sum$(host)", "", "sum$", "host"},
+		{"sum(h)", ", host AS h", "sum", "h"},
+		{"sum(host)", ", host", "sum", "host"},
+	} {
+		err := analyze(tc.sel, tc.groupBy)
+		if err == nil {
+			t.Errorf("Analyze accepted %s", tc.sel)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.agg+" needs a number") || !strings.Contains(err.Error(), "argument "+tc.arg+" is a String") {
+			t.Errorf("%s: error %q does not name the aggregate and the argument", tc.sel, err)
+		}
+	}
+	for _, sel := range []string{"count(host)", "min(host)", "max(host)", "first(host)", "sum(bytes)", "avg(bytes + 1)", "sum$(bytes)"} {
+		if err := analyze(sel, ""); err != nil {
+			t.Errorf("Analyze refused %s: %v", sel, err)
+		}
+	}
+}
+
 func TestCompiledExpressionEvaluation(t *testing.T) {
 	p := analyzeQuery(t, `
 SELECT tb, srcIP, sum(len), count(*)

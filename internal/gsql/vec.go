@@ -28,9 +28,11 @@ package gsql
 //   - Anything outside this subset makes Vectorize report ok=false and
 //     the operator runs the whole plan in closure mode.
 //
-// Provenance tracing hooks into the scalar closures (Ctx.Trace); the
-// operator runs a row whose trace is current in closure mode (the engine
-// sends it as a batch of one), so VecCall does not carry the trace hook.
+// Provenance tracing observes a stateful call the same way on both paths:
+// the closures report it to Ctx.Trace, and VecCall and GroupCall carry the
+// function and state names (sfunCall) for the operator to report the calls
+// it makes through them to the same hook. A traced row runs the kernels its
+// batch runs.
 
 import (
 	"math"
@@ -274,10 +276,7 @@ func (x *VecExpr) EvalTruth(env *VecEnv, m tuple.Bitmap) (tuple.Bitmap, error) {
 // row, in row order, against the supergroup's state — the same sequence
 // of state mutations as the scalar closure, minus the closure tree.
 type VecCall struct {
-	// StateIdx indexes Plan.States / the supergroup's state slice.
-	StateIdx int
-
-	call    func(state any, args []value.Value) (value.Value, error)
+	sfunCall
 	args    []vecFn // nil entries are superaggregate references
 	vals    []vecVal
 	scratch []value.Value
@@ -289,6 +288,17 @@ type VecCall struct {
 }
 
 type superArgRef struct{ arg, super int }
+
+// sfunCall is the stateful function a VecCall or GroupCall makes.
+type sfunCall struct {
+	// StateIdx indexes Plan.States / the supergroup's state slice.
+	StateIdx int
+	// Fn and State are the function's and its state family's names, as
+	// the closures report them to Ctx.Trace.
+	Fn, State string
+
+	call func(state any, args []value.Value) (value.Value, error)
+}
 
 // colArgRef is one column-backed call argument. For kind-uniform
 // non-String columns the per-row materialization skips the kind dispatch
@@ -355,10 +365,7 @@ func (vc *VecCall) CallRow(states []any, supers []agg.Super, row int) (value.Val
 // state mutations and results as the scalar closure tree, minus the
 // tree.
 type GroupCall struct {
-	// StateIdx indexes Plan.States / the supergroup's state slice.
-	StateIdx int
-
-	call    func(state any, args []value.Value) (value.Value, error)
+	sfunCall
 	argAggs []int // >= 0: argument i reads Plan.Aggs[idx]; -1: constant preloaded in scratch
 	scratch []value.Value
 }
@@ -521,7 +528,7 @@ func (v *vectorizer) selection() (*VecPlan, bool) {
 // (equivalent to Truth of the call result, since the call's Bool verdict
 // compares equal to TRUE exactly when it is true). It resolves the
 // function and its state slot.
-func (v *vectorizer) statefulCall(e Expr) (call *Call, fn func(any, []value.Value) (value.Value, error), stateIdx int, ok bool) {
+func (v *vectorizer) statefulCall(e Expr) (*Call, sfunCall, bool) {
 	if bin, ok := e.(*Binary); ok && bin.Op == "=" {
 		if lit, ok := bin.R.(*Lit); ok && lit.Val.Kind() == value.Bool && lit.Val.Truth() {
 			e = bin.L
@@ -531,26 +538,18 @@ func (v *vectorizer) statefulCall(e Expr) (call *Call, fn func(any, []value.Valu
 	}
 	call, isCall := e.(*Call)
 	if !isCall {
-		return nil, nil, 0, false
+		return nil, sfunCall{}, false
 	}
 	f, found := v.p.reg.Func(call.Name)
 	if !found || f.State == "" {
-		return nil, nil, 0, false
+		return nil, sfunCall{}, false
 	}
-	stateIdx = -1
 	for i, st := range v.p.States {
-		if st.Type == nil {
-			continue
-		}
-		if strings.EqualFold(st.Type.Name, f.State) {
-			stateIdx = i
-			break
+		if st.Type != nil && strings.EqualFold(st.Type.Name, f.State) {
+			return call, sfunCall{StateIdx: i, Fn: f.Name, State: f.State, call: f.Call}, true
 		}
 	}
-	if stateIdx < 0 {
-		return nil, nil, 0, false
-	}
-	return call, f.Call, stateIdx, true
+	return nil, sfunCall{}, false
 }
 
 // superIndexOf resolves e as a reference to a registered superaggregate
@@ -588,11 +587,11 @@ func (v *vectorizer) aggIndexOf(e Expr) (int, bool) {
 // stateless-vectorizable expressions — or, when ctx.supers allows,
 // superaggregate references read fresh at each per-row call.
 func (v *vectorizer) compileVecCall(e Expr, ctx vecCtx) (*VecCall, bool) {
-	call, fnCall, stateIdx, ok := v.statefulCall(e)
+	call, sc, ok := v.statefulCall(e)
 	if !ok {
 		return nil, false
 	}
-	vc := &VecCall{StateIdx: stateIdx, call: fnCall}
+	vc := &VecCall{sfunCall: sc}
 	for _, a := range call.Args {
 		if f, ok := v.compile(a, ctx); ok {
 			vc.args = append(vc.args, f)
@@ -615,11 +614,11 @@ func (v *vectorizer) compileVecCall(e Expr, ctx vecCtx) (*VecCall, bool) {
 // compileGroupCall compiles the CLEANING BY fast path: a stateful call
 // whose arguments are aggregate references or literal constants.
 func (v *vectorizer) compileGroupCall(e Expr) (*GroupCall, bool) {
-	call, fnCall, stateIdx, ok := v.statefulCall(e)
+	call, sc, ok := v.statefulCall(e)
 	if !ok {
 		return nil, false
 	}
-	gc := &GroupCall{StateIdx: stateIdx, call: fnCall}
+	gc := &GroupCall{sfunCall: sc}
 	gc.scratch = make([]value.Value, len(call.Args))
 	for i, a := range call.Args {
 		if lit, ok := a.(*Lit); ok {

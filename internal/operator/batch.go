@@ -51,17 +51,17 @@ func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 // order, every per-row clause reading its kernel column when the batch has
 // one and else the plan's scalar closure over the row context.
 //
-// The batch has kernel columns when the plan vectorizes and no trace is
-// current (the trace sites hook the closures; the engine sends a traced
-// row as a batch of one): the stateless clauses and the arguments of a
-// semi-stateful WHERE or CLEANING WHEN call evaluate over the whole batch
-// up front. That pass is mutation-free, so a kernel error sends the batch
-// to closure mode, which reproduces the error at its row after exactly the
-// preceding rows' mutations, and skips again what AND/OR short-circuit
-// skips. In closure mode the GROUP BY closures fill the group-by columns
-// row by row before the walk; GROUP BY is stateless and comes first, so if
-// row k errs the walk runs the rows before k and then returns the error,
-// row k counted in. Stateful functions are never evaluated eagerly, and
+// The batch has kernel columns when the plan vectorizes: the stateless
+// clauses and the arguments of a semi-stateful WHERE or CLEANING WHEN call
+// evaluate over the whole batch up front, for its traced rows as for the
+// rest (traces ride the batch by row position; see tracing.go). That pass
+// is mutation-free, so a kernel error sends the batch to closure mode,
+// which reproduces the error at its row after exactly the preceding rows'
+// mutations, and skips again what AND/OR short-circuit skips. In closure
+// mode the GROUP BY closures fill the group-by columns row by row before
+// the walk; GROUP BY is stateless and comes first, so if row k errs the
+// walk runs the rows before k and then returns the error, row k counted
+// in. Stateful functions are never evaluated eagerly, and
 // window boundaries are detected per row, so a batch straddling windows
 // flushes at the right row. An attached profile reads the clock between
 // the phases and selects nothing. A selection plan walks WHERE only: see
@@ -75,13 +75,12 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		return err
 	}
 	v := o.vec
-	tts := o.curTraces()
 	np, rows := o.prof, int64(n)
 	pt := np.Start()
-	kernels := v.vp != nil && tts == nil
 	if o.plan.IsSelection {
-		return o.selectBatch(b, v, kernels, tts, pt)
+		return o.selectBatch(b, v, pt)
 	}
+	kernels := v.vp != nil
 	if kernels {
 		pt, kernels = o.evalKernels(b, v, pt)
 	}
@@ -101,7 +100,6 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		clear(v.superCols)
 	}
 	gb := f.Cols()
-	hook := o.sfunHook(tts)
 
 	// The walk, in row order. (An error ends the node's run, and leaves the
 	// batch's walk uncharged.)
@@ -110,8 +108,17 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		v.curSG = nil
 	}
 	allSG := len(o.plan.SupergroupIdx) == 0
+	next := o.tr.NextRow()
 	for row := 0; row < stop; row++ {
 		o.stats.TuplesIn++
+
+		// The row's traces, taken before anything the row sets off.
+		var tts []*tracing.TupleTrace
+		var hook func(fn, state string, v value.Value, err error)
+		if row == next {
+			tts, next = o.tr.TakeRow(o.trName)
+			hook = o.sfunHook(tts)
+		}
 
 		// Window boundary against the ordered group-by columns.
 		if f.Closes(row) {
@@ -149,15 +156,22 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		// form's in-order mutating call, or the closure.
 		switch {
 		case whereMask:
-			if !v.mask.Get(row) {
+			pass := v.mask.Get(row)
+			o.traceWhere(tts, pass)
+			if !pass {
 				continue
 			}
 		case whereCall != nil:
 			wv, err := whereCall.CallRow(sg.states, sg.supers, row)
+			if hook != nil {
+				hook(whereCall.Fn, whereCall.State, wv, err)
+			}
 			if err != nil {
 				return fmt.Errorf("operator: WHERE: %w", err)
 			}
-			if !wv.Truth() {
+			pass := wv.Truth()
+			o.traceWhere(tts, pass)
+			if !pass {
 				continue
 			}
 		case o.plan.Where != nil:
@@ -166,9 +180,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				return fmt.Errorf("operator: WHERE: %w", err)
 			}
 			pass := wv.Truth()
-			for _, tt := range tts {
-				tt.Where(o.trName, pass)
-			}
+			o.traceWhere(tts, pass)
 			if !pass {
 				continue
 			}
@@ -245,6 +257,9 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			var err error
 			if cleanCall != nil {
 				cv, err = cleanCall.CallRow(sg.states, sg.supers, row)
+				if hook != nil {
+					hook(cleanCall.Fn, cleanCall.State, cv, err)
+				}
 			} else {
 				cv, err = o.plan.CleaningWhen(&o.ctx)
 			}
@@ -252,7 +267,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				return fmt.Errorf("operator: CLEANING WHEN: %w", err)
 			}
 			if cv.Truth() {
-				if err := o.cleanSupergroup(sg); err != nil {
+				if err := o.cleanSupergroup(sg, hook); err != nil {
 					return err
 				}
 			}
@@ -330,13 +345,18 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 // them. Without SELECT columns — closure mode, or SELECT kernels that
 // erred after WHERE's verdicts — each kept row's SELECT list evaluates
 // through output, after WHERE's closure if no kernel gave the verdict, and
-// the first error ends the batch at its row. The profile charges WHERE's
-// kernel, the calls and closures as the walk, SELECT's kernels as the
-// argument kernels, the hand-off to the sink as transfer.
-func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []*tracing.TupleTrace, pt int64) error {
+// the first error ends the batch at its row. A traced row's traces are
+// taken with its verdict, or with its closures. The profile charges
+// WHERE's kernel, the calls and closures as the walk, SELECT's kernels as
+// the argument kernels, the hand-off to the sink as transfer.
+func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 	n, np, rows := b.Len(), o.prof, int64(b.Len())
-	in, verdicts := n, false
+	in, verdicts, kernels := n, false, v.vp != nil
 	var whereErr error
+	next := o.tr.NextRow()
+	// kept holds the traces of the traced rows WHERE kept, by position
+	// among the kept rows: the position in the run the sink receives.
+	var kept []tracing.RowTraces
 	if kernels {
 		vp, env := v.vp, o.front.Env()
 		env.Reset(b)
@@ -350,6 +370,19 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 			}
 			v.sel = v.mask.AppendIndices(v.sel[:0])
 			verdicts = true
+			for k := 0; next >= 0; {
+				row := next
+				var tts []*tracing.TupleTrace
+				tts, next = o.tr.TakeRow(o.trName)
+				pass := v.mask.Get(row)
+				o.traceWhere(tts, pass)
+				if pass {
+					for int(v.sel[k]) < row {
+						k++
+					}
+					kept = append(kept, tracing.RowTraces{Row: k, TTs: tts})
+				}
+			}
 			pt = np.Charge(profile.StageKernelWhere, pt, rows, int64(len(v.sel)))
 		case vp.WhereCall != nil:
 			if err := vp.WhereCall.EvalArgs(env); err != nil {
@@ -359,12 +392,24 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 			pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
 			v.sel = v.sel[:0]
 			for row := 0; row < n; row++ {
+				var tts []*tracing.TupleTrace
+				if row == next {
+					tts, next = o.tr.TakeRow(o.trName)
+				}
 				wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
+				if tts != nil {
+					o.sfunHook(tts)(vp.WhereCall.Fn, vp.WhereCall.State, wv, err)
+				}
 				if err != nil {
 					whereErr, in = err, row+1
 					break
 				}
-				if wv.Truth() {
+				pass := wv.Truth()
+				o.traceWhere(tts, pass)
+				if pass {
+					if tts != nil {
+						kept = append(kept, tracing.RowTraces{Row: len(v.sel), TTs: tts})
+					}
 					v.sel = append(v.sel, int32(row))
 				}
 			}
@@ -385,6 +430,15 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 				return whereErr
 			}
 			pt = np.Charge(profile.StageKernelArgs, pt, int64(out), int64(out))
+			for _, k := range kept {
+				o.tr.Stage(o.trName, o.windowIdx, k.Row, k.TTs)
+			}
+			for !verdicts && next >= 0 { // no WHERE: every row kept, at its own position
+				row := next
+				var tts []*tracing.TupleTrace
+				tts, next = o.tr.TakeRow(o.trName)
+				o.tr.Stage(o.trName, o.windowIdx, row, tts)
+			}
 			err := o.send(v.selCols)
 			np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
 			if err != nil {
@@ -394,7 +448,6 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 		}
 	}
 
-	hook := o.sfunHook(tts)
 	accepted, last := o.stats.TuplesAccepted, in
 	if verdicts {
 		last = len(v.sel)
@@ -404,8 +457,15 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 		if verdicts {
 			row = int(v.sel[i])
 		}
+		var tts []*tracing.TupleTrace
+		switch {
+		case len(kept) > 0 && kept[0].Row == i:
+			tts, kept = kept[0].TTs, kept[1:]
+		case row == next:
+			tts, next = o.tr.TakeRow(o.trName)
+		}
 		v.rowT = b.Row(row, v.rowT)
-		o.ctx = gsql.Ctx{Tuple: v.rowT, States: o.selStates, Trace: hook}
+		o.ctx = gsql.Ctx{Tuple: v.rowT, States: o.selStates, Trace: o.sfunHook(tts)}
 		if !verdicts && o.plan.Where != nil {
 			wv, err := o.plan.Where(&o.ctx)
 			if err != nil {
@@ -413,9 +473,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, kernels bool, tts []
 				return o.drain(err)
 			}
 			pass := wv.Truth()
-			for _, tt := range tts {
-				tt.Where(o.trName, pass)
-			}
+			o.traceWhere(tts, pass)
 			if !pass {
 				continue
 			}

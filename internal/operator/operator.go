@@ -129,7 +129,8 @@ type Operator struct {
 	winBase   Stats // counters as of the previous window flush
 
 	// Provenance tracing (see tracing.go). tr is nil unless the engine
-	// attached a tracer; the per-tuple path then pays one nil check.
+	// attached a tracer; the walk's per-row cost is one comparison either
+	// way.
 	tr     *tracing.Tracer
 	trName string
 
@@ -368,8 +369,10 @@ func (o *Operator) createGroup(sg *supergroup, h uint64) *group {
 }
 
 // cleanSupergroup runs the CLEANING BY predicate over every group of sg,
-// evicting groups where it evaluates FALSE.
-func (o *Operator) cleanSupergroup(sg *supergroup) error {
+// evicting groups where it evaluates FALSE. hook is the Ctx.Trace of the
+// row that set the cleaning off (nil unless it is traced): it observes
+// every call the sweep makes.
+func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v value.Value, err error)) error {
 	o.stats.Cleanings++
 	if np := o.prof; np != nil {
 		ct, before := profile.Now(), len(sg.groups)
@@ -389,13 +392,12 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 	if o.plan.CleaningBy == nil {
 		return nil
 	}
-	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Trace: o.sfunHook(o.curTraces())}
+	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Trace: hook}
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
-	// shape and no trace is current (a traced tuple's sweep records the
-	// calls it makes through the closure tree's hook), skip the scalar
-	// closure tree (same calls, same state mutations, same results).
+	// shape, skip the scalar closure tree (same calls, same state
+	// mutations, same results, the same report to the hook).
 	var fast *gsql.GroupCall
-	if o.tr.Current() == nil && o.vec.vp != nil {
+	if o.vec.vp != nil {
 		fast = o.vec.vp.CleanByCall
 	}
 	kept := sg.groups[:0]
@@ -406,6 +408,9 @@ func (o *Operator) cleanSupergroup(sg *supergroup) error {
 		var err error
 		if fast != nil {
 			v, err = fast.CallGroup(sg.states, g.aggs)
+			if hook != nil {
+				hook(fast.Fn, fast.State, v, err)
+			}
 		} else {
 			v, err = o.plan.CleaningBy(&o.ctx)
 		}
@@ -561,10 +566,10 @@ func (o *Operator) sample() error {
 // output evaluates the SELECT list into the output batch: no tuple is
 // built, and the row leaves with the batch, when that holds
 // tuple.DefaultBatchRows rows or at the next drain. A row that carries
-// traces leaves as a batch of one, its emit span recorded and the traces
-// staged for the sink to claim (Tracer.TakeEmitting) — here, where the row
-// is emitted, not where its group passed HAVING: an estimating plan does
-// that a whole pass earlier.
+// traces leaves with its batch too, its emit span recorded and the traces
+// staged at its position in it for the sink to claim (Tracer.TakeStaged) —
+// here, where the row is emitted, not where its group passed HAVING: an
+// estimating plan does that a whole pass earlier.
 func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 	for i, sel := range o.plan.SelectExprs {
 		v, err := sel(ctx)
@@ -573,21 +578,14 @@ func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 		}
 		o.outRow[i] = v
 	}
-	traced := o.tr != nil && len(tts) > 0
-	if traced {
-		if err := o.drain(nil); err != nil {
-			return err
-		}
-		for _, tt := range tts {
-			tt.Emit(o.trName, o.windowIdx)
-		}
-		o.tr.SetEmitting(tts)
+	if o.tr != nil && len(tts) > 0 {
+		o.tr.Stage(o.trName, o.windowIdx, o.out[0].Len(), tts)
 	}
 	for i, c := range o.out {
 		c.AppendValue(o.outRow[i])
 	}
 	o.stats.TuplesOut++
-	if traced || o.out[0].Len() == tuple.DefaultBatchRows {
+	if o.out[0].Len() == tuple.DefaultBatchRows {
 		return o.drain(nil)
 	}
 	return nil

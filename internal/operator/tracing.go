@@ -6,28 +6,20 @@ import (
 	"streamop/internal/value"
 )
 
-// Provenance-tracing instrumentation. The engine samples tuples at the
-// source (see internal/tracing) and marks the sampled one as the tracer's
-// current context around the batch of one it sends it in; the walk then
-// runs in closure mode and records spans at each decision point — WHERE, group-table lookup, stateful-function calls,
-// cleaning evictions, HAVING, emission — and every traced tuple ends with
-// exactly one terminal disposition. With no tracer attached (the default)
-// the per-tuple cost is a single nil check on the admit path.
+// Provenance-tracing instrumentation. Traces ride the batch by row
+// position (see internal/tracing): the walk takes a row's traces at the top
+// of its iteration, one comparison per row, and a traced row runs the
+// kernels and walk its neighbours run. The trace sites record what that
+// path computes anyway: WHERE verdicts, group lookups, every stateful call
+// (Ctx.Trace's hook, which the VecCall and GroupCall sites call too),
+// evictions, HAVING and emission, whose traces are staged by the row's
+// position in the run handed to the sink.
 
 // SetTracer attaches a provenance tracer, labeling spans with name (the
 // engine passes its node name). A nil tracer detaches.
 func (o *Operator) SetTracer(tr *tracing.Tracer, name string) {
 	o.tr = tr
 	o.trName = name
-}
-
-// curTraces returns the traces riding on the tuple being processed, nil
-// for the common untraced case.
-func (o *Operator) curTraces() []*tracing.TupleTrace {
-	if o.tr == nil {
-		return nil
-	}
-	return o.tr.Current()
 }
 
 // sfunHook builds the gsql.Ctx.Trace callback fanning stateful-function
@@ -46,6 +38,13 @@ func (o *Operator) sfunHook(tts []*tracing.TupleTrace) func(fn, state string, v 
 		for _, tt := range tts {
 			tt.Sfun(node, fn, state, outcome)
 		}
+	}
+}
+
+// traceWhere records the row's WHERE verdict on its traces.
+func (o *Operator) traceWhere(tts []*tracing.TupleTrace, pass bool) {
+	for _, tt := range tts {
+		tt.Where(o.trName, pass)
 	}
 }
 

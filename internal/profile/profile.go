@@ -19,9 +19,9 @@
 // What no batch clock can separate stays together: WHERE verdicts of a
 // stateful predicate, group and supergroup lookups, aggregate updates and
 // the CLEANING WHEN test interleave per row, and are all "walk". A batch
-// in closure mode (a plan that does not vectorize, a kernel evaluation
-// error, a current trace) has no kernel phase: its GROUP BY closures and
-// walk are charged to walk whole. The per-packet entry points
+// in closure mode (a plan that does not vectorize, or a kernel evaluation
+// error) has no kernel phase: its GROUP BY closures and walk are charged
+// to walk whole. The per-packet entry points
 // (Operator.Process, core.Query.ProcessPacket/ProcessTuple) offer batches
 // of one and are clocked like any other batch.
 //

@@ -29,9 +29,9 @@
 // Chrome trace-event JSON loadable in Perfetto (one thread lane per
 // traced tuple).
 //
-// The Tracer is designed for the engine's single-threaded Run path: the
-// current-trace context is plain state set by the engine around each
-// traced Process call. Engine.RunParallel ignores tracing.
+// The Tracer is designed for the engine's single-threaded Run path, where
+// traces ride each batch by row position (RowTraces), in and out of every
+// step. Engine.RunParallel ignores tracing.
 package tracing
 
 import (
@@ -75,10 +75,9 @@ type Tracer struct {
 	col atomic.Pointer[telemetry.Collector]
 
 	// Engine-side context (single-threaded run loop).
-	cur      []*TupleTrace
-	one      [1]*TupleTrace
-	emitting []*TupleTrace
-	srcQ     []*TupleTrace // FIFO of enqueued-but-not-dequeued source traces
+	cur    []RowTraces   // traced rows of the batch being walked, not yet taken
+	staged []RowTraces   // traced rows of the run of output rows being filled
+	srcQ   []*TupleTrace // FIFO of enqueued-but-not-dequeued source traces
 
 	mu           sync.Mutex
 	base         time.Time
@@ -198,21 +197,24 @@ func (t *Tracer) SourceShed(tt *TupleTrace, occ int) {
 	tt.Finish("shed")
 }
 
-// SourceMatch pairs a traced tuple with its offset inside a popped batch.
-type SourceMatch struct {
-	Idx int // offset within the batch
-	TT  *TupleTrace
+// RowTraces is the traces riding on one row of a batch, by the row's
+// position in it. From names the node that emitted the row, for the
+// transfer span; it is empty for a source packet.
+type RowTraces struct {
+	Row  int
+	From string
+	TTs  []*TupleTrace
 }
 
 // TakeSource removes and returns the traced packets whose ring positions
 // fall in [base, base+n) — the batch the engine just popped — recording
-// each one's ring_dequeue span (duration = time spent queued). Matches
-// are returned in FIFO order.
-func (t *Tracer) TakeSource(base uint64, n int) []SourceMatch {
+// each one's ring_dequeue span (duration = time spent queued). Entries are
+// returned in FIFO order, one trace each.
+func (t *Tracer) TakeSource(base uint64, n int) []RowTraces {
 	if t == nil || len(t.srcQ) == 0 {
 		return nil
 	}
-	var out []SourceMatch
+	var out []RowTraces
 	now := time.Now()
 	for len(t.srcQ) > 0 && t.srcQ[0].enqIdx < base+uint64(n) {
 		tt := t.srcQ[0]
@@ -226,50 +228,73 @@ func (t *Tracer) TakeSource(base uint64, n int) []SourceMatch {
 		t.record(tt, "ring_dequeue", "source", tt.enqTime, now.Sub(tt.enqTime), map[string]any{
 			"wait_us": float64(now.Sub(tt.enqTime)) / 1e3,
 		})
-		out = append(out, SourceMatch{Idx: int(tt.enqIdx - base), TT: tt})
+		out = append(out, RowTraces{Row: int(tt.enqIdx - base), TTs: []*TupleTrace{tt}})
 	}
 	return out
 }
 
-// SetCurrentOne marks tt as the tuple now being processed; operator
-// instrumentation sites read it through Current.
-func (t *Tracer) SetCurrentOne(tt *TupleTrace) {
-	t.one[0] = tt
-	t.cur = t.one[:]
+// SetCurrent makes rts, in ascending row order, the traced rows of the
+// batch a step is about to walk.
+func (t *Tracer) SetCurrent(rts []RowTraces) { t.cur = rts }
+
+// NextRow returns the position of the next traced row the walk has not
+// taken, -1 when there is none (or no tracer): the walk's one per-row test
+// is a comparison with it.
+func (t *Tracer) NextRow() int {
+	if t == nil || len(t.cur) == 0 {
+		return -1
+	}
+	return t.cur[0].Row
 }
 
-// SetCurrent marks a set of traces (a high-level row can carry every
-// trace of the group that produced it) as being processed.
-func (t *Tracer) SetCurrent(tts []*TupleTrace) { t.cur = tts }
+// TakeRow takes the traces of the next traced row, recording their
+// transfer spans into node when the row came from another node, and
+// returns them with the position of the traced row after it (NextRow).
+func (t *Tracer) TakeRow(node string) ([]*TupleTrace, int) {
+	rt := t.cur[0]
+	t.cur = t.cur[1:]
+	if rt.From != "" {
+		for _, tt := range rt.TTs {
+			tt.transferDequeued(rt.From, node)
+		}
+	}
+	return rt.TTs, t.NextRow()
+}
 
-// ClearCurrent unmarks the current traces.
-func (t *Tracer) ClearCurrent() { t.cur = nil; t.one[0] = nil }
+// Stage records node emitting, in window, the output row at position row
+// of the run of rows it hands its sink next, and stages the traces tts
+// riding on it for the sink to claim (TakeStaged).
+func (t *Tracer) Stage(node string, window int64, row int, tts []*TupleTrace) {
+	for _, tt := range tts {
+		tt.Emit(node, window)
+	}
+	t.staged = append(t.staged, RowTraces{Row: row, TTs: tts})
+}
 
-// Current returns the traces of the tuple being processed, nil if the
-// current tuple is untraced. The caller must not retain the slice.
-func (t *Tracer) Current() []*TupleTrace {
+// TakeStaged claims the entries staged for the run of output rows being
+// handed over (none on a nil tracer). The slice is valid until the next
+// Stage.
+func (t *Tracer) TakeStaged() []RowTraces {
 	if t == nil {
 		return nil
 	}
-	return t.cur
+	rts := t.staged
+	t.staged = t.staged[:0]
+	return rts
 }
 
-// SetEmitting stages the traces riding on the row about to be emitted;
-// the engine's emit hook claims them with TakeEmitting to route the
-// transfer (or finish the trace at an application boundary). The slice is
-// copied: callers may pass the tracer's own reusable Current buffer.
-func (t *Tracer) SetEmitting(tts []*TupleTrace) {
-	t.emitting = append([]*TupleTrace(nil), tts...)
-}
-
-// TakeEmitting claims the staged emitting traces (none on a nil tracer).
-func (t *Tracer) TakeEmitting() []*TupleTrace {
-	if t == nil {
-		return nil
+// FinishCurrent ends a step: every trace of a current row the walk did not
+// take, and of a staged output row no sink claimed — the step erred or
+// panicked first, or never ran — finishes with the given disposition.
+func (t *Tracer) FinishCurrent(disposition string) {
+	for _, rts := range [2][]RowTraces{t.cur, t.staged} {
+		for _, rt := range rts {
+			for _, tt := range rt.TTs {
+				tt.Finish(disposition)
+			}
+		}
 	}
-	tts := t.emitting
-	t.emitting = nil
-	return tts
+	t.cur, t.staged = nil, t.staged[:0]
 }
 
 // Span recording -----------------------------------------------------------
@@ -325,9 +350,9 @@ func (tt *TupleTrace) Emit(node string, window int64) {
 // input queue (the span is recorded at dequeue time, covering the wait).
 func (tt *TupleTrace) TransferEnqueued() { tt.enqTime = time.Now() }
 
-// TransferDequeued records the high-level transfer span: from the parent
-// node's emit to the child node starting to process the row.
-func (tt *TupleTrace) TransferDequeued(from, to string) {
+// transferDequeued records the high-level transfer span: from the parent
+// node's emit to the child node's walk reaching the row.
+func (tt *TupleTrace) transferDequeued(from, to string) {
 	now := time.Now()
 	tt.tr.record(tt, "transfer", from, tt.enqTime, now.Sub(tt.enqTime), map[string]any{
 		"from": from, "to": to, "wait_us": float64(now.Sub(tt.enqTime)) / 1e3,

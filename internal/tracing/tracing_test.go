@@ -93,15 +93,59 @@ func TestSourceQueueMatching(t *testing.T) {
 		tts = append(tts, tt)
 	}
 	m := tr.TakeSource(0, 3)
-	if len(m) != 3 || m[0].Idx != 0 || m[2].Idx != 2 || m[1].TT != tts[1] {
+	if len(m) != 3 || m[0].Row != 0 || m[2].Row != 2 || len(m[1].TTs) != 1 || m[1].TTs[0] != tts[1] || m[1].From != "" {
 		t.Fatalf("TakeSource(0,3) = %+v", m)
 	}
 	m = tr.TakeSource(3, 2)
-	if len(m) != 2 || m[0].Idx != 0 || m[1].Idx != 1 {
+	if len(m) != 2 || m[0].Row != 0 || m[1].Row != 1 {
 		t.Fatalf("TakeSource(3,2) = %+v", m)
 	}
 	if m2 := tr.TakeSource(5, 10); m2 != nil {
 		t.Errorf("empty queue returned %+v", m2)
+	}
+}
+
+// A step's traced rows: the walk takes them in row order, recording the
+// transfer span of a row another node emitted; what the step leaves —
+// rows not taken, output rows staged for a sink that never claimed them —
+// FinishCurrent ends.
+func TestCurrentRowsCycle(t *testing.T) {
+	tr := New(Config{Every: 1, Seed: 1})
+	var tts [4]*TupleTrace
+	for i := range tts {
+		tts[i] = tr.SourceOffer(uint64(i))
+	}
+	tr.SetCurrent([]RowTraces{{Row: 2, From: "low", TTs: tts[:1]}, {Row: 5, TTs: tts[1:2]}, {Row: 9, TTs: tts[2:3]}})
+	if r := tr.NextRow(); r != 2 {
+		t.Fatalf("NextRow = %d, want 2", r)
+	}
+	if got, next := tr.TakeRow("high"); len(got) != 1 || got[0] != tts[0] || next != 5 {
+		t.Fatalf("TakeRow = %v, %d", got, next)
+	}
+	if spans := tr.Summary().Spans; spans != 1 {
+		t.Fatalf("%d spans after taking the row from another node, want its transfer", spans)
+	}
+	if _, next := tr.TakeRow("high"); next != 9 || tr.Summary().Spans != 1 {
+		t.Fatalf("taking a source row: next %d, %d spans", next, tr.Summary().Spans)
+	}
+	// Staging records each trace's emit span.
+	tr.Stage("high", 0, 0, tts[1:2])
+	tr.Stage("high", 0, 3, tts[0:1])
+	if spans := tr.Summary().Spans; spans != 3 {
+		t.Fatalf("%d spans after staging two rows, want 3", spans)
+	}
+	if s := tr.TakeStaged(); len(s) != 2 || s[1].Row != 3 || s[1].TTs[0] != tts[0] {
+		t.Fatalf("TakeStaged = %+v", s)
+	}
+	tr.Stage("high", 0, 1, tts[3:])
+	tr.FinishCurrent("node_failed")
+	for i, want := range []string{"", "", "node_failed", "node_failed"} {
+		if got := tts[i].Disposition(); got != want {
+			t.Errorf("trace %d: disposition %q, want %q", i, got, want)
+		}
+	}
+	if r, s := tr.NextRow(), tr.TakeStaged(); r != -1 || len(s) != 0 {
+		t.Errorf("after FinishCurrent: next row %d, %d staged", r, len(s))
 	}
 }
 
@@ -235,8 +279,11 @@ func TestNilTracerSafe(t *testing.T) {
 	if m := tr.TakeSource(0, 10); m != nil {
 		t.Error("nil tracer matched")
 	}
-	if c := tr.Current(); c != nil {
-		t.Error("nil tracer has current")
+	if r := tr.NextRow(); r != -1 {
+		t.Errorf("nil tracer has a current row at %d", r)
+	}
+	if s := tr.TakeStaged(); s != nil {
+		t.Error("nil tracer has staged rows")
 	}
 	tr.FinishOpen("stream_end")
 	tr.SetCollector(nil)

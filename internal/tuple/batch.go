@@ -374,28 +374,6 @@ func (b *Batch) AppendCols(cols []*Column) {
 	b.n += cols[0].Len()
 }
 
-// Slice points dst at rows [lo, hi) of b and returns it. The view shares
-// b's storage: it is read-only and valid until b is next appended to or
-// reset.
-func (b *Batch) Slice(lo, hi int, dst *Batch) *Batch {
-	dst.schema, dst.n = b.schema, hi-lo
-	if cap(dst.cols) < len(b.cols) {
-		dst.cols = make([]Column, len(b.cols))
-	}
-	dst.cols = dst.cols[:len(b.cols)]
-	for i := range b.cols {
-		src, c := &b.cols[i], &dst.cols[i]
-		c.kinds, c.bits, c.strs = src.kinds[lo:hi], src.bits[lo:hi], nil
-		if src.strs != nil {
-			c.strs = src.strs[lo:hi]
-		}
-		// Part of a one-kind column is one-kind; part of a mixed one is
-		// left marked mixed (kernels then take their per-row form).
-		c.uniform = src.uniform
-	}
-	return dst
-}
-
 // AddRows records n rows appended directly to the columns by a
 // column-major producer (which must have appended exactly n rows to every
 // column).

@@ -407,21 +407,3 @@ func TestGatherKeepsUniform(t *testing.T) {
 		t.Fatal("column still uniform after an Int row joined Uint rows")
 	}
 }
-
-func TestBatchSlice(t *testing.T) {
-	s := testSchema(t)
-	rows := gatherRows()
-	b := NewBatch(s, 0)
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	var view Batch
-	for lo := 0; lo <= len(rows); lo++ {
-		for hi := lo; hi <= len(rows); hi++ {
-			requireRows(t, "Slice", b.Slice(lo, hi, &view), rows[lo:hi])
-		}
-	}
-	if view.Schema() != s {
-		t.Error("view lost the schema")
-	}
-}
