@@ -227,18 +227,29 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
 
 // BenchmarkOperatorSteadyState measures the ledger's subset-sum query (the
 // `sample_walk` workload's: N = 10 000, four-column GROUP BY) once the
-// operator's group arena has cycled, where a window's ~34 k groups no
+// operator's group store has cycled, where a window's ~34 k groups no
 // longer fit in cache and the order they lie in memory shows — which
 // BenchmarkAblationOverhead (one window, N = 1 000) cannot see. Input is a
 // pre-materialised 10-second trace.Steady lap at 100 k pps over 65 536
 // hosts, replayed with its timestamps shifted a lap at a time, through
 // ProcessPackets; windows 0–4 run untimed, windows 5–29 and the last
-// flush are timed. Metrics: ns per packet and groups created per window.
+// flush are timed. Metrics: ns per packet, groups created per window, and
+// B/group — the group store's and table's bytes per resident group at a
+// window flush, as /debug/profile reports them, from an untimed profiled
+// pass over the warm-up windows.
 func BenchmarkOperatorSteadyState(b *testing.B) {
 	const (
 		lapSec  = 10
 		laps    = 3
 		warmSec = 5
+		src     = `
+SELECT tb, uts, srcIP, destIP, UMAX(sum(len), ssthreshold()) AS adjlen
+FROM PKT
+WHERE ssample(len, 10000, 2, 10) = TRUE
+GROUP BY time/1 AS tb, srcIP, destIP, uts
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE`
 	)
 	feed, err := trace.NewSteady(trace.DefaultSteady(1, lapSec))
 	if err != nil {
@@ -263,14 +274,7 @@ func BenchmarkOperatorSteadyState(b *testing.B) {
 	var timed, groups int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		q, err := streamop.Compile(`
-SELECT tb, uts, srcIP, destIP, UMAX(sum(len), ssthreshold()) AS adjlen
-FROM PKT
-WHERE ssample(len, 10000, 2, 10) = TRUE
-GROUP BY time/1 AS tb, srcIP, destIP, uts
-HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
-CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
-CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
+		q, err := streamop.Compile(src, streamop.Options{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,6 +307,19 @@ CLEANING BY ssclean_with(sum(len)) = TRUE`, streamop.Options{Seed: 1})
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(timed), "ns/pkt")
 	b.ReportMetric(float64(groups)/float64(b.N*(laps*lapSec-warmSec)), "groups/window")
+
+	q, err := streamop.Compile(src, streamop.Options{Seed: 1, Profile: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := q.ProcessPackets(pkts[:warm]); err != nil {
+		b.Fatal(err)
+	}
+	if err := q.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	n := q.Profiler().Report().Nodes[0]
+	b.ReportMetric(float64(n.GroupBytes)/float64(n.Groups), "B/group")
 }
 
 // guardOverhead runs interleaved base/variant passes and compares the

@@ -1,8 +1,11 @@
 // Package agg implements the group aggregates and supergroup
 // superaggregates of the sampling operator (§6.3 of the paper).
 //
-// Group aggregates (sum, count, min, max, avg, first, last) accumulate over
-// the tuples of one group. Superaggregates (names carrying the $ suffix in
+// Group aggregates (sum, count, min, max, avg, first, last, var, stddev)
+// accumulate over the tuples of one group. Each is a Column: one
+// accumulator per slot of a group store, so a window's groups lie in a
+// few dense arrays rather than one object each; a user-defined aggregate's
+// instances live boxed in one. Superaggregates (names carrying the $ suffix in
 // queries) accumulate over the groups of a supergroup and must support
 // subtraction: when the cleaning phase evicts a group, the superaggregate
 // is updated by removing that group's contribution.
@@ -12,12 +15,16 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 
+	"streamop/internal/checkpoint"
 	"streamop/internal/ost"
 	"streamop/internal/value"
 )
 
-// Agg is one group aggregate instance.
+// Agg is one instance of a user-defined aggregate (sfun.Accumulator): the
+// per-group object a UDAF folds its group's tuples into. The built-in
+// aggregates have no such object; they are Columns.
 type Agg interface {
 	// Update folds in one tuple's argument value.
 	Update(v value.Value)
@@ -25,47 +32,61 @@ type Agg interface {
 	Value() value.Value
 }
 
-// Factory creates fresh aggregate instances for new groups.
+// Factory creates a user-defined aggregate's instance for a new group.
 type Factory func() Agg
 
-// Resettable is an optional Agg extension: Reset restores the instance
-// to its fresh-from-Factory state, letting the operator's group arena
-// keep a group's aggregate instances each time it hands the group out
-// again instead of reallocating. All builtin aggregates implement it;
-// UDAFs may opt in.
-type Resettable interface{ Reset() }
+// Column holds one aggregate's accumulators for every slot of a group
+// store: slot s is the group living in it. The operator's group store and
+// the partial-aggregation table keep one Column per aggregate of the plan.
+type Column interface {
+	// Reset gives slot s a fresh accumulator, growing the column to hold
+	// it.
+	Reset(s int32)
+	// Update folds one tuple's argument value into slot s.
+	Update(s int32, v value.Value)
+	// Value returns slot s's current aggregate value.
+	Value(s int32) value.Value
+	// Encode writes slot s's accumulator in the checkpoint format (see
+	// checkpoint.go); Decode reads one back into slot s, which Reset has
+	// made.
+	Encode(e *checkpoint.Encoder, s int32) error
+	Decode(d *checkpoint.Decoder, s int32) error
+	// Bytes reports the column's storage in bytes.
+	Bytes() int64
+}
 
-func (a *sumAgg) Reset()   { *a = sumAgg{} }
-func (a *countAgg) Reset() { a.n = 0 }
-func (a *minAgg) Reset()   { *a = minAgg{} }
-func (a *maxAgg) Reset()   { *a = maxAgg{} }
-func (a *avgAgg) Reset()   { *a = avgAgg{} }
-func (a *firstAgg) Reset() { *a = firstAgg{} }
-func (a *lastAgg) Reset()  { *a = lastAgg{} }
-func (a *varAgg) Reset()   { *a = varAgg{stddev: a.stddev} }
+// Slot is one group's aggregates: slot At of the columns Cols, read by
+// the aggregate's index (the reader gsql.Ctx.Aggs takes).
+type Slot struct {
+	Cols []Column
+	At   int32
+}
 
-// New returns a factory for the named group aggregate; ok is false for
-// unknown names. Names are case-insensitive.
-func New(name string) (Factory, bool) {
+// Agg returns aggregate i's value at the slot.
+func (r *Slot) Agg(i int) value.Value { return r.Cols[i].Value(r.At) }
+
+// New returns the column constructor of the named built-in aggregate; ok
+// is false for unknown names. Names are case-insensitive.
+func New(name string) (func() Column, bool) {
 	switch strings.ToLower(name) {
 	case "sum":
-		return func() Agg { return &sumAgg{} }, true
+		return func() Column { return new(sumCol) }, true
 	case "count":
-		return func() Agg { return &countAgg{} }, true
+		return func() Column { return new(countCol) }, true
 	case "min":
-		return func() Agg { return &minAgg{} }, true
+		return func() Column { return &extremeCol{heldCol{tag: tagMin}, -1} }, true
 	case "max":
-		return func() Agg { return &maxAgg{} }, true
+		return func() Column { return &extremeCol{heldCol{tag: tagMax}, 1} }, true
 	case "avg":
-		return func() Agg { return &avgAgg{} }, true
+		return func() Column { return new(avgCol) }, true
 	case "first":
-		return func() Agg { return &firstAgg{} }, true
+		return func() Column { return &firstCol{heldCol{tag: tagFirst}} }, true
 	case "last":
-		return func() Agg { return &lastAgg{} }, true
+		return func() Column { return new(lastCol) }, true
 	case "var":
-		return func() Agg { return &varAgg{} }, true
+		return func() Column { return new(varCol) }, true
 	case "stddev":
-		return func() Agg { return &varAgg{stddev: true} }, true
+		return func() Column { return &varCol{stddev: true} }, true
 	}
 	return nil, false
 }
@@ -76,19 +97,46 @@ func IsAggregate(name string) bool {
 	return ok
 }
 
-// sumAgg accumulates numerically. Integer inputs keep an exact int64 sum;
-// any float input switches to float accumulation.
-type sumAgg struct {
+// Boxed returns the column constructor of a user-defined aggregate: its
+// slots hold the instances f makes.
+func Boxed(f Factory) func() Column {
+	return func() Column { return &boxCol{new: f} }
+}
+
+// slots is a column's storage, one accumulator of type T per slot.
+type slots[T any] []T
+
+// Reset gives slot s the zero accumulator, growing the storage to hold it.
+func (c *slots[T]) Reset(s int32) {
+	var zero T
+	if int(s) < len(*c) {
+		(*c)[s] = zero
+		return
+	}
+	*c = append(*c, make([]T, int(s)+1-len(*c))...)
+}
+
+func (c *slots[T]) Bytes() int64 {
+	var zero T
+	return int64(cap(*c)) * int64(unsafe.Sizeof(zero))
+}
+
+// sumCol accumulates numerically. Integer inputs keep an exact int64 sum;
+// any float input switches the slot to float accumulation.
+type sumCol struct{ slots[sumAcc] }
+
+type sumAcc struct {
 	i       int64
 	f       float64
 	isFloat bool
 	seen    bool
 }
 
-func (a *sumAgg) Update(v value.Value) {
+func (c *sumCol) Update(s int32, v value.Value) {
 	if v.IsNull() {
 		return
 	}
+	a := &c.slots[s]
 	a.seen = true
 	if v.Kind() == value.Float || a.isFloat {
 		if !a.isFloat {
@@ -101,7 +149,8 @@ func (a *sumAgg) Update(v value.Value) {
 	a.i += v.AsInt()
 }
 
-func (a *sumAgg) Value() value.Value {
+func (c *sumCol) Value(s int32) value.Value {
+	a := &c.slots[s]
 	if !a.seen {
 		return value.Value{}
 	}
@@ -111,94 +160,102 @@ func (a *sumAgg) Value() value.Value {
 	return value.NewInt(a.i)
 }
 
-type countAgg struct{ n int64 }
+type countCol struct{ slots[int64] }
 
-func (a *countAgg) Update(value.Value) { a.n++ }
-func (a *countAgg) Value() value.Value { return value.NewInt(a.n) }
+func (c *countCol) Update(s int32, _ value.Value) { c.slots[s]++ }
+func (c *countCol) Value(s int32) value.Value     { return value.NewInt(c.slots[s]) }
 
-type minAgg struct {
+// heldCol holds a value a slot has taken: the columns of min, max and
+// first, under their checkpoint tag.
+type heldCol struct {
+	slots[heldAcc]
+	tag uint8
+}
+
+// heldAcc is a value a slot holds, and whether it has taken one.
+type heldAcc struct {
 	v    value.Value
 	seen bool
 }
 
-func (a *minAgg) Update(v value.Value) {
+// extremeCol keeps the least (sign -1: min) or greatest (sign 1: max)
+// non-NULL value a slot has seen.
+type extremeCol struct {
+	heldCol
+	sign int
+}
+
+func (c *extremeCol) Update(s int32, v value.Value) {
 	if v.IsNull() {
 		return
 	}
-	if !a.seen || value.Compare(v, a.v) < 0 {
+	if a := &c.slots[s]; !a.seen || value.Compare(v, a.v)*c.sign > 0 {
 		a.v = v
 		a.seen = true
 	}
 }
-func (a *minAgg) Value() value.Value { return a.v }
 
-type maxAgg struct {
-	v    value.Value
-	seen bool
-}
+func (c *extremeCol) Value(s int32) value.Value { return c.slots[s].v }
 
-func (a *maxAgg) Update(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	if !a.seen || value.Compare(v, a.v) > 0 {
-		a.v = v
-		a.seen = true
-	}
-}
-func (a *maxAgg) Value() value.Value { return a.v }
+type avgCol struct{ slots[avgAcc] }
 
-type avgAgg struct {
+type avgAcc struct {
 	sum float64
 	n   int64
 }
 
-func (a *avgAgg) Update(v value.Value) {
+func (c *avgCol) Update(s int32, v value.Value) {
 	if v.IsNull() {
 		return
 	}
+	a := &c.slots[s]
 	a.sum += v.AsFloat()
 	a.n++
 }
 
-func (a *avgAgg) Value() value.Value {
+func (c *avgCol) Value(s int32) value.Value {
+	a := &c.slots[s]
 	if a.n == 0 {
 		return value.Value{}
 	}
 	return value.NewFloat(a.sum / float64(a.n))
 }
 
-type firstAgg struct {
-	v    value.Value
-	seen bool
-}
+// firstCol keeps the first value a slot sees, NULL included.
+type firstCol struct{ heldCol }
 
-func (a *firstAgg) Update(v value.Value) {
-	if !a.seen {
+func (c *firstCol) Update(s int32, v value.Value) {
+	if a := &c.slots[s]; !a.seen {
 		a.v = v
 		a.seen = true
 	}
 }
-func (a *firstAgg) Value() value.Value { return a.v }
 
-type lastAgg struct{ v value.Value }
+func (c *firstCol) Value(s int32) value.Value { return c.slots[s].v }
 
-func (a *lastAgg) Update(v value.Value) { a.v = v }
-func (a *lastAgg) Value() value.Value   { return a.v }
+type lastCol struct{ slots[value.Value] }
 
-// varAgg computes the population variance (or standard deviation) with
+func (c *lastCol) Update(s int32, v value.Value) { c.slots[s] = v }
+func (c *lastCol) Value(s int32) value.Value     { return c.slots[s] }
+
+// varCol computes the population variance (or standard deviation) with
 // Welford's numerically stable online algorithm.
-type varAgg struct {
-	n      int64
-	mean   float64
-	m2     float64
+type varCol struct {
+	slots[varAcc]
 	stddev bool
 }
 
-func (a *varAgg) Update(v value.Value) {
+type varAcc struct {
+	n    int64
+	mean float64
+	m2   float64
+}
+
+func (c *varCol) Update(s int32, v value.Value) {
 	if v.IsNull() {
 		return
 	}
+	a := &c.slots[s]
 	a.n++
 	x := v.AsFloat()
 	d := x - a.mean
@@ -206,16 +263,31 @@ func (a *varAgg) Update(v value.Value) {
 	a.m2 += d * (x - a.mean)
 }
 
-func (a *varAgg) Value() value.Value {
+func (c *varCol) Value(s int32) value.Value {
+	a := &c.slots[s]
 	if a.n == 0 {
 		return value.Value{}
 	}
 	variance := a.m2 / float64(a.n)
-	if a.stddev {
+	if c.stddev {
 		return value.NewFloat(math.Sqrt(variance))
 	}
 	return value.NewFloat(variance)
 }
+
+// boxCol holds a user-defined aggregate's instances, one a slot.
+type boxCol struct {
+	slots[Agg]
+	new Factory
+}
+
+func (c *boxCol) Reset(s int32) {
+	c.slots.Reset(s)
+	c.slots[s] = c.new()
+}
+
+func (c *boxCol) Update(s int32, v value.Value) { c.slots[s].Update(v) }
+func (c *boxCol) Value(s int32) value.Value     { return c.slots[s].Value() }
 
 // Super is one superaggregate instance, owned by a supergroup.
 type Super interface {

@@ -7,12 +7,12 @@ import (
 	"streamop/internal/ost"
 )
 
-// Checkpoint codec for the built-in aggregates and superaggregates. Each
-// concrete type is serialized under a stable tag with its full internal
-// state, so a restored instance continues folding exactly where the
-// original stopped. User-defined aggregates (sfun.Accumulator wrapped by
-// the operator) are not checkpointable and are rejected by the operator's
-// snapshot path before reaching this codec.
+// Checkpoint codec for the built-in aggregates and superaggregates. A
+// column writes one slot's accumulator under its aggregate's stable tag
+// with the accumulator's full state, so a restored slot continues folding
+// exactly where the original stopped. User-defined aggregates (a boxed
+// sfun.Accumulator) have no codec: their column's Encode errs, and so does
+// the operator's snapshot.
 
 const (
 	tagSum uint8 = iota + 1
@@ -31,80 +31,112 @@ const (
 	tagSuperKth
 )
 
-// EncodeAgg serializes one built-in group aggregate. Unknown concrete
-// types (UDAF adapters) are an error.
-func EncodeAgg(e *checkpoint.Encoder, a Agg) error {
-	switch a := a.(type) {
-	case *sumAgg:
-		e.U8(tagSum)
-		e.I64(a.i)
-		e.F64(a.f)
-		e.Bool(a.isFloat)
-		e.Bool(a.seen)
-	case *countAgg:
-		e.U8(tagCount)
-		e.I64(a.n)
-	case *minAgg:
-		e.U8(tagMin)
-		e.Value(a.v)
-		e.Bool(a.seen)
-	case *maxAgg:
-		e.U8(tagMax)
-		e.Value(a.v)
-		e.Bool(a.seen)
-	case *avgAgg:
-		e.U8(tagAvg)
-		e.F64(a.sum)
-		e.I64(a.n)
-	case *firstAgg:
-		e.U8(tagFirst)
-		e.Value(a.v)
-		e.Bool(a.seen)
-	case *lastAgg:
-		e.U8(tagLast)
-		e.Value(a.v)
-	case *varAgg:
-		e.U8(tagVar)
-		e.I64(a.n)
-		e.F64(a.mean)
-		e.F64(a.m2)
-		e.Bool(a.stddev)
-	default:
-		return fmt.Errorf("agg: %T is not checkpointable", a)
+// decodeTag reads a slot's tag and fails d unless it is want.
+func decodeTag(d *checkpoint.Decoder, want uint8) {
+	tag := d.U8()
+	switch {
+	case d.Err() != nil:
+	case tag < tagSum || tag > tagVar:
+		d.Fail("agg: unknown aggregate tag %d", tag)
+	case tag != want:
+		d.Fail("agg: aggregate tag %d where the plan has tag %d", tag, want)
 	}
+}
+
+func (c *sumCol) Encode(e *checkpoint.Encoder, s int32) error {
+	a := &c.slots[s]
+	e.U8(tagSum)
+	e.I64(a.i)
+	e.F64(a.f)
+	e.Bool(a.isFloat)
+	e.Bool(a.seen)
 	return nil
 }
 
-// DecodeAgg reads back one aggregate serialized by EncodeAgg.
-func DecodeAgg(d *checkpoint.Decoder) (Agg, error) {
-	tag := d.U8()
-	var a Agg
-	switch tag {
-	case tagSum:
-		a = &sumAgg{i: d.I64(), f: d.F64(), isFloat: d.Bool(), seen: d.Bool()}
-	case tagCount:
-		a = &countAgg{n: d.I64()}
-	case tagMin:
-		a = &minAgg{v: d.Value(), seen: d.Bool()}
-	case tagMax:
-		a = &maxAgg{v: d.Value(), seen: d.Bool()}
-	case tagAvg:
-		a = &avgAgg{sum: d.F64(), n: d.I64()}
-	case tagFirst:
-		a = &firstAgg{v: d.Value(), seen: d.Bool()}
-	case tagLast:
-		a = &lastAgg{v: d.Value()}
-	case tagVar:
-		a = &varAgg{n: d.I64(), mean: d.F64(), m2: d.F64(), stddev: d.Bool()}
-	default:
-		if d.Err() == nil {
-			d.Fail("agg: unknown aggregate tag %d", tag)
-		}
+func (c *sumCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, tagSum)
+	c.slots[s] = sumAcc{i: d.I64(), f: d.F64(), isFloat: d.Bool(), seen: d.Bool()}
+	return d.Err()
+}
+
+func (c *countCol) Encode(e *checkpoint.Encoder, s int32) error {
+	e.U8(tagCount)
+	e.I64(c.slots[s])
+	return nil
+}
+
+func (c *countCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, tagCount)
+	c.slots[s] = d.I64()
+	return d.Err()
+}
+
+func (c *heldCol) Encode(e *checkpoint.Encoder, s int32) error {
+	e.U8(c.tag)
+	e.Value(c.slots[s].v)
+	e.Bool(c.slots[s].seen)
+	return nil
+}
+
+func (c *heldCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, c.tag)
+	c.slots[s] = heldAcc{v: d.Value(), seen: d.Bool()}
+	return d.Err()
+}
+
+func (c *avgCol) Encode(e *checkpoint.Encoder, s int32) error {
+	a := &c.slots[s]
+	e.U8(tagAvg)
+	e.F64(a.sum)
+	e.I64(a.n)
+	return nil
+}
+
+func (c *avgCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, tagAvg)
+	c.slots[s] = avgAcc{sum: d.F64(), n: d.I64()}
+	return d.Err()
+}
+
+func (c *lastCol) Encode(e *checkpoint.Encoder, s int32) error {
+	e.U8(tagLast)
+	e.Value(c.slots[s])
+	return nil
+}
+
+func (c *lastCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, tagLast)
+	c.slots[s] = d.Value()
+	return d.Err()
+}
+
+func (c *varCol) Encode(e *checkpoint.Encoder, s int32) error {
+	a := &c.slots[s]
+	e.U8(tagVar)
+	e.I64(a.n)
+	e.F64(a.mean)
+	e.F64(a.m2)
+	e.Bool(c.stddev)
+	return nil
+}
+
+func (c *varCol) Decode(d *checkpoint.Decoder, s int32) error {
+	decodeTag(d, tagVar)
+	c.slots[s] = varAcc{n: d.I64(), mean: d.F64(), m2: d.F64()}
+	if stddev := d.Bool(); d.Err() == nil && stddev != c.stddev {
+		d.Fail("agg: var/stddev flag %v where the plan has %v", stddev, c.stddev)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return d.Err()
+}
+
+// A user-defined aggregate has no codec.
+func (c *boxCol) Encode(_ *checkpoint.Encoder, s int32) error {
+	return fmt.Errorf("agg: %T is not checkpointable", c.slots[s])
+}
+
+func (c *boxCol) Decode(d *checkpoint.Decoder, _ int32) error {
+	d.Fail("agg: a user-defined aggregate has no codec")
+	return d.Err()
 }
 
 // EncodeSuper serializes one built-in superaggregate.

@@ -7,24 +7,35 @@ import (
 	"streamop/internal/value"
 )
 
-// roundTripAgg encodes a and decodes it back, failing the test on any
-// codec error or leftover bytes.
-func roundTripAgg(t *testing.T, a Agg) Agg {
+// roundTripAgg encodes a's slot and decodes it into slot 3 of a fresh
+// column of name's, failing the test on any codec error or leftover bytes.
+func roundTripAgg(t *testing.T, name string, a one) one {
 	t.Helper()
 	e := checkpoint.NewEncoder()
-	if err := EncodeAgg(e, a); err != nil {
+	if err := a.c.Encode(e, 0); err != nil {
 		t.Fatal(err)
 	}
+	f, _ := New(name)
+	got := f()
+	got.Reset(3)
 	d := checkpoint.NewDecoder(e.Bytes())
-	got, err := DecodeAgg(d)
-	if err != nil {
+	if err := got.Decode(d, 3); err != nil {
 		t.Fatal(err)
 	}
 	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left over decoding %T", d.Remaining(), a)
+		t.Fatalf("%d bytes left over decoding %s", d.Remaining(), name)
 	}
-	return got
+	return one{slotted{got, 3}}
 }
+
+// slotted is slot s of c, as a column of one slot at 0.
+type slotted struct {
+	Column
+	s int32
+}
+
+func (c slotted) Update(_ int32, v value.Value) { c.Column.Update(c.s, v) }
+func (c slotted) Value(int32) value.Value       { return c.Column.Value(c.s) }
 
 // TestAggRoundTrip feeds every built-in aggregate a value sequence, round
 // trips it mid-accumulation, keeps updating both copies, and demands
@@ -36,15 +47,11 @@ func TestAggRoundTrip(t *testing.T) {
 		value.NewUint(9), value.NewFloat(0.25),
 	}
 	for _, name := range []string{"sum", "count", "min", "max", "avg", "first", "last", "var", "stddev"} {
-		factory, ok := New(name)
-		if !ok {
-			t.Fatalf("no factory for %q", name)
-		}
-		orig := factory()
+		orig := mk(t, name)
 		for _, v := range seq[:3] {
 			orig.Update(v)
 		}
-		restored := roundTripAgg(t, orig)
+		restored := roundTripAgg(t, name, orig)
 		for _, v := range seq[3:] {
 			orig.Update(v)
 			restored.Update(v)
@@ -60,9 +67,8 @@ func TestAggRoundTrip(t *testing.T) {
 // have seen no input must restore to the same "no value yet" behavior.
 func TestAggRoundTripFresh(t *testing.T) {
 	for _, name := range []string{"sum", "count", "min", "max", "avg", "first", "last", "var"} {
-		factory, _ := New(name)
-		orig := factory()
-		restored := roundTripAgg(t, orig)
+		orig := mk(t, name)
+		restored := roundTripAgg(t, name, orig)
 		orig.Update(value.NewInt(11))
 		restored.Update(value.NewInt(11))
 		if value.Compare(orig.Value(), restored.Value()) != 0 {
@@ -72,9 +78,17 @@ func TestAggRoundTripFresh(t *testing.T) {
 }
 
 func TestDecodeAggRejectsUnknownTag(t *testing.T) {
-	d := checkpoint.NewDecoder([]byte{0xfe})
-	if _, err := DecodeAgg(d); err == nil {
+	c := mk(t, "sum").c
+	if err := c.Decode(checkpoint.NewDecoder([]byte{0xfe}), 0); err == nil {
 		t.Fatal("unknown tag accepted")
+	}
+	// A known tag of another aggregate: the plan's column is a sum.
+	e := checkpoint.NewEncoder()
+	if err := mk(t, "count").c.Encode(e, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Decode(checkpoint.NewDecoder(e.Bytes()), 0); err == nil {
+		t.Fatal("a count decoded into a sum column")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"streamop/internal/agg"
 	"streamop/internal/gsql"
 	"streamop/internal/profile"
 	"streamop/internal/trace"
@@ -97,32 +96,20 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 		if t.div > 1 {
 			idx /= t.div
 		}
-		slot := &t.slots[idx]
-		if slot.used && !t.slotKeyEqualsRow(slot, h, row) {
+		slot := int(idx)
+		if t.used[slot] && !t.slotKeyEqualsRow(slot, h, row) {
 			if err := t.emitSlot(slot); err != nil {
 				return t.drain(err)
 			}
-			slot.used = false
-			t.residents--
 			t.evictions++
 		}
-		if !slot.used || rowCtx {
+		if !t.used[slot] {
+			t.claim(slot, h, gb, row)
+		}
+		if rowCtx {
 			for i, c := range gb {
 				t.gbVals[i] = c.Value(row)
 			}
-		}
-		if !slot.used {
-			slot.used = true
-			slot.key = tuple.MakeKey(t.gbVals)
-			t.residents++
-			if slot.aggs == nil {
-				slot.aggs = make([]agg.Agg, len(t.plan.Aggs))
-			}
-			for i, def := range t.plan.Aggs {
-				slot.aggs[i] = def.New()
-			}
-		}
-		if rowCtx {
 			t.rowT = b.Row(row, t.rowT)
 			t.ctx = gsql.Ctx{Tuple: t.rowT, GroupVals: t.gbVals}
 		}
@@ -137,7 +124,7 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 					return t.drain(fmt.Errorf("%s: %w", def.Display, err))
 				}
 			}
-			slot.aggs[i].Update(av)
+			t.aggs[i].Update(int32(slot), av)
 		}
 	}
 	err = t.drain(err)
@@ -167,18 +154,15 @@ func (t *ptable) evalKernels(b *tuple.Batch, pt int64) (int64, bool) {
 	return np.Charge(profile.StageKernelArgs, pt, rows, rows), true
 }
 
-// slotKeyEqualsRow reports whether the resident key equals row `row` of
-// the group-by columns — Key.Equal without building a key.
-func (t *ptable) slotKeyEqualsRow(slot *partialGroup, h uint64, row int) bool {
-	if slot.key.Hash() != h {
+// slotKeyEqualsRow reports whether resident slot i's key (hash h) equals
+// row row of the group-by columns.
+func (t *ptable) slotKeyEqualsRow(i int, h uint64, row int) bool {
+	if t.hash[i] != h {
 		return false
 	}
-	vals, gb := slot.key.Values(), t.front.Cols()
-	if len(vals) != len(gb) {
-		return false
-	}
-	for c := range vals {
-		if !gb[c].EqualValue(row, vals[c]) {
+	gb := t.front.Cols()
+	for c := range t.keys {
+		if !t.keys[c].EqualRow(i, gb[c], row) {
 			return false
 		}
 	}

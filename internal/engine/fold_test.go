@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"streamop/internal/agg"
+	"streamop/internal/agg/aggref"
 	"streamop/internal/checkpoint"
 	"streamop/internal/engine"
 	"streamop/internal/gsql"
@@ -40,13 +40,19 @@ var foldQueries = []struct{ name, src string }{
 	{"agg_arg_errs", `SELECT tb, srcIP, sum(1000/(len-100)) FROM PKT GROUP BY time/1 as tb, srcIP`},
 }
 
-// refSlot is one slot of the reference table.
+// refSlot is one slot of the reference table. Its aggregates are package
+// aggref's row forms, not the columns the table keeps.
 type refSlot struct {
 	used bool
 	hash uint64
 	key  []value.Value
-	aggs []agg.Agg
+	aggs refAggs
 }
+
+// refAggs are a slot's aggregates, read by index as gsql.Ctx.Aggs.
+type refAggs []aggref.Agg
+
+func (a refAggs) Agg(i int) value.Value { return a[i].Value() }
 
 // foldRef is the direct-mapped partial aggregation of the paper's Fig. 1
 // written out plainly: one row at a time, GROUP BY and aggregate arguments
@@ -106,9 +112,13 @@ func (r *foldRef) offer(row tuple.Tuple) error {
 	}
 	if !slot.used {
 		slot.used, slot.hash, slot.key = true, h, vals
-		slot.aggs = make([]agg.Agg, len(r.plan.Aggs))
+		slot.aggs = make(refAggs, len(r.plan.Aggs))
 		for i, def := range r.plan.Aggs {
-			slot.aggs[i] = def.New()
+			a, ok := aggref.New(def.Name)
+			if !ok {
+				return r.fail("%s: no reference aggregate", def.Display)
+			}
+			slot.aggs[i] = a
 		}
 	}
 	ctx = gsql.Ctx{Tuple: row, GroupVals: vals}
@@ -177,9 +187,7 @@ func (r *foldRef) snapshot(t *testing.T) []byte {
 			e.U64(s.hash & r.mask)
 			e.Values(s.key)
 			for _, a := range s.aggs {
-				if err := agg.EncodeAgg(e, a); err != nil {
-					t.Fatal(err)
-				}
+				a.Encode(e)
 			}
 		}
 	}

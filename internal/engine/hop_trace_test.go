@@ -18,13 +18,13 @@ import (
 var updateHopTrace = flag.Bool("update-hop-trace", false,
 	"rewrite testdata/hop_trace.golden from this run (done once, at the commit before the columnar edge)")
 
-// A traced row keeps its place in a high-level node's input: the batch
-// runs as columnar segments around it and the row itself goes in as a
-// batch of one with its traces current. The golden file holds the events
-// of this run recorded with the row-at-a-time edge (every row of every
-// node through Process, in FIFO order); the columnar edge
-// must record the same events in the same order — stage, node, trace id
-// and every argument but the wall-clock ones.
+// A traced row keeps its place in a high-level node's input: its traces
+// ride the batch by the row's position, and the node's one batch walk
+// takes them when it reaches the row. The golden file holds the events of
+// this run recorded with the row-at-a-time edge (every row of every node
+// through Process, in FIFO order); the columnar edge must record the same
+// events in the same order — stage, node, trace id and every argument but
+// the wall-clock ones.
 func TestHopTraceEventsUnchanged(t *testing.T) {
 	e, rollNode := buildSamplingPipeline(t, 4096)
 	tr := tracing.New(tracing.Config{Every: 60, Seed: 9, MaxSpans: 1 << 20})

@@ -41,25 +41,29 @@ import (
 // single-table Run, which is what makes sharded aggregates and eviction
 // counts exactly match the sequential ones.
 
-// partialGroup is one slot of the direct-mapped table.
-type partialGroup struct {
-	used bool
-	key  tuple.Key
-	aggs []agg.Agg
-}
-
 // ptable is one direct-mapped partial-aggregation table plus its window
 // state, a node's step: the whole table for the single-threaded Run, or one
 // shard's stripe under RunParallel. Exactly one goroutine owns a ptable.
+//
+// The slots are columns, as the operator's group store's are: slot i is
+// resident when used[i], and its key is row i of one tuple.Column per
+// GROUP BY item, its key hash hash[i], its aggregates slot i of one
+// agg.Column per aggregate — the same columns, with the same arithmetic,
+// as the operator's.
 type ptable struct {
-	slots     []partialGroup
-	mask      uint64 // global slot mask (slot = key hash & mask)
-	div       uint64 // stripe divisor: 1 for the full table, nshards for a stripe
+	used      []bool
+	keys      []tuple.Column
+	hash      []uint64
+	aggs      []agg.Column
+	slot      agg.Slot // the reader SELECT sees a slot's aggregates through
+	mask      uint64   // global slot mask (slot = key hash & mask)
+	div       uint64   // stripe divisor: 1 for the full table, nshards for a stripe
 	plan      *gsql.Plan
 	front     *gsql.GroupFront // GROUP BY and the open window
 	ctx       gsql.Ctx
 	gbVals    []value.Value
-	windows   int64 // windows closed
+	keyVals   []value.Value // scratch: a slot's key values
+	windows   int64         // windows closed
 	evictions int64
 	residents int64
 	// emit takes the table's output rows (the emitCols of the node, or of
@@ -84,7 +88,10 @@ type ptable struct {
 
 func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
 	t := ptable{
-		slots:   make([]partialGroup, slots),
+		used:    make([]bool, slots),
+		keys:    make([]tuple.Column, len(plan.GroupBy)),
+		hash:    make([]uint64, slots),
+		aggs:    make([]agg.Column, len(plan.Aggs)),
 		mask:    mask,
 		div:     div,
 		plan:    plan,
@@ -98,13 +105,56 @@ func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(co
 	for i := range t.out {
 		t.out[i] = new(tuple.Column)
 	}
+	for i := range t.keys {
+		t.keys[i].Extend(value.Null, slots)
+	}
+	for i, def := range plan.Aggs {
+		t.aggs[i] = def.New()
+		t.aggs[i].Reset(int32(slots - 1))
+	}
+	t.slot.Cols = t.aggs
 	return t
 }
 
-// emitSlot evaluates the SELECT list for one resident group into the
-// output batch, which leaves at the next drain.
-func (t *ptable) emitSlot(slot *partialGroup) error {
-	ctx := gsql.Ctx{GroupVals: slot.key.Values(), Aggs: slot.aggs}
+// claim makes slot i resident with the key of row row of the group-by
+// columns gb (hash h) and fresh aggregates.
+func (t *ptable) claim(i int, h uint64, gb []*tuple.Column, row int) {
+	t.used[i], t.hash[i] = true, h
+	for c := range t.keys {
+		t.keys[c].SetFrom(i, gb[c], row)
+	}
+	for _, a := range t.aggs {
+		a.Reset(int32(i))
+	}
+	t.residents++
+}
+
+// keyOf materializes slot i's key values.
+func (t *ptable) keyOf(i int) []value.Value {
+	t.keyVals = t.keyVals[:0]
+	for c := range t.keys {
+		t.keyVals = append(t.keyVals, t.keys[c].Value(i))
+	}
+	return t.keyVals
+}
+
+// bytes reports the table's storage in bytes.
+func (t *ptable) bytes() int64 {
+	n := int64(len(t.used)) + 8*int64(len(t.hash))
+	for c := range t.keys {
+		n += t.keys[c].Bytes()
+	}
+	for _, a := range t.aggs {
+		n += a.Bytes()
+	}
+	return n
+}
+
+// emitSlot evaluates the SELECT list for resident slot s into the output
+// batch, which leaves at the next drain, and frees the slot.
+func (t *ptable) emitSlot(s int) error {
+	t.slot.At = int32(s)
+	ctx := gsql.Ctx{GroupVals: t.keyOf(s), Aggs: &t.slot}
 	for i, sel := range t.plan.SelectExprs {
 		v, err := sel(&ctx)
 		if err != nil {
@@ -115,6 +165,8 @@ func (t *ptable) emitSlot(slot *partialGroup) error {
 	for i, c := range t.out {
 		c.AppendValue(t.outRow[i])
 	}
+	t.used[s] = false
+	t.residents--
 	return nil
 }
 
@@ -136,13 +188,11 @@ func (t *ptable) drain(err error) error {
 // the table.
 func (t *ptable) Flush() error {
 	ft, groups := t.prof.Start(), t.residents
-	for i := range t.slots {
-		if t.slots[i].used {
-			if err := t.emitSlot(&t.slots[i]); err != nil {
+	for i, used := range t.used {
+		if used {
+			if err := t.emitSlot(i); err != nil {
 				return t.drain(err)
 			}
-			t.slots[i].used = false
-			t.residents--
 		}
 	}
 	if err := t.drain(nil); err != nil {
@@ -153,7 +203,7 @@ func (t *ptable) Flush() error {
 		t.windows++
 	}
 	if np := t.prof; np != nil {
-		np.SetOccupancy(groups, 0, groups*(64+64*int64(len(t.plan.Aggs))))
+		np.SetOccupancy(groups, 0, t.bytes())
 		end := np.Charge(profile.StageFlush, ft, groups, groups)
 		t.nestedNS += end - ft
 		if t.winStartNS != 0 {
@@ -183,15 +233,14 @@ func (t *ptable) Snapshot(e *checkpoint.Encoder) error {
 	e.I64(t.windows)
 	e.I64(t.evictions)
 	e.Len(int(t.residents))
-	for i := range t.slots {
-		slot := &t.slots[i]
-		if !slot.used {
+	for i, used := range t.used {
+		if !used {
 			continue
 		}
-		e.U64(slot.key.Hash() & t.mask)
-		e.Values(slot.key.Values())
-		for j, a := range slot.aggs {
-			if err := agg.EncodeAgg(e, a); err != nil {
+		e.U64(t.hash[i] & t.mask)
+		e.Values(t.keyOf(i))
+		for j, a := range t.aggs {
+			if err := a.Encode(e, int32(i)); err != nil {
 				return fmt.Errorf("snapshot of %s: %w", t.plan.Aggs[j].Display, err)
 			}
 		}
@@ -208,22 +257,27 @@ func (t *ptable) Restore(d *checkpoint.Decoder) error {
 	t.residents = int64(d.Len())
 	for n := t.residents; n > 0; n-- {
 		global := d.U64()
-		key := tuple.MakeKey(d.Values())
+		vals := d.Values()
 		if d.Err() != nil {
 			break
 		}
-		if global != key.Hash()&t.mask {
+		h := tuple.HashValues(vals)
+		if global != h&t.mask {
 			return fmt.Errorf("snapshot has a group in slot %d that does not hash there: taken with a different table size", global)
 		}
-		slot := &t.slots[global/t.div]
-		slot.used, slot.key = true, key
-		slot.aggs = make([]agg.Agg, len(t.plan.Aggs))
-		for j := range slot.aggs {
-			a, err := agg.DecodeAgg(d)
-			if err != nil {
+		if len(vals) != len(t.keys) {
+			return fmt.Errorf("snapshot has a group key of %d values, the plan groups by %d", len(vals), len(t.keys))
+		}
+		i := int(global / t.div)
+		t.used[i], t.hash[i] = true, h
+		for c, v := range vals {
+			t.keys[c].SetValue(i, v)
+		}
+		for j, a := range t.aggs {
+			a.Reset(int32(i))
+			if err := a.Decode(d, int32(i)); err != nil {
 				return fmt.Errorf("restore of %s: %w", t.plan.Aggs[j].Display, err)
 			}
-			slot.aggs[j] = a
 		}
 	}
 	return d.Err()
@@ -326,8 +380,8 @@ func (n *PartialNode) Shards() int {
 	if c < 1 {
 		c = DefaultShards()
 	}
-	if c > len(n.table.slots) {
-		c = len(n.table.slots)
+	if c > len(n.table.used) {
+		c = len(n.table.used)
 	}
 	return c
 }

@@ -161,7 +161,7 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	if e.shardCap > 0 {
 		ringCap = e.shardCap
 	}
-	size := len(pn.table.slots)
+	size := len(pn.table.used)
 	stripe := (size + n - 1) / n // upper bound on slots per shard
 	pn.openSubs(n)
 	for i := 0; i < n; i++ {

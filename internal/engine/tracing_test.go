@@ -431,3 +431,53 @@ func TestDebugEndpointsLive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTracingFailedStepFinishesTakenTraces traces every packet through a
+// node whose SELECT divides by zero mid-batch. In the selections the
+// SELECT kernel errs after WHERE's verdicts and the list's closures err at
+// the poisoned row; in the grouping query a group's row errs at the window
+// flush the batch's row 200 sets off. The traces the step took — the
+// failing row's, those of the kept rows after it, those its groups hold —
+// end node_failed with the ones it never reached: every trace started
+// finishes once.
+func TestTracingFailedStepFinishesTakenTraces(t *testing.T) {
+	for _, src := range []string{
+		`SELECT time, srcIP, 1000 / (len - 100) FROM PKT WHERE len > 50`, // WHERE as a kernel mask
+		`SELECT time, srcIP, 1000 / (len - 100) FROM PKT`,
+		`SELECT time, srcIP, 1000 / (len - 100) FROM PKT WHERE bssample(len, 1) = TRUE`, // a stateful WHERE keeping every row
+		`SELECT tb, srcIP, 1000 / (count(*) - 3) FROM PKT GROUP BY time/1 AS tb, srcIP`,
+	} {
+		e, err := engine.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := e.AddLowLevel("sel", mustPlan(t, src, trace.Schema()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := tracing.New(tracing.Config{Every: 1, Seed: 3, MaxSpans: 1 << 20})
+		if err := e.SetTracer(tr); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		node.Subscribe(func(tuple.Tuple) error { rows++; return nil })
+		// One popped batch over two windows; the poison length 100 at
+		// packet 300.
+		err = e.Run(sliceFeed(foldPackets(400, 2, 40, 7, 300)))
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("%s: Run = %v, want the division by zero", src, err)
+		}
+		sum := tr.Summary()
+		if sum.Started != 400 || sum.Started != sum.Finished {
+			t.Fatalf("%s: started %d traces, finished %d (%d rows out, dispositions %v)",
+				src, sum.Started, sum.Finished, rows, sum.Dispositions)
+		}
+		var total int64
+		for _, n := range sum.Dispositions {
+			total += n
+		}
+		if total != sum.Finished || sum.Dispositions["node_failed"] == 0 {
+			t.Fatalf("%s: dispositions %v, %d finished", src, sum.Dispositions, sum.Finished)
+		}
+	}
+}

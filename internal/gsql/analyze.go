@@ -13,12 +13,13 @@ import (
 // Ctx is the evaluation context the operator runtime supplies to compiled
 // expressions. Which fields are populated depends on the clause: per-tuple
 // clauses carry Tuple and GroupVals; per-group clauses (HAVING, CLEANING
-// BY, SELECT) carry GroupVals and Aggs; Supers and States belong to the
-// current supergroup.
+// BY, SELECT) carry GroupVals and Aggs, the reader of the group's
+// aggregates (the operator serves it from its group store's columns,
+// agg.Slot); Supers and States belong to the current supergroup.
 type Ctx struct {
 	Tuple     tuple.Tuple
 	GroupVals []value.Value
-	Aggs      []agg.Agg
+	Aggs      AggReader
 	Supers    []agg.Super
 	States    []any
 	// Est holds the finalized estimator columns for the window being
@@ -34,6 +35,10 @@ type Ctx struct {
 	Trace func(fn, state string, v value.Value, err error)
 }
 
+// AggReader reads one group's aggregate values by the aggregate's index
+// in Plan.Aggs.
+type AggReader interface{ Agg(i int) value.Value }
+
 // Compiled is an executable expression.
 type Compiled func(ctx *Ctx) (value.Value, error)
 
@@ -46,8 +51,9 @@ type AggDef struct {
 	// ArgExpr is the argument's AST (nil for count(*)), kept so Vectorize
 	// can recompile it as a column kernel.
 	ArgExpr Expr
-	// New creates instances for new groups.
-	New agg.Factory
+	// New creates the aggregate's column: its accumulators for the slots
+	// of a group store.
+	New func() agg.Column
 	// Display is the re-parseable form, used for output column naming.
 	Display string
 }
@@ -599,14 +605,14 @@ func (b *binder) compileUDAF(e *Call, udaf *sfun.AggFunc, ctx exprCtx) (Compiled
 		Arg:     arg,
 		ArgExpr: e.Args[0],
 		Display: display,
-		New: func() agg.Agg {
+		New: agg.Boxed(func() agg.Agg {
 			a, err := newFn(consts)
 			if err != nil {
 				// Validated above; cannot fail for analyzed plans.
 				panic(fmt.Sprintf("gsql: aggregate %s: %v", display, err))
 			}
 			return a
-		},
+		}),
 	}
 	idx := len(b.plan.Aggs)
 	b.plan.Aggs = append(b.plan.Aggs, def)
@@ -625,13 +631,13 @@ func (b *binder) compileAgg(e *Call, ctx exprCtx) (Compiled, error) {
 	if !ctx.aggs {
 		return nil, fmt.Errorf("gsql: aggregate %s not allowed in %s clause", e.Name, ctx.clause)
 	}
-	factory, _ := agg.New(e.Name)
+	newCol, _ := agg.New(e.Name)
 	display := e.String()
 	key := strings.ToLower(display)
 	if idx, ok := b.aggIdx[key]; ok {
 		return aggRef(idx), nil
 	}
-	def := AggDef{Name: strings.ToLower(e.Name), New: factory, Display: display}
+	def := AggDef{Name: strings.ToLower(e.Name), New: newCol, Display: display}
 	switch {
 	case len(e.Args) == 1:
 		if _, isStar := e.Args[0].(*Star); isStar {
@@ -692,10 +698,10 @@ func (b *binder) refuseString(e *Call, name string, arg Expr) error {
 
 func aggRef(idx int) Compiled {
 	return func(c *Ctx) (value.Value, error) {
-		if idx >= len(c.Aggs) {
+		if c.Aggs == nil {
 			return value.Value{}, fmt.Errorf("gsql: aggregate context missing (index %d)", idx)
 		}
-		return c.Aggs[idx].Value(), nil
+		return c.Aggs.Agg(idx), nil
 	}
 }
 

@@ -256,10 +256,12 @@ GROUP BY time/60 as tb, srcIP`)
 
 	sumAgg := p.Aggs[0].New()
 	cntAgg := p.Aggs[1].New()
+	sumAgg.Reset(0)
+	cntAgg.Reset(0)
 	ctx := &Ctx{
 		Tuple:     tuple.Tuple{value.NewUint(120), value.NewUint(7), value.NewUint(8), value.NewInt(500), value.NewUint(9)},
 		GroupVals: []value.Value{value.NewUint(2), value.NewUint(7)},
-		Aggs:      []agg.Agg{sumAgg, cntAgg},
+		Aggs:      &agg.Slot{Cols: []agg.Column{sumAgg, cntAgg}},
 	}
 	// WHERE
 	v, err := p.Where(ctx)
@@ -275,8 +277,8 @@ GROUP BY time/60 as tb, srcIP`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumAgg.Update(av)
-	cntAgg.Update(value.Value{})
+	sumAgg.Update(0, av)
+	cntAgg.Update(0, value.Value{})
 	if v, _ := p.SelectExprs[2](ctx); v.Int() != 500 {
 		t.Errorf("sum(len) = %v", v)
 	}

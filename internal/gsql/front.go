@@ -158,6 +158,31 @@ func (f *GroupFront) Closes(row int) bool {
 	return false
 }
 
+// NextClose returns the first row from row from on, short of n, that
+// closes the open window (Closes), else n: a walk asks once per window
+// instead of once per row. With no window open no row closes one.
+func (f *GroupFront) NextClose(from, n int) int {
+	if !f.open {
+		return n
+	}
+	if f.raw {
+		for row := from; row < n; row++ {
+			for i, bits := range f.rawCols {
+				if bits[row] != f.rawWin[i] {
+					return row
+				}
+			}
+		}
+		return n
+	}
+	for row := from; row < n; row++ {
+		if f.Closes(row) {
+			return row
+		}
+	}
+	return n
+}
+
 // CloseWindow closes the open window, which the caller has flushed.
 func (f *GroupFront) CloseWindow() { f.open = false }
 

@@ -371,11 +371,12 @@ type GroupCall struct {
 }
 
 // CallGroup invokes the stateful function for one group against states
-// (the supergroup's state slice) and the group's aggregates.
-func (gc *GroupCall) CallGroup(states []any, aggs []agg.Agg) (value.Value, error) {
+// (the supergroup's state slice) and the group's aggregates: slot slot of
+// the aggregate columns aggs.
+func (gc *GroupCall) CallGroup(states []any, aggs []agg.Column, slot int32) (value.Value, error) {
 	for i, idx := range gc.argAggs {
 		if idx >= 0 {
-			gc.scratch[i] = aggs[idx].Value()
+			gc.scratch[i] = aggs[idx].Value(slot)
 		}
 	}
 	return gc.call(states[gc.StateIdx], gc.scratch)

@@ -75,11 +75,22 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		return err
 	}
 	v := o.vec
-	np, rows := o.prof, int64(n)
-	pt := np.Start()
+	pt := o.prof.Start()
 	if o.plan.IsSelection {
 		return o.selectBatch(b, v, pt)
 	}
+	tts, err := o.walk(b, v, pt)
+	if err != nil {
+		o.failTraces(tts)
+	}
+	return err
+}
+
+// walk is ProcessBatch's walk over a grouping plan. On an error it returns
+// the traces of the row it failed at.
+func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.TupleTrace, error) {
+	n, np := b.Len(), o.prof
+	rows := int64(n)
 	kernels := v.vp != nil
 	if kernels {
 		pt, kernels = o.evalKernels(b, v, pt)
@@ -109,26 +120,29 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	}
 	allSG := len(o.plan.SupergroupIdx) == 0
 	next := o.tr.NextRow()
+	closes := f.NextClose(0, stop) // the row that closes the open window
+	var tts []*tracing.TupleTrace
 	for row := 0; row < stop; row++ {
 		o.stats.TuplesIn++
 
 		// The row's traces, taken before anything the row sets off.
-		var tts []*tracing.TupleTrace
 		var hook func(fn, state string, v value.Value, err error)
+		tts = nil
 		if row == next {
 			tts, next = o.tr.TakeRow(o.trName)
 			hook = o.sfunHook(tts)
 		}
 
 		// Window boundary against the ordered group-by columns.
-		if f.Closes(row) {
+		if row == closes {
 			if err := o.flushWindow(); err != nil {
-				return err
+				return tts, err
 			}
 			v.curSG = nil
 		}
-		if f.OpenAt(row) {
+		if !f.WindowOpen() && f.OpenAt(row) {
 			o.stampWindow()
+			closes = f.NextClose(row+1, stop)
 		}
 
 		// Supergroup lookup/creation, before WHERE: rejected tuples still
@@ -167,7 +181,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				hook(whereCall.Fn, whereCall.State, wv, err)
 			}
 			if err != nil {
-				return fmt.Errorf("operator: WHERE: %w", err)
+				return tts, fmt.Errorf("operator: WHERE: %w", err)
 			}
 			pass := wv.Truth()
 			o.traceWhere(tts, pass)
@@ -177,7 +191,7 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 		case o.plan.Where != nil:
 			wv, err := o.plan.Where(&o.ctx)
 			if err != nil {
-				return fmt.Errorf("operator: WHERE: %w", err)
+				return tts, fmt.Errorf("operator: WHERE: %w", err)
 			}
 			pass := wv.Truth()
 			o.traceWhere(tts, pass)
@@ -196,33 +210,33 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			} else if def.Arg != nil {
 				var err error
 				if av, err = def.Arg(&o.ctx); err != nil {
-					return fmt.Errorf("operator: %s argument: %w", def.Display, err)
+					return tts, fmt.Errorf("operator: %s argument: %w", def.Display, err)
 				}
 			}
 			o.argVals[i] = av
 			sg.supers[i].OnTuple(av)
 		}
 
-		// Group lookup straight off the columns; key values materialize
-		// only on a miss (group creation).
+		// Group lookup and creation straight off the columns: the key's
+		// words move from the batch to the store.
 		h := tuple.HashRow(gb, row)
-		g := o.groups.lookupCols(h, gb, row)
-		created := g == nil
+		g := o.groups.lookupCols(&o.store, h, gb, row)
+		created := g < 0
 		if created {
-			for i, c := range gb {
-				o.gbVals[i] = c.Value(row)
-			}
-			g = o.createGroup(sg, h)
+			g = o.createGroup(sg, h, gb, row)
 			for i := range sg.supers {
 				sg.supers[i].OnGroupAdd(o.argVals[i])
 			}
 		}
 		if tts != nil {
-			key := g.key.String()
+			key := o.store.key(g)
 			for _, tt := range tts {
 				tt.GroupLookup(o.trName, key, created)
 			}
-			g.traces = append(g.traces, tts...)
+			if o.traces == nil {
+				o.traces = make(map[int32][]*tracing.TupleTrace)
+			}
+			o.traces[g] = append(o.traces[g], tts...)
 		}
 		for i := range o.plan.Aggs {
 			def := &o.plan.Aggs[i]
@@ -232,23 +246,25 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 			} else if def.Arg != nil {
 				var err error
 				if av, err = def.Arg(&o.ctx); err != nil {
-					return fmt.Errorf("operator: %s argument: %w", def.Display, err)
+					return tts, fmt.Errorf("operator: %s argument: %w", def.Display, err)
 				}
 			}
-			g.aggs[i].Update(av)
+			o.store.aggs[i].Update(g, av)
 		}
 		for i := range o.plan.Supers {
+			c, av := &o.store.contribs[i], o.argVals[i]
 			switch o.plan.Supers[i].Spec.Contribution {
 			case agg.ContribSum:
-				g.contribs[i] = addContrib(g.contribs[i], o.argVals[i])
+				c.SetValue(int(g), addContrib(c.Value(int(g)), av))
 			case agg.ContribFirst:
-				if g.contribs[i].IsNull() {
-					g.contribs[i] = o.argVals[i]
+				if !c.Valid(int(g)) {
+					c.SetValue(int(g), av)
 				}
 			}
 		}
 		if rowCtx {
-			o.ctx.Aggs = g.aggs
+			o.slot.At = g
+			o.ctx.Aggs = &o.slot
 		}
 
 		// CLEANING WHEN on the supergroup; CLEANING BY over its groups.
@@ -264,21 +280,21 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 				cv, err = o.plan.CleaningWhen(&o.ctx)
 			}
 			if err != nil {
-				return fmt.Errorf("operator: CLEANING WHEN: %w", err)
+				return tts, fmt.Errorf("operator: CLEANING WHEN: %w", err)
 			}
 			if cv.Truth() {
 				if err := o.cleanSupergroup(sg, hook); err != nil {
-					return err
+					return tts, err
 				}
 			}
 		}
 	}
 	if fillErr != nil {
 		o.stats.TuplesIn++
-		return fillErr
+		return nil, fillErr
 	}
 	np.Charge(profile.StageWalk, pt+o.nestedNS-nested, rows, o.stats.TuplesAccepted-accepted)
-	return nil
+	return nil, nil
 }
 
 // evalKernels evaluates the plan's kernels over the whole batch, charging
@@ -346,7 +362,8 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 // erred after WHERE's verdicts — each kept row's SELECT list evaluates
 // through output, after WHERE's closure if no kernel gave the verdict, and
 // the first error ends the batch at its row. A traced row's traces are
-// taken with its verdict, or with its closures. The profile charges
+// taken with its verdict, or with its closures; an error finishes those it
+// took and did not stage (failRows). The profile charges
 // WHERE's kernel, the calls and closures as the walk, SELECT's kernels as
 // the argument kernels, the hand-off to the sink as transfer.
 func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
@@ -402,6 +419,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 				}
 				if err != nil {
 					whereErr, in = err, row+1
+					o.failTraces(tts)
 					break
 				}
 				pass := wv.Truth()
@@ -470,6 +488,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 			wv, err := o.plan.Where(&o.ctx)
 			if err != nil {
 				o.stats.TuplesIn += int64(row) + 1
+				o.failRows(tts, kept)
 				return o.drain(err)
 			}
 			pass := wv.Truth()
@@ -481,6 +500,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 		o.stats.TuplesAccepted++
 		if err := o.output(&o.ctx, tts); err != nil {
 			o.stats.TuplesIn += int64(row) + 1
+			o.failRows(tts, kept)
 			return o.drain(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"streamop/internal/agg"
 	"streamop/internal/checkpoint"
 	"streamop/internal/tuple"
-	"streamop/internal/value"
 )
 
 // Snapshot / Restore serialize the operator's complete execution state at
@@ -68,13 +67,16 @@ func (o *Operator) Snapshot(e *checkpoint.Encoder) error {
 		}
 		e.Len(len(sg.groups))
 		for _, g := range sg.groups {
-			e.Values(g.vals)
-			for i, a := range g.aggs {
-				if err := agg.EncodeAgg(e, a); err != nil {
+			e.Values(o.store.keyVals(g, o.keyVals))
+			for i, a := range o.store.aggs {
+				if err := a.Encode(e, g); err != nil {
 					return fmt.Errorf("operator: snapshot of %s: %w", o.plan.Aggs[i].Display, err)
 				}
 			}
-			e.Values(g.contribs)
+			e.Len(len(o.store.contribs))
+			for i := range o.store.contribs {
+				e.Value(o.store.contribs[i].Value(int(g)))
+			}
 		}
 	}
 
@@ -168,8 +170,10 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 	}
 
 	o.groups.clear()
-	// A fresh arena: no group from before the restore can reach its tables.
-	o.arena, o.next, o.evicted = nil, 0, nil
+	// A fresh store: no group from before the restore can reach its tables.
+	o.store = newGroupStore(o.plan)
+	o.slot.Cols = o.store.aggs
+	clear(o.traces)
 	o.sgNew = make(map[uint64][]*supergroup)
 	o.sgOld = make(map[uint64][]*supergroup)
 	o.sgList, o.sgOldList = o.sgList[:0], o.sgOldList[:0]
@@ -223,22 +227,26 @@ func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergro
 	nG := d.Len()
 	for j := 0; j < nG && d.Err() == nil; j++ {
 		vals := d.Values()
-		g := o.newGroup(sg, vals, tuple.HashValues(vals))
-		g.aggs = make([]agg.Agg, len(o.plan.Aggs))
-		for i := range o.plan.Aggs {
-			a, err := agg.DecodeAgg(d)
-			if err != nil {
+		if d.Err() != nil {
+			break
+		}
+		if len(vals) != len(o.plan.GroupBy) {
+			return nil, fmt.Errorf("operator: group key has %d values, plan groups by %d", len(vals), len(o.plan.GroupBy))
+		}
+		g := o.addGroup(sg, tuple.HashValues(vals))
+		o.store.setKeyVals(g, vals)
+		for i, a := range o.store.aggs {
+			if err := a.Decode(d, g); err != nil {
 				return nil, fmt.Errorf("operator: restore of %s: %w", o.plan.Aggs[i].Display, err)
 			}
-			g.aggs[i] = a
 		}
-		g.contribs = d.Values()
-		if d.Err() == nil && g.contribs != nil && len(g.contribs) != len(o.plan.Supers) {
+		contribs := d.Values()
+		if d.Err() == nil && contribs != nil && len(contribs) != len(o.plan.Supers) {
 			return nil, fmt.Errorf("operator: group has %d contributions, plan has %d superaggregates",
-				len(g.contribs), len(o.plan.Supers))
+				len(contribs), len(o.plan.Supers))
 		}
-		if g.contribs == nil && len(o.plan.Supers) > 0 {
-			g.contribs = make([]value.Value, len(o.plan.Supers))
+		for i, v := range contribs {
+			o.store.contribs[i].SetValue(int(g), v)
 		}
 	}
 	return sg, d.Err()

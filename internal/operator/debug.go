@@ -50,9 +50,9 @@ type DebugState struct {
 	TopGroups   []DebugGroup       `json:"top_groups,omitempty"`
 }
 
-// rankedGroup is a group with the value publishDebug ranks it by.
+// rankedGroup is a group's slot with the value publishDebug ranks it by.
 type rankedGroup struct {
-	g    *group
+	g    int32
 	rank float64
 }
 
@@ -141,25 +141,26 @@ func (o *Operator) publishDebug(at string) {
 	}
 
 	// Occupancy and top-K groups by first-aggregate value across all
-	// supergroups of the open window. Groups are ranked by pointer first;
+	// supergroups of the open window. Groups are ranked by slot first;
 	// only the K winners pay for key/aggregate rendering.
 	top := make([]rankedGroup, 0, debugTopK)
+	aggs := o.store.aggs
 	for _, sg := range o.sgList {
 		st.Groups += len(sg.groups)
 		for _, g := range sg.groups {
 			var rank float64
-			if len(g.aggs) > 0 {
-				rank = g.aggs[0].Value().AsFloat()
+			if len(aggs) > 0 {
+				rank = aggs[0].Value(g).AsFloat()
 			}
 			top = insertTop(top, rankedGroup{g, rank})
 		}
 	}
 	for _, r := range top {
-		dg := DebugGroup{Key: r.g.key.String(), Rank: r.rank}
-		if len(r.g.aggs) > 0 {
-			dg.Aggs = make(map[string]string, len(r.g.aggs))
-			for j := range r.g.aggs {
-				dg.Aggs[o.plan.Aggs[j].Display] = r.g.aggs[j].Value().String()
+		dg := DebugGroup{Key: o.store.key(r.g), Rank: r.rank}
+		if len(aggs) > 0 {
+			dg.Aggs = make(map[string]string, len(aggs))
+			for j, a := range aggs {
+				dg.Aggs[o.plan.Aggs[j].Display] = a.Value(r.g).String()
 			}
 		}
 		st.TopGroups = append(st.TopGroups, dg)

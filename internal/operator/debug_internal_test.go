@@ -19,7 +19,7 @@ func TestInsertTopMatchesStableSort(t *testing.T) {
 	} {
 		all := make([]rankedGroup, tc.groups)
 		for i := range all {
-			all[i] = rankedGroup{g: new(group), rank: float64(r.Intn(tc.ranks))}
+			all[i] = rankedGroup{g: int32(i), rank: float64(r.Intn(tc.ranks))}
 		}
 		top := make([]rankedGroup, 0, debugTopK)
 		for _, rg := range all {
@@ -32,7 +32,7 @@ func TestInsertTopMatchesStableSort(t *testing.T) {
 		}
 		for i := range want {
 			if top[i] != want[i] {
-				t.Errorf("%d groups over %d ranks: place %d holds rank %v group %p, the sort puts rank %v group %p there",
+				t.Errorf("%d groups over %d ranks: place %d holds rank %v group %d, the sort puts rank %v group %d there",
 					tc.groups, tc.ranks, i, top[i].rank, top[i].g, want[i].rank, want[i].g)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"streamop/internal/checkpoint"
 	"streamop/internal/estimate"
 	"streamop/internal/sfun"
+	"streamop/internal/tracing"
 	"streamop/internal/value"
 )
 
@@ -37,7 +38,7 @@ const estHistoryCap = 64
 // append to it.
 type estPending struct {
 	sg   *supergroup
-	g    *group
+	g    int32 // the group's slot
 	wOff int
 }
 
@@ -86,7 +87,7 @@ func (o *Operator) AccuracySnapshot() *AccuracyState {
 
 // estBuffer evaluates the estimate weights of the current HAVING-passing
 // group under o.ctx and defers its emission. Called from the flush pass.
-func (o *Operator) estBuffer(sg *supergroup, g *group) error {
+func (o *Operator) estBuffer(sg *supergroup, g int32) error {
 	off := len(o.estWeights)
 	for i := range o.plan.Estimates {
 		def := &o.plan.Estimates[i]
@@ -166,13 +167,21 @@ func (o *Operator) finishEstimates() error {
 	}
 
 	o.ctx.Est = est
+	o.ctx.Aggs = &o.slot
 	for _, p := range o.estPending {
 		o.ctx.States = p.sg.states
 		o.ctx.Supers = p.sg.supers
-		o.ctx.GroupVals = p.g.vals
-		o.ctx.Aggs = p.g.aggs
-		if err := o.output(&o.ctx, p.g.traces); err != nil {
+		o.ctx.GroupVals = o.store.keyVals(p.g, o.keyVals)
+		o.slot.At = p.g
+		var tts []*tracing.TupleTrace
+		if o.tr != nil {
+			tts = o.traces[p.g]
+		}
+		if err := o.output(&o.ctx, tts); err != nil {
 			return err
+		}
+		if len(tts) > 0 {
+			delete(o.traces, p.g) // staged
 		}
 	}
 	for i := range o.estPending {

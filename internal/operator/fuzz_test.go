@@ -1,8 +1,10 @@
 package operator_test
 
 import (
+	"fmt"
 	"testing"
 
+	"streamop/internal/checkpoint"
 	"streamop/internal/sfunlib"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
@@ -36,13 +38,13 @@ var fuzzQueries = []string{
 	`SELECT ts, k * 2, v FROM S WHERE bssample(k + 3, 4) = TRUE`,
 }
 
-// fuzzRows decodes data: its first byte picks the query, its second the
-// batch size, and every four bytes after them make a row.
-func fuzzRows(data []byte) (src string, size int, rows []tuple.Tuple) {
+// fuzzRows decodes data: its first byte picks one of queries, its second
+// the batch size, and every four bytes after them make a row.
+func fuzzRows(data []byte, queries []string) (src string, size int, rows []tuple.Tuple) {
 	if len(data) < 2 {
 		return "", 0, nil
 	}
-	src, size = fuzzQueries[int(data[0])%len(fuzzQueries)], 1+int(data[1])%70
+	src, size = queries[int(data[0])%len(queries)], 1+int(data[1])%70
 	tags := []string{"a", "bb", ""}
 	var ts uint64
 	for b := data[2:]; len(b) >= 4 && len(rows) < 400; b = b[4:] {
@@ -72,12 +74,68 @@ func FuzzWalk(f *testing.F) {
 		f.Add([]byte{byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, size, rows := fuzzRows(data)
+		src, size, rows := fuzzRows(data, fuzzQueries)
 		if rows == nil {
 			return
 		}
 		want := runOracle(compilePlan(t, src, fuzzSchema, sfunlib.Default(1)), rows, true)
 		op, out := newEquivOp(t, src, fuzzSchema, 1)
 		requireOracle(t, src, op, fuzzSchema, rows, size, true, out, want)
+	})
+}
+
+// snapshotQueries are FuzzWalkSnapshot's: every built-in aggregate's
+// column form — min, max, first and last over the mixed-kind column,
+// sum, avg, var and stddev over numeric expressions of k — with cleaning
+// that frees slots for reuse, and the contributions of sum$ and min$.
+var snapshotQueries = []string{
+	`SELECT tb, k, min(v), max(v), first(v), last(v), count(*) FROM S GROUP BY ts/4 AS tb, k
+	 CLEANING WHEN count_distinct$(*) >= 4 CLEANING BY count(*) >= 2`,
+	`SELECT tb, tag, v, sum(k * 3), avg(k + 0.5), var(k), stddev(k - 1), sum$(k) FROM S GROUP BY ts/4 AS tb, tag, v
+	 HAVING count(*) > 1 CLEANING WHEN count_distinct$(*) >= 6 CLEANING BY sum(k) > 0`,
+	`SELECT tb, k, min$(k), first(tag), last(v), sum(k / 2.0), max(tag) FROM S GROUP BY ts/4 AS tb, k, tag
+	 SUPERGROUP BY tb, tag CLEANING WHEN count_distinct$(*) >= 3 CLEANING BY k > min$(k)`,
+}
+
+// FuzzWalkSnapshot holds a run interrupted by Snapshot and Restore to the
+// oracle: its first byte picks the row after which the operator's state
+// moves into a fresh one, and the rest decodes as FuzzWalk's input does,
+// over snapshotQueries.
+func FuzzWalkSnapshot(f *testing.F) {
+	for q := range snapshotQueries {
+		for _, cut := range []byte{0, 90, 200} {
+			f.Add([]byte{cut, byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1,
+				8, 3, 12, 2, 0, 6, 33, 1, 3, 0, 17, 0, 1, 5, 2, 2, 0, 7, 29, 1, 16, 4, 0, 0})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		src, size, rows := fuzzRows(data[1:], snapshotQueries)
+		if rows == nil {
+			return
+		}
+		want := runOracle(compilePlan(t, src, fuzzSchema, sfunlib.Default(1)), rows, true)
+		if want.err != nil {
+			t.Fatalf("oracle: %v", want.err)
+		}
+		cut := int(data[0]) * (len(rows) + 1) / 256
+		opA, out := newEquivOp(t, src, fuzzSchema, 1)
+		if _, err := runSubject(opA, fuzzSchema, rows[:cut], size, false); err != nil {
+			t.Fatal(err)
+		}
+		blob := opSnapshot(t, opA)
+		opB, outB := newEquivOp(t, src, fuzzSchema, 1)
+		if err := opB.Restore(checkpoint.NewDecoder(blob)); err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		if _, err := runSubject(opB, fuzzSchema, rows[cut:], size, true); err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalRows(t, fmt.Sprintf("cut at row %d", cut), append(*out, *outB...), want.rows)
+		if got := opB.Stats(); got != want.stats {
+			t.Fatalf("cut at row %d: stats = %+v, want %+v", cut, got, want.stats)
+		}
 	})
 }

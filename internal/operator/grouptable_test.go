@@ -8,40 +8,36 @@ import (
 	"streamop/internal/xrand"
 )
 
-// lookupKey probes the table for the key vals, as the walk probes one row
-// of its group-by columns.
-func lookupKey(t *groupTable, vals []value.Value) *group {
+// lookupKey probes the table over the store st for the key vals, as the
+// walk probes one row of its group-by columns.
+func lookupKey(t *groupTable, st *groupStore, vals []value.Value) int32 {
 	cols := make([]*tuple.Column, len(vals))
 	for i, v := range vals {
 		cols[i] = new(tuple.Column)
 		cols[i].AppendValue(v)
 	}
-	return t.lookupCols(tuple.HashRow(cols, 0), cols, 0)
+	return t.lookupCols(st, tuple.HashRow(cols, 0), cols, 0)
 }
 
 // Randomized insert/remove/lookup against a reference map. Interleaved
 // removals stress backward-shift deletion: after every operation each
-// resident key must still be reachable along its probe chain.
+// resident key must still be reachable along its probe chain. Removed
+// keys free their slots, which later keys reuse.
 func TestGroupTableRandomized(t *testing.T) {
 	r := xrand.New(11)
 	var tab groupTable
-	ref := make(map[int64]*group)
+	st := groupStore{keys: make([]tuple.Column, 1)}
+	ref := make(map[int64]int32)
 	keyVals := func(k int64) []value.Value { return []value.Value{value.NewInt(k)} }
 
-	mk := func(k int64) *group {
-		vals := keyVals(k)
-		return &group{key: tuple.OwnKey(vals), vals: vals}
-	}
 	checkAll := func() {
 		t.Helper()
 		if tab.len() != len(ref) {
 			t.Fatalf("len = %d, want %d", tab.len(), len(ref))
 		}
 		for k, g := range ref {
-			vals := keyVals(k)
-			got := lookupKey(&tab, vals)
-			if got != g {
-				t.Fatalf("lookup %d = %p, want %p", k, got, g)
+			if got := lookupKey(&tab, &st, keyVals(k)); got != g {
+				t.Fatalf("lookup %d = slot %d, want %d", k, got, g)
 			}
 		}
 	}
@@ -54,17 +50,19 @@ func TestGroupTableRandomized(t *testing.T) {
 		switch {
 		case r.Intn(3) != 0: // insert (if absent)
 			if _, ok := ref[k]; !ok {
-				g := mk(k)
+				g := st.claim(h)
+				st.setKeyVals(g, vals)
 				ref[k] = g
 				tab.insert(h, g)
 			}
 		default: // remove (if present)
 			if g, ok := ref[k]; ok {
 				tab.remove(h, g)
+				st.release(g)
 				delete(ref, k)
 			}
-			if got := lookupKey(&tab, vals); got != nil {
-				t.Fatalf("lookup after remove %d = %p", k, got)
+			if got := lookupKey(&tab, &st, vals); got >= 0 {
+				t.Fatalf("lookup after remove %d = slot %d", k, got)
 			}
 		}
 		if step%500 == 0 {
@@ -72,11 +70,14 @@ func TestGroupTableRandomized(t *testing.T) {
 		}
 	}
 	checkAll()
+	if len(st.hash) > keyRange {
+		t.Fatalf("%d slots for at most %d resident keys: freed slots are not reused", len(st.hash), keyRange)
+	}
 
 	// Lookups at every row of a batch reach every resident key.
 	schema := tuple.MustSchema("K", tuple.Field{Name: "k", Kind: value.Int})
 	b := tuple.NewBatch(schema, keyRange)
-	var want []*group
+	var want []int32
 	for k := int64(0); k < keyRange; k++ {
 		if g, ok := ref[k]; ok {
 			b.AppendRow(tuple.Tuple{value.NewInt(k)})
@@ -85,9 +86,9 @@ func TestGroupTableRandomized(t *testing.T) {
 	}
 	cols := []*tuple.Column{b.Col(0)}
 	for i := 0; i < b.Len(); i++ {
-		got := tab.lookupCols(tuple.HashRow(cols, i), cols, i)
+		got := tab.lookupCols(&st, tuple.HashRow(cols, i), cols, i)
 		if got != want[i] {
-			t.Fatalf("lookupCols row %d = %p, want %p", i, got, want[i])
+			t.Fatalf("lookupCols row %d = slot %d, want %d", i, got, want[i])
 		}
 	}
 
@@ -97,9 +98,8 @@ func TestGroupTableRandomized(t *testing.T) {
 		t.Fatalf("len after clear = %d", tab.len())
 	}
 	for k := range ref {
-		vals := keyVals(k)
-		if got := lookupKey(&tab, vals); got != nil {
-			t.Fatalf("lookup %d after clear = %p", k, got)
+		if got := lookupKey(&tab, &st, keyVals(k)); got >= 0 {
+			t.Fatalf("lookup %d after clear = slot %d", k, got)
 		}
 	}
 }

@@ -16,6 +16,11 @@
 // CLEANING BY predicate runs over every group of the supergroup and groups
 // where it is FALSE are evicted. At the window border HAVING selects the
 // groups that form the output sample.
+//
+// A group is a slot of the window's group store (grouptable.go): its key,
+// hash, aggregates and contributions are row s of a few dense columns, the
+// supergroup-group table lists slots, and the group table maps key hashes
+// to them.
 package operator
 
 import (
@@ -57,25 +62,13 @@ type Stats struct {
 	TuplesOut      int64 // output rows emitted
 }
 
-type group struct {
-	key  tuple.Key
-	vals []value.Value
-	aggs []agg.Agg
-	// contribs accumulates, per superaggregate, this group's contribution
-	// for OnGroupRemove (policy per SuperDef.Spec.Contribution).
-	contribs []value.Value
-	// traces carries the provenance traces of sampled tuples absorbed into
-	// this group, so eviction/HAVING/emission can terminate them (see
-	// tracing.go). Nil unless a tracer is attached and sampled this group's
-	// tuples.
-	traces []*tracing.TupleTrace
-}
-
 type supergroup struct {
 	key    tuple.Key
 	states []any
 	supers []agg.Super
-	groups []*group // insertion-ordered supergroup-group table
+	// groups is the insertion-ordered supergroup-group table: group slots.
+	// In the old table it is void, storage for the next window's.
+	groups []int32
 }
 
 // Operator is a running instance of a compiled sampling query.
@@ -89,14 +82,17 @@ type Operator struct {
 	out    []*tuple.Column
 	outRow tuple.Tuple
 
-	// Group table (open addressing; see grouptable.go) and the
-	// window-ordered arena its groups come from (see newGroup): every group
-	// struct allocated, in allocation order, the open window's cursor into
-	// it, and the groups cleaning evicted from the open window.
-	groups  groupTable
-	arena   []*group
-	next    int
-	evicted []*group
+	// The open window's groups (see grouptable.go): the store of their
+	// slots, the group table over it, and slot, the reader the per-group
+	// clauses see a group's aggregates through.
+	store  groupStore
+	groups groupTable
+	slot   agg.Slot
+	// traces carries, by slot, the provenance traces of sampled tuples a
+	// group has absorbed and not yet staged for output, so eviction,
+	// HAVING, emission or a failing step can terminate them (see
+	// tracing.go). Empty unless a tracer is attached.
+	traces map[int32][]*tracing.TupleTrace
 	// New and old supergroup tables, each with its insertion order for
 	// deterministic flushing and snapshots.
 	sgNew     map[uint64][]*supergroup
@@ -116,6 +112,7 @@ type Operator struct {
 
 	ctx     gsql.Ctx
 	gbVals  []value.Value // scratch: group-by values of the current tuple
+	keyVals []value.Value // scratch: a group's key values
 	sgVals  []value.Value // scratch: supergroup key values
 	argVals []value.Value // scratch: superaggregate argument values
 	stats   Stats
@@ -171,9 +168,12 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
 		sgNew:   make(map[uint64][]*supergroup),
 		sgOld:   make(map[uint64][]*supergroup),
+		store:   newGroupStore(plan),
 		gbVals:  make([]value.Value, len(plan.GroupBy)),
+		keyVals: make([]value.Value, 0, len(plan.GroupBy)),
 		argVals: make([]value.Value, len(plan.Supers)),
 	}
+	o.slot.Cols = o.store.aggs
 	o.vec = newVecState(plan, o.front.Vec())
 	for i := range o.out {
 		o.out[i] = new(tuple.Column)
@@ -273,6 +273,11 @@ func (o *Operator) supergroupFor(vals []value.Value) *supergroup {
 			break
 		}
 	}
+	if old != nil {
+		// The old supergroup-group table's storage, its slots void since
+		// the rotation, holds this window's.
+		sg.groups, old.groups = old.groups[:0], nil
+	}
 	sg.states = make([]any, len(o.plan.States))
 	for i, sd := range o.plan.States {
 		var oldState any
@@ -299,71 +304,20 @@ func (o *Operator) supergroupFor(vals []value.Value) *supergroup {
 	return sg
 }
 
-// newGroup takes a group struct from the arena — the next one the open
-// window has not used, else one cleaning evicted earlier in the window,
-// else a new one appended — keys it by vals (hash h) and registers it in
-// the group table and sg's supergroup-group table. Handed out in arena
-// order, each window's groups, and the arrays and aggregates they keep,
-// lie in memory in the order sg.groups, cleaning, HAVING and SELECT walk
-// them, which is what keeps those walks off memory latency; the arena
-// never outgrows the resident high-water mark. A group handed out again
-// keeps its backing arrays (vals is re-keyed in place, tuple.OwnKeyHash)
-// and drops its traces.
-func (o *Operator) newGroup(sg *supergroup, vals []value.Value, h uint64) *group {
-	var g *group
-	switch n := len(o.evicted); {
-	case o.next < len(o.arena):
-		g = o.arena[o.next]
-		o.next++
-	case n > 0:
-		g = o.evicted[n-1]
-		o.evicted = o.evicted[:n-1]
-	default:
-		g = &group{}
-		o.arena = append(o.arena, g)
-		o.next++
-	}
-	g.vals = append(g.vals[:0], vals...)
-	g.key = tuple.OwnKeyHash(g.vals, h)
-	g.traces = nil
+// addGroup takes a slot for a new group of hash h and registers it in the
+// group table and sg's supergroup-group table. The caller writes its key.
+func (o *Operator) addGroup(sg *supergroup, h uint64) int32 {
+	g := o.store.claim(h)
 	o.groups.insert(h, g)
 	sg.groups = append(sg.groups, g)
 	return g
 }
 
-// createGroup makes the group for the key currently in o.gbVals (hash h).
-// Resettable aggregate instances of a group handed out again are reset in
-// place, so a steady-state window allocates nothing for churned groups.
-func (o *Operator) createGroup(sg *supergroup, h uint64) *group {
-	g := o.newGroup(sg, o.gbVals, h)
-	if cap(g.aggs) >= len(o.plan.Aggs) {
-		g.aggs = g.aggs[:len(o.plan.Aggs)]
-	} else {
-		g.aggs = make([]agg.Agg, len(o.plan.Aggs))
-	}
-	for i, def := range o.plan.Aggs {
-		// A reused group's slot i holds def i's type (the arena is
-		// per-operator); resetting it in place skips the allocation.
-		if a := g.aggs[i]; a != nil {
-			if r, ok := a.(agg.Resettable); ok {
-				r.Reset()
-				continue
-			}
-		}
-		g.aggs[i] = def.New()
-	}
-	if n := len(o.plan.Supers); n > 0 {
-		if cap(g.contribs) >= n {
-			g.contribs = g.contribs[:n]
-			for i := range g.contribs {
-				g.contribs[i] = value.Value{}
-			}
-		} else {
-			g.contribs = make([]value.Value, n)
-		}
-	} else {
-		g.contribs = nil
-	}
+// createGroup makes the group keyed by row row of the group-by columns gb
+// (hash h).
+func (o *Operator) createGroup(sg *supergroup, h uint64, gb []*tuple.Column, row int) int32 {
+	g := o.addGroup(sg, h)
+	o.store.setKeyRow(g, gb, row)
 	o.stats.GroupsCreated++
 	return g
 }
@@ -392,7 +346,7 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 	if o.plan.CleaningBy == nil {
 		return nil
 	}
-	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Trace: hook}
+	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Aggs: &o.slot, Trace: hook}
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
 	// shape, skip the scalar closure tree (same calls, same state
 	// mutations, same results, the same report to the hook).
@@ -402,16 +356,16 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 	}
 	kept := sg.groups[:0]
 	for _, g := range sg.groups {
-		o.ctx.GroupVals = g.vals
-		o.ctx.Aggs = g.aggs
 		var v value.Value
 		var err error
 		if fast != nil {
-			v, err = fast.CallGroup(sg.states, g.aggs)
+			v, err = fast.CallGroup(sg.states, o.store.aggs, g)
 			if hook != nil {
 				hook(fast.Fn, fast.State, v, err)
 			}
 		} else {
+			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
+			o.slot.At = g
 			v, err = o.plan.CleaningBy(&o.ctx)
 		}
 		if err != nil {
@@ -423,30 +377,26 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 		}
 		o.evictGroup(sg, g)
 	}
-	for i := len(kept); i < len(sg.groups); i++ {
-		sg.groups[i] = nil
-	}
 	sg.groups = kept
 	return nil
 }
 
-// evictGroup removes g from the group table, subtracts its superaggregate
-// contributions and leaves g for newGroup to reuse once the window has
-// used the arena up. (The caller maintains sg.groups.)
-func (o *Operator) evictGroup(sg *supergroup, g *group) {
-	o.groups.remove(g.key.Hash(), g)
+// evictGroup removes group g from the group table, subtracts its
+// superaggregate contributions and frees its slot for a later group of
+// the window. (The caller maintains sg.groups.)
+func (o *Operator) evictGroup(sg *supergroup, g int32) {
+	o.groups.remove(o.store.hash[g], g)
 	for i := range sg.supers {
-		var contrib value.Value
-		if g.contribs != nil {
-			contrib = g.contribs[i]
-		}
-		sg.supers[i].OnGroupRemove(contrib)
+		sg.supers[i].OnGroupRemove(o.store.contribs[i].Value(int(g)))
 	}
-	if o.tr != nil && len(g.traces) > 0 {
-		o.traceEviction(sg, g)
+	if o.tr != nil {
+		if tts := o.traces[g]; len(tts) > 0 {
+			o.traceEviction(sg, tts)
+			delete(o.traces, g)
+		}
 	}
 	o.stats.GroupsEvicted++
-	o.evicted = append(o.evicted, g)
+	o.store.release(g)
 }
 
 // flushWindow closes the open window: signals WindowFinal to all states,
@@ -476,21 +426,19 @@ func (o *Operator) flushWindow() error {
 		for _, sg := range o.sgList {
 			groups += len(sg.groups)
 		}
-		np.SetOccupancy(int64(groups), int64(len(o.sgList)), o.approxGroupBytes(groups))
+		np.SetOccupancy(int64(groups), int64(len(o.sgList)), o.groupBytes())
 	}
 	o.windowIdx++
 	o.winBase = o.stats
 	// Rotate: current supergroups become the "old" table for state
-	// handoff; the group table clears (keeping its storage) and the arena
-	// rewinds, so the next window takes its groups in the same order.
+	// handoff; the group table clears (keeping its storage) and the store
+	// rewinds, so the next window takes its slots in the same order.
 	o.groups.clear()
 	o.sgOld = o.sgNew
 	o.sgNew = make(map[uint64][]*supergroup)
-	for _, sg := range o.sgList {
-		sg.groups = nil // drop group references; states survive in sgOld
-	}
 	o.sgOldList, o.sgList = o.sgList, o.sgOldList[:0]
-	o.next, o.evicted = 0, o.evicted[:0] // evicted groups are arena entries too
+	o.store.rewind()
+	clear(o.traces)
 	o.front.CloseWindow()
 	if np != nil || o.om != nil {
 		end := profile.Now()
@@ -517,12 +465,17 @@ func (o *Operator) sample() error {
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
 		o.ctx.Supers = sg.supers
+		o.ctx.Aggs = &o.slot
 		for _, g := range sg.groups {
-			o.ctx.GroupVals = g.vals
-			o.ctx.Aggs = g.aggs
-			traced := o.tr != nil && len(g.traces) > 0
+			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
+			o.slot.At = g
+			var tts []*tracing.TupleTrace
+			if o.tr != nil {
+				tts = o.traces[g]
+			}
+			traced := len(tts) > 0
 			if traced {
-				o.ctx.Trace = o.sfunHook(g.traces)
+				o.ctx.Trace = o.sfunHook(tts)
 			}
 			havingPass := true
 			if o.plan.Having != nil {
@@ -534,7 +487,7 @@ func (o *Operator) sample() error {
 			}
 			if traced {
 				if o.plan.Having != nil {
-					for _, tt := range g.traces {
+					for _, tt := range tts {
 						tt.Having(o.trName, havingPass) // terminal when false
 					}
 				}
@@ -552,8 +505,11 @@ func (o *Operator) sample() error {
 				}
 				continue
 			}
-			if err := o.output(&o.ctx, g.traces); err != nil {
+			if err := o.output(&o.ctx, tts); err != nil {
 				return err
+			}
+			if traced {
+				delete(o.traces, g) // staged
 			}
 		}
 	}
@@ -619,5 +575,9 @@ func (o *Operator) Flush() error {
 	if o.plan.IsSelection || !o.front.WindowOpen() {
 		return nil
 	}
-	return o.flushWindow()
+	err := o.flushWindow()
+	if err != nil {
+		o.failTraces(nil)
+	}
+	return err
 }

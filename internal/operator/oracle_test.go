@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"streamop/internal/agg"
+	"streamop/internal/agg/aggref"
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
 	"streamop/internal/tuple"
@@ -14,15 +15,48 @@ import (
 // The oracle is a deliberately slow interpreter of a compiled plan's
 // closures: the reference the walk's equivalence tests hold ProcessBatch
 // and Process to. It follows §5–6.4 tuple by tuple with nothing but Go
-// slices, kept in insertion order and searched with value.Equal — no arena,
+// slices, kept in insertion order and searched with value.Equal — no store,
 // group table, tuple.Batch, kernel, tracer or profiler — so that it shares
-// no execution code with the operator beyond the plan itself. ESTIMATE
-// plans are out of its scope; their own tests cover them.
+// no execution code with the operator beyond the plan itself: its
+// built-in aggregates are package aggref's row forms, not the columns the
+// operator keeps. ESTIMATE plans are out of its scope; their own tests
+// cover them.
 
 type oracleGroup struct {
 	vals     []value.Value
-	aggs     []agg.Agg
+	aggs     oracleAggs
 	contribs []value.Value // per superaggregate, for OnGroupRemove
+}
+
+// oracleAggs are a group's aggregates, read by index as gsql.Ctx.Aggs.
+type oracleAggs []interface {
+	Update(value.Value)
+	Value() value.Value
+}
+
+func (a oracleAggs) Agg(i int) value.Value { return a[i].Value() }
+
+// udafAgg is a user-defined aggregate's instance, as the plan boxes it in
+// a column: slot 0 of a column of its own.
+type udafAgg struct{ c agg.Column }
+
+func (u udafAgg) Update(v value.Value) { u.c.Update(0, v) }
+func (u udafAgg) Value() value.Value   { return u.c.Value(0) }
+
+// newOracleAggs makes a new group's aggregates: the reference form of a
+// built-in, a user-defined aggregate's own instance.
+func newOracleAggs(p *gsql.Plan) oracleAggs {
+	aggs := make(oracleAggs, len(p.Aggs))
+	for i, def := range p.Aggs {
+		if a, ok := aggref.New(def.Name); ok {
+			aggs[i] = a
+			continue
+		}
+		c := def.New()
+		c.Reset(0)
+		aggs[i] = udafAgg{c}
+	}
+	return aggs
 }
 
 type oracleSupergroup struct {
@@ -129,10 +163,7 @@ func (o *oracle) offer(t tuple.Tuple) error {
 	if i := slices.IndexFunc(sg.groups, func(c *oracleGroup) bool { return slices.EqualFunc(c.vals, gb, value.Equal) }); i >= 0 {
 		g = sg.groups[i]
 	} else {
-		g = &oracleGroup{vals: gb, contribs: make([]value.Value, len(p.Supers))}
-		for _, def := range p.Aggs {
-			g.aggs = append(g.aggs, def.New())
-		}
+		g = &oracleGroup{vals: gb, aggs: newOracleAggs(p), contribs: make([]value.Value, len(p.Supers))}
 		sg.groups = append(sg.groups, g)
 		o.stats.GroupsCreated++
 		for i, s := range sg.supers {

@@ -14,14 +14,6 @@ import (
 // clock site pays one nil check per batch, sweep or window.
 func (o *Operator) SetProfile(np *profile.NodeProfile) { o.prof = np }
 
-// approxGroupBytes estimates the heap bytes pinned by n resident groups:
-// the group struct and chain slot plus its key/values, aggregate states
-// and contribution slots. A static per-group model — the profiler wants
-// magnitude, not accounting.
-func (o *Operator) approxGroupBytes(n int) int64 {
-	per := int64(96)
-	per += int64(len(o.plan.GroupBy)) * 48
-	per += int64(len(o.plan.Aggs)) * 64
-	per += int64(len(o.plan.Supers)) * 24
-	return int64(n) * per
-}
+// groupBytes reports the bytes the open window's groups occupy: the
+// group store's columns plus the group table.
+func (o *Operator) groupBytes() int64 { return o.store.bytes() + o.groups.bytes() }

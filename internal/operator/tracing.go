@@ -13,7 +13,9 @@ import (
 // path computes anyway: WHERE verdicts, group lookups, every stateful call
 // (Ctx.Trace's hook, which the VecCall and GroupCall sites call too),
 // evictions, HAVING and emission, whose traces are staged by the row's
-// position in the run handed to the sink.
+// position in the run handed to the sink. A group keeps the traces it
+// absorbs in Operator.traces, off the store's columns, until they finish
+// or are staged; a step that fails finishes what it holds (failTraces).
 
 // SetTracer attaches a provenance tracer, labeling spans with name (the
 // engine passes its node name). A nil tracer detaches.
@@ -70,13 +72,42 @@ func (o *Operator) liveThreshold(sg *supergroup) float64 {
 	return th
 }
 
-// traceEviction finishes every trace on g: cleaning phase k (1-based
-// within the window) evicted its group at the live threshold.
-func (o *Operator) traceEviction(sg *supergroup, g *group) {
+// traceEviction finishes tts, the traces of a group of sg: cleaning phase
+// k (1-based within the window) evicted the group at the live threshold.
+func (o *Operator) traceEviction(sg *supergroup, tts []*tracing.TupleTrace) {
 	k := int(o.stats.Cleanings - o.winBase.Cleanings)
 	th := o.liveThreshold(sg)
 	key := sg.key.String()
-	for _, tt := range g.traces {
+	for _, tt := range tts {
 		tt.Evicted(o.trName, k, th, key)
+	}
+}
+
+// failTraces ends a failing step: the traces it took and did not stage —
+// tts, the failing row's, and every group's — finish node_failed. The
+// traces of rows it never took are the engine's (Tracer.FinishCurrent).
+func (o *Operator) failTraces(tts []*tracing.TupleTrace) {
+	if o.tr == nil {
+		return
+	}
+	for _, tt := range tts {
+		tt.Finish("node_failed")
+	}
+	for _, sg := range o.sgList {
+		for _, g := range sg.groups {
+			for _, tt := range o.traces[g] {
+				tt.Finish("node_failed")
+			}
+		}
+	}
+	clear(o.traces)
+}
+
+// failRows is failTraces for a selection that fails at a row: tts, the
+// row's traces, and kept, those of the kept rows after it.
+func (o *Operator) failRows(tts []*tracing.TupleTrace, kept []tracing.RowTraces) {
+	o.failTraces(tts)
+	for _, k := range kept {
+		o.failTraces(k.TTs)
 	}
 }

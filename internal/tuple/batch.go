@@ -300,6 +300,56 @@ func (c *Column) EqualValue(i int, v value.Value) bool {
 	return value.Equal(c.Value(i), v)
 }
 
+// EqualRow reports whether row i compares equal (value.Equal semantics)
+// to row j of o: EqualValue without materializing o's value.
+func (c *Column) EqualRow(i int, o *Column, j int) bool {
+	k := c.kinds[i]
+	if k == o.kinds[j] {
+		switch k {
+		case value.Null:
+			return true
+		case value.String:
+			return c.strs[i] == o.strs[j]
+		case value.Float:
+			if c.bits[i] == o.bits[j] {
+				return true
+			}
+		default: // Bool, Int, Uint
+			return c.bits[i] == o.bits[j]
+		}
+	}
+	return value.Equal(c.Value(i), o.Value(j))
+}
+
+// SetFrom makes row i a copy of row j of src, appending it when i is the
+// column's length: AppendFrom for a column whose rows are slots.
+func (c *Column) SetFrom(i int, src *Column, j int) {
+	k := src.kinds[j]
+	if i == len(c.kinds) || k == value.String || c.strs != nil {
+		c.setFrom(i, src, j)
+		return
+	}
+	c.kinds[i], c.bits[i] = k, src.bits[j]
+	if c.uniform != k {
+		c.uniform = mixedKinds
+	}
+}
+
+// setFrom is SetFrom's case of an appended row or a String column.
+func (c *Column) setFrom(i int, src *Column, j int) {
+	if i == len(c.kinds) {
+		c.AppendFrom(src, j)
+		return
+	}
+	c.SetValue(i, src.Value(j))
+}
+
+// Bytes reports the column's storage in bytes: its capacity, string
+// headers included, string contents not.
+func (c *Column) Bytes() int64 {
+	return int64(cap(c.kinds)) + 8*int64(cap(c.bits)) + 16*int64(cap(c.strs))
+}
+
 // RawEqKind reports whether kind k's value equality (value.Equal against
 // a same-kind value) is exactly raw payload-word equality: Bool, Int and
 // Uint qualify; Float (+0.0 vs -0.0), String and Null do not.
@@ -415,7 +465,11 @@ func RowOf(dst Tuple, cols []*Column, i int) Tuple {
 func HashRow(cols []*Column, row int) uint64 {
 	h := uint64(len(cols)) * 0x9e3779b97f4a7c15
 	for _, c := range cols {
-		h = value.Hash(c.Value(row), h)
+		if k := c.kinds[row]; k != value.String {
+			h = value.HashBits(k, c.bits[row], h)
+		} else {
+			h = value.Hash(value.NewString(c.strs[row]), h)
+		}
 	}
 	return h
 }

@@ -187,10 +187,40 @@ func TestColumnEqualValue(t *testing.T) {
 		{3, value.Value{}, true},
 		{3, value.NewUint(0), false},
 	}
-	for _, tc := range cases {
+	var o Column // the cases' values as a column, for EqualRow
+	for j, tc := range cases {
 		if got := c.EqualValue(tc.row, tc.v); got != tc.want {
 			t.Errorf("EqualValue(%d, %v) = %v, want %v", tc.row, tc.v, got, tc.want)
 		}
+		o.AppendValue(tc.v)
+		if got := c.EqualRow(tc.row, &o, j); got != tc.want {
+			t.Errorf("EqualRow(%d, %v) = %v, want %v", tc.row, tc.v, got, tc.want)
+		}
+	}
+}
+
+// SetFrom writes rows of any kind into a column's existing rows, or
+// appends one at the column's length, and keeps Uniform honest.
+func TestColumnSetFrom(t *testing.T) {
+	var src Column
+	vals := []value.Value{value.NewUint(7), value.NewString("s"), value.Value{}, value.NewFloat(-0.5), value.NewUint(9)}
+	for _, v := range vals {
+		src.AppendValue(v)
+	}
+	var c Column
+	c.SetFrom(0, &src, 0) // append
+	c.SetFrom(1, &src, 4)
+	if k, ok := c.Uniform(); !ok || k != value.Uint {
+		t.Fatalf("two Uint rows: Uniform = %v, %v", k, ok)
+	}
+	for i, j := range []int{3, 1, 2, 0, 4, 1} {
+		c.SetFrom(i%2, &src, j)
+		if got := c.Value(i % 2); value.Compare(got, vals[j]) != 0 || got.Kind() != vals[j].Kind() {
+			t.Fatalf("step %d: row %d = %v, want %v", i, i%2, got, vals[j])
+		}
+	}
+	if _, ok := c.Uniform(); ok {
+		t.Fatal("rows of three kinds written: still uniform")
 	}
 }
 

@@ -180,22 +180,6 @@ func MakeKey(vals []value.Value) Key {
 	return Key{hash: HashValues(vals), vals: append([]value.Value(nil), vals...)}
 }
 
-// OwnKey builds a key that takes ownership of vals without copying. The
-// caller must not mutate vals for the key's lifetime — it is the
-// allocation-free MakeKey for arenas that re-key an entry's own backing
-// array each time they hand the entry out again (the operator's
-// window-ordered group arena, every window).
-func OwnKey(vals []value.Value) Key {
-	return Key{hash: HashValues(vals), vals: vals}
-}
-
-// OwnKeyHash is OwnKey with a precomputed hash. The caller guarantees
-// h == HashValues(vals); hot paths that already hold the probe hash use
-// it to skip rehashing when claiming a key.
-func OwnKeyHash(vals []value.Value, h uint64) Key {
-	return Key{hash: h, vals: vals}
-}
-
 // HashValues returns the hash MakeKey would assign, without copying —
 // the allocation-free probe for hot-path group lookups.
 func HashValues(vals []value.Value) uint64 {

@@ -317,31 +317,37 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // Values that compare Equal hash identically: all numeric kinds holding the
 // same mathematical value produce the same hash.
 func Hash(v Value, seed uint64) uint64 {
-	const kindSalt = 0x9e3779b97f4a7c15
-	switch v.kind {
-	case Null:
-		return mix64(seed ^ kindSalt)
-	case Bool:
-		return mix64(seed ^ (v.bits + 2))
-	case Int, Uint, Float:
-		// Canonicalize: integers hash by their two's-complement bits;
-		// floats that are mathematically integral hash as integers so
-		// NewInt(5), NewUint(5) and NewFloat(5) collide intentionally.
-		if v.kind == Float {
-			f := math.Float64frombits(v.bits)
-			if i := int64(f); float64(i) == f {
-				return mix64(seed ^ uint64(i))
-			}
-			return mix64(seed ^ v.bits ^ 0xf10a)
-		}
-		return mix64(seed ^ v.bits)
-	case String:
+	if v.kind == String {
 		h := seed ^ 0xcbf29ce484222325
 		for i := 0; i < len(v.str); i++ {
 			h ^= uint64(v.str[i])
 			h *= 0x100000001b3
 		}
 		return mix64(h)
+	}
+	return HashBits(v.kind, v.bits, seed)
+}
+
+// HashBits is Hash of the value of kind k, not String, whose payload word
+// is bits (FromBits(k, bits)): what a column of raw words hashes by.
+func HashBits(k Kind, bits, seed uint64) uint64 {
+	const kindSalt = 0x9e3779b97f4a7c15
+	switch k {
+	case Null:
+		return mix64(seed ^ kindSalt)
+	case Bool:
+		return mix64(seed ^ (bits + 2))
+	case Int, Uint:
+		return mix64(seed ^ bits)
+	case Float:
+		// Canonicalize: integers hash by their two's-complement bits;
+		// floats that are mathematically integral hash as integers so
+		// NewInt(5), NewUint(5) and NewFloat(5) collide intentionally.
+		f := math.Float64frombits(bits)
+		if i := int64(f); float64(i) == f {
+			return mix64(seed ^ uint64(i))
+		}
+		return mix64(seed ^ bits ^ 0xf10a)
 	}
 	return mix64(seed)
 }
