@@ -19,6 +19,7 @@ import (
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/ost"
+	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
 
@@ -64,6 +65,42 @@ type Slot struct {
 
 // Agg returns aggregate i's value at the slot.
 func (r *Slot) Agg(i int) value.Value { return r.Cols[i].Value(r.At) }
+
+// Gather appends the values of column c at slots to dst, in order: a
+// per-group clause's argument as one column over a supergroup's groups.
+// Integer sums and counts move as words; other columns box each value.
+func Gather(dst *tuple.Column, c Column, slots []int32) {
+	switch c := c.(type) {
+	case *sumCol:
+		if c.gather(dst, slots) {
+			return
+		}
+	case *countCol:
+		words := dst.Extend(value.Int, len(slots))
+		for i, s := range slots {
+			words[i] = uint64(c.slots[s])
+		}
+		return
+	}
+	for _, s := range slots {
+		dst.AppendValue(c.Value(s))
+	}
+}
+
+// gather is Gather for a column whose slots at slots all hold integer
+// sums, and reports whether they did (else it has appended nothing).
+func (c *sumCol) gather(dst *tuple.Column, slots []int32) bool {
+	for _, s := range slots {
+		if a := &c.slots[s]; !a.seen || a.isFloat {
+			return false
+		}
+	}
+	words := dst.Extend(value.Int, len(slots))
+	for i, s := range slots {
+		words[i] = uint64(c.slots[s].i)
+	}
+	return true
+}
 
 // New returns the column constructor of the named built-in aggregate; ok
 // is false for unknown names. Names are case-insensitive.

@@ -6,6 +6,7 @@ import (
 
 	"streamop/internal/agg/aggref"
 	"streamop/internal/checkpoint"
+	"streamop/internal/tuple"
 	"streamop/internal/value"
 	"streamop/internal/xrand"
 )
@@ -319,6 +320,54 @@ func TestColumnsMatchReference(t *testing.T) {
 			ref.Encode(want)
 			if string(e.Bytes()) != string(want.Bytes()) {
 				t.Fatalf("%s slot %d: encodes %x, reference %x", name, s, e.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+// TestGatherMatchesValue holds Gather to Value slot by slot, over slots in
+// an order of their own: integer sums and counts (which move as words),
+// sums a float or an unseen slot keeps boxed, and a boxed column (min).
+func TestGatherMatchesValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals func(s int) []value.Value // the updates slot s takes
+	}{
+		{"sum", func(s int) []value.Value { return []value.Value{value.NewInt(int64(s)), value.NewInt(-3)} }},
+		{"sum", func(s int) []value.Value {
+			if s == 5 {
+				return []value.Value{value.NewFloat(0.5)}
+			}
+			return []value.Value{value.NewInt(int64(s))}
+		}},
+		{"sum", func(s int) []value.Value {
+			if s == 2 {
+				return nil // unseen: NULL
+			}
+			return []value.Value{value.NewUint(uint64(s))}
+		}},
+		{"count", func(s int) []value.Value { return make([]value.Value, s%4) }},
+		{"min", func(s int) []value.Value { return []value.Value{value.NewInt(int64(9 - s)), value.NewString("x")} }},
+	} {
+		f, _ := New(tc.name)
+		c := f()
+		for s := range 8 {
+			c.Reset(int32(s))
+			for _, v := range tc.vals(s) {
+				c.Update(int32(s), v)
+			}
+		}
+		slots := []int32{7, 2, 5, 0, 3}
+		var dst tuple.Column
+		dst.AppendValue(value.NewString("kept")) // Gather appends
+		Gather(&dst, c, slots)
+		if dst.Len() != len(slots)+1 {
+			t.Fatalf("%s: %d rows, want %d", tc.name, dst.Len(), len(slots)+1)
+		}
+		for i, s := range slots {
+			got, want := dst.Value(i+1), c.Value(s)
+			if got.Kind() != want.Kind() || got.String() != want.String() || got.Bits() != want.Bits() {
+				t.Errorf("%s: slot %d gathered %v (%v), Value %v (%v)", tc.name, s, got, got.Kind(), want, want.Kind())
 			}
 		}
 	}

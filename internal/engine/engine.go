@@ -312,6 +312,9 @@ type Engine struct {
 	// Checkpoint schedule and restore state (see checkpoint.go); nil when
 	// checkpointing is off.
 	ckpt *ckptState
+	// afterBoundary, when set (tests), runs on the pump after a boundary
+	// that applied session commands.
+	afterBoundary func()
 
 	// Contained node failures (see recovery.go), mutex-guarded because
 	// RunParallel workers append concurrently and /debug reads them live.

@@ -49,3 +49,17 @@ func (e *Engine) RingPushed() uint64 { return e.ring.Pushed() }
 // sharded partial-aggregation nodes (default 4096): the chaos tests use
 // deliberately tiny rings to force overload. n <= 0 restores the default.
 func (e *Engine) SetShardRingCap(n int) { e.shardCap = n }
+
+// SetAfterBoundary makes f run on the pump after every boundary that
+// applied session commands. Set it before Start.
+func (e *Engine) SetAfterBoundary(f func()) { e.afterBoundary = f }
+
+// QueuedCommands is the number of session commands waiting for the pump.
+func (e *Engine) QueuedCommands() int {
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	if e.sess == nil {
+		return 0
+	}
+	return len(e.sess.cmds)
+}

@@ -25,6 +25,10 @@ type pump struct {
 	ctxDone   <-chan struct{}
 	cancelled bool
 	s         *session // nil outside a session
+	// owed is set by a boundary that applied commands: the pump moves a
+	// batch before a queued command holds it again, so commands arriving
+	// back to back cannot starve the feed.
+	owed bool
 
 	// Pacer: a packet is released no earlier than (its time - the first
 	// packet's time) / speedup after the first one; <= 0 is unpaced.
@@ -74,8 +78,8 @@ func (pm *pump) poll() pumped {
 		}
 		// Polled per batch, per paced packet and per pacing slice, which
 		// bounds install latency while the feed is paced or the ring is
-		// filling.
-		if len(s.cmds) > 0 {
+		// filling; never while a batch is owed.
+		if len(s.cmds) > 0 && !pm.owed {
 			return pumpHold
 		}
 	}
@@ -109,6 +113,7 @@ func (pm *pump) fill(dst []trace.Packet) (n int, waited bool, st pumped) {
 		n++
 	}
 	if n > 0 {
+		pm.owed = false
 		e := pm.e
 		if !e.sawPacket.Load() {
 			e.firstTS.Store(dst[0].Time)
@@ -149,14 +154,22 @@ func (pm *pump) pace(ts uint64) bool {
 // settled, the one place a topology may change: a session's queued
 // commands apply, and a registry they changed (or a session just started)
 // is snapshotted at once, so the durable registry never trails the live
-// topology by more than one boundary.
+// topology by more than one boundary. Once commands have applied, the
+// next fill owes the feed a batch (owed).
 func (pm *pump) boundary() error {
 	if pm.s == nil {
 		return nil
 	}
-	pm.s.applyCommands()
+	if pm.s.applyCommands() > 0 {
+		pm.owed = true
+	}
 	if ck := pm.e.ckpt; ck != nil && ck.regDirty {
-		return pm.e.writeCheckpoint()
+		if err := pm.e.writeCheckpoint(); err != nil {
+			return err
+		}
+	}
+	if pm.owed && pm.e.afterBoundary != nil {
+		pm.e.afterBoundary()
 	}
 	return nil
 }

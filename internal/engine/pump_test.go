@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,4 +434,90 @@ func TestSessionCommandLatency(t *testing.T) {
 	if taken := e.Packets() - at; taken > batch {
 		t.Errorf("pump took %d packets after Drain was called, want <= %d", taken, batch)
 	}
+}
+
+// TestSessionCommandsCannotStarveFeed churns Install and Uninstall back to
+// back, with no sleep, under a fixed budget of commands, and makes every
+// boundary that applies a command wait (SetAfterBoundary) until the churn
+// has queued its next one: the schedule under which a pump that held for
+// any queued command never took another packet. Counted, not timed: after
+// each such boundary at least one batch must move before the next one,
+// while the feed has packets, and the run must end with the feed drained.
+func TestSessionCommandsCannotStarveFeed(t *testing.T) {
+	const budget = 40
+	pkts := foldPackets(60000, 4, 50, 9, -1) // more than budget batches: the churn ends first
+	e, err := engine.New(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Install("base", "SELECT time, len FROM PKT", engine.InstallOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var churned atomic.Bool
+	var marks []int64 // Packets() at each boundary that applied commands
+	e.SetAfterBoundary(func() {
+		marks = append(marks, e.Packets())
+		for e.QueuedCommands() == 0 && !churned.Load() {
+			runtime.Gosched()
+		}
+	})
+	// The feed gives its first packet once the churn has queued a command
+	// (or finished), so the run cannot end before the churn starts.
+	feed := &openingFeed{inner: sliceFeed(pkts), open: func() bool { return e.QueuedCommands() > 0 || churned.Load() }}
+	if err := e.Start(context.Background(), feed); err != nil {
+		t.Fatal(err)
+	}
+	churnErr := make(chan error, 1)
+	go func() {
+		defer churned.Store(true)
+		for i := 0; i < budget; i += 2 {
+			name := fmt.Sprintf("churn%d", i%4)
+			if _, err := e.Install(name, "SELECT time FROM PKT", engine.InstallOptions{Buffer: 64}); err != nil {
+				churnErr <- err
+				return
+			}
+			if err := e.Uninstall(name); err != nil {
+				churnErr <- err
+				return
+			}
+		}
+		churnErr <- nil
+	}()
+	if err := <-churnErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	total := int64(len(pkts))
+	if got := e.Packets(); got != total {
+		t.Fatalf("run ended at packet %d of %d", got, total)
+	}
+	if len(marks) == 0 {
+		t.Fatal("no boundary applied a command")
+	}
+	starved := 0
+	for k, at := range append(marks, total) {
+		if k > 0 && marks[k-1] < total && at == marks[k-1] {
+			starved++
+		}
+	}
+	if starved > 0 {
+		t.Fatalf("%d of %d command boundaries were followed by no batch (packets at each: %v)", starved, len(marks), marks)
+	}
+}
+
+// openingFeed is inner once open has reported true.
+type openingFeed struct {
+	inner  trace.Feed
+	open   func() bool
+	opened bool
+}
+
+func (f *openingFeed) Next() (trace.Packet, bool) {
+	for !f.opened {
+		f.opened = f.open()
+		runtime.Gosched()
+	}
+	return f.inner.Next()
 }

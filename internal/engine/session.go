@@ -328,17 +328,18 @@ func (s *session) do(fn func() (any, error)) (any, error) {
 // applyCommands runs every queued Install/Uninstall at a safe boundary
 // (ring drained, all nodes settled) and settles queries failed by OnRow
 // errors. Pump goroutine only.
-func (s *session) applyCommands() {
+func (s *session) applyCommands() (applied int) {
 	for {
 		select {
 		case c := <-s.cmds:
 			v, err := c.fn()
 			c.resp <- cmdResult{v: v, err: err}
+			applied++
 		default:
 			if s.pendingFails.Swap(0) != 0 {
 				s.e.settleFailedHandles()
 			}
-			return
+			return applied
 		}
 	}
 }

@@ -23,8 +23,9 @@ package gsql
 //   - Stateful functions are never evaluated eagerly. A WHERE or CLEANING
 //     WHEN of the form sfun(args...) [= TRUE] with stateless arguments
 //     compiles to a VecCall: the argument columns are pre-evaluated
-//     (mutation-free), and the driver makes the mutating per-row Call in
-//     row order, exactly as the closure would.
+//     (mutation-free), and the driver makes the mutating calls in row
+//     order — a function's Scan over a run of rows, or one Call a row —
+//     exactly as the closure would.
 //   - Anything outside this subset makes Vectorize report ok=false and
 //     the operator runs the whole plan in closure mode.
 //
@@ -40,6 +41,7 @@ import (
 	"strings"
 
 	"streamop/internal/agg"
+	"streamop/internal/sfun"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
@@ -272,18 +274,19 @@ func (x *VecExpr) EvalTruth(env *VecEnv, m tuple.Bitmap) (tuple.Bitmap, error) {
 
 // VecCall is the semi-stateful fast path for WHERE/CLEANING WHEN clauses
 // of the form sfun(args...) [= TRUE]: argument columns are pre-evaluated
-// per batch (mutation-free), and the driver makes the mutating Call per
-// row, in row order, against the supergroup's state — the same sequence
-// of state mutations as the scalar closure, minus the closure tree.
+// per batch (mutation-free), and the driver makes the mutating calls in
+// row order against the supergroup's state — the same sequence of state
+// mutations as the scalar closure, minus the closure tree. A function with
+// a Scan (sfun.ScanFunc) reads the columns themselves, a run of rows per
+// call; any other is called per row with the row's values boxed.
 type VecCall struct {
 	sfunCall
-	args    []vecFn // nil entries are superaggregate references
-	vals    []vecVal
-	scratch []value.Value
-	colArgs []colArgRef // arg positions whose batch values are columns
+	args    []vecFn         // nil entries are superaggregate references
+	scratch []value.Value   // constant arguments; a Call's boxed row
+	cols    []*tuple.Column // column-backed arguments, nil for constants
 	// superArgs maps argument positions to Plan.Supers indices, read
-	// fresh at each CallRow (the superaggregate advances row by row).
-	// Only CLEANING WHEN admits them, mirroring the scalar clause rules.
+	// fresh at each call (the superaggregate advances row by row). Only
+	// CLEANING WHEN admits them, mirroring the scalar clause rules.
 	superArgs []superArgRef
 }
 
@@ -298,24 +301,14 @@ type sfunCall struct {
 	Fn, State string
 
 	call func(state any, args []value.Value) (value.Value, error)
-}
-
-// colArgRef is one column-backed call argument. For kind-uniform
-// non-String columns the per-row materialization skips the kind dispatch
-// (kind + raw bits view); kind Null marks the generic Column.Value path.
-type colArgRef struct {
-	arg  int
-	kind value.Kind
-	bits []uint64
-	col  *tuple.Column
+	scan sfun.ScanFunc // nil unless the function has one
 }
 
 // EvalArgs evaluates the call's stateless arguments over the current
 // batch. Mutation-free; on error the caller falls back to closure mode.
 // Superaggregate-reference arguments are not touched here — their value
-// is read per row at CallRow time.
+// is read at each call.
 func (vc *VecCall) EvalArgs(env *VecEnv) error {
-	vc.colArgs = vc.colArgs[:0]
 	for i, f := range vc.args {
 		if f == nil {
 			continue
@@ -324,59 +317,163 @@ func (vc *VecCall) EvalArgs(env *VecEnv) error {
 		if err != nil {
 			return err
 		}
-		vc.vals[i] = v
+		vc.cols[i] = v.col
 		if v.col == nil {
 			vc.scratch[i] = v.lit
-		} else {
-			ca := colArgRef{arg: i, col: v.col}
-			if k, ok := v.col.Uniform(); ok && k != value.String && k != value.Null {
-				ca.kind = k
-				ca.bits = v.col.Bits()
-			}
-			vc.colArgs = append(vc.colArgs, ca)
 		}
 	}
 	return nil
 }
 
-// CallRow invokes the stateful function for one row against states and
-// supers (the supergroup's state and superaggregate slices; supers may
-// be nil when the call has no superaggregate arguments). Callers must
-// proceed in row order.
-func (vc *VecCall) CallRow(states []any, supers []agg.Super, row int) (value.Value, error) {
-	for i := range vc.colArgs {
-		ca := &vc.colArgs[i]
-		if ca.kind != value.Null {
-			vc.scratch[ca.arg] = value.FromBits(ca.kind, ca.bits[row])
-		} else {
-			vc.scratch[ca.arg] = ca.col.Value(row)
+// Scan runs the predicate over rows [from, to) against states and supers
+// (the supergroup's state and superaggregate slices; supers may be nil
+// when the call has no superaggregate arguments) and returns the first
+// row that passes, or to (see sfun.ScanFunc; a function without a Scan is
+// called row by row). Callers must proceed in row order.
+func (vc *VecCall) Scan(states []any, supers []agg.Super, from, to int) (int, error) {
+	if vc.scan == nil {
+		return vc.callEach(states, supers, from, to)
+	}
+	vc.readSupers(supers)
+	return vc.scan(states[vc.StateIdx], sfun.Args{Vals: vc.scratch, Cols: vc.cols}, from, to)
+}
+
+// callEach is Scan for a function without one.
+func (vc *VecCall) callEach(states []any, supers []agg.Super, from, to int) (int, error) {
+	for row := from; row < to; row++ {
+		v, err := vc.CallRow(states, supers, row)
+		if err != nil || v.Truth() {
+			return row, err
 		}
 	}
-	for _, sr := range vc.superArgs {
-		vc.scratch[sr.arg] = supers[sr.super].Value()
+	return to, nil
+}
+
+// CallRow invokes the stateful function for one row against states and
+// supers, as Scan does, and returns its value: what a traced row reports.
+func (vc *VecCall) CallRow(states []any, supers []agg.Super, row int) (value.Value, error) {
+	if vc.scan != nil {
+		pass, err := vc.Scan(states, supers, row, row+1)
+		return scanOne(pass == row, err)
 	}
+	for i, c := range vc.cols {
+		if c != nil {
+			vc.scratch[i] = c.Value(row)
+		}
+	}
+	vc.readSupers(supers)
 	return vc.call(states[vc.StateIdx], vc.scratch)
 }
 
-// GroupCall is the semi-stateful CLEANING BY fast path: for clauses of
-// the form sfun(args...) [= TRUE] whose arguments are aggregate
-// references or literal constants, per-group evaluation reduces to
-// reading the group's aggregate values and making the call — the same
-// state mutations and results as the scalar closure tree, minus the
-// tree.
-type GroupCall struct {
-	sfunCall
-	argAggs []int // >= 0: argument i reads Plan.Aggs[idx]; -1: constant preloaded in scratch
-	scratch []value.Value
+func (vc *VecCall) readSupers(supers []agg.Super) {
+	for _, sr := range vc.superArgs {
+		vc.scratch[sr.arg] = supers[sr.super].Value()
+	}
 }
 
-// CallGroup invokes the stateful function for one group against states
-// (the supergroup's state slice) and the group's aggregates: slot slot of
-// the aggregate columns aggs.
-func (gc *GroupCall) CallGroup(states []any, aggs []agg.Column, slot int32) (value.Value, error) {
+// scanOne is a one-row scan's verdict as the value its derived Call
+// returns.
+func scanOne(pass bool, err error) (value.Value, error) {
+	if err != nil {
+		return value.Value{}, err
+	}
+	return value.NewBool(pass), nil
+}
+
+// GroupCall is the semi-stateful fast path of the per-group clauses,
+// CLEANING BY and HAVING: for clauses of the form sfun(args...) [= TRUE]
+// whose arguments are aggregate references, literal constants or (HAVING
+// only) superaggregate references, per-group evaluation reduces to reading
+// the group's aggregate values and making the call — the same state
+// mutations and results as the scalar closure tree, minus the tree. Over a
+// pass of a supergroup's groups (Pass), a Scan function runs over runs of
+// groups, its aggregate arguments gathered into columns a chunk of groups
+// at a time.
+type GroupCall struct {
+	sfunCall
+	argAggs   []int // >= 0: argument i reads Plan.Aggs[idx]; -1: constant or superaggregate
+	superArgs []superArgRef
+	scratch   []value.Value   // constants and superaggregates; a Call's boxed group
+	cols      []*tuple.Column // a Scan's aggregate arguments over groups [base, base+n), nil for the rest
+
+	// The pass: the aggregate columns, the groups' slots in them, and the
+	// chunk of groups gathered into cols.
+	aggs    []agg.Column
+	slots   []int32
+	base, n int
+}
+
+// gatherRows is the most groups a pass gathers into its columns at once.
+const gatherRows = tuple.DefaultBatchRows
+
+// Pass starts a pass over the groups at slots of the aggregate columns
+// aggs, whose superaggregates are supers: they hold still until the pass
+// ends, and the groups are visited in order. Scan and CallGroup address
+// them by position in slots.
+func (gc *GroupCall) Pass(aggs []agg.Column, slots []int32, supers []agg.Super) {
+	gc.aggs, gc.slots, gc.base, gc.n = aggs, slots, 0, 0
+	for _, sr := range gc.superArgs {
+		gc.scratch[sr.arg] = supers[sr.super].Value()
+	}
+}
+
+// Scan runs the predicate over the pass's groups [from, to) against states
+// (the supergroup's state slice) and returns the position of the first
+// group that passes, or to (see sfun.ScanFunc; a function without a Scan
+// is called group by group).
+func (gc *GroupCall) Scan(states []any, from, to int) (int, error) {
+	if gc.scan == nil {
+		return gc.callEach(states, from, to)
+	}
+	for from < to {
+		if from < gc.base || from >= gc.base+gc.n {
+			gc.gather(from)
+		}
+		end := min(to, gc.base+gc.n)
+		pass, err := gc.scan(states[gc.StateIdx], sfun.Args{Vals: gc.scratch, Cols: gc.cols}, from-gc.base, end-gc.base)
+		if pass += gc.base; err != nil || pass < end {
+			return pass, err
+		}
+		from = end
+	}
+	return to, nil
+}
+
+// gather fills the columns with the aggregate arguments of the groups
+// from position from on, up to gatherRows of them. (A cleaning pass
+// rewrites the slots behind the group it visits, never those ahead.)
+func (gc *GroupCall) gather(from int) {
+	slots := gc.slots[from:min(from+gatherRows, len(gc.slots))]
+	gc.base, gc.n = from, len(slots)
 	for i, idx := range gc.argAggs {
 		if idx >= 0 {
-			gc.scratch[i] = aggs[idx].Value(slot)
+			gc.cols[i].Reset()
+			agg.Gather(gc.cols[i], gc.aggs[idx], slots)
+		}
+	}
+}
+
+// callEach is Scan for a function without one.
+func (gc *GroupCall) callEach(states []any, from, to int) (int, error) {
+	for i := from; i < to; i++ {
+		v, err := gc.CallGroup(states, i)
+		if err != nil || v.Truth() {
+			return i, err
+		}
+	}
+	return to, nil
+}
+
+// CallGroup invokes the stateful function for the pass's group at position
+// i, as Scan does, and returns its value: what a traced call reports.
+func (gc *GroupCall) CallGroup(states []any, i int) (value.Value, error) {
+	if gc.scan != nil {
+		pass, err := gc.Scan(states, i, i+1)
+		return scanOne(pass == i, err)
+	}
+	for a, idx := range gc.argAggs {
+		if idx >= 0 {
+			gc.scratch[a] = gc.aggs[idx].Value(gc.slots[i])
 		}
 	}
 	return gc.call(states[gc.StateIdx], gc.scratch)
@@ -404,11 +501,13 @@ type VecPlan struct {
 	// CleanWhenCall is the semi-stateful CLEANING WHEN fast path, nil if
 	// the clause is absent or needs the scalar closure.
 	CleanWhenCall *VecCall
-	// CleanByCall is the per-group CLEANING BY fast path, nil if the
-	// clause is absent or needs the scalar closure. Unlike the per-tuple
-	// fields it is advisory: the operator's cleaning pass is per group,
-	// so a nil CleanByCall never forces NeedRowCtx.
+	// CleanByCall and HavingCall are the per-group CLEANING BY and HAVING
+	// fast paths, nil if the clause is absent or needs the scalar closure.
+	// Unlike the per-tuple fields they are advisory: the operator's
+	// cleaning and flush passes are per group, so a nil one never forces
+	// NeedRowCtx.
 	CleanByCall *GroupCall
+	HavingCall  *GroupCall
 	// NeedRowCtx is true when some post-admission clause still runs a
 	// scalar closure (an aggregate argument that is itself stateful, a
 	// CLEANING WHEN referencing aggregates, ...), so the driver must
@@ -492,8 +591,15 @@ func Vectorize(p *Plan) (*VecPlan, bool) {
 		}
 	}
 	if p.Query.CleaningBy != nil {
-		if gc, ok := v.compileGroupCall(p.Query.CleaningBy); ok {
+		if gc, ok := v.compileGroupCall(p.Query.CleaningBy, false); ok {
 			vp.CleanByCall = gc
+		}
+	}
+	if p.Query.Having != nil {
+		// HAVING runs once the window's superaggregates hold still; a
+		// cleaning evicts groups, which moves them.
+		if gc, ok := v.compileGroupCall(p.Query.Having, true); ok {
+			vp.HavingCall = gc
 		}
 	}
 	return vp, true
@@ -547,7 +653,7 @@ func (v *vectorizer) statefulCall(e Expr) (*Call, sfunCall, bool) {
 	}
 	for i, st := range v.p.States {
 		if st.Type != nil && strings.EqualFold(st.Type.Name, f.State) {
-			return call, sfunCall{StateIdx: i, Fn: f.Name, State: f.State, call: f.Call}, true
+			return call, sfunCall{StateIdx: i, Fn: f.Name, State: f.State, call: f.Call, scan: f.Scan}, true
 		}
 	}
 	return nil, sfunCall{}, false
@@ -607,20 +713,22 @@ func (v *vectorizer) compileVecCall(e Expr, ctx vecCtx) (*VecCall, bool) {
 		}
 		return nil, false
 	}
-	vc.vals = make([]vecVal, len(vc.args))
 	vc.scratch = make([]value.Value, len(vc.args))
+	vc.cols = make([]*tuple.Column, len(vc.args))
 	return vc, true
 }
 
-// compileGroupCall compiles the CLEANING BY fast path: a stateful call
-// whose arguments are aggregate references or literal constants.
-func (v *vectorizer) compileGroupCall(e Expr) (*GroupCall, bool) {
+// compileGroupCall compiles a per-group fast path: a stateful call whose
+// arguments are aggregate references, literal constants or, when supers
+// allows, superaggregate references.
+func (v *vectorizer) compileGroupCall(e Expr, supers bool) (*GroupCall, bool) {
 	call, sc, ok := v.statefulCall(e)
 	if !ok {
 		return nil, false
 	}
 	gc := &GroupCall{sfunCall: sc}
 	gc.scratch = make([]value.Value, len(call.Args))
+	gc.cols = make([]*tuple.Column, len(call.Args))
 	for i, a := range call.Args {
 		if lit, ok := a.(*Lit); ok {
 			gc.argAggs = append(gc.argAggs, -1)
@@ -629,6 +737,14 @@ func (v *vectorizer) compileGroupCall(e Expr) (*GroupCall, bool) {
 		}
 		if idx, ok := v.aggIndexOf(a); ok {
 			gc.argAggs = append(gc.argAggs, idx)
+			if sc.scan != nil {
+				gc.cols[i] = new(tuple.Column)
+			}
+			continue
+		}
+		if idx, ok := v.superIndexOf(a); ok && supers {
+			gc.argAggs = append(gc.argAggs, -1)
+			gc.superArgs = append(gc.superArgs, superArgRef{arg: i, super: idx})
 			continue
 		}
 		return nil, false

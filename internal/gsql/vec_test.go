@@ -3,10 +3,13 @@ package gsql
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"streamop/internal/agg"
 	"streamop/internal/sfun"
+	"streamop/internal/sfunlib"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
@@ -607,5 +610,123 @@ func TestUintDivReciprocalExact(t *testing.T) {
 				t.Fatalf("%d / %d: got %d, want %d", x, d, got, want)
 			}
 		}
+	}
+}
+
+// TestVectorizeGroupCalls: CLEANING BY and HAVING of the per-group call
+// shape compile to GroupCalls, HAVING's with its superaggregate argument;
+// CLEANING BY admits no superaggregate (a cleaning's evictions move it),
+// and a HAVING of another shape keeps its closure.
+func TestVectorizeGroupCalls(t *testing.T) {
+	s := vecTestSchema(t)
+	reg := sfunlib.Default(1)
+	plan := func(tail string) *VecPlan {
+		t.Helper()
+		q, err := Parse(`SELECT g, sum(len) FROM S WHERE ssample(len, 10, 2, 10) = TRUE GROUP BY ts AS g, src ` + tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Analyze(q, s, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vp, ok := Vectorize(p)
+		if !ok {
+			t.Fatalf("%s: does not vectorize", tail)
+		}
+		return vp
+	}
+	vp := plan(`HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+		CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE CLEANING BY ssclean_with(sum(len)) = TRUE`)
+	if vp.HavingCall == nil || vp.HavingCall.Fn != "ssfinal_clean" || len(vp.HavingCall.superArgs) != 1 || vp.HavingCall.scan == nil {
+		t.Errorf("HAVING: %+v", vp.HavingCall)
+	}
+	if vp.CleanByCall == nil || vp.CleanByCall.Fn != "ssclean_with" || vp.CleanByCall.cols[0] == nil {
+		t.Errorf("CLEANING BY: %+v", vp.CleanByCall)
+	}
+	vp = plan(`HAVING count(*) > 1 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+		CLEANING BY ssfinal_clean(sum(len), count_distinct$(*)) = TRUE`)
+	if vp.HavingCall != nil || vp.CleanByCall != nil {
+		t.Errorf("HAVING %+v, CLEANING BY %+v: want both closures", vp.HavingCall, vp.CleanByCall)
+	}
+}
+
+// TestGroupCallScanAcrossChunks holds a CLEANING BY pass over more groups
+// than one gathered chunk (gatherRows) to the function's Call on each
+// group's boxed aggregate, in order, on a twin state: the same groups
+// pass, and the states end equal.
+func TestGroupCallScanAcrossChunks(t *testing.T) {
+	s := vecTestSchema(t)
+	reg := sfunlib.Default(1)
+	q, err := Parse(`SELECT g, sum(len) FROM S WHERE ssample(len, 10, 2, 10) = TRUE GROUP BY ts AS g, src
+		CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE CLEANING BY ssclean_with(sum(len)) = TRUE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Analyze(q, s, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, ok := Vectorize(p)
+	if !ok || vp.CleanByCall == nil {
+		t.Fatal("no CLEANING BY fast path")
+	}
+	gc := vp.CleanByCall
+	newSum, _ := agg.New("sum")
+	sums := newSum()
+	const groups = 3*gatherRows + 17
+	rng := rand.New(rand.NewSource(5))
+	slots := make([]int32, groups)
+	for i := range slots {
+		slots[i] = int32(groups - 1 - i) // visited in an order of their own
+		sums.Reset(int32(i))
+		sums.Update(int32(i), value.NewInt(int64(1+rng.Intn(3000))))
+	}
+	doClean, _ := reg.Func("ssdo_clean")
+	keep, _ := reg.Func("ssclean_with")
+	sample, _ := reg.Func("ssample")
+	twin := func() any {
+		// N = 1 and no sample above z0 = 1: the cleaning raises z to
+		// groups, inside the weights' range, and promotes nothing.
+		st := p.States[0].Type.Init(nil)
+		if _, err := sample.Call(st, []value.Value{value.NewFloat(0.5), value.NewInt(1), value.NewInt(2), value.NewInt(10)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := doClean.Call(st, []value.Value{value.NewInt(groups)}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	scanned, called := []any{twin()}, twin()
+	gc.Pass([]agg.Column{sums}, slots, nil)
+	var got, want []int
+	for from := 0; from < groups; {
+		to := min(groups, from+1+rng.Intn(2*gatherRows))
+		pass, err := gc.Scan(scanned, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from = to; pass < to {
+			got = append(got, pass)
+			from = pass + 1
+		}
+	}
+	for i, slot := range slots {
+		v, err := keep.Call(called, []value.Value{sums.Value(slot)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Truth() {
+			want = append(want, i)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan kept %v\nCall kept %v", got, want)
+	}
+	if len(want) == 0 || len(want) == groups {
+		t.Fatalf("%d of %d groups kept: the draw misses a case", len(want), groups)
+	}
+	if !reflect.DeepEqual(scanned[0], called) {
+		t.Fatalf("states differ: scanned %+v, called %+v", scanned[0], called)
 	}
 }

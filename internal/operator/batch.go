@@ -61,9 +61,12 @@ func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 // mode the GROUP BY closures fill the group-by columns row by row before
 // the walk; GROUP BY is stateless and comes first, so if row k errs the
 // walk runs the rows before k and then returns the error, row k counted
-// in. Stateful functions are never evaluated eagerly, and
-// window boundaries are detected per row, so a batch straddling windows
-// flushes at the right row. An attached profile reads the clock between
+// in. Stateful functions are never evaluated eagerly: a semi-stateful
+// WHERE scans in row order (gsql.VecCall.Scan), one call taking the run of
+// rows up to the first it passes — with one supergroup and no row context
+// up to the next window close or traced row, else one row — and window
+// boundaries are detected per row, so a batch straddling windows flushes
+// at the right row. An attached profile reads the clock between
 // the phases and selects nothing. A selection plan walks WHERE only: see
 // selectBatch.
 func (o *Operator) ProcessBatch(b *tuple.Batch) error {
@@ -175,11 +178,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			if !pass {
 				continue
 			}
-		case whereCall != nil:
+		case whereCall != nil && hook != nil:
 			wv, err := whereCall.CallRow(sg.states, sg.supers, row)
-			if hook != nil {
-				hook(whereCall.Fn, whereCall.State, wv, err)
-			}
+			hook(whereCall.Fn, whereCall.State, wv, err)
 			if err != nil {
 				return tts, fmt.Errorf("operator: WHERE: %w", err)
 			}
@@ -188,6 +189,27 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			if !pass {
 				continue
 			}
+		case whereCall != nil:
+			// A run: with one supergroup and no row context, nothing
+			// happens between two rejected rows but the count, up to the
+			// window's close or the next traced row.
+			end := row + 1
+			if allSG && !rowCtx {
+				end = min(stop, closes)
+				if next > row {
+					end = min(end, next)
+				}
+			}
+			pass, err := whereCall.Scan(sg.states, sg.supers, row, end)
+			o.stats.TuplesIn += int64(min(pass, end-1) - row)
+			if err != nil {
+				return tts, fmt.Errorf("operator: WHERE: %w", err)
+			}
+			if pass == end {
+				row = end - 1
+				continue
+			}
+			row = pass
 		case o.plan.Where != nil:
 			wv, err := o.plan.Where(&o.ctx)
 			if err != nil {
@@ -354,8 +376,9 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 
 // selectBatch is ProcessBatch for a selection plan: WHERE, then the SELECT
 // list over the rows it kept. With kernel columns a stateless WHERE is a
-// mask and a semi-stateful one calls once per row in row order (an error
-// at row k ends the batch there, the rows before k emitted); the SELECT
+// mask and a semi-stateful one scans in row order, a run up to each traced
+// row, whose call is made alone (an error at row k ends the batch there,
+// the rows before k emitted); the SELECT
 // kernels then run restricted to the kept rows, and their columns go to
 // the sink as they are, every row counted in Stats before the sink sees
 // them. Without SELECT columns — closure mode, or SELECT kernels that
@@ -410,19 +433,28 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 			v.sel = v.sel[:0]
 			for row := 0; row < n; row++ {
 				var tts []*tracing.TupleTrace
-				if row == next {
+				var pass bool
+				var err error
+				if row == next { // a traced row: one call, reported
 					tts, next = o.tr.TakeRow(o.trName)
-				}
-				wv, err := vp.WhereCall.CallRow(o.selStates, nil, row)
-				if tts != nil {
+					var wv value.Value
+					wv, err = vp.WhereCall.CallRow(o.selStates, nil, row)
 					o.sfunHook(tts)(vp.WhereCall.Fn, vp.WhereCall.State, wv, err)
+					pass = wv.Truth()
+				} else { // a run, up to the next traced row
+					end := n
+					if next > row {
+						end = next
+					}
+					var p int
+					p, err = vp.WhereCall.Scan(o.selStates, nil, row, end)
+					row, pass = min(p, end-1), p < end
 				}
 				if err != nil {
 					whereErr, in = err, row+1
 					o.failTraces(tts)
 					break
 				}
-				pass := wv.Truth()
 				o.traceWhere(tts, pass)
 				if pass {
 					if tts != nil {

@@ -113,6 +113,13 @@ func checkWalk(t *testing.T, src string, schema *tuple.Schema, reg func() *sfun.
 func requireOracle(t *testing.T, label string, op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, size int, flush bool, out *[]tuple.Tuple, want oracleResult) {
 	t.Helper()
 	at, err := runSubject(op, schema, rows, size, flush)
+	requireResult(t, label, op, at, err, size, out, want)
+}
+
+// requireResult holds a subject's run — the input position its error
+// surfaced at, the error, its rows and Stats — to the oracle's.
+func requireResult(t *testing.T, label string, op *operator.Operator, at int, err error, size int, out *[]tuple.Tuple, want oracleResult) {
+	t.Helper()
 	if fmt.Sprint(err) != fmt.Sprint(want.err) {
 		t.Fatalf("%s: err = %v, want %v", label, err, want.err)
 	}

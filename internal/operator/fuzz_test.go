@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"streamop/internal/checkpoint"
+	"streamop/internal/operator"
 	"streamop/internal/sfunlib"
+	"streamop/internal/tracing"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
@@ -67,11 +69,55 @@ func fuzzRows(data []byte, queries []string) (src string, size int, rows []tuple
 	return src, size, rows
 }
 
+// fuzzTraced reports which of the rows data decodes to carry a trace: those
+// whose fourth byte is 240 or more (the tag it picks is the byte mod 3).
+func fuzzTraced(data []byte) (traced []bool, some bool) {
+	for b := data[2:]; len(b) >= 4 && len(traced) < 400; b = b[4:] {
+		traced = append(traced, b[3] >= 240)
+		some = some || b[3] >= 240
+	}
+	return traced, some
+}
+
+// runTraced is runSubject, flushing, over batches of size rows with a
+// tracer attached to op and one trace riding each row traced marks, as the
+// engine hands a batch's traced rows to its step.
+func runTraced(op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, traced []bool, size int) (int, error) {
+	tr := tracing.New(tracing.Config{Every: 1})
+	op.SetTracer(tr, "walk")
+	b := tuple.NewBatch(schema, size)
+	for off := 0; off < len(rows); off += size {
+		b.Reset()
+		var rts []tracing.RowTraces
+		for i, row := range rows[off:min(off+size, len(rows))] {
+			b.AppendRow(row)
+			if traced[off+i] {
+				rts = append(rts, tracing.RowTraces{Row: i, TTs: []*tracing.TupleTrace{tr.SourceOffer(tr.NextSeq())}})
+			}
+		}
+		tr.SetCurrent(rts)
+		err := op.ProcessBatch(b)
+		tr.TakeStaged()
+		if err != nil {
+			return off, err
+		}
+	}
+	return len(rows), op.Flush()
+}
+
 // FuzzWalk holds ProcessBatch, at the batch size the input names, to the
-// oracle over rows decoded from the input.
+// oracle over rows decoded from the input, untraced and, when the input
+// marks rows traced, traced. The seeds after the first ones put window
+// closes and traced rows inside runs of rows a stateful WHERE rejects,
+// where the walk's scan must stop.
 func FuzzWalk(f *testing.F) {
 	for q := range fuzzQueries {
 		f.Add([]byte{byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1})
+	}
+	for _, q := range []byte{1, 5} { // the stateful WHEREs: grouping, selection
+		for _, size := range []byte{63, 22} {
+			f.Add(runSeed(q, size))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, size, rows := fuzzRows(data, fuzzQueries)
@@ -81,7 +127,32 @@ func FuzzWalk(f *testing.F) {
 		want := runOracle(compilePlan(t, src, fuzzSchema, sfunlib.Default(1)), rows, true)
 		op, out := newEquivOp(t, src, fuzzSchema, 1)
 		requireOracle(t, src, op, fuzzSchema, rows, size, true, out, want)
+		if traced, some := fuzzTraced(data); some {
+			op, out := newEquivOp(t, src, fuzzSchema, 1)
+			at, err := runTraced(op, fuzzSchema, rows, traced, size)
+			requireResult(t, src+" (traced)", op, at, err, size, out, want)
+		}
 	})
+}
+
+// runSeed is a FuzzWalk input for query q at batch size size+1: 320 rows,
+// a new ts every 16 (a window every 64 rows, so batches straddle window
+// closes), weights k+3 that a subset-sum WHERE mostly rejects once its
+// threshold has climbed, and a trace on every 23rd row.
+func runSeed(q, size byte) []byte {
+	data := []byte{q, size}
+	for i := range 320 {
+		ts := byte(1) // no new ts
+		if i%16 == 0 {
+			ts = 0
+		}
+		tag := byte(i % 3)
+		if i%23 == 11 {
+			tag += 240
+		}
+		data = append(data, ts, byte(i*7%5), byte(i*11%250), tag)
+	}
+	return data
 }
 
 // snapshotQueries are FuzzWalkSnapshot's: every built-in aggregate's

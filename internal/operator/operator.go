@@ -349,33 +349,51 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Aggs: &o.slot, Trace: hook}
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
 	// shape, skip the scalar closure tree (same calls, same state
-	// mutations, same results, the same report to the hook).
+	// mutations, same results, the same report to the hook) and scan the
+	// groups a run at a time. A rejected group is evicted before the next
+	// is judged, or, in a run, once the run's scan returns: eviction
+	// touches the superaggregates and the store, which the call does not
+	// read, and no SFUN state.
 	var fast *gsql.GroupCall
 	if o.vec.vp != nil {
 		fast = o.vec.vp.CleanByCall
 	}
-	kept := sg.groups[:0]
-	for _, g := range sg.groups {
-		var v value.Value
+	groups := sg.groups
+	kept := groups[:0]
+	if fast != nil {
+		fast.Pass(o.store.aggs, groups, sg.supers)
+	}
+	for i := 0; i < len(groups); i++ {
+		var pass bool
 		var err error
-		if fast != nil {
-			v, err = fast.CallGroup(sg.states, o.store.aggs, g)
-			if hook != nil {
-				hook(fast.Fn, fast.State, v, err)
+		switch {
+		case fast != nil && hook != nil:
+			var v value.Value
+			v, err = fast.CallGroup(sg.states, i)
+			hook(fast.Fn, fast.State, v, err)
+			pass = v.Truth()
+		case fast != nil:
+			var p int
+			p, err = fast.Scan(sg.states, i, len(groups))
+			for _, g := range groups[i:min(p, len(groups))] {
+				o.evictGroup(sg, g)
 			}
-		} else {
-			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
-			o.slot.At = g
+			i, pass = min(p, len(groups)-1), p < len(groups)
+		default:
+			o.ctx.GroupVals = o.store.keyVals(groups[i], o.keyVals)
+			o.slot.At = groups[i]
+			var v value.Value
 			v, err = o.plan.CleaningBy(&o.ctx)
+			pass = v.Truth()
 		}
 		if err != nil {
 			return fmt.Errorf("operator: CLEANING BY: %w", err)
 		}
-		if v.Truth() {
-			kept = append(kept, g)
-			continue
+		if pass {
+			kept = append(kept, groups[i])
+		} else if fast == nil || hook != nil {
+			o.evictGroup(sg, groups[i])
 		}
-		o.evictGroup(sg, g)
 	}
 	sg.groups = kept
 	return nil
@@ -461,31 +479,68 @@ func (o *Operator) flushWindow() error {
 
 // sample applies HAVING to every group of the closing window (in
 // supergroup, then group, insertion order) and outputs the ones that pass.
+// When HAVING matched the per-group call shape it scans a supergroup's
+// groups a run at a time, up to the next traced group, whose call it makes
+// alone and reports; a group that passes is output before the next is
+// judged, whatever its SELECT list calls.
 func (o *Operator) sample() error {
+	var fast *gsql.GroupCall
+	if o.vec.vp != nil {
+		fast = o.vec.vp.HavingCall
+	}
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
 		o.ctx.Supers = sg.supers
 		o.ctx.Aggs = &o.slot
-		for _, g := range sg.groups {
+		groups := sg.groups
+		if fast != nil {
+			fast.Pass(o.store.aggs, groups, sg.supers)
+		}
+		traced := -1 // the next traced group's position from i on
+		for i := 0; i < len(groups); i++ {
+			if traced < i {
+				traced = o.nextTraced(groups, i)
+			}
+			var tts []*tracing.TupleTrace
+			if i == traced {
+				tts = o.traces[groups[i]]
+			}
+			scanned := fast != nil && tts == nil
+			if scanned {
+				p, err := fast.Scan(sg.states, i, traced)
+				if err != nil {
+					return fmt.Errorf("operator: HAVING: %w", err)
+				}
+				if p == traced {
+					i = traced - 1
+					continue
+				}
+				i = p
+			}
+			g := groups[i]
 			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
 			o.slot.At = g
-			var tts []*tracing.TupleTrace
-			if o.tr != nil {
-				tts = o.traces[g]
-			}
-			traced := len(tts) > 0
-			if traced {
+			if tts != nil {
 				o.ctx.Trace = o.sfunHook(tts)
 			}
 			havingPass := true
-			if o.plan.Having != nil {
+			switch {
+			case scanned:
+			case fast != nil:
+				v, err := fast.CallGroup(sg.states, i)
+				o.ctx.Trace(fast.Fn, fast.State, v, err)
+				if err != nil {
+					return fmt.Errorf("operator: HAVING: %w", err)
+				}
+				havingPass = v.Truth()
+			case o.plan.Having != nil:
 				v, err := o.plan.Having(&o.ctx)
 				if err != nil {
 					return fmt.Errorf("operator: HAVING: %w", err)
 				}
 				havingPass = v.Truth()
 			}
-			if traced {
+			if tts != nil {
 				if o.plan.Having != nil {
 					for _, tt := range tts {
 						tt.Having(o.trName, havingPass) // terminal when false
@@ -508,7 +563,7 @@ func (o *Operator) sample() error {
 			if err := o.output(&o.ctx, tts); err != nil {
 				return err
 			}
-			if traced {
+			if tts != nil {
 				delete(o.traces, g) // staged
 			}
 		}
@@ -517,6 +572,19 @@ func (o *Operator) sample() error {
 		return o.finishEstimates()
 	}
 	return nil
+}
+
+// nextTraced returns the position of the first group of groups from from
+// on that carries traces, or len(groups).
+func (o *Operator) nextTraced(groups []int32, from int) int {
+	if len(o.traces) > 0 {
+		for i := from; i < len(groups); i++ {
+			if len(o.traces[groups[i]]) > 0 {
+				return i
+			}
+		}
+	}
+	return len(groups)
 }
 
 // output evaluates the SELECT list into the output batch: no tuple is

@@ -153,9 +153,9 @@ func TestTenantGateTransitionObserver(t *testing.T) {
 	g := NewTenantGate(Quota{Rows: 1, BurstSec: 1})
 	var transitions []bool
 	g.OnTransition(func(th bool) { transitions = append(transitions, th) })
-	g.Admit(1, 0) // admit (burst)
-	g.Admit(1, 0) // shed -> throttled
-	g.Admit(1, 0) // shed, no transition
+	g.Admit(1, 0)       // admit (burst)
+	g.Admit(1, 0)       // shed -> throttled
+	g.Admit(1, 0)       // shed, no transition
 	g.Admit(1, 5*secNS) // refilled -> ok
 	want := []bool{true, false}
 	if len(transitions) != len(want) {

@@ -9,6 +9,21 @@
 // bound to a state by name; stateless scalar functions use an empty state
 // name. The sampling operator allocates one instance of each referenced
 // state per supergroup and passes it implicitly on every call.
+//
+// A boolean predicate may be written as a Scan instead of a Call: it runs
+// over a run of rows whose arguments are columns or constants, and stops at
+// the first row that passes. The operator calls a predicate once per tuple
+// (WHERE, CLEANING WHEN) or once per group (CLEANING BY, HAVING), so most
+// calls it makes are runs of rejected rows; a Scan takes such a run in one
+// call, reading its columns' words directly, instead of boxing every row's
+// arguments for an indirect Call. The engine scans where nothing can
+// happen between two calls: WHERE up to the next window close or traced
+// row, CLEANING BY over a supergroup's groups, HAVING over a window's.
+// Everywhere else — a traced row or group, a CLEANING WHEN whose argument
+// moves per row, a closure — it calls the function one row at a time, and
+// for a function with a Scan that Call is derived from the Scan over one
+// row of constants (RegisterFunc sets it), so a family writes each
+// predicate once.
 package sfun
 
 import (
@@ -16,6 +31,7 @@ import (
 	"strings"
 
 	"streamop/internal/checkpoint"
+	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
 
@@ -60,7 +76,63 @@ type Func struct {
 	// stateless scalar function such as UMAX.
 	State string
 	// Call evaluates the function. state is nil for stateless functions.
+	// A function with a Scan leaves it nil: RegisterFunc derives it.
 	Call func(state any, args []value.Value) (value.Value, error)
+	// Scan, if non-nil, is the function as a predicate over rows [from,
+	// to) of its arguments (see ScanFunc), and Call is one row of it.
+	Scan ScanFunc
+}
+
+// ScanFunc runs a boolean stateful predicate over rows [from, to) of args
+// and returns the first row that passes, or to if none does. Before
+// returning it has advanced state exactly as Call on each of those rows in
+// order would have: the rows before the passing one (rejected), then that
+// row. On an error it returns the first erring row with the error Call
+// would return there; only the rows before it, and what Call does at that
+// row before it errs, have mutated the state. Rows must be scanned in
+// order: a caller resumes at the row after the one returned.
+//
+// A Scan must accept any column: kind-uniform Int, Uint or Float columns
+// are the case to make fast (their words are the values), and a row of any
+// other kind — NULL, String, Bool, a mixed column's — errs or passes at its
+// row exactly as Call does for that value.
+type ScanFunc func(state any, args Args, from, to int) (row int, err error)
+
+// Args are a scan's arguments: argument i is column Cols[i] when Cols is
+// non-nil and that entry is set, else the constant Vals[i]. len(Vals) is
+// the number of arguments; Cols, when set, has one entry per argument.
+type Args struct {
+	Vals []value.Value
+	Cols []*tuple.Column
+}
+
+// Value returns argument i at row row.
+func (a *Args) Value(i, row int) value.Value {
+	if a.Cols != nil && a.Cols[i] != nil {
+		return a.Cols[i].Value(row)
+	}
+	return a.Vals[i]
+}
+
+// Row boxes every argument at row into dst, reusing its storage.
+func (a *Args) Row(row int, dst []value.Value) []value.Value {
+	dst = dst[:0]
+	for i := range a.Vals {
+		dst = append(dst, a.Value(i, row))
+	}
+	return dst
+}
+
+// callOf is the Call derived from a Scan: the scan over the one row of
+// constants args, TRUE when it passes.
+func callOf(scan ScanFunc) func(state any, args []value.Value) (value.Value, error) {
+	return func(state any, args []value.Value) (value.Value, error) {
+		row, err := scan(state, Args{Vals: args}, 0, 1)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewBool(row == 0), nil
+	}
 }
 
 // Inclusion is implemented by sampling state blobs that can report the
@@ -174,10 +246,11 @@ func (r *Registry) RegisterState(st *StateType) error {
 }
 
 // RegisterFunc adds a function; its state (if any) must already be
-// registered, and duplicate names are an error.
+// registered, and duplicate names are an error. A function gives a Call or
+// a Scan, not both: for a Scan, the Call registered is derived from it.
 func (r *Registry) RegisterFunc(f *Func) error {
-	if f.Name == "" || f.Call == nil {
-		return fmt.Errorf("sfun: function needs a name and a Call implementation")
+	if f.Name == "" || (f.Call == nil) == (f.Scan == nil) {
+		return fmt.Errorf("sfun: function needs a name and one of a Call or a Scan implementation")
 	}
 	key := strings.ToLower(f.Name)
 	if _, dup := r.funcs[key]; dup {
@@ -190,6 +263,11 @@ func (r *Registry) RegisterFunc(f *Func) error {
 		if _, ok := r.states[strings.ToLower(f.State)]; !ok {
 			return fmt.Errorf("sfun: function %q references unregistered state %q", f.Name, f.State)
 		}
+	}
+	if f.Scan != nil {
+		derived := *f
+		derived.Call = callOf(f.Scan)
+		f = &derived
 	}
 	r.funcs[key] = f
 	return nil

@@ -1,6 +1,7 @@
 package sfun
 
 import (
+	"fmt"
 	"testing"
 
 	"streamop/internal/value"
@@ -146,4 +147,48 @@ func TestMustRegisterAggAndFuncPanics(t *testing.T) {
 		}()
 		r.MustRegisterFunc(&Func{})
 	}()
+}
+
+// TestScanDerivesCall: a function given as a Scan is registered with the
+// Call that scans one row of constants, and giving both is refused.
+func TestScanDerivesCall(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegisterState(&StateType{Name: "n", Init: func(any) any { return new(int) }})
+	scan := func(state any, args Args, from, to int) (int, error) {
+		seen := state.(*int)
+		for row := from; row < to; row++ {
+			v := args.Value(0, row)
+			if !v.Kind().Numeric() {
+				return row, fmt.Errorf("above: got %s", v.Kind())
+			}
+			*seen++
+			if v.AsInt() > 2 {
+				return row, nil
+			}
+		}
+		return to, nil
+	}
+	call := func(any, []value.Value) (value.Value, error) { return value.Value{}, nil }
+	if err := r.RegisterFunc(&Func{Name: "both", State: "n", Call: call, Scan: scan}); err == nil {
+		t.Error("Call and Scan together accepted")
+	}
+	r.MustRegisterFunc(&Func{Name: "above", State: "n", Scan: scan})
+	f, _ := r.Func("above")
+	st := new(int)
+	for _, c := range []struct {
+		arg  value.Value
+		want string
+	}{{value.NewInt(1), "FALSE"}, {value.NewInt(3), "TRUE"}, {value.NewString("x"), "error: above: got string"}} {
+		v, err := f.Call(st, []value.Value{c.arg})
+		got := v.String()
+		if err != nil {
+			got = "error: " + err.Error()
+		}
+		if got != c.want {
+			t.Errorf("Call(%v) = %s, want %s", c.arg, got, c.want)
+		}
+	}
+	if *st != 2 {
+		t.Errorf("state saw %d rows, want 2", *st)
+	}
 }

@@ -16,6 +16,7 @@ package sfunlib
 
 import (
 	"fmt"
+	"math"
 
 	"streamop/internal/sfun"
 	"streamop/internal/value"
@@ -131,10 +132,69 @@ func numArg(fn string, args []value.Value, i int) (float64, error) {
 	return args[i].AsFloat(), nil
 }
 
+// numAt is numArg for argument i of a scan at row.
+func numAt(fn string, args *sfun.Args, i, row int) (float64, error) {
+	if i >= len(args.Vals) {
+		return numArg(fn, args.Vals, i) // the missing-argument error
+	}
+	v := args.Value(i, row)
+	if !v.Kind().Numeric() {
+		return 0, fmt.Errorf("%s: argument %d must be numeric, got %s", fn, i+1, v.Kind())
+	}
+	return v.AsFloat(), nil
+}
+
 func intArg(fn string, args []value.Value, i int) (int64, error) {
 	f, err := numArg(fn, args, i)
 	if err != nil {
 		return 0, err
 	}
 	return int64(f), nil
+}
+
+// num reads a numeric argument of a scan row by row where that is one
+// load: a kind-uniform Int, Uint or Float column straight from its words,
+// a numeric constant as itself. Any other argument — a mixed-kind column,
+// a NULL, String or Bool, a missing one — at does not read, and the scan
+// reads or refuses it through numAt, row by row.
+type num struct {
+	mode value.Kind // Int, Uint, Float: bits; numConst: c; Null: numAt
+	bits []uint64
+	c    float64
+}
+
+// numConst is num's mode for a numeric constant.
+const numConst = value.Bool
+
+// of points n at argument i of args. (It works in place and reads args'
+// fields one by one: copying either struct whole costs more than the rest
+// of a short scan.)
+func (n *num) of(args *sfun.Args, i int) {
+	if i >= len(args.Vals) {
+		return
+	}
+	if args.Cols != nil && args.Cols[i] != nil {
+		c := args.Cols[i]
+		if k, ok := c.Uniform(); ok && k.Numeric() {
+			n.mode, n.bits = k, c.Bits()
+		}
+	} else if v := &args.Vals[i]; v.Kind().Numeric() {
+		n.mode, n.c = numConst, v.AsFloat()
+	}
+}
+
+// at returns the argument at row as a float, or false when it does not
+// read it.
+func (n *num) at(row int) (float64, bool) {
+	switch n.mode {
+	case value.Int:
+		return float64(int64(n.bits[row])), true
+	case value.Float:
+		return math.Float64frombits(n.bits[row]), true
+	case value.Uint:
+		return float64(n.bits[row]), true
+	case numConst:
+		return n.c, true
+	}
+	return 0, false
 }

@@ -144,21 +144,30 @@ func registerSubsetSum(reg *sfun.Registry) error {
 			// ssample is the loose admission predicate: basic subset-sum
 			// sampling at the current threshold.
 			Name: "ssample", State: SubsetSumStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
+			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
 				s, err := asSS(state)
 				if err != nil {
-					return value.Value{}, err
+					return from, err
 				}
-				if !s.configured {
-					if err := s.configure(args); err != nil {
-						return value.Value{}, err
+				var w num
+				w.of(&args, 0)
+				for row := from; row < to; row++ {
+					if !s.configured {
+						if err := s.configure(args.Row(row, nil)); err != nil {
+							return row, err
+						}
+					}
+					x, ok := w.at(row)
+					if !ok {
+						if x, err = numAt("ssample", &args, 0, row); err != nil {
+							return row, err
+						}
+					}
+					if s.Admit(x) {
+						return row, nil
 					}
 				}
-				w, err := numArg("ssample", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(s.Admit(w)), nil
+				return to, nil
 			},
 		},
 		{
@@ -198,16 +207,25 @@ func registerSubsetSum(reg *sfun.Registry) error {
 			// subset-sum sampling at the adjusted threshold, with sizes
 			// below the pre-adjustment threshold promoted to it (§6.5).
 			Name: "ssclean_with", State: SubsetSumStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
+			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
 				s, err := asSS(state)
 				if err != nil {
-					return value.Value{}, err
+					return from, err
 				}
-				w, err := numArg("ssclean_with", args, 0)
-				if err != nil {
-					return value.Value{}, err
+				var w num
+				w.of(&args, 0)
+				for row := from; row < to; row++ {
+					x, ok := w.at(row)
+					if !ok {
+						if x, err = numAt("ssclean_with", &args, 0, row); err != nil {
+							return row, err
+						}
+					}
+					if s.CleanKeep(x) {
+						return row, nil
+					}
 				}
-				return value.NewBool(s.CleanKeep(w)), nil
+				return to, nil
 			},
 		},
 		{
@@ -216,30 +234,39 @@ func registerSubsetSum(reg *sfun.Registry) error {
 			// cleaning predicate to each group; otherwise every group is
 			// sampled.
 			Name: "ssfinal_clean", State: SubsetSumStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
+			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
 				s, err := asSS(state)
 				if err != nil {
-					return value.Value{}, err
+					return from, err
 				}
-				w, err := numArg("ssfinal_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				cnt, err := intArg("ssfinal_clean", args, 1)
-				if err != nil {
-					return value.Value{}, err
-				}
-				if s.finalArmed && !s.finalPrepared {
-					s.finalPrepared = true
-					s.subsampling = s.configured && int(cnt) > s.n
-					if s.subsampling {
-						s.BeginClean(int(cnt), s.n)
+				var w, cnt num
+				w.of(&args, 0)
+				cnt.of(&args, 1)
+				for row := from; row < to; row++ {
+					x, ok := w.at(row)
+					if !ok {
+						if x, err = numAt("ssfinal_clean", &args, 0, row); err != nil {
+							return row, err
+						}
+					}
+					c, ok := cnt.at(row)
+					if !ok {
+						if c, err = numAt("ssfinal_clean", &args, 1, row); err != nil {
+							return row, err
+						}
+					}
+					if s.finalArmed && !s.finalPrepared {
+						s.finalPrepared = true
+						s.subsampling = s.configured && int(int64(c)) > s.n
+						if s.subsampling {
+							s.BeginClean(int(int64(c)), s.n)
+						}
+					}
+					if !s.subsampling || s.CleanKeep(x) {
+						return row, nil
 					}
 				}
-				if !s.subsampling {
-					return value.NewBool(true), nil
-				}
-				return value.NewBool(s.CleanKeep(w)), nil
+				return to, nil
 			},
 		},
 	}
@@ -275,24 +302,37 @@ func registerBasicSubsetSum(reg *sfun.Registry) error {
 	return reg.RegisterFunc(&sfun.Func{
 		// bssample(len, z) is basic subset-sum sampling at threshold z.
 		Name: "bssample", State: BasicSubsetSumStateName,
-		Call: func(state any, args []value.Value) (value.Value, error) {
+		Scan: func(state any, args sfun.Args, from, to int) (int, error) {
 			s, ok := state.(*bssState)
 			if !ok {
-				return value.Value{}, fmt.Errorf("basic_subsetsum_state: wrong state type %T", state)
+				return from, fmt.Errorf("basic_subsetsum_state: wrong state type %T", state)
 			}
-			w, err := numArg("bssample", args, 0)
-			if err != nil {
-				return value.Value{}, err
+			var err error
+			var w, z num
+			w.of(&args, 0)
+			z.of(&args, 1)
+			for row := from; row < to; row++ {
+				x, ok := w.at(row)
+				if !ok {
+					if x, err = numAt("bssample", &args, 0, row); err != nil {
+						return row, err
+					}
+				}
+				zr, ok := z.at(row)
+				if !ok {
+					if zr, err = numAt("bssample", &args, 1, row); err != nil {
+						return row, err
+					}
+				}
+				if zr <= 0 {
+					return row, fmt.Errorf("bssample: threshold must be positive, got %v", zr)
+				}
+				s.Z = zr
+				if s.Admit(x) {
+					return row, nil
+				}
 			}
-			z, err := numArg("bssample", args, 1)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if z <= 0 {
-				return value.Value{}, fmt.Errorf("bssample: threshold must be positive, got %v", z)
-			}
-			s.Z = z
-			return value.NewBool(s.Admit(w)), nil
+			return to, nil
 		},
 	})
 }
