@@ -8,7 +8,10 @@
 // state.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic xoshiro256** generator. It is not safe for
 // concurrent use; create one per goroutine.
@@ -78,29 +81,18 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	// The rejection threshold -n % n is below n, so a low word of at least
+	// n is accepted without computing it: the division runs only on the
+	// rare draws that might be rejected, and every draw is accepted or
+	// rejected exactly as against the threshold itself.
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 computes the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
+	return hi
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with rate 1

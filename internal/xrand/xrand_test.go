@@ -284,3 +284,55 @@ func BenchmarkZipfLarge(b *testing.B) {
 	}
 	_ = x
 }
+
+// refUint64n is Uint64n as it was before its division moved off the
+// common path: the threshold computed on every call, checked on every
+// draw, with a hand-written 128-bit product.
+func refUint64n(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		v := r.Uint64()
+		hi, lo := refMul64(v, n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+func refMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += a0 * b1
+	hi = a1*b1 + w2 + w1>>32
+	lo = a * b
+	return
+}
+
+// TestUint64nMatchesReference holds Uint64n to the threshold loop draw for
+// draw: the same values and the same State after every call, since
+// checkpoints store Rand state and replay from it.
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 1000, 28000, 1<<32 + 1, 1<<63 + 1, 1<<64 - 1}
+	pick := New(99)
+	for i := 0; i < 8; i++ {
+		ns = append(ns, pick.Uint64()>>(pick.Uint64()%64)|1)
+	}
+	for i, n := range ns {
+		ref, got := New(uint64(i)), New(uint64(i))
+		for d := 0; d < 100_000; d++ {
+			want, v := refUint64n(ref, n), got.Uint64n(n)
+			if v != want || got.State() != ref.State() {
+				t.Fatalf("n=%d draw %d: Uint64n = %d, reference %d (state equal: %v)",
+					n, d, v, want, got.State() == ref.State())
+			}
+		}
+	}
+}
