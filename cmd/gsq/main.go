@@ -128,7 +128,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.Query, "query", "", "query text")
 	flag.StringVar(&cfg.QueryFile, "queryfile", "", "file containing the query")
-	flag.StringVar(&cfg.Feed, "feed", "steady", "synthetic feed: bursty|steady|ddos|flows")
+	flag.StringVar(&cfg.Feed, "feed", "steady", "synthetic feed: "+trace.FeedNames)
 	flag.StringVar(&cfg.Replay, "replay", "", "replay a binary trace file recorded with tracegen (overrides -feed)")
 	flag.Float64Var(&cfg.Duration, "duration", 5, "simulated feed duration in seconds")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
@@ -608,15 +608,5 @@ func openFeed(kind, replayFile string, duration float64, seed uint64) (trace.Fee
 		// The process exits when done; the descriptor is released then.
 		return trace.NewReader(f)
 	}
-	switch kind {
-	case "bursty":
-		return trace.NewBursty(trace.DefaultBursty(seed, duration))
-	case "steady":
-		return trace.NewSteady(trace.DefaultSteady(seed, duration))
-	case "ddos":
-		return trace.NewDDoS(trace.DefaultDDoS(seed, duration))
-	case "flows":
-		return trace.NewFlows(trace.DefaultFlows(seed, duration))
-	}
-	return nil, fmt.Errorf("unknown feed %q", kind)
+	return trace.Open(kind, seed, duration)
 }

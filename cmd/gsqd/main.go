@@ -97,7 +97,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "HTTP listen address")
-	flag.StringVar(&cfg.Feed, "feed", "bursty", "synthetic feed: bursty|steady|ddos|flows")
+	flag.StringVar(&cfg.Feed, "feed", "bursty", "synthetic feed: "+trace.FeedNames)
 	flag.Float64Var(&cfg.Duration, "duration", 60, "simulated feed duration in seconds (per lap with -loop)")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
 	flag.IntVar(&cfg.Ring, "ring", 4096, "source ring-buffer capacity")
@@ -437,19 +437,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // openFeed builds the server's packet feed: one of the synthetic taps,
 // looped so the stream never ends (unless -loop=false).
 func openFeed(cfg config) (trace.Feed, error) {
-	gen := func() (trace.Feed, error) {
-		switch cfg.Feed {
-		case "bursty":
-			return trace.NewBursty(trace.DefaultBursty(cfg.Seed, cfg.Duration))
-		case "steady":
-			return trace.NewSteady(trace.DefaultSteady(cfg.Seed, cfg.Duration))
-		case "ddos":
-			return trace.NewDDoS(trace.DefaultDDoS(cfg.Seed, cfg.Duration))
-		case "flows":
-			return trace.NewFlows(trace.DefaultFlows(cfg.Seed, cfg.Duration))
-		}
-		return nil, fmt.Errorf("unknown feed %q", cfg.Feed)
-	}
+	gen := func() (trace.Feed, error) { return trace.Open(cfg.Feed, cfg.Seed, cfg.Duration) }
 	first, err := gen()
 	if err != nil {
 		return nil, err

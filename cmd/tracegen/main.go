@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	feedKind := flag.String("feed", "steady", "feed: bursty|steady|ddos|flows")
+	feedKind := flag.String("feed", "steady", "feed: "+trace.FeedNames)
 	duration := flag.Float64("duration", 10, "simulated duration in seconds")
 	seed := flag.Uint64("seed", 1, "random seed")
 	out := flag.String("out", "", "output file (required)")
@@ -33,22 +33,7 @@ func run(feedKind string, duration float64, seed uint64, out string) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	var (
-		feed trace.Feed
-		err  error
-	)
-	switch feedKind {
-	case "bursty":
-		feed, err = trace.NewBursty(trace.DefaultBursty(seed, duration))
-	case "steady":
-		feed, err = trace.NewSteady(trace.DefaultSteady(seed, duration))
-	case "ddos":
-		feed, err = trace.NewDDoS(trace.DefaultDDoS(seed, duration))
-	case "flows":
-		feed, err = trace.NewFlows(trace.DefaultFlows(seed, duration))
-	default:
-		return fmt.Errorf("unknown feed %q", feedKind)
-	}
+	feed, err := trace.Open(feedKind, seed, duration)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"streamop"
+	"streamop/internal/sample/minhash"
 )
 
 func main() {
@@ -86,7 +87,7 @@ CLEANING BY HX <= Kth_smallest_value$(HX, 100)`, streamop.Options{Seed: 5})
 	fmt.Printf("signature sizes: A=%d B=%d C=%d\n\n", len(sigs[a]), len(sigs[b]), len(sigs[c]))
 	fmt.Println("pair   estimated resemblance   exact Jaccard")
 	for _, pair := range [][2]uint32{{a, b}, {a, c}, {b, c}} {
-		est := resemblance(sigs[pair[0]], sigs[pair[1]], 100)
+		est := minhash.Resemblance(sigs[pair[0]], sigs[pair[1]], 100)
 		exact := jaccard(exactDests[pair[0]], exactDests[pair[1]])
 		fmt.Printf("%c-%c    %21.3f   %13.3f\n",
 			'A'+pairIdx(pair[0]), 'A'+pairIdx(pair[1]), est, exact)
@@ -102,30 +103,6 @@ func pairIdx(src uint32) rune {
 	default:
 		return 2
 	}
-}
-
-// resemblance implements Broder's k-minimum estimator over two sorted
-// signatures: the fraction of the k smallest union values present in both.
-func resemblance(sa, sb []uint64, k int) float64 {
-	inBoth, taken := 0, 0
-	i, j := 0, 0
-	for taken < k && (i < len(sa) || j < len(sb)) {
-		switch {
-		case j >= len(sb) || (i < len(sa) && sa[i] < sb[j]):
-			i++
-		case i >= len(sa) || sb[j] < sa[i]:
-			j++
-		default:
-			inBoth++
-			i++
-			j++
-		}
-		taken++
-	}
-	if taken == 0 {
-		return 0
-	}
-	return float64(inBoth) / float64(taken)
 }
 
 func jaccard(a, b map[uint32]bool) float64 {

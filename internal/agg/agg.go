@@ -434,12 +434,6 @@ func SuperByName(name string) (*SuperSpec, bool) {
 	return nil, false
 }
 
-// IsSuper reports whether name (with $ suffix) is a known superaggregate.
-func IsSuper(name string) bool {
-	_, ok := SuperByName(name)
-	return ok
-}
-
 // countDistinctSuper counts live groups.
 type countDistinctSuper struct{ n int64 }
 

@@ -121,10 +121,10 @@ func TestFirstLast(t *testing.T) {
 }
 
 func TestSuperLookup(t *testing.T) {
-	if !IsSuper("COUNT_DISTINCT$") {
+	if _, ok := SuperByName("COUNT_DISTINCT$"); !ok {
 		t.Error("case-insensitive super lookup failed")
 	}
-	if IsSuper("sum") {
+	if _, ok := SuperByName("sum"); ok {
 		t.Error("group aggregate reported as super")
 	}
 	if _, ok := SuperByName("bogus$"); ok {

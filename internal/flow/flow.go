@@ -204,7 +204,7 @@ func (s *Sampler) clean() {
 // EndWindow emits the window's sampled flows (subsampled to at most N),
 // carries the relaxed threshold into the next window and resets the table.
 func (s *Sampler) EndWindow() []Record {
-	for i := 0; len(s.table) > s.cfg.TargetSize && i < 64; i++ {
+	for i := 0; len(s.table) > s.cfg.TargetSize && i < subsetsum.MaxFinalCleanings; i++ {
 		s.clean()
 	}
 	out := make([]Record, len(s.order))

@@ -2,6 +2,7 @@ package operator_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,9 +99,10 @@ func runQuiet(t *testing.T, src string, packets []trace.Packet) []tuple.Tuple {
 	return run(t, src, packets)
 }
 
-// TestSupergroupInvariantQuick: under random min-hash-style queries, the
-// number of output rows per supergroup never exceeds k, and every kept
-// hash is within the k smallest for its supergroup.
+// TestSupergroupInvariantQuick: under random min-hash-style queries, each
+// supergroup's output is exactly the k smallest distinct hashes of its
+// rows (all of them when it has fewer than k), which a plain GROUP BY
+// over the same hashes lists.
 func TestSupergroupInvariantQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -124,12 +126,29 @@ SUPERGROUP BY tb, srcIP
 HAVING HX <= Kth_smallest_value$(HX, %d)
 CLEANING WHEN count_distinct$(*) >= %d
 CLEANING BY HX <= Kth_smallest_value$(HX, %d)`, k, k, k, k), pkts)
-		perSrc := map[uint64][]uint64{}
-		for _, row := range rows {
-			perSrc[row[1].Uint()] = append(perSrc[row[1].Uint()], row[2].Uint())
+		all := run(t, `
+SELECT tb, srcIP, HX
+FROM PKT
+GROUP BY time/60 as tb, srcIP, H(destIP) as HX`, pkts)
+		perSrc := func(rows []tuple.Tuple) map[uint64][]uint64 {
+			m := map[uint64][]uint64{}
+			for _, row := range rows {
+				m[row[1].Uint()] = append(m[row[1].Uint()], row[2].Uint())
+			}
+			for _, hs := range m {
+				slices.Sort(hs)
+			}
+			return m
 		}
-		for _, hs := range perSrc {
+		got, want := perSrc(rows), perSrc(all)
+		if len(got) != len(want) {
+			return false
+		}
+		for src, hs := range want {
 			if len(hs) > k {
+				hs = hs[:k]
+			}
+			if !slices.Equal(got[src], hs) {
 				return false
 			}
 		}

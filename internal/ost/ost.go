@@ -184,27 +184,6 @@ func (t *Tree) Min() (value.Value, bool) { return t.Kth(1) }
 // Max returns the largest element; ok is false if the tree is empty.
 func (t *Tree) Max() (value.Value, bool) { return t.Kth(t.Len()) }
 
-// Ascend calls fn on every element in sorted order (duplicates delivered
-// once per occurrence) until fn returns false.
-func (t *Tree) Ascend(fn func(v value.Value) bool) {
-	ascend(t.root, fn)
-}
-
-func ascend(n *node, fn func(v value.Value) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !ascend(n.left, fn) {
-		return false
-	}
-	for i := 0; i < n.count; i++ {
-		if !fn(n.val) {
-			return false
-		}
-	}
-	return ascend(n.right, fn)
-}
-
 func rotateRight(n *node) *node {
 	l := n.left
 	n.left = l.right

@@ -139,25 +139,21 @@ func TestMinMaxAscend(t *testing.T) {
 	if v, ok := tr.Max(); !ok || v.Int() != 6 {
 		t.Errorf("Max = %v, %v", v, ok)
 	}
+	// Kth(1..Len) walks the elements in ascending order, duplicates once
+	// per occurrence.
 	var got []int64
-	tr.Ascend(func(v value.Value) bool {
+	for k := 1; k <= tr.Len(); k++ {
+		v, _ := tr.Kth(k)
 		got = append(got, v.Int())
-		return true
-	})
+	}
 	want := []int64{2, 2, 4, 6}
 	if len(got) != len(want) {
-		t.Fatalf("Ascend yielded %v", got)
+		t.Fatalf("ascending walk yielded %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Ascend yielded %v, want %v", got, want)
+			t.Fatalf("ascending walk yielded %v, want %v", got, want)
 		}
-	}
-	// Early stop.
-	n := 0
-	tr.Ascend(func(value.Value) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("Ascend early-stop visited %d", n)
 	}
 }
 

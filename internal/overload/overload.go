@@ -16,10 +16,11 @@
 //	shed-sample  probabilistic admission ahead of the ring. The admit
 //	             probability adapts to ring occupancy by AIMD: multiplicative
 //	             decrease while occupancy sits above the high-water mark,
-//	             additive recovery below the low-water mark. Under sustained
-//	             overload the controller converges on the sustainable rate
-//	             and keeps occupancy near the high-water mark instead of
-//	             pinned at capacity, so bursts still find headroom.
+//	             additive recovery below the low-water mark, half of it.
+//	             Under sustained overload the controller converges on the
+//	             sustainable rate and keeps occupancy near the high-water
+//	             mark instead of pinned at capacity, so bursts still find
+//	             headroom.
 //	block        backpressure: the producer waits (bounded by BlockTimeout)
 //	             for ring space before declaring a drop. Trades pacing
 //	             fidelity for completeness.
@@ -114,6 +115,16 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// The shed-sample AIMD steps: each observation window at or above the
+// high-water mark multiplies the admit probability by aimdDecrease,
+// floored at minAdmit so the controller keeps probing the sustainable
+// rate; each window below the low-water mark adds aimdIncrease.
+const (
+	aimdDecrease = 0.5
+	aimdIncrease = 0.05
+	minAdmit     = 0.01
+)
+
 // Config parameterizes a Controller. The zero value selects drop-tail with
 // the default thresholds; WithDefaults fills unset fields.
 type Config struct {
@@ -121,18 +132,8 @@ type Config struct {
 	Policy Policy
 	// HighWater is the occupancy fraction above which shed-sample decreases
 	// the admit probability (and any policy reports Shedding). Default 0.8.
+	// Below HighWater/2, the low-water mark, shed-sample recovers it.
 	HighWater float64
-	// LowWater is the occupancy fraction below which shed-sample recovers
-	// the admit probability additively. Default 0.5.
-	LowWater float64
-	// Decrease is the multiplicative AIMD factor applied to the admit
-	// probability at each update above HighWater. Default 0.5.
-	Decrease float64
-	// Increase is the additive AIMD step applied below LowWater. Default 0.05.
-	Increase float64
-	// MinAdmit floors the admit probability so the controller keeps probing
-	// the sustainable rate. Default 0.01.
-	MinAdmit float64
 	// UpdateEvery is the number of offered packets between AIMD/state
 	// updates (the observation window). Default 64.
 	UpdateEvery int
@@ -147,18 +148,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.HighWater <= 0 || c.HighWater > 1 {
 		c.HighWater = 0.8
-	}
-	if c.LowWater <= 0 || c.LowWater >= c.HighWater {
-		c.LowWater = c.HighWater / 2
-	}
-	if c.Decrease <= 0 || c.Decrease >= 1 {
-		c.Decrease = 0.5
-	}
-	if c.Increase <= 0 {
-		c.Increase = 0.05
-	}
-	if c.MinAdmit <= 0 {
-		c.MinAdmit = 0.01
 	}
 	if c.UpdateEvery < 1 {
 		c.UpdateEvery = 64
@@ -245,12 +234,12 @@ func (c *Controller) update(occ, capacity int) {
 	if c.cfg.Policy == ShedSample {
 		switch {
 		case frac >= c.cfg.HighWater:
-			c.p *= c.cfg.Decrease
-			if c.p < c.cfg.MinAdmit {
-				c.p = c.cfg.MinAdmit
+			c.p *= aimdDecrease
+			if c.p < minAdmit {
+				c.p = minAdmit
 			}
-		case frac < c.cfg.LowWater && c.p < 1:
-			c.p += c.cfg.Increase
+		case frac < c.cfg.HighWater/2 && c.p < 1:
+			c.p += aimdIncrease
 			if c.p > 1 {
 				c.p = 1
 			}

@@ -37,15 +37,8 @@ func TestParsePolicy(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.HighWater != 0.8 || c.LowWater != 0.4 || c.Decrease != 0.5 ||
-		c.Increase != 0.05 || c.MinAdmit != 0.01 || c.UpdateEvery != 64 ||
-		c.BlockTimeout != 5*time.Millisecond {
+	if c.HighWater != 0.8 || c.UpdateEvery != 64 || c.BlockTimeout != 5*time.Millisecond {
 		t.Errorf("unexpected defaults: %+v", c)
-	}
-	// LowWater is forced below HighWater.
-	c = Config{HighWater: 0.6, LowWater: 0.9}.WithDefaults()
-	if c.LowWater >= c.HighWater {
-		t.Errorf("LowWater %v not below HighWater %v", c.LowWater, c.HighWater)
 	}
 }
 
@@ -57,7 +50,7 @@ func TestAIMDDecreaseAndRecover(t *testing.T) {
 	c := NewController(cfg)
 	const capacity = 100
 
-	// Sustained occupancy above high water: p decays toward MinAdmit.
+	// Sustained occupancy above high water: p decays toward its floor.
 	for i := 0; i < 8*20; i++ {
 		c.Admit(95, capacity)
 	}

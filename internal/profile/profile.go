@@ -185,12 +185,6 @@ type NodeProfile struct {
 	latency *telemetry.Histogram // window end-to-end latency, seconds
 }
 
-// Name returns the plan-node name.
-func (np *NodeProfile) Name() string { return np.key.name }
-
-// Shard returns the shard replica index, -1 when unsharded.
-func (np *NodeProfile) Shard() int { return np.key.shard }
-
 // Start reads the clock for a run of consecutive stages; 0 on a nil
 // profile, so profiling off costs a nil check per clock site.
 func (np *NodeProfile) Start() int64 {

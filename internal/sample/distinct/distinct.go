@@ -112,22 +112,6 @@ func (s *Sampler) DistinctEstimate() float64 {
 	return float64(len(s.table)) * float64(uint64(1)<<s.level)
 }
 
-// RarityEstimate estimates the fraction of distinct values that occurred
-// exactly once: the sample is uniform over distinct values, so the in-
-// sample fraction is unbiased. ok is false when the sample is empty.
-func (s *Sampler) RarityEstimate() (r float64, ok bool) {
-	if len(s.table) == 0 {
-		return 0, false
-	}
-	ones := 0
-	for _, e := range s.order {
-		if e.Count == 1 {
-			ones++
-		}
-	}
-	return float64(ones) / float64(len(s.order)), true
-}
-
 // Reset clears the sampler for a new window, keeping the capacity.
 func (s *Sampler) Reset() {
 	s.level = 0

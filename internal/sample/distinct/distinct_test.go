@@ -5,9 +5,20 @@ import (
 	"testing"
 	"testing/quick"
 
-	"streamop/internal/sample/minhash"
 	"streamop/internal/xrand"
 )
+
+// hashUint64 hashes a 64-bit key to a uniform 64-bit value (a
+// splitmix64-style mixer), so the tests offer hashes of real values.
+func hashUint64(x, seed uint64) uint64 {
+	x ^= seed * 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
@@ -74,37 +85,13 @@ func TestDistinctEstimate(t *testing.T) {
 	// Hash real values; feed duplicates too.
 	for rep := 0; rep < 3; rep++ {
 		for i := 0; i < distinct; i++ {
-			s.Offer(minhash.HashUint64(uint64(i), 9))
+			s.Offer(hashUint64(uint64(i), 9))
 		}
 	}
 	_ = r
 	est := s.DistinctEstimate()
 	if math.Abs(est-distinct)/distinct > 0.25 {
 		t.Errorf("DistinctEstimate = %v, want ~%d", est, distinct)
-	}
-}
-
-func TestRarity(t *testing.T) {
-	// 2000 distinct: 600 singletons, 1400 repeated.
-	s, _ := New(128)
-	for i := 0; i < 600; i++ {
-		s.Offer(minhash.HashUint64(uint64(i), 3))
-	}
-	for i := 600; i < 2000; i++ {
-		h := minhash.HashUint64(uint64(i), 3)
-		s.Offer(h)
-		s.Offer(h)
-	}
-	got, ok := s.RarityEstimate()
-	if !ok {
-		t.Fatal("no rarity estimate")
-	}
-	if math.Abs(got-0.3) > 0.15 {
-		t.Errorf("rarity = %v, want ~0.3", got)
-	}
-	empty, _ := New(4)
-	if _, ok := empty.RarityEstimate(); ok {
-		t.Error("empty rarity ok")
 	}
 }
 
@@ -116,12 +103,12 @@ func TestUniformOverDistinct(t *testing.T) {
 	aIn, bIn := 0, 0
 	for seed := uint64(0); seed < trials; seed++ {
 		s, _ := New(16)
-		ha := minhash.HashUint64(0xAAAA, seed)
+		ha := hashUint64(0xAAAA, seed)
 		for i := 0; i < 1000; i++ {
 			s.Offer(ha)
 		}
 		for i := uint64(1); i <= 127; i++ {
-			s.Offer(minhash.HashUint64(i, seed))
+			s.Offer(hashUint64(i, seed))
 		}
 		for _, e := range s.Sample() {
 			if e.Hash == ha {

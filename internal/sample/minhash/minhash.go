@@ -1,197 +1,24 @@
-// Package minhash implements min-wise hash sampling: k-minimum-values
-// (KMV) sketches after Broder ("On the resemblance and containment of
-// documents") as applied to streams by Datar and Muthukrishnan
-// ("Estimating rarity and similarity over data stream windows").
+// Package minhash estimates set resemblance from min-wise hash signatures
+// after Broder ("On the resemblance and containment of documents") as
+// applied to streams by Datar and Muthukrishnan ("Estimating rarity and
+// similarity over data stream windows").
 //
-// A KMV sketch retains the k smallest hash values of the distinct elements
-// seen, which is a uniform sample of the distinct elements. From two
-// sketches one estimates set resemblance (Jaccard similarity); from one
-// sketch, the number of distinct elements and the stream's rarity (the
-// fraction of distinct elements that appear exactly once).
+// A signature is the k smallest distinct hash values of a set's elements,
+// a uniform sample of the set. The operator maintains one per group with
+// the kth_smallest_value$ superaggregate (examples/minhash); this package
+// compares two of them.
 package minhash
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Hash64 hashes an arbitrary byte string to a uniform 64-bit value
-// (FNV-1a core with an avalanche finalizer). Sketches compare hash values,
-// so both streams must use the same seed.
-func Hash64(b []byte, seed uint64) uint64 {
-	h := seed ^ 0xcbf29ce484222325
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return mix(h)
-}
-
-// HashUint64 hashes a 64-bit key (IP addresses, flow ids).
-func HashUint64(x, seed uint64) uint64 {
-	return mix(x ^ (seed * 0x9e3779b97f4a7c15))
-}
-
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Sketch is a KMV sketch: the k smallest distinct hash values seen, each
-// with an occurrence count (needed for rarity estimation).
-//
-// The sketch is maintained as a binary max-heap so that the largest
-// retained value — the admission threshold — is inspected in O(1) and
-// replaced in O(log k).
-type Sketch struct {
-	k      int
-	heap   []uint64 // max-heap of the k smallest hash values
-	counts map[uint64]int64
-}
-
-// New returns an empty sketch retaining the k smallest hash values, k >= 1.
-func New(k int) (*Sketch, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("minhash: k must be >= 1, got %d", k)
-	}
-	return &Sketch{k: k, counts: make(map[uint64]int64, k)}, nil
-}
-
-// Add offers a pre-hashed element. It reports whether the hash is retained
-// in the sketch after the call.
-func (s *Sketch) Add(h uint64) bool {
-	if c, ok := s.counts[h]; ok {
-		s.counts[h] = c + 1
-		return true
-	}
-	if len(s.heap) < s.k {
-		s.counts[h] = 1
-		s.heap = append(s.heap, h)
-		s.siftUp(len(s.heap) - 1)
-		return true
-	}
-	if h >= s.heap[0] {
-		return false
-	}
-	delete(s.counts, s.heap[0])
-	s.counts[h] = 1
-	s.heap[0] = h
-	s.siftDown(0)
-	return true
-}
-
-// AddBytes hashes and offers a byte-string element.
-func (s *Sketch) AddBytes(b []byte, seed uint64) bool { return s.Add(Hash64(b, seed)) }
-
-// AddUint64 hashes and offers a 64-bit element.
-func (s *Sketch) AddUint64(x, seed uint64) bool { return s.Add(HashUint64(x, seed)) }
-
-func (s *Sketch) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.heap[p] >= s.heap[i] {
-			return
-		}
-		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
-		i = p
-	}
-}
-
-func (s *Sketch) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		max := i
-		if l < n && s.heap[l] > s.heap[max] {
-			max = l
-		}
-		if r < n && s.heap[r] > s.heap[max] {
-			max = r
-		}
-		if max == i {
-			return
-		}
-		s.heap[i], s.heap[max] = s.heap[max], s.heap[i]
-		i = max
-	}
-}
-
-// K returns the sketch capacity.
-func (s *Sketch) K() int { return s.k }
-
-// Size returns the number of retained hash values (<= k).
-func (s *Sketch) Size() int { return len(s.heap) }
-
-// Threshold returns the current admission threshold: the largest retained
-// hash, or MaxUint64 while the sketch is not yet full.
-func (s *Sketch) Threshold() uint64 {
-	if len(s.heap) < s.k {
-		return math.MaxUint64
-	}
-	return s.heap[0]
-}
-
-// Signature returns the retained hash values in increasing order.
-func (s *Sketch) Signature() []uint64 {
-	sig := append([]uint64(nil), s.heap...)
-	sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
-	return sig
-}
-
-// Count returns the number of times the retained hash h was offered, or 0
-// if h is not in the sketch.
-func (s *Sketch) Count(h uint64) int64 { return s.counts[h] }
-
-// DistinctEstimate estimates the number of distinct elements offered, using
-// the (k-1)/v_k KMV estimator where v_k is the k-th smallest hash value
-// normalized to (0,1). If fewer than k distinct values were seen the exact
-// count is returned.
-func (s *Sketch) DistinctEstimate() float64 {
-	if len(s.heap) < s.k {
-		return float64(len(s.heap))
-	}
-	vk := float64(s.heap[0]) / float64(math.MaxUint64)
-	if vk == 0 {
-		return float64(s.k)
-	}
-	return float64(s.k-1) / vk
-}
-
-// Rarity estimates the fraction of distinct elements that appear exactly
-// once in the stream (Datar-Muthukrishnan): the retained hashes are a
-// uniform distinct-element sample, so the fraction with count 1 is an
-// unbiased estimator.
-func (s *Sketch) Rarity() float64 {
-	if len(s.heap) == 0 {
-		return 0
-	}
-	ones := 0
-	for _, c := range s.counts {
-		if c == 1 {
-			ones++
-		}
-	}
-	return float64(ones) / float64(len(s.counts))
-}
-
-// Resemblance estimates the Jaccard similarity |A∩B| / |A∪B| of the
-// element sets underlying two sketches built with the same hash seed.
-// It takes the k smallest values of the union of signatures and counts the
-// fraction present in both (Broder's single-hash k-minimum estimator).
-func Resemblance(a, b *Sketch) (float64, error) {
-	if a.k != b.k {
-		return 0, fmt.Errorf("minhash: sketch sizes differ (%d vs %d)", a.k, b.k)
-	}
-	sa, sb := a.Signature(), b.Signature()
+// Resemblance estimates the Jaccard similarity |A∩B| / |A∪B| of two sets
+// from their signatures, each sorted in increasing order and hashed with
+// the same function. It takes the k smallest values of the union of the
+// signatures and counts the fraction present in both (Broder's
+// single-hash k-minimum estimator). Two empty signatures are identical
+// sets and give 1.
+func Resemblance(sa, sb []uint64, k int) float64 {
 	if len(sa) == 0 && len(sb) == 0 {
-		return 1, nil // both empty: identical sets
+		return 1
 	}
-	k := a.k
 	// Merge the two sorted signatures, keeping the k smallest union values.
 	inBoth, taken := 0, 0
 	i, j := 0, 0
@@ -209,13 +36,7 @@ func Resemblance(a, b *Sketch) (float64, error) {
 		taken++
 	}
 	if taken == 0 {
-		return 0, nil
+		return 0
 	}
-	return float64(inBoth) / float64(taken), nil
-}
-
-// Reset clears the sketch for a new window, keeping k.
-func (s *Sketch) Reset() {
-	s.heap = s.heap[:0]
-	s.counts = make(map[uint64]int64, s.k)
+	return float64(inBoth) / float64(taken)
 }

@@ -2,255 +2,62 @@ package minhash
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"streamop/internal/xrand"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0); err == nil {
-		t.Error("New(0) accepted")
-	}
-	if _, err := New(-3); err == nil {
-		t.Error("New(-3) accepted")
-	}
-	s, err := New(5)
-	if err != nil || s.K() != 5 {
-		t.Fatalf("New(5) = %v, %v", s, err)
-	}
+// hashUint64 hashes a 64-bit key to a uniform 64-bit value (a
+// splitmix64-style mixer); the tests' sets are ranges of such keys.
+func hashUint64(x, seed uint64) uint64 {
+	x ^= seed * 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
-func TestAddKeepsKSmallest(t *testing.T) {
-	s, _ := New(3)
-	for _, h := range []uint64{50, 10, 90, 20, 70, 5} {
-		s.Add(h)
+// signature returns the k smallest distinct hashes of the keys [lo, hi)
+// in increasing order: the signature a k-minimum-values sketch of that
+// set retains.
+func signature(lo, hi, seed uint64, k int) []uint64 {
+	var hs []uint64
+	for x := lo; x < hi; x++ {
+		hs = append(hs, hashUint64(x, seed))
 	}
-	sig := s.Signature()
-	want := []uint64{5, 10, 20}
-	if len(sig) != 3 {
-		t.Fatalf("Signature = %v", sig)
+	slices.Sort(hs)
+	hs = slices.Compact(hs)
+	if len(hs) > k {
+		hs = hs[:k]
 	}
-	for i := range want {
-		if sig[i] != want[i] {
-			t.Fatalf("Signature = %v, want %v", sig, want)
-		}
-	}
-	if s.Threshold() != 20 {
-		t.Errorf("Threshold = %d, want 20", s.Threshold())
-	}
-}
-
-func TestThresholdUnfull(t *testing.T) {
-	s, _ := New(10)
-	s.Add(5)
-	if s.Threshold() != math.MaxUint64 {
-		t.Error("unfull sketch threshold not MaxUint64")
-	}
-	if s.Size() != 1 {
-		t.Errorf("Size = %d", s.Size())
-	}
-}
-
-func TestDuplicateCounts(t *testing.T) {
-	s, _ := New(4)
-	s.Add(10)
-	s.Add(10)
-	s.Add(10)
-	s.Add(20)
-	if s.Size() != 2 {
-		t.Errorf("Size = %d, want 2 (duplicates collapse)", s.Size())
-	}
-	if s.Count(10) != 3 || s.Count(20) != 1 || s.Count(99) != 0 {
-		t.Errorf("counts: %d, %d, %d", s.Count(10), s.Count(20), s.Count(99))
-	}
-}
-
-func TestAddReportsRetention(t *testing.T) {
-	s, _ := New(2)
-	if !s.Add(100) || !s.Add(50) {
-		t.Error("adds below capacity not retained")
-	}
-	if s.Add(200) {
-		t.Error("hash above threshold retained")
-	}
-	if !s.Add(10) {
-		t.Error("hash below threshold not retained")
-	}
-	if s.Count(100) != 0 {
-		t.Error("evicted hash still counted")
-	}
-}
-
-func TestDistinctEstimate(t *testing.T) {
-	s, _ := New(256)
-	r := xrand.New(1)
-	const distinct = 50000
-	for i := 0; i < distinct; i++ {
-		s.AddUint64(uint64(i), 7)
-	}
-	// Feed duplicates: distinct estimate must not change.
-	for i := 0; i < 10000; i++ {
-		s.AddUint64(uint64(r.Intn(distinct)), 7)
-	}
-	est := s.DistinctEstimate()
-	if math.Abs(est-distinct)/distinct > 0.2 {
-		t.Errorf("DistinctEstimate = %v, want ~%d", est, distinct)
-	}
-}
-
-func TestDistinctEstimateExactWhenSmall(t *testing.T) {
-	s, _ := New(100)
-	for i := 0; i < 37; i++ {
-		s.AddUint64(uint64(i), 1)
-	}
-	if est := s.DistinctEstimate(); est != 37 {
-		t.Errorf("DistinctEstimate = %v, want exact 37", est)
-	}
-}
-
-func TestRarity(t *testing.T) {
-	// 1000 distinct elements; 300 appear once, 700 appear 3 times.
-	s, _ := New(200)
-	for i := 0; i < 300; i++ {
-		s.AddUint64(uint64(i), 3)
-	}
-	for i := 300; i < 1000; i++ {
-		for j := 0; j < 3; j++ {
-			s.AddUint64(uint64(i), 3)
-		}
-	}
-	got := s.Rarity()
-	if math.Abs(got-0.3) > 0.12 {
-		t.Errorf("Rarity = %v, want ~0.3", got)
-	}
-}
-
-func TestRarityEmpty(t *testing.T) {
-	s, _ := New(5)
-	if s.Rarity() != 0 {
-		t.Error("Rarity of empty sketch != 0")
-	}
+	return hs
 }
 
 func TestResemblanceIdenticalAndDisjoint(t *testing.T) {
-	a, _ := New(64)
-	b, _ := New(64)
-	for i := 0; i < 1000; i++ {
-		a.AddUint64(uint64(i), 9)
-		b.AddUint64(uint64(i), 9)
+	a := signature(0, 1000, 9, 64)
+	b := signature(0, 1000, 9, 64)
+	if got := Resemblance(a, b, 64); got != 1 {
+		t.Errorf("identical sets resemblance = %v", got)
 	}
-	if got, err := Resemblance(a, b); err != nil || got != 1 {
-		t.Errorf("identical sets resemblance = %v, %v", got, err)
+	c := signature(5000, 6000, 9, 64)
+	if got := Resemblance(a, c, 64); got > 0.05 {
+		t.Errorf("disjoint sets resemblance = %v", got)
 	}
-	c, _ := New(64)
-	for i := 5000; i < 6000; i++ {
-		c.AddUint64(uint64(i), 9)
-	}
-	if got, err := Resemblance(a, c); err != nil || got > 0.05 {
-		t.Errorf("disjoint sets resemblance = %v, %v", got, err)
+	if got := Resemblance(nil, nil, 64); got != 1 {
+		t.Errorf("empty-empty resemblance = %v", got)
 	}
 }
 
 func TestResemblanceEstimatesJaccard(t *testing.T) {
 	// A = [0, 3000), B = [1000, 4000): Jaccard = 2000/4000 = 0.5.
-	a, _ := New(256)
-	b, _ := New(256)
-	for i := 0; i < 3000; i++ {
-		a.AddUint64(uint64(i), 9)
-	}
-	for i := 1000; i < 4000; i++ {
-		b.AddUint64(uint64(i), 9)
-	}
-	got, err := Resemblance(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.5) > 0.1 {
+	a := signature(0, 3000, 9, 256)
+	b := signature(1000, 4000, 9, 256)
+	if got := Resemblance(a, b, 256); math.Abs(got-0.5) > 0.1 {
 		t.Errorf("Resemblance = %v, want ~0.5", got)
-	}
-}
-
-func TestResemblanceErrors(t *testing.T) {
-	a, _ := New(4)
-	b, _ := New(8)
-	if _, err := Resemblance(a, b); err == nil {
-		t.Error("mismatched k accepted")
-	}
-	e1, _ := New(4)
-	e2, _ := New(4)
-	if got, err := Resemblance(e1, e2); err != nil || got != 1 {
-		t.Errorf("empty-empty resemblance = %v, %v", got, err)
-	}
-}
-
-func TestReset(t *testing.T) {
-	s, _ := New(4)
-	s.Add(1)
-	s.Add(2)
-	s.Reset()
-	if s.Size() != 0 || s.Count(1) != 0 {
-		t.Error("Reset incomplete")
-	}
-	if s.K() != 4 {
-		t.Error("Reset lost k")
-	}
-}
-
-func TestHashDeterminismAndSpread(t *testing.T) {
-	if Hash64([]byte("abc"), 1) != Hash64([]byte("abc"), 1) {
-		t.Error("Hash64 not deterministic")
-	}
-	if Hash64([]byte("abc"), 1) == Hash64([]byte("abc"), 2) {
-		t.Error("Hash64 ignores seed")
-	}
-	if HashUint64(1, 0) == HashUint64(2, 0) {
-		t.Error("HashUint64 collision on adjacent keys")
-	}
-}
-
-func TestSketchInvariantQuick(t *testing.T) {
-	// Property: after any add sequence the sketch holds exactly the k
-	// smallest distinct hashes (compared against a brute-force set).
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		k := 1 + r.Intn(20)
-		s, _ := New(k)
-		seen := map[uint64]bool{}
-		for i := 0; i < 300; i++ {
-			h := uint64(r.Intn(100)) // small space forces duplicates
-			s.Add(h)
-			seen[h] = true
-		}
-		var all []uint64
-		for h := range seen {
-			all = append(all, h)
-		}
-		// Brute-force k smallest.
-		for i := 0; i < len(all); i++ {
-			for j := i + 1; j < len(all); j++ {
-				if all[j] < all[i] {
-					all[i], all[j] = all[j], all[i]
-				}
-			}
-		}
-		want := all
-		if len(want) > k {
-			want = want[:k]
-		}
-		sig := s.Signature()
-		if len(sig) != len(want) {
-			return false
-		}
-		for i := range want {
-			if sig[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -261,30 +68,12 @@ func TestResemblanceAccuracyQuick(t *testing.T) {
 		r := xrand.New(seed)
 		n := 2000 + r.Intn(3000)
 		overlap := r.Intn(n)
-		a, _ := New(256)
-		b, _ := New(256)
-		for i := 0; i < n; i++ {
-			a.AddUint64(uint64(i), 13)
-			b.AddUint64(uint64(i+n-overlap), 13)
-		}
+		a := signature(0, uint64(n), 13, 256)
+		b := signature(uint64(n-overlap), uint64(2*n-overlap), 13, 256)
 		truth := float64(overlap) / float64(2*n-overlap)
-		got, err := Resemblance(a, b)
-		return err == nil && math.Abs(got-truth) < 0.15
+		return math.Abs(Resemblance(a, b, 256)-truth) < 0.15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkAdd(b *testing.B) {
-	s, _ := New(1024)
-	r := xrand.New(1)
-	hs := make([]uint64, 8192)
-	for i := range hs {
-		hs[i] = r.Uint64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(hs[i&8191])
 	}
 }

@@ -46,9 +46,3 @@ func (r *Randomized[T]) Offer(weight float64, payload T) bool {
 
 // Samples returns the retained samples.
 func (r *Randomized[T]) Samples() []Sample[T] { return r.samples }
-
-// Z returns the threshold.
-func (r *Randomized[T]) Z() float64 { return r.z }
-
-// Reset discards all samples, keeping the threshold.
-func (r *Randomized[T]) Reset() { r.samples = r.samples[:0] }

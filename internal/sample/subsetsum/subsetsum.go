@@ -183,12 +183,13 @@ type Config struct {
 	// RelaxFactor is f: the threshold carried into a new window is z/f.
 	// 1 reproduces the non-relaxed algorithm; the paper's fix uses 10.
 	RelaxFactor float64
-	// MaxFinalCleanings bounds the end-of-window subsampling loop.
-	// 0 means the default of 64.
-	MaxFinalCleanings int
 }
 
-func (c *Config) validate() error {
+// MaxFinalCleanings bounds the end-of-window subsampling loop of Dynamic
+// and of flow.Sampler.
+const MaxFinalCleanings = 64
+
+func (c Config) validate() error {
 	if c.TargetSize <= 0 {
 		return fmt.Errorf("subsetsum: TargetSize must be positive, got %d", c.TargetSize)
 	}
@@ -200,9 +201,6 @@ func (c *Config) validate() error {
 	}
 	if c.RelaxFactor < 1 {
 		return fmt.Errorf("subsetsum: RelaxFactor must be >= 1, got %v", c.RelaxFactor)
-	}
-	if c.MaxFinalCleanings == 0 {
-		c.MaxFinalCleanings = 64
 	}
 	return nil
 }
@@ -283,7 +281,7 @@ func AdjustZ(z float64, s, m, b int) float64 {
 // and primes the threshold for the next window (dividing by RelaxFactor).
 // The returned slice is owned by the caller.
 func (d *Dynamic[T]) EndWindow() []Sample[T] {
-	for i := 0; len(d.samples) > d.cfg.TargetSize && i < d.cfg.MaxFinalCleanings; i++ {
+	for i := 0; len(d.samples) > d.cfg.TargetSize && i < MaxFinalCleanings; i++ {
 		d.clean()
 	}
 	out := make([]Sample[T], len(d.samples))

@@ -17,7 +17,7 @@ func BenchmarkCounterInc(b *testing.B) {
 	c := telemetry.NewRegistry().Counter("bench_counter", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 
@@ -52,7 +52,7 @@ func BenchmarkVecWith(b *testing.B) {
 	v := telemetry.NewRegistry().CounterVec("bench_vec", "", "node")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		v.With("q1").Inc()
+		v.With("q1").Add(1)
 	}
 }
 

@@ -35,9 +35,6 @@ func (k Kind) String() string {
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds d, which must not be negative.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 

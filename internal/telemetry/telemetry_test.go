@@ -15,7 +15,7 @@ import (
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
@@ -176,7 +176,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	c := New()
-	c.Registry().Counter("up_total", "up").Inc()
+	c.Registry().Counter("up_total", "up").Add(1)
 	srv, addr, err := c.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestConcurrentMetricAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.CounterVec("ct_total", "", "w").With(fmt.Sprint(i % 2)).Inc()
+				r.CounterVec("ct_total", "", "w").With(fmt.Sprint(i % 2)).Add(1)
 				r.Gauge("gg", "").Add(1)
 				r.Histogram("hh", "", []float64{10, 100}).Observe(float64(j))
 				r.Series("ss", "", 16).Append(float64(j), 1)

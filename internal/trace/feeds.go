@@ -359,3 +359,23 @@ func minFloat(a, b float64) float64 {
 	}
 	return b
 }
+
+// FeedNames lists the synthetic feeds Open builds, as the -feed flags'
+// help prints them.
+const FeedNames = "bursty|steady|ddos|flows"
+
+// Open builds the named synthetic feed (one of FeedNames) at its default
+// configuration for seed and duration.
+func Open(name string, seed uint64, duration float64) (Feed, error) {
+	switch name {
+	case "bursty":
+		return NewBursty(DefaultBursty(seed, duration))
+	case "steady":
+		return NewSteady(DefaultSteady(seed, duration))
+	case "ddos":
+		return NewDDoS(DefaultDDoS(seed, duration))
+	case "flows":
+		return NewFlows(DefaultFlows(seed, duration))
+	}
+	return nil, fmt.Errorf("unknown feed %q", name)
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"streamop/internal/tuple"
@@ -399,5 +400,40 @@ func TestMergeExhaustsBoth(t *testing.T) {
 	b2, _ := NewSteady(SteadyConfig{Seed: 4, Duration: 0.02, Rate: 1000})
 	if got := len(Collect(Merge(a2, b2))); got != na+nb {
 		t.Errorf("merged %d, want %d", got, na+nb)
+	}
+}
+
+// TestOpen: every name FeedNames lists opens the feed its constructor
+// builds at the default configuration, and an unknown name is refused.
+func TestOpen(t *testing.T) {
+	direct := map[string]func() (Feed, error){
+		"bursty": func() (Feed, error) { return NewBursty(DefaultBursty(3, 1)) },
+		"steady": func() (Feed, error) { return NewSteady(DefaultSteady(3, 1)) },
+		"ddos":   func() (Feed, error) { return NewDDoS(DefaultDDoS(3, 1)) },
+		"flows":  func() (Feed, error) { return NewFlows(DefaultFlows(3, 1)) },
+	}
+	names := strings.Split(FeedNames, "|")
+	if len(names) != len(direct) {
+		t.Fatalf("FeedNames = %q, want the %d feeds", FeedNames, len(direct))
+	}
+	for _, name := range names {
+		got, err := Open(name, 3, 1)
+		if err != nil {
+			t.Fatalf("Open(%q): %v", name, err)
+		}
+		want, err := direct[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 1000; i++ {
+			g, gok := got.Next()
+			w, wok := want.Next()
+			if g != w || gok != wok {
+				t.Fatalf("Open(%q) packet %d = %v, want %v", name, i, g, w)
+			}
+		}
+	}
+	if _, err := Open("nope", 3, 1); err == nil || err.Error() != `unknown feed "nope"` {
+		t.Errorf("Open(nope) error = %v", err)
 	}
 }

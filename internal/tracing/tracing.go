@@ -140,9 +140,6 @@ type TupleTrace struct {
 	disposition string
 }
 
-// ID returns the trace id (the Chrome trace tid).
-func (tt *TupleTrace) ID() int64 { return tt.id }
-
 // Disposition returns the terminal disposition, or "" while in flight.
 func (tt *TupleTrace) Disposition() string { return tt.disposition }
 

@@ -78,10 +78,6 @@ func (c *Column) Kinds() []value.Kind { return c.kinds }
 // loops index it directly; rows whose kind is String or Null carry 0.
 func (c *Column) Bits() []uint64 { return c.bits }
 
-// Strs exposes the per-row string payloads, or nil if no row of the
-// column holds a String. Rows of other kinds carry "".
-func (c *Column) Strs() []string { return c.strs }
-
 // Valid reports whether row i holds a non-NULL value.
 func (c *Column) Valid(i int) bool { return c.kinds[i] != value.Null }
 
@@ -361,9 +357,8 @@ func RawEqKind(k value.Kind) bool {
 // matching a Schema. The zero Batch is not usable; construct with
 // NewBatch.
 type Batch struct {
-	schema *Schema
-	cols   []Column
-	n      int
+	cols []Column
+	n    int
 }
 
 // DefaultBatchRows is the batch capacity the engine's ring → operator
@@ -377,16 +372,13 @@ func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = DefaultBatchRows
 	}
-	b := &Batch{schema: schema, cols: make([]Column, schema.NumFields())}
+	b := &Batch{cols: make([]Column, schema.NumFields())}
 	for i := range b.cols {
 		b.cols[i].kinds = make([]value.Kind, 0, capacity)
 		b.cols[i].bits = make([]uint64, 0, capacity)
 	}
 	return b
 }
-
-// Schema returns the batch's schema.
-func (b *Batch) Schema() *Schema { return b.schema }
 
 // Len returns the number of rows.
 func (b *Batch) Len() int { return b.n }
@@ -509,30 +501,6 @@ func (m Bitmap) SetAll(n int) {
 	}
 	if r := uint(n) & 63; r != 0 && len(m) > 0 {
 		m[len(m)-1] = (1 << r) - 1
-	}
-}
-
-// And intersects o into m (equal lengths).
-func (m Bitmap) And(o Bitmap) {
-	for i := range m {
-		m[i] &= o[i]
-	}
-}
-
-// Or unions o into m (equal lengths).
-func (m Bitmap) Or(o Bitmap) {
-	for i := range m {
-		m[i] |= o[i]
-	}
-}
-
-// Not complements rows [0, n) of m.
-func (m Bitmap) Not(n int) {
-	for i := range m {
-		m[i] = ^m[i]
-	}
-	if r := uint(n) & 63; r != 0 && len(m) > 0 {
-		m[len(m)-1] &= (1 << r) - 1
 	}
 }
 

@@ -256,22 +256,6 @@ func TestBitmap(t *testing.T) {
 	if got := o.Count(); got != n {
 		t.Errorf("SetAll Count = %d, want %d", got, n)
 	}
-	o.And(m)
-	if got := o.Count(); got != 4 {
-		t.Errorf("And Count = %d, want 4", got)
-	}
-	o.Not(n)
-	if got := o.Count(); got != n-4 {
-		t.Errorf("Not Count = %d, want %d", got, n-4)
-	}
-	if o.Get(64) || !o.Get(1) {
-		t.Error("Not flipped wrong rows")
-	}
-	o.Or(m)
-	if got := o.Count(); got != n {
-		t.Errorf("Or Count = %d, want %d", got, n)
-	}
-
 	// Resize reuses capacity and clears.
 	m = m.Resize(10)
 	if len(m) != 1 || m.Count() != 0 {

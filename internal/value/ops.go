@@ -109,28 +109,3 @@ func Neg(a Value) (Value, error) {
 	}
 	return Value{}, fmt.Errorf("value: cannot negate %s", a.kind)
 }
-
-// Coerce converts v to kind k if a lossless or standard numeric conversion
-// exists. It is used to bind literal arguments to SFUN parameter types.
-func Coerce(v Value, k Kind) (Value, error) {
-	if v.kind == k {
-		return v, nil
-	}
-	switch k {
-	case Int:
-		if v.kind.Numeric() {
-			return NewInt(v.AsInt()), nil
-		}
-	case Uint:
-		if v.kind.Numeric() {
-			return NewUint(v.AsUint()), nil
-		}
-	case Float:
-		if v.kind.Numeric() {
-			return NewFloat(v.AsFloat()), nil
-		}
-	case String:
-		return NewString(v.String()), nil
-	}
-	return Value{}, fmt.Errorf("value: cannot coerce %s to %s", v.kind, k)
-}

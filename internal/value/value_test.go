@@ -273,27 +273,6 @@ func TestNeg(t *testing.T) {
 	}
 }
 
-func TestCoerce(t *testing.T) {
-	if v, err := Coerce(NewFloat(2.7), Int); err != nil || v.Int() != 2 {
-		t.Errorf("Coerce(2.7, Int) = %v, %v", v, err)
-	}
-	if v, err := Coerce(NewInt(3), Float); err != nil || v.Float() != 3 {
-		t.Errorf("Coerce(3, Float) = %v, %v", v, err)
-	}
-	if v, err := Coerce(NewInt(3), Uint); err != nil || v.Uint() != 3 {
-		t.Errorf("Coerce(3, Uint) = %v, %v", v, err)
-	}
-	if v, err := Coerce(NewInt(3), String); err != nil || v.Str() != "3" {
-		t.Errorf("Coerce(3, String) = %v, %v", v, err)
-	}
-	if v, err := Coerce(NewInt(3), Int); err != nil || v.Int() != 3 {
-		t.Errorf("Coerce identity = %v, %v", v, err)
-	}
-	if _, err := Coerce(NewString("x"), Int); err == nil {
-		t.Error("Coerce(string, Int) did not error")
-	}
-}
-
 func TestArithPromotionQuick(t *testing.T) {
 	// Property: Int+Int add matches int64 add; Float involvement yields Float.
 	f := func(a, b int32) bool {

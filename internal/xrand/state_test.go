@@ -24,8 +24,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if a, b := r.NormFloat64(), clone.NormFloat64(); a != b {
 		t.Fatalf("NormFloat64 diverged: %v vs %v", a, b)
 	}
-	if a, b := r.Poisson(5), clone.Poisson(5); a != b {
-		t.Fatalf("Poisson diverged: %d vs %d", a, b)
+	if a, b := r.Pareto(1.2, 1), clone.Pareto(1.2, 1); a != b {
+		t.Fatalf("Pareto diverged: %v vs %v", a, b)
 	}
 }
 

@@ -129,50 +129,3 @@ func (r *Rand) Pareto(alpha, xmin float64) float64 {
 		}
 	}
 }
-
-// Poisson returns a Poisson(lambda) variate. For small lambda it uses
-// Knuth's product method; for large lambda a normal approximation with
-// continuity correction, which is accurate enough for traffic generation.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := lambda + math.Sqrt(lambda)*r.NormFloat64() + 0.5
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Perm returns a random permutation of [0, n) via Fisher-Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

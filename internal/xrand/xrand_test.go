@@ -150,60 +150,6 @@ func TestParetoTail(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(8)
-	for _, lambda := range []float64{0.5, 4, 25, 100, 1000} {
-		const n = 20000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(lambda))
-		}
-		mean := sum / n
-		tol := 4 * math.Sqrt(lambda/n) * 2 // generous CI
-		if math.Abs(mean-lambda) > tol+0.05 {
-			t.Errorf("Poisson(%g) mean = %g", lambda, mean)
-		}
-	}
-	if New(1).Poisson(0) != 0 || New(1).Poisson(-1) != 0 {
-		t.Error("Poisson(<=0) != 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(9)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm invalid at %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(10)
-	s := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), s...)
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 45 {
-		t.Errorf("Shuffle lost elements: %v", s)
-	}
-	same := true
-	for i := range s {
-		if s[i] != orig[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("Shuffle left slice unchanged (vanishingly unlikely)")
-	}
-}
-
 func TestZipfSmallNDistribution(t *testing.T) {
 	r := New(11)
 	z := NewZipf(r, 1.0, 10)

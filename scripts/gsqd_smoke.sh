@@ -63,7 +63,7 @@ grep '^data: {' "$workdir/rows.sse" | head -n "$rows" | sed 's/^data: //' \
 echo "gsqd_smoke: $rows SSE rows received"
 
 # Telemetry surfaces on the same listener.
-curl -fsS "$base/metrics" | grep -q '^streamop_session_queries 1$'
+curl -fsS "$base/metrics" | grep '^streamop_session_queries 1$' >/dev/null
 curl -fsS "$base/metrics.json" | jq -e '.metrics | map(.name) | index("streamop_engine_packets") != null' >/dev/null
 curl -fsS "$base/debug/state" >"$workdir/state.json"
 jq -e '.engine.session.active == true' "$workdir/state.json" >/dev/null
@@ -128,7 +128,7 @@ curl -fsS -X POST "$base/queries" -d '{
 curl -sN --max-time 6 "$base/queries/survivor/rows" >"$workdir/rows1.sse" || true
 rows1=$(grep -c '^event: row$' "$workdir/rows1.sse")
 [ "$rows1" -ge 3 ] || { echo "gsqd_smoke: only $rows1 pre-kill rows" >&2; exit 1; }
-ls "$statedir" | grep -q . || { echo "gsqd_smoke: no snapshots in $statedir" >&2; exit 1; }
+ls "$statedir" | grep . >/dev/null || { echo "gsqd_smoke: no snapshots in $statedir" >&2; exit 1; }
 
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
