@@ -77,6 +77,21 @@ HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
 CLEANING BY ssclean_with(sum(len)) = TRUE`, -1},
 	}, want: []string{"sfun", "evict", "having", "emit", "emitted"}},
+	// The Call-only families: a WHERE call per row, a CLEANING WHEN call
+	// over a superaggregate, and CLEANING BY and HAVING over a group-by
+	// variable, which run their closures.
+	{name: "reservoir", nodes: []traceSeqNode{
+		{"rs", `SELECT tb, uts FROM PKT WHERE rsample(uts, 50, 5) = TRUE GROUP BY time/1 AS tb, uts
+HAVING rsfinal_clean(uts) = TRUE
+CLEANING WHEN rsdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY rsclean_with(uts) = TRUE`, -1},
+	}, want: []string{"sfun", "where", "group_lookup", "evict", "having", "emit", "where_rejected", "emitted", "having_rejected"}},
+	{name: "priority", nodes: []traceSeqNode{
+		{"ps", `SELECT tb, uts, pstau() FROM PKT WHERE psample(uts, len, 50) = TRUE GROUP BY time/1 AS tb, uts
+HAVING pskeep(uts) = TRUE
+CLEANING WHEN psdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY pskeep(uts) = TRUE`, -1},
+	}, want: []string{"sfun", "where", "group_lookup", "evict", "having", "emit", "where_rejected", "emitted", "having_rejected"}},
 	{name: "two_hops", nodes: []traceSeqNode{
 		{"sel", `SELECT time, srcIP, destIP, len, uts FROM PKT`, -1},
 		{"ss", traceSeqSubsetSum("sel"), 0},

@@ -24,16 +24,16 @@ package gsql
 //     WHEN of the form sfun(args...) [= TRUE] with stateless arguments
 //     compiles to a VecCall: the argument columns are pre-evaluated
 //     (mutation-free), and the driver makes the mutating calls in row
-//     order — a function's Scan over a run of rows, or one Call a row —
-//     exactly as the closure would.
+//     order, each a Scan over a run of rows (sfun.ScanFunc; every stateful
+//     function has one), exactly as the closure would.
 //   - Anything outside this subset makes Vectorize report ok=false and
 //     the operator runs the whole plan in closure mode.
 //
 // Provenance tracing observes a stateful call the same way on both paths:
 // the closures report it to Ctx.Trace, and VecCall and GroupCall carry the
-// function and state names (sfunCall) for the operator to report the calls
-// it makes through them to the same hook. A traced row runs the kernels its
-// batch runs.
+// function and state names (sfunCall) for the operator to report, to the
+// same hook, what a scan decided for each traced row or group it covered.
+// A traced row runs the kernels and the scans its batch runs.
 
 import (
 	"math"
@@ -276,13 +276,13 @@ func (x *VecExpr) EvalTruth(env *VecEnv, m tuple.Bitmap) (tuple.Bitmap, error) {
 // of the form sfun(args...) [= TRUE]: argument columns are pre-evaluated
 // per batch (mutation-free), and the driver makes the mutating calls in
 // row order against the supergroup's state — the same sequence of state
-// mutations as the scalar closure, minus the closure tree. A function with
-// a Scan (sfun.ScanFunc) reads the columns themselves, a run of rows per
-// call; any other is called per row with the row's values boxed.
+// mutations as the scalar closure, minus the closure tree. The function's
+// Scan (sfun.ScanFunc) reads the columns themselves, a run of rows per
+// call.
 type VecCall struct {
 	sfunCall
 	args    []vecFn         // nil entries are superaggregate references
-	scratch []value.Value   // constant arguments; a Call's boxed row
+	scratch []value.Value   // constant arguments; the scan's boxed row
 	cols    []*tuple.Column // column-backed arguments, nil for constants
 	// superArgs maps argument positions to Plan.Supers indices, read
 	// fresh at each call (the superaggregate advances row by row). Only
@@ -300,8 +300,7 @@ type sfunCall struct {
 	// the closures report them to Ctx.Trace.
 	Fn, State string
 
-	call func(state any, args []value.Value) (value.Value, error)
-	scan sfun.ScanFunc // nil unless the function has one
+	scan sfun.ScanFunc
 }
 
 // EvalArgs evaluates the call's stateless arguments over the current
@@ -328,56 +327,13 @@ func (vc *VecCall) EvalArgs(env *VecEnv) error {
 // Scan runs the predicate over rows [from, to) against states and supers
 // (the supergroup's state and superaggregate slices; supers may be nil
 // when the call has no superaggregate arguments) and returns the first
-// row that passes, or to (see sfun.ScanFunc; a function without a Scan is
-// called row by row). Callers must proceed in row order.
+// row that passes, or to (see sfun.ScanFunc). Callers must proceed in row
+// order.
 func (vc *VecCall) Scan(states []any, supers []agg.Super, from, to int) (int, error) {
-	if vc.scan == nil {
-		return vc.callEach(states, supers, from, to)
-	}
-	vc.readSupers(supers)
-	return vc.scan(states[vc.StateIdx], sfun.Args{Vals: vc.scratch, Cols: vc.cols}, from, to)
-}
-
-// callEach is Scan for a function without one.
-func (vc *VecCall) callEach(states []any, supers []agg.Super, from, to int) (int, error) {
-	for row := from; row < to; row++ {
-		v, err := vc.CallRow(states, supers, row)
-		if err != nil || v.Truth() {
-			return row, err
-		}
-	}
-	return to, nil
-}
-
-// CallRow invokes the stateful function for one row against states and
-// supers, as Scan does, and returns its value: what a traced row reports.
-func (vc *VecCall) CallRow(states []any, supers []agg.Super, row int) (value.Value, error) {
-	if vc.scan != nil {
-		pass, err := vc.Scan(states, supers, row, row+1)
-		return scanOne(pass == row, err)
-	}
-	for i, c := range vc.cols {
-		if c != nil {
-			vc.scratch[i] = c.Value(row)
-		}
-	}
-	vc.readSupers(supers)
-	return vc.call(states[vc.StateIdx], vc.scratch)
-}
-
-func (vc *VecCall) readSupers(supers []agg.Super) {
 	for _, sr := range vc.superArgs {
 		vc.scratch[sr.arg] = supers[sr.super].Value()
 	}
-}
-
-// scanOne is a one-row scan's verdict as the value its derived Call
-// returns.
-func scanOne(pass bool, err error) (value.Value, error) {
-	if err != nil {
-		return value.Value{}, err
-	}
-	return value.NewBool(pass), nil
+	return vc.scan(states[vc.StateIdx], sfun.Args{Vals: vc.scratch, Cols: vc.cols}, from, to)
 }
 
 // GroupCall is the semi-stateful fast path of the per-group clauses,
@@ -386,15 +342,15 @@ func scanOne(pass bool, err error) (value.Value, error) {
 // only) superaggregate references, per-group evaluation reduces to reading
 // the group's aggregate values and making the call — the same state
 // mutations and results as the scalar closure tree, minus the tree. Over a
-// pass of a supergroup's groups (Pass), a Scan function runs over runs of
-// groups, its aggregate arguments gathered into columns a chunk of groups
-// at a time.
+// pass of a supergroup's groups (Pass), the function's Scan runs over runs
+// of groups, its aggregate arguments gathered into columns a chunk of
+// groups at a time.
 type GroupCall struct {
 	sfunCall
 	argAggs   []int // >= 0: argument i reads Plan.Aggs[idx]; -1: constant or superaggregate
 	superArgs []superArgRef
-	scratch   []value.Value   // constants and superaggregates; a Call's boxed group
-	cols      []*tuple.Column // a Scan's aggregate arguments over groups [base, base+n), nil for the rest
+	scratch   []value.Value   // constants and superaggregates; the scan's boxed group
+	cols      []*tuple.Column // the aggregate arguments over groups [base, base+n), nil for the rest
 
 	// The pass: the aggregate columns, the groups' slots in them, and the
 	// chunk of groups gathered into cols.
@@ -408,8 +364,8 @@ const gatherRows = tuple.DefaultBatchRows
 
 // Pass starts a pass over the groups at slots of the aggregate columns
 // aggs, whose superaggregates are supers: they hold still until the pass
-// ends, and the groups are visited in order. Scan and CallGroup address
-// them by position in slots.
+// ends, and the groups are visited in order. Scan addresses them by
+// position in slots.
 func (gc *GroupCall) Pass(aggs []agg.Column, slots []int32, supers []agg.Super) {
 	gc.aggs, gc.slots, gc.base, gc.n = aggs, slots, 0, 0
 	for _, sr := range gc.superArgs {
@@ -419,12 +375,8 @@ func (gc *GroupCall) Pass(aggs []agg.Column, slots []int32, supers []agg.Super) 
 
 // Scan runs the predicate over the pass's groups [from, to) against states
 // (the supergroup's state slice) and returns the position of the first
-// group that passes, or to (see sfun.ScanFunc; a function without a Scan
-// is called group by group).
+// group that passes, or to (see sfun.ScanFunc).
 func (gc *GroupCall) Scan(states []any, from, to int) (int, error) {
-	if gc.scan == nil {
-		return gc.callEach(states, from, to)
-	}
 	for from < to {
 		if from < gc.base || from >= gc.base+gc.n {
 			gc.gather(from)
@@ -451,32 +403,6 @@ func (gc *GroupCall) gather(from int) {
 			agg.Gather(gc.cols[i], gc.aggs[idx], slots)
 		}
 	}
-}
-
-// callEach is Scan for a function without one.
-func (gc *GroupCall) callEach(states []any, from, to int) (int, error) {
-	for i := from; i < to; i++ {
-		v, err := gc.CallGroup(states, i)
-		if err != nil || v.Truth() {
-			return i, err
-		}
-	}
-	return to, nil
-}
-
-// CallGroup invokes the stateful function for the pass's group at position
-// i, as Scan does, and returns its value: what a traced call reports.
-func (gc *GroupCall) CallGroup(states []any, i int) (value.Value, error) {
-	if gc.scan != nil {
-		pass, err := gc.Scan(states, i, i+1)
-		return scanOne(pass == i, err)
-	}
-	for a, idx := range gc.argAggs {
-		if idx >= 0 {
-			gc.scratch[a] = gc.aggs[idx].Value(gc.slots[i])
-		}
-	}
-	return gc.call(states[gc.StateIdx], gc.scratch)
 }
 
 // VecPlan is the vectorized form of a plan's per-tuple clauses. For a
@@ -653,7 +579,7 @@ func (v *vectorizer) statefulCall(e Expr) (*Call, sfunCall, bool) {
 	}
 	for i, st := range v.p.States {
 		if st.Type != nil && strings.EqualFold(st.Type.Name, f.State) {
-			return call, sfunCall{StateIdx: i, Fn: f.Name, State: f.State, call: f.Call, scan: f.Scan}, true
+			return call, sfunCall{StateIdx: i, Fn: f.Name, State: f.State, scan: f.Scan}, true
 		}
 	}
 	return nil, sfunCall{}, false
@@ -737,9 +663,7 @@ func (v *vectorizer) compileGroupCall(e Expr, supers bool) (*GroupCall, bool) {
 		}
 		if idx, ok := v.aggIndexOf(a); ok {
 			gc.argAggs = append(gc.argAggs, idx)
-			if sc.scan != nil {
-				gc.cols[i] = new(tuple.Column)
-			}
+			gc.cols[i] = new(tuple.Column)
 			continue
 		}
 		if idx, ok := v.superIndexOf(a); ok && supers {

@@ -298,7 +298,7 @@ func TestVectorizeSemiStatefulWhere(t *testing.T) {
 			States:    scalarState,
 		}
 		for i := 0; i < b.Len(); i++ {
-			got, err := vp.WhereCall.CallRow(vecState, nil, i)
+			p1, err := vp.WhereCall.Scan(vecState, nil, i, i+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +310,7 @@ func TestVectorizeSemiStatefulWhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Truth() != want.Truth() {
+			if got := p1 == i; got != want.Truth() {
 				t.Fatalf("%s row %d: vec %v != scalar %v", whereForm, i, got, want)
 			}
 		}
@@ -510,7 +510,7 @@ func TestVectorizeSelectionWhereCall(t *testing.T) {
 	scalarStates := []any{p.States[0].Type.Init(nil)}
 	ctx := &Ctx{States: scalarStates}
 	for i := 0; i < b.Len(); i++ {
-		got, err := vp.WhereCall.CallRow(vecStates, nil, i)
+		p1, err := vp.WhereCall.Scan(vecStates, nil, i, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +519,7 @@ func TestVectorizeSelectionWhereCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Truth() != want.Truth() {
+		if got := p1 == i; got != want.Truth() {
 			t.Fatalf("row %d: vec %v != scalar %v", i, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"slices"
 
 	"streamop/internal/agg"
 	"streamop/internal/gsql"
@@ -23,6 +24,9 @@ type vecState struct {
 	mask      tuple.Bitmap    // stateless WHERE verdicts
 	rowT      tuple.Tuple     // row context scratch
 
+	// The arguments argAt checks for a String in this batch (checkArgs).
+	aggCheck, superCheck []bool
+
 	// curSG caches the open window's supergroup for single-supergroup
 	// plans (ALL); nil whenever no window is open or the cache is cold.
 	curSG *supergroup
@@ -35,9 +39,11 @@ type vecState struct {
 
 func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 	v := &vecState{
-		vp:        vp,
-		aggCols:   make([]*tuple.Column, len(p.Aggs)),
-		superCols: make([]*tuple.Column, len(p.Supers)),
+		vp:         vp,
+		aggCols:    make([]*tuple.Column, len(p.Aggs)),
+		superCols:  make([]*tuple.Column, len(p.Supers)),
+		aggCheck:   make([]bool, len(p.Aggs)),
+		superCheck: make([]bool, len(p.Supers)),
 	}
 	if vp != nil {
 		v.selCols = make([]*tuple.Column, len(vp.Select))
@@ -64,11 +70,11 @@ func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 // in. Stateful functions are never evaluated eagerly: a semi-stateful
 // WHERE scans in row order (gsql.VecCall.Scan), one call taking the run of
 // rows up to the first it passes — with one supergroup and no row context
-// up to the next window close or traced row, else one row — and window
-// boundaries are detected per row, so a batch straddling windows flushes
-// at the right row. An attached profile reads the clock between
-// the phases and selects nothing. A selection plan walks WHERE only: see
-// selectBatch.
+// up to the next window close, else one row; a traced row inside the run
+// is told its verdict after the scan — and window boundaries are detected
+// per row, so a batch straddling windows flushes at the right row. An
+// attached profile reads the clock between the phases and selects
+// nothing. A selection plan walks WHERE only: see selectBatch.
 func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
@@ -113,6 +119,7 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		clear(v.aggCols)
 		clear(v.superCols)
 	}
+	v.checkArgs(o.plan)
 	gb := f.Cols()
 
 	// The walk, in row order. (An error ends the node's run, and leaves the
@@ -129,11 +136,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		o.stats.TuplesIn++
 
 		// The row's traces, taken before anything the row sets off.
-		var hook func(fn, state string, v value.Value, err error)
 		tts = nil
 		if row == next {
 			tts, next = o.tr.TakeRow(o.trName)
-			hook = o.sfunHook(tts)
 		}
 
 		// Window boundary against the ordered group-by columns.
@@ -166,11 +171,11 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			for i, c := range gb {
 				o.gbVals[i] = c.Value(row)
 			}
-			o.ctx = gsql.Ctx{Tuple: v.rowT, GroupVals: o.gbVals, States: sg.states, Supers: sg.supers, Trace: hook}
+			o.ctx = gsql.Ctx{Tuple: v.rowT, GroupVals: o.gbVals, States: sg.states, Supers: sg.supers, Trace: o.sfunHook(tts)}
 		}
 
 		// WHERE verdict: the stateless kernel's bitmap, the semi-stateful
-		// form's in-order mutating call, or the closure.
+		// form's in-order mutating scan, or the closure.
 		switch {
 		case whereMask:
 			pass := v.mask.Get(row)
@@ -178,30 +183,20 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			if !pass {
 				continue
 			}
-		case whereCall != nil && hook != nil:
-			wv, err := whereCall.CallRow(sg.states, sg.supers, row)
-			hook(whereCall.Fn, whereCall.State, wv, err)
-			if err != nil {
-				return tts, fmt.Errorf("operator: WHERE: %w", err)
-			}
-			pass := wv.Truth()
-			o.traceWhere(tts, pass)
-			if !pass {
-				continue
-			}
 		case whereCall != nil:
 			// A run: with one supergroup and no row context, nothing
 			// happens between two rejected rows but the count, up to the
-			// window's close or the next traced row.
+			// window's close. The traced rows it covers are told its
+			// verdicts after it returns.
 			end := row + 1
 			if allSG && !rowCtx {
 				end = min(stop, closes)
-				if next > row {
-					end = min(end, next)
-				}
 			}
 			pass, err := whereCall.Scan(sg.states, sg.supers, row, end)
 			o.stats.TuplesIn += int64(min(pass, end-1) - row)
+			if tts != nil || next >= 0 {
+				tts, next = o.traceScan(whereCall, tts, next, row, pass, end, err)
+			}
 			if err != nil {
 				return tts, fmt.Errorf("operator: WHERE: %w", err)
 			}
@@ -226,14 +221,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		// Superaggregate per-tuple updates.
 		for i := range o.plan.Supers {
 			def := &o.plan.Supers[i]
-			var av value.Value
-			if col := v.superCols[i]; col != nil {
-				av = col.Value(row)
-			} else if def.Arg != nil {
-				var err error
-				if av, err = def.Arg(&o.ctx); err != nil {
-					return tts, fmt.Errorf("operator: %s argument: %w", def.Display, err)
-				}
+			av, err := o.argAt(v.superCols[i], def.Arg, v.superCheck[i], def.Display, row)
+			if err != nil {
+				return tts, err
 			}
 			o.argVals[i] = av
 			sg.supers[i].OnTuple(av)
@@ -262,14 +252,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		}
 		for i := range o.plan.Aggs {
 			def := &o.plan.Aggs[i]
-			var av value.Value
-			if col := v.aggCols[i]; col != nil {
-				av = col.Value(row)
-			} else if def.Arg != nil {
-				var err error
-				if av, err = def.Arg(&o.ctx); err != nil {
-					return tts, fmt.Errorf("operator: %s argument: %w", def.Display, err)
-				}
+			av, err := o.argAt(v.aggCols[i], def.Arg, v.aggCheck[i], def.Display, row)
+			if err != nil {
+				return tts, err
 			}
 			o.store.aggs[i].Update(g, av)
 		}
@@ -289,23 +274,28 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			o.ctx.Aggs = &o.slot
 		}
 
-		// CLEANING WHEN on the supergroup; CLEANING BY over its groups.
+		// CLEANING WHEN on the supergroup, a one-row scan where it has a
+		// call; CLEANING BY over its groups.
 		if cleanCall != nil || o.plan.CleaningWhen != nil {
-			var cv value.Value
+			var fire bool
 			var err error
 			if cleanCall != nil {
-				cv, err = cleanCall.CallRow(sg.states, sg.supers, row)
-				if hook != nil {
-					hook(cleanCall.Fn, cleanCall.State, cv, err)
+				var p int
+				p, err = cleanCall.Scan(sg.states, sg.supers, row, row+1)
+				fire = p == row && err == nil
+				if tts != nil {
+					o.traceSfun(tts, cleanCall.Fn, cleanCall.State, value.NewBool(fire), err)
 				}
 			} else {
+				var cv value.Value
 				cv, err = o.plan.CleaningWhen(&o.ctx)
+				fire = cv.Truth()
 			}
 			if err != nil {
 				return tts, fmt.Errorf("operator: CLEANING WHEN: %w", err)
 			}
-			if cv.Truth() {
-				if err := o.cleanSupergroup(sg, hook); err != nil {
+			if fire {
+				if err := o.cleanSupergroup(sg, tts); err != nil {
 					return tts, err
 				}
 			}
@@ -317,6 +307,48 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 	}
 	np.Charge(profile.StageWalk, pt+o.nestedNS-nested, rows, o.stats.TuplesAccepted-accepted)
 	return nil, nil
+}
+
+// argAt returns an aggregate's or a superaggregate's argument at row: its
+// kernel column's value, or else its closure's. Where check is set, the
+// aggregate adds its argument up, and a String errs.
+func (o *Operator) argAt(col *tuple.Column, arg gsql.Compiled, check bool, display string, row int) (value.Value, error) {
+	var av value.Value
+	if col != nil {
+		av = col.Value(row)
+	} else if arg != nil {
+		var err error
+		if av, err = arg(&o.ctx); err != nil {
+			return av, fmt.Errorf("operator: %s argument: %w", display, err)
+		}
+	}
+	if check && av.Kind() == value.String {
+		return av, fmt.Errorf("operator: %s argument: String %q is not a number", display, av.Str())
+	}
+	return av, nil
+}
+
+// checkArgs sets, for the batch about to be walked, which arguments argAt
+// checks: those sum, avg, var, stddev and sum$ add up, unless their kernel
+// column is of one kind throughout, and not of String. (gsql refuses a
+// String it can see in the query; one can still arrive off the schema.)
+func (v *vecState) checkArgs(p *gsql.Plan) {
+	for i := range p.Aggs {
+		v.aggCheck[i] = slices.Contains([]string{"sum", "avg", "var", "stddev"}, p.Aggs[i].Name) && mayBeString(v.aggCols[i], p.Aggs[i].Arg)
+	}
+	for i := range p.Supers {
+		v.superCheck[i] = p.Supers[i].Spec.Contribution == agg.ContribSum && mayBeString(v.superCols[i], p.Supers[i].Arg)
+	}
+}
+
+// mayBeString reports whether an argument may be a String: its kernel
+// column col, or else its closure arg.
+func mayBeString(col *tuple.Column, arg gsql.Compiled) bool {
+	if col == nil {
+		return arg != nil
+	}
+	k, ok := col.Uniform()
+	return !ok || k == value.String
 }
 
 // evalKernels evaluates the plan's kernels over the whole batch, charging
@@ -376,19 +408,18 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 
 // selectBatch is ProcessBatch for a selection plan: WHERE, then the SELECT
 // list over the rows it kept. With kernel columns a stateless WHERE is a
-// mask and a semi-stateful one scans in row order, a run up to each traced
-// row, whose call is made alone (an error at row k ends the batch there,
-// the rows before k emitted); the SELECT
-// kernels then run restricted to the kept rows, and their columns go to
-// the sink as they are, every row counted in Stats before the sink sees
-// them. Without SELECT columns — closure mode, or SELECT kernels that
-// erred after WHERE's verdicts — each kept row's SELECT list evaluates
-// through output, after WHERE's closure if no kernel gave the verdict, and
-// the first error ends the batch at its row. A traced row's traces are
-// taken with its verdict, or with its closures; an error finishes those it
-// took and did not stage (failRows). The profile charges
-// WHERE's kernel, the calls and closures as the walk, SELECT's kernels as
-// the argument kernels, the hand-off to the sink as transfer.
+// mask and a semi-stateful one scans in row order, a run up to each row it
+// passes (an error at row k ends the batch there, the rows before k
+// emitted); the SELECT kernels then run restricted to the kept rows, and
+// their columns go to the sink as they are, every row counted in Stats
+// before the sink sees them. Without SELECT columns — closure mode, or
+// SELECT kernels that erred after WHERE's verdicts — each kept row's
+// SELECT list evaluates through output, after WHERE's closure if no kernel
+// gave the verdict, and the first error ends the batch at its row. A
+// traced row's traces are taken with its verdict, or with its closures; an
+// error finishes those it took and did not stage (failRows). The profile
+// charges WHERE's kernel, the calls and closures as the walk, SELECT's
+// kernels as the argument kernels, the hand-off to the sink as transfer.
 func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 	n, np, rows := b.Len(), o.prof, int64(b.Len())
 	in, verdicts, kernels := n, false, v.vp != nil
@@ -431,37 +462,23 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 			}
 			pt = np.Charge(profile.StageKernelWhere, pt, rows, rows)
 			v.sel = v.sel[:0]
-			for row := 0; row < n; row++ {
+			for row := 0; row < n; { // a run to the next passing row
+				p, err := vp.WhereCall.Scan(o.selStates, nil, row, n)
 				var tts []*tracing.TupleTrace
-				var pass bool
-				var err error
-				if row == next { // a traced row: one call, reported
-					tts, next = o.tr.TakeRow(o.trName)
-					var wv value.Value
-					wv, err = vp.WhereCall.CallRow(o.selStates, nil, row)
-					o.sfunHook(tts)(vp.WhereCall.Fn, vp.WhereCall.State, wv, err)
-					pass = wv.Truth()
-				} else { // a run, up to the next traced row
-					end := n
-					if next > row {
-						end = next
-					}
-					var p int
-					p, err = vp.WhereCall.Scan(o.selStates, nil, row, end)
-					row, pass = min(p, end-1), p < end
-				}
+				tts, next = o.traceScan(vp.WhereCall, nil, next, row, p, n, err)
 				if err != nil {
-					whereErr, in = err, row+1
+					whereErr, in = err, p+1
 					o.failTraces(tts)
 					break
 				}
-				o.traceWhere(tts, pass)
-				if pass {
-					if tts != nil {
-						kept = append(kept, tracing.RowTraces{Row: len(v.sel), TTs: tts})
-					}
-					v.sel = append(v.sel, int32(row))
+				if p == n {
+					break
 				}
+				if tts != nil {
+					kept = append(kept, tracing.RowTraces{Row: len(v.sel), TTs: tts})
+				}
+				v.sel = append(v.sel, int32(p))
+				row = p + 1
 			}
 			verdicts = true
 			pt = np.Charge(profile.StageWalk, pt, int64(in), int64(len(v.sel)))

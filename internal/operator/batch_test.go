@@ -359,3 +359,46 @@ func TestProcessBatchMixedFeedAndSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestStringSumArgumentErrsAtItsRow offers a String, off the schema, to
+// arguments that sum, avg and sum$ add up, in the middle of a batch: the
+// walk errs at that row, in kernel mode and in closure mode (the WHERE
+// kernel divides by zero where the closure's OR skips it), and what the
+// rows before it, and the clauses before the argument, did stays in the
+// window: count(*) counts the erring row of a sum, not that of a sum$.
+func TestStringSumArgumentErrsAtItsRow(t *testing.T) {
+	schema := tuple.MustSchema("S",
+		tuple.Field{Name: "ts", Kind: value.Int, Ordering: tuple.Increasing},
+		tuple.Field{Name: "x", Kind: value.Int},
+	)
+	rows := []tuple.Tuple{
+		{value.NewInt(1), value.NewInt(1)},
+		{value.NewInt(1), value.NewInt(2)},
+		{value.NewInt(1), value.NewString("boom")},
+		{value.NewInt(1), value.NewInt(4)},
+	}
+	for _, where := range []string{"", "WHERE ts >= 0 OR 1 / (ts - ts) > 0"} {
+		for _, item := range []string{"sum(x)", "avg(x)", "sum$(x)"} {
+			src := fmt.Sprintf("SELECT tb, count(*), %s FROM S %s GROUP BY ts/4 AS tb", item, where)
+			op, out := sinkOp(t, src, schema, sfun.NewRegistry(), false)
+			_, err := runSubject(op, schema, rows, len(rows), false)
+			if want := fmt.Sprintf("operator: %s argument: String \"boom\" is not a number", item); fmt.Sprint(err) != want {
+				t.Fatalf("%s: err = %v, want %s", src, err, want)
+			}
+			if st := op.Stats(); st.TuplesIn != 3 || st.TuplesAccepted != 3 {
+				t.Fatalf("%s: stats %+v, want 3 tuples in and accepted", src, st)
+			}
+			if err := op.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := []tuple.Tuple{{value.NewInt(0), value.NewInt(3), value.NewInt(3)}}
+			switch item {
+			case "avg(x)":
+				want[0][2] = value.NewFloat(1.5)
+			case "sum$(x)":
+				want[0][1], want[0][2] = value.NewInt(2), value.NewFloat(3)
+			}
+			requireIdenticalRows(t, src, *out, want)
+		}
+	}
+}

@@ -108,8 +108,8 @@ func runTraced(op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, 
 // FuzzWalk holds ProcessBatch, at the batch size the input names, to the
 // oracle over rows decoded from the input, untraced and, when the input
 // marks rows traced, traced. The seeds after the first ones put window
-// closes and traced rows inside runs of rows a stateful WHERE rejects,
-// where the walk's scan must stop.
+// closes and traced rows inside runs of rows a stateful WHERE rejects: the
+// walk's scan must stop at a close, and tell a traced row its verdict.
 func FuzzWalk(f *testing.F) {
 	for q := range fuzzQueries {
 		f.Add([]byte{byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1})

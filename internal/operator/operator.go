@@ -323,10 +323,9 @@ func (o *Operator) createGroup(sg *supergroup, h uint64, gb []*tuple.Column, row
 }
 
 // cleanSupergroup runs the CLEANING BY predicate over every group of sg,
-// evicting groups where it evaluates FALSE. hook is the Ctx.Trace of the
-// row that set the cleaning off (nil unless it is traced): it observes
-// every call the sweep makes.
-func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v value.Value, err error)) error {
+// evicting groups where it evaluates FALSE. tts are the traces of the row
+// that set the cleaning off: each call the sweep makes is reported to them.
+func (o *Operator) cleanSupergroup(sg *supergroup, tts []*tracing.TupleTrace) error {
 	o.stats.Cleanings++
 	if np := o.prof; np != nil {
 		ct, before := profile.Now(), len(sg.groups)
@@ -346,14 +345,13 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 	if o.plan.CleaningBy == nil {
 		return nil
 	}
-	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Aggs: &o.slot, Trace: hook}
+	o.ctx = gsql.Ctx{States: sg.states, Supers: sg.supers, Aggs: &o.slot, Trace: o.sfunHook(tts)}
 	// Per-group fast path: when the clause matched the sfun(agg-refs...)
 	// shape, skip the scalar closure tree (same calls, same state
-	// mutations, same results, the same report to the hook) and scan the
-	// groups a run at a time. A rejected group is evicted before the next
-	// is judged, or, in a run, once the run's scan returns: eviction
-	// touches the superaggregates and the store, which the call does not
-	// read, and no SFUN state.
+	// mutations, same results) and scan the groups a run at a time. The
+	// groups a run rejects are evicted once its scan returns, each after
+	// its verdict is reported: eviction touches the superaggregates and the
+	// store, which the call does not read, and no SFUN state.
 	var fast *gsql.GroupCall
 	if o.vec.vp != nil {
 		fast = o.vec.vp.CleanByCall
@@ -366,20 +364,21 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 	for i := 0; i < len(groups); i++ {
 		var pass bool
 		var err error
-		switch {
-		case fast != nil && hook != nil:
-			var v value.Value
-			v, err = fast.CallGroup(sg.states, i)
-			hook(fast.Fn, fast.State, v, err)
-			pass = v.Truth()
-		case fast != nil:
+		if fast != nil {
 			var p int
 			p, err = fast.Scan(sg.states, i, len(groups))
 			for _, g := range groups[i:min(p, len(groups))] {
+				if tts != nil {
+					o.traceSfun(tts, fast.Fn, fast.State, value.NewBool(false), nil)
+				}
 				o.evictGroup(sg, g)
 			}
-			i, pass = min(p, len(groups)-1), p < len(groups)
-		default:
+			if p == len(groups) {
+				break
+			}
+			i, pass = p, err == nil
+			o.traceSfun(tts, fast.Fn, fast.State, value.NewBool(pass), err)
+		} else {
 			o.ctx.GroupVals = o.store.keyVals(groups[i], o.keyVals)
 			o.slot.At = groups[i]
 			var v value.Value
@@ -391,7 +390,7 @@ func (o *Operator) cleanSupergroup(sg *supergroup, hook func(fn, state string, v
 		}
 		if pass {
 			kept = append(kept, groups[i])
-		} else if fast == nil || hook != nil {
+		} else if fast == nil {
 			o.evictGroup(sg, groups[i])
 		}
 	}
@@ -480,9 +479,9 @@ func (o *Operator) flushWindow() error {
 // sample applies HAVING to every group of the closing window (in
 // supergroup, then group, insertion order) and outputs the ones that pass.
 // When HAVING matched the per-group call shape it scans a supergroup's
-// groups a run at a time, up to the next traced group, whose call it makes
-// alone and reports; a group that passes is output before the next is
-// judged, whatever its SELECT list calls.
+// groups a run at a time, up to the next that passes, and tells the traced
+// groups of the run what it decided; a group that passes is output before
+// the next is judged, whatever its SELECT list calls.
 func (o *Operator) sample() error {
 	var fast *gsql.GroupCall
 	if o.vec.vp != nil {
@@ -496,60 +495,38 @@ func (o *Operator) sample() error {
 		if fast != nil {
 			fast.Pass(o.store.aggs, groups, sg.supers)
 		}
-		traced := -1 // the next traced group's position from i on
 		for i := 0; i < len(groups); i++ {
-			if traced < i {
-				traced = o.nextTraced(groups, i)
-			}
-			var tts []*tracing.TupleTrace
-			if i == traced {
-				tts = o.traces[groups[i]]
-			}
-			scanned := fast != nil && tts == nil
-			if scanned {
-				p, err := fast.Scan(sg.states, i, traced)
+			if fast != nil {
+				p, err := fast.Scan(sg.states, i, len(groups))
+				for j := i; len(o.traces) > 0 && j <= min(p, len(groups)-1); j++ {
+					o.traceVerdict(o.traces[groups[j]], fast.Fn, fast.State, j == p, err, (*tracing.TupleTrace).Having)
+				}
 				if err != nil {
 					return fmt.Errorf("operator: HAVING: %w", err)
 				}
-				if p == traced {
-					i = traced - 1
-					continue
+				if p == len(groups) {
+					break
 				}
 				i = p
 			}
 			g := groups[i]
+			tts := o.traces[g]
 			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
 			o.slot.At = g
-			if tts != nil {
+			if fast == nil && o.plan.Having != nil {
 				o.ctx.Trace = o.sfunHook(tts)
-			}
-			havingPass := true
-			switch {
-			case scanned:
-			case fast != nil:
-				v, err := fast.CallGroup(sg.states, i)
-				o.ctx.Trace(fast.Fn, fast.State, v, err)
-				if err != nil {
-					return fmt.Errorf("operator: HAVING: %w", err)
-				}
-				havingPass = v.Truth()
-			case o.plan.Having != nil:
 				v, err := o.plan.Having(&o.ctx)
+				o.ctx.Trace = nil
 				if err != nil {
 					return fmt.Errorf("operator: HAVING: %w", err)
 				}
-				havingPass = v.Truth()
-			}
-			if tts != nil {
-				if o.plan.Having != nil {
-					for _, tt := range tts {
-						tt.Having(o.trName, havingPass) // terminal when false
-					}
+				pass := v.Truth()
+				for _, tt := range tts {
+					tt.Having(o.trName, pass) // terminal when false
 				}
-				o.ctx.Trace = nil
-			}
-			if !havingPass {
-				continue
+				if !pass {
+					continue
+				}
 			}
 			if len(o.plan.Estimates) > 0 {
 				// Deferred emission: the estimator columns need every
@@ -572,19 +549,6 @@ func (o *Operator) sample() error {
 		return o.finishEstimates()
 	}
 	return nil
-}
-
-// nextTraced returns the position of the first group of groups from from
-// on that carries traces, or len(groups).
-func (o *Operator) nextTraced(groups []int32, from int) int {
-	if len(o.traces) > 0 {
-		for i := from; i < len(groups); i++ {
-			if len(o.traces[groups[i]]) > 0 {
-				return i
-			}
-		}
-	}
-	return len(groups)
 }
 
 // output evaluates the SELECT list into the output batch: no tuple is

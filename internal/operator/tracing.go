@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"streamop/internal/gsql"
 	"streamop/internal/sfun"
 	"streamop/internal/tracing"
 	"streamop/internal/value"
@@ -9,11 +10,12 @@ import (
 // Provenance-tracing instrumentation. Traces ride the batch by row
 // position (see internal/tracing): the walk takes a row's traces at the top
 // of its iteration, one comparison per row, and a traced row runs the
-// kernels and walk its neighbours run. The trace sites record what that
-// path computes anyway: WHERE verdicts, group lookups, every stateful call
-// (Ctx.Trace's hook, which the VecCall and GroupCall sites call too),
-// evictions, HAVING and emission, whose traces are staged by the row's
-// position in the run handed to the sink. A group keeps the traces it
+// kernels, scans and walk its neighbours run. The trace sites record what
+// that path computes anyway: WHERE verdicts, group lookups, every stateful
+// call (Ctx.Trace's hook for the closures; for a scan, what it decided,
+// told to each traced row or group of its run once it returns), evictions,
+// HAVING and emission, whose traces are staged by the row's position in
+// the run handed to the sink. A group keeps the traces it
 // absorbs in Operator.traces, off the store's columns, until they finish
 // or are staged; a step that fails finishes what it holds (failTraces).
 
@@ -31,15 +33,23 @@ func (o *Operator) sfunHook(tts []*tracing.TupleTrace) func(fn, state string, v 
 	if len(tts) == 0 {
 		return nil
 	}
-	node := o.trName
 	return func(fn, state string, v value.Value, err error) {
-		outcome := v.String()
-		if err != nil {
-			outcome = "error: " + err.Error()
-		}
-		for _, tt := range tts {
-			tt.Sfun(node, fn, state, outcome)
-		}
+		o.traceSfun(tts, fn, state, v, err)
+	}
+}
+
+// traceSfun records on tts one stateful call's outcome: its value v, or
+// err.
+func (o *Operator) traceSfun(tts []*tracing.TupleTrace, fn, state string, v value.Value, err error) {
+	if len(tts) == 0 {
+		return
+	}
+	outcome := v.String()
+	if err != nil {
+		outcome = "error: " + err.Error()
+	}
+	for _, tt := range tts {
+		tt.Sfun(o.trName, fn, state, outcome)
 	}
 }
 
@@ -47,6 +57,46 @@ func (o *Operator) sfunHook(tts []*tracing.TupleTrace) func(fn, state string, v 
 func (o *Operator) traceWhere(tts []*tracing.TupleTrace, pass bool) {
 	for _, tt := range tts {
 		tt.Where(o.trName, pass)
+	}
+}
+
+// traceScan tells the traced rows a WHERE scan over rows [from, to) that
+// returned p with err covered what it decided, in row order (traceVerdict).
+// tts are row from's traces if the caller took them, and next is the next
+// traced row not taken; traceScan takes those up to p. It returns row p's
+// traces, nil if none passed or it carries none, and the next traced row.
+func (o *Operator) traceScan(vc *gsql.VecCall, tts []*tracing.TupleTrace, next, from, p, to int, err error) ([]*tracing.TupleTrace, int) {
+	var at []*tracing.TupleTrace
+	for row, last := from, min(p, to-1); ; {
+		if tts != nil {
+			if row == p {
+				at = tts
+			}
+			o.traceVerdict(tts, vc.Fn, vc.State, row == p, err, (*tracing.TupleTrace).Where)
+		}
+		if next < 0 || next > last {
+			return at, next
+		}
+		row = next
+		tts, next = o.tr.TakeRow(o.trName)
+	}
+}
+
+// traceVerdict records on tts, a row's or a group's traces, what a scan of
+// fn decided for it: the call's span, then verdict's (a WHERE or HAVING
+// span) — FALSE before the row the scan stopped at (at false), TRUE at it,
+// or there only the call's span if the scan erred.
+func (o *Operator) traceVerdict(tts []*tracing.TupleTrace, fn, state string, at bool, err error, verdict func(*tracing.TupleTrace, string, bool)) {
+	if !at {
+		err = nil
+	}
+	pass := at && err == nil
+	o.traceSfun(tts, fn, state, value.NewBool(pass), err)
+	if err != nil {
+		return
+	}
+	for _, tt := range tts {
+		verdict(tt, o.trName, pass)
 	}
 }
 

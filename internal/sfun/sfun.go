@@ -16,14 +16,13 @@
 // (WHERE, CLEANING WHEN) or once per group (CLEANING BY, HAVING), so most
 // calls it makes are runs of rejected rows; a Scan takes such a run in one
 // call, reading its columns' words directly, instead of boxing every row's
-// arguments for an indirect Call. The engine scans where nothing can
-// happen between two calls: WHERE up to the next window close or traced
-// row, CLEANING BY over a supergroup's groups, HAVING over a window's.
-// Everywhere else — a traced row or group, a CLEANING WHEN whose argument
-// moves per row, a closure — it calls the function one row at a time, and
-// for a function with a Scan that Call is derived from the Scan over one
-// row of constants (RegisterFunc sets it), so a family writes each
-// predicate once.
+// arguments for an indirect Call. The operator's batch path calls a
+// stateful function only through its Scan: WHERE up to the next window
+// close, CLEANING BY over a supergroup's groups, HAVING over a window's,
+// CLEANING WHEN one row at a time. RegisterFunc derives the form a stateful
+// function lacks — a Scan's Call scans one row of constants, a Call's Scan
+// calls row by row up to the first error or true result — so a family
+// writes each function once.
 package sfun
 
 import (
@@ -78,8 +77,9 @@ type Func struct {
 	// Call evaluates the function. state is nil for stateless functions.
 	// A function with a Scan leaves it nil: RegisterFunc derives it.
 	Call func(state any, args []value.Value) (value.Value, error)
-	// Scan, if non-nil, is the function as a predicate over rows [from,
-	// to) of its arguments (see ScanFunc), and Call is one row of it.
+	// Scan is the function as a predicate over rows [from, to) of its
+	// arguments (see ScanFunc), and Call is one row of it. A stateful
+	// function given as a Call leaves it nil: RegisterFunc derives it.
 	Scan ScanFunc
 }
 
@@ -95,7 +95,8 @@ type Func struct {
 // A Scan must accept any column: kind-uniform Int, Uint or Float columns
 // are the case to make fast (their words are the values), and a row of any
 // other kind — NULL, String, Bool, a mixed column's — errs or passes at its
-// row exactly as Call does for that value.
+// row exactly as Call does for that value. The Vals entries of column-backed
+// arguments are the scan's scratch: it may box a row's values into them.
 type ScanFunc func(state any, args Args, from, to int) (row int, err error)
 
 // Args are a scan's arguments: argument i is column Cols[i] when Cols is
@@ -132,6 +133,26 @@ func callOf(scan ScanFunc) func(state any, args []value.Value) (value.Value, err
 			return value.Value{}, err
 		}
 		return value.NewBool(row == 0), nil
+	}
+}
+
+// scanOf is the Scan derived from a Call: each row's arguments boxed into
+// the scratch Vals and called, in order, up to the first call that errs or
+// returns a true value.
+func scanOf(call func(state any, args []value.Value) (value.Value, error)) ScanFunc {
+	return func(state any, args Args, from, to int) (int, error) {
+		for row := from; row < to; row++ {
+			for i, c := range args.Cols {
+				if c != nil {
+					args.Vals[i] = c.Value(row)
+				}
+			}
+			v, err := call(state, args.Vals)
+			if err != nil || v.Truth() {
+				return row, err
+			}
+		}
+		return to, nil
 	}
 }
 
@@ -247,7 +268,8 @@ func (r *Registry) RegisterState(st *StateType) error {
 
 // RegisterFunc adds a function; its state (if any) must already be
 // registered, and duplicate names are an error. A function gives a Call or
-// a Scan, not both: for a Scan, the Call registered is derived from it.
+// a Scan, not both: for a Scan, the Call registered is derived from it, and
+// for the Call of a stateful function, the Scan.
 func (r *Registry) RegisterFunc(f *Func) error {
 	if f.Name == "" || (f.Call == nil) == (f.Scan == nil) {
 		return fmt.Errorf("sfun: function needs a name and one of a Call or a Scan implementation")
@@ -264,12 +286,14 @@ func (r *Registry) RegisterFunc(f *Func) error {
 			return fmt.Errorf("sfun: function %q references unregistered state %q", f.Name, f.State)
 		}
 	}
-	if f.Scan != nil {
-		derived := *f
+	derived := *f
+	switch {
+	case f.Scan != nil:
 		derived.Call = callOf(f.Scan)
-		f = &derived
+	case f.State != "":
+		derived.Scan = scanOf(f.Call)
 	}
-	r.funcs[key] = f
+	r.funcs[key] = &derived
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
 
@@ -190,5 +191,41 @@ func TestScanDerivesCall(t *testing.T) {
 	}
 	if *st != 2 {
 		t.Errorf("state saw %d rows, want 2", *st)
+	}
+}
+
+// TestCallDerivesScan: a stateful function given as a Call is registered
+// with the Scan that calls it row by row, each row boxed into the scratch,
+// up to the first error or true result; a stateless one gets none.
+func TestCallDerivesScan(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegisterState(&StateType{Name: "n", Init: func(any) any { return new(int) }})
+	r.MustRegisterFunc(&Func{Name: "above", State: "n", Call: func(state any, args []value.Value) (value.Value, error) {
+		if !args[0].Kind().Numeric() {
+			return value.Value{}, fmt.Errorf("above: got %s", args[0].Kind())
+		}
+		*state.(*int)++
+		return value.NewBool(args[0].AsInt() > args[1].AsInt()), nil
+	}})
+	r.MustRegisterFunc(&Func{Name: "scalar", Call: func(any, []value.Value) (value.Value, error) { return value.Value{}, nil }})
+	if f, _ := r.Func("scalar"); f.Scan != nil {
+		t.Error("stateless function given a Scan")
+	}
+	f, _ := r.Func("above")
+	col := new(tuple.Column)
+	for _, v := range []value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewString("x"), value.NewInt(5)} {
+		col.AppendValue(v)
+	}
+	args := Args{Vals: []value.Value{{}, value.NewInt(2)}, Cols: []*tuple.Column{col, nil}}
+	st := new(int)
+	for _, c := range []struct {
+		from, to, row int
+		err           string
+		seen          int
+	}{{0, 2, 2, "<nil>", 2}, {0, 5, 2, "<nil>", 5}, {3, 5, 3, "above: got string", 5}, {4, 5, 4, "<nil>", 6}} {
+		row, err := f.Scan(st, args, c.from, c.to)
+		if row != c.row || fmt.Sprint(err) != c.err || *st != c.seen {
+			t.Errorf("Scan(%d, %d) = %d, %v, %d calls; want %d, %s, %d", c.from, c.to, row, err, *st, c.row, c.err, c.seen)
+		}
 	}
 }

@@ -3,10 +3,13 @@ package streamop_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"streamop"
+	"streamop/internal/tuple"
+	"streamop/internal/value"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -307,5 +310,45 @@ func TestPublicSession(t *testing.T) {
 	}
 	if _, err := e.Install("late", "SELECT len FROM tap", streamop.InstallOptions{}); err != nil {
 		t.Fatalf("idle install after drain: %v", err)
+	}
+}
+
+// TestPublicStringOffSchemaErrs offers a numeric aggregate's argument a
+// String the schema does not declare: the tuple errs, as an erring
+// argument would, and the rows before it stay in the window.
+func TestPublicStringOffSchemaErrs(t *testing.T) {
+	schema := tuple.MustSchema("S",
+		tuple.Field{Name: "ts", Kind: value.Int, Ordering: tuple.Increasing},
+		tuple.Field{Name: "x", Kind: value.Int},
+	)
+	for _, src := range []string{
+		`SELECT tb, sum(x) FROM S GROUP BY ts/4 AS tb`,
+		`SELECT tb, avg(x) FROM S GROUP BY ts/4 AS tb`,
+		`SELECT tb, sum(x) FROM S WHERE x > 0 GROUP BY ts/4 AS tb`,
+		`SELECT tb, count(*), sum$(x) FROM S GROUP BY ts/4 AS tb`,
+	} {
+		q, err := streamop.Compile(src, streamop.Options{Schema: schema})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if err := q.ProcessTuple(streamop.Tuple{streamop.IntValue(1), streamop.IntValue(6)}); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		err = q.ProcessTuple(streamop.Tuple{streamop.IntValue(1), streamop.StringValue("boom")})
+		if err == nil || !strings.Contains(err.Error(), "String") {
+			t.Fatalf("%s: err = %v, want one naming the String", src, err)
+		}
+		if err := q.Flush(); err != nil {
+			t.Fatalf("%s: Flush: %v", src, err)
+		}
+		if len(q.Collected) != 1 {
+			t.Fatalf("%s: %d rows, want 1", src, len(q.Collected))
+		}
+		if vals := q.Collected[0].Values; vals[len(vals)-1].AsFloat() != 6 {
+			t.Fatalf("%s: row %v, want the first tuple's 6 alone", src, vals)
+		}
+		if st := q.Stats(); st.TuplesIn != 2 || st.TuplesAccepted != 2 {
+			t.Fatalf("%s: stats %+v, want both tuples in and accepted", src, st)
+		}
 	}
 }
