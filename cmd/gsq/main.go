@@ -20,14 +20,14 @@
 // table instead of a full sampling operator (the query must then be plain
 // grouping/aggregation). -parallel switches from the single-threaded Run
 // to the concurrent RunParallel; -speedup paces the replay (0 = unpaced
-// backpressure), and -shards overrides the partial node's worker fan-out
-// (default: the query's SHARDS clause, then GOMAXPROCS-derived). See
-// docs/PARALLELISM.md for the run-mode semantics.
+// backpressure), and -shards sets the partial node's worker fan-out
+// (default: GOMAXPROCS-derived). See docs/PARALLELISM.md for the run-mode
+// semantics.
 // -stats prints node counters plus
 // ring occupancy, drops and overload-controller state.
 //
-// -overload forces a ring admission policy (drop-tail, shed-sample or
-// block) on every ring, overriding any OVERLOAD query clause; -inject
+// -overload sets the ring admission policy (drop-tail, the default,
+// shed-sample or block) of every ring; -inject
 // wraps the feed in deterministic fault injectors
 // ("drop:0.01,burst:256@0.5,stall:1ms@0.25,slow:20us", seeded by -seed).
 // See docs/ROBUSTNESS.md.
@@ -113,7 +113,7 @@ type config struct {
 	Partial    int     // -partial: run as a partial-agg node with this many slots
 	Parallel   bool    // -parallel: RunParallel instead of Run
 	Speedup    float64 // -speedup: pacing factor under -parallel (0 = unpaced)
-	Shards     int     // -shards: shard-count override for the partial node
+	Shards     int     // -shards: shard count for the partial node
 	Overload   string  // -overload: ring admission policy for every ring
 	Inject     string  // -inject: fault-injector spec wrapping the feed
 	OutDir     string  // -o: artifact directory
@@ -142,8 +142,8 @@ func main() {
 	flag.IntVar(&cfg.Partial, "partial", 0, "run the query as a low-level partial-aggregation node with this many group-table slots (0 = full operator)")
 	flag.BoolVar(&cfg.Parallel, "parallel", false, "run with real concurrency (RunParallel); with -partial the node is sharded")
 	flag.Float64Var(&cfg.Speedup, "speedup", 0, "with -parallel: pace the replay at this multiple of capture time (0 = unpaced backpressure, no drops)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "with -partial -parallel: worker replicas for the partial node (0 = query SHARDS clause, then GOMAXPROCS-derived)")
-	flag.StringVar(&cfg.Overload, "overload", "", "ring admission policy for every ring: drop-tail|shed-sample|block (overrides the query's OVERLOAD clause)")
+	flag.IntVar(&cfg.Shards, "shards", 0, "with -partial -parallel: worker replicas for the partial node (0 = GOMAXPROCS-derived)")
+	flag.StringVar(&cfg.Overload, "overload", "", "ring admission policy for every ring: drop-tail|shed-sample|block (default drop-tail)")
 	flag.StringVar(&cfg.Inject, "inject", "", `deterministic fault injectors wrapping the feed, e.g. "drop:0.01,burst:256@0.5,stall:1ms@0.25,slow:20us" (seeded by -seed)`)
 	flag.StringVar(&cfg.OutDir, "o", "", "write run artifacts into this directory (created if absent); see -artifacts")
 	flag.StringVar(&cfg.Artifacts, "artifacts", defaultArtifacts, "with -o: comma list of artifacts to write: events,metrics,state,trace,replay,profile,accuracy")
@@ -172,7 +172,11 @@ func run(cfg config) error {
 		return fmt.Errorf("no query given (use -query or -queryfile)")
 	}
 
-	q, err := core.Compile(query, core.Options{Seed: cfg.Seed, Overload: cfg.Overload})
+	q, err := core.Compile(query, core.Options{Seed: cfg.Seed})
+	if err != nil {
+		return err
+	}
+	policy, err := overload.ParsePolicy(cfg.Overload)
 	if err != nil {
 		return err
 	}
@@ -258,13 +262,7 @@ func run(cfg config) error {
 	if col != nil {
 		e.SetCollector(col)
 	}
-	if cfg.Overload != "" {
-		p, err := overload.ParsePolicy(cfg.Overload) // already validated by Compile
-		if err != nil {
-			return err
-		}
-		e.SetOverload(overload.Config{Policy: p, Seed: cfg.Seed})
-	}
+	e.SetOverload(overload.Config{Policy: policy, Seed: cfg.Seed})
 	if faults != nil {
 		e.SetFaults(faults)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
-	"streamop/internal/overload"
 	"streamop/internal/profile"
 	"streamop/internal/sfun"
 	"streamop/internal/sfunlib"
@@ -55,11 +54,6 @@ type Options struct {
 	// in Query.Collected (unless Query.Rows drives the feed instead). The
 	// Row is the callback's to keep: it is a copy of the operator's.
 	OnRow func(Row) error
-	// Overload overrides the query's OVERLOAD clause: the ring admission
-	// policy ("drop-tail", "shed-sample" or "block") the compiled plan
-	// requests when wired into an Engine. Empty leaves the clause (or the
-	// runtime default) in force.
-	Overload string
 	// Profile enables per-stage cost profiling (EXPLAIN ANALYZE): Compile
 	// attaches a profiler and Query.Profiler().Report() yields the
 	// attribution after (or during) a run. A query text carrying an
@@ -104,13 +98,6 @@ func Compile(src string, opts Options) (*Query, error) {
 	parsed, err := gsql.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Overload != "" {
-		p, err := overload.ParsePolicy(opts.Overload)
-		if err != nil {
-			return nil, err
-		}
-		parsed.Overload = p.String()
 	}
 	plan, err := gsql.Analyze(parsed, schema, reg)
 	if err != nil {

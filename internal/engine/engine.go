@@ -470,7 +470,7 @@ func (e *Engine) runSerial(ctx context.Context, feed trace.Feed, s *session, spe
 		return err
 	}
 	pm := e.newPump(ctx, feed, s, speedup)
-	e.srcGate = e.newGate(e.resolveOverload(e.sourcePlan(), "source", "0"), e.ring, "source", "0")
+	e.srcGate = e.newGate(e.ring, "source", "0")
 	e.setGates([]*ringGate{e.srcGate})
 	e.applyRestoredGate()
 	const batch = 512

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamop/internal/gsql"
 	"streamop/internal/overload"
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
@@ -17,12 +16,10 @@ import (
 //
 // Every producer-side ring push goes through a ringGate: an
 // overload.Controller deciding admission plus the push itself, under the
-// resolved policy. The policy for a ring comes from SetOverload (engine
-// wide), falling back to the node plan's OVERLOAD hint, falling back to
-// drop-tail — which keeps today's exact behavior and per-packet cost: the
-// drop-tail gate never runs the per-packet Admit draw; its accounting is
-// reconciled from the ring's own counters at batch boundaries
-// (Controller.ObserveRing).
+// engine's policy: SetOverload's, else drop-tail, which keeps the ring's
+// native behaviour and per-packet cost: the drop-tail gate never runs the
+// per-packet Admit draw; its accounting is reconciled from the ring's own
+// counters at batch boundaries (Controller.ObserveRing).
 //
 // Where the gates live depends on the run mode. Run and a session have one
 // gate on the shared source ring; the serial loop is self-clocked (fill the
@@ -41,15 +38,14 @@ import (
 // slow-consumer delay inside the engine's consumer loops, where a feed
 // wrapper cannot reach.
 
-// SetOverload sets the engine-wide admission policy, overriding any
-// OVERLOAD plan hints. Call before Run or RunParallel; it errors once a
-// run or session is active.
+// SetOverload sets the admission policy of every ring the engine gates;
+// without it each gate runs drop-tail. Call before Run, StartWith or
+// RunParallel; it errors once a run or session is active.
 func (e *Engine) SetOverload(cfg overload.Config) error {
 	if err := e.setterGuard("SetOverload"); err != nil {
 		return err
 	}
 	e.olCfg = cfg
-	e.olSet = true
 	return nil
 }
 
@@ -87,42 +83,6 @@ func (e *Engine) Overload() []overload.Snapshot {
 // setGates publishes the run's gate list for Overload and /debug/state.
 func (e *Engine) setGates(gs []*ringGate) { e.gates.Store(&gs) }
 
-// resolveOverload returns the admission config for one ring: the
-// engine-wide override when set, else the plan's OVERLOAD hint, else
-// drop-tail defaults. The seed is perturbed per ring (node and ring
-// label) so replicated rings draw independent but reproducible admission
-// schedules.
-func (e *Engine) resolveOverload(plan *gsql.Plan, node, ringLbl string) overload.Config {
-	var cfg overload.Config
-	if e.olSet {
-		cfg = e.olCfg
-	} else if plan != nil && plan.Overload != "" {
-		// The parser only stores canonical names, so a parse error here is
-		// a hand-built Plan; fall through to drop-tail in that case.
-		if p, err := overload.ParsePolicy(plan.Overload); err == nil {
-			cfg.Policy = p
-		}
-	}
-	h := fnv.New64a()
-	h.Write([]byte(node))
-	h.Write([]byte{'/'})
-	h.Write([]byte(ringLbl))
-	cfg.Seed ^= h.Sum64()
-	return cfg
-}
-
-// sourcePlan picks the plan whose OVERLOAD hint governs Run's shared
-// source ring: the first low-level node carrying one (the ring feeds all
-// of them; SetOverload trumps this in resolveOverload).
-func (e *Engine) sourcePlan() *gsql.Plan {
-	for _, n := range e.low {
-		if n.plan.Overload != "" {
-			return n.plan
-		}
-	}
-	return nil
-}
-
 // overloadMetrics caches one gate's gauge handles (labels: node, ring).
 type overloadMetrics struct {
 	state, admitP                    *telemetry.Gauge
@@ -142,9 +102,18 @@ type ringGate struct {
 	m       *overloadMetrics
 }
 
-// newGate builds the gate for one ring, wiring metrics and the
-// overload_state transition event when telemetry is attached.
-func (e *Engine) newGate(cfg overload.Config, ring *ringbuf.Ring[trace.Packet], node, ringLbl string) *ringGate {
+// newGate builds the gate for one ring under the engine's admission
+// config, wiring metrics and the overload_state transition event when
+// telemetry is attached. The seed is perturbed per ring (node and ring
+// label) so replicated rings draw independent but reproducible admission
+// schedules.
+func (e *Engine) newGate(ring *ringbuf.Ring[trace.Packet], node, ringLbl string) *ringGate {
+	cfg := e.olCfg
+	h := fnv.New64a()
+	h.Write([]byte(node))
+	h.Write([]byte{'/'})
+	h.Write([]byte(ringLbl))
+	cfg.Seed ^= h.Sum64()
 	ctrl := overload.NewController(cfg)
 	eff := ctrl.Config()
 	g := &ringGate{
@@ -263,7 +232,6 @@ func (e *Engine) consumerDelay() time.Duration {
 // gateRegistry is the engine-side gate state; embedded in Engine.
 type gateRegistry struct {
 	olCfg  overload.Config
-	olSet  bool
 	faults *overload.Faults
 	gates  atomic.Pointer[[]*ringGate]
 	// srcGate guards the shared source ring during Run.

@@ -131,7 +131,7 @@ func (e *Engine) RunParallelContext(ctx context.Context, feed trace.Feed, speedu
 		}
 		rings = append(rings, r)
 		if paced {
-			gates = append(gates, e.newGate(e.resolveOverload(low.plan, low.name, "0"), r, low.name, "0"))
+			gates = append(gates, e.newGate(r, low.name, "0"))
 		}
 		low.openSubs(1)
 		low.takeOuts()

@@ -289,8 +289,8 @@ func (t *ptable) Restore(d *checkpoint.Decoder) error {
 type PartialNode struct {
 	Node
 	table ptable
-	// shards is the configured replica count for RunParallel; 0 means
-	// unresolved (plan hint, then DefaultShards).
+	// shards is the replica count SetShards set for RunParallel; 0 means
+	// DefaultShards.
 	shards int
 	// rt is the live sharded runtime, published for /debug/state while a
 	// RunParallel run is in flight (nil under Run or before the first
@@ -299,10 +299,9 @@ type PartialNode struct {
 }
 
 // DefaultShards returns the shard count a partial-aggregation node fans
-// out into under RunParallel when neither SetShards nor the plan's SHARDS
-// hint picked one: GOMAXPROCS minus one core reserved for the producer,
-// at least 1, at most 16 (fan-out beyond that only adds ring traffic on
-// the feeds this engine replays).
+// out into under RunParallel unless SetShards picked one: GOMAXPROCS minus
+// one core reserved for the producer, at least 1, at most 16 (fan-out
+// beyond that only adds ring traffic on the feeds this engine replays).
 func DefaultShards() int {
 	n := runtime.GOMAXPROCS(0) - 1
 	if n < 1 {
@@ -317,8 +316,8 @@ func DefaultShards() int {
 // AddLowLevelPartialAgg registers a low-level partial-aggregation node.
 // plan must be a grouping query over PKT without sampling clauses or
 // superaggregates (low-level nodes are deliberately simple). slots is
-// rounded up to a power of two. A SHARDS hint on the plan seeds the
-// node's RunParallel shard count (see SetShards).
+// rounded up to a power of two. The node's RunParallel shard count is
+// DefaultShards until SetShards picks one.
 func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) (*PartialNode, error) {
 	if plan.Schema.Name() != trace.Schema().Name() {
 		return nil, fmt.Errorf("engine: partial-agg node %q must read PKT, got %q", name, plan.Schema.Name())
@@ -350,10 +349,7 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	if err != nil {
 		return nil, err
 	}
-	n := &PartialNode{
-		Node:   Node{name: name, plan: plan, schema: schema, low: true},
-		shards: plan.Shards,
-	}
+	n := &PartialNode{Node: Node{name: name, plan: plan, schema: schema, low: true}}
 	n.partial = n
 	n.table = newPtable(plan, size, uint64(size-1), 1, n.emitCols)
 	n.step = &n.table
@@ -362,16 +358,10 @@ func (e *Engine) AddLowLevelPartialAgg(name string, plan *gsql.Plan, slots int) 
 	return n, nil
 }
 
-// SetShards fixes the node's RunParallel fan-out. count < 1 restores the
-// default resolution (plan SHARDS hint, then DefaultShards). The resolved
-// count is additionally clamped to the slot-table size, since a shard
-// owning no slot stripe would never receive a packet.
-func (n *PartialNode) SetShards(count int) {
-	if count < 1 {
-		count = n.plan.Shards
-	}
-	n.shards = count
-}
+// SetShards fixes the node's RunParallel fan-out. count < 1 restores
+// DefaultShards. The count is clamped to the slot-table size, since a
+// shard owning no slot stripe would never receive a packet.
+func (n *PartialNode) SetShards(count int) { n.shards = count }
 
 // Shards returns the shard count the node will fan out into under
 // RunParallel.

@@ -184,7 +184,7 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		sh.takeOuts()
 		lbl := strconv.Itoa(i)
 		if !barrier {
-			s.gates = append(s.gates, e.newGate(e.resolveOverload(pn.plan, pn.name, lbl), ring, pn.name, lbl))
+			s.gates = append(s.gates, e.newGate(ring, pn.name, lbl))
 		}
 		if e.tel != nil {
 			r := e.tel.Registry()

@@ -130,35 +130,26 @@ func TestShardedParallelMatchesRunExactly(t *testing.T) {
 	}
 }
 
-// TestShardResolution covers the shard-count precedence: SetShards beats
-// the plan's SHARDS hint beats DefaultShards, and the resolved count is
-// clamped to the slot-table size.
+// TestShardResolution covers the shard count: DefaultShards until SetShards
+// picks one, SetShards(0) restoring the default, and the count clamped to
+// the slot-table size.
 func TestShardResolution(t *testing.T) {
 	e, _ := engine.New(1024)
-	hinted := mustPlan(t, "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb SHARDS 3", trace.Schema())
-	pn, err := e.AddLowLevelPartialAgg("hinted", hinted, 64)
+	plain := mustPlan(t, "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb", trace.Schema())
+	pn, err := e.AddLowLevelPartialAgg("default", plain, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pn.Shards(); got != 3 {
-		t.Errorf("plan hint: Shards() = %d, want 3", got)
+	if got, want := pn.Shards(), engine.DefaultShards(); got != want {
+		t.Errorf("default: Shards() = %d, want %d", got, want)
 	}
 	pn.SetShards(5)
 	if got := pn.Shards(); got != 5 {
-		t.Errorf("SetShards override: Shards() = %d, want 5", got)
+		t.Errorf("SetShards: Shards() = %d, want 5", got)
 	}
 	pn.SetShards(0)
-	if got := pn.Shards(); got != 3 {
-		t.Errorf("SetShards(0) restore: Shards() = %d, want plan hint 3", got)
-	}
-
-	plain := mustPlan(t, "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb", trace.Schema())
-	dn, err := e.AddLowLevelPartialAgg("default", plain, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dn.Shards(), engine.DefaultShards(); got != want {
-		t.Errorf("default: Shards() = %d, want %d", got, want)
+	if got, want := pn.Shards(), engine.DefaultShards(); got != want {
+		t.Errorf("SetShards(0) restore: Shards() = %d, want %d", got, want)
 	}
 
 	tiny := mustPlan(t, "SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb", trace.Schema())

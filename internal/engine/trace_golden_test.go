@@ -41,6 +41,9 @@ type traceSeqCase struct {
 	// want lists stage names and dispositions the case must record, so
 	// that it keeps exercising the trace sites it is here for.
 	want []string
+	// closure marks a case whose plans must not vectorize, so that it
+	// covers closure mode and the spans closures report through Ctx.Trace.
+	closure bool
 }
 
 type traceSeqNode struct {
@@ -92,6 +95,26 @@ HAVING pskeep(uts) = TRUE
 CLEANING WHEN psdo_clean(count_distinct$(*)) = TRUE
 CLEANING BY pskeep(uts) = TRUE`, -1},
 	}, want: []string{"sfun", "where", "group_lookup", "evict", "having", "emit", "where_rejected", "emitted", "having_rejected"}},
+	// Closure mode: a WHERE, HAVING and CLEANING BY comparison against a
+	// superaggregate (the min-hash query of §6.6).
+	{name: "minhash", closure: true, nodes: []traceSeqNode{
+		{"mh", `SELECT tb, srcIP, HX FROM PKT
+WHERE HX <= Kth_smallest_value$(HX, 10)
+GROUP BY time/1 AS tb, srcIP, H(destIP) AS HX
+SUPERGROUP BY tb, srcIP
+HAVING HX <= Kth_smallest_value$(HX, 10)
+CLEANING WHEN count_distinct$(*) >= 10
+CLEANING BY HX <= Kth_smallest_value$(HX, 10)`, -1},
+	}, want: []string{"where", "group_lookup", "evict", "having", "emit", "where_rejected", "emitted"}},
+	// The heavy hitters: the plan vectorizes, but its HAVING and CLEANING BY
+	// are comparisons, not calls, so they run the plan's closures, which
+	// call current_bucket through Ctx.
+	{name: "heavy_hitters", nodes: []traceSeqNode{
+		{"hh", `SELECT tb, srcIP, sum(len), count(*) FROM PKT GROUP BY time/1 AS tb, srcIP
+HAVING count(*) >= 50
+CLEANING WHEN local_count(100) = TRUE
+CLEANING BY count(*) >= current_bucket() - first(current_bucket())`, -1},
+	}, want: []string{"sfun", "group_lookup", "evict", "having", "emit", "emitted", "having_rejected"}},
 	{name: "two_hops", nodes: []traceSeqNode{
 		{"sel", `SELECT time, srcIP, destIP, len, uts FROM PKT`, -1},
 		{"ss", traceSeqSubsetSum("sel"), 0},
@@ -152,8 +175,8 @@ func TestTraceSequencesUnchanged(t *testing.T) {
 					in = nodes[n.parent].Schema()
 				}
 				plan := mustPlan(t, n.src, in)
-				if _, ok := gsql.Vectorize(plan); !ok {
-					t.Fatalf("node %s does not vectorize: the case would not reach the kernels", n.name)
+				if _, ok := gsql.Vectorize(plan); ok == c.closure {
+					t.Fatalf("node %s vectorizes: %v, want %v", n.name, ok, !c.closure)
 				}
 				if n.parent < 0 {
 					nodes[i], err = e.AddLowLevel(n.name, plan)

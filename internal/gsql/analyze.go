@@ -132,16 +132,6 @@ type Plan struct {
 	// order; each expands to five consecutive SelectExprs reading Ctx.Est.
 	Estimates []EstimateDef
 
-	// Shards carries the query's SHARDS clause (0 = unspecified): a hint
-	// for how many parallel workers a low-level partial-aggregation node
-	// should fan out into under RunParallel.
-	Shards int
-
-	// Overload carries the query's OVERLOAD clause ("" = unspecified): the
-	// admission policy the engine applies at this query's ring buffers,
-	// in canonical form ("drop-tail", "shed-sample" or "block").
-	Overload string
-
 	// reg is the registry the plan was analyzed against, retained so
 	// Clone can recompile the same query for another executor.
 	reg *sfun.Registry
@@ -200,7 +190,7 @@ func Analyze(q *Query, schema *tuple.Schema, reg *sfun.Registry) (*Plan, error) 
 		return nil, fmt.Errorf("gsql: query reads from %q but schema is %q", q.From, schema.Name())
 	}
 	b := &binder{
-		plan:     &Plan{Query: q, Schema: schema, Shards: q.Shards, Overload: q.Overload, reg: reg},
+		plan:     &Plan{Query: q, Schema: schema, reg: reg},
 		reg:      reg,
 		schema:   schema,
 		stateIdx: map[string]int{},

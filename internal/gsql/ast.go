@@ -10,7 +10,6 @@
 package gsql
 
 import (
-	"fmt"
 	"strings"
 
 	"streamop/internal/value"
@@ -136,13 +135,6 @@ type Query struct {
 	Having       Expr     // nil if absent
 	CleaningWhen Expr     // nil if absent
 	CleaningBy   Expr     // nil if absent
-	// Shards is the SHARDS clause's worker-count hint for parallel
-	// low-level execution; 0 means unspecified (runtime default).
-	Shards int
-	// Overload is the OVERLOAD clause's admission-policy hint in canonical
-	// form ("drop-tail", "shed-sample" or "block"); "" means unspecified
-	// (runtime default).
-	Overload string
 	// Explain is the EXPLAIN prefix mode: "" (none), "plan" for a bare
 	// EXPLAIN (render the compiled plan without running), or "analyze" for
 	// EXPLAIN ANALYZE (run with per-stage cost profiling and report the
@@ -211,12 +203,6 @@ func (q *Query) String() string {
 	if q.CleaningBy != nil {
 		b.WriteString("\nCLEANING BY ")
 		b.WriteString(q.CleaningBy.String())
-	}
-	if q.Shards > 0 {
-		fmt.Fprintf(&b, "\nSHARDS %d", q.Shards)
-	}
-	if q.Overload != "" {
-		fmt.Fprintf(&b, "\nOVERLOAD %s", q.Overload)
 	}
 	return b.String()
 }

@@ -81,12 +81,6 @@ func (p *Plan) Describe() string {
 		}
 		fmt.Fprintf(&b, "  estimates:       %s (Horvitz-Thompson, 95%% CI)\n", strings.Join(names, ", "))
 	}
-	if p.Shards > 0 {
-		fmt.Fprintf(&b, "  shards:          %d (parallel low-level partial-aggregation hint)\n", p.Shards)
-	}
-	if p.Overload != "" {
-		fmt.Fprintf(&b, "  overload:        %s (ring admission policy)\n", p.Overload)
-	}
 	fmt.Fprintf(&b, "  output columns:  %s\n", strings.Join(p.SelectNames, ", "))
 	return b.String()
 }

@@ -22,11 +22,9 @@ import (
 //	[HAVING expr]
 //	[CLEANING WHEN expr]
 //	[CLEANING BY expr]
-//	[SHARDS number | OVERLOAD policy]...
 //
-// The trailing execution hints (SHARDS, OVERLOAD) may appear in either
-// order, each at most once. OVERLOAD names an admission policy —
-// drop-tail, shed-sample or block (underscored spellings accepted).
+// A query says what to sample, not how to run it: a ring's admission
+// policy and a partial node's shard count are engine settings.
 func Parse(src string) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -242,69 +240,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			return nil, p.errorf("expected WHEN or BY after CLEANING, found %q", p.peek().text)
 		}
 	}
-	// Execution hints, in either order, each at most once.
-	for {
-		switch {
-		case p.keywordIs("shards"):
-			p.advance()
-			if q.Shards > 0 {
-				return nil, p.errorf("duplicate SHARDS clause")
-			}
-			t := p.advance()
-			if t.kind != tokNumber {
-				return nil, p.errorf("expected shard count after SHARDS, found %q", t.text)
-			}
-			n, err := strconv.Atoi(t.text)
-			if err != nil || n < 1 {
-				return nil, p.errorf("SHARDS wants a positive integer, got %q", t.text)
-			}
-			q.Shards = n
-		case p.keywordIs("overload"):
-			p.advance()
-			if q.Overload != "" {
-				return nil, p.errorf("duplicate OVERLOAD clause")
-			}
-			name, err := p.parsePolicyName()
-			if err != nil {
-				return nil, err
-			}
-			q.Overload = name
-		default:
-			return q, nil
-		}
-	}
-}
-
-// overloadPolicies is the OVERLOAD clause vocabulary, mirroring
-// internal/overload's policy names.
-var overloadPolicies = map[string]string{
-	"drop-tail": "drop-tail", "droptail": "drop-tail",
-	"shed-sample": "shed-sample", "shedsample": "shed-sample", "shed": "shed-sample",
-	"block": "block",
-}
-
-// parsePolicyName parses an OVERLOAD policy name. Dashed spellings lex as
-// ident / '-' / ident, so segments are rejoined; underscores are accepted
-// as an alternative and normalized to the canonical dashed form.
-func (p *parser) parsePolicyName() (string, error) {
-	t := p.advance()
-	if t.kind != tokIdent {
-		return "", p.errorf("expected policy name after OVERLOAD, found %q", t.text)
-	}
-	name := t.text
-	for p.acceptOp("-") {
-		t = p.advance()
-		if t.kind != tokIdent {
-			return "", p.errorf("expected policy name segment after '-', found %q", t.text)
-		}
-		name += "-" + t.text
-	}
-	norm := strings.ReplaceAll(strings.ToLower(name), "_", "-")
-	canonical, ok := overloadPolicies[norm]
-	if !ok {
-		return "", p.errorf("unknown OVERLOAD policy %q (want drop-tail, shed-sample or block)", name)
-	}
-	return canonical, nil
+	return q, nil
 }
 
 // Expression precedence (loosest to tightest):

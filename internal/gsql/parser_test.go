@@ -245,104 +245,27 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
-func TestParseShards(t *testing.T) {
-	q, err := Parse("SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb SHARDS 4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", q.Shards)
-	}
-	// Round trip: the clause must survive print -> reparse.
-	q2, err := Parse(q.String())
-	if err != nil {
-		t.Fatalf("reparse of %q: %v", q.String(), err)
-	}
-	if q2.Shards != 4 {
-		t.Errorf("reparsed Shards = %d, want 4", q2.Shards)
-	}
-	// Absent clause leaves the hint unset.
-	q3, err := Parse("SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3.Shards != 0 {
-		t.Errorf("Shards = %d, want 0 when unspecified", q3.Shards)
-	}
-	for _, bad := range []string{
-		"SELECT x FROM S SHARDS",
-		"SELECT x FROM S SHARDS zero",
-		"SELECT x FROM S SHARDS 0",
-		"SELECT x FROM S SHARDS -2",
-		"SELECT x FROM S SHARDS 2.5",
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestParseOverload(t *testing.T) {
-	// Every accepted spelling normalizes to the canonical dashed form.
-	for src, want := range map[string]string{
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD shed-sample": "shed-sample",
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD SHED_SAMPLE": "shed-sample",
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD drop-tail":   "drop-tail",
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD droptail":    "drop-tail",
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD block":       "block",
-	} {
-		q, err := Parse(src)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", src, err)
-			continue
-		}
-		if q.Overload != want {
-			t.Errorf("Parse(%q).Overload = %q, want %q", src, q.Overload, want)
-		}
-		// Round trip: the clause must survive print -> reparse.
-		q2, err := Parse(q.String())
-		if err != nil {
-			t.Errorf("reparse of %q: %v", q.String(), err)
-			continue
-		}
-		if q2.Overload != want {
-			t.Errorf("reparsed Overload = %q, want %q", q2.Overload, want)
-		}
-	}
-
-	// SHARDS and OVERLOAD combine in either order.
+// TestParseRefusesExecutionHints checks that a query carries no execution
+// setting: a ring's admission policy and a partial node's shard count are
+// set on the engine, and a trailing SHARDS or OVERLOAD clause is a parse
+// error that names it.
+func TestParseRefusesExecutionHints(t *testing.T) {
 	for _, src := range []string{
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb SHARDS 4 OVERLOAD block",
-		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD block SHARDS 4",
+		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb SHARDS 4",
+		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb, srcIP SHARDS 4",
+		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb HAVING count(*) > 1 SHARDS 2",
+		"SELECT time, len FROM PKT WHERE len > 100 OVERLOAD shed-sample",
+		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD block",
+		"SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb CLEANING BY count(*) > 1 OVERLOAD drop-tail",
+		"EXPLAIN SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb OVERLOAD block SHARDS 4",
 	} {
-		q, err := Parse(src)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", src, err)
+		_, err := Parse(src)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded", src)
+			continue
 		}
-		if q.Shards != 4 || q.Overload != "block" {
-			t.Errorf("Parse(%q): Shards=%d Overload=%q", src, q.Shards, q.Overload)
-		}
-	}
-
-	// Absent clause leaves the hint unset.
-	q, err := Parse("SELECT tb, count(*) FROM PKT GROUP BY time/1 as tb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Overload != "" {
-		t.Errorf("Overload = %q, want empty when unspecified", q.Overload)
-	}
-
-	for _, bad := range []string{
-		"SELECT x FROM S OVERLOAD",
-		"SELECT x FROM S OVERLOAD 4",
-		"SELECT x FROM S OVERLOAD tail-drop",
-		"SELECT x FROM S OVERLOAD drop-",
-		"SELECT x FROM S OVERLOAD block OVERLOAD block",
-		"SELECT x FROM S SHARDS 2 SHARDS 2",
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) succeeded", bad)
+		if msg := strings.ToUpper(err.Error()); !strings.Contains(msg, "SHARDS") && !strings.Contains(msg, "OVERLOAD") {
+			t.Errorf("Parse(%q): %v, want an error naming the clause", src, err)
 		}
 	}
 }

@@ -463,9 +463,6 @@ func Vectorize(p *Plan) (*VecPlan, bool) {
 	if p.IsSelection {
 		return v.selection()
 	}
-	if len(p.GroupBy) == 0 {
-		return nil, false
-	}
 	vp := &VecPlan{}
 	gbCtx := vecCtx{tuple: true}
 	for _, item := range p.Query.GroupBy {

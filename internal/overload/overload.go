@@ -8,8 +8,7 @@
 // operation is honored end to end and every rejected packet is accounted
 // for exactly (offered == admitted + shed, admitted == enqueued + dropped).
 //
-// Three policies are selectable (Options.Overload, the GSQL OVERLOAD plan
-// hint, or gsq -overload):
+// Three policies are selectable (Engine.SetOverload, or gsq -overload):
 //
 //	drop-tail    the ring's native behavior: a push into a full ring is
 //	             dropped and counted. Zero admission overhead; the default.
@@ -60,8 +59,8 @@ const (
 	Block
 )
 
-// String returns the policy's canonical spelling (the -overload flag and
-// OVERLOAD clause vocabulary).
+// String returns the policy's canonical spelling (the -overload flag's
+// vocabulary).
 func (p Policy) String() string {
 	switch p {
 	case DropTail:

@@ -220,8 +220,8 @@ const (
 )
 
 // OverloadConfig parameterizes a ring's admission controller; the zero
-// value is drop-tail with default thresholds. Apply with
-// Engine.SetOverload, a query's OVERLOAD clause, or Options.Overload.
+// value is drop-tail with default thresholds. Engine.SetOverload applies
+// it to every ring the engine gates.
 type OverloadConfig = overload.Config
 
 // OverloadSnapshot is one ring admission controller's observable state,
