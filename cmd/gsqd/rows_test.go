@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"streamop/internal/overload"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
@@ -92,7 +94,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 	}
 	check := func(cols []string, row tuple.Tuple) {
 		t.Helper()
-		got := newRowEncoder(cols).appendObject(nil, row)
+		got := objectOf(cols, row)
 		if bytes.ContainsAny(got, "\r\n") {
 			t.Errorf("cols %q row %v: object spans lines: %q", cols, row, got)
 		}
@@ -121,7 +123,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 	check([]string{"a", "a"}, tuple.Tuple{value.NewInt(1), value.NewInt(2)})
 
 	// Keys come out in column order, not sorted.
-	if got, want := string(newRowEncoder([]string{"tb", "srcIP", "sum"}).appendObject(nil,
+	if got, want := string(objectOf([]string{"tb", "srcIP", "sum"},
 		tuple.Tuple{value.NewUint(1754649600), value.NewUint(167837698), value.NewInt(48128)})),
 		`{"tb":1754649600,"srcIP":167837698,"sum":48128}`; got != want {
 		t.Errorf("object = %s, want %s", got, want)
@@ -132,7 +134,7 @@ func TestRowEncoderMatchesEncodingJSON(t *testing.T) {
 		if _, err := refRowJSON([]string{"f", "n"}, row); err == nil {
 			t.Fatalf("encoding/json accepted %v; the exception is no longer needed", f)
 		}
-		if got, want := string(newRowEncoder([]string{"f", "n"}).appendObject(nil, row)), `{"f":null,"n":7}`; got != want {
+		if got, want := string(objectOf([]string{"f", "n"}, row)), `{"f":null,"n":7}`; got != want {
 			t.Errorf("%v: object = %s, want %s", f, got, want)
 		}
 	}
@@ -448,4 +450,64 @@ func BenchmarkSSERows(b *testing.B) {
 	skip(b.N)
 	b.StopTimer()
 	b.ReportMetric(float64(wire)/float64(b.N), "B/row")
+}
+
+// TestFrameSubscriberCounts: the SSE handlers subscribe to frames, and the
+// counts an operator reads — the handle's, the quota snapshot's, GET
+// /queries/{name}'s and /debug/state's — see them while they stream. On
+// one tap, "lossy" (drop-oldest, WarnLag) has a client that reads
+// and one that never does, which falls behind, loses rows and lags;
+// "dead" (Block, DetachAfter) has a client that never reads and is
+// detached.
+func TestFrameSubscriberCounts(t *testing.T) {
+	sv, base := newTestServer(t, &testFeed{passEvery: 1, throttle: time.Millisecond})
+	for _, req := range []installRequest{
+		{Name: "lossy", Query: "SELECT time, srcIP, len, uts FROM tap", Via: testVia, Buffer: 4096, Quota: &quotaRequest{WarnLag: 1000}},
+		{Name: "dead", Query: "SELECT time, srcIP, len, uts FROM tap", Buffer: 64, Block: true, Quota: &quotaRequest{DetachAfter: 1000}},
+	} {
+		if resp, body := postJSON(t, base+"/queries", req); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("install %s = %d: %v", req.Name, resp.StatusCode, body)
+		}
+	}
+	reader, hangUpReader := openRows(t, base, "lossy")
+	defer hangUpReader()
+	go io.Copy(io.Discard, reader.br)
+	_, hangUpIdle := openRows(t, base, "lossy")
+	defer hangUpIdle()
+	_, hangUpDead := openRows(t, base, "dead")
+	defer hangUpDead()
+
+	lossy, dead := sv.e.Lookup("lossy"), sv.e.Lookup("dead")
+	var got string
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var li, di queryInfo
+		getJSON(t, base+"/queries/lossy", &li)
+		getJSON(t, base+"/queries/dead", &di)
+		var state struct {
+			Engine struct {
+				Quotas []overload.QuotaSnapshot `json:"quotas"`
+			} `json:"engine"`
+		}
+		getJSON(t, base+"/debug/state", &state)
+		byName := map[string]overload.QuotaSnapshot{}
+		for _, q := range state.Engine.Quotas {
+			byName[q.Query] = q
+		}
+		lq, dq := lossy.QuotaState(), dead.QuotaState()
+		got = fmt.Sprintf("handle lossy subs %d dropped %d lagging %d/%d; dead subs %d detached %d/%d; "+
+			"GET lossy subs %d dropped %d quota %+v; GET dead subs %d quota %+v; /debug/state %+v",
+			lossy.Subscribers(), lossy.Dropped(), lq.Subscribers, lq.Lagging, dead.Subscribers(), dead.DetachedSubs(), dq.Detached,
+			li.Subscribers, li.Dropped, li.Quota, di.Subscribers, di.Quota, byName)
+		if lossy.Subscribers() == 2 && lossy.Dropped() > 0 && lq.Subscribers == 2 && lq.Lagging == 1 &&
+			dead.Subscribers() == 0 && dead.DetachedSubs() == 1 && dq.Detached == 1 &&
+			li.Subscribers == 2 && li.Dropped > 0 && li.Quota != nil && li.Quota.Subscribers == 2 && li.Quota.Lagging == 1 &&
+			di.Subscribers == 0 && di.Quota != nil && di.Quota.Detached == 1 &&
+			byName["lossy"].Subscribers == 2 && byName["lossy"].Lagging == 1 && byName["dead"].Detached == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the counts never showed the frame subscribers: %s", got)
+		}
+	}
+	t.Log(got)
 }

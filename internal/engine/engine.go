@@ -107,6 +107,9 @@ type Node struct {
 	// appRow is callApps' scratch: the row the application callbacks are
 	// shown, overwritten by the next.
 	appRow tuple.Tuple
+	// deliver, when set, is the installed query's delivery (session.go),
+	// handed each run of output rows whole.
+	deliver func(cols []*tuple.Column)
 	// in is the edge from the node's parent (high-level nodes only).
 	in edge
 	// Provenance tracing (see tracing.go). tr is nil when tracing is off;
@@ -253,17 +256,21 @@ func (n *Node) emitCols(cols []*tuple.Column) error {
 	return n.callApps(cols)
 }
 
-// callApps shows the rows to the application callbacks one after the other
-// in the node's scratch tuple: lent, so a callback copies what it keeps.
+// callApps hands the run to the installed query's delivery whole, then
+// shows its rows to the application callbacks one after the other in the
+// node's scratch tuple: lent, so a callback copies what it keeps.
 // The replicas of a sharded node take turns, a run of rows each: callbacks
 // are user code and must not see concurrent calls.
 func (n *Node) callApps(cols []*tuple.Column) error {
-	if len(n.apps) == 0 {
+	if len(n.apps) == 0 && n.deliver == nil {
 		return nil
 	}
 	if s := n.set; s != nil {
 		s.appMu.Lock()
 		defer s.appMu.Unlock()
+	}
+	if n.deliver != nil {
+		n.deliver(cols)
 	}
 	for i, rows := 0, cols[0].Len(); i < rows; i++ {
 		n.appRow = tuple.RowOf(n.appRow, cols, i)

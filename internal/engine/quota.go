@@ -19,27 +19,28 @@ import (
 // observable state is published through atomics, the streamop_quota_*
 // gauges and the /debug/state "quotas" block.
 
-// detachWait bounds a Block subscriber's per-row backpressure once its
-// query carries a DetachAfter policy: a wait that times out counts as a
-// shed row, and enough shed rows detach the subscriber. Without the
-// policy Block keeps its indefinite-backpressure contract.
+// detachWait bounds a Block subscriber's backpressure, per row or per
+// frame, once its query carries a DetachAfter policy: a wait that times
+// out counts the row, or the frame's rows, as shed, and enough shed rows
+// detach the subscriber. Without the policy Block keeps its
+// indefinite-backpressure contract.
 const detachWait = 2 * time.Millisecond
 
-// rowBytes estimates one output row's encoded size for the byte budget:
-// eight bytes per value plus string payloads — the same order as the
-// row's wire encoding, cheap enough for the delivery hot path.
-func rowBytes(row tuple.Tuple) int {
-	n := 8 * len(row)
-	for _, v := range row {
-		if v.Kind() == value.String {
-			n += len(v.Str())
+// rowBytes estimates row i's encoded size for the byte budget: eight
+// bytes per value plus string payloads — the same order as the row's wire
+// encoding, cheap enough for the delivery hot path.
+func rowBytes(cols []*tuple.Column, i int) int {
+	n := 8 * len(cols)
+	for _, c := range cols {
+		if c.Kinds()[i] == value.String {
+			n += len(c.Str(i))
 		}
 	}
 	return n
 }
 
-// blockWait returns the per-row backpressure bound for this query's
-// subscriptions (0 = indefinite, the plain Block contract).
+// blockWait returns the backpressure bound, per row or per frame, for
+// this query's subscriptions (0 = indefinite, the plain Block contract).
 func (h *QueryHandle) blockWait() time.Duration {
 	if h.block && h.quota.DetachAfter > 0 {
 		return detachWait
@@ -108,7 +109,7 @@ func (h *QueryHandle) detachSub(s *Subscription, lost uint64) {
 	}
 	s.forcedOff.Store(true)
 	s.closeOnce.Do(func() { close(s.closed) })
-	close(s.ch)
+	s.end()
 	h.detached.Add(1)
 	// Fold the detached subscription's drop count into the handle so the
 	// shed evidence survives the splice (Dropped sums live subs only).

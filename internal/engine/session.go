@@ -51,8 +51,9 @@ import (
 // pump itself is always the sole writer while running.
 //
 // Delivery. Each installed query fans its output rows to any number of
-// Subscriptions (bounded channels, per-query buffer size and overflow
-// policy from InstallOptions) and an optional synchronous OnRow callback.
+// Subscriptions (bounded queues of rows or of shared column frames, with
+// per-query buffer size and overflow policy from InstallOptions) and an
+// optional synchronous OnRow callback.
 // A subscriber that falls behind under the default drop policy loses the
 // oldest buffered rows — counted, never blocking the pump; under Block
 // the pump waits (backpressure, one slow subscriber stalls the tap). An
@@ -156,7 +157,10 @@ type InstallOptions struct {
 	// Seed seeds the query's (and a newly created tap's) stateful
 	// functions.
 	Seed uint64
-	// Buffer is each Subscription's row buffer (default 256).
+	// Buffer bounds the rows queued on each Subscription, of either form
+	// (default 256): a row subscription's channel holds that many rows, and
+	// a frame subscription's frames are cut to at most min(Buffer, 512)
+	// rows so that the rows queued never exceed it either.
 	Buffer int
 	// Block selects the overflow policy when a subscriber's buffer is
 	// full: false (default) drops the oldest buffered row and counts it;
@@ -462,7 +466,7 @@ func (e *Engine) install(name, src string, opts InstallOptions) (*QueryHandle, e
 			return nil, fmt.Errorf("engine: query %q cannot be installed while durability is enabled: %w", name, err)
 		}
 	}
-	h.node.Subscribe(h.deliver)
+	h.node.deliver = h.deliver
 	h.seq = e.nextSeq
 	e.nextSeq++
 	e.handles[name] = h
@@ -691,12 +695,19 @@ type QueryHandle struct {
 	errv       atomic.Pointer[error]
 
 	// subs is copy-on-write: deliver loads the slice without a lock, once
-	// per row, and walks it, so Subscribe, dropSub and closeSubs — the
-	// writers, serialized by mu — store a new backing array and never write
-	// into a published one.
+	// per run of rows, and walks it, so Subscribe, dropSub and closeSubs —
+	// the writers, serialized by mu — store a new backing array and never
+	// write into a published one.
 	subs    atomic.Pointer[[]*Subscription]
 	mu      sync.Mutex
 	retired bool
+
+	// deliver's scratch, pump goroutine only: the admitted rows of the run
+	// and the lent row OnRow and row subscribers are shown.
+	sel []int32
+	row tuple.Tuple
+	// frames pools the frames frame subscribers share (frames.go).
+	frames sync.Pool
 }
 
 // liveSubs returns the current subscriber list, for reading only.
@@ -753,7 +764,7 @@ func (h *QueryHandle) Dropped() uint64 {
 	return n
 }
 
-// Subscribers returns the number of live subscriptions.
+// Subscribers returns the number of live subscriptions, of both forms.
 func (h *QueryHandle) Subscribers() int { return len(h.liveSubs()) }
 
 // Err returns the error that failed this query (an OnRow error or a
@@ -770,36 +781,82 @@ func (h *QueryHandle) Err() error {
 	return nil
 }
 
-// deliver is the node application callback: it never returns an error
-// (a subscriber problem must not abort the shared session). The tenant
-// gate sits ahead of everything — a shed row costs the shared pump
-// nothing beyond the admission decision, which is what isolates the
-// other tenants from an over-budget query.
-func (h *QueryHandle) deliver(row tuple.Tuple) error {
-	if g := h.gate; g != nil && !g.Admit(rowBytes(row), h.e.lastTS.Load()) {
-		return nil
+// deliver takes a run of the query node's output rows, as columns
+// (Node.deliver), and never fails: a subscriber problem must not abort the
+// shared session. The tenant gate sits ahead of everything, row by row in
+// order — a shed row costs the shared pump nothing beyond the admission
+// decision, which is what isolates the other tenants from an over-budget
+// query. OnRow and row subscribers then see each admitted row in turn, and
+// frame subscribers get the admitted rows copied once, as frames they
+// share (frames.go).
+func (h *QueryHandle) deliver(cols []*tuple.Column) {
+	sel := h.admit(cols)
+	if len(sel) == 0 {
+		return
 	}
-	h.rowsOut.Add(1)
-	if h.onRow != nil && !h.failedFlag.Load() {
-		if err := h.onRow(row); err != nil {
-			e := fmt.Errorf("engine: query %q: %w", h.name, err)
-			h.errv.Store(&e)
-			h.failedFlag.Store(true)
-			h.e.sessMu.Lock()
-			s := h.e.sess
-			h.e.sessMu.Unlock()
-			if s != nil {
-				s.pendingFails.Add(1)
+	h.rowsOut.Add(int64(len(sel)))
+	subs := h.liveSubs()
+	wait := h.blockWait()
+	rowSubs, frameSubs := false, false
+	for _, s := range subs {
+		rowSubs = rowSubs || s.q == nil
+		frameSubs = frameSubs || s.q != nil
+	}
+	if h.onRow != nil || rowSubs {
+		for _, i := range sel {
+			h.row = tuple.RowOf(h.row, cols, int(i))
+			if h.onRow != nil {
+				h.callOnRow(h.row)
+			}
+			for _, s := range subs {
+				if s.q == nil && s.offer(h.row, h.block, wait) && h.quota.LagPolicy() {
+					h.noteSubLag(s)
+				}
 			}
 		}
 	}
-	wait := h.blockWait()
-	for _, s := range h.liveSubs() {
-		if s.offer(row, h.block, wait) && h.quota.LagPolicy() {
-			h.noteSubLag(s)
+	if frameSubs {
+		h.deliverFrames(cols, sel, subs, wait)
+	}
+}
+
+// admit returns the rows of the run the tenant gate admits, every row
+// without a gate.
+func (h *QueryHandle) admit(cols []*tuple.Column) []int32 {
+	n := cols[0].Len()
+	sel := h.sel[:0]
+	if g := h.gate; g != nil {
+		ts := h.e.lastTS.Load()
+		for i := 0; i < n; i++ {
+			if g.Admit(rowBytes(cols, i), ts) {
+				sel = append(sel, int32(i))
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			sel = append(sel, int32(i))
 		}
 	}
-	return nil
+	h.sel = sel
+	return sel
+}
+
+// callOnRow shows OnRow one admitted row; its first error fails the query.
+func (h *QueryHandle) callOnRow(row tuple.Tuple) {
+	if h.failedFlag.Load() {
+		return
+	}
+	if err := h.onRow(row); err != nil {
+		e := fmt.Errorf("engine: query %q: %w", h.name, err)
+		h.errv.Store(&e)
+		h.failedFlag.Store(true)
+		h.e.sessMu.Lock()
+		s := h.e.sess
+		h.e.sessMu.Unlock()
+		if s != nil {
+			s.pendingFails.Add(1)
+		}
+	}
 }
 
 // closeSubs ends every subscription; retire additionally marks the
@@ -813,7 +870,7 @@ func (h *QueryHandle) closeSubs(retire bool) {
 	}
 	h.mu.Unlock()
 	for _, s := range subs {
-		close(s.ch)
+		s.end()
 	}
 }
 
@@ -822,7 +879,12 @@ func (h *QueryHandle) closeSubs(retire bool) {
 // overflow policy. The channel closes when the query is uninstalled or
 // the session ends.
 func (h *QueryHandle) Subscribe() *Subscription {
-	s := &Subscription{h: h, ch: make(chan tuple.Tuple, h.buf), closed: make(chan struct{})}
+	return h.attach(&Subscription{h: h, ch: make(chan tuple.Tuple, h.buf), closed: make(chan struct{})})
+}
+
+// attach puts s on the subscriber list, or ends it at once when the query
+// is gone.
+func (h *QueryHandle) attach(s *Subscription) *Subscription {
 	h.mu.Lock()
 	dead := h.retired
 	if !dead {
@@ -832,7 +894,7 @@ func (h *QueryHandle) Subscribe() *Subscription {
 	}
 	h.mu.Unlock()
 	if dead {
-		close(s.ch)
+		s.end()
 	}
 	return s
 }
@@ -858,16 +920,22 @@ func (h *QueryHandle) Rows(ctx context.Context) func(yield func(tuple.Tuple) boo
 	}
 }
 
-// Subscription is one bounded stream of a query's output rows. Receive
-// from C(); the channel closes when the query is uninstalled or the
-// session ends. Each subscriber gets its own copy of every row, carved
-// from backing arrays the subscription allocates a few hundred rows at a
-// time (tuple.Slab): a received row is never written again, and holding
-// one keeps its array's neighbours alive with it.
+// Subscription is one bounded stream of a query's output rows, in one of
+// two forms. One from Subscribe delivers rows on C(); the channel closes
+// when the query is uninstalled or the session ends. Each such subscriber
+// gets its own copy of every row, carved from backing arrays the
+// subscription allocates a few hundred rows at a time (tuple.Slab): a
+// received row is never written again, and holding one keeps its array's
+// neighbours alive with it. One from SubscribeFrames delivers frames
+// through Ready and TakeFrames instead: runs of rows as columns, copied
+// once per run and shared by every frame subscriber of the query (see
+// Frame). Buffer bounds the rows queued on either form, and the overflow
+// policy, Dropped and the lag ladder count rows on both.
 type Subscription struct {
 	h         *QueryHandle
-	ch        chan tuple.Tuple
-	slab      tuple.Slab // pump goroutine only
+	ch        chan tuple.Tuple // row form
+	slab      tuple.Slab       // row form; pump goroutine only
+	q         *frameQueue      // frame form
 	closed    chan struct{}
 	closeOnce sync.Once
 	dropped   atomic.Uint64
@@ -878,7 +946,7 @@ type Subscription struct {
 	forcedOff atomic.Bool
 }
 
-// C returns the subscription's row channel.
+// C returns the subscription's row channel; nil for a frame subscription.
 func (s *Subscription) C() <-chan tuple.Tuple { return s.ch }
 
 // Dropped returns rows this subscription lost to the drop policy.
@@ -896,10 +964,24 @@ func (s *Subscription) Detached() bool { return s.forcedOff.Load() }
 // drops it from the query's subscriber list. Safe to call from any
 // goroutine, any number of times. The row channel is NOT closed by Close
 // (the pump owns it); consumers ranging over C() should select on their
-// own context instead.
+// own context instead. The frames a frame subscription had queued and not
+// taken are released.
 func (s *Subscription) Close() {
+	if s.q != nil {
+		s.q.discard() // before closed: a pump waiting on it finds the end
+	}
 	s.closeOnce.Do(func() { close(s.closed) })
 	s.h.dropSub(s)
+}
+
+// end ends the subscription's stream from the pump's side: the row channel
+// closes, or the frame queue reports its end once taken.
+func (s *Subscription) end() {
+	if s.q != nil {
+		s.q.end()
+		return
+	}
+	close(s.ch)
 }
 
 // offer delivers one row under the overflow policy and reports whether

@@ -615,8 +615,11 @@ func TestSessionEndRacesInstall(t *testing.T) {
 // stays under 0.05 allocations per row per subscriber, where a tuple per
 // row for the callback plus a clone per row per subscriber made it 2. The
 // rows are still each subscriber's own: what a consumer keeps is never
-// written again.
+// written again. Frame subscribers (gsqd's SSE handlers) are held to the
+// same bound: their frames come back to the query's pool, so the copy
+// per run allocates nothing once the pool holds a few.
 func TestHandOffDoesNotAllocatePerRow(t *testing.T) {
+	t.Run("frames", testFrameHandOffDoesNotAllocate)
 	const rows, tenants, keepEvery = 120_000, 2, 500
 	pkts := make([]trace.Packet, rows)
 	for i := range pkts {
@@ -674,6 +677,60 @@ func TestHandOffDoesNotAllocatePerRow(t *testing.T) {
 					i, j*keepEvery, k.row, k.copy, want)
 			}
 		}
+	}
+}
+
+func testFrameHandOffDoesNotAllocate(t *testing.T) {
+	const rows, tenants = 120_000, 2
+	pkts := make([]trace.Packet, rows)
+	for i := range pkts {
+		pkts[i] = trace.Packet{Time: uint64(i) * uint64(time.Microsecond), SrcIP: uint32(i), DstIP: 7, Proto: 6, Len: uint16(i % 1400)}
+	}
+	e, _ := engine.New(1024)
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		h, err := e.Install(fmt.Sprintf("t%d", i), "SELECT time, srcIP, len, uts FROM tap",
+			engine.InstallOptions{Via: "SELECT time, srcIP, len, uts FROM PKT", Block: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := h.SubscribeFrames()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 0
+			frames := make([]engine.Frame, 0, 64)
+			for open := true; open; {
+				<-sub.Ready()
+				frames, open = sub.TakeFrames(frames[:0])
+				for _, f := range frames {
+					if ip := f.Cols()[1].Bits()[f.Lo]; ip != uint64(n) {
+						t.Errorf("tenant %d: row %d is packet %d", i, n, ip)
+					}
+					n += f.Len()
+					f.Release()
+				}
+			}
+			if n != rows {
+				t.Errorf("tenant %d received %d rows, want %d", i, n, rows)
+			}
+		}()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := e.Start(context.Background(), sliceFeed(pkts)); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(after.Mallocs-before.Mallocs) / (rows * tenants)
+	t.Logf("%d allocations over %d rows to %d frame subscribers: %.4f per row per subscriber",
+		after.Mallocs-before.Mallocs, rows, tenants, perRow)
+	if !raceEnabled && perRow > 0.05 {
+		t.Errorf("%.3f allocations per row per subscriber, want <= 0.05", perRow)
 	}
 }
 

@@ -78,6 +78,10 @@ func (c *Column) Kinds() []value.Kind { return c.kinds }
 // loops index it directly; rows whose kind is String or Null carry 0.
 func (c *Column) Bits() []uint64 { return c.bits }
 
+// Str returns the string of row i, which must be a String row: Value(i)'s
+// payload without boxing it.
+func (c *Column) Str(i int) string { return c.strs[i] }
+
 // Valid reports whether row i holds a non-NULL value.
 func (c *Column) Valid(i int) bool { return c.kinds[i] != value.Null }
 
