@@ -196,7 +196,7 @@ func (s *Subscription) offerFrame(f *frame, n int, block bool, wait time.Duratio
 			case <-q.space:
 			case <-s.closed:
 			case <-timeout:
-				s.dropped.Add(uint64(n))
+				s.lose(n)
 				return true
 			}
 			q.mu.Lock()
@@ -232,7 +232,7 @@ func (s *Subscription) offerFrame(f *frame, n int, block bool, wait time.Duratio
 		notify(q.ready)
 	}
 	if lost > 0 {
-		s.dropped.Add(uint64(lost))
+		s.lose(lost)
 		return true
 	}
 	return false

@@ -111,9 +111,6 @@ func (h *QueryHandle) detachSub(s *Subscription, lost uint64) {
 	s.closeOnce.Do(func() { close(s.closed) })
 	s.end()
 	h.detached.Add(1)
-	// Fold the detached subscription's drop count into the handle so the
-	// shed evidence survives the splice (Dropped sums live subs only).
-	h.dropped.Add(s.dropped.Load())
 	if tel := h.e.tel; tel.EventsEnabled() {
 		tel.Emit("subscriber_detached", map[string]any{
 			"query": h.name, "lost": lost, "detach_after": h.quota.DetachAfter,

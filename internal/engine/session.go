@@ -755,14 +755,9 @@ func (h *QueryHandle) Explain() string { return h.node.plan.Describe() }
 // RowsOut returns the number of output rows delivered so far.
 func (h *QueryHandle) RowsOut() int64 { return h.rowsOut.Load() }
 
-// Dropped returns rows dropped across all subscriptions (drop policy).
-func (h *QueryHandle) Dropped() uint64 {
-	n := h.dropped.Load()
-	for _, s := range h.liveSubs() {
-		n += s.dropped.Load()
-	}
-	return n
-}
+// Dropped returns the rows lost to the overflow policy by every
+// subscription the query has had, closed and detached ones included.
+func (h *QueryHandle) Dropped() uint64 { return h.dropped.Load() }
 
 // Subscribers returns the number of live subscriptions, of both forms.
 func (h *QueryHandle) Subscribers() int { return len(h.liveSubs()) }
@@ -952,6 +947,14 @@ func (s *Subscription) C() <-chan tuple.Tuple { return s.ch }
 // Dropped returns rows this subscription lost to the drop policy.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
+// lose counts n rows the subscription lost, on it and on its query: the
+// query's count is taken as the rows go, so no way out of the subscriber
+// list can lose it.
+func (s *Subscription) lose(n int) {
+	s.dropped.Add(uint64(n))
+	s.h.dropped.Add(uint64(n))
+}
+
 // Lagging reports whether the subscription crossed its query's WarnLag
 // threshold.
 func (s *Subscription) Lagging() bool { return s.lagging.Load() }
@@ -1017,7 +1020,7 @@ func (s *Subscription) offer(row tuple.Tuple, block bool, wait time.Duration) bo
 		case <-s.closed:
 			return false
 		case <-t.C:
-			s.dropped.Add(1)
+			s.lose(1)
 			return true
 		}
 	}
@@ -1026,14 +1029,14 @@ func (s *Subscription) offer(row tuple.Tuple, block bool, wait time.Duration) bo
 	lost := false
 	select {
 	case <-s.ch:
-		s.dropped.Add(1)
+		s.lose(1)
 		lost = true
 	default:
 	}
 	select {
 	case s.ch <- r:
 	default:
-		s.dropped.Add(1)
+		s.lose(1)
 		lost = true
 	}
 	return lost

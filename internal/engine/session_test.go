@@ -796,3 +796,59 @@ func TestFlushHandOffDoesNotAllocatePerRow(t *testing.T) {
 		t.Errorf("%.3f allocations per emitted row, want <= 0.05 beyond the slab's 1/256", perRow)
 	}
 }
+
+// TestQueryDroppedCountsEverySubscription: a query's Dropped counts the
+// rows lost by every subscription it has had, of either form, and never
+// goes backwards: the losses of a subscription its consumer closed
+// mid-session, of those an uninstall ended and of those the session's end
+// ended all stay counted.
+func TestQueryDroppedCountsEverySubscription(t *testing.T) {
+	e, _ := engine.New(1024)
+	if err := e.Start(context.Background(), &infiniteFeed{passEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string][]*engine.Subscription{}
+	handles := map[string]*engine.QueryHandle{}
+	for _, name := range []string{"closed", "uninstalled", "ended"} {
+		h, err := e.Install(name, "SELECT srcIP, len FROM flows", engine.InstallOptions{Via: testVia, Buffer: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[name] = h
+		subs[name] = []*engine.Subscription{h.Subscribe(), h.SubscribeFrames()} // never read
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for name, ss := range subs {
+		for _, s := range ss {
+			for s.Dropped() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: a subscription lost no row", name)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	closed := handles["closed"]
+	for _, s := range subs["closed"] {
+		before := closed.Dropped()
+		s.Close()
+		if after := closed.Dropped(); after < before {
+			t.Errorf("Dropped went from %d to %d when a subscription closed", before, after)
+		}
+	}
+	if err := e.Uninstall("uninstalled"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range handles {
+		var want uint64
+		for _, s := range subs[name] {
+			want += s.Dropped()
+		}
+		if got := h.Dropped(); got != want {
+			t.Errorf("%s: query Dropped %d, its subscriptions lost %d", name, got, want)
+		}
+	}
+}

@@ -95,6 +95,15 @@ HAVING pskeep(uts) = TRUE
 CLEANING WHEN psdo_clean(count_distinct$(*)) = TRUE
 CLEANING BY pskeep(uts) = TRUE`, -1},
 	}, want: []string{"sfun", "where", "group_lookup", "evict", "having", "emit", "where_rejected", "emitted", "having_rejected"}},
+	// Distinct sampling as docs/QUERYLANG.md writes it: a WHERE call on a
+	// group-by variable, a CLEANING WHEN call over a superaggregate, and a
+	// CLEANING BY call on the group-by variable, which runs its closure.
+	{name: "distinct", nodes: []traceSeqNode{
+		{"ds", `SELECT tb, HX, count(*), dsscale() FROM PKT WHERE dsample(HX, 16) = TRUE
+GROUP BY time/1 AS tb, H(destIP) AS HX
+CLEANING WHEN dsdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY dskeep(HX) = TRUE`, -1},
+	}, want: []string{"sfun", "where", "group_lookup", "evict", "emit", "where_rejected", "emitted"}},
 	// Closure mode: a WHERE, HAVING and CLEANING BY comparison against a
 	// superaggregate (the min-hash query of §6.6).
 	{name: "minhash", closure: true, nodes: []traceSeqNode{

@@ -1,8 +1,6 @@
 package sfunlib
 
 import (
-	"fmt"
-
 	"streamop/internal/checkpoint"
 	"streamop/internal/sample/priority"
 	"streamop/internal/sample/subsetsum"
@@ -33,11 +31,7 @@ func decodeRng(d *checkpoint.Decoder) *xrand.Rand {
 	return r
 }
 
-func encodeSS(state any, e *checkpoint.Encoder) error {
-	s, err := asSS(state)
-	if err != nil {
-		return err
-	}
+func encodeSS(s *ssState, e *checkpoint.Encoder) {
 	e.Bool(s.configured)
 	e.I64(int64(s.n))
 	e.F64(s.theta)
@@ -51,11 +45,10 @@ func encodeSS(state any, e *checkpoint.Encoder) error {
 	e.Bool(s.finalArmed)
 	e.Bool(s.finalPrepared)
 	e.Bool(s.subsampling)
-	return nil
 }
 
-func decodeSS(d *checkpoint.Decoder) (any, error) {
-	s := &ssState{
+func decodeSS(d *checkpoint.Decoder) *ssState {
+	return &ssState{
 		configured: d.Bool(),
 		n:          int(d.I64()),
 		theta:      d.F64(),
@@ -72,37 +65,18 @@ func decodeSS(d *checkpoint.Decoder) (any, error) {
 		finalPrepared: d.Bool(),
 		subsampling:   d.Bool(),
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // A bssample state stores only its admission counter: z arrives with
 // every call.
-func encodeBSS(state any, e *checkpoint.Encoder) error {
-	s, ok := state.(*bssState)
-	if !ok {
-		return fmt.Errorf("basic_subsetsum_state: wrong state type %T", state)
-	}
-	e.F64(s.Counter)
-	return nil
-}
+func encodeBSS(s *bssState, e *checkpoint.Encoder) { e.F64(s.Counter) }
 
-func decodeBSS(d *checkpoint.Decoder) (any, error) {
-	s := &bssState{subsetsum.Threshold{Counter: d.F64()}}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+func decodeBSS(d *checkpoint.Decoder) *bssState {
+	return &bssState{subsetsum.Threshold{Counter: d.F64()}}
 }
 
 // The reservoir's leading flag is "configured", which N > 0 also says.
-func encodeRS(state any, e *checkpoint.Encoder) error {
-	s, err := asRS(state)
-	if err != nil {
-		return err
-	}
+func encodeRS(s *rsState, e *checkpoint.Encoder) {
 	e.Bool(s.N > 0)
 	e.I64(int64(s.N))
 	e.F64(s.tol)
@@ -113,10 +87,9 @@ func encodeRS(state any, e *checkpoint.Encoder) error {
 	for _, tag := range s.Items {
 		e.U64(tag)
 	}
-	return nil
 }
 
-func decodeRS(d *checkpoint.Decoder) (any, error) {
+func decodeRS(d *checkpoint.Decoder) *rsState {
 	d.Bool()
 	s := &rsState{}
 	s.N = int(d.I64())
@@ -125,9 +98,6 @@ func decodeRS(d *checkpoint.Decoder) (any, error) {
 	s.Seen = d.I64()
 	s.Skip = d.I64()
 	n := d.Len()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	if n > 0 || s.N > 0 {
 		s.Items = make([]uint64, 0, n)
 		s.tags = make(map[uint64]bool, n)
@@ -137,61 +107,30 @@ func decodeRS(d *checkpoint.Decoder) (any, error) {
 		s.Items = append(s.Items, tag)
 		s.tags[tag] = true
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s
 }
 
-func encodeHH(state any, e *checkpoint.Encoder) error {
-	s, err := asHH(state)
-	if err != nil {
-		return err
-	}
+func encodeHH(s *hhState, e *checkpoint.Encoder) {
 	e.I64(s.w)
 	e.I64(s.count)
-	return nil
 }
 
-func decodeHH(d *checkpoint.Decoder) (any, error) {
-	s := &hhState{w: d.I64(), count: d.I64()}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+func decodeHH(d *checkpoint.Decoder) *hhState { return &hhState{w: d.I64(), count: d.I64()} }
 
-func encodeDS(state any, e *checkpoint.Encoder) error {
-	s, err := asDS(state)
-	if err != nil {
-		return err
-	}
+func encodeDS(s *dsState, e *checkpoint.Encoder) {
 	e.Bool(s.configured)
 	e.I64(int64(s.capacity))
 	e.U64(uint64(s.level))
-	return nil
 }
 
-func decodeDS(d *checkpoint.Decoder) (any, error) {
-	s := &dsState{
-		configured: d.Bool(),
-		capacity:   int(d.I64()),
-		level:      uint(d.U64()),
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+func decodeDS(d *checkpoint.Decoder) *dsState {
+	return &dsState{configured: d.Bool(), capacity: int(d.I64()), level: uint(d.U64())}
 }
 
 // The priority sampler's leading flag is "configured", which K > 0 also
 // says. Each member stores its tag and priority, not its weight: the group
 // table holds the weight, and no ps* function reads it.
-func encodePS(state any, e *checkpoint.Encoder) error {
-	s, err := asPS(state)
-	if err != nil {
-		return err
-	}
+func encodePS(s *psState, e *checkpoint.Encoder) {
 	e.Bool(s.K > 0)
 	e.I64(int64(s.K))
 	encodeRng(e, s.Rng)
@@ -203,27 +142,20 @@ func encodePS(state any, e *checkpoint.Encoder) error {
 		e.U64(m.Payload)
 		e.F64(m.Priority)
 	}
-	return nil
 }
 
-func decodePS(d *checkpoint.Decoder) (any, error) {
+func decodePS(d *checkpoint.Decoder) *psState {
 	d.Bool()
 	s := &psState{tags: map[uint64]bool{}}
 	s.K = int(d.I64())
 	s.Rng = decodeRng(d)
 	s.Tau = d.F64()
 	n := d.Len()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
 	s.Items = make([]priority.Sample[uint64], 0, n)
 	for i := 0; i < n; i++ {
 		m := priority.Sample[uint64]{Payload: d.U64(), Priority: d.F64()}
 		s.Items = append(s.Items, m)
 		s.tags[m.Payload] = true
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s
 }

@@ -40,43 +40,31 @@ func (s *dsState) Gauges(emit func(string, float64)) {
 	emit("scale", float64(uint64(1)<<s.level))
 }
 
-func asDS(state any) (*dsState, error) {
-	s, ok := state.(*dsState)
-	if !ok {
-		return nil, fmt.Errorf("distinct_sampling_state: wrong state type %T", state)
+// qualifies is dsample's admission and dskeep, called as fn: whether the
+// hash argument qualifies at the current level.
+func (s *dsState) qualifies(fn string, args []value.Value) (value.Value, error) {
+	h, err := tagArg(fn, args, 0)
+	if err != nil {
+		return value.Value{}, err
 	}
-	return s, nil
+	return value.NewBool(distinct.Qualifies(h, s.level)), nil
 }
 
-func registerDistinct(reg *sfun.Registry) error {
-	if err := reg.RegisterState(&sfun.StateType{
-		Name: DistinctStateName,
-		// The sample restarts each window at level 0; only the capacity
-		// carries over.
-		Init: func(old any) any {
-			s := &dsState{}
-			if o, ok := old.(*dsState); ok && o.configured {
-				s.configured = true
-				s.capacity = o.capacity
-			}
-			return s
-		},
-		Encode: encodeDS,
-		Decode: decodeDS,
-	}); err != nil {
-		return err
+func registerDistinct(reg *sfun.Registry, _ uint64) error {
+	// The sample restarts each window at level 0; only the capacity
+	// carries over.
+	init := func(o *dsState) *dsState {
+		if o == nil || !o.configured {
+			return &dsState{}
+		}
+		return &dsState{configured: true, capacity: o.capacity}
 	}
-
-	funcs := []sfun.Func{
+	return family(reg, sfun.StateType{Name: DistinctStateName}, init, encodeDS, decodeDS, []fn[dsState]{
 		{
 			// dsample(hx, capacity) admits values whose hash qualifies at
 			// the current sampling level.
-			Name: "dsample", State: DistinctStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asDS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "dsample",
+			call: func(s *dsState, args []value.Value) (value.Value, error) {
 				if !s.configured {
 					c, err := intArg("dsample", args, 1)
 					if err != nil {
@@ -88,21 +76,13 @@ func registerDistinct(reg *sfun.Registry) error {
 					s.capacity = int(c)
 					s.configured = true
 				}
-				h, err := tagArg("dsample", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(distinct.Qualifies(h, s.level)), nil
+				return s.qualifies("dsample", args)
 			},
 		},
 		{
 			// dsdo_clean raises the level when the sample overflows.
-			Name: "dsdo_clean", State: DistinctStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asDS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "dsdo_clean",
+			call: func(s *dsState, args []value.Value) (value.Value, error) {
 				cnt, err := intArg("dsdo_clean", args, 0)
 				if err != nil {
 					return value.Value{}, err
@@ -117,36 +97,18 @@ func registerDistinct(reg *sfun.Registry) error {
 		{
 			// dskeep(hx) keeps the values still qualifying after a level
 			// raise.
-			Name: "dskeep", State: DistinctStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asDS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
-				h, err := tagArg("dskeep", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(distinct.Qualifies(h, s.level)), nil
+			name: "dskeep",
+			call: func(s *dsState, args []value.Value) (value.Value, error) {
+				return s.qualifies("dskeep", args)
 			},
 		},
 		{
 			// dsscale returns 2^level, the number of distinct values each
 			// sampled value represents.
-			Name: "dsscale", State: DistinctStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asDS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "dsscale",
+			call: func(s *dsState, _ []value.Value) (value.Value, error) {
 				return value.NewUint(uint64(1) << s.level), nil
 			},
 		},
-	}
-	for i := range funcs {
-		if err := reg.RegisterFunc(&funcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

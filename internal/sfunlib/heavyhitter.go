@@ -23,51 +23,33 @@ type hhState struct {
 // the stream position it derives from.
 func (s *hhState) Gauges(emit func(string, float64)) {
 	emit("tuples_seen", float64(s.count))
-	bucket := int64(1)
-	if s.w > 0 {
-		if b := (s.count + s.w - 1) / s.w; b > 1 {
-			bucket = b
+	emit("current_bucket", float64(s.bucket()))
+}
+
+// bucket is ceil(count/w), the 1-based id of the current lossy-counting
+// bucket; 1 before local_count set the width.
+func (s *hhState) bucket() int64 {
+	if s.w <= 0 {
+		return 1
+	}
+	return max(1, (s.count+s.w-1)/s.w)
+}
+
+func registerHeavyHitter(reg *sfun.Registry, _ uint64) error {
+	// Lossy counting restarts each window; only the bucket width is
+	// carried so current_bucket works from the first tuple.
+	init := func(o *hhState) *hhState {
+		if o == nil {
+			return &hhState{}
 		}
+		return &hhState{w: o.w}
 	}
-	emit("current_bucket", float64(bucket))
-}
-
-func asHH(state any) (*hhState, error) {
-	s, ok := state.(*hhState)
-	if !ok {
-		return nil, fmt.Errorf("heavyhitter_state: wrong state type %T", state)
-	}
-	return s, nil
-}
-
-func registerHeavyHitter(reg *sfun.Registry) error {
-	if err := reg.RegisterState(&sfun.StateType{
-		Name: HeavyHitterStateName,
-		// Lossy counting restarts each window; only the bucket width is
-		// carried so current_bucket works from the first tuple.
-		Init: func(old any) any {
-			s := &hhState{}
-			if o, ok := old.(*hhState); ok {
-				s.w = o.w
-			}
-			return s
-		},
-		Encode: encodeHH,
-		Decode: decodeHH,
-	}); err != nil {
-		return err
-	}
-
-	funcs := []sfun.Func{
+	return family(reg, sfun.StateType{Name: HeavyHitterStateName}, init, encodeHH, decodeHH, []fn[hhState]{
 		{
 			// local_count(w) counts tuples and returns TRUE once every w
 			// calls: the bucket-boundary cleaning trigger.
-			Name: "local_count", State: HeavyHitterStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asHH(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "local_count",
+			call: func(s *hhState, args []value.Value) (value.Value, error) {
 				w, err := intArg("local_count", args, 0)
 				if err != nil {
 					return value.Value{}, err
@@ -83,27 +65,10 @@ func registerHeavyHitter(reg *sfun.Registry) error {
 		{
 			// current_bucket returns ceil(N/w), the 1-based id of the
 			// current lossy-counting bucket.
-			Name: "current_bucket", State: HeavyHitterStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asHH(state)
-				if err != nil {
-					return value.Value{}, err
-				}
-				if s.w <= 0 {
-					return value.NewInt(1), nil
-				}
-				b := (s.count + s.w - 1) / s.w
-				if b < 1 {
-					b = 1
-				}
-				return value.NewInt(b), nil
+			name: "current_bucket",
+			call: func(s *hhState, _ []value.Value) (value.Value, error) {
+				return value.NewInt(s.bucket()), nil
 			},
 		},
-	}
-	for i := range funcs {
-		if err := reg.RegisterFunc(&funcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

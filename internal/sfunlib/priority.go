@@ -2,9 +2,7 @@ package sfunlib
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"streamop/internal/checkpoint"
 	"streamop/internal/sample/priority"
 	"streamop/internal/sfun"
 	"streamop/internal/value"
@@ -59,50 +57,26 @@ func (s *psState) Inclusion(w float64) (float64, bool) {
 	return w / s.Tau, true
 }
 
-func asPS(state any) (*psState, error) {
-	s, ok := state.(*psState)
-	if !ok {
-		return nil, fmt.Errorf("priority_sampling_state: wrong state type %T", state)
-	}
-	return s, nil
-}
-
 func registerPriority(reg *sfun.Registry, seed uint64) error {
-	var instance atomic.Uint64
-	if err := reg.RegisterState(&sfun.StateType{
-		Name: PriorityStateName,
-		// The sample restarts each window; only k carries over.
-		Init: func(old any) any {
-			s := &psState{
-				Sampler: priority.Sampler[uint64]{Rng: instanceRng(seed, instance.Add(1), psSeedMul)},
-				tags:    map[uint64]bool{},
-			}
-			if o, ok := old.(*psState); ok {
-				s.K = o.K
-			}
-			return s
-		},
-		Encode:       encodePS,
-		Decode:       decodePS,
-		EncodeShared: func(e *checkpoint.Encoder) { e.U64(instance.Load()) },
-		DecodeShared: func(d *checkpoint.Decoder) error {
-			instance.Store(d.U64())
-			return d.Err()
-		},
-	}); err != nil {
-		return err
+	st := sfun.StateType{Name: PriorityStateName}
+	instance := instances(&st)
+	// The sample restarts each window; only k carries over.
+	init := func(o *psState) *psState {
+		s := &psState{
+			Sampler: priority.Sampler[uint64]{Rng: instanceRng(seed, instance.Add(1), psSeedMul)},
+			tags:    map[uint64]bool{},
+		}
+		if o != nil {
+			s.K = o.K
+		}
+		return s
 	}
-
-	funcs := []sfun.Func{
+	return family(reg, st, init, encodePS, decodePS, []fn[psState]{
 		{
 			// psample(tag, w, k) admits the record when its priority w/u
 			// enters the k highest, displacing the current minimum.
-			Name: "psample", State: PriorityStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asPS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "psample",
+			call: func(s *psState, args []value.Value) (value.Value, error) {
 				if s.K == 0 {
 					k, err := intArg("psample", args, 2)
 					if err != nil {
@@ -134,12 +108,8 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 		{
 			// pskeep(tag) keeps exactly the current k-highest-priority
 			// members; serves as both CLEANING BY and HAVING.
-			Name: "pskeep", State: PriorityStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asPS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "pskeep",
+			call: func(s *psState, args []value.Value) (value.Value, error) {
 				tag, err := tagArg("pskeep", args, 0)
 				if err != nil {
 					return value.Value{}, err
@@ -150,12 +120,8 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 		{
 			// psdo_clean triggers eviction of displaced groups once they
 			// outnumber the sample 2:1.
-			Name: "psdo_clean", State: PriorityStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asPS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "psdo_clean",
+			call: func(s *psState, args []value.Value) (value.Value, error) {
 				cnt, err := intArg("psdo_clean", args, 0)
 				if err != nil {
 					return value.Value{}, err
@@ -166,20 +132,10 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 		{
 			// pstau returns the threshold tau; UMAX(sum(len), pstau()) is
 			// the unbiased adjusted weight at output time.
-			Name: "pstau", State: PriorityStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asPS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "pstau",
+			call: func(s *psState, _ []value.Value) (value.Value, error) {
 				return value.NewFloat(s.Tau), nil
 			},
 		},
-	}
-	for i := range funcs {
-		if err := reg.RegisterFunc(&funcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

@@ -2,9 +2,7 @@ package sfunlib
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"streamop/internal/checkpoint"
 	"streamop/internal/sample/reservoir"
 	"streamop/internal/sfun"
 	"streamop/internal/value"
@@ -81,14 +79,6 @@ func (s *rsState) configure(args []value.Value) error {
 	return nil
 }
 
-func asRS(state any) (*rsState, error) {
-	s, ok := state.(*rsState)
-	if !ok {
-		return nil, fmt.Errorf("reservoir_sampling_state: wrong state type %T", state)
-	}
-	return s, nil
-}
-
 func tagArg(fn string, args []value.Value, i int) (uint64, error) {
 	if i >= len(args) {
 		return 0, fmt.Errorf("%s: missing tag argument (pass the record's uts)", fn)
@@ -99,49 +89,43 @@ func tagArg(fn string, args []value.Value, i int) (uint64, error) {
 	return args[i].AsUint(), nil
 }
 
-func registerReservoir(reg *sfun.Registry, seed uint64) error {
-	// Each state instance gets an independent deterministic generator.
-	var instance atomic.Uint64
-	if err := reg.RegisterState(&sfun.StateType{
-		Name: ReservoirStateName,
-		Init: func(old any) any {
-			s := &rsState{Reservoir: reservoir.Reservoir[uint64]{
-				Rng:  instanceRng(seed, instance.Add(1), rsSeedMul),
-				Skip: -1,
-			}}
-			if o, ok := old.(*rsState); ok && o.N > 0 {
-				// The sample restarts each window; only configuration
-				// carries over.
-				s.N = o.N
-				s.tol = o.tol
-				s.tags = make(map[uint64]bool, s.N)
-			}
-			return s
-		},
-		Encode: encodeRS,
-		Decode: decodeRS,
-		// The instance counter seeds each new supergroup's generator;
-		// restoring it keeps post-resume supergroups on the seeds an
-		// uninterrupted run would have drawn.
-		EncodeShared: func(e *checkpoint.Encoder) { e.U64(instance.Load()) },
-		DecodeShared: func(d *checkpoint.Decoder) error {
-			instance.Store(d.U64())
-			return d.Err()
-		},
-	}); err != nil {
-		return err
-	}
+// rsKeep is rsclean_with and rsfinal_clean, as name: name(tag) is TRUE
+// for exactly the current reservoir members. In CLEANING BY it evicts the
+// displaced candidates; in HAVING it selects the final sample, the exact
+// reservoir.
+func rsKeep(name string) fn[rsState] {
+	return fn[rsState]{name: name, call: func(s *rsState, args []value.Value) (value.Value, error) {
+		tag, err := tagArg(name, args, 0)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.NewBool(s.tags[tag]), nil
+	}}
+}
 
-	funcs := []sfun.Func{
+func registerReservoir(reg *sfun.Registry, seed uint64) error {
+	st := sfun.StateType{Name: ReservoirStateName}
+	instance := instances(&st)
+	init := func(o *rsState) *rsState {
+		s := &rsState{Reservoir: reservoir.Reservoir[uint64]{
+			Rng:  instanceRng(seed, instance.Add(1), rsSeedMul),
+			Skip: -1,
+		}}
+		if o != nil && o.N > 0 {
+			// The sample restarts each window; only configuration
+			// carries over.
+			s.N = o.N
+			s.tol = o.tol
+			s.tags = make(map[uint64]bool, s.N)
+		}
+		return s
+	}
+	return family(reg, st, init, encodeRS, decodeRS, []fn[rsState]{
 		{
 			// rsample(tag, n [, T]) admits the record into the reservoir
 			// with probability n/t, displacing a random earlier member.
-			Name: "rsample", State: ReservoirStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asRS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "rsample",
+			call: func(s *rsState, args []value.Value) (value.Value, error) {
 				if s.N == 0 {
 					if err := s.configure(args); err != nil {
 						return value.Value{}, err
@@ -164,57 +148,16 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 		{
 			// rsdo_clean triggers cleaning when accumulated candidates
 			// (live + displaced) exceed T*n.
-			Name: "rsdo_clean", State: ReservoirStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asRS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "rsdo_clean",
+			call: func(s *rsState, args []value.Value) (value.Value, error) {
 				cnt, err := intArg("rsdo_clean", args, 0)
 				if err != nil {
 					return value.Value{}, err
 				}
-				trigger := s.N > 0 && float64(cnt) > s.tol*float64(s.N)
-				return value.NewBool(trigger), nil
+				return value.NewBool(s.N > 0 && float64(cnt) > s.tol*float64(s.N)), nil
 			},
 		},
-		{
-			// rsclean_with(tag) keeps exactly the current reservoir
-			// members, evicting displaced candidates.
-			Name: "rsclean_with", State: ReservoirStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asRS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
-				tag, err := tagArg("rsclean_with", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(s.tags[tag]), nil
-			},
-		},
-		{
-			// rsfinal_clean(tag) selects the final sample at the window
-			// border: the exact reservoir.
-			Name: "rsfinal_clean", State: ReservoirStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asRS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
-				tag, err := tagArg("rsfinal_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(s.tags[tag]), nil
-			},
-		},
-	}
-	for i := range funcs {
-		if err := reg.RegisterFunc(&funcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+		rsKeep("rsclean_with"),
+		rsKeep("rsfinal_clean"),
+	})
 }

@@ -11,13 +11,26 @@
 // allocated per supergroup by the operator, with old-window state handoff.
 // Every sampling family's state wraps its internal/sample package — the
 // algorithm is written once there — and adds only the record tags and the
-// operator's cleaning protocol.
+// operator's cleaning protocol. A family is written against its own state
+// type and registered with family, which binds it to sfun's untyped API:
+//
+//	family(reg, sfun.StateType{Name: DistinctStateName},
+//		func(old *dsState) *dsState { ... },       // Init; old is nil in a new supergroup
+//		func(s *dsState, e *checkpoint.Encoder) { ... },
+//		func(d *checkpoint.Decoder) *dsState { ... },
+//		[]fn[dsState]{
+//			{name: "dsscale", call: func(s *dsState, _ []value.Value) (value.Value, error) {
+//				return value.NewUint(uint64(1) << s.level), nil
+//			}},
+//		})
 package sfunlib
 
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
+	"streamop/internal/checkpoint"
 	"streamop/internal/sfun"
 	"streamop/internal/value"
 	"streamop/internal/xrand"
@@ -28,25 +41,76 @@ import (
 // the k-th state a family creates draws from instanceRng(seed, k, mul)
 // with the family's multiplier.
 func Register(reg *sfun.Registry, seed uint64) error {
-	if err := registerScalars(reg); err != nil {
+	for _, register := range []func(*sfun.Registry, uint64) error{
+		registerScalars, registerSubsetSum, registerBasicSubsetSum,
+		registerReservoir, registerHeavyHitter, registerPriority, registerDistinct,
+	} {
+		if err := register(reg, seed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fn is one function of a family, written against the family's state S.
+// It gives a call or, for a predicate, a scan (see sfun.Func): a scan
+// takes the state untyped and asserts it itself, so its loop over rows
+// runs without an adapter in between.
+type fn[S any] struct {
+	name string
+	call func(s *S, args []value.Value) (value.Value, error)
+	scan sfun.ScanFunc
+}
+
+// family registers st, whose Init, Encode and Decode it builds from init,
+// enc and dec, and funcs, each bound to st. init receives the previous
+// window's state, nil for a new supergroup; a decode fails with the
+// decoder's error. A state of another type than S is refused.
+func family[S any](reg *sfun.Registry, st sfun.StateType, init func(old *S) *S,
+	enc func(*S, *checkpoint.Encoder), dec func(*checkpoint.Decoder) *S, funcs []fn[S]) error {
+	st.Init = func(old any) any {
+		o, _ := old.(*S)
+		return init(o)
+	}
+	st.Encode = func(state any, e *checkpoint.Encoder) error {
+		s, ok := state.(*S)
+		if !ok {
+			return wrongState(st.Name, state)
+		}
+		enc(s, e)
+		return nil
+	}
+	st.Decode = func(d *checkpoint.Decoder) (any, error) {
+		s := dec(d)
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	if err := reg.RegisterState(&st); err != nil {
 		return err
 	}
-	if err := registerSubsetSum(reg); err != nil {
-		return err
+	for _, f := range funcs {
+		sf := &sfun.Func{Name: f.name, State: st.Name, Scan: f.scan}
+		if call := f.call; call != nil {
+			sf.Call = func(state any, args []value.Value) (value.Value, error) {
+				s, ok := state.(*S)
+				if !ok {
+					return value.Value{}, wrongState(st.Name, state)
+				}
+				return call(s, args)
+			}
+		}
+		if err := reg.RegisterFunc(sf); err != nil {
+			return err
+		}
 	}
-	if err := registerBasicSubsetSum(reg); err != nil {
-		return err
-	}
-	if err := registerReservoir(reg, seed); err != nil {
-		return err
-	}
-	if err := registerHeavyHitter(reg); err != nil {
-		return err
-	}
-	if err := registerPriority(reg, seed); err != nil {
-		return err
-	}
-	return registerDistinct(reg)
+	return nil
+}
+
+// wrongState is the error for a state of another family's type.
+func wrongState(name string, state any) error {
+	return fmt.Errorf("%s: wrong state type %T", name, state)
 }
 
 // Seed multipliers of the randomized families (see instanceRng).
@@ -59,6 +123,20 @@ const (
 // seed ^ k*mul, so every state draws an independent deterministic stream.
 func instanceRng(seed, k, mul uint64) *xrand.Rand { return xrand.New(seed ^ (k * mul)) }
 
+// instances is the count of states a randomized family has created, the k
+// of instanceRng, made st's shared checkpoint context: restoring it keeps
+// the supergroups created after a resume on the seeds an uninterrupted run
+// would have drawn.
+func instances(st *sfun.StateType) *atomic.Uint64 {
+	var n atomic.Uint64
+	st.EncodeShared = func(e *checkpoint.Encoder) { e.U64(n.Load()) }
+	st.DecodeShared = func(d *checkpoint.Decoder) error {
+		n.Store(d.U64())
+		return d.Err()
+	}
+	return &n
+}
+
 // Default returns a registry with the full library registered.
 func Default(seed uint64) *sfun.Registry {
 	reg := sfun.NewRegistry()
@@ -68,57 +146,44 @@ func Default(seed uint64) *sfun.Registry {
 	return reg
 }
 
-func registerScalars(reg *sfun.Registry) error {
-	scalars := []sfun.Func{
-		{
-			Name: "UMAX",
-			Call: func(_ any, args []value.Value) (value.Value, error) {
-				if len(args) != 2 {
-					return value.Value{}, fmt.Errorf("UMAX takes 2 arguments, got %d", len(args))
+func registerScalars(reg *sfun.Registry, _ uint64) error {
+	for _, f := range []sfun.Func{pick("UMAX", true), pick("UMIN", false), {
+		// H hashes its argument to a uniform 64-bit value; an optional
+		// second argument seeds the hash (distinct min-hash signatures).
+		Name: "H",
+		Call: func(_ any, args []value.Value) (value.Value, error) {
+			switch len(args) {
+			case 1:
+				return value.NewUint(value.Hash(args[0], 0x5eed)), nil
+			case 2:
+				if !args[1].Kind().Numeric() {
+					return value.Value{}, fmt.Errorf("H seed must be numeric")
 				}
-				if value.Compare(args[0], args[1]) >= 0 {
-					return args[0], nil
-				}
-				return args[1], nil
-			},
+				return value.NewUint(value.Hash(args[0], args[1].AsUint())), nil
+			default:
+				return value.Value{}, fmt.Errorf("H takes 1 or 2 arguments, got %d", len(args))
+			}
 		},
-		{
-			Name: "UMIN",
-			Call: func(_ any, args []value.Value) (value.Value, error) {
-				if len(args) != 2 {
-					return value.Value{}, fmt.Errorf("UMIN takes 2 arguments, got %d", len(args))
-				}
-				if value.Compare(args[0], args[1]) <= 0 {
-					return args[0], nil
-				}
-				return args[1], nil
-			},
-		},
-		{
-			// H hashes its argument to a uniform 64-bit value; an optional
-			// second argument seeds the hash (distinct min-hash signatures).
-			Name: "H",
-			Call: func(_ any, args []value.Value) (value.Value, error) {
-				switch len(args) {
-				case 1:
-					return value.NewUint(value.Hash(args[0], 0x5eed)), nil
-				case 2:
-					if !args[1].Kind().Numeric() {
-						return value.Value{}, fmt.Errorf("H seed must be numeric")
-					}
-					return value.NewUint(value.Hash(args[0], args[1].AsUint())), nil
-				default:
-					return value.Value{}, fmt.Errorf("H takes 1 or 2 arguments, got %d", len(args))
-				}
-			},
-		},
-	}
-	for i := range scalars {
-		if err := reg.RegisterFunc(&scalars[i]); err != nil {
+	}} {
+		if err := reg.RegisterFunc(&f); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// pick is UMAX (greater) or UMIN: the greater or the lesser of its two
+// arguments, the first on a tie.
+func pick(name string, greater bool) sfun.Func {
+	return sfun.Func{Name: name, Call: func(_ any, args []value.Value) (value.Value, error) {
+		if len(args) != 2 {
+			return value.Value{}, fmt.Errorf("%s takes 2 arguments, got %d", name, len(args))
+		}
+		if c := value.Compare(args[0], args[1]); c == 0 || (c > 0) == greater {
+			return args[0], nil
+		}
+		return args[1], nil
+	}}
 }
 
 // numArg extracts a float argument with a helpful error.

@@ -101,54 +101,41 @@ func (s *ssState) configure(args []value.Value) error {
 	return nil
 }
 
-func asSS(state any) (*ssState, error) {
-	s, ok := state.(*ssState)
-	if !ok {
-		return nil, fmt.Errorf("subsetsum_sampling_state: wrong state type %T", state)
-	}
-	return s, nil
-}
-
-func registerSubsetSum(reg *sfun.Registry) error {
-	if err := reg.RegisterState(&sfun.StateType{
+func registerSubsetSum(reg *sfun.Registry, _ uint64) error {
+	st := sfun.StateType{
 		Name: SubsetSumStateName,
-		Init: func(old any) any {
-			s := &ssState{}
-			if o, ok := old.(*ssState); ok && o.configured {
-				// Threshold carry-over with the paper's relaxation: the
-				// next window's load is estimated as 1/f of this one's.
-				*s = ssState{
-					Threshold:  o.Carry(o.relax, 1),
-					configured: true,
-					n:          o.n,
-					theta:      o.theta,
-					relax:      o.relax,
-				}
-			}
-			return s
-		},
 		WindowFinal: func(state any) {
 			if s, ok := state.(*ssState); ok {
 				s.finalArmed = true
 				s.finalPrepared = false
 			}
 		},
-		Encode: encodeSS,
-		Decode: decodeSS,
-	}); err != nil {
-		return err
 	}
-
-	funcs := []sfun.Func{
+	init := func(o *ssState) *ssState {
+		if o == nil || !o.configured {
+			return &ssState{}
+		}
+		// Threshold carry-over with the paper's relaxation: the next
+		// window's load is estimated as 1/f of this one's.
+		return &ssState{
+			Threshold:  o.Carry(o.relax, 1),
+			configured: true,
+			n:          o.n,
+			theta:      o.theta,
+			relax:      o.relax,
+		}
+	}
+	return family(reg, st, init, encodeSS, decodeSS, []fn[ssState]{
 		{
 			// ssample is the loose admission predicate: basic subset-sum
 			// sampling at the current threshold.
-			Name: "ssample", State: SubsetSumStateName,
-			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
-				s, err := asSS(state)
-				if err != nil {
-					return from, err
+			name: "ssample",
+			scan: func(state any, args sfun.Args, from, to int) (int, error) {
+				s, ok := state.(*ssState)
+				if !ok {
+					return from, wrongState(SubsetSumStateName, state)
 				}
+				var err error
 				var w num
 				w.of(&args, 0)
 				for row := from; row < to; row++ {
@@ -173,24 +160,16 @@ func registerSubsetSum(reg *sfun.Registry) error {
 		{
 			// ssthreshold returns the current threshold z; output rows use
 			// UMAX(sum(len), ssthreshold()) as the adjusted weight.
-			Name: "ssthreshold", State: SubsetSumStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asSS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "ssthreshold",
+			call: func(s *ssState, _ []value.Value) (value.Value, error) {
 				return value.NewFloat(s.Z), nil
 			},
 		},
 		{
 			// ssdo_clean triggers the cleaning phase when the sample has
 			// grown beyond theta*N, adjusting the threshold aggressively.
-			Name: "ssdo_clean", State: SubsetSumStateName,
-			Call: func(state any, args []value.Value) (value.Value, error) {
-				s, err := asSS(state)
-				if err != nil {
-					return value.Value{}, err
-				}
+			name: "ssdo_clean",
+			call: func(s *ssState, args []value.Value) (value.Value, error) {
 				cnt, err := intArg("ssdo_clean", args, 0)
 				if err != nil {
 					return value.Value{}, err
@@ -206,12 +185,13 @@ func registerSubsetSum(reg *sfun.Registry) error {
 			// ssclean_with is the per-group cleaning predicate: basic
 			// subset-sum sampling at the adjusted threshold, with sizes
 			// below the pre-adjustment threshold promoted to it (§6.5).
-			Name: "ssclean_with", State: SubsetSumStateName,
-			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
-				s, err := asSS(state)
-				if err != nil {
-					return from, err
+			name: "ssclean_with",
+			scan: func(state any, args sfun.Args, from, to int) (int, error) {
+				s, ok := state.(*ssState)
+				if !ok {
+					return from, wrongState(SubsetSumStateName, state)
 				}
+				var err error
 				var w num
 				w.of(&args, 0)
 				for row := from; row < to; row++ {
@@ -233,12 +213,13 @@ func registerSubsetSum(reg *sfun.Registry) error {
 			// samples remain it adjusts the threshold once and applies the
 			// cleaning predicate to each group; otherwise every group is
 			// sampled.
-			Name: "ssfinal_clean", State: SubsetSumStateName,
-			Scan: func(state any, args sfun.Args, from, to int) (int, error) {
-				s, err := asSS(state)
-				if err != nil {
-					return from, err
+			name: "ssfinal_clean",
+			scan: func(state any, args sfun.Args, from, to int) (int, error) {
+				s, ok := state.(*ssState)
+				if !ok {
+					return from, wrongState(SubsetSumStateName, state)
 				}
+				var err error
 				var w, cnt num
 				w.of(&args, 0)
 				cnt.of(&args, 1)
@@ -269,13 +250,7 @@ func registerSubsetSum(reg *sfun.Registry) error {
 				return to, nil
 			},
 		},
-	}
-	for i := range funcs {
-		if err := reg.RegisterFunc(&funcs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // BasicSubsetSumStateName is the STATE of bssample, the basic (fixed
@@ -290,22 +265,15 @@ type bssState struct {
 	subsetsum.Threshold
 }
 
-func registerBasicSubsetSum(reg *sfun.Registry) error {
-	if err := reg.RegisterState(&sfun.StateType{
-		Name:   BasicSubsetSumStateName,
-		Init:   func(old any) any { return &bssState{} },
-		Encode: encodeBSS,
-		Decode: decodeBSS,
-	}); err != nil {
-		return err
-	}
-	return reg.RegisterFunc(&sfun.Func{
+func registerBasicSubsetSum(reg *sfun.Registry, _ uint64) error {
+	init := func(*bssState) *bssState { return &bssState{} }
+	return family(reg, sfun.StateType{Name: BasicSubsetSumStateName}, init, encodeBSS, decodeBSS, []fn[bssState]{{
 		// bssample(len, z) is basic subset-sum sampling at threshold z.
-		Name: "bssample", State: BasicSubsetSumStateName,
-		Scan: func(state any, args sfun.Args, from, to int) (int, error) {
+		name: "bssample",
+		scan: func(state any, args sfun.Args, from, to int) (int, error) {
 			s, ok := state.(*bssState)
 			if !ok {
-				return from, fmt.Errorf("basic_subsetsum_state: wrong state type %T", state)
+				return from, wrongState(BasicSubsetSumStateName, state)
 			}
 			var err error
 			var w, z num
@@ -334,5 +302,5 @@ func registerBasicSubsetSum(reg *sfun.Registry) error {
 			}
 			return to, nil
 		},
-	})
+	}})
 }
