@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"regexp"
 	"testing"
 )
 
@@ -36,8 +37,27 @@ var quickFigureDigests = map[string]string{
 	"cascade": "bacfcb7530de97a5f1c7cdf1c6034528f4610494384ef3686269273a0723b09d",
 }
 
+// timedFigureDigests pins the same digest for the figures that also print
+// wall-clock measurements, with timingFields masked first: CPU
+// percentages, ns/packet and the overhead factor, and shard's GOMAXPROCS,
+// sequential-Run time and each row's wall ms, pkts/sec and speedup. What
+// is left (sample sizes, theta's cleanings, hhpush's forwarded and
+// eviction counts and found flags, overhead's packet count and estimate
+// agreement, shard's groups, evictions and exact column) is the same
+// bytes from run to run.
+var timedFigureDigests = map[string]string{
+	"5":        "27b3fe67852f88abb673583a77e379b1db0a8697c22591764604e039cbbf84b7",
+	"6":        "0343063e53362041235233a53e5aec26e54838dafa62c3413015f5f0c42bfe3f",
+	"theta":    "2fdcded0dd07dc12a24acdb99061386fa80476eae996144dec1dab71bcb027b9",
+	"hhpush":   "115f1c994f8e32a52a08633539d33a3fcaf2e3308cb567e23bea7c0db3449f20",
+	"overhead": "1ec1c7c9c82c2988a816c79de3a0eec73df1661051b964b15a6af06755e59f87",
+	"shard":    "2d6b9f3fc4c93c536f04f28d6653fbd0796500243e562c2fa1ae634cfa12365e",
+}
+
+var timingFields = regexp.MustCompile(`\s*\d+\.\d+%|(ns/packet:|factor:|GOMAXPROCS:|sequential Run:)\s*[0-9.]+x?|(?m:^(\d+)(?:\s+[0-9.]+){2}\s+[0-9.]+x)`)
+
 func TestQuickFigureDigests(t *testing.T) {
-	for fig, want := range quickFigureDigests {
+	check := func(fig, want string, mask bool) {
 		t.Run(fig, func(t *testing.T) {
 			t.Parallel()
 			out, err := exec.Command(os.Args[0], "-fig", fig, "-quick").Output()
@@ -47,9 +67,18 @@ func TestQuickFigureDigests(t *testing.T) {
 				}
 				t.Fatalf("-fig %s -quick: %v", fig, err)
 			}
+			if mask {
+				out = timingFields.ReplaceAll(out, []byte("${1}${2}"))
+			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
-				t.Errorf("-fig %s -quick stdout sha256 = %s, want %s", fig, got, want)
+				t.Errorf("-fig %s -quick stdout sha256 = %s, want %s\n%s", fig, got, want, out)
 			}
 		})
+	}
+	for fig, want := range quickFigureDigests {
+		check(fig, want, false)
+	}
+	for fig, want := range timedFigureDigests {
+		check(fig, want, true)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"streamop/internal/checkpoint"
-	"streamop/internal/overload"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
 )
@@ -68,7 +67,9 @@ type ckptState struct {
 	seq         uint64
 	lastWindows int64
 	resumeSkip  int64
-	pendingGate *overload.PersistentState
+	// pendingGate is a restored source-gate state, encoded, waiting for
+	// the next run's gate.
+	pendingGate []byte
 
 	// regDirty forces a snapshot at a session's next pump boundary after
 	// the standing-query registry changed.
@@ -222,7 +223,7 @@ func (e *Engine) applyRestoredGate() {
 		return
 	}
 	if g := e.srcGate; g != nil {
-		g.ctrl.ImportState(*ck.pendingGate)
+		g.ctrl.Decode(checkpoint.NewDecoder(ck.pendingGate))
 	}
 	ck.pendingGate = nil
 }
@@ -262,37 +263,4 @@ func (e *Engine) quiesce(workers []lowWorker) {
 			runtime.Gosched()
 		}
 	}
-}
-
-func encodeGateState(e *checkpoint.Encoder, s overload.PersistentState) {
-	e.F64(s.P)
-	e.I64(int64(s.SinceUpdate))
-	e.U64(s.WinDrops)
-	e.U64(s.Offered)
-	e.U64(s.Admitted)
-	e.U64(s.Shed)
-	e.U64(s.Dropped)
-	e.I64(s.PeakOcc)
-	e.I64(int64(s.State))
-	for _, w := range s.Rng {
-		e.U64(w)
-	}
-}
-
-func decodeGateState(d *checkpoint.Decoder) overload.PersistentState {
-	s := overload.PersistentState{
-		P:           d.F64(),
-		SinceUpdate: int(d.I64()),
-		WinDrops:    d.U64(),
-		Offered:     d.U64(),
-		Admitted:    d.U64(),
-		Shed:        d.U64(),
-		Dropped:     d.U64(),
-		PeakOcc:     d.I64(),
-		State:       int32(d.I64()),
-	}
-	for i := range s.Rng {
-		s.Rng[i] = d.U64()
-	}
-	return s
 }

@@ -126,28 +126,13 @@ func (e *Engine) encodeSnapshot() ([]byte, error) {
 		enc.U64(h.seq)
 		enc.I64(int64(h.buf))
 		enc.Bool(h.block)
-		q := h.quota
-		enc.F64(q.Rows)
-		enc.F64(q.Bytes)
-		enc.F64(q.BurstSec)
-		enc.U64(q.WarnLag)
-		enc.U64(q.DetachAfter)
+		h.quota.Encode(enc)
 		enc.I64(h.rowsOut.Load())
 		enc.U64(h.Dropped())
 		enc.U64(h.detached.Load())
 		if g := h.gate; g != nil {
 			enc.Bool(true)
-			st := g.ExportState()
-			enc.F64(st.RowTokens)
-			enc.F64(st.ByteTokens)
-			enc.U64(st.LastRefill)
-			enc.Bool(st.Started)
-			enc.U64(st.Offered)
-			enc.U64(st.Admitted)
-			enc.U64(st.Shed)
-			enc.U64(st.AdmittedBytes)
-			enc.U64(st.ShedBytes)
-			enc.Bool(st.Throttled)
+			g.Encode(enc)
 		} else {
 			enc.Bool(false)
 		}
@@ -158,7 +143,7 @@ func (e *Engine) encodeSnapshot() ([]byte, error) {
 
 	if g := e.srcGate; g != nil {
 		enc.Bool(true)
-		encodeGateState(enc, g.ctrl.ExportState())
+		g.ctrl.Encode(enc)
 	} else {
 		enc.Bool(false)
 	}
@@ -313,32 +298,12 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 		seq := d.U64()
 		buf := int(d.I64())
 		block := d.Bool()
-		quota := overload.Quota{
-			Rows:        d.F64(),
-			Bytes:       d.F64(),
-			BurstSec:    d.F64(),
-			WarnLag:     d.U64(),
-			DetachAfter: d.U64(),
-		}
+		var quota overload.Quota
+		quota.Decode(d)
 		rowsOut := d.I64()
 		dropped := d.U64()
 		detached := d.U64()
 		hasGate := d.Bool()
-		var gateState overload.TenantPersistentState
-		if hasGate {
-			gateState = overload.TenantPersistentState{
-				RowTokens:     d.F64(),
-				ByteTokens:    d.F64(),
-				LastRefill:    d.U64(),
-				Started:       d.Bool(),
-				Offered:       d.U64(),
-				Admitted:      d.U64(),
-				Shed:          d.U64(),
-				AdmittedBytes: d.U64(),
-				ShedBytes:     d.U64(),
-				Throttled:     d.Bool(),
-			}
-		}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -354,7 +319,7 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 			if h.gate == nil {
 				return nil, fmt.Errorf("engine: restoring query %q: snapshot carries gate state but the quota has no budget", name)
 			}
-			h.gate.ImportState(gateState)
+			h.gate.Decode(d)
 		}
 		if err := e.decodeNodeState(d, h.node, info); err != nil {
 			return nil, err
@@ -362,10 +327,12 @@ func (e *Engine) Restore() (*RestoreInfo, error) {
 		info.Queries = append(info.Queries, name)
 	}
 
-	var srcGate *overload.PersistentState
+	// The source gate's state is the payload's tail. It waits, encoded,
+	// for the next run's gate; decoding it here checks that it is whole.
+	var srcGate []byte
 	if d.Bool() {
-		gs := decodeGateState(d)
-		srcGate = &gs
+		srcGate = snap.Payload[len(snap.Payload)-d.Remaining():]
+		overload.NewController(overload.Config{}).Decode(d)
 	}
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -5,25 +5,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"streamop/internal/core"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 )
-
-// subsetSumQuery builds the dynamic subset-sum sampling query of §6.1 with
-// explicit parameters (N, theta, relax factor).
-func subsetSumQuery(windowSec int, n int, theta, relax float64) string {
-	return fmt.Sprintf(`
-SELECT tb, uts, srcIP, destIP, UMAX(sum(len), ssthreshold()) AS adjlen
-FROM PKT
-WHERE ssample(len, %d, %g, %g) = TRUE
-GROUP BY time/%d as tb, srcIP, destIP, uts
-HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
-CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
-CLEANING BY ssclean_with(sum(len)) = TRUE`, n, theta, relax, windowSec)
-}
 
 // AccuracyConfig parameterizes the Figure 2/3/4 run.
 type AccuracyConfig struct {
@@ -72,19 +57,15 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
-		}
-		w := int(p.Time / 1e9 / uint64(cfg.WindowSec))
+	for w, sum := range windowSums(feed, cfg.WindowSec) {
 		if w < len(points) {
-			points[w].Actual += float64(p.Len)
+			points[w].Actual = sum
 		}
 	}
 
-	run := func(relax float64, est *func(i int) *float64, samples func(i int) *int, cleanings func(i int) *int) error {
-		q, err := core.Compile(subsetSumQuery(cfg.WindowSec, cfg.N, cfg.Theta, relax), core.Options{Seed: cfg.Seed})
+	// run fills one variant's fields of every point, which lane picks.
+	run := func(relax float64, lane func(p *AccuracyPoint) (est *float64, samples, cleanings *int)) error {
+		q, err := core.Compile(highSSQuery("PKT", cfg.WindowSec, cfg.N, cfg.Theta, relax), core.Options{Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}
@@ -98,7 +79,8 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyPoint, error) {
 		record := func(w int) {
 			s := q.Stats()
 			if w >= 0 && w < len(points) {
-				*cleanings(w) += int(s.Cleanings - prevCleanings)
+				_, _, cleanings := lane(&points[w])
+				*cleanings += int(s.Cleanings - prevCleanings)
 				live[w] = (s.GroupsCreated - prevCreated) - (s.GroupsEvicted - prevEvicted)
 			}
 			prevCleanings = s.Cleanings
@@ -135,30 +117,29 @@ func Accuracy(cfg AccuracyConfig) ([]AccuracyPoint, error) {
 			if w >= len(points) {
 				continue
 			}
-			*(*est)(w) += row.Values[4].AsFloat()
-			*samples(w)++
+			est, samples, _ := lane(&points[w])
+			*est += row.Values[4].AsFloat()
+			*samples++
 		}
 		// The end-of-window subsample counts as a cleaning phase
 		// (the paper's Figure 4 accounting): it ran whenever more
 		// groups were alive at the flush than were output.
 		for w := range points {
-			if live[w] > int64(*samples(w)) {
-				*cleanings(w)++
+			if _, samples, cleanings := lane(&points[w]); live[w] > int64(*samples) {
+				*cleanings++
 			}
 		}
 		return nil
 	}
 
-	estR := func(i int) *float64 { return &points[i].EstRelaxed }
-	if err := run(cfg.RelaxF, &estR,
-		func(i int) *int { return &points[i].SamplesRelaxed },
-		func(i int) *int { return &points[i].CleaningsRelaxed }); err != nil {
+	if err := run(cfg.RelaxF, func(p *AccuracyPoint) (*float64, *int, *int) {
+		return &p.EstRelaxed, &p.SamplesRelaxed, &p.CleaningsRelaxed
+	}); err != nil {
 		return nil, err
 	}
-	estN := func(i int) *float64 { return &points[i].EstNonrelaxed }
-	if err := run(1, &estN,
-		func(i int) *int { return &points[i].SamplesNonrelaxed },
-		func(i int) *int { return &points[i].CleaningsNonrelaxed }); err != nil {
+	if err := run(1, func(p *AccuracyPoint) (*float64, *int, *int) {
+		return &p.EstNonrelaxed, &p.SamplesNonrelaxed, &p.CleaningsNonrelaxed
+	}); err != nil {
 		return nil, err
 	}
 	return points, nil
@@ -210,6 +191,24 @@ func Summarize(points []AccuracyPoint, n int) AccuracySummary {
 		s.SteadyCleaningsNonrelaxed /= warm
 	}
 	return s
+}
+
+// windowSums is the ground truth the estimates are scored against: the
+// feed's packet lengths summed per window of windowSec seconds, indexed by
+// window.
+func windowSums(feed trace.Feed, windowSec int) []float64 {
+	var sums []float64
+	for {
+		p, ok := feed.Next()
+		if !ok {
+			return sums
+		}
+		w := int(p.Time / 1e9 / uint64(windowSec))
+		for len(sums) <= w {
+			sums = append(sums, 0)
+		}
+		sums[w] += float64(p.Len)
+	}
 }
 
 func relErr(est, actual float64) float64 {

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"streamop/internal/engine"
-	"streamop/internal/gsql"
-	"streamop/internal/sfunlib"
+	"strconv"
+
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 )
@@ -24,114 +23,58 @@ type CascadeResult struct {
 	MeanFinalSamples float64
 }
 
-// cascadeTopology wires low selection -> subset-sum(N) -> reservoir(k).
-func cascadeRun(seed uint64, durationSec float64, windowSec, n, k int) (perWindowEst map[int64]float64, perWindowCount map[int64]int, inner map[int64]int, err error) {
-	reg := sfunlib.Default(seed)
-	e, err := engine.New(1 << 14)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	lowQ, _ := gsql.Parse(`SELECT time, srcIP, destIP, len, uts FROM PKT`)
-	lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	lowNode, err := e.AddLowLevel("low", lowPlan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ssPlan, err := gsql.Analyze(mustParse(highSSQuery("low", windowSec, n, 2, 10)), lowNode.Schema(), reg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ssNode, err := e.AddHighLevel("ss", lowNode, ssPlan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Count the subset-sum output per window (the cascade's N_out).
-	inner = map[int64]int{}
-	ssNode.Subscribe(func(row tuple.Tuple) error {
-		inner[row[0].AsInt()]++
-		return nil
-	})
-	resQ, _ := gsql.Parse(`
+// cascadeFeed is the steady 50k pkts/sec capture every pass of Cascade
+// reads.
+func cascadeFeed(seed uint64, durationSec float64) (trace.Feed, error) {
+	sc := trace.DefaultSteady(seed, durationSec)
+	sc.Rate = 50000
+	return trace.NewSteady(sc)
+}
+
+// cascadeRun runs low selection -> subset-sum(N) -> reservoir(k) and
+// returns, per window, the reservoir's summed adjusted lengths, its
+// sample count and the subset-sum output count (the cascade's N_out).
+func cascadeRun(seed uint64, durationSec float64, windowSec, n, k int) (est map[int64]float64, count, inner map[int64]int, err error) {
+	c, err := buildChain(1<<14, seed, passthroughQuery, 0,
+		stage{"ss", highSSQuery("low", windowSec, n, 2, 10)},
+		stage{"res", `
 SELECT tb2, adjlen, uts
 FROM ss
-WHERE rsample(uts, ` + itoa(k) + `, 10) = TRUE
+WHERE rsample(uts, ` + strconv.Itoa(k) + `, 10) = TRUE
 GROUP BY tb/1 as tb2, adjlen, uts
 HAVING rsfinal_clean(uts) = TRUE
 CLEANING WHEN rsdo_clean(count_distinct$(*)) = TRUE
-CLEANING BY rsclean_with(uts) = TRUE`)
-	resPlan, err := gsql.Analyze(resQ, ssNode.Schema(), reg)
+CLEANING BY rsclean_with(uts) = TRUE`})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	resNode, err := e.AddHighLevel("res", ssNode, resPlan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	perWindowEst = map[int64]float64{}
-	perWindowCount = map[int64]int{}
-	resNode.Subscribe(func(row tuple.Tuple) error {
-		w := row[0].AsInt()
-		perWindowEst[w] += row[1].AsFloat()
-		perWindowCount[w]++
+	est, count, inner = map[int64]float64{}, map[int64]int{}, map[int64]int{}
+	c.high[0].Subscribe(func(row tuple.Tuple) error {
+		inner[row[0].AsInt()]++
 		return nil
 	})
-	sc := trace.DefaultSteady(seed, durationSec)
-	sc.Rate = 50000
-	feed, err := trace.NewSteady(sc)
+	c.high[1].Subscribe(func(row tuple.Tuple) error {
+		w := row[0].AsInt()
+		est[w] += row[1].AsFloat()
+		count[w]++
+		return nil
+	})
+	feed, err := cascadeFeed(seed, durationSec)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := e.Run(feed); err != nil {
-		return nil, nil, nil, err
-	}
-	return perWindowEst, perWindowCount, inner, nil
-}
-
-func mustParse(src string) *gsql.Query {
-	q, err := gsql.Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return est, count, inner, c.Run(feed)
 }
 
 // Cascade runs the cascade and the direct small-N subset-sum over the same
 // feed and reports per-window estimation error for both.
 func Cascade(seed uint64, durationSec float64, windowSec, n, k int) (CascadeResult, error) {
 	var res CascadeResult
-
-	// Actual per-window byte totals.
-	sc := trace.DefaultSteady(seed, durationSec)
-	sc.Rate = 50000
-	feed, err := trace.NewSteady(sc)
+	feed, err := cascadeFeed(seed, durationSec)
 	if err != nil {
 		return res, err
 	}
-	actual := map[int64]float64{}
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
-		}
-		actual[int64(p.Time/1e9)/int64(windowSec)] += float64(p.Len)
-	}
+	actual := windowSums(feed, windowSec)
 
 	// Cascade: reservoir(k) over subset-sum(N); scale by N_out/k.
 	cascEst, cascCnt, inner, err := cascadeRun(seed, durationSec, windowSec, n, k)
@@ -140,46 +83,28 @@ func Cascade(seed uint64, durationSec float64, windowSec, n, k int) (CascadeResu
 	}
 
 	// Direct: subset-sum at size k.
-	reg := sfunlib.Default(seed + 1)
-	e, err := engine.New(1 << 14)
-	if err != nil {
-		return res, err
-	}
-	lowPlan, err := gsql.Analyze(mustParse(passthroughQuery), trace.Schema(), reg)
-	if err != nil {
-		return res, err
-	}
-	lowNode, err := e.AddLowLevel("low", lowPlan)
-	if err != nil {
-		return res, err
-	}
-	ssPlan, err := gsql.Analyze(mustParse(highSSQuery("low", windowSec, k, 2, 10)), lowNode.Schema(), reg)
-	if err != nil {
-		return res, err
-	}
-	ssNode, err := e.AddHighLevel("ss", lowNode, ssPlan)
+	c, err := buildChain(1<<14, seed+1, passthroughQuery, 0, stage{"ss", highSSQuery("low", windowSec, k, 2, 10)})
 	if err != nil {
 		return res, err
 	}
 	directEst := map[int64]float64{}
-	ssNode.Subscribe(func(row tuple.Tuple) error {
+	c.high[0].Subscribe(func(row tuple.Tuple) error {
 		directEst[row[0].AsInt()] += row[4].AsFloat()
 		return nil
 	})
-	feed2, err := trace.NewSteady(sc)
-	if err != nil {
+	if feed, err = cascadeFeed(seed, durationSec); err != nil {
 		return res, err
 	}
-	if err := e.Run(feed2); err != nil {
+	if err := c.Run(feed); err != nil {
 		return res, err
 	}
 
-	var nWin float64
-	for w, act := range actual {
+	// Sum in window order: a float sum is not associative.
+	for i, act := range actual {
 		if act <= 0 {
 			continue
 		}
-		nWin++
+		w := int64(i)
 		res.Windows++
 		scale := 1.0
 		if cascCnt[w] > 0 {
@@ -189,7 +114,8 @@ func Cascade(seed uint64, durationSec float64, windowSec, n, k int) (CascadeResu
 		res.MeanRelErrDirect += relErr(directEst[w], act)
 		res.MeanFinalSamples += float64(cascCnt[w])
 	}
-	if nWin > 0 {
+	if res.Windows > 0 {
+		nWin := float64(res.Windows)
 		res.MeanRelErrCascade /= nWin
 		res.MeanRelErrDirect /= nWin
 		res.MeanFinalSamples /= nWin

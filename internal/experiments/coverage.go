@@ -98,20 +98,12 @@ func Coverage(cfg CoverageConfig) ([]FamilyCoverage, error) {
 	duration := float64(cfg.Windows * cfg.WindowSec)
 
 	// True windowed sums from a direct pass.
-	actual := make([]float64, cfg.Windows)
 	feed, err := trace.NewBursty(trace.DefaultBursty(cfg.Seed, duration))
 	if err != nil {
 		return nil, err
 	}
-	for {
-		p, ok := feed.Next()
-		if !ok {
-			break
-		}
-		if w := int(p.Time / 1e9 / uint64(cfg.WindowSec)); w < len(actual) {
-			actual[w] += float64(p.Len)
-		}
-	}
+	actual := make([]float64, cfg.Windows)
+	copy(actual, windowSums(feed, cfg.WindowSec))
 
 	var out []FamilyCoverage
 	for _, fam := range coverageQueries(cfg) {

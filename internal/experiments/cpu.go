@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"streamop/internal/engine"
-	"streamop/internal/gsql"
-	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 )
@@ -88,54 +85,26 @@ func (p *processBoundary) ship(row tuple.Tuple) error {
 	return nil
 }
 
-// runTwoLevel wires lowSrc -> highSrc on a fresh steady feed and returns
-// the two node utilizations. With interProcess set, the low-level node is
-// also charged what Gigascope pays to forward a tuple to a high-level
-// query, which runs in another process: the tuple is built and copied out,
-// once per forwarded tuple (see LowLevelEffect).
-func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string, interProcess bool) (lowCPU, highCPU float64, err error) {
-	reg := sfunlib.Default(cfg.Seed)
-	e, err := engine.New(1 << 14)
+// runTwoLevel runs lowSrc -> highSrc (node "high") over a fresh steady
+// feed. With interProcess set, the low-level node is also charged what
+// Gigascope pays to forward a tuple to a high-level query, which runs in
+// another process: the tuple is built and copied out, once per forwarded
+// tuple (see LowLevelEffect).
+func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string, interProcess bool) (*chain, error) {
+	c, err := buildChain(1<<14, cfg.Seed, lowSrc, 0, stage{"high", highSrc})
 	if err != nil {
-		return 0, 0, err
-	}
-	lowQ, err := gsql.Parse(lowSrc)
-	if err != nil {
-		return 0, 0, err
-	}
-	lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-	if err != nil {
-		return 0, 0, err
-	}
-	lowNode, err := e.AddLowLevel("low", lowPlan)
-	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	if interProcess {
-		lowNode.Subscribe(new(processBoundary).ship)
-	}
-	highQ, err := gsql.Parse(highSrc)
-	if err != nil {
-		return 0, 0, err
-	}
-	highPlan, err := gsql.Analyze(highQ, lowNode.Schema(), reg)
-	if err != nil {
-		return 0, 0, err
-	}
-	highNode, err := e.AddHighLevel("high", lowNode, highPlan)
-	if err != nil {
-		return 0, 0, err
+		c.low.Subscribe(new(processBoundary).ship)
 	}
 	sc := trace.DefaultSteady(cfg.Seed, cfg.DurationSec)
 	sc.Rate = cfg.Rate
 	feed, err := trace.NewSteady(sc)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	if err := e.Run(feed); err != nil {
-		return 0, 0, err
-	}
-	return e.Utilization(lowNode), e.Utilization(highNode), nil
+	return c, c.Run(feed)
 }
 
 // CPUUsage regenerates Figure 5: the CPU cost of relaxed and non-relaxed
@@ -145,18 +114,19 @@ func CPUUsage(cfg CPUConfig) ([]CPUPoint, error) {
 	var out []CPUPoint
 	for _, n := range cfg.SampleSizes {
 		pt := CPUPoint{Samples: n}
-		var err error
-		if _, pt.Relaxed, err = runTwoLevel(cfg, passthroughQuery,
-			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF), false); err != nil {
-			return nil, err
-		}
-		if _, pt.Nonrelaxed, err = runTwoLevel(cfg, passthroughQuery,
-			highSSQuery("low", cfg.WindowSec, n, cfg.Theta, 1), false); err != nil {
-			return nil, err
-		}
-		if _, pt.BasicSS, err = runTwoLevel(cfg, passthroughQuery,
-			basicSSHighQuery("low", zFor(cfg.Rate, cfg.WindowSec, n)), false); err != nil {
-			return nil, err
+		for _, run := range []struct {
+			cpu  *float64
+			high string
+		}{
+			{&pt.Relaxed, highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)},
+			{&pt.Nonrelaxed, highSSQuery("low", cfg.WindowSec, n, cfg.Theta, 1)},
+			{&pt.BasicSS, basicSSHighQuery("low", zFor(cfg.Rate, cfg.WindowSec, n))},
+		} {
+			c, err := runTwoLevel(cfg, passthroughQuery, run.high, false)
+			if err != nil {
+				return nil, err
+			}
+			*run.cpu = c.Utilization(c.high[0])
 		}
 		out = append(out, pt)
 	}
@@ -192,14 +162,16 @@ func LowLevelEffect(cfg CPUConfig) ([]LowLevelPoint, error) {
 	var out []LowLevelPoint
 	for _, n := range cfg.SampleSizes {
 		pt := LowLevelPoint{Samples: n}
-		var err error
 		high := highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)
-		if pt.LowSelection, pt.HighSelectionSub, err = runTwoLevel(cfg, passthroughQuery, high, true); err != nil {
+		c, err := runTwoLevel(cfg, passthroughQuery, high, true)
+		if err != nil {
 			return nil, err
 		}
-		if pt.LowBasicSS, pt.HighBasicSSSub, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high, true); err != nil {
+		pt.LowSelection, pt.HighSelectionSub = c.Utilization(c.low), c.Utilization(c.high[0])
+		if c, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high, true); err != nil {
 			return nil, err
 		}
+		pt.LowBasicSS, pt.HighBasicSSSub = c.Utilization(c.low), c.Utilization(c.high[0])
 		out = append(out, pt)
 	}
 	return out, nil
@@ -217,46 +189,12 @@ type ThetaPoint struct {
 func ThetaSweep(cfg CPUConfig, thetas []float64, n int) ([]ThetaPoint, error) {
 	var out []ThetaPoint
 	for _, th := range thetas {
-		reg := sfunlib.Default(cfg.Seed)
-		e, err := engine.New(1 << 14)
+		c, err := runTwoLevel(cfg, passthroughQuery, highSSQuery("low", cfg.WindowSec, n, th, cfg.RelaxF), false)
 		if err != nil {
 			return nil, err
 		}
-		lowQ, _ := gsql.Parse(passthroughQuery)
-		lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-		if err != nil {
-			return nil, err
-		}
-		lowNode, err := e.AddLowLevel("low", lowPlan)
-		if err != nil {
-			return nil, err
-		}
-		highQ, err := gsql.Parse(highSSQuery("low", cfg.WindowSec, n, th, cfg.RelaxF))
-		if err != nil {
-			return nil, err
-		}
-		highPlan, err := gsql.Analyze(highQ, lowNode.Schema(), reg)
-		if err != nil {
-			return nil, err
-		}
-		highNode, err := e.AddHighLevel("high", lowNode, highPlan)
-		if err != nil {
-			return nil, err
-		}
-		sc := trace.DefaultSteady(cfg.Seed, cfg.DurationSec)
-		sc.Rate = cfg.Rate
-		feed, err := trace.NewSteady(sc)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Run(feed); err != nil {
-			return nil, err
-		}
-		out = append(out, ThetaPoint{
-			Theta:     th,
-			CPU:       e.Utilization(highNode),
-			Cleanings: highNode.Stats().Operator.Cleanings,
-		})
+		high := c.high[0]
+		out = append(out, ThetaPoint{Theta: th, CPU: c.Utilization(high), Cleanings: high.Stats().Operator.Cleanings})
 	}
 	return out, nil
 }

@@ -341,3 +341,22 @@ func TestCascadeTeaser(t *testing.T) {
 		t.Errorf("direct error = %v", res.MeanRelErrDirect)
 	}
 }
+
+// TestCascadeDeterministic: Cascade is a function of its seed, down to the
+// last bit of each mean (a sum taken in map order would differ by an ulp
+// from run to run).
+func TestCascadeDeterministic(t *testing.T) {
+	first, err := Cascade(42, 8, 2, 1000, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 16; i++ {
+		res, err := Cascade(42, 8, 2, 1000, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != first {
+			t.Fatalf("call %d: %+v, first call %+v", i, res, first)
+		}
+	}
+}

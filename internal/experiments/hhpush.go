@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"streamop/internal/engine"
-	"streamop/internal/gsql"
-	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 )
@@ -28,122 +25,62 @@ type HHPushResult struct {
 	HeavyFoundSelection, HeavyFoundPartial bool
 }
 
-type hhRunStats struct {
-	packets   int64
-	forwarded int64
-	evictions int64
-	cpu       float64
-	found     bool
-}
-
-// hhPushRun wires one configuration and runs it over a fresh bursty feed.
-func hhPushRun(seed uint64, durationSec float64, partial bool) (hhRunStats, error) {
-	var out hhRunStats
-	reg := sfunlib.Default(seed)
-	e, err := engine.New(1 << 14)
-	if err != nil {
-		return out, err
-	}
-	var parent *engine.Node
-	var pn *engine.PartialNode
-	if partial {
-		lowQ, err := gsql.Parse(`SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/60 as tb, srcIP`)
-		if err != nil {
-			return out, err
-		}
-		lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-		if err != nil {
-			return out, err
-		}
-		if pn, err = e.AddLowLevelPartialAgg("low", lowPlan, 256); err != nil {
-			return out, err
-		}
-		parent = pn.Base()
-	} else {
-		lowQ, err := gsql.Parse(`SELECT time, srcIP, len, uts FROM PKT`)
-		if err != nil {
-			return out, err
-		}
-		lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-		if err != nil {
-			return out, err
-		}
-		if parent, err = e.AddLowLevel("low", lowPlan); err != nil {
-			return out, err
-		}
-	}
-	var highSrc string
-	if partial {
-		highSrc = `
-SELECT tb2, srcIP, sum(bytes), sum(pkts)
-FROM low
-GROUP BY tb/1 as tb2, srcIP
-HAVING sum(pkts) >= 20000
-CLEANING WHEN local_count(200) = TRUE
-CLEANING BY sum(pkts) >= current_bucket() - first(current_bucket())`
-	} else {
-		highSrc = `
+// hhPushRun runs one configuration over a fresh bursty feed: the heavy
+// hitters query (node "hh") fed by a plain selection, or with partial set
+// by a 256-slot low-level partial aggregation. found reports whether the
+// dominant source reached the output.
+func hhPushRun(seed uint64, durationSec float64, partial bool) (c *chain, found bool, err error) {
+	lowSrc, slots, highSrc := `SELECT time, srcIP, len, uts FROM PKT`, 0, `
 SELECT tb, srcIP, sum(len), count(*)
 FROM low
 GROUP BY time/60 as tb, srcIP
 HAVING count(*) >= 20000
 CLEANING WHEN local_count(1000) = TRUE
 CLEANING BY count(*) >= current_bucket() - first(current_bucket())`
+	if partial {
+		lowSrc, slots, highSrc = `SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/60 as tb, srcIP`, 256, `
+SELECT tb2, srcIP, sum(bytes), sum(pkts)
+FROM low
+GROUP BY tb/1 as tb2, srcIP
+HAVING sum(pkts) >= 20000
+CLEANING WHEN local_count(200) = TRUE
+CLEANING BY sum(pkts) >= current_bucket() - first(current_bucket())`
 	}
-	highQ, err := gsql.Parse(highSrc)
-	if err != nil {
-		return out, err
-	}
-	highPlan, err := gsql.Analyze(highQ, parent.Schema(), reg)
-	if err != nil {
-		return out, err
-	}
-	high, err := e.AddHighLevel("hh", parent, highPlan)
-	if err != nil {
-		return out, err
+	if c, err = buildChain(1<<14, seed, lowSrc, slots, stage{"hh", highSrc}); err != nil {
+		return nil, false, err
 	}
 	// The bursty feed's Zipf sources make 10.0.0.0 the dominant sender.
 	const heavy = 0x0a000000
-	high.Subscribe(func(row tuple.Tuple) error {
-		if row[1].Uint() == heavy {
-			out.found = true
-		}
+	c.high[0].Subscribe(func(row tuple.Tuple) error {
+		found = found || row[1].Uint() == heavy
 		return nil
 	})
 	feed, err := trace.NewBursty(trace.DefaultBursty(seed, durationSec))
 	if err != nil {
-		return out, err
+		return nil, false, err
 	}
-	if err := e.Run(feed); err != nil {
-		return out, err
-	}
-	out.packets = e.Packets()
-	out.forwarded = parent.Stats().TuplesOut
-	if pn != nil {
-		out.evictions = pn.Evictions()
-	}
-	out.cpu = e.Utilization(high)
-	return out, nil
+	err = c.Run(feed)
+	return c, found, err
 }
 
 // HHPush runs both configurations over the same bursty feed.
 func HHPush(seed uint64, durationSec float64) (HHPushResult, error) {
-	sel, err := hhPushRun(seed, durationSec, false)
+	sel, selFound, err := hhPushRun(seed, durationSec, false)
 	if err != nil {
 		return HHPushResult{}, err
 	}
-	par, err := hhPushRun(seed, durationSec, true)
+	par, parFound, err := hhPushRun(seed, durationSec, true)
 	if err != nil {
 		return HHPushResult{}, err
 	}
 	return HHPushResult{
-		Packets:             sel.packets,
-		SelectionForwarded:  sel.forwarded,
-		PartialForwarded:    par.forwarded,
-		Evictions:           par.evictions,
-		HighCPUSelection:    sel.cpu,
-		HighCPUPartial:      par.cpu,
-		HeavyFoundSelection: sel.found,
-		HeavyFoundPartial:   par.found,
+		Packets:             sel.Packets(),
+		SelectionForwarded:  sel.low.Stats().TuplesOut,
+		PartialForwarded:    par.low.Stats().TuplesOut,
+		Evictions:           par.table.Evictions(),
+		HighCPUSelection:    sel.Utilization(sel.high[0]),
+		HighCPUPartial:      par.Utilization(par.high[0]),
+		HeavyFoundSelection: selFound,
+		HeavyFoundPartial:   parFound,
 	}, nil
 }

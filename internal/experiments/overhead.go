@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"time"
 
 	"streamop/internal/core"
@@ -18,68 +19,21 @@ import (
 // hiccup would swing the factor severalfold).
 func Overhead(seed uint64, duration float64, n int) (OverheadResult, error) {
 	var res OverheadResult
-
-	// Pre-materialize the packets so feed generation is charged to
-	// neither implementation.
-	feed, err := trace.NewSteady(trace.DefaultSteady(seed, duration))
+	pkts, err := steadyPackets(seed, duration)
 	if err != nil {
 		return res, err
 	}
-	pkts := trace.Collect(feed)
 	res.Packets = int64(len(pkts))
 
-	// Hand-coded implementation, 2-second windows.
-	directPass := func() (float64, float64, error) {
-		d, err := subsetsum.NewDynamic[uint64](subsetsum.Config{
-			TargetSize: n, InitialZ: 1, Theta: 2, RelaxFactor: 10,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		start := time.Now()
-		var est float64
-		prevWindow := uint64(0)
-		for _, p := range pkts {
-			if w := p.Time / 1e9 / 2; w != prevWindow {
-				est += subsetsum.Estimate(d.EndWindow())
-				prevWindow = w
-			}
-			d.Offer(float64(p.Len), p.Time)
-		}
-		est += subsetsum.Estimate(d.EndWindow())
-		return float64(time.Since(start).Nanoseconds()), est, nil
-	}
-
-	// Operator-expressed query (same window length of 2s), fed as columnar
-	// batches. ProcessPackets chunks internally.
-	opPass := func() (float64, float64, error) {
-		q, err := core.Compile(subsetSumQuery(2, n, 2, 10), core.Options{Seed: seed})
-		if err != nil {
-			return 0, 0, err
-		}
-		start := time.Now()
-		if err := q.ProcessPackets(pkts); err != nil {
-			return 0, 0, err
-		}
-		if err := q.Flush(); err != nil {
-			return 0, 0, err
-		}
-		elapsed := float64(time.Since(start).Nanoseconds())
-		var est float64
-		for _, row := range q.Collected {
-			est += row.Values[4].AsFloat()
-		}
-		return elapsed, est, nil
-	}
-
 	const passes = 5
-	var directNS, opNS, directEst, opEst float64
+	var directNS, opNS, directEst float64
+	var q *core.Query
 	for i := 0; i < passes; i++ {
-		dns, dest, err := directPass()
+		dns, est, err := directPass(pkts, n)
 		if err != nil {
 			return res, err
 		}
-		ons, oest, err := opPass()
+		qi, ons, err := opPass(pkts, seed, n, false)
 		if err != nil {
 			return res, err
 		}
@@ -89,7 +43,11 @@ func Overhead(seed uint64, duration float64, n int) (OverheadResult, error) {
 		if i == 0 || ons < opNS {
 			opNS = ons
 		}
-		directEst, opEst = dest, oest // deterministic across passes
+		directEst, q = est, qi // deterministic across passes
+	}
+	var opEst float64
+	for _, row := range q.Collected {
+		opEst += row.Values[4].AsFloat()
 	}
 
 	res.OperatorNSPerPacket = opNS / float64(len(pkts))
@@ -99,6 +57,57 @@ func Overhead(seed uint64, duration float64, n int) (OverheadResult, error) {
 	}
 	res.EstimateDelta = relErr(opEst, directEst)
 	return res, nil
+}
+
+// steadyPackets pre-materializes the steady feed, so feed generation is
+// charged to neither side of the genericity ablation.
+func steadyPackets(seed uint64, duration float64) ([]trace.Packet, error) {
+	feed, err := trace.NewSteady(trace.DefaultSteady(seed, duration))
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(feed), nil
+}
+
+// directPass runs the hand-coded subsetsum.Dynamic over pkts in 2-second
+// windows and returns its wall time and the summed window estimates.
+func directPass(pkts []trace.Packet, n int) (ns, est float64, err error) {
+	d, err := subsetsum.NewDynamic[uint64](subsetsum.Config{
+		TargetSize: n, InitialZ: 1, Theta: 2, RelaxFactor: 10,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	prevWindow := uint64(0)
+	for _, p := range pkts {
+		if w := p.Time / 1e9 / 2; w != prevWindow {
+			est += subsetsum.Estimate(d.EndWindow())
+			prevWindow = w
+		}
+		d.Offer(float64(p.Len), p.Time)
+	}
+	est += subsetsum.Estimate(d.EndWindow())
+	return float64(time.Since(start).Nanoseconds()), est, nil
+}
+
+// opPass runs the same sampling as a query (2-second windows) through the
+// operator's batch entry point, ProcessPackets, which the engine and
+// RunFeed use, and returns the flushed query and its wall time.
+func opPass(pkts []trace.Packet, seed uint64, n int, profile bool) (q *core.Query, ns float64, err error) {
+	q, err = core.Compile(highSSQuery("PKT", 2, n, 2, 10), core.Options{Seed: seed, Profile: profile})
+	if err != nil {
+		return nil, 0, err
+	}
+	runtime.GC()
+	start := time.Now()
+	if err := q.ProcessPackets(pkts); err != nil {
+		return nil, 0, err
+	}
+	if err := q.Flush(); err != nil {
+		return nil, 0, err
+	}
+	return q, float64(time.Since(start).Nanoseconds()), nil
 }
 
 // RelaxSweepPoint reports accuracy and cleaning cost for one relaxation

@@ -1,13 +1,7 @@
 package experiments
 
 import (
-	"runtime"
-	"time"
-
-	"streamop/internal/core"
 	"streamop/internal/profile"
-	"streamop/internal/sample/subsetsum"
-	"streamop/internal/trace"
 )
 
 // StageCost is one plan stage's share of the profiled operator run,
@@ -53,47 +47,23 @@ type ProfileResult struct {
 func ProfileAblation(seed uint64, duration float64, n int) (ProfileResult, error) {
 	var res ProfileResult
 
-	feed, err := trace.NewSteady(trace.DefaultSteady(seed, duration))
+	pkts, err := steadyPackets(seed, duration)
 	if err != nil {
 		return res, err
 	}
-	pkts := trace.Collect(feed)
 	res.Packets = int64(len(pkts))
 
-	// Hand-coded baseline, identical to Overhead.
-	d, err := subsetsum.NewDynamic[uint64](subsetsum.Config{
-		TargetSize: n, InitialZ: 1, Theta: 2, RelaxFactor: 10,
-	})
+	// Hand-coded baseline and the query with the profiler attached, one
+	// pass each.
+	directNS, _, err := directPass(pkts, n)
 	if err != nil {
 		return res, err
 	}
-	start := time.Now()
-	prevWindow := uint64(0)
-	for _, p := range pkts {
-		if w := p.Time / 1e9 / 2; w != prevWindow {
-			d.EndWindow()
-			prevWindow = w
-		}
-		d.Offer(float64(p.Len), p.Time)
-	}
-	d.EndWindow()
-	directNS := float64(time.Since(start).Nanoseconds())
-
-	// Operator-expressed query with the profiler attached, on the batch
-	// entry point the engine and RunFeed use.
-	q, err := core.Compile(subsetSumQuery(2, n, 2, 10), core.Options{Seed: seed, Profile: true})
+	q, opNS, err := opPass(pkts, seed, n, true)
 	if err != nil {
 		return res, err
 	}
-	runtime.GC()
-	start = time.Now()
-	if err := q.ProcessPackets(pkts); err != nil {
-		return res, err
-	}
-	if err := q.Flush(); err != nil {
-		return res, err
-	}
-	res.WallNS = max(time.Since(start).Nanoseconds(), 1)
+	res.WallNS = max(int64(opNS), 1)
 	res.Report = q.Profiler().Report()
 	res.AttributedNS = res.Report.TotalSelfNS
 	res.Coverage = res.AttributedNS / float64(res.WallNS)

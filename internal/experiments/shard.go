@@ -5,9 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"streamop/internal/engine"
-	"streamop/internal/gsql"
-	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
 )
@@ -51,44 +48,20 @@ type shardOutcome struct {
 	wall      time.Duration
 }
 
-// shardRun wires the partial-aggregation pipeline (4096-slot table, high
+// shardRun builds the partial-aggregation pipeline (4096-slot table, high
 // re-aggregation) and runs it over pkts. shards <= 0 selects the
 // single-threaded Run; otherwise RunParallel unpaced with that fan-out.
 func shardRun(seed uint64, pkts []trace.Packet, shards int) (shardOutcome, error) {
 	out := shardOutcome{groups: map[[2]uint64][2]int64{}}
-	reg := sfunlib.Default(seed)
-	e, err := engine.New(1 << 13)
-	if err != nil {
-		return out, err
-	}
-	lowQ, err := gsql.Parse(`SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP`)
-	if err != nil {
-		return out, err
-	}
-	lowPlan, err := gsql.Analyze(lowQ, trace.Schema(), reg)
-	if err != nil {
-		return out, err
-	}
-	pn, err := e.AddLowLevelPartialAgg("low", lowPlan, 4096)
+	c, err := buildChain(1<<13, seed, `SELECT tb, srcIP, sum(len) AS bytes, count(*) AS pkts FROM PKT GROUP BY time/1 as tb, srcIP`, 4096,
+		stage{"final", `SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM low GROUP BY tb/1 as tb2, srcIP`})
 	if err != nil {
 		return out, err
 	}
 	if shards > 0 {
-		pn.SetShards(shards)
+		c.table.SetShards(shards)
 	}
-	highQ, err := gsql.Parse(`SELECT tb2, srcIP, sum(bytes), sum(pkts) FROM low GROUP BY tb/1 as tb2, srcIP`)
-	if err != nil {
-		return out, err
-	}
-	highPlan, err := gsql.Analyze(highQ, pn.Schema(), reg)
-	if err != nil {
-		return out, err
-	}
-	high, err := e.AddHighLevel("final", pn.Base(), highPlan)
-	if err != nil {
-		return out, err
-	}
-	high.Subscribe(func(row tuple.Tuple) error {
+	c.high[0].Subscribe(func(row tuple.Tuple) error {
 		k := [2]uint64{row[0].AsUint(), row[1].Uint()}
 		v := out.groups[k]
 		v[0] += row[2].AsInt()
@@ -99,15 +72,15 @@ func shardRun(seed uint64, pkts []trace.Packet, shards int) (shardOutcome, error
 	})
 	start := time.Now()
 	if shards > 0 {
-		err = e.RunParallel(trace.NewReplay(pkts), 0)
+		err = c.RunParallel(trace.NewReplay(pkts), 0)
 	} else {
-		err = e.Run(trace.NewReplay(pkts))
+		err = c.Run(trace.NewReplay(pkts))
 	}
 	out.wall = time.Since(start)
 	if err != nil {
 		return out, err
 	}
-	out.evictions = pn.Evictions()
+	out.evictions = c.table.Evictions()
 	return out, nil
 }
 

@@ -1,8 +1,6 @@
 package operator
 
 import (
-	"sync/atomic"
-
 	"streamop/internal/sfun"
 	"streamop/internal/telemetry"
 )
@@ -79,14 +77,10 @@ func insertTop(top []rankedGroup, r rankedGroup) []rankedGroup {
 	return top
 }
 
-type debugPublisher struct {
-	ptr atomic.Pointer[DebugState]
-}
-
 // DebugSnapshot returns the most recently published boundary snapshot,
 // nil when none has been published. Safe from any goroutine.
 func (o *Operator) DebugSnapshot() *DebugState {
-	return o.debug.ptr.Load()
+	return o.debug.Load()
 }
 
 // publishDebug builds and publishes a snapshot at a table-visit boundary.
@@ -166,5 +160,5 @@ func (o *Operator) publishDebug(at string) {
 		st.TopGroups = append(st.TopGroups, dg)
 	}
 
-	o.debug.ptr.Store(st)
+	o.debug.Store(st)
 }

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"streamop/internal/checkpoint"
 	"streamop/internal/estimate"
@@ -71,10 +70,6 @@ type AccuracyState struct {
 	History []AccuracyWindow `json:"history,omitempty"`
 }
 
-type accuracyPublisher struct {
-	ptr atomic.Pointer[AccuracyState]
-}
-
 // Estimating reports whether the operator's plan carries ESTIMATE items.
 func (o *Operator) Estimating() bool { return len(o.plan.Estimates) > 0 }
 
@@ -82,7 +77,7 @@ func (o *Operator) Estimating() bool { return len(o.plan.Estimates) > 0 }
 // nil for non-estimating plans or before any publish. Safe from any
 // goroutine.
 func (o *Operator) AccuracySnapshot() *AccuracyState {
-	return o.accuracy.ptr.Load()
+	return o.accuracy.Load()
 }
 
 // estBuffer evaluates the estimate weights of the current HAVING-passing
@@ -203,7 +198,7 @@ func (o *Operator) publishAccuracy(at string) {
 	if n := len(o.estHist); n > 0 {
 		st.Columns = o.estHist[n-1].Columns
 	}
-	o.accuracy.ptr.Store(st)
+	o.accuracy.Store(st)
 }
 
 // snapshotEstimates / restoreEstimates checkpoint the estimator history so

@@ -25,6 +25,7 @@ package operator
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"streamop/internal/agg"
@@ -141,7 +142,7 @@ type Operator struct {
 
 	// Boundary-consistent debug snapshot (see debug.go), published at
 	// window flushes and cleaning phases when /debug/state is being served.
-	debug debugPublisher
+	debug atomic.Pointer[DebugState]
 
 	// Estimation (see estimate.go). All nil/empty unless the plan carries
 	// ESTIMATE … WITH ERROR items; the non-estimating flush path never
@@ -151,7 +152,7 @@ type Operator struct {
 	estWeights []float64         // window-scoped flat pool backing estPending weights
 	estLast    []estimate.Result // finalized results of the last flush
 	estHist    []AccuracyWindow  // bounded ring for /debug/accuracy
-	accuracy   accuracyPublisher
+	accuracy   atomic.Pointer[AccuracyState]
 }
 
 // New creates an operator for plan, sending output rows to emit one by one

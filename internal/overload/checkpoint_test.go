@@ -1,12 +1,16 @@
 package overload
 
-import "testing"
+import (
+	"testing"
 
-// TestExportImportRoundTrip drives a controller into a degraded state,
-// exports it, imports into a fresh controller, and checks that both make
+	"streamop/internal/checkpoint"
+)
+
+// TestEncodeDecodeRoundTrip drives a controller into a degraded state,
+// encodes it, decodes into a fresh controller, and checks that both make
 // the identical sequence of admission decisions afterwards — the property
 // the engine's checkpoint/restore of the source gate depends on.
-func TestExportImportRoundTrip(t *testing.T) {
+func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cfg := Config{Policy: ShedSample, Seed: 99}
 	a := NewController(cfg)
 
@@ -20,9 +24,14 @@ func TestExportImportRoundTrip(t *testing.T) {
 		a.Admit(10, 64)
 	}
 
-	st := a.ExportState()
+	enc := checkpoint.NewEncoder()
+	a.Encode(enc)
 	b := NewController(cfg)
-	b.ImportState(st)
+	d := checkpoint.NewDecoder(enc.Bytes())
+	b.Decode(d)
+	if d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", d.Err(), d.Remaining())
+	}
 
 	if a.AdmitProbability() != b.AdmitProbability() {
 		t.Fatalf("p diverged: %v vs %v", a.AdmitProbability(), b.AdmitProbability())
@@ -33,7 +42,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if a.Offered() != b.Offered() || a.Admitted() != b.Admitted() ||
 		a.Shed() != b.Shed() || a.Dropped() != b.Dropped() ||
 		a.PeakOccupancy() != b.PeakOccupancy() {
-		t.Fatal("accounting counters diverged after import")
+		t.Fatal("accounting counters diverged after decode")
 	}
 
 	// The decisive property: identical future admission decisions,
@@ -46,6 +55,19 @@ func TestExportImportRoundTrip(t *testing.T) {
 		}
 	}
 	if a.Offered() != b.Offered() || a.Admitted() != b.Admitted() {
-		t.Fatal("counters diverged after post-import admissions")
+		t.Fatal("counters diverged after post-decode admissions")
+	}
+}
+
+// TestQuotaEncodeDecodeRoundTrip: a quota reads back field for field.
+func TestQuotaEncodeDecodeRoundTrip(t *testing.T) {
+	q := Quota{Rows: 8, Bytes: 400, BurstSec: 0.5, WarnLag: 3, DetachAfter: 9}
+	enc := checkpoint.NewEncoder()
+	q.Encode(enc)
+	var got Quota
+	d := checkpoint.NewDecoder(enc.Bytes())
+	got.Decode(d)
+	if d.Err() != nil || d.Remaining() != 0 || got != q {
+		t.Fatalf("decoded %+v (err %v, %d bytes left), want %+v", got, d.Err(), d.Remaining(), q)
 	}
 }

@@ -226,54 +226,6 @@ func (g *TenantGate) AdmittedBytes() uint64 { return g.admittedBytes.Load() }
 // ShedBytes returns the encoded bytes of shed rows.
 func (g *TenantGate) ShedBytes() uint64 { return g.shedBytes.Load() }
 
-// TenantPersistentState is the portion of a TenantGate that must survive
-// a checkpoint/restore cycle for a resumed session to make the same
-// admit/shed decisions: the bucket levels, the stream-clock refill
-// anchor, and the exact accounting counters.
-type TenantPersistentState struct {
-	RowTokens     float64
-	ByteTokens    float64
-	LastRefill    uint64
-	Started       bool
-	Offered       uint64
-	Admitted      uint64
-	Shed          uint64
-	AdmittedBytes uint64
-	ShedBytes     uint64
-	Throttled     bool
-}
-
-// ExportState captures the gate's persistent state. Pump goroutine only.
-func (g *TenantGate) ExportState() TenantPersistentState {
-	return TenantPersistentState{
-		RowTokens:     g.rowTokens,
-		ByteTokens:    g.byteTokens,
-		LastRefill:    g.lastRefill,
-		Started:       g.started,
-		Offered:       g.offered.Load(),
-		Admitted:      g.admitted.Load(),
-		Shed:          g.shed.Load(),
-		AdmittedBytes: g.admittedBytes.Load(),
-		ShedBytes:     g.shedBytes.Load(),
-		Throttled:     g.throttled.Load(),
-	}
-}
-
-// ImportState restores a state captured by ExportState. Pump goroutine
-// only, before the first Admit call.
-func (g *TenantGate) ImportState(s TenantPersistentState) {
-	g.rowTokens = s.RowTokens
-	g.byteTokens = s.ByteTokens
-	g.lastRefill = s.LastRefill
-	g.started = s.Started
-	g.offered.Store(s.Offered)
-	g.admitted.Store(s.Admitted)
-	g.shed.Store(s.Shed)
-	g.admittedBytes.Store(s.AdmittedBytes)
-	g.shedBytes.Store(s.ShedBytes)
-	g.throttled.Store(s.Throttled)
-}
-
 // QuotaSnapshot is a tear-free copy of one tenant gate's observable
 // state, the /debug/state "quotas" payload. The subscription-lag fields
 // are filled by the engine (the gate does not track subscriptions).

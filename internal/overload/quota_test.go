@@ -1,6 +1,10 @@
 package overload
 
-import "testing"
+import (
+	"testing"
+
+	"streamop/internal/checkpoint"
+)
 
 const secNS = uint64(1_000_000_000)
 
@@ -130,16 +134,18 @@ func TestTenantGateDeterministicAndResumable(t *testing.T) {
 		}
 	}
 
-	// Export mid-stream, import into a new gate, continue: the tail must
+	// Encode mid-stream, decode into a new gate, continue: the tail must
 	// match the uninterrupted run's, and the counters carry over exactly.
 	half := NewTenantGate(Quota{Rows: 8, Bytes: 400, BurstSec: 0.5})
 	head := run(half, 0, 100)
 	resumed := NewTenantGate(Quota{Rows: 8, Bytes: 400, BurstSec: 0.5})
-	resumed.ImportState(half.ExportState())
+	enc := checkpoint.NewEncoder()
+	half.Encode(enc)
+	resumed.Decode(checkpoint.NewDecoder(enc.Bytes()))
 	tail := run(resumed, 100, 200)
 	for i, d := range append(head, tail...) {
 		if want[i] != d {
-			t.Fatalf("decision %d differs across export/import: %v vs %v", i, want[i], d)
+			t.Fatalf("decision %d differs across encode/decode: %v vs %v", i, want[i], d)
 		}
 	}
 	if resumed.Offered() != ref.Offered() || resumed.Admitted() != ref.Admitted() ||

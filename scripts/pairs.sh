@@ -15,8 +15,10 @@
 # <rev> is cloned (git clone --shared, no worktree is registered) into a
 # directory under $TMPDIR, removed on exit. The change is this checkout's
 # working tree, rebuilt by every run: do not edit it while a series runs.
-# Result lines (one JSON object per run, tagged side/pair/seed) and each
-# run's log are kept under .bench_build/.
+# Result lines (one JSON object per run, tagged side/pair/seed and the tree
+# it ran: the parent's short sha, or this checkout's HEAD plus "-dirty" when
+# the tracked tree differs from it) and each run's log are kept under
+# .bench_build/.
 #
 # Usage: scripts/pairs.sh <rev> <workload> [-n 10] [-seed S]
 set -euo pipefail
@@ -36,6 +38,10 @@ while [ $# -gt 0 ]; do
 done
 sha=$(git rev-parse --verify --quiet "$rev^{commit}") || { echo "pairs.sh: unknown revision $rev" >&2; exit 2; }
 
+ptree=$(git rev-parse --short "$sha")
+ctree=$(git rev-parse --short HEAD)
+git diff --quiet HEAD -- || ctree=$ctree-dirty
+
 parent=$(mktemp -d)
 trap 'rm -rf "$parent"' EXIT
 git clone -q --shared --no-checkout "$root" "$parent"
@@ -46,11 +52,11 @@ mkdir -p "$logs"
 out=$logs/$workload.jsonl
 : >"$out"
 bad=0
-run() { # side dir pair seed
+run() { # side dir pair seed tree
   local log=$logs/$workload-$1-$3.log line
   echo "pairs.sh: pair $3/$n, $1, seed $4" >&2
   if line=$(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$4" --seconds 20 --trace 0 2>"$log" | tail -n 1) &&
-    jq -ce --arg side "$1" --argjson pair "$3" --argjson seed "$4" '{side: $side, pair: $pair, seed: $seed} + .' <<<"$line" >>"$out" 2>/dev/null; then
+    jq -ce --arg side "$1" --argjson pair "$3" --argjson seed "$4" --arg tree "$5" '{side: $side, pair: $pair, seed: $seed, tree: $tree} + .' <<<"$line" >>"$out" 2>/dev/null; then
     return
   fi
   echo "pairs.sh: $1 run of pair $3 failed; log: $log" >&2
@@ -59,15 +65,15 @@ run() { # side dir pair seed
 for ((i = 1; i <= n; i++)); do
   s=$((seed + i - 1))
   if ((i % 2 == 1)); then
-    run parent "$parent" "$i" "$s"
-    run change "$root" "$i" "$s"
+    run parent "$parent" "$i" "$s" "$ptree"
+    run change "$root" "$i" "$s" "$ctree"
   else
-    run change "$root" "$i" "$s"
-    run parent "$parent" "$i" "$s"
+    run change "$root" "$i" "$s" "$ctree"
+    run parent "$parent" "$i" "$s" "$ptree"
   fi
 done
 
-echo "pairs.sh: $workload, $n pairs, seeds $seed–$((seed + n - 1)), parent $(git rev-parse --short "$sha") vs this checkout"
+echo "pairs.sh: $workload, $n pairs, seeds $seed–$((seed + n - 1)), parent $ptree vs change $ctree"
 jq -r '"\(.side) \(.attempted) \(.failed) \(.correct)"' "$out" |
   awk '{runs[$1]++; att[$1] += $2; fail[$1] += $3; if ($4 != "true") wrong[$1]++}
     END {for (s in runs) printf "%s: %d runs, %.0f operations attempted, %.0f failed, %d not correct\n", s, runs[s], att[s], fail[s], wrong[s]}'
