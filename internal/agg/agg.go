@@ -102,6 +102,49 @@ func (c *sumCol) gather(dst *tuple.Column, slots []int32) bool {
 	return true
 }
 
+// Scatter folds the argument column arg at rows into column c, row rows[i]
+// into slot slots[i] in order: Update over a run of rows, one aggregate at
+// a time. A nil arg folds NULL (count(*)). Counts, and sums over a
+// kind-uniform Int or Uint column, move as words; other columns box each
+// value and Update.
+func Scatter(c Column, slots []int32, arg *tuple.Column, rows []int32) {
+	switch c := c.(type) {
+	case *countCol:
+		for _, s := range slots {
+			c.slots[s]++
+		}
+		return
+	case *sumCol:
+		if arg != nil {
+			if k, ok := arg.Uniform(); ok && (k == value.Int || k == value.Uint) {
+				c.scatter(k, slots, arg.Bits(), rows)
+				return
+			}
+		}
+	}
+	for i, s := range slots {
+		var v value.Value
+		if arg != nil {
+			v = arg.Value(int(rows[i]))
+		}
+		c.Update(s, v)
+	}
+}
+
+// scatter is Scatter for an argument of kind k, Int or Uint, whose payload
+// words are words.
+func (c *sumCol) scatter(k value.Kind, slots []int32, words []uint64, rows []int32) {
+	for i, s := range slots {
+		a, w := &c.slots[s], words[rows[i]]
+		a.seen = true
+		if a.isFloat {
+			a.f += value.FromBits(k, w).AsFloat()
+			continue
+		}
+		a.i += int64(w)
+	}
+}
+
 // New returns the column constructor of the named built-in aggregate; ok
 // is false for unknown names. Names are case-insensitive.
 func New(name string) (func() Column, bool) {

@@ -372,3 +372,62 @@ func TestGatherMatchesValue(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterMatchesUpdate holds Scatter to Update row by row: every
+// built-in aggregate over uniform Int and Uint columns (the typed loops),
+// a Float, a mixed-kind and an absent argument, slots repeating within the
+// run and a sum slot already floated.
+func TestScatterMatchesUpdate(t *testing.T) {
+	col := func(vals ...value.Value) *tuple.Column {
+		c := new(tuple.Column)
+		for _, v := range vals {
+			c.AppendValue(v)
+		}
+		return c
+	}
+	args := map[string]*tuple.Column{
+		"int":   col(value.NewInt(3), value.NewInt(-7), value.NewInt(1<<40), value.NewInt(0), value.NewInt(9), value.NewInt(-1)),
+		"uint":  col(value.NewUint(3), value.NewUint(1<<63), value.NewUint(40), value.NewUint(0), value.NewUint(9), value.NewUint(1)),
+		"float": col(value.NewFloat(0.5), value.NewFloat(-2), value.NewFloat(1e9), value.NewFloat(3), value.NewFloat(-0.0), value.NewFloat(7.25)),
+		"mixed": col(value.NewInt(3), value.Value{}, value.NewFloat(2.5), value.NewUint(4), value.NewInt(-1), value.NewBool(true)),
+		"none":  nil,
+	}
+	rows := []int32{5, 0, 2, 2, 4, 1, 3, 0}
+	slots := []int32{1, 0, 3, 1, 1, 2, 0, 3}
+	for _, name := range []string{"sum", "count", "min", "max", "avg", "first", "last", "var", "stddev"} {
+		for argName, arg := range args {
+			if arg == nil && name != "count" {
+				continue
+			}
+			f, _ := New(name)
+			got, want := f(), f()
+			for s := range int32(4) {
+				got.Reset(s)
+				want.Reset(s)
+			}
+			// Slot 3 of a sum holds a float before the run.
+			got.Update(3, value.NewFloat(0.25))
+			want.Update(3, value.NewFloat(0.25))
+			Scatter(got, slots, arg, rows)
+			for i, s := range slots {
+				var v value.Value
+				if arg != nil {
+					v = arg.Value(int(rows[i]))
+				}
+				want.Update(s, v)
+			}
+			for s := range int32(4) {
+				e, w := checkpoint.NewEncoder(), checkpoint.NewEncoder()
+				if err := got.Encode(e, s); err != nil {
+					t.Fatal(err)
+				}
+				if err := want.Encode(w, s); err != nil {
+					t.Fatal(err)
+				}
+				if string(e.Bytes()) != string(w.Bytes()) {
+					t.Errorf("%s(%s) slot %d: Scatter %v, Update %v", name, argName, s, got.Value(s), want.Value(s))
+				}
+			}
+		}
+	}
+}

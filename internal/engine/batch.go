@@ -58,14 +58,14 @@ func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet) error {
 // the table's gsql.GroupFront, as they are the operator's and the router's.
 // GROUP BY and the aggregate arguments evaluate as column kernels over the
 // whole batch when the plan vectorizes (mutation-free: a kernel error
-// leaves the batch to closure mode, as in the operator), and the walk
-// probes the direct-mapped table straight off the columns, materializing
-// key values only when claiming a slot. In closure mode the GROUP BY
-// closures fill the columns first, up to the first row that errs, and an
-// aggregate argument's closure evaluates inside the walk, after its slot's
-// eviction and claim. An attached profile reads the clock between the
-// phases (an error ends the node's run, and leaves the batch's walk
-// uncharged).
+// leaves the batch to closure mode, as in the operator), the keys hash in
+// one tuple.HashRows, and the walk probes the direct-mapped table straight
+// off the columns, materializing key values only when claiming a slot. In
+// closure mode the GROUP BY closures fill the columns first, up to the
+// first row that errs, and an aggregate argument's closure evaluates
+// inside the walk, after its slot's eviction and claim. An attached
+// profile reads the clock between the phases (an error ends the node's
+// run, and leaves the batch's walk uncharged).
 func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 	f := t.front
 	n, np := b.Len(), t.prof
@@ -81,6 +81,7 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 		clear(t.aggCols)
 	}
 	gb := f.Cols()
+	t.hashes = tuple.HashRows(t.hashes, gb, nil, stop)
 	nested := t.nestedNS
 	for row := 0; row < stop; row++ {
 		if f.Closes(row) {
@@ -91,7 +92,7 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 		if f.OpenAt(row) {
 			t.winStartNS = t.prof.Start()
 		}
-		h := tuple.HashRow(gb, row)
+		h := t.hashes[row]
 		idx := h & t.mask
 		if t.div > 1 {
 			idx /= t.div
@@ -171,11 +172,12 @@ func (t *ptable) slotKeyEqualsRow(i int, h uint64, row int) bool {
 
 // routeBatch routes producer packets to the shards: GROUP BY over the whole
 // batch — kernels, or closure mode when the router plan does not vectorize
-// or a kernel errs — then per packet HashRow → owning shard. Unpaced, a
-// packet joins its shard's routing buffer, and a window boundary raises the
-// barrier first; paced, the producer hands over one packet at a time and it
-// is offered to the shard's gate at once. If the GROUP BY closures err at
-// packet k, the packets before k are routed and the error returned.
+// or a kernel errs — and its key hashes (tuple.HashRows), then per packet
+// hash → owning shard. Unpaced, a packet joins its shard's routing buffer,
+// and a window boundary raises the barrier first; paced, the producer
+// hands over one packet at a time and it is offered to the shard's gate at
+// once. If the GROUP BY closures err at packet k, the packets before k are
+// routed and the error returned.
 func (s *shardSet) routeBatch(pkts []trace.Packet) error {
 	if len(pkts) == 0 {
 		return nil
@@ -189,7 +191,7 @@ func (s *shardSet) routeBatch(pkts []trace.Packet) error {
 			err = fmt.Errorf("engine: node %q: routing group-by: %w", s.node.name, err)
 		}
 	}
-	gb := f.Cols()
+	s.hashes = tuple.HashRows(s.hashes, f.Cols(), nil, stop)
 	nw := uint64(len(s.shards))
 	for row := 0; row < stop; row++ {
 		if s.barrier {
@@ -199,7 +201,7 @@ func (s *shardSet) routeBatch(pkts []trace.Packet) error {
 			}
 			f.OpenAt(row)
 		}
-		slot := tuple.HashRow(gb, row) & s.mask
+		slot := s.hashes[row] & s.mask
 		shard := int(slot % nw)
 		if !s.barrier {
 			s.gates[shard].offer(pkts[row : row+1])

@@ -81,9 +81,11 @@ type ptable struct {
 	winStartNS int64
 
 	// The fold's batch scratch (see batch.go): the aggregate argument
-	// kernels' columns (nil entries use the closure) and the row context.
+	// kernels' columns (nil entries use the closure), the row context and
+	// the batch's key hashes.
 	aggCols []*tuple.Column
 	rowT    tuple.Tuple
+	hashes  []uint64
 }
 
 func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {

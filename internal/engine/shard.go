@@ -118,9 +118,10 @@ type shardSet struct {
 
 	// Router: the GROUP BY front of a private plan clone, evaluated over
 	// the producer's batches (in), whose windows raise the barrier.
-	front *gsql.GroupFront
-	in    *tuple.Batch
-	mask  uint64
+	front  *gsql.GroupFront
+	in     *tuple.Batch
+	hashes []uint64
+	mask   uint64
 
 	// pend[i] buffers packets routed to shard i between ring pushes, under
 	// the barrier only: pacing simulates arrival times, so a paced packet

@@ -2,6 +2,7 @@ package gsql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamop/internal/agg"
@@ -72,6 +73,11 @@ type SuperDef struct {
 	Display string
 }
 
+// SelectRef is what a grouping plan's SELECT item reads when it is a bare
+// reference: group-by variable GroupVar, or aggregate Agg, the other -1.
+// Both are -1 for any other item, whose closure runs per group.
+type SelectRef struct{ GroupVar, Agg int }
+
 // StateDef is one stateful-function state the query requires per
 // supergroup.
 type StateDef struct {
@@ -123,6 +129,14 @@ type Plan struct {
 	// SelectOrdered marks select items that are monotone in ordered
 	// stream attributes, so downstream queries can window on them.
 	SelectOrdered []bool
+	// SelectRefs aligns with SelectExprs in a grouping plan: what each
+	// item reads when it is a bare reference, which the window's flush
+	// gathers as a column over the groups it outputs.
+	SelectRefs []SelectRef
+	// SelectStateful is set when a grouping plan's SELECT list calls a
+	// stateful function: the flush then outputs each group before it
+	// judges the next.
+	SelectStateful bool
 
 	Aggs   []AggDef
 	Supers []SuperDef
@@ -176,6 +190,9 @@ type binder struct {
 	stateIdx map[string]int
 	aggIdx   map[string]int
 	superIdx map[string]int
+	// groupCalls counts the stateful calls compiled in a per-group
+	// clause (one that may read aggregates).
+	groupCalls int
 }
 
 // Analyze binds q against schema and registry and compiles every clause.
@@ -311,10 +328,12 @@ func (b *binder) analyzeSampling(q *Query) (*Plan, error) {
 	}
 	selCtx := exprCtx{clause: "SELECT", groupVars: true, aggs: true, supers: true, sfuns: true}
 	for _, item := range q.Select {
+		calls := b.groupCalls
 		c, err := b.compile(item.Expr, selCtx)
 		if err != nil {
 			return nil, err
 		}
+		p.SelectStateful = p.SelectStateful || b.groupCalls > calls
 		name := item.Alias
 		if name == "" {
 			name = item.Expr.String()
@@ -342,22 +361,25 @@ func (b *binder) analyzeSampling(q *Query) (*Plan, error) {
 				})
 				p.SelectNames = append(p.SelectNames, name+suffix)
 				p.SelectOrdered = append(p.SelectOrdered, false)
+				p.SelectRefs = append(p.SelectRefs, SelectRef{-1, -1})
 			}
 			continue
 		}
 		p.SelectExprs = append(p.SelectExprs, c)
 		p.SelectNames = append(p.SelectNames, name)
-		ordered := false
-		if id, ok := item.Expr.(*Ident); ok {
-			if idx, found := b.groupVarIndex(id.Name); found {
-				for _, oi := range p.OrderedIdx {
-					if oi == idx {
-						ordered = true
-					}
-				}
+		ref := SelectRef{-1, -1}
+		switch e := item.Expr.(type) {
+		case *Ident:
+			if idx, ok := b.groupVarIndex(e.Name); ok {
+				ref.GroupVar = idx
+			}
+		case *Call:
+			if idx, ok := b.aggIdx[strings.ToLower(e.String())]; ok {
+				ref.Agg = idx
 			}
 		}
-		p.SelectOrdered = append(p.SelectOrdered, ordered)
+		p.SelectRefs = append(p.SelectRefs, ref)
+		p.SelectOrdered = append(p.SelectOrdered, ref.GroupVar >= 0 && slices.Contains(p.OrderedIdx, ref.GroupVar))
 	}
 	return p, nil
 }
@@ -783,6 +805,9 @@ func (b *binder) compileFunc(e *Call, ctx exprCtx) (Compiled, error) {
 	}
 	if !ctx.sfuns {
 		return nil, fmt.Errorf("gsql: stateful function %s not allowed in %s clause", e.Name, ctx.clause)
+	}
+	if ctx.aggs {
+		b.groupCalls++
 	}
 	stKey := strings.ToLower(fn.State)
 	idx, ok := b.stateIdx[stKey]

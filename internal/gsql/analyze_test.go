@@ -1,6 +1,7 @@
 package gsql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -366,5 +367,30 @@ CLEANING BY count(*) > 0`)
 	}
 	if p.Supers[0].Arg != nil {
 		t.Error("empty-arg superaggregate has a per-tuple argument")
+	}
+}
+
+// TestSelectRefs checks what the analyzer marks for the flush's SELECT
+// gather: a bare group-by variable (by alias or by name) or aggregate is a
+// reference, any other item computed, and a stateful call in a per-group
+// position — not inside an aggregate's argument — marks the list.
+func TestSelectRefs(t *testing.T) {
+	for _, tc := range []struct {
+		src      string
+		refs     []SelectRef
+		stateful bool
+	}{
+		{`SELECT tb, srcIP, sum(len), count(*), sum(len) / count(*), srcIP * 2, tb AS t2
+		  FROM PKT GROUP BY time/1 AS tb, srcIP`,
+			[]SelectRef{{0, -1}, {1, -1}, {-1, 0}, {-1, 1}, {-1, -1}, {-1, -1}, {0, -1}}, false},
+		{`SELECT uts, UMAX(sum(len), ssthreshold()) FROM PKT GROUP BY time/20 AS tb, uts`,
+			[]SelectRef{{1, -1}, {-1, -1}}, true},
+		{`SELECT tb, first(current_bucket()) FROM PKT GROUP BY time AS tb`,
+			[]SelectRef{{0, -1}, {-1, 0}}, false},
+	} {
+		p := analyzeQuery(t, tc.src)
+		if fmt.Sprint(p.SelectRefs) != fmt.Sprint(tc.refs) || p.SelectStateful != tc.stateful {
+			t.Errorf("%s: SelectRefs %v, stateful %v; want %v, %v", tc.src, p.SelectRefs, p.SelectStateful, tc.refs, tc.stateful)
+		}
 	}
 }

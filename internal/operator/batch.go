@@ -32,9 +32,12 @@ type vecState struct {
 	curSG *supergroup
 
 	// Selection plans: the positions of the rows that passed WHERE and the
-	// SELECT columns evaluated over them.
+	// SELECT columns evaluated over them. A grouping plan's run (groupRun)
+	// uses sel for its accepted rows, with their key hashes and slots.
 	selCols []*tuple.Column
 	sel     []int32
+	hashes  []uint64
+	slots   []int32
 }
 
 func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
@@ -72,9 +75,11 @@ func newVecState(p *gsql.Plan, vp *gsql.VecPlan) *vecState {
 // rows up to the first it passes — with one supergroup and no row context
 // up to the next window close, else one row; a traced row inside the run
 // is told its verdict after the scan — and window boundaries are detected
-// per row, so a batch straddling windows flushes at the right row. An
-// attached profile reads the clock between the phases and selects
-// nothing. A selection plan walks WHERE only: see selectBatch.
+// per row, so a batch straddling windows flushes at the right row. A plan
+// with no per-row stateful step walks the rows between two window closes,
+// or traced rows, in one run of passes instead (see walk). An attached
+// profile reads the clock between the phases and selects nothing. A
+// selection plan walks WHERE only: see selectBatch.
 func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	n := b.Len()
 	if n == 0 {
@@ -95,8 +100,15 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 	return err
 }
 
-// walk is ProcessBatch's walk over a grouping plan. On an error it returns
-// the traces of the row it failed at.
+// walk is ProcessBatch's walk over a grouping plan. The path is chosen
+// once a batch, from the plan and the batch's kernels: unless some step is
+// stateful per row — an SFUN WHERE, CLEANING WHEN, a superaggregate,
+// SUPERGROUP BY, a closure over the row context, an argument that may be
+// a String where argAt checks for one — a row the walk reaches opens a run
+// (groupRun) that ends at the next window close, at the next traced row or
+// at the batch's end. A traced row, and every row of a plan with such a
+// step, walks alone. On an error it returns the traces of the row it
+// failed at.
 func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.TupleTrace, error) {
 	n, np := b.Len(), o.prof
 	rows := int64(n)
@@ -121,6 +133,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 	}
 	v.checkArgs(o.plan)
 	gb := f.Cols()
+	allSG := len(o.plan.SupergroupIdx) == 0
+	runs := kernels && !rowCtx && whereCall == nil && o.plan.CleaningWhen == nil && allSG &&
+		len(o.plan.Supers) == 0 && !slices.Contains(v.aggCheck, true)
 
 	// The walk, in row order. (An error ends the node's run, and leaves the
 	// batch's walk uncharged.)
@@ -128,7 +143,6 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 	if !f.WindowOpen() {
 		v.curSG = nil
 	}
-	allSG := len(o.plan.SupergroupIdx) == 0
 	next := o.tr.NextRow()
 	closes := f.NextClose(0, stop) // the row that closes the open window
 	var tts []*tracing.TupleTrace
@@ -165,6 +179,16 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 			if allSG {
 				v.curSG = sg
 			}
+		}
+		if runs && tts == nil { // the run up to the window's close or the next traced row
+			end := min(closes, stop)
+			if next >= 0 {
+				end = min(end, next)
+			}
+			o.stats.TuplesIn += int64(end - row - 1)
+			o.groupRun(sg, row, end, whereMask)
+			row = end - 1
+			continue
 		}
 		if rowCtx { // the context of the closures this row runs
 			v.rowT = b.Row(row, v.rowT)
@@ -307,6 +331,37 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 	}
 	np.Charge(profile.StageWalk, pt+o.nestedNS-nested, rows, o.stats.TuplesAccepted-accepted)
 	return nil, nil
+}
+
+// groupRun walks the rows [from, to) of one window, none of them traced,
+// in passes: the rows WHERE's mask accepts become a selection vector, their
+// key hashes one tuple.HashRows, and a probe pass turns the hashes into
+// slots, creating the missing groups in row order; then each aggregate
+// folds the run in with one agg.Scatter. No row of a run reads what
+// another wrote before the window's flush, so the passes leave the table,
+// the store and the aggregates as the row-by-row walk would.
+func (o *Operator) groupRun(sg *supergroup, from, to int, mask bool) {
+	v, gb := o.vec, o.front.Cols()
+	v.sel = v.sel[:0]
+	for row := from; row < to; row++ {
+		if !mask || v.mask.Get(row) {
+			v.sel = append(v.sel, int32(row))
+		}
+	}
+	o.stats.TuplesAccepted += int64(len(v.sel))
+	v.hashes = tuple.HashRows(v.hashes, gb, v.sel, 0)
+	v.slots = slices.Grow(v.slots[:0], len(v.sel))[:len(v.sel)]
+	for i, row := range v.sel {
+		h := v.hashes[i]
+		g := o.groups.lookupCols(&o.store, h, gb, int(row))
+		if g < 0 {
+			g = o.createGroup(sg, h, gb, int(row))
+		}
+		v.slots[i] = g
+	}
+	for i, c := range o.store.aggs {
+		agg.Scatter(c, v.slots, v.aggCols[i], v.sel)
+	}
 }
 
 // argAt returns an aggregate's or a superaggregate's argument at row: its

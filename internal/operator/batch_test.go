@@ -11,6 +11,7 @@ import (
 	"streamop/internal/sfun"
 	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
+	"streamop/internal/tracing"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 	"streamop/internal/xrand"
@@ -271,6 +272,51 @@ SUPERGROUP BY tb, srcIP
 HAVING HX <= Kth_smallest_value$(HX, 16)
 CLEANING WHEN count_distinct$(*) >= 16
 CLEANING BY HX <= Kth_smallest_value$(HX, 16)`},
+		// No per-row stateful step: rows move in runs, keys repeating
+		// within one, and the flush gathers the SELECT list. gsqd's tap:
+		{"tap_runs", `
+SELECT tb, srcIP, destIP, sum(len) AS bytes, count(*) AS cnt
+FROM PKT
+GROUP BY time/1 AS tb, srcIP, destIP`},
+		// Every built-in aggregate over an Int and a Float argument: the
+		// typed scatters and the Update fallback.
+		{"every_agg_runs", `
+SELECT tb, srcIP, sum(len - 700), avg(len - 700), var(len - 700), stddev(len - 700),
+       min(len - 700), max(len - 700), first(len - 700), last(len - 700), count(len - 700),
+       sum(len * 0.5), avg(len * 0.5), var(len * 0.5), stddev(len * 0.5),
+       min(len * 0.5), max(len * 0.5), first(len * 0.5), last(len * 0.5), count(len * 0.5), count(*)
+FROM PKT
+WHERE len > 300
+GROUP BY time/1 AS tb, srcIP`},
+		// Bare references gathered beside computed items that run their
+		// closures per group, after a HAVING.
+		{"select_mixed", `
+SELECT sum(len) / count(*) AS mean, tb, srcIP * 2 AS s2, destIP, count(*), srcIP, sum(len)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP, destIP
+HAVING count(*) > 1`},
+		// A computed item that errs at a group mid-flush (window 24's
+		// fifth group counts 16 rows): the rows before it go out, the
+		// error surfaces at the flush's row.
+		{"select_errs", `
+SELECT tb, srcIP, sum(len) / (count(*) - 16), count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP`},
+		// HAVING errs at that group, after four that passed and wait to
+		// be gathered: they go out before the error.
+		{"having_errs", `
+SELECT tb, srcIP, count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP
+HAVING sum(len) / (count(*) - 16) > 0`},
+		// Both: a computed item errs at a passed group that waits to be
+		// gathered (window 5's fourth, 38 rows) when HAVING errs at the
+		// next (20 rows); the item's error comes first.
+		{"having_errs_after_select", `
+SELECT tb, srcIP, sum(len) / (count(*) - 38), count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP
+HAVING sum(len) / (count(*) - 20) > 0`},
 	}
 	rows := pktRows(equivPackets(5000, 35, 5, 42))
 	for _, q := range queries {
@@ -400,5 +446,58 @@ func TestStringSumArgumentErrsAtItsRow(t *testing.T) {
 			}
 			requireIdenticalRows(t, src, *out, want)
 		}
+	}
+}
+
+// TestGatheredSelectStagesTracesAtTheirRows traces every row of a plan
+// whose SELECT list the flush gathers, with several supergroups sharing
+// each output batch, and holds every trace the flush stages to the output
+// row of its own group: the row's key is the traced row's.
+func TestGatheredSelectStagesTracesAtTheirRows(t *testing.T) {
+	src := `SELECT tb, srcIP, destIP, count(*) FROM PKT GROUP BY time/1 AS tb, srcIP, destIP SUPERGROUP BY tb, srcIP`
+	op, err := operator.New(compilePlan(t, src, trace.Schema(), sfunlib.Default(1)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracing.New(tracing.Config{Every: 1})
+	op.SetTracer(tr, "walk")
+	from := map[*tracing.TupleTrace]trace.Packet{}
+	staged := 0
+	op.SetColumnSink(func(cols []*tuple.Column) error {
+		for _, rt := range tr.TakeStaged() {
+			for _, tt := range rt.TTs {
+				p := from[tt]
+				key := []value.Value{value.NewUint(p.Time / 1e9), value.NewUint(uint64(p.SrcIP)), value.NewUint(uint64(p.DstIP))}
+				for c, want := range key {
+					if got := cols[c].Value(rt.Row); !value.Equal(got, want) {
+						t.Fatalf("a trace of key %v staged at output row %d, column %d of which is %v", key, rt.Row, c, got)
+					}
+				}
+				staged++
+			}
+		}
+		return nil
+	})
+	pkts := equivPackets(3000, 7, 5, 3)
+	b := tuple.NewBatch(trace.Schema(), 64)
+	for off := 0; off < len(pkts); off += 64 {
+		b.Reset()
+		var rts []tracing.RowTraces
+		for i, p := range pkts[off:min(off+64, len(pkts))] {
+			tt := tr.SourceOffer(tr.NextSeq())
+			from[tt] = p
+			rts = append(rts, tracing.RowTraces{Row: i, TTs: []*tracing.TupleTrace{tt}})
+		}
+		trace.AppendBatch(b, pkts[off:min(off+64, len(pkts))])
+		tr.SetCurrent(rts)
+		if err := op.ProcessBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := op.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if staged != len(pkts) {
+		t.Fatalf("%d traces staged, want %d", staged, len(pkts))
 	}
 }

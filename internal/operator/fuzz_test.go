@@ -109,7 +109,8 @@ func runTraced(op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, 
 // oracle over rows decoded from the input, untraced and, when the input
 // marks rows traced, traced. The seeds after the first ones put window
 // closes and traced rows inside runs of rows a stateful WHERE rejects: the
-// walk's scan must stop at a close, and tell a traced row its verdict.
+// walk's scan must stop at a close, and tell a traced row its verdict. The
+// last does the same to the runs of a plan with no per-row stateful step.
 func FuzzWalk(f *testing.F) {
 	for q := range fuzzQueries {
 		f.Add([]byte{byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1})
@@ -119,6 +120,7 @@ func FuzzWalk(f *testing.F) {
 			f.Add(runSeed(q, size))
 		}
 	}
+	f.Add(runSeed(0, 39)) // a plan that moves rows in runs: keys repeat in one, windows close mid-batch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, size, rows := fuzzRows(data, fuzzQueries)
 		if rows == nil {
@@ -158,7 +160,8 @@ func runSeed(q, size byte) []byte {
 // snapshotQueries are FuzzWalkSnapshot's: every built-in aggregate's
 // column form — min, max, first and last over the mixed-kind column,
 // sum, avg, var and stddev over numeric expressions of k — with cleaning
-// that frees slots for reuse, and the contributions of sum$ and min$.
+// that frees slots for reuse, and the contributions of sum$ and min$; and
+// the same aggregates in a plan whose rows move in runs.
 var snapshotQueries = []string{
 	`SELECT tb, k, min(v), max(v), first(v), last(v), count(*) FROM S GROUP BY ts/4 AS tb, k
 	 CLEANING WHEN count_distinct$(*) >= 4 CLEANING BY count(*) >= 2`,
@@ -166,6 +169,8 @@ var snapshotQueries = []string{
 	 HAVING count(*) > 1 CLEANING WHEN count_distinct$(*) >= 6 CLEANING BY sum(k) > 0`,
 	`SELECT tb, k, min$(k), first(tag), last(v), sum(k / 2.0), max(tag) FROM S GROUP BY ts/4 AS tb, k, tag
 	 SUPERGROUP BY tb, tag CLEANING WHEN count_distinct$(*) >= 3 CLEANING BY k > min$(k)`,
+	`SELECT tb, k, tag, count(*), sum(k * 3), avg(k + 0.5), var(k), stddev(k - 1), min(v), max(v), first(v), last(v)
+	 FROM S GROUP BY ts/4 AS tb, k, tag HAVING count(*) > 1`,
 }
 
 // FuzzWalkSnapshot holds a run interrupted by Snapshot and Restore to the

@@ -24,6 +24,13 @@ import (
 // Each window's groups thus lie in the order sg.groups, cleaning, HAVING
 // and SELECT walk them, and the store never outgrows the resident
 // high-water mark. Window rotation rewinds the cursor.
+//
+// A plan with no per-row stateful step probes in runs (Operator.groupRun):
+// a run's rows hash in one tuple.HashRows, and the probe pass turns the
+// hashes into a slot vector, creating the misses in row order: the probes
+// wait on no aggregate update, so their cache misses overlap. A window
+// close, a traced row or the batch's end ends a run; a plan with such a
+// step probes one row at a time, the same way.
 type groupStore struct {
 	keys     []tuple.Column
 	hash     []uint64

@@ -82,6 +82,11 @@ type Operator struct {
 	sink   ColumnSink
 	out    []*tuple.Column
 	outRow tuple.Tuple
+	// The flush's SELECT gather (outputGroups): the indices of the items
+	// that are not bare references, and the slots of the groups passed
+	// and not yet output.
+	computed []int
+	pass     []int32
 
 	// The open window's groups (see grouptable.go): the store of their
 	// slots, the group table over it, and slot, the reader the per-group
@@ -175,6 +180,11 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 		argVals: make([]value.Value, len(plan.Supers)),
 	}
 	o.slot.Cols = o.store.aggs
+	for j, ref := range plan.SelectRefs {
+		if ref.GroupVar < 0 && ref.Agg < 0 {
+			o.computed = append(o.computed, j)
+		}
+	}
 	o.vec = newVecState(plan, o.front.Vec())
 	for i := range o.out {
 		o.out[i] = new(tuple.Column)
@@ -481,13 +491,17 @@ func (o *Operator) flushWindow() error {
 // supergroup, then group, insertion order) and outputs the ones that pass.
 // When HAVING matched the per-group call shape it scans a supergroup's
 // groups a run at a time, up to the next that passes, and tells the traced
-// groups of the run what it decided; a group that passes is output before
-// the next is judged, whatever its SELECT list calls.
+// groups of the run what it decided. A SELECT list that calls no stateful
+// function is gathered over the passing groups of a supergroup, up to the
+// output batch's end (outputGroups); one that does outputs each group
+// before the next is judged.
 func (o *Operator) sample() error {
 	var fast *gsql.GroupCall
 	if o.vec.vp != nil {
 		fast = o.vec.vp.HavingCall
 	}
+	gather := !o.plan.SelectStateful && len(o.plan.Estimates) == 0
+	o.pass = o.pass[:0]
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
 		o.ctx.Supers = sg.supers
@@ -503,7 +517,7 @@ func (o *Operator) sample() error {
 					o.traceVerdict(o.traces[groups[j]], fast.Fn, fast.State, j == p, err, (*tracing.TupleTrace).Having)
 				}
 				if err != nil {
-					return fmt.Errorf("operator: HAVING: %w", err)
+					return o.havingErr(err)
 				}
 				if p == len(groups) {
 					break
@@ -512,14 +526,16 @@ func (o *Operator) sample() error {
 			}
 			g := groups[i]
 			tts := o.traces[g]
-			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
+			if !gather || fast == nil && o.plan.Having != nil { // a closure reads the key
+				o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
+			}
 			o.slot.At = g
 			if fast == nil && o.plan.Having != nil {
 				o.ctx.Trace = o.sfunHook(tts)
 				v, err := o.plan.Having(&o.ctx)
 				o.ctx.Trace = nil
 				if err != nil {
-					return fmt.Errorf("operator: HAVING: %w", err)
+					return o.havingErr(err)
 				}
 				pass := v.Truth()
 				for _, tt := range tts {
@@ -538,6 +554,15 @@ func (o *Operator) sample() error {
 				}
 				continue
 			}
+			if gather {
+				o.pass = append(o.pass, g)
+				if len(o.pass)+o.out[0].Len() == tuple.DefaultBatchRows {
+					if err := o.outputGroups(); err != nil {
+						return err
+					}
+				}
+				continue
+			}
 			if err := o.output(&o.ctx, tts); err != nil {
 				return err
 			}
@@ -545,11 +570,28 @@ func (o *Operator) sample() error {
 				delete(o.traces, g) // staged
 			}
 		}
+		if len(o.pass) > 0 {
+			if err := o.outputGroups(); err != nil {
+				return err
+			}
+		}
 	}
 	if len(o.plan.Estimates) > 0 {
 		return o.finishEstimates()
 	}
 	return nil
+}
+
+// havingErr returns HAVING's error err after outputting the groups o.pass
+// holds, which passed before the group HAVING erred at, as the row-by-row
+// output would have; an error of theirs comes first, as it would have.
+func (o *Operator) havingErr(err error) error {
+	if len(o.pass) > 0 {
+		if e := o.outputGroups(); e != nil {
+			return e
+		}
+	}
+	return fmt.Errorf("operator: HAVING: %w", err)
 }
 
 // output evaluates the SELECT list into the output batch: no tuple is
@@ -578,6 +620,58 @@ func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 		return o.drain(nil)
 	}
 	return nil
+}
+
+// outputGroups outputs the groups o.pass holds, in order, as rows of the
+// output batch, and empties it: the computed SELECT items' closures row by
+// row, then each bare reference gathered as a column over the slots
+// (Column.Gather over a key, agg.Gather over an aggregate). It ends as
+// output does: the traced rows staged, the batch handed on once full, and
+// an error at group k leaving the rows before k. o.ctx holds the groups'
+// supergroup.
+func (o *Operator) outputGroups() error {
+	slots, base := o.pass, o.out[0].Len()
+	o.pass = o.pass[:0]
+	var err error
+	if len(o.computed) > 0 {
+	rows:
+		for k, g := range slots {
+			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
+			o.slot.At = g
+			for _, j := range o.computed {
+				v, e := o.plan.SelectExprs[j](&o.ctx)
+				if e != nil {
+					err, slots = fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[j], e), slots[:k]
+					break rows
+				}
+				o.outRow[j] = v
+			}
+			for _, j := range o.computed {
+				o.out[j].AppendValue(o.outRow[j])
+			}
+		}
+	}
+	for j, ref := range o.plan.SelectRefs {
+		switch {
+		case ref.GroupVar >= 0:
+			o.out[j].Gather(&o.store.keys[ref.GroupVar], slots)
+		case ref.Agg >= 0:
+			agg.Gather(o.out[j], o.store.aggs[ref.Agg], slots)
+		}
+	}
+	if len(o.traces) > 0 {
+		for k, g := range slots {
+			if tts := o.traces[g]; len(tts) > 0 {
+				o.tr.Stage(o.trName, o.windowIdx, base+k, tts)
+				delete(o.traces, g)
+			}
+		}
+	}
+	o.stats.TuplesOut += int64(len(slots))
+	if err != nil || o.out[0].Len() < tuple.DefaultBatchRows {
+		return err
+	}
+	return o.drain(nil)
 }
 
 // send hands one run of output rows to the sink.

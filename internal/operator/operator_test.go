@@ -447,20 +447,59 @@ CLEANING BY HX <= Kth_smallest_value$(HX, 4)`, pkts)
 	}
 }
 
+// BenchmarkOperatorAggregation times gsqd's aggregating tap, a plain
+// GROUP BY with a sum and a count, through ProcessBatch in batches of 512
+// rows over a trace.DefaultSteady lap materialised up front, each window's
+// flush included: the walk's runs, the aggregates' scatter and the
+// gathered SELECT list. It reports ns/pkt and the groups a window holds.
 func BenchmarkOperatorAggregation(b *testing.B) {
-	q, _ := gsql.Parse(`SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/10 as tb, srcIP`)
-	plan, _ := gsql.Analyze(q, trace.Schema(), sfunlib.Default(1))
-	op, _ := operator.New(plan, nil)
-	r := xrand.New(1)
-	tuples := make([]tuple.Tuple, 1024)
-	for i := range tuples {
-		p := trace.Packet{Time: uint64(i) * 1e6, SrcIP: uint32(r.Intn(100)), Len: 100}
-		tuples[i] = p.Tuple()
+	const (
+		lapSec = 5
+		src    = `SELECT tb, srcIP, destIP, sum(len) AS bytes, count(*) AS cnt FROM PKT GROUP BY time/1 AS tb, srcIP, destIP`
+	)
+	q, err := gsql.Parse(src)
+	if err != nil {
+		b.Fatal(err)
 	}
+	plan, err := gsql.Analyze(q, trace.Schema(), sfunlib.Default(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	feed, err := trace.NewSteady(trace.DefaultSteady(1, lapSec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pkts []trace.Packet
+	for p, ok := feed.Next(); ok; p, ok = feed.Next() {
+		pkts = append(pkts, p)
+	}
+	var batches []*tuple.Batch
+	for off := 0; off < len(pkts); off += tuple.DefaultBatchRows {
+		bt := tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows)
+		trace.AppendBatch(bt, pkts[off:min(off+tuple.DefaultBatchRows, len(pkts))])
+		batches = append(batches, bt)
+	}
+	var st operator.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op.Process(tuples[i&1023])
+		b.StopTimer()
+		op, err := operator.New(plan, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, bt := range batches {
+			if err := op.ProcessBatch(bt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := op.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		st = op.Stats()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+	b.ReportMetric(float64(st.GroupsCreated)/float64(st.Windows), "groups/window")
 }
 
 func BenchmarkOperatorSubsetSum(b *testing.B) {

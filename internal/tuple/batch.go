@@ -30,6 +30,7 @@ package tuple
 
 import (
 	"math/bits"
+	"slices"
 
 	"streamop/internal/value"
 )
@@ -189,11 +190,11 @@ func (c *Column) AppendFrom(src *Column, i int) {
 	c.AppendBits(k, src.bits[i])
 }
 
-// Gather appends src's rows at the ascending positions sel, or every row
+// Gather appends src's rows at the positions sel, in order, or every row
 // of src when sel is nil: the column-to-column copy of the edge between
-// query nodes. Kind-uniform numeric or Bool sources (every PKT-derived
-// column) move as runs of raw words; String-bearing and mixed-kind
-// sources go row by row.
+// query nodes, and of a window's group keys into its output. Kind-uniform
+// numeric or Bool sources (every PKT-derived column) move as runs of raw
+// words; String-bearing and mixed-kind sources go row by row.
 func (c *Column) Gather(src *Column, sel []int32) {
 	n := len(sel)
 	if sel == nil {
@@ -468,6 +469,53 @@ func HashRow(cols []*Column, row int) uint64 {
 		}
 	}
 	return h
+}
+
+// hashAt folds row's value into the hash h.
+func (c *Column) hashAt(row int, h uint64) uint64 {
+	if k := c.kinds[row]; k != value.String {
+		return value.HashBits(k, c.bits[row], h)
+	}
+	return value.Hash(value.NewString(c.strs[row]), h)
+}
+
+// HashRows is HashRow over many rows, column-major: it sets dst to the
+// hashes of the given columns at the rows sel, in order, or at rows
+// [0, n) when sel is nil, and returns it. A kind-uniform Int or Uint
+// column folds in as one tight loop over its words. The operator's runs,
+// the partial-aggregation table and the shard router hash through it.
+func HashRows(dst []uint64, cols []*Column, sel []int32, n int) []uint64 {
+	if sel != nil {
+		n = len(sel)
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	seed := uint64(len(cols)) * 0x9e3779b97f4a7c15
+	for i := range dst {
+		dst[i] = seed
+	}
+	for _, c := range cols {
+		k, uniform := c.Uniform()
+		words := c.bits
+		switch {
+		case uniform && (k == value.Int || k == value.Uint) && sel == nil:
+			for i, w := range words[:n] {
+				dst[i] = value.HashInt(w, dst[i])
+			}
+		case uniform && (k == value.Int || k == value.Uint):
+			for i, r := range sel {
+				dst[i] = value.HashInt(words[r], dst[i])
+			}
+		case sel == nil:
+			for i := range dst {
+				dst[i] = c.hashAt(i, dst[i])
+			}
+		default:
+			for i, r := range sel {
+				dst[i] = c.hashAt(int(r), dst[i])
+			}
+		}
+	}
+	return dst
 }
 
 // Bitmap is a word-packed row mask used while combining vectorized

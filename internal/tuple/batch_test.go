@@ -166,6 +166,62 @@ func TestHashRowMatchesHashValues(t *testing.T) {
 	_ = sub
 }
 
+// TestHashRowsMatchesHashRow holds the column-major kernel to HashRow row
+// by row, for every kind and for mixed-kind columns, over a range and over
+// a selection vector: snapshot goldens store these hashes, and the
+// partial-aggregation table's slots and the router's shards follow them.
+func TestHashRowsMatchesHashRow(t *testing.T) {
+	kinds := map[string][]value.Value{
+		"null":     {{}, {}, {}, {}, {}},
+		"bool":     {value.NewBool(true), value.NewBool(false), value.NewBool(true), value.NewBool(false), value.NewBool(true)},
+		"int":      {value.NewInt(-1), value.NewInt(0), value.NewInt(5), value.NewInt(math.MinInt64), value.NewInt(1 << 40)},
+		"uint":     {value.NewUint(0), value.NewUint(5), value.NewUint(math.MaxUint64), value.NewUint(7), value.NewUint(1 << 33)},
+		"integral": {value.NewFloat(5), value.NewFloat(-3), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(1 << 52)},
+		"float":    {value.NewFloat(2.25), value.NewFloat(-0.5), value.NewFloat(math.Inf(1)), value.NewFloat(1e300), value.NewFloat(math.NaN())},
+		"string":   {value.NewString("k"), value.NewString(""), value.NewString("\x00"), value.NewString("srcIP"), value.NewString("k")},
+		"mixed":    {value.NewInt(5), value.NewString("5"), value.NewFloat(5), value.Value{}, value.NewUint(5)},
+		"numeric":  {value.NewUint(9), value.NewInt(-9), value.NewFloat(9.5), value.NewBool(true), value.NewInt(9)},
+	}
+	col := func(vals []value.Value) *Column {
+		c := new(Column)
+		for _, v := range vals {
+			c.AppendValue(v)
+		}
+		return c
+	}
+	sets := [][]string{{"null"}, {"bool"}, {"int"}, {"uint"}, {"integral"}, {"float"}, {"string"}, {"mixed"}, {"numeric"},
+		{"int", "uint", "string"}, {"uint", "mixed", "float", "bool"}, {"null", "integral", "int"}}
+	sels := [][]int32{nil, {}, {0}, {4}, {1, 3}, {0, 2, 4}, {4, 0, 2, 2}}
+	dst := make([]uint64, 0, 1)
+	for _, set := range sets {
+		var cols []*Column
+		for _, k := range set {
+			cols = append(cols, col(kinds[k]))
+		}
+		for _, sel := range sels {
+			for _, n := range []int{0, 3, 5} {
+				dst = HashRows(dst, cols, sel, n)
+				want := n
+				if sel != nil {
+					want = len(sel)
+				}
+				if len(dst) != want {
+					t.Fatalf("%v sel %v n %d: %d hashes, want %d", set, sel, n, len(dst), want)
+				}
+				for i, h := range dst {
+					row := i
+					if sel != nil {
+						row = int(sel[i])
+					}
+					if w := HashRow(cols, row); h != w {
+						t.Errorf("%v sel %v: row %d: HashRows = %#x, HashRow = %#x", set, sel, row, h, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestColumnEqualValue(t *testing.T) {
 	var c Column
 	c.AppendValue(value.NewUint(5))

@@ -338,7 +338,7 @@ func HashBits(k Kind, bits, seed uint64) uint64 {
 	case Bool:
 		return mix64(seed ^ (bits + 2))
 	case Int, Uint:
-		return mix64(seed ^ bits)
+		return HashInt(bits, seed)
 	case Float:
 		// Canonicalize: integers hash by their two's-complement bits;
 		// floats that are mathematically integral hash as integers so
@@ -351,6 +351,10 @@ func HashBits(k Kind, bits, seed uint64) uint64 {
 	}
 	return mix64(seed)
 }
+
+// HashInt is HashBits of an Int or Uint payload word, small enough to
+// inline into a loop over a kind-uniform column's words.
+func HashInt(bits, seed uint64) uint64 { return mix64(seed ^ bits) }
 
 // mix64 is the splitmix64 finalizer; it decorrelates sequential inputs.
 func mix64(x uint64) uint64 {
