@@ -272,6 +272,9 @@ func (n *Node) callApps(cols []*tuple.Column) error {
 	if n.deliver != nil {
 		n.deliver(cols)
 	}
+	if len(n.apps) == 0 {
+		return nil
+	}
 	for i, rows := 0, cols[0].Len(); i < rows; i++ {
 		n.appRow = tuple.RowOf(n.appRow, cols, i)
 		for _, app := range n.apps {

@@ -703,7 +703,8 @@ type QueryHandle struct {
 	retired bool
 
 	// deliver's scratch, pump goroutine only: the admitted rows of the run
-	// and the lent row OnRow and row subscribers are shown.
+	// and the lent row OnRow is shown (a row subscriber's copy is made
+	// straight from the columns).
 	sel []int32
 	row tuple.Tuple
 	// frames pools the frames frame subscribers share (frames.go).
@@ -799,12 +800,12 @@ func (h *QueryHandle) deliver(cols []*tuple.Column) {
 	}
 	if h.onRow != nil || rowSubs {
 		for _, i := range sel {
-			h.row = tuple.RowOf(h.row, cols, int(i))
 			if h.onRow != nil {
+				h.row = tuple.RowOf(h.row, cols, int(i))
 				h.callOnRow(h.row)
 			}
 			for _, s := range subs {
-				if s.q == nil && s.offer(h.row, h.block, wait) && h.quota.LagPolicy() {
+				if s.q == nil && s.offer(cols, int(i), h.block, wait) && h.quota.LagPolicy() {
 					h.noteSubLag(s)
 				}
 			}
@@ -987,18 +988,19 @@ func (s *Subscription) end() {
 	close(s.ch)
 }
 
-// offer delivers one row under the overflow policy and reports whether
-// the subscription lost a row doing so. Pump goroutine only. wait bounds
-// the block policy's backpressure: <= 0 waits indefinitely (the default
-// Block contract); > 0 converts a timed-out wait into a counted drop
-// (the shed-with-counters rung of the quota lag ladder).
-func (s *Subscription) offer(row tuple.Tuple, block bool, wait time.Duration) bool {
+// offer delivers row i of cols, copied into the subscription's slab,
+// under the overflow policy and reports whether the subscription lost a
+// row doing so. Pump goroutine only. wait bounds the block policy's
+// backpressure: <= 0 waits indefinitely (the default Block contract); > 0
+// converts a timed-out wait into a counted drop (the shed-with-counters
+// rung of the quota lag ladder).
+func (s *Subscription) offer(cols []*tuple.Column, i int, block bool, wait time.Duration) bool {
 	select {
 	case <-s.closed:
 		return false
 	default:
 	}
-	r := s.slab.Clone(row)
+	r := s.slab.Row(cols, i)
 	select {
 	case s.ch <- r:
 		return false

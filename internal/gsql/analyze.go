@@ -133,10 +133,10 @@ type Plan struct {
 	// item reads when it is a bare reference, which the window's flush
 	// gathers as a column over the groups it outputs.
 	SelectRefs []SelectRef
-	// SelectStateful is set when a grouping plan's SELECT list calls a
-	// stateful function: the flush then outputs each group before it
-	// judges the next.
-	SelectStateful bool
+	// SelectReadsKey is set when a computed SELECT item or an ESTIMATE
+	// weight reads a group-by variable: only then does the flush build
+	// the group's key values (Ctx.GroupVals) for them.
+	SelectReadsKey bool
 
 	Aggs   []AggDef
 	Supers []SuperDef
@@ -190,9 +190,9 @@ type binder struct {
 	stateIdx map[string]int
 	aggIdx   map[string]int
 	superIdx map[string]int
-	// groupCalls counts the stateful calls compiled in a per-group
-	// clause (one that may read aggregates).
-	groupCalls int
+	// keyReads counts the group-by variables read in a per-group clause
+	// (one that may read aggregates).
+	keyReads int
 }
 
 // Analyze binds q against schema and registry and compiles every clause.
@@ -328,12 +328,12 @@ func (b *binder) analyzeSampling(q *Query) (*Plan, error) {
 	}
 	selCtx := exprCtx{clause: "SELECT", groupVars: true, aggs: true, supers: true, sfuns: true}
 	for _, item := range q.Select {
-		calls := b.groupCalls
+		reads := b.keyReads
 		c, err := b.compile(item.Expr, selCtx)
 		if err != nil {
 			return nil, err
 		}
-		p.SelectStateful = p.SelectStateful || b.groupCalls > calls
+		readsKey := b.keyReads > reads
 		name := item.Alias
 		if name == "" {
 			name = item.Expr.String()
@@ -345,6 +345,7 @@ func (b *binder) analyzeSampling(q *Query) (*Plan, error) {
 			// effective sample size. The compiled expression becomes the
 			// estimator's weight evaluator, run per emitted group during
 			// the window flush.
+			p.SelectReadsKey = p.SelectReadsKey || readsKey
 			estIdx := len(p.Estimates)
 			p.Estimates = append(p.Estimates, EstimateDef{
 				Weight:  c,
@@ -379,6 +380,7 @@ func (b *binder) analyzeSampling(q *Query) (*Plan, error) {
 			}
 		}
 		p.SelectRefs = append(p.SelectRefs, ref)
+		p.SelectReadsKey = p.SelectReadsKey || readsKey && ref == SelectRef{-1, -1}
 		p.SelectOrdered = append(p.SelectOrdered, ref.GroupVar >= 0 && slices.Contains(p.OrderedIdx, ref.GroupVar))
 	}
 	return p, nil
@@ -453,6 +455,9 @@ func (b *binder) compile(e Expr, ctx exprCtx) (Compiled, error) {
 func (b *binder) compileIdent(e *Ident, ctx exprCtx) (Compiled, error) {
 	if ctx.groupVars {
 		if i, ok := b.groupVarIndex(e.Name); ok {
+			if ctx.aggs {
+				b.keyReads++
+			}
 			return func(c *Ctx) (value.Value, error) { return c.GroupVals[i], nil }, nil
 		}
 	}
@@ -805,9 +810,6 @@ func (b *binder) compileFunc(e *Call, ctx exprCtx) (Compiled, error) {
 	}
 	if !ctx.sfuns {
 		return nil, fmt.Errorf("gsql: stateful function %s not allowed in %s clause", e.Name, ctx.clause)
-	}
-	if ctx.aggs {
-		b.groupCalls++
 	}
 	stKey := strings.ToLower(fn.State)
 	idx, ok := b.stateIdx[stKey]

@@ -370,27 +370,34 @@ CLEANING BY count(*) > 0`)
 	}
 }
 
-// TestSelectRefs checks what the analyzer marks for the flush's SELECT
-// gather: a bare group-by variable (by alias or by name) or aggregate is a
-// reference, any other item computed, and a stateful call in a per-group
-// position — not inside an aggregate's argument — marks the list.
+// TestSelectRefs checks what the analyzer marks for the flush: a bare
+// group-by variable (by alias or by name) or aggregate is a reference, any
+// other item computed, and a group-by variable a computed item or an
+// ESTIMATE weight reads marks the list (readsKey); one a reference, an
+// aggregate's argument or HAVING reads does not.
 func TestSelectRefs(t *testing.T) {
 	for _, tc := range []struct {
 		src      string
 		refs     []SelectRef
-		stateful bool
+		readsKey bool
 	}{
 		{`SELECT tb, srcIP, sum(len), count(*), sum(len) / count(*), srcIP * 2, tb AS t2
 		  FROM PKT GROUP BY time/1 AS tb, srcIP`,
-			[]SelectRef{{0, -1}, {1, -1}, {-1, 0}, {-1, 1}, {-1, -1}, {-1, -1}, {0, -1}}, false},
+			[]SelectRef{{0, -1}, {1, -1}, {-1, 0}, {-1, 1}, {-1, -1}, {-1, -1}, {0, -1}}, true},
 		{`SELECT uts, UMAX(sum(len), ssthreshold()) FROM PKT GROUP BY time/20 AS tb, uts`,
-			[]SelectRef{{1, -1}, {-1, -1}}, true},
+			[]SelectRef{{1, -1}, {-1, -1}}, false},
 		{`SELECT tb, first(current_bucket()) FROM PKT GROUP BY time AS tb`,
 			[]SelectRef{{0, -1}, {-1, 0}}, false},
+		{`SELECT tb, srcIP + ssthreshold() FROM PKT GROUP BY time/1 AS tb, srcIP`,
+			[]SelectRef{{0, -1}, {-1, -1}}, true},
+		{`SELECT tb, sum(tb) * 2, count(*) / 2 FROM PKT GROUP BY time/1 AS tb, srcIP HAVING srcIP > 3`,
+			[]SelectRef{{0, -1}, {-1, -1}, {-1, -1}}, false},
+		{`SELECT tb, ESTIMATE srcIP WITH ERROR AS e FROM PKT GROUP BY time/1 AS tb, srcIP`,
+			[]SelectRef{{0, -1}, {-1, -1}, {-1, -1}, {-1, -1}, {-1, -1}, {-1, -1}}, true},
 	} {
 		p := analyzeQuery(t, tc.src)
-		if fmt.Sprint(p.SelectRefs) != fmt.Sprint(tc.refs) || p.SelectStateful != tc.stateful {
-			t.Errorf("%s: SelectRefs %v, stateful %v; want %v, %v", tc.src, p.SelectRefs, p.SelectStateful, tc.refs, tc.stateful)
+		if fmt.Sprint(p.SelectRefs) != fmt.Sprint(tc.refs) || p.SelectReadsKey != tc.readsKey {
+			t.Errorf("%s: SelectRefs %v, readsKey %v; want %v, %v", tc.src, p.SelectRefs, p.SelectReadsKey, tc.refs, tc.readsKey)
 		}
 	}
 }

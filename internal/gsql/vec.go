@@ -1095,6 +1095,10 @@ func arithKernel(env *VecEnv, op value.BinOp, l, r vecVal) (vecVal, error) {
 				bits[i] = lo.bits[li] * ro.bits[ri]
 			}
 		case value.OpDiv, value.OpMod:
+			if ro.stride == 0 && op == value.OpDiv && ro.bits[0] == 1 {
+				copy(bits, lo.bits[:n]) // x/1 (GROUP BY time/1): l is a column
+				return vecVal{col: out}, nil
+			}
 			if ro.stride == 0 && op == value.OpDiv && ro.bits[0] > 1 {
 				// Invariant divisor (broadcast literal): replace the per-row
 				// hardware divide with a reciprocal multiply — exact by the
@@ -1143,6 +1147,10 @@ func arithKernel(env *VecEnv, op value.BinOp, l, r vecVal) (vecVal, error) {
 			bits[i] = lo.bits[li] * ro.bits[ri]
 		}
 	case value.OpDiv, value.OpMod:
+		if ro.stride == 0 && op == value.OpDiv && ro.bits[0] == 1 {
+			copy(bits, lo.bits[:n])
+			return vecVal{col: out}, nil
+		}
 		mod := op == value.OpMod
 		for i, li, ri := 0, 0, 0; i < n; i, li, ri = i+1, li+lo.stride, ri+ro.stride {
 			d := int64(ro.bits[ri])

@@ -613,6 +613,43 @@ func TestUintDivReciprocalExact(t *testing.T) {
 	}
 }
 
+// TestDivByOneMatchesArith holds arithKernel's division by a broadcast 1
+// (GROUP BY time/1), Int or Uint, to value.Arith — the closure's
+// semantics — row by row, result kind included, over a Uint, an Int and a
+// mixed-kind column, and one with a NULL, which errs as Arith does.
+func TestDivByOneMatchesArith(t *testing.T) {
+	uints := []value.Value{value.NewUint(0), value.NewUint(1), value.NewUint(7), value.NewUint(1 << 63), value.NewUint(^uint64(0))}
+	ints := []value.Value{value.NewInt(0), value.NewInt(-1), value.NewInt(42), value.NewInt(-1 << 63), value.NewInt(1<<63 - 1)}
+	mixed := []value.Value{value.NewInt(-5), value.NewUint(9), value.NewFloat(2.5), value.NewInt(3)}
+	null := []value.Value{value.NewInt(-5), value.Value{}, value.NewUint(9)}
+	for _, rows := range [][]value.Value{uints, ints, mixed, null} {
+		var col tuple.Column
+		for _, v := range rows {
+			col.AppendValue(v)
+		}
+		for _, one := range []value.Value{value.NewInt(1), value.NewUint(1)} {
+			env := &VecEnv{n: len(rows)}
+			out, err := arithKernel(env, value.OpDiv, vecVal{col: &col}, vecVal{lit: one})
+			var werr error
+			for i, x := range rows {
+				want, e := value.Arith(value.OpDiv, x, one)
+				if e != nil {
+					werr = e
+					continue
+				}
+				if err == nil {
+					if got := out.col.Value(i); got.Kind() != want.Kind() || got.Bits() != want.Bits() {
+						t.Fatalf("%v (%s) / %v (%s) = %v (%s), want %v (%s)", x, x.Kind(), one, one.Kind(), got, got.Kind(), want, want.Kind())
+					}
+				}
+			}
+			if (err != nil) != (werr != nil) { // a kernel errs for the whole batch
+				t.Fatalf("%v / %v: kernel error %v, Arith's %v", rows, one, err, werr)
+			}
+		}
+	}
+}
+
 // TestVectorizeGroupCalls: CLEANING BY and HAVING of the per-group call
 // shape compile to GroupCalls, HAVING's with its superaggregate argument;
 // CLEANING BY admits no superaggregate (a cleaning's evictions move it),

@@ -317,11 +317,74 @@ SELECT tb, srcIP, sum(len) / (count(*) - 38), count(*)
 FROM PKT
 GROUP BY time/1 AS tb, srcIP
 HAVING sum(len) / (count(*) - 20) > 0`},
+		// The ledger's query at a sample size this stream overflows: a
+		// stateful item beside bare references, after a HAVING call that
+		// moves the threshold it reads from group to group.
+		{"ledger_subset_sum", `
+SELECT tb, uts, srcIP, destIP, UMAX(sum(len), ssthreshold()) AS adjlen
+FROM PKT
+WHERE ssample(len, 40, 2, 10) = TRUE
+GROUP BY time/1 AS tb, srcIP, destIP, uts
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE`},
+		// HAVING's call moves the state the SELECT item reads at every
+		// group (local_count counts its calls, current_bucket reads the
+		// count): a passing group's row holds the bucket as of its own
+		// verdict, as a scan over a run of groups and as the closure.
+		{"select_reads_having_state", `
+SELECT tb, srcIP, current_bucket() AS b, destIP, count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP, destIP
+HAVING local_count(2) = TRUE`},
+		{"select_reads_having_closure_state", `
+SELECT current_bucket() AS b, tb, srcIP, destIP, count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP, destIP
+HAVING local_count(2) = TRUE OR count(*) > 3`},
+		// A stateful item that reads a group-by variable, behind a HAVING
+		// call that does not: the flush still builds the group's key.
+		{"stateful_reads_key", `
+SELECT tb, srcIP + ssthreshold() AS s, count(*)
+FROM PKT
+WHERE ssample(len, 40, 2, 10) = TRUE
+GROUP BY time/1 AS tb, srcIP, destIP
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE`},
+		// A stateful item that errs at window 24's fifth group (16 rows),
+		// after four that passed and wait for their references: they go
+		// out, then the error.
+		{"stateful_select_errs", `
+SELECT tb, srcIP, UMAX(sum(len) / (count(*) - 16), ssthreshold()), count(*)
+FROM PKT
+GROUP BY time/1 AS tb, srcIP`},
+		// An estimating plan: bare references, computed items (a stateful
+		// one among them) and the estimator columns, output once every
+		// supergroup's HAVING has settled the window's estimators.
+		{"estimate", `
+SELECT tb, srcIP, ESTIMATE sum(len) WITH ERROR AS vol, count(*), srcIP * 2 AS s2, UMAX(sum(len), ssthreshold()) AS adj
+FROM PKT
+WHERE ssample(len, 40, 2, 10) = TRUE
+GROUP BY time/1 AS tb, srcIP, destIP
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE`},
 	}
 	rows := pktRows(equivPackets(5000, 35, 5, 42))
+	traced := make([]bool, len(rows)) // every fifth row
+	for i := range traced {
+		traced[i] = i%5 == 0
+	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
 			checkWalk(t, q.src, trace.Schema(), seeded(9), rows, true, false, true)
+			want := runOracle(compilePlan(t, q.src, trace.Schema(), seeded(9)()), rows, true)
+			for _, size := range []int{7, 512} {
+				op, out := newEquivOp(t, q.src, trace.Schema(), 9)
+				at, err := runTraced(op, trace.Schema(), rows, traced, size)
+				requireResult(t, fmt.Sprintf("size %d traced", size), op, at, err, size, out, want)
+			}
 		})
 	}
 }
@@ -450,54 +513,72 @@ func TestStringSumArgumentErrsAtItsRow(t *testing.T) {
 }
 
 // TestGatheredSelectStagesTracesAtTheirRows traces every row of a plan
-// whose SELECT list the flush gathers, with several supergroups sharing
-// each output batch, and holds every trace the flush stages to the output
-// row of its own group: the row's key is the traced row's.
+// whose groups the flush outputs, with several supergroups sharing each
+// output batch, and holds every trace the flush stages to the output row
+// of its own group: the row's key is the traced row's, and each row holds
+// as many traces as its group counted rows. The plans gather a SELECT
+// list of bare references, evaluate a stateful item as each group passes,
+// and buffer the groups for the window's estimators.
 func TestGatheredSelectStagesTracesAtTheirRows(t *testing.T) {
-	src := `SELECT tb, srcIP, destIP, count(*) FROM PKT GROUP BY time/1 AS tb, srcIP, destIP SUPERGROUP BY tb, srcIP`
-	op, err := operator.New(compilePlan(t, src, trace.Schema(), sfunlib.Default(1)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tracing.New(tracing.Config{Every: 1})
-	op.SetTracer(tr, "walk")
-	from := map[*tracing.TupleTrace]trace.Packet{}
-	staged := 0
-	op.SetColumnSink(func(cols []*tuple.Column) error {
-		for _, rt := range tr.TakeStaged() {
-			for _, tt := range rt.TTs {
-				p := from[tt]
-				key := []value.Value{value.NewUint(p.Time / 1e9), value.NewUint(uint64(p.SrcIP)), value.NewUint(uint64(p.DstIP))}
-				for c, want := range key {
-					if got := cols[c].Value(rt.Row); !value.Equal(got, want) {
-						t.Fatalf("a trace of key %v staged at output row %d, column %d of which is %v", key, rt.Row, c, got)
-					}
-				}
-				staged++
-			}
-		}
-		return nil
-	})
-	pkts := equivPackets(3000, 7, 5, 3)
-	b := tuple.NewBatch(trace.Schema(), 64)
-	for off := 0; off < len(pkts); off += 64 {
-		b.Reset()
-		var rts []tracing.RowTraces
-		for i, p := range pkts[off:min(off+64, len(pkts))] {
-			tt := tr.SourceOffer(tr.NextSeq())
-			from[tt] = p
-			rts = append(rts, tracing.RowTraces{Row: i, TTs: []*tracing.TupleTrace{tt}})
-		}
-		trace.AppendBatch(b, pkts[off:min(off+64, len(pkts))])
-		tr.SetCurrent(rts)
-		if err := op.ProcessBatch(b); err != nil {
+	const sampling = `FROM PKT WHERE ssample(len, 8, 2, 10) = TRUE GROUP BY time/1 AS tb, srcIP, destIP SUPERGROUP BY tb, srcIP
+	 HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+	 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE CLEANING BY ssclean_with(sum(len)) = TRUE`
+	for _, src := range []string{
+		`SELECT tb, srcIP, destIP, count(*) FROM PKT GROUP BY time/1 AS tb, srcIP, destIP SUPERGROUP BY tb, srcIP`,
+		`SELECT tb, srcIP, destIP, count(*), UMAX(sum(len), ssthreshold()) ` + sampling,
+		`SELECT tb, srcIP, destIP, count(*), ESTIMATE sum(len) WITH ERROR AS vol, srcIP * 2 ` + sampling,
+	} {
+		op, err := operator.New(compilePlan(t, src, trace.Schema(), sfunlib.Default(1)), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := op.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if staged != len(pkts) {
-		t.Fatalf("%d traces staged, want %d", staged, len(pkts))
+		tr := tracing.New(tracing.Config{Every: 1})
+		op.SetTracer(tr, "walk")
+		from := map[*tracing.TupleTrace]trace.Packet{}
+		staged := 0
+		op.SetColumnSink(func(cols []*tuple.Column) error {
+			at := make([]int, cols[0].Len())
+			for _, rt := range tr.TakeStaged() {
+				for _, tt := range rt.TTs {
+					p := from[tt]
+					key := []value.Value{value.NewUint(p.Time / 1e9), value.NewUint(uint64(p.SrcIP)), value.NewUint(uint64(p.DstIP))}
+					for c, want := range key {
+						if got := cols[c].Value(rt.Row); !value.Equal(got, want) {
+							t.Fatalf("%s: a trace of key %v staged at output row %d, column %d of which is %v", src, key, rt.Row, c, got)
+						}
+					}
+					at[rt.Row]++
+					staged++
+				}
+			}
+			for row, n := range at {
+				if cnt := cols[3].Value(row).Int(); int64(n) != cnt {
+					t.Fatalf("%s: output row %d holds %d traces, its group counted %d rows", src, row, n, cnt)
+				}
+			}
+			return nil
+		})
+		pkts := equivPackets(3000, 7, 5, 3)
+		b := tuple.NewBatch(trace.Schema(), 64)
+		for off := 0; off < len(pkts); off += 64 {
+			b.Reset()
+			var rts []tracing.RowTraces
+			for i, p := range pkts[off:min(off+64, len(pkts))] {
+				tt := tr.SourceOffer(tr.NextSeq())
+				from[tt] = p
+				rts = append(rts, tracing.RowTraces{Row: i, TTs: []*tracing.TupleTrace{tt}})
+			}
+			trace.AppendBatch(b, pkts[off:min(off+64, len(pkts))])
+			tr.SetCurrent(rts)
+			if err := op.ProcessBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := op.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := op.Stats(); staged == 0 || st.GroupsEvicted == 0 && st.TuplesAccepted == st.TuplesIn && staged != len(pkts) {
+			t.Fatalf("%s: %d traces staged of %d rows, stats %+v", src, staged, len(pkts), st)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"streamop/internal/checkpoint"
 	"streamop/internal/estimate"
 	"streamop/internal/sfun"
-	"streamop/internal/tracing"
 	"streamop/internal/value"
 )
 
@@ -113,10 +112,10 @@ func inclusionOf(states []any, w float64) float64 {
 	return 1
 }
 
-// finishEstimates finalizes the window's estimators and emits the
-// buffered groups with the estimator columns attached. Called from
-// flushWindow after the HAVING pass over every supergroup and before
-// telemetry records the window.
+// finishEstimates finalizes the window's estimators and outputs the
+// buffered groups with the estimator columns attached (passGroup). Called
+// from sample after the HAVING pass over every supergroup, which gathers
+// the last of them.
 func (o *Operator) finishEstimates() error {
 	nEst := len(o.plan.Estimates)
 	if o.estAccs == nil {
@@ -166,17 +165,11 @@ func (o *Operator) finishEstimates() error {
 	for _, p := range o.estPending {
 		o.ctx.States = p.sg.states
 		o.ctx.Supers = p.sg.supers
-		o.ctx.GroupVals = o.store.keyVals(p.g, o.keyVals)
-		o.slot.At = p.g
-		var tts []*tracing.TupleTrace
-		if o.tr != nil {
-			tts = o.traces[p.g]
+		if o.plan.SelectReadsKey {
+			o.ctx.GroupVals = o.store.keyVals(p.g, o.keyVals)
 		}
-		if err := o.output(&o.ctx, tts); err != nil {
+		if err := o.passGroup(p.g); err != nil {
 			return err
-		}
-		if len(tts) > 0 {
-			delete(o.traces, p.g) // staged
 		}
 	}
 	for i := range o.estPending {

@@ -25,8 +25,10 @@ var fuzzSchema = tuple.MustSchema("S",
 // fuzzQueries cover the walk's clause forms: a stateless WHERE over the
 // mixed column, a semi-stateful WHERE with a cleaning cascade, a plan that
 // does not vectorize, GROUP BY over the string and the mixed column (its
-// aggregate argument errs once ts reaches 8), and selections with a
-// stateful SELECT and a stateful WHERE.
+// aggregate argument errs once ts reaches 8), selections with a stateful
+// SELECT and a stateful WHERE, and a grouping plan whose SELECT list
+// reads the sampling state (one item the group's key too) beside the
+// window's estimators.
 var fuzzQueries = []string{
 	`SELECT tb, k, count(*), sum(k) FROM S WHERE v > 3 OR k = 1 GROUP BY ts/4 AS tb, k`,
 	`SELECT tb, k, tag, sum(k + 3) FROM S WHERE ssample(k + 3, 4, 2, 10) = TRUE GROUP BY ts/4 AS tb, k, tag
@@ -38,6 +40,10 @@ var fuzzQueries = []string{
 	`SELECT tb, tag, v, count(*), max(k), sum(10 / ((ts + 1) % 9)) FROM S GROUP BY ts/4 AS tb, tag, v`,
 	`SELECT ts, v, bssample(k + 3, 4) FROM S WHERE k > 0`,
 	`SELECT ts, k * 2, v FROM S WHERE bssample(k + 3, 4) = TRUE`,
+	`SELECT tb, k, v, UMAX(sum(k + 3), ssthreshold()), k + ssthreshold(), ESTIMATE sum(k + 3) WITH ERROR AS e
+	 FROM S WHERE ssample(k + 3, 4, 2, 10) = TRUE GROUP BY ts/4 AS tb, k, v
+	 HAVING ssfinal_clean(sum(k + 3), count_distinct$(*)) = TRUE
+	 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE CLEANING BY ssclean_with(sum(k + 3)) = TRUE`,
 }
 
 // fuzzRows decodes data: its first byte picks one of queries, its second
@@ -110,7 +116,8 @@ func runTraced(op *operator.Operator, schema *tuple.Schema, rows []tuple.Tuple, 
 // marks rows traced, traced. The seeds after the first ones put window
 // closes and traced rows inside runs of rows a stateful WHERE rejects: the
 // walk's scan must stop at a close, and tell a traced row its verdict. The
-// last does the same to the runs of a plan with no per-row stateful step.
+// last two do the same to the runs of a plan with no per-row stateful
+// step, and to a stateful SELECT list's.
 func FuzzWalk(f *testing.F) {
 	for q := range fuzzQueries {
 		f.Add([]byte{byte(q), 6, 0, 1, 2, 3, 1, 4, 7, 0, 2, 0, 10, 1, 0, 7, 3, 2, 1, 2, 5, 1, 9, 0, 2, 5, 4, 1})
@@ -121,6 +128,7 @@ func FuzzWalk(f *testing.F) {
 		}
 	}
 	f.Add(runSeed(0, 39)) // a plan that moves rows in runs: keys repeat in one, windows close mid-batch
+	f.Add(runSeed(6, 39)) // groups that pass HAVING's scan in runs, their SELECT reading the state it moves
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, size, rows := fuzzRows(data, fuzzQueries)
 		if rows == nil {
@@ -160,8 +168,9 @@ func runSeed(q, size byte) []byte {
 // snapshotQueries are FuzzWalkSnapshot's: every built-in aggregate's
 // column form — min, max, first and last over the mixed-kind column,
 // sum, avg, var and stddev over numeric expressions of k — with cleaning
-// that frees slots for reuse, and the contributions of sum$ and min$; and
-// the same aggregates in a plan whose rows move in runs.
+// that frees slots for reuse, and the contributions of sum$ and min$; the
+// same aggregates in a plan whose rows move in runs; and a sampling plan
+// whose SELECT list reads its state, which a snapshot carries.
 var snapshotQueries = []string{
 	`SELECT tb, k, min(v), max(v), first(v), last(v), count(*) FROM S GROUP BY ts/4 AS tb, k
 	 CLEANING WHEN count_distinct$(*) >= 4 CLEANING BY count(*) >= 2`,
@@ -171,6 +180,10 @@ var snapshotQueries = []string{
 	 SUPERGROUP BY tb, tag CLEANING WHEN count_distinct$(*) >= 3 CLEANING BY k > min$(k)`,
 	`SELECT tb, k, tag, count(*), sum(k * 3), avg(k + 0.5), var(k), stddev(k - 1), min(v), max(v), first(v), last(v)
 	 FROM S GROUP BY ts/4 AS tb, k, tag HAVING count(*) > 1`,
+	`SELECT tb, k, tag, UMAX(sum(k + 3), ssthreshold()), k * 2 + ssthreshold(), count(*)
+	 FROM S WHERE ssample(k + 3, 4, 2, 10) = TRUE GROUP BY ts/4 AS tb, k, tag
+	 HAVING ssfinal_clean(sum(k + 3), count_distinct$(*)) = TRUE
+	 CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE CLEANING BY ssclean_with(sum(k + 3)) = TRUE`,
 }
 
 // FuzzWalkSnapshot holds a run interrupted by Snapshot and Restore to the

@@ -15,7 +15,11 @@
 // group updates, then CLEANING WHEN on the supergroup; if it fires, the
 // CLEANING BY predicate runs over every group of the supergroup and groups
 // where it is FALSE are evicted. At the window border HAVING selects the
-// groups that form the output sample.
+// groups that form the output sample, and each leaves as a row of the
+// output batch: its computed SELECT items evaluated as it passes, so a
+// stateful one reads the state HAVING left for it, its bare references
+// gathered as columns over the passing groups' slots. An estimating plan
+// passes its groups once the window's estimators are final.
 //
 // A group is a slot of the window's group store (grouptable.go): its key,
 // hash, aggregates and contributions are row s of a few dense columns, the
@@ -82,9 +86,9 @@ type Operator struct {
 	sink   ColumnSink
 	out    []*tuple.Column
 	outRow tuple.Tuple
-	// The flush's SELECT gather (outputGroups): the indices of the items
-	// that are not bare references, and the slots of the groups passed
-	// and not yet output.
+	// The flush's output (passGroup, gather): the indices of the SELECT
+	// items that are not bare references, and the slots of the groups
+	// passed whose references are not yet gathered.
 	computed []int
 	pass     []int32
 
@@ -491,16 +495,16 @@ func (o *Operator) flushWindow() error {
 // supergroup, then group, insertion order) and outputs the ones that pass.
 // When HAVING matched the per-group call shape it scans a supergroup's
 // groups a run at a time, up to the next that passes, and tells the traced
-// groups of the run what it decided. A SELECT list that calls no stateful
-// function is gathered over the passing groups of a supergroup, up to the
-// output batch's end (outputGroups); one that does outputs each group
-// before the next is judged.
+// groups of the run what it decided. A passing group is output at once
+// (passGroup) or, in an estimating plan, buffered for finishEstimates.
 func (o *Operator) sample() error {
 	var fast *gsql.GroupCall
 	if o.vec.vp != nil {
 		fast = o.vec.vp.HavingCall
 	}
-	gather := !o.plan.SelectStateful && len(o.plan.Estimates) == 0
+	closure := fast == nil && o.plan.Having != nil
+	key := closure || o.plan.SelectReadsKey // a closure reads the key
+	est := len(o.plan.Estimates) > 0
 	o.pass = o.pass[:0]
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
@@ -525,12 +529,12 @@ func (o *Operator) sample() error {
 				i = p
 			}
 			g := groups[i]
-			tts := o.traces[g]
-			if !gather || fast == nil && o.plan.Having != nil { // a closure reads the key
+			if key {
 				o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
 			}
 			o.slot.At = g
-			if fast == nil && o.plan.Having != nil {
+			if closure {
+				tts := o.traces[g]
 				o.ctx.Trace = o.sfunHook(tts)
 				v, err := o.plan.Having(&o.ctx)
 				o.ctx.Trace = nil
@@ -545,62 +549,40 @@ func (o *Operator) sample() error {
 					continue
 				}
 			}
-			if len(o.plan.Estimates) > 0 {
+			var err error
+			if est {
 				// Deferred emission: the estimator columns need every
-				// supergroup's post-HAVING sampling state, so the group is
-				// buffered and output by finishEstimates below.
-				if err := o.estBuffer(sg, g); err != nil {
-					return err
-				}
-				continue
+				// supergroup's post-HAVING sampling state.
+				err = o.estBuffer(sg, g)
+			} else {
+				err = o.passGroup(g)
 			}
-			if gather {
-				o.pass = append(o.pass, g)
-				if len(o.pass)+o.out[0].Len() == tuple.DefaultBatchRows {
-					if err := o.outputGroups(); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			if err := o.output(&o.ctx, tts); err != nil {
-				return err
-			}
-			if tts != nil {
-				delete(o.traces, g) // staged
-			}
-		}
-		if len(o.pass) > 0 {
-			if err := o.outputGroups(); err != nil {
+			if err != nil {
 				return err
 			}
 		}
 	}
-	if len(o.plan.Estimates) > 0 {
-		return o.finishEstimates()
+	if est {
+		if err := o.finishEstimates(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return o.gather(nil)
 }
 
-// havingErr returns HAVING's error err after outputting the groups o.pass
-// holds, which passed before the group HAVING erred at, as the row-by-row
-// output would have; an error of theirs comes first, as it would have.
+// havingErr returns HAVING's error err once the groups that passed before
+// the one it erred at are output, as the row-by-row output would have.
 func (o *Operator) havingErr(err error) error {
-	if len(o.pass) > 0 {
-		if e := o.outputGroups(); e != nil {
-			return e
-		}
-	}
-	return fmt.Errorf("operator: HAVING: %w", err)
+	return o.gather(fmt.Errorf("operator: HAVING: %w", err))
 }
 
-// output evaluates the SELECT list into the output batch: no tuple is
-// built, and the row leaves with the batch, when that holds
-// tuple.DefaultBatchRows rows or at the next drain. A row that carries
-// traces leaves with its batch too, its emit span recorded and the traces
-// staged at its position in it for the sink to claim (Tracer.TakeStaged) —
-// here, where the row is emitted, not where its group passed HAVING: an
-// estimating plan does that a whole pass earlier.
+// output evaluates the SELECT list of a selection plan's closure mode into
+// the output batch: no tuple is built, and the row leaves with the batch,
+// when that holds tuple.DefaultBatchRows rows or at the next drain. A row
+// that carries traces leaves with its batch too, its emit span recorded
+// and the traces staged at its position in it for the sink to claim
+// (Tracer.TakeStaged). Its one caller is selectBatch; a window's groups
+// leave through passGroup and gather.
 func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 	for i, sel := range o.plan.SelectExprs {
 		v, err := sel(ctx)
@@ -622,56 +604,74 @@ func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 	return nil
 }
 
-// outputGroups outputs the groups o.pass holds, in order, as rows of the
-// output batch, and empties it: the computed SELECT items' closures row by
-// row, then each bare reference gathered as a column over the slots
-// (Column.Gather over a key, agg.Gather over an aggregate). It ends as
-// output does: the traced rows staged, the batch handed on once full, and
-// an error at group k leaving the rows before k. o.ctx holds the groups'
-// supergroup.
-func (o *Operator) outputGroups() error {
-	slots, base := o.pass, o.out[0].Len()
-	o.pass = o.pass[:0]
-	var err error
+// passGroup outputs group g, which passed HAVING, as the next row of the
+// output batch. Its computed SELECT items are evaluated now, under o.ctx —
+// which holds g's supergroup and, when one reads it, g's key — so a
+// stateful one sees the state HAVING left for g, before the next group is
+// judged; its bare references wait in o.pass to be gathered with the other
+// passed groups' (gather). Its traces are staged at its row. An error at
+// an item outputs the groups passed before g and is returned.
+func (o *Operator) passGroup(g int32) error {
+	row := o.rows()
 	if len(o.computed) > 0 {
-	rows:
-		for k, g := range slots {
-			o.ctx.GroupVals = o.store.keyVals(g, o.keyVals)
-			o.slot.At = g
-			for _, j := range o.computed {
-				v, e := o.plan.SelectExprs[j](&o.ctx)
-				if e != nil {
-					err, slots = fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[j], e), slots[:k]
-					break rows
-				}
-				o.outRow[j] = v
+		o.slot.At = g
+		for _, j := range o.computed {
+			v, err := o.plan.SelectExprs[j](&o.ctx)
+			if err != nil {
+				return o.gather(fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[j], err))
 			}
-			for _, j := range o.computed {
-				o.out[j].AppendValue(o.outRow[j])
-			}
+			o.outRow[j] = v
 		}
+		for _, j := range o.computed {
+			o.out[j].AppendValue(o.outRow[j])
+		}
+	}
+	if len(o.traces) > 0 {
+		if tts := o.traces[g]; len(tts) > 0 {
+			o.tr.Stage(o.trName, o.windowIdx, row, tts)
+			delete(o.traces, g)
+		}
+	}
+	o.pass = append(o.pass, g)
+	if row+1 == tuple.DefaultBatchRows {
+		return o.gather(nil)
+	}
+	return nil
+}
+
+// rows returns how many rows the output batch holds, counting the groups
+// in o.pass, whose computed items are in and references are not.
+func (o *Operator) rows() int {
+	n := o.out[0].Len()
+	if len(o.computed) == 0 || o.computed[0] != 0 {
+		n += len(o.pass)
+	}
+	return n
+}
+
+// gather completes the rows of the groups o.pass holds, in order: each
+// bare SELECT reference is gathered as a column over their slots
+// (Column.Gather over a key, agg.Gather over an aggregate). It counts the
+// rows, empties o.pass and hands a full batch to the sink, returning the
+// sink's error or, failing that, err (see drain).
+func (o *Operator) gather(err error) error {
+	if len(o.pass) == 0 {
+		return err
 	}
 	for j, ref := range o.plan.SelectRefs {
 		switch {
 		case ref.GroupVar >= 0:
-			o.out[j].Gather(&o.store.keys[ref.GroupVar], slots)
+			o.out[j].Gather(&o.store.keys[ref.GroupVar], o.pass)
 		case ref.Agg >= 0:
-			agg.Gather(o.out[j], o.store.aggs[ref.Agg], slots)
+			agg.Gather(o.out[j], o.store.aggs[ref.Agg], o.pass)
 		}
 	}
-	if len(o.traces) > 0 {
-		for k, g := range slots {
-			if tts := o.traces[g]; len(tts) > 0 {
-				o.tr.Stage(o.trName, o.windowIdx, base+k, tts)
-				delete(o.traces, g)
-			}
-		}
-	}
-	o.stats.TuplesOut += int64(len(slots))
-	if err != nil || o.out[0].Len() < tuple.DefaultBatchRows {
+	o.stats.TuplesOut += int64(len(o.pass))
+	o.pass = o.pass[:0]
+	if o.out[0].Len() < tuple.DefaultBatchRows {
 		return err
 	}
-	return o.drain(nil)
+	return o.drain(err)
 }
 
 // send hands one run of output rows to the sink.

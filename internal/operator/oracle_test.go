@@ -6,8 +6,10 @@ import (
 
 	"streamop/internal/agg"
 	"streamop/internal/agg/aggref"
+	"streamop/internal/estimate"
 	"streamop/internal/gsql"
 	"streamop/internal/operator"
+	"streamop/internal/sfun"
 	"streamop/internal/tuple"
 	"streamop/internal/value"
 )
@@ -19,8 +21,9 @@ import (
 // group table, tuple.Batch, kernel, tracer or profiler — so that it shares
 // no execution code with the operator beyond the plan itself: its
 // built-in aggregates are package aggref's row forms, not the columns the
-// operator keeps. ESTIMATE plans are out of its scope; their own tests
-// cover them.
+// operator keeps. An ESTIMATE plan's passing groups wait for the window's
+// Horvitz–Thompson estimators, each weight priced by its supergroup's
+// first state that reports an inclusion probability.
 
 type oracleGroup struct {
 	vals     []value.Value
@@ -265,20 +268,73 @@ func (o *oracle) flush() error {
 			}
 		}
 	}
+	var passed []*gsql.Ctx // an estimating plan's, waiting for the estimators
+	var weights [][]float64
 	for _, sg := range o.sgs {
 		for _, g := range sg.groups {
 			ctx := &gsql.Ctx{GroupVals: g.vals, Aggs: g.aggs, States: sg.states, Supers: sg.supers}
 			pass, err := holds(o.plan.Having, ctx, "HAVING")
 			if err == nil && pass {
-				err = o.emit(ctx)
+				if len(o.plan.Estimates) == 0 {
+					err = o.emit(ctx)
+				} else {
+					var w []float64
+					w, err = o.weights(ctx)
+					passed, weights = append(passed, ctx), append(weights, w)
+				}
 			}
 			if err != nil {
 				return err
 			}
 		}
 	}
+	if len(o.plan.Estimates) > 0 {
+		est := make([]value.Value, 0, 5*len(o.plan.Estimates))
+		for i := range o.plan.Estimates {
+			var acc estimate.Accumulator
+			for k, ctx := range passed {
+				acc.Add(weights[k][i], inclusion(ctx.States, weights[k][i]))
+			}
+			r := acc.Result()
+			for _, f := range []float64{r.Estimate, r.Stderr, r.CILo, r.CIHi, r.ESS} {
+				est = append(est, value.NewFloat(f))
+			}
+		}
+		for _, ctx := range passed {
+			ctx.Est = est
+			if err := o.emit(ctx); err != nil {
+				return err
+			}
+		}
+	}
 	o.old, o.sgs, o.open = o.sgs, nil, false
 	return nil
+}
+
+// weights evaluates a passing group's ESTIMATE weights.
+func (o *oracle) weights(ctx *gsql.Ctx) ([]float64, error) {
+	var w []float64
+	for _, def := range o.plan.Estimates {
+		v, err := def.Weight(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("operator: ESTIMATE %s: %w", def.Display, err)
+		}
+		w = append(w, v.AsFloat())
+	}
+	return w, nil
+}
+
+// inclusion is weight w's inclusion probability under the first of states
+// that prices it; 1 when none does.
+func inclusion(states []any, w float64) float64 {
+	for _, st := range states {
+		if inc, ok := st.(sfun.Inclusion); ok {
+			if p, priced := inc.Inclusion(w); priced {
+				return p
+			}
+		}
+	}
+	return 1
 }
 
 func (o *oracle) emit(ctx *gsql.Ctx) error {

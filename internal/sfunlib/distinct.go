@@ -82,17 +82,13 @@ func registerDistinct(reg *sfun.Registry, _ uint64) error {
 		{
 			// dsdo_clean raises the level when the sample overflows.
 			name: "dsdo_clean",
-			call: func(s *dsState, args []value.Value) (value.Value, error) {
-				cnt, err := intArg("dsdo_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
+			scan: countScan("dsdo_clean", DistinctStateName, func(s *dsState, cnt int64) bool {
 				if !s.configured || int(cnt) <= s.capacity {
-					return value.NewBool(false), nil
+					return false
 				}
 				s.level++
-				return value.NewBool(true), nil
-			},
+				return true
+			}),
 		},
 		{
 			// dskeep(hx) keeps the values still qualifying after a level

@@ -121,13 +121,9 @@ func registerPriority(reg *sfun.Registry, seed uint64) error {
 			// psdo_clean triggers eviction of displaced groups once they
 			// outnumber the sample 2:1.
 			name: "psdo_clean",
-			call: func(s *psState, args []value.Value) (value.Value, error) {
-				cnt, err := intArg("psdo_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(s.K > 0 && int(cnt) > 2*s.K), nil
-			},
+			scan: countScan("psdo_clean", PriorityStateName, func(s *psState, cnt int64) bool {
+				return s.K > 0 && int(cnt) > 2*s.K
+			}),
 		},
 		{
 			// pstau returns the threshold tau; UMAX(sum(len), pstau()) is

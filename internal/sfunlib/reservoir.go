@@ -149,13 +149,9 @@ func registerReservoir(reg *sfun.Registry, seed uint64) error {
 			// rsdo_clean triggers cleaning when accumulated candidates
 			// (live + displaced) exceed T*n.
 			name: "rsdo_clean",
-			call: func(s *rsState, args []value.Value) (value.Value, error) {
-				cnt, err := intArg("rsdo_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.NewBool(s.N > 0 && float64(cnt) > s.tol*float64(s.N)), nil
-			},
+			scan: countScan("rsdo_clean", ReservoirStateName, func(s *rsState, cnt int64) bool {
+				return s.N > 0 && float64(cnt) > s.tol*float64(s.N)
+			}),
 		},
 		rsKeep("rsclean_with"),
 		rsKeep("rsfinal_clean"),

@@ -217,6 +217,34 @@ func intArg(fn string, args []value.Value, i int) (int64, error) {
 	return int64(f), nil
 }
 
+// countScan is a CLEANING WHEN predicate of family state over one count
+// argument, count_distinct$(*) in the paper's queries: fire decides, and
+// may act on, whether state s at count cnt cleans. The count is read as
+// intArg reads it, and refused as it refuses it.
+func countScan[S any](name, state string, fire func(s *S, cnt int64) bool) sfun.ScanFunc {
+	return func(st any, args sfun.Args, from, to int) (int, error) {
+		s, ok := st.(*S)
+		if !ok {
+			return from, wrongState(state, st)
+		}
+		var cnt num
+		cnt.of(&args, 0)
+		for row := from; row < to; row++ {
+			c, ok := cnt.at(row)
+			if !ok {
+				var err error
+				if c, err = numAt(name, &args, 0, row); err != nil {
+					return row, err
+				}
+			}
+			if fire(s, int64(c)) {
+				return row, nil
+			}
+		}
+		return to, nil
+	}
+}
+
 // num reads a numeric argument of a scan row by row where that is one
 // load: a kind-uniform Int, Uint or Float column straight from its words,
 // a numeric constant as itself. Any other argument — a mixed-kind column,

@@ -169,17 +169,13 @@ func registerSubsetSum(reg *sfun.Registry, _ uint64) error {
 			// ssdo_clean triggers the cleaning phase when the sample has
 			// grown beyond theta*N, adjusting the threshold aggressively.
 			name: "ssdo_clean",
-			call: func(s *ssState, args []value.Value) (value.Value, error) {
-				cnt, err := intArg("ssdo_clean", args, 0)
-				if err != nil {
-					return value.Value{}, err
-				}
+			scan: countScan("ssdo_clean", SubsetSumStateName, func(s *ssState, cnt int64) bool {
 				if !s.configured || float64(cnt) <= s.theta*float64(s.n) {
-					return value.NewBool(false), nil
+					return false
 				}
 				s.BeginClean(int(cnt), s.n)
-				return value.NewBool(true), nil
-			},
+				return true
+			}),
 		},
 		{
 			// ssclean_with is the per-group cleaning predicate: basic

@@ -145,8 +145,8 @@ func (t Tuple) Clone() Tuple {
 // a consumer holding one row pins a few tens of kilobytes, not a window.
 const slabRows = 256
 
-// A Slab makes independent copies of tuples out of backing arrays it
-// allocates slabRows tuples at a time — Clone for a hand-off that copies
+// A Slab makes independent copies of rows out of backing arrays it
+// allocates slabRows tuples at a time — Row for a hand-off that copies
 // every row of a stream and must not allocate for each. A copy is never
 // written again: it stays valid for as long as its holder keeps it, and
 // keeps its backing array (its neighbours included) alive that long. The
@@ -155,16 +155,15 @@ type Slab struct {
 	free []value.Value
 }
 
-// Clone returns a copy of t that shares no memory with it.
-func (s *Slab) Clone(t Tuple) Tuple {
-	n := len(t)
+// Row returns row i of cols as a tuple that shares no memory with them.
+func (s *Slab) Row(cols []*Column, i int) Tuple {
+	n := len(cols)
 	if len(s.free) < n {
 		s.free = make([]value.Value, slabRows*n)
 	}
 	c := s.free[:n:n]
 	s.free = s.free[n:]
-	copy(c, t)
-	return Tuple(c)
+	return RowOf(c, cols, i)
 }
 
 // Key is a hashable composite of values used as a group or supergroup key.

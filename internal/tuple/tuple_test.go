@@ -88,33 +88,42 @@ func TestTupleStringClone(t *testing.T) {
 // slabRows rows, not per row.
 func TestSlabClone(t *testing.T) {
 	var s Slab
-	src := Tuple{value.NewUint(0), value.NewString("x"), value.NewInt(-2)}
+	cols := []*Column{new(Column), new(Column), new(Column)}
+	for i := 0; i < 3*slabRows+5; i++ {
+		cols[0].AppendValue(value.NewUint(uint64(i)))
+		cols[1].AppendValue(value.NewString("x"))
+		cols[2].AppendValue(value.NewInt(-2))
+	}
 	var copies []Tuple
 	for i := 0; i < 3*slabRows+5; i++ {
-		src[0] = value.NewUint(uint64(i))
-		row := src
+		row := cols
 		if i%7 == 0 {
-			row = src[:2] // a narrower row mid-chunk
+			row = cols[:2] // a narrower row mid-chunk
 		}
-		c := s.Clone(row)
+		c := s.Row(row, i)
 		if len(c) != len(row) || cap(c) != len(row) {
 			t.Fatalf("copy %d: len %d cap %d, want both %d (an append must not reach the neighbour)", i, len(c), cap(c), len(row))
 		}
 		copies = append(copies, c)
 	}
-	if got := s.Clone(nil); len(got) != 0 {
-		t.Errorf("Clone(nil) has %d fields", len(got))
+	if got := s.Row(nil, 0); len(got) != 0 {
+		t.Errorf("Row(nil) has %d fields", len(got))
 	}
-	src[0] = value.NewUint(1 << 40) // the source moves on
+	cols[0].Reset() // the source moves on
+	cols[0].AppendValue(value.NewUint(1 << 40))
 	for i, c := range copies {
 		if c[0].Uint() != uint64(i) || c[1].Str() != "x" {
 			t.Fatalf("copy %d reads %v after later copies were made", i, c)
 		}
 	}
-	row := Tuple{value.NewUint(1), value.NewUint(2), value.NewUint(3), value.NewUint(4), value.NewUint(5)}
+	wide := make([]*Column, 5)
+	for j := range wide {
+		wide[j] = new(Column)
+		wide[j].AppendValue(value.NewUint(uint64(j)))
+	}
 	perRow := testing.AllocsPerRun(20, func() {
 		for i := 0; i < slabRows; i++ {
-			s.Clone(row)
+			s.Row(wide, 0)
 		}
 	}) / slabRows
 	if perRow > 2.0/slabRows {
