@@ -76,20 +76,15 @@ func BenchmarkFig4CleaningPhases(b *testing.B) {
 	b.ReportMetric(s.SteadyCleaningsNonrelaxed, "cleanings-nonrelaxed")
 }
 
-func benchCPUCfg() experiments.CPUConfig {
-	return experiments.CPUConfig{
-		Seed: 7, DurationSec: 2, WindowSec: 1, Rate: 100000,
-		SampleSizes: []int{1000}, Theta: 2, RelaxF: 10,
-	}
-}
-
 // BenchmarkFig5CPUUsage regenerates Figure 5 (CPU usage for sampling).
 // Metrics: CPU fraction of the relaxed / non-relaxed sampling operator and
 // of basic subset-sum as a selection UDF at N=1000 on the 100k pps feed.
 func BenchmarkFig5CPUUsage(b *testing.B) {
+	cfg := experiments.DefaultCPU(7)
+	cfg.SampleSizes = []int{1000}
 	var pt experiments.CPUPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.CPUUsage(benchCPUCfg())
+		pts, err := experiments.CPUUsage(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,9 +99,11 @@ func BenchmarkFig5CPUUsage(b *testing.B) {
 // type). Metrics: the sampling node's CPU with a plain selection subquery
 // vs a basic-SS pushdown subquery, plus both low-level costs.
 func BenchmarkFig6LowLevel(b *testing.B) {
+	cfg := experiments.DefaultCPU(7)
+	cfg.SampleSizes = []int{1000}
 	var pt experiments.LowLevelPoint
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.LowLevelEffect(benchCPUCfg())
+		pts, err := experiments.LowLevelEffect(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +120,7 @@ func BenchmarkFig6LowLevel(b *testing.B) {
 func BenchmarkThetaSweep(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.ThetaSweep(benchCPUCfg(), []float64{1.5, 2, 4}, 1000)
+		pts, err := experiments.ThetaSweep(experiments.DefaultCPU(7), []float64{1.5, 2, 4}, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,14 +41,14 @@ var quickFigureDigests = map[string]string{
 // wall-clock measurements, with timingFields masked first: CPU
 // percentages, ns/packet and the overhead factor, and shard's GOMAXPROCS,
 // sequential-Run time and each row's wall ms, pkts/sec and speedup. What
-// is left (sample sizes, theta's cleanings, hhpush's forwarded and
-// eviction counts and found flags, overhead's packet count and estimate
-// agreement, shard's groups, evictions and exact column) is the same
-// bytes from run to run.
+// is left (sample sizes, theta's cleanings, Figure 6's rows on the hop,
+// hhpush's forwarded and eviction counts and found flags, overhead's
+// packet count and estimate agreement, shard's groups, evictions and
+// exact column) is the same bytes from run to run.
 var timedFigureDigests = map[string]string{
-	"5":        "27b3fe67852f88abb673583a77e379b1db0a8697c22591764604e039cbbf84b7",
-	"6":        "0343063e53362041235233a53e5aec26e54838dafa62c3413015f5f0c42bfe3f",
-	"theta":    "2fdcded0dd07dc12a24acdb99061386fa80476eae996144dec1dab71bcb027b9",
+	"5":        "13f8c516afaf865f62f608fc7fbe3d8760280154dcfc7036b9c3cd7fe040452f",
+	"6":        "15f76ea420ff6b726e7934fe84829e56059dbb6029a3554465ce955738cf0221",
+	"theta":    "769551195bab8726a778bc375f407f248f364bc2cbe6827f48e05670303f3780",
 	"hhpush":   "115f1c994f8e32a52a08633539d33a3fcaf2e3308cb567e23bea7c0db3449f20",
 	"overhead": "1ec1c7c9c82c2988a816c79de3a0eec73df1661051b964b15a6af06755e59f87",
 	"shard":    "2d6b9f3fc4c93c536f04f28d6653fbd0796500243e562c2fa1ae634cfa12365e",

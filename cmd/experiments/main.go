@@ -287,8 +287,9 @@ func accuracyFigs(fig string, seed uint64, quick bool, n int) error {
 func cpuCfg(seed uint64, quick bool) experiments.CPUConfig {
 	cfg := experiments.DefaultCPU(seed)
 	if quick {
-		cfg.DurationSec = 2
-		cfg.Rate = 50000
+		// One sample size. Period, windows and rate stay: the pushdown's
+		// threshold, so its share of the packets, scales with rate × period.
+		cfg.SampleSizes = []int{1000}
 	}
 	return cfg
 }
@@ -314,13 +315,19 @@ func fig6(seed uint64, quick bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 6 — Effect of low-level query type on the sampling node")
+	fmt.Printf("Figure 6 — Effect of low-level query type on the sampling node (%.0fk pkts/sec, %ds windows)\n", cfg.Rate/1000, cfg.WindowSec)
 	fmt.Printf("%-18s %20s %20s %14s %14s\n", "samples/period",
 		"high (selection sub)", "high (basic-SS sub)", "low selection", "low basic-SS")
 	for _, p := range pts {
 		fmt.Printf("%-18d %19.2f%% %19.2f%% %13.2f%% %13.2f%%\n",
 			p.Samples, 100*p.HighSelectionSub, 100*p.HighBasicSSSub,
 			100*p.LowSelection, 100*p.LowBasicSS)
+	}
+	fmt.Printf("\nrows on the hop (exact counts)\n%-18s %12s %12s %20s %20s\n", "samples/period",
+		"packets", "forwarded", "high in (selection)", "high in (basic-SS)")
+	for _, p := range pts {
+		fmt.Printf("%-18d %12d %12d %20d %20d\n",
+			p.Samples, p.Packets, p.Forwarded, p.HighInSelection, p.HighInBasicSS)
 	}
 	return nil
 }

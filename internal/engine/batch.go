@@ -63,9 +63,10 @@ func (e *Engine) processLowBatch(low *Node, pkts []trace.Packet) error {
 // off the columns, materializing key values only when claiming a slot. In
 // closure mode the GROUP BY closures fill the columns first, up to the
 // first row that errs, and an aggregate argument's closure evaluates
-// inside the walk, after its slot's eviction and claim. An attached
-// profile reads the clock between the phases (an error ends the node's
-// run, and leaves the batch's walk uncharged).
+// inside the walk, after its slot's eviction and claim; the argument is
+// read, and a String a sum adds up errs, as in the operator (gsql.ArgAt).
+// An attached profile reads the clock between the phases (an error ends
+// the node's run, and leaves the batch's walk uncharged).
 func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 	f := t.front
 	n, np := b.Len(), t.prof
@@ -79,6 +80,9 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 			err = fmt.Errorf("group-by: %w", err)
 		}
 		clear(t.aggCols)
+	}
+	for i, def := range t.plan.Aggs {
+		t.aggCheck[i] = gsql.CheckSummed(def.Name, t.aggCols[i], def.Arg)
 	}
 	gb := f.Cols()
 	t.hashes = tuple.HashRows(t.hashes, gb, nil, stop)
@@ -117,13 +121,11 @@ func (t *ptable) ProcessBatch(b *tuple.Batch) error {
 		for i := range t.plan.Aggs {
 			def := &t.plan.Aggs[i]
 			var av value.Value
-			if col := t.aggCols[i]; col != nil {
-				av = col.Value(row)
-			} else if def.Arg != nil {
-				var err error
-				if av, err = def.Arg(&t.ctx); err != nil {
-					return t.drain(fmt.Errorf("%s: %w", def.Display, err))
-				}
+			var err error
+			if col := t.aggCols[i]; col != nil && !t.aggCheck[i] {
+				av = col.Value(row) // in line: the fold's common case
+			} else if av, err = gsql.ArgAt(&t.ctx, col, def.Arg, t.aggCheck[i], def.Display, row); err != nil {
+				return t.drain(err)
 			}
 			t.aggs[i].Update(int32(slot), av)
 		}

@@ -127,7 +127,7 @@ func (r *foldRef) offer(row tuple.Tuple) error {
 		if def.Arg != nil {
 			var err error
 			if av, err = def.Arg(&ctx); err != nil {
-				return r.fail("%s: %v", def.Display, err)
+				return r.fail("%s argument: %v", def.Display, err)
 			}
 		}
 		slot.aggs[i].Update(av)

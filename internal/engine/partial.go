@@ -81,28 +81,30 @@ type ptable struct {
 	winStartNS int64
 
 	// The fold's batch scratch (see batch.go): the aggregate argument
-	// kernels' columns (nil entries use the closure), the row context and
-	// the batch's key hashes.
-	aggCols []*tuple.Column
-	rowT    tuple.Tuple
-	hashes  []uint64
+	// kernels' columns (nil entries use the closure) and which it checks
+	// (gsql.CheckSummed), the row context and the batch's key hashes.
+	aggCols  []*tuple.Column
+	aggCheck []bool
+	rowT     tuple.Tuple
+	hashes   []uint64
 }
 
 func newPtable(plan *gsql.Plan, slots int, mask uint64, div uint64, emit func(cols []*tuple.Column) error) ptable {
 	t := ptable{
-		used:    make([]bool, slots),
-		keys:    make([]tuple.Column, len(plan.GroupBy)),
-		hash:    make([]uint64, slots),
-		aggs:    make([]agg.Column, len(plan.Aggs)),
-		mask:    mask,
-		div:     div,
-		plan:    plan,
-		front:   gsql.NewGroupFront(plan),
-		gbVals:  make([]value.Value, len(plan.GroupBy)),
-		aggCols: make([]*tuple.Column, len(plan.Aggs)),
-		emit:    emit,
-		out:     make([]*tuple.Column, len(plan.SelectExprs)),
-		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
+		used:     make([]bool, slots),
+		keys:     make([]tuple.Column, len(plan.GroupBy)),
+		hash:     make([]uint64, slots),
+		aggs:     make([]agg.Column, len(plan.Aggs)),
+		mask:     mask,
+		div:      div,
+		plan:     plan,
+		front:    gsql.NewGroupFront(plan),
+		gbVals:   make([]value.Value, len(plan.GroupBy)),
+		aggCols:  make([]*tuple.Column, len(plan.Aggs)),
+		aggCheck: make([]bool, len(plan.Aggs)),
+		emit:     emit,
+		out:      make([]*tuple.Column, len(plan.SelectExprs)),
+		outRow:   make(tuple.Tuple, len(plan.SelectExprs)),
 	}
 	for i := range t.out {
 		t.out[i] = new(tuple.Column)

@@ -1,11 +1,16 @@
 package engine_test
 
 import (
+	"strings"
 	"testing"
 
 	"streamop/internal/engine"
+	"streamop/internal/gsql"
+	"streamop/internal/sfun"
+	"streamop/internal/sfunlib"
 	"streamop/internal/trace"
 	"streamop/internal/tuple"
+	"streamop/internal/value"
 	"streamop/internal/xrand"
 )
 
@@ -169,6 +174,49 @@ CLEANING BY sum(pkts) >= current_bucket() - first(current_bucket())`,
 	}
 	if !foundHeavy {
 		t.Error("heavy source missing through partial-agg pushdown")
+	}
+}
+
+// TestStringSumArgumentErrsOnEitherStep sums a scalar that returns a
+// String for an odd length, off the schema, on a partial-aggregation node
+// and on an operator node: both walks check the argument the same way, so
+// Run returns the same error from either and no node is counted failed.
+func TestStringSumArgumentErrsOnEitherStep(t *testing.T) {
+	for _, partial := range []bool{true, false} {
+		reg := sfunlib.Default(1)
+		reg.MustRegisterFunc(&sfun.Func{
+			Name: "odd",
+			Call: func(_ any, args []value.Value) (value.Value, error) {
+				if args[0].AsInt()%2 == 1 {
+					return value.NewString("boom"), nil
+				}
+				return args[0], nil
+			},
+		})
+		q, err := gsql.Parse("SELECT tb, sum(odd(len)) FROM PKT GROUP BY time/1 as tb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := gsql.Analyze(q, trace.Schema(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := engine.New(1024)
+		if partial {
+			_, err = e.AddLowLevelPartialAgg("p", plan, 64)
+		} else {
+			_, err = e.AddLowLevel("p", plan)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.Run(sliceFeed([]trace.Packet{{Time: 1, Len: 40}, {Time: 2, Len: 41}, {Time: 3, Len: 42}}))
+		if want := `sum(odd(len)) argument: String "boom" is not a number`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("partial %v: Run = %v, want an error naming %s", partial, err, want)
+		}
+		if f := e.Failures(); len(f) != 0 {
+			t.Errorf("partial %v: Failures() = %+v, want none", partial, f)
+		}
 	}
 }
 

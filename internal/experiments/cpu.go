@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"streamop/internal/trace"
-	"streamop/internal/tuple"
 )
 
 // passthroughQuery is the low-level selection that forwards every packet's
@@ -36,22 +35,21 @@ func basicSSHighQuery(stream string, z float64) string {
 	return fmt.Sprintf(`SELECT uts, srcIP, destIP, UMAX(len, %g) FROM %s WHERE bssample(len, %g) = TRUE`, z, stream, z)
 }
 
-// CPUConfig parameterizes the Figure 5 run.
+// CPUConfig parameterizes the CPU figures: Figs. 5 and 6 and the θ sweep.
 type CPUConfig struct {
 	Seed        uint64
 	DurationSec float64 // simulated capture length
 	WindowSec   int
 	Rate        float64 // packets/sec (the paper's feed runs 100k)
 	SampleSizes []int   // samples per period (the paper plots 100..10000)
-	Theta       float64
-	RelaxF      float64
 }
 
-// DefaultCPU mirrors §7.2: the steady 100k pps feed, three sample sizes.
+// DefaultCPU mirrors §7.2 at the paper's 20-s period: the steady 100k pps
+// feed over three windows, three sample sizes, queries at θ = 2 and f = 10.
 func DefaultCPU(seed uint64) CPUConfig {
 	return CPUConfig{
-		Seed: seed, DurationSec: 6, WindowSec: 2, Rate: 100000,
-		SampleSizes: []int{100, 1000, 10000}, Theta: 2, RelaxF: 10,
+		Seed: seed, DurationSec: 60, WindowSec: 20, Rate: 100000,
+		SampleSizes: []int{100, 1000, 10000},
 	}
 }
 
@@ -76,27 +74,12 @@ type CPUPoint struct {
 	BasicSS float64
 }
 
-// processBoundary stands in for the copy of a forwarded tuple into another
-// process's buffer.
-type processBoundary struct{ buf tuple.Tuple }
-
-func (p *processBoundary) ship(row tuple.Tuple) error {
-	p.buf = row.Clone()
-	return nil
-}
-
 // runTwoLevel runs lowSrc -> highSrc (node "high") over a fresh steady
-// feed. With interProcess set, the low-level node is also charged what
-// Gigascope pays to forward a tuple to a high-level query, which runs in
-// another process: the tuple is built and copied out, once per forwarded
-// tuple (see LowLevelEffect).
-func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string, interProcess bool) (*chain, error) {
+// feed.
+func runTwoLevel(cfg CPUConfig, lowSrc, highSrc string) (*chain, error) {
 	c, err := buildChain(1<<14, cfg.Seed, lowSrc, 0, stage{"high", highSrc})
 	if err != nil {
 		return nil, err
-	}
-	if interProcess {
-		c.low.Subscribe(new(processBoundary).ship)
 	}
 	sc := trace.DefaultSteady(cfg.Seed, cfg.DurationSec)
 	sc.Rate = cfg.Rate
@@ -118,11 +101,11 @@ func CPUUsage(cfg CPUConfig) ([]CPUPoint, error) {
 			cpu  *float64
 			high string
 		}{
-			{&pt.Relaxed, highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)},
-			{&pt.Nonrelaxed, highSSQuery("low", cfg.WindowSec, n, cfg.Theta, 1)},
+			{&pt.Relaxed, highSSQuery("low", cfg.WindowSec, n, 2, 10)},
+			{&pt.Nonrelaxed, highSSQuery("low", cfg.WindowSec, n, 2, 1)},
 			{&pt.BasicSS, basicSSHighQuery("low", zFor(cfg.Rate, cfg.WindowSec, n))},
 		} {
-			c, err := runTwoLevel(cfg, passthroughQuery, run.high, false)
+			c, err := runTwoLevel(cfg, passthroughQuery, run.high)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +118,7 @@ func CPUUsage(cfg CPUConfig) ([]CPUPoint, error) {
 
 // LowLevelPoint is one x-position of Figure 6: the high-level dynamic
 // subset-sum CPU under a plain selection subquery vs a basic-SS pushdown
-// subquery, with the low-level costs alongside.
+// subquery, with the low-level costs and the rows on the hop alongside.
 type LowLevelPoint struct {
 	Samples int
 	// HighSelectionSub / HighBasicSSSub are the sampling node's CPU
@@ -144,17 +127,15 @@ type LowLevelPoint struct {
 	// LowSelection / LowBasicSS are the corresponding low-level costs
 	// (the paper reports ~60% dropping to ~4%).
 	LowSelection, LowBasicSS float64
+	// Packets is what each low-level node read; Forwarded the rows the
+	// pushdown passed on out of them. HighInSelection / HighInBasicSS are
+	// the rows the sampling node read under each subquery.
+	Packets, Forwarded             int64
+	HighInSelection, HighInBasicSS int64
 }
 
 // LowLevelEffect regenerates Figure 6: pushing basic subset-sum sampling
 // (threshold 1/10th of the dynamic target) into the low-level query.
-//
-// The figure's low-level costs are those of moving tuples from the
-// low-level query into the high-level query's process, one copy per
-// forwarded tuple. The engine's own hop is in-process and columnar and has
-// no per-tuple cost left to save (EXPERIMENTS.md gives the figures without
-// the charge), so the harness puts the paper's cost back: the low-level
-// node also hands every forwarded tuple to a consumer that copies it out.
 func LowLevelEffect(cfg CPUConfig) ([]LowLevelPoint, error) {
 	// The pushdown threshold is 1/10th the level the dynamic algorithm
 	// uses when returning 10,000 samples per interval (§7.2).
@@ -162,16 +143,20 @@ func LowLevelEffect(cfg CPUConfig) ([]LowLevelPoint, error) {
 	var out []LowLevelPoint
 	for _, n := range cfg.SampleSizes {
 		pt := LowLevelPoint{Samples: n}
-		high := highSSQuery("low", cfg.WindowSec, n, cfg.Theta, cfg.RelaxF)
-		c, err := runTwoLevel(cfg, passthroughQuery, high, true)
+		high := highSSQuery("low", cfg.WindowSec, n, 2, 10)
+		c, err := runTwoLevel(cfg, passthroughQuery, high)
 		if err != nil {
 			return nil, err
 		}
 		pt.LowSelection, pt.HighSelectionSub = c.Utilization(c.low), c.Utilization(c.high[0])
-		if c, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high, true); err != nil {
+		pt.HighInSelection = c.high[0].Stats().TuplesIn
+		if c, err = runTwoLevel(cfg, basicSSLowQuery(pushZ), high); err != nil {
 			return nil, err
 		}
 		pt.LowBasicSS, pt.HighBasicSSSub = c.Utilization(c.low), c.Utilization(c.high[0])
+		low := c.low.Stats()
+		pt.Packets, pt.Forwarded = low.TuplesIn, low.TuplesOut
+		pt.HighInBasicSS = c.high[0].Stats().TuplesIn
 		out = append(out, pt)
 	}
 	return out, nil
@@ -189,7 +174,7 @@ type ThetaPoint struct {
 func ThetaSweep(cfg CPUConfig, thetas []float64, n int) ([]ThetaPoint, error) {
 	var out []ThetaPoint
 	for _, th := range thetas {
-		c, err := runTwoLevel(cfg, passthroughQuery, highSSQuery("low", cfg.WindowSec, n, th, cfg.RelaxF), false)
+		c, err := runTwoLevel(cfg, passthroughQuery, highSSQuery("low", cfg.WindowSec, n, th, 10))
 		if err != nil {
 			return nil, err
 		}

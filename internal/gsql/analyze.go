@@ -683,14 +683,52 @@ func (b *binder) compileAgg(e *Call, ctx exprCtx) (Compiled, error) {
 	return aggRef(idx), nil
 }
 
+// summed names the aggregates (lower case; a superaggregate with its $)
+// that add their argument up, so that a String argument errs.
+var summed = map[string]bool{"sum": true, "avg": true, "var": true, "stddev": true, "sum$": true}
+
+// CheckSummed reports whether a walk checks, over the batch at hand, the
+// argument of aggregate name (ArgAt): where the aggregate adds it up,
+// unless its kernel column col is of one kind throughout, and not String;
+// with no column, where it has a closure arg. The analyzer refuses a
+// String it can see in the query (refuseString); one can still arrive off
+// the schema.
+func CheckSummed(name string, col *tuple.Column, arg Compiled) bool {
+	if !summed[name] {
+		return false
+	}
+	if col == nil {
+		return arg != nil
+	}
+	k, ok := col.Uniform()
+	return !ok || k == value.String
+}
+
+// ArgAt returns an aggregate's argument at row, as both grouping walks
+// read one: its kernel column's value, or else its closure's over ctx.
+// Where check (CheckSummed) is set, a String errs.
+func ArgAt(ctx *Ctx, col *tuple.Column, arg Compiled, check bool, display string, row int) (value.Value, error) {
+	var av value.Value
+	if col != nil {
+		av = col.Value(row)
+	} else if arg != nil {
+		var err error
+		if av, err = arg(ctx); err != nil {
+			return av, fmt.Errorf("%s argument: %w", display, err)
+		}
+	}
+	if check && av.Kind() == value.String {
+		return av, fmt.Errorf("%s argument: String %q is not a number", display, av.Str())
+	}
+	return av, nil
+}
+
 // refuseString refuses a call e to aggregate name (lower case) that adds
 // its argument up when the argument arg is statically a String: a string
 // literal, or a name that binds — group-by variable first, as compile
 // binds it — to a String field of the schema.
 func (b *binder) refuseString(e *Call, name string, arg Expr) error {
-	switch name {
-	case "sum", "avg", "var", "stddev", "sum$":
-	default:
+	if !summed[name] {
 		return nil
 	}
 	str := false

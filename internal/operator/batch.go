@@ -24,7 +24,8 @@ type vecState struct {
 	mask      tuple.Bitmap    // stateless WHERE verdicts
 	rowT      tuple.Tuple     // row context scratch
 
-	// The arguments argAt checks for a String in this batch (checkArgs).
+	// The arguments gsql.ArgAt checks for a String in this batch
+	// (gsql.CheckSummed).
 	aggCheck, superCheck []bool
 
 	// curSG caches the open window's supergroup for single-supergroup
@@ -131,7 +132,12 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		clear(v.aggCols)
 		clear(v.superCols)
 	}
-	v.checkArgs(o.plan)
+	for i, def := range o.plan.Aggs {
+		v.aggCheck[i] = gsql.CheckSummed(def.Name, v.aggCols[i], def.Arg)
+	}
+	for i, def := range o.plan.Supers {
+		v.superCheck[i] = gsql.CheckSummed(def.Spec.Name, v.superCols[i], def.Arg)
+	}
 	gb := f.Cols()
 	allSG := len(o.plan.SupergroupIdx) == 0
 	runs := kernels && !rowCtx && whereCall == nil && o.plan.CleaningWhen == nil && allSG &&
@@ -245,9 +251,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		// Superaggregate per-tuple updates.
 		for i := range o.plan.Supers {
 			def := &o.plan.Supers[i]
-			av, err := o.argAt(v.superCols[i], def.Arg, v.superCheck[i], def.Display, row)
+			av, err := gsql.ArgAt(&o.ctx, v.superCols[i], def.Arg, v.superCheck[i], def.Display, row)
 			if err != nil {
-				return tts, err
+				return tts, fmt.Errorf("operator: %w", err)
 			}
 			o.argVals[i] = av
 			sg.supers[i].OnTuple(av)
@@ -276,9 +282,9 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		}
 		for i := range o.plan.Aggs {
 			def := &o.plan.Aggs[i]
-			av, err := o.argAt(v.aggCols[i], def.Arg, v.aggCheck[i], def.Display, row)
+			av, err := gsql.ArgAt(&o.ctx, v.aggCols[i], def.Arg, v.aggCheck[i], def.Display, row)
 			if err != nil {
-				return tts, err
+				return tts, fmt.Errorf("operator: %w", err)
 			}
 			o.store.aggs[i].Update(g, av)
 		}
@@ -362,48 +368,6 @@ func (o *Operator) groupRun(sg *supergroup, from, to int, mask bool) {
 	for i, c := range o.store.aggs {
 		agg.Scatter(c, v.slots, v.aggCols[i], v.sel)
 	}
-}
-
-// argAt returns an aggregate's or a superaggregate's argument at row: its
-// kernel column's value, or else its closure's. Where check is set, the
-// aggregate adds its argument up, and a String errs.
-func (o *Operator) argAt(col *tuple.Column, arg gsql.Compiled, check bool, display string, row int) (value.Value, error) {
-	var av value.Value
-	if col != nil {
-		av = col.Value(row)
-	} else if arg != nil {
-		var err error
-		if av, err = arg(&o.ctx); err != nil {
-			return av, fmt.Errorf("operator: %s argument: %w", display, err)
-		}
-	}
-	if check && av.Kind() == value.String {
-		return av, fmt.Errorf("operator: %s argument: String %q is not a number", display, av.Str())
-	}
-	return av, nil
-}
-
-// checkArgs sets, for the batch about to be walked, which arguments argAt
-// checks: those sum, avg, var, stddev and sum$ add up, unless their kernel
-// column is of one kind throughout, and not of String. (gsql refuses a
-// String it can see in the query; one can still arrive off the schema.)
-func (v *vecState) checkArgs(p *gsql.Plan) {
-	for i := range p.Aggs {
-		v.aggCheck[i] = slices.Contains([]string{"sum", "avg", "var", "stddev"}, p.Aggs[i].Name) && mayBeString(v.aggCols[i], p.Aggs[i].Arg)
-	}
-	for i := range p.Supers {
-		v.superCheck[i] = p.Supers[i].Spec.Contribution == agg.ContribSum && mayBeString(v.superCols[i], p.Supers[i].Arg)
-	}
-}
-
-// mayBeString reports whether an argument may be a String: its kernel
-// column col, or else its closure arg.
-func mayBeString(col *tuple.Column, arg gsql.Compiled) bool {
-	if col == nil {
-		return arg != nil
-	}
-	k, ok := col.Uniform()
-	return !ok || k == value.String
 }
 
 // evalKernels evaluates the plan's kernels over the whole batch, charging
