@@ -303,7 +303,7 @@ func fig5(seed uint64, quick bool) error {
 	fmt.Printf("Figure 5 — Subset-sum sampling CPU usage (%.0fk pkts/sec, %ds windows)\n", cfg.Rate/1000, cfg.WindowSec)
 	fmt.Printf("%-18s %12s %14s %10s\n", "samples/period", "SS relaxed", "SS nonrelaxed", "basic SS")
 	for _, p := range pts {
-		fmt.Printf("%-18d %11.2f%% %13.2f%% %9.2f%%\n",
+		fmt.Printf("%-18d %11.4f%% %13.4f%% %9.4f%%\n",
 			p.Samples, 100*p.Relaxed, 100*p.Nonrelaxed, 100*p.BasicSS)
 	}
 	return nil
@@ -319,7 +319,7 @@ func fig6(seed uint64, quick bool) error {
 	fmt.Printf("%-18s %20s %20s %14s %14s\n", "samples/period",
 		"high (selection sub)", "high (basic-SS sub)", "low selection", "low basic-SS")
 	for _, p := range pts {
-		fmt.Printf("%-18d %19.2f%% %19.2f%% %13.2f%% %13.2f%%\n",
+		fmt.Printf("%-18d %19.4f%% %19.4f%% %13.4f%% %13.4f%%\n",
 			p.Samples, 100*p.HighSelectionSub, 100*p.HighBasicSSSub,
 			100*p.LowSelection, 100*p.LowBasicSS)
 	}
@@ -341,7 +341,7 @@ func thetaFig(seed uint64, quick bool) error {
 	fmt.Println("Theta sweep (§7.2) — cleaning trigger vs CPU, N=1000")
 	fmt.Printf("%-8s %10s %12s\n", "theta", "CPU", "cleanings")
 	for _, p := range pts {
-		fmt.Printf("%-8.1f %9.2f%% %12d\n", p.Theta, 100*p.CPU, p.Cleanings)
+		fmt.Printf("%-8.1f %9.4f%% %12d\n", p.Theta, 100*p.CPU, p.Cleanings)
 	}
 	return nil
 }

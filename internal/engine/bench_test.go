@@ -138,22 +138,17 @@ func BenchmarkEngineRunParallel(b *testing.B) {
 // BenchmarkPartialAggProcess measures the partial-aggregation fast path.
 func BenchmarkPartialAggProcess(b *testing.B) {
 	pkts := benchPackets(b, 100000)
-	e, _ := engine.New(8192)
-	plan := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-	if _, err := e.AddLowLevelPartialAgg("p", plan, 4096); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	processed := 0
 	for processed < b.N {
 		b.StopTimer()
-		e2, _ := engine.New(8192)
-		plan2 := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
-		if _, err := e2.AddLowLevelPartialAgg("p", plan2, 4096); err != nil {
+		e, _ := engine.New(8192)
+		plan := mustPlanB(b, "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP", trace.Schema())
+		if _, err := e.AddLowLevelPartialAgg("p", plan, 4096); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := e2.Run(sliceFeed(pkts)); err != nil {
+		if err := e.Run(sliceFeed(pkts)); err != nil {
 			b.Fatal(err)
 		}
 		processed += len(pkts)

@@ -45,7 +45,8 @@ type NodeStats struct {
 // step is the one thing that differs between kinds of node: what the node
 // runs over its input batch. The sampling operator is one (selection,
 // sampling and full aggregation, at either level) and a low-level query's
-// direct-mapped partial-aggregation table the other (ptable, partial.go).
+// direct-mapped partial-aggregation table the other (operator.Table,
+// partial.go).
 // Everything around the step — conversion, counters, containment, the
 // emit, the edges, the workers — is Node's and is written once.
 type step interface {

@@ -63,3 +63,9 @@ func (e *Engine) QueuedCommands() int {
 	}
 	return len(e.sess.cmds)
 }
+
+// OperatorRestore loads a payload OperatorSnapshot's codec wrote into the
+// node's step.
+func (n *Node) OperatorRestore(b []byte) error {
+	return n.step.Restore(checkpoint.NewDecoder(b))
+}

@@ -38,6 +38,11 @@ var foldQueries = []struct{ name, src string }{
 	{"group_by_errs", `SELECT tb, x, count(*) FROM PKT GROUP BY time/1 as tb, 1000/(len-100) as x`},
 	// An aggregate argument that errs at the row whose len is 100.
 	{"agg_arg_errs", `SELECT tb, srcIP, sum(1000/(len-100)) FROM PKT GROUP BY time/1 as tb, srcIP`},
+	// SELECT items computed from a group-by variable and from aggregates.
+	{"computed", `SELECT tb, srcIP % 7 AS m, sum(len)/count(*) AS avg, count(*) FROM PKT GROUP BY time/1 as tb, srcIP`},
+	// A computed SELECT item that errs at every group of count 3, at a
+	// collision eviction or a window flush (TestPartialFoldSelectErrs).
+	{"select_errs", `SELECT tb, srcIP, 1000/(count(*)-3) AS x FROM PKT GROUP BY time/1 as tb, srcIP`},
 }
 
 // refSlot is one slot of the reference table. Its aggregates are package
@@ -67,6 +72,8 @@ type foldRef struct {
 	windows   int64
 	evictions int64
 	rows      []tuple.Tuple
+	// failedIn names where a SELECT error arose: "eviction" or "flush".
+	failedIn string
 }
 
 func newFoldRef(plan *gsql.Plan, node string, slots int) *foldRef {
@@ -105,6 +112,7 @@ func (r *foldRef) offer(row tuple.Tuple) error {
 	slot := &r.slots[h&r.mask]
 	if slot.used && (slot.hash != h || !equalVals(slot.key, vals)) {
 		if err := r.emit(slot); err != nil {
+			r.failedIn = "eviction"
 			return err
 		}
 		slot.used = false
@@ -155,6 +163,7 @@ func (r *foldRef) flush() error {
 	for i := range r.slots {
 		if r.slots[i].used {
 			if err := r.emit(&r.slots[i]); err != nil {
+				r.failedIn = "flush"
 				return err
 			}
 			r.slots[i].used = false
@@ -216,6 +225,7 @@ type foldResult struct {
 	err       error
 	at        int
 	snap      []byte
+	failedIn  string // the reference's only (foldRef.failedIn)
 }
 
 func runFoldRef(t *testing.T, plan *gsql.Plan, slots int, pkts []trace.Packet) foldResult {
@@ -232,7 +242,7 @@ func runFoldRef(t *testing.T, plan *gsql.Plan, slots int, pkts []trace.Packet) f
 	if res.err == nil {
 		res.err = ref.flush()
 	}
-	res.rows, res.evictions = ref.rows, ref.evictions
+	res.rows, res.evictions, res.failedIn = ref.rows, ref.evictions, ref.failedIn
 	return res
 }
 
@@ -372,4 +382,86 @@ func FuzzFold(f *testing.F) {
 		}
 		checkFold(t, src, slots, pkts, []int{size})
 	})
+}
+
+// TestPartialFoldSelectErrs: a computed SELECT item that errs stops the
+// output mid-run at a collision eviction (16 slots under 40 sources) and
+// at a window flush (4 096 slots, no eviction), rows before it output, and
+// the node stops where the reference does.
+func TestPartialFoldSelectErrs(t *testing.T) {
+	src := foldQueries[len(foldQueries)-1].src
+	for _, c := range []struct {
+		slots    int
+		pkts     []trace.Packet
+		failedIn string
+	}{
+		{16, foldPackets(3000, 11, 40, 7, -1), "eviction"},
+		{4096, foldPackets(400, 4, 40, 7, -1), "flush"},
+	} {
+		t.Run(c.failedIn, func(t *testing.T) {
+			want := checkFold(t, src, c.slots, c.pkts, foldSizes)
+			if want.err == nil || want.failedIn != c.failedIn || len(want.rows) == 0 {
+				t.Fatalf("reference: error %v at the %s after %d rows; want one at the %s after some rows", want.err, want.failedIn, len(want.rows), c.failedIn)
+			}
+		})
+	}
+}
+
+// TestPartialRestoreRefusesRepeatedSlot: a snapshot is input from outside
+// the program, and one that lists a resident slot twice is refused: the
+// table would count two residents in one slot, and never return to none.
+func TestPartialRestoreRefusesRepeatedSlot(t *testing.T) {
+	src := foldQueries[0].src
+	ref := newFoldRef(mustPlan(t, src, trace.Schema()), "fold", 16)
+	if err := ref.offer(foldPackets(1, 1, 1, 7, -1)[0].Tuple()); err != nil {
+		t.Fatal(err)
+	}
+	once := ref.snapshot(t)
+	// The payload: a header, the resident count, then each slot's record.
+	head := checkpoint.NewEncoder()
+	head.Bool(ref.open)
+	head.Values(ref.window)
+	head.I64(ref.windows)
+	head.I64(ref.evictions)
+	count := func(n int) []byte {
+		e := checkpoint.NewEncoder()
+		e.Len(n)
+		return e.Bytes()
+	}
+	prefix := append(head.Bytes(), count(1)...)
+	if !bytes.HasPrefix(once, prefix) {
+		t.Fatal("the reference's payload does not open with its header and a count of one")
+	}
+	rec := once[len(prefix):]
+	twice := append(append(append(head.Bytes(), count(2)...), rec...), rec...)
+
+	restore := func(payload []byte) error {
+		e, err := engine.New(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := e.AddLowLevelPartialAgg("fold", mustPlan(t, src, trace.Schema()), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node.OperatorRestore(payload)
+	}
+	if err := restore(once); err != nil {
+		t.Fatalf("restoring the one-slot payload: %v", err)
+	}
+	if err := restore(twice); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("restoring a payload that lists slot %d twice: err = %v, want it refused", ref.slotOf(t), err)
+	}
+}
+
+// slotOf returns the one resident slot of the reference.
+func (r *foldRef) slotOf(t *testing.T) int {
+	t.Helper()
+	for i := range r.slots {
+		if r.slots[i].used {
+			return i
+		}
+	}
+	t.Fatal("no resident slot")
+	return -1
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"streamop/internal/gsql"
+	"streamop/internal/operator"
 	"streamop/internal/ringbuf"
 	"streamop/internal/telemetry"
 	"streamop/internal/trace"
@@ -68,7 +69,7 @@ type shardMetrics struct {
 type shard struct {
 	Node
 	id    int
-	table ptable
+	table *operator.Table
 	ring  *ringbuf.Ring[trace.Packet]
 
 	// ackEpoch trails set.flushEpoch; the worker flushes its stripe and
@@ -89,13 +90,13 @@ type shard struct {
 func (sh *shard) syncDebug() {
 	sh.aTuplesIn.Store(sh.tuplesIn)
 	sh.aOut.Store(sh.out)
-	sh.aEvictions.Store(sh.table.evictions)
-	sh.aResidents.Store(sh.table.residents)
+	sh.aEvictions.Store(sh.table.Evictions())
+	sh.aResidents.Store(sh.table.Residents())
 	sh.aBusyNS.Store(int64(sh.busy))
 	if m := sh.sm; m != nil {
 		m.in.Set(float64(sh.tuplesIn))
 		m.busy.Set(sh.busy.Seconds())
-		m.evictions.Set(float64(sh.table.evictions))
+		m.evictions.Set(float64(sh.table.Evictions()))
 		m.ringOcc.Set(float64(sh.ring.Len()))
 		m.ringDrops.Set(float64(sh.ring.Drops()))
 	}
@@ -154,7 +155,7 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 		node:    pn,
 		front:   gsql.NewGroupFront(router),
 		in:      tuple.NewBatch(trace.Schema(), tuple.DefaultBatchRows),
-		mask:    pn.table.mask,
+		mask:    uint64(pn.table.Slots() - 1),
 		pend:    make([][]trace.Packet, n),
 		barrier: barrier,
 	}
@@ -162,8 +163,6 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 	if e.shardCap > 0 {
 		ringCap = e.shardCap
 	}
-	size := len(pn.table.used)
-	stripe := (size + n - 1) / n // upper bound on slots per shard
 	pn.openSubs(n)
 	for i := 0; i < n; i++ {
 		wplan, err := pn.plan.Clone()
@@ -179,9 +178,9 @@ func (e *Engine) newShardSet(pn *PartialNode, barrier bool) (*shardSet, error) {
 			subs: pn.subs, apps: pn.apps, set: s,
 			prof: e.Profiler().NodeShard(pn.name, i),
 		}}
-		sh.table = newPtable(wplan, stripe, s.mask, uint64(n), sh.emitCols)
-		sh.table.prof = sh.prof
-		sh.step = &sh.table
+		sh.table = pn.table.Stripe(wplan, n, sh.emitCols)
+		sh.table.SetProfile(sh.prof)
+		sh.step = sh.table
 		sh.takeOuts()
 		lbl := strconv.Itoa(i)
 		if !barrier {
@@ -259,8 +258,7 @@ func (s *shardSet) collect() {
 		n.tuplesIn += sh.tuplesIn
 		n.out += sh.out
 		n.busy += sh.busy
-		n.table.evictions += sh.table.evictions
-		n.table.residents += sh.table.residents
+		n.sharded += sh.table.Evictions()
 		if sh.failed && !n.failed {
 			n.failed, n.failMsg, n.failStack = true, sh.failMsg, sh.failStack
 		}

@@ -12,7 +12,7 @@ import (
 	"streamop/internal/value"
 )
 
-// vecState is the operator's batch execution state: the plan's kernels
+// vecState is a step's batch execution state: the plan's kernels
 // (vp, the front's: nil when the plan does not vectorize) plus the column,
 // mask and row scratch the walk reuses across batches. GROUP BY and the
 // open window are the front's (gsql.GroupFront).
@@ -113,11 +113,8 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) error {
 func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.TupleTrace, error) {
 	n, np := b.Len(), o.prof
 	rows := int64(n)
-	kernels := v.vp != nil
-	if kernels {
-		pt, kernels = o.evalKernels(b, v, pt)
-	}
 	f := o.front
+	pt, kernels := v.evalKernels(f, b, np, pt)
 	stop, fillErr := n, error(nil)
 	var whereMask bool
 	var whereCall, cleanCall *gsql.VecCall
@@ -132,12 +129,7 @@ func (o *Operator) walk(b *tuple.Batch, v *vecState, pt int64) ([]*tracing.Tuple
 		clear(v.aggCols)
 		clear(v.superCols)
 	}
-	for i, def := range o.plan.Aggs {
-		v.aggCheck[i] = gsql.CheckSummed(def.Name, v.aggCols[i], def.Arg)
-	}
-	for i, def := range o.plan.Supers {
-		v.superCheck[i] = gsql.CheckSummed(def.Spec.Name, v.superCols[i], def.Arg)
-	}
+	v.checkSummed(o.plan)
 	gb := f.Cols()
 	allSG := len(o.plan.SupergroupIdx) == 0
 	runs := kernels && !rowCtx && whereCall == nil && o.plan.CleaningWhen == nil && allSG &&
@@ -370,16 +362,17 @@ func (o *Operator) groupRun(sg *supergroup, from, to int, mask bool) {
 	}
 }
 
-// evalKernels evaluates the plan's kernels over the whole batch, charging
-// the profile by phase, and reports whether all succeeded. None mutates
-// operator state, so a batch whose kernel errs can still run in closure
-// mode.
-func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bool) {
-	if !o.front.Kernels(b) {
+// evalKernels is a step's kernel pass, the Operator's and the Table's: it
+// evaluates the plan's kernels over the whole batch — GROUP BY through the
+// front f, then WHERE and the arguments — charging np by phase, and
+// reports whether all succeeded. None mutates step state, so a batch whose
+// kernel errs can still run in closure mode.
+func (v *vecState) evalKernels(f *gsql.GroupFront, b *tuple.Batch, np *profile.NodeProfile, pt int64) (int64, bool) {
+	if !f.Kernels(b) {
 		return pt, false
 	}
-	vp, env := v.vp, o.front.Env()
-	np, rows := o.prof, int64(b.Len())
+	vp, env := v.vp, f.Env()
+	rows := int64(b.Len())
 	pt = np.Charge(profile.StageKernelGroupBy, pt, rows, rows)
 
 	if vp.Where != nil {
@@ -423,6 +416,17 @@ func (o *Operator) evalKernels(b *tuple.Batch, v *vecState, pt int64) (int64, bo
 		}
 	}
 	return np.Charge(profile.StageKernelArgs, pt, rows, rows), true
+}
+
+// checkSummed marks the aggregate and superaggregate arguments gsql.ArgAt
+// checks for a String in this batch (gsql.CheckSummed).
+func (v *vecState) checkSummed(p *gsql.Plan) {
+	for i, def := range p.Aggs {
+		v.aggCheck[i] = gsql.CheckSummed(def.Name, v.aggCols[i], def.Arg)
+	}
+	for i, def := range p.Supers {
+		v.superCheck[i] = gsql.CheckSummed(def.Spec.Name, v.superCols[i], def.Arg)
+	}
 }
 
 // selectBatch is ProcessBatch for a selection plan: WHERE, then the SELECT
@@ -511,7 +515,6 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 		if out == 0 || o.selectKernels(v, out < n) {
 			o.stats.TuplesIn += int64(in)
 			o.stats.TuplesAccepted += int64(out)
-			o.stats.TuplesOut += int64(out)
 			if out == 0 {
 				return whereErr
 			}
@@ -525,7 +528,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 				tts, next = o.tr.TakeRow(o.trName)
 				o.tr.Stage(o.trName, o.windowIdx, row, tts)
 			}
-			err := o.send(v.selCols)
+			err := o.out.send(v.selCols)
 			np.Charge(profile.StageTransfer, pt, int64(out), int64(out))
 			if err != nil {
 				return err
@@ -557,7 +560,7 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 			if err != nil {
 				o.stats.TuplesIn += int64(row) + 1
 				o.failRows(tts, kept)
-				return o.drain(err)
+				return o.out.drain(err)
 			}
 			pass := wv.Truth()
 			o.traceWhere(tts, pass)
@@ -569,11 +572,11 @@ func (o *Operator) selectBatch(b *tuple.Batch, v *vecState, pt int64) error {
 		if err := o.output(&o.ctx, tts); err != nil {
 			o.stats.TuplesIn += int64(row) + 1
 			o.failRows(tts, kept)
-			return o.drain(err)
+			return o.out.drain(err)
 		}
 	}
 	o.stats.TuplesIn += int64(in)
-	err := o.drain(whereErr)
+	err := o.out.drain(whereErr)
 	np.Charge(profile.StageWalk, pt, int64(in), o.stats.TuplesAccepted-accepted)
 	return err
 }

@@ -25,7 +25,7 @@ import (
 // Snapshot writes the operator's state. The operator must be at a tuple
 // boundary (no Process call in flight).
 func (o *Operator) Snapshot(e *checkpoint.Encoder) error {
-	encodeStats(e, o.stats)
+	encodeStats(e, o.Stats())
 	e.I64(o.windowIdx)
 	encodeStats(e, o.winBase)
 	o.front.SnapshotWindow(e)
@@ -124,9 +124,12 @@ func (o *Operator) decodeState(d *checkpoint.Decoder, i int) (any, error) {
 }
 
 // Restore loads a snapshot produced by Snapshot into a freshly created
-// operator for the same plan, replacing its empty state.
+// operator for the same plan, replacing its empty state. A snapshot is
+// input from outside the program: one that lists a group or a supergroup
+// twice is refused.
 func (o *Operator) Restore(d *checkpoint.Decoder) error {
 	o.stats = decodeStats(d)
+	o.out.n = o.stats.TuplesOut
 	o.windowIdx = d.I64()
 	o.winBase = decodeStats(d)
 	o.front.RestoreWindow(d)
@@ -185,8 +188,9 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 		if err != nil {
 			return err
 		}
-		o.sgNew[sg.key.Hash()] = append(o.sgNew[sg.key.Hash()], sg)
-		o.sgList = append(o.sgList, sg)
+		if err := listSupergroup(o.sgNew, &o.sgList, sg); err != nil {
+			return err
+		}
 	}
 	nOld := d.Len()
 	for i := 0; i < nOld && d.Err() == nil; i++ {
@@ -194,13 +198,28 @@ func (o *Operator) Restore(d *checkpoint.Decoder) error {
 		if err != nil {
 			return err
 		}
-		o.sgOld[sg.key.Hash()] = append(o.sgOld[sg.key.Hash()], sg)
-		o.sgOldList = append(o.sgOldList, sg)
+		if err := listSupergroup(o.sgOld, &o.sgOldList, sg); err != nil {
+			return err
+		}
 	}
 	if d.Err() != nil {
 		return d.Err()
 	}
 	return o.restoreEstimates(d)
+}
+
+// listSupergroup adds a restored supergroup to a supergroup table and its
+// insertion order, refusing a key the table holds already.
+func listSupergroup(table map[uint64][]*supergroup, list *[]*supergroup, sg *supergroup) error {
+	h := sg.key.Hash()
+	for _, other := range table[h] {
+		if other.key.Equal(sg.key) {
+			return fmt.Errorf("operator: snapshot lists supergroup %s twice", sg.key)
+		}
+	}
+	table[h] = append(table[h], sg)
+	*list = append(*list, sg)
+	return nil
 }
 
 func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergroup, error) {
@@ -225,6 +244,10 @@ func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergro
 		sg.supers[i] = s
 	}
 	nG := d.Len()
+	keys := make([]*tuple.Column, len(o.store.keys))
+	for i := range keys {
+		keys[i] = &o.store.keys[i]
+	}
 	for j := 0; j < nG && d.Err() == nil; j++ {
 		vals := d.Values()
 		if d.Err() != nil {
@@ -233,8 +256,14 @@ func (o *Operator) decodeSupergroup(d *checkpoint.Decoder, full bool) (*supergro
 		if len(vals) != len(o.plan.GroupBy) {
 			return nil, fmt.Errorf("operator: group key has %d values, plan groups by %d", len(vals), len(o.plan.GroupBy))
 		}
-		g := o.addGroup(sg, tuple.HashValues(vals))
+		h := tuple.HashValues(vals)
+		g := o.store.claim(h)
 		o.store.setKeyVals(g, vals)
+		if o.groups.lookupCols(&o.store, h, keys, int(g)) >= 0 {
+			return nil, fmt.Errorf("operator: snapshot lists group %s twice", o.store.key(g))
+		}
+		o.groups.insert(h, g)
+		sg.groups = append(sg.groups, g)
 		for i, a := range o.store.aggs {
 			if err := a.Decode(d, g); err != nil {
 				return nil, fmt.Errorf("operator: restore of %s: %w", o.plan.Aggs[i].Display, err)

@@ -92,7 +92,7 @@ func (o *Operator) publishDebug(at string) {
 		At:          at,
 		Window:      o.windowIdx,
 		Supergroups: len(o.sgList),
-		Stats:       o.stats,
+		Stats:       o.Stats(),
 	}
 
 	// Window-latency quantiles from whichever histogram is live: the

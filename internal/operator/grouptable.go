@@ -60,23 +60,39 @@ func (st *groupStore) claim(h uint64) int32 {
 	case int(st.next) < len(st.hash):
 		s = st.next
 		st.next++
-		st.hash[s] = h
 	case n > 0:
 		s = st.free[n-1]
 		st.free = st.free[:n-1]
-		st.hash[s] = h
 	default:
 		s = int32(len(st.hash))
-		st.hash = append(st.hash, h)
+		st.hash = append(st.hash, 0)
 		st.next++
 	}
+	st.reset(s, h)
+	return s
+}
+
+// reset makes slot s a new group of hash h, with fresh aggregates and NULL
+// contributions. The caller writes its key.
+func (st *groupStore) reset(s int32, h uint64) {
+	st.hash[s] = h
 	for _, a := range st.aggs {
 		a.Reset(s)
 	}
 	for i := range st.contribs {
 		setSlot(&st.contribs[i], s, value.Value{})
 	}
-	return s
+}
+
+// equalRow reports whether slot s's key equals row row of the group-by
+// columns cols: value.Equal, through Column.EqualRow.
+func (st *groupStore) equalRow(s int, cols []*tuple.Column, row int) bool {
+	for c := range cols {
+		if !st.keys[c].EqualRow(s, cols[c], row) {
+			return false
+		}
+	}
+	return true
 }
 
 // setSlot writes v into row s of c, appending it when s is c's length.
@@ -161,28 +177,19 @@ const groupTableMinSize = 64
 func (t *groupTable) len() int { return t.n }
 
 // lookupCols returns the slot of the group whose key, in st, equals row
-// row of the group-by columns cols (hash h), or -1. Equality is
-// value.Equal, through Column.EqualRow.
+// row of the group-by columns cols (hash h), or -1 (groupStore.equalRow).
 func (t *groupTable) lookupCols(st *groupStore, h uint64, cols []*tuple.Column, row int) int32 {
 	if t.n == 0 {
 		return -1
 	}
-probe:
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		e := &t.entries[i]
 		if e.ref == 0 {
 			return -1
 		}
-		if e.hash != uint32(h) {
-			continue
+		if e.hash == uint32(h) && st.equalRow(int(e.ref-1), cols, row) {
+			return int32(e.ref - 1)
 		}
-		s := int(e.ref - 1)
-		for c := range cols {
-			if !st.keys[c].EqualRow(s, cols[c], row) {
-				continue probe
-			}
-		}
-		return int32(s)
 	}
 }
 

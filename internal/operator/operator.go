@@ -25,6 +25,12 @@
 // hash, aggregates and contributions are row s of a few dense columns, the
 // supergroup-group table lists slots, and the group table maps key hashes
 // to them.
+//
+// The package's other step is Table (table.go), the low-level partial
+// aggregation of the paper's Fig. 1: a direct-mapped table that evicts on
+// a collision. It keeps a walk of its own, so no eviction branch enters
+// the operator's, and is built from the operator's parts: the group store,
+// the kernel pass (vecState.evalKernels) and the output batch (outBatch).
 package operator
 
 import (
@@ -79,18 +85,9 @@ type supergroup struct {
 // Operator is a running instance of a compiled sampling query.
 type Operator struct {
 	plan *gsql.Plan
-	// sink takes every output row (nil discards them). out is the batch
-	// output fills and drain hands to the sink — empty whenever Process,
-	// ProcessBatch or Flush returns, so it is no part of a snapshot — and
-	// outRow the scratch a row's SELECT list evaluates into.
-	sink   ColumnSink
-	out    []*tuple.Column
-	outRow tuple.Tuple
-	// The flush's output (passGroup, gather): the indices of the SELECT
-	// items that are not bare references, and the slots of the groups
-	// passed whose references are not yet gathered.
-	computed []int
-	pass     []int32
+	// out is the output batch (output.go), its sink the operator's
+	// consumer (nil discards the rows).
+	out outBatch
 
 	// The open window's groups (see grouptable.go): the store of their
 	// slots, the group table over it, and slot, the reader the per-group
@@ -125,7 +122,7 @@ type Operator struct {
 	keyVals []value.Value // scratch: a group's key values
 	sgVals  []value.Value // scratch: supergroup key values
 	argVals []value.Value // scratch: superaggregate argument values
-	stats   Stats
+	stats   Stats         // all but TuplesOut, which the output batch counts (Stats)
 
 	// Telemetry (see telemetry.go). tel and om are nil unless a collector
 	// is attached; the per-tuple path never touches them.
@@ -174,8 +171,6 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 	o := &Operator{
 		plan:    plan,
 		front:   gsql.NewGroupFront(plan),
-		out:     make([]*tuple.Column, len(plan.SelectExprs)),
-		outRow:  make(tuple.Tuple, len(plan.SelectExprs)),
 		sgNew:   make(map[uint64][]*supergroup),
 		sgOld:   make(map[uint64][]*supergroup),
 		store:   newGroupStore(plan),
@@ -184,19 +179,12 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 		argVals: make([]value.Value, len(plan.Supers)),
 	}
 	o.slot.Cols = o.store.aggs
-	for j, ref := range plan.SelectRefs {
-		if ref.GroupVar < 0 && ref.Agg < 0 {
-			o.computed = append(o.computed, j)
-		}
-	}
+	o.out = newOutBatch(plan, &o.store)
 	o.vec = newVecState(plan, o.front.Vec())
-	for i := range o.out {
-		o.out[i] = new(tuple.Column)
-	}
 	if emit != nil {
 		// The row form of the sink: one scratch row, rebuilt for each call.
 		var row tuple.Tuple
-		o.sink = func(cols []*tuple.Column) error {
+		o.out.sink = func(cols []*tuple.Column) error {
 			for i, n := 0, cols[0].Len(); i < n; i++ {
 				row = tuple.RowOf(row, cols, i)
 				if err := emit(row); err != nil {
@@ -222,10 +210,15 @@ func New(plan *gsql.Plan, emit Emit) (*Operator, error) {
 // emit: every output row — a selection's, a window's sample, whichever
 // path evaluated it — reaches it as columns, in order, and no row is built
 // for a consumer that is itself columnar. A nil sink discards the output.
-func (o *Operator) SetColumnSink(sink ColumnSink) { o.sink = sink }
+func (o *Operator) SetColumnSink(sink ColumnSink) { o.out.sink = sink }
 
-// Stats returns a snapshot of the activity counters.
-func (o *Operator) Stats() Stats { return o.stats }
+// Stats returns a snapshot of the activity counters, TuplesOut the output
+// batch's count.
+func (o *Operator) Stats() Stats {
+	s := o.stats
+	s.TuplesOut = o.out.n
+	return s
+}
 
 // Process offers one input tuple, as a batch of one (see ProcessBatch).
 func (o *Operator) Process(t tuple.Tuple) error {
@@ -319,20 +312,14 @@ func (o *Operator) supergroupFor(vals []value.Value) *supergroup {
 	return sg
 }
 
-// addGroup takes a slot for a new group of hash h and registers it in the
-// group table and sg's supergroup-group table. The caller writes its key.
-func (o *Operator) addGroup(sg *supergroup, h uint64) int32 {
+// createGroup makes the group keyed by row row of the group-by columns gb
+// (hash h): a slot of the store, registered in the group table and sg's
+// supergroup-group table.
+func (o *Operator) createGroup(sg *supergroup, h uint64, gb []*tuple.Column, row int) int32 {
 	g := o.store.claim(h)
+	o.store.setKeyRow(g, gb, row)
 	o.groups.insert(h, g)
 	sg.groups = append(sg.groups, g)
-	return g
-}
-
-// createGroup makes the group keyed by row row of the group-by columns gb
-// (hash h).
-func (o *Operator) createGroup(sg *supergroup, h uint64, gb []*tuple.Column, row int) int32 {
-	g := o.addGroup(sg, h)
-	o.store.setKeyRow(g, gb, row)
 	o.stats.GroupsCreated++
 	return g
 }
@@ -437,7 +424,7 @@ func (o *Operator) evictGroup(sg *supergroup, g int32) {
 // returns.
 func (o *Operator) flushWindow() error {
 	np := o.prof
-	ft, outBefore := np.Start(), o.stats.TuplesOut
+	ft, outBefore := np.Start(), o.out.n
 	o.stats.Windows++
 	o.ctx = gsql.Ctx{}
 	for _, sg := range o.sgList {
@@ -447,7 +434,7 @@ func (o *Operator) flushWindow() error {
 			}
 		}
 	}
-	if err := o.drain(o.sample()); err != nil {
+	if err := o.out.drain(o.sample()); err != nil {
 		return err
 	}
 	if o.om != nil {
@@ -461,7 +448,7 @@ func (o *Operator) flushWindow() error {
 		np.SetOccupancy(int64(groups), int64(len(o.sgList)), o.groupBytes())
 	}
 	o.windowIdx++
-	o.winBase = o.stats
+	o.winBase = o.Stats()
 	// Rotate: current supergroups become the "old" table for state
 	// handoff; the group table clears (keeping its storage) and the store
 	// rewinds, so the next window takes its slots in the same order.
@@ -475,7 +462,7 @@ func (o *Operator) flushWindow() error {
 	if np != nil || o.om != nil {
 		end := profile.Now()
 		if np != nil {
-			o.nestedNS += np.Charge(profile.StageFlush, ft, int64(groups), o.stats.TuplesOut-outBefore) - ft
+			o.nestedNS += np.Charge(profile.StageFlush, ft, int64(groups), o.out.n-outBefore) - ft
 		}
 		if o.winStartNS != 0 {
 			latency := float64(end-o.winStartNS) / 1e9
@@ -505,7 +492,7 @@ func (o *Operator) sample() error {
 	closure := fast == nil && o.plan.Having != nil
 	key := closure || o.plan.SelectReadsKey // a closure reads the key
 	est := len(o.plan.Estimates) > 0
-	o.pass = o.pass[:0]
+	o.out.pass = o.out.pass[:0]
 	for _, sg := range o.sgList {
 		o.ctx.States = sg.states
 		o.ctx.Supers = sg.supers
@@ -567,39 +554,33 @@ func (o *Operator) sample() error {
 			return err
 		}
 	}
-	return o.gather(nil)
+	return o.out.gather(nil)
 }
 
 // havingErr returns HAVING's error err once the groups that passed before
 // the one it erred at are output, as the row-by-row output would have.
 func (o *Operator) havingErr(err error) error {
-	return o.gather(fmt.Errorf("operator: HAVING: %w", err))
+	return o.out.gather(fmt.Errorf("operator: HAVING: %w", err))
 }
 
 // output evaluates the SELECT list of a selection plan's closure mode into
-// the output batch: no tuple is built, and the row leaves with the batch,
-// when that holds tuple.DefaultBatchRows rows or at the next drain. A row
-// that carries traces leaves with its batch too, its emit span recorded
-// and the traces staged at its position in it for the sink to claim
-// (Tracer.TakeStaged). Its one caller is selectBatch; a window's groups
-// leave through passGroup and gather.
+// the output batch, where all its items are computed: no tuple is built,
+// and the row leaves with the batch, when that holds
+// tuple.DefaultBatchRows rows or at the next drain.
+// A row that carries traces leaves with its batch too, its emit span
+// recorded and the traces staged at its position in it for the sink to
+// claim (Tracer.TakeStaged). Its one caller is selectBatch; a window's
+// groups leave through passGroup.
 func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
-	for i, sel := range o.plan.SelectExprs {
-		v, err := sel(ctx)
-		if err != nil {
-			return fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[i], err)
-		}
-		o.outRow[i] = v
+	if err := o.out.compute(ctx); err != nil {
+		return fmt.Errorf("operator: %w", err)
 	}
+	row := o.out.cols[0].Len() - 1
 	if o.tr != nil && len(tts) > 0 {
-		o.tr.Stage(o.trName, o.windowIdx, o.out[0].Len(), tts)
+		o.tr.Stage(o.trName, o.windowIdx, row, tts)
 	}
-	for i, c := range o.out {
-		c.AppendValue(o.outRow[i])
-	}
-	o.stats.TuplesOut++
-	if o.out[0].Len() == tuple.DefaultBatchRows {
-		return o.drain(nil)
+	if row+1 == tuple.DefaultBatchRows {
+		return o.out.drain(nil)
 	}
 	return nil
 }
@@ -608,23 +589,14 @@ func (o *Operator) output(ctx *gsql.Ctx, tts []*tracing.TupleTrace) error {
 // output batch. Its computed SELECT items are evaluated now, under o.ctx —
 // which holds g's supergroup and, when one reads it, g's key — so a
 // stateful one sees the state HAVING left for g, before the next group is
-// judged; its bare references wait in o.pass to be gathered with the other
-// passed groups' (gather). Its traces are staged at its row. An error at
+// judged; its bare references are gathered with the other passed groups'
+// (outBatch). Its traces are staged at its row. An error at
 // an item outputs the groups passed before g and is returned.
 func (o *Operator) passGroup(g int32) error {
-	row := o.rows()
-	if len(o.computed) > 0 {
-		o.slot.At = g
-		for _, j := range o.computed {
-			v, err := o.plan.SelectExprs[j](&o.ctx)
-			if err != nil {
-				return o.gather(fmt.Errorf("operator: SELECT %s: %w", o.plan.SelectNames[j], err))
-			}
-			o.outRow[j] = v
-		}
-		for _, j := range o.computed {
-			o.out[j].AppendValue(o.outRow[j])
-		}
+	row := o.out.rows()
+	o.slot.At = g
+	if err := o.out.compute(&o.ctx); err != nil {
+		return o.out.gather(fmt.Errorf("operator: %w", err))
 	}
 	if len(o.traces) > 0 {
 		if tts := o.traces[g]; len(tts) > 0 {
@@ -632,69 +604,7 @@ func (o *Operator) passGroup(g int32) error {
 			delete(o.traces, g)
 		}
 	}
-	o.pass = append(o.pass, g)
-	if row+1 == tuple.DefaultBatchRows {
-		return o.gather(nil)
-	}
-	return nil
-}
-
-// rows returns how many rows the output batch holds, counting the groups
-// in o.pass, whose computed items are in and references are not.
-func (o *Operator) rows() int {
-	n := o.out[0].Len()
-	if len(o.computed) == 0 || o.computed[0] != 0 {
-		n += len(o.pass)
-	}
-	return n
-}
-
-// gather completes the rows of the groups o.pass holds, in order: each
-// bare SELECT reference is gathered as a column over their slots
-// (Column.Gather over a key, agg.Gather over an aggregate). It counts the
-// rows, empties o.pass and hands a full batch to the sink, returning the
-// sink's error or, failing that, err (see drain).
-func (o *Operator) gather(err error) error {
-	if len(o.pass) == 0 {
-		return err
-	}
-	for j, ref := range o.plan.SelectRefs {
-		switch {
-		case ref.GroupVar >= 0:
-			o.out[j].Gather(&o.store.keys[ref.GroupVar], o.pass)
-		case ref.Agg >= 0:
-			agg.Gather(o.out[j], o.store.aggs[ref.Agg], o.pass)
-		}
-	}
-	o.stats.TuplesOut += int64(len(o.pass))
-	o.pass = o.pass[:0]
-	if o.out[0].Len() < tuple.DefaultBatchRows {
-		return err
-	}
-	return o.drain(err)
-}
-
-// send hands one run of output rows to the sink.
-func (o *Operator) send(cols []*tuple.Column) error {
-	if o.sink == nil {
-		return nil
-	}
-	return o.sink(cols)
-}
-
-// drain hands the rows in the output batch to the sink and empties it. It
-// returns the sink's error, or failing that err: what was output before an
-// error goes out before the error is returned.
-func (o *Operator) drain(err error) error {
-	if o.out[0].Len() > 0 {
-		if sinkErr := o.send(o.out); sinkErr != nil {
-			err = sinkErr
-		}
-		for _, c := range o.out {
-			c.Reset()
-		}
-	}
-	return err
+	return o.out.queue(g)
 }
 
 // Flush closes the current window at end of stream, emitting its sample.

@@ -57,7 +57,7 @@ func TestOutputBatchEmptyAtEveryReturn(t *testing.T) {
 				}
 				check := func(call string, err error) error {
 					t.Helper()
-					if n := op.out[0].Len(); n != 0 {
+					if n := op.out.cols[0].Len(); n != 0 {
 						t.Fatalf("%s returned (err %v) with %d rows in the output batch", call, err, n)
 					}
 					return err

@@ -88,14 +88,15 @@ func (o *Operator) syncCounters() {
 	if m == nil {
 		return
 	}
-	m.tuplesIn.Add(o.stats.TuplesIn - m.synced.TuplesIn)
-	m.tuplesAccepted.Add(o.stats.TuplesAccepted - m.synced.TuplesAccepted)
-	m.tuplesOut.Add(o.stats.TuplesOut - m.synced.TuplesOut)
-	m.groupsCreated.Add(o.stats.GroupsCreated - m.synced.GroupsCreated)
-	m.groupsEvicted.Add(o.stats.GroupsEvicted - m.synced.GroupsEvicted)
-	m.cleanings.Add(o.stats.Cleanings - m.synced.Cleanings)
-	m.windows.Add(o.stats.Windows - m.synced.Windows)
-	m.synced = o.stats
+	s := o.Stats()
+	m.tuplesIn.Add(s.TuplesIn - m.synced.TuplesIn)
+	m.tuplesAccepted.Add(s.TuplesAccepted - m.synced.TuplesAccepted)
+	m.tuplesOut.Add(s.TuplesOut - m.synced.TuplesOut)
+	m.groupsCreated.Add(s.GroupsCreated - m.synced.GroupsCreated)
+	m.groupsEvicted.Add(s.GroupsEvicted - m.synced.GroupsEvicted)
+	m.cleanings.Add(s.Cleanings - m.synced.Cleanings)
+	m.windows.Add(s.Windows - m.synced.Windows)
+	m.synced = s
 }
 
 // recordWindow captures the closing window's telemetry. base is the
@@ -104,7 +105,7 @@ func (o *Operator) syncCounters() {
 // the sample and before the tables rotate.
 func (o *Operator) recordWindow(base Stats) {
 	idx := float64(o.windowIdx)
-	sample := o.stats.TuplesOut - base.TuplesOut
+	sample := o.out.n - base.TuplesOut
 	groups := (o.stats.GroupsCreated - base.GroupsCreated) - (o.stats.GroupsEvicted - base.GroupsEvicted)
 	cleanings := o.stats.Cleanings - base.Cleanings
 	evicted := o.stats.GroupsEvicted - base.GroupsEvicted
